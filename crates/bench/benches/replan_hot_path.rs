@@ -3,12 +3,15 @@
 //! against the same trace replayed with `full_replan(true)` — the
 //! truncate-everything-then-rebuild loop it replaces. The ratio between
 //! the two entries is the delta-PRT win; a regression toward parity
-//! means the reuse/masking machinery stopped paying for itself.
+//! means the reuse/masking machinery stopped paying for itself. The
+//! `+guard` pair replays the same trace under the §4.2 starvation guard,
+//! whose windows stand in the table: the delta path plans around them,
+//! the full path sweeps them out and stands them back up every event.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};
 use ocs_sim::{simulate_circuit, OnlineConfig};
-use sunflow_core::ShortestFirst;
+use sunflow_core::{GuardConfig, ShortestFirst};
 
 fn fabric() -> Fabric {
     Fabric::new(16, Bandwidth::GBPS, Dur::from_millis(10))
@@ -49,9 +52,13 @@ fn replan_hot_path(c: &mut Criterion) {
     let coflows = workload(150);
     let f = fabric();
     let mut group = c.benchmark_group("replan_hot_path_150");
+    let guarded =
+        OnlineConfig::default().guard(GuardConfig::new(Dur::from_secs(1), Dur::from_millis(40)));
     for (name, cfg) in [
         ("delta", OnlineConfig::default()),
         ("full", OnlineConfig::default().full_replan(true)),
+        ("delta+guard", guarded),
+        ("full+guard", guarded.full_replan(true)),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {

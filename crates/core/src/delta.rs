@@ -58,11 +58,14 @@ struct MaskEntry {
 /// forward from the replan instant), so [`DeltaView::seal`] compacts
 /// each masked port's *visible* reservations still live past `now` —
 /// typically a handful of planned circuits — into a flat sorted
-/// interval list. Queries then never descend the base `BTreeMap`s
-/// (whose settled history grows without bound over a replay): both the
-/// compacted base intervals and the overlay answer in `O(log F)` of the
-/// port's *future* depth. Confirmed entries re-enter the visible state
-/// through the overlay, exactly as a fresh reservation would.
+/// interval list, up to the first one past the port's last hidden
+/// reservation. Queries inside that stretch never descend the base
+/// `BTreeMap`s: both the compacted base intervals and the overlay
+/// answer in `O(log F)` of the stretch's depth. Past it nothing is
+/// hidden, so the base table answers directly — a port's standing
+/// future (a starvation guard's timetable, say) is never copied.
+/// Confirmed entries re-enter the visible state through the overlay,
+/// exactly as a fresh reservation would.
 #[derive(Debug)]
 pub struct DeltaView<'a> {
     base: &'a Prt,
@@ -75,12 +78,20 @@ pub struct DeltaView<'a> {
     out_mask: Vec<Vec<u32>>,
     /// Per *masked* input port, the visible base intervals with
     /// `end > now` — the in-flight circuit (if any) plus unhidden future
-    /// reservations — sorted by start. Built by [`DeltaView::seal`];
-    /// empty for unmasked ports (they delegate to the base's cached
-    /// queries).
+    /// reservations — sorted by start, through the first one starting
+    /// at or after the end of the port's last hidden reservation. Built
+    /// by [`DeltaView::seal`]; empty for unmasked ports.
     in_future: Vec<Vec<(Time, Time)>>,
     /// Same intervals for output ports.
     out_future: Vec<Vec<(Time, Time)>>,
+    /// Per input port, the instant from which the base table answers
+    /// queries directly: the origin for unmasked ports (they delegate to
+    /// the base's cached queries throughout); for masked ports the start
+    /// of the last interval in `in_future` when the list stopped short
+    /// of the port's whole future, `Time::MAX` when it holds all of it.
+    in_base_from: Vec<Time>,
+    /// Same instants for output ports.
+    out_base_from: Vec<Time>,
     /// Per input port, the overlay's `(start, end)` intervals, sorted by
     /// start (reservations on a port never overlap, so ends too). Holds
     /// fresh *and* confirmed reservations — both are visible.
@@ -107,6 +118,8 @@ impl<'a> DeltaView<'a> {
             out_mask: vec![Vec::new(); n],
             in_future: vec![Vec::new(); n],
             out_future: vec![Vec::new(); n],
+            in_base_from: vec![Time::ZERO; n],
+            out_base_from: vec![Time::ZERO; n],
             in_overlay: vec![Vec::new(); n],
             out_overlay: vec![Vec::new(); n],
             log: Vec::new(),
@@ -145,7 +158,7 @@ impl<'a> DeltaView<'a> {
         }
         for i in 0..self.base.ports() {
             if !self.in_mask[i].is_empty() {
-                Self::build_future(
+                self.in_base_from[i] = Self::build_future(
                     self.base.in_entries(i),
                     mask,
                     &self.in_mask[i],
@@ -154,7 +167,7 @@ impl<'a> DeltaView<'a> {
                 );
             }
             if !self.out_mask[i].is_empty() {
-                Self::build_future(
+                self.out_base_from[i] = Self::build_future(
                     self.base.out_entries(i),
                     mask,
                     &self.out_mask[i],
@@ -166,22 +179,29 @@ impl<'a> DeltaView<'a> {
         self.sealed = true;
     }
 
-    /// Compact one masked port: the covering entry at `now` plus every
-    /// later one, skipping hidden starts. Entries ending at or before
-    /// `now` can never answer a `t >= now` query — a covering entry that
-    /// already ended leaves the port free, and only ends strictly after
-    /// `t` are releases.
+    /// Compact one masked port: the covering entry at `now` plus the
+    /// later ones, skipping hidden starts, through the first that starts
+    /// at or after the end of the port's last hidden reservation.
+    /// Entries ending at or before `now` can never answer a `t >= now`
+    /// query — a covering entry that already ended leaves the port free,
+    /// and only ends strictly after `t` are releases. From the last
+    /// interval's start on nothing is hidden and every query resolves
+    /// within the base map, so the copy stops there and that start is
+    /// returned (`Time::MAX` if the port's future ran out first): inside
+    /// the list a next start and a next release always exist in it.
     fn build_future(
         map: &BTreeMap<Time, Entry>,
         mask: &[MaskEntry],
         list: &[u32],
         now: Time,
         out: &mut Vec<(Time, Time)>,
-    ) {
+    ) -> Time {
         let hidden = |s: Time| {
             list.binary_search_by_key(&s, |&i| mask[i as usize].resv.start)
                 .is_ok()
         };
+        // Sorted by start on one port, so the last hidden entry ends last.
+        let last_hidden_end = mask[*list.last().expect("masked port") as usize].resv.end;
         if let Some((&s, e)) = map.range(..=now).next_back() {
             if e.end > now && !hidden(s) {
                 out.push((s, e.end));
@@ -190,8 +210,12 @@ impl<'a> DeltaView<'a> {
         for (&s, e) in map.range((Excluded(now), Unbounded)) {
             if !hidden(s) {
                 out.push((s, e.end));
+                if s >= last_hidden_end {
+                    return s;
+                }
             }
         }
+        Time::MAX
     }
 
     /// Number of reservations currently hidden by the mask.
@@ -298,7 +322,7 @@ impl PlanTable for DeltaView<'_> {
 
     fn in_free_at(&self, i: InPort, t: Time) -> bool {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base_free = if self.in_mask[i].is_empty() {
+        let base_free = if t >= self.in_base_from[i] {
             self.base.in_free_at(i, t)
         } else {
             Self::overlay_free_at(&self.in_future[i], t)
@@ -308,7 +332,7 @@ impl PlanTable for DeltaView<'_> {
 
     fn out_free_at(&self, j: OutPort, t: Time) -> bool {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base_free = if self.out_mask[j].is_empty() {
+        let base_free = if t >= self.out_base_from[j] {
             self.base.out_free_at(j, t)
         } else {
             Self::overlay_free_at(&self.out_future[j], t)
@@ -318,7 +342,7 @@ impl PlanTable for DeltaView<'_> {
 
     fn in_next_start_after(&self, i: InPort, t: Time) -> Time {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if self.in_mask[i].is_empty() {
+        let base = if t >= self.in_base_from[i] {
             self.base.in_next_start_after(i, t)
         } else {
             Self::overlay_next_start_after(&self.in_future[i], t)
@@ -328,7 +352,7 @@ impl PlanTable for DeltaView<'_> {
 
     fn out_next_start_after(&self, j: OutPort, t: Time) -> Time {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if self.out_mask[j].is_empty() {
+        let base = if t >= self.out_base_from[j] {
             self.base.out_next_start_after(j, t)
         } else {
             Self::overlay_next_start_after(&self.out_future[j], t)
@@ -338,7 +362,7 @@ impl PlanTable for DeltaView<'_> {
 
     fn in_next_release_after(&self, i: InPort, t: Time) -> Option<Time> {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if self.in_mask[i].is_empty() {
+        let base = if t >= self.in_base_from[i] {
             self.base.in_next_release_after(i, t)
         } else {
             Self::overlay_next_release_after(&self.in_future[i], t)
@@ -352,7 +376,7 @@ impl PlanTable for DeltaView<'_> {
 
     fn out_next_release_after(&self, j: OutPort, t: Time) -> Option<Time> {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if self.out_mask[j].is_empty() {
+        let base = if t >= self.out_base_from[j] {
             self.base.out_next_release_after(j, t)
         } else {
             Self::overlay_next_release_after(&self.out_future[j], t)
@@ -366,7 +390,7 @@ impl PlanTable for DeltaView<'_> {
 
     fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if self.in_mask[i].is_empty() {
+        let base = if t >= self.in_base_from[i] {
             self.base.in_probe(i, t)
         } else {
             Self::overlay_probe(&self.in_future[i], t)
@@ -376,7 +400,7 @@ impl PlanTable for DeltaView<'_> {
 
     fn out_probe(&self, j: OutPort, t: Time) -> PortProbe {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if self.out_mask[j].is_empty() {
+        let base = if t >= self.out_base_from[j] {
             self.base.out_probe(j, t)
         } else {
             Self::overlay_probe(&self.out_future[j], t)
@@ -388,8 +412,8 @@ impl PlanTable for DeltaView<'_> {
         debug_assert!(self.sealed, "planning against an unsealed DeltaView");
         let flow = match kind {
             ResvKind::Flow(flow) => flow,
-            // The scoped replanner never runs with a starvation guard
-            // (guard windows are planned directly against the table).
+            // Guard windows are standing reservations of the base table
+            // (the view reads them like any other); no planner makes one.
             ResvKind::Guard => panic!("DeltaView cannot plan guard windows"),
         };
         let resv = Reservation {
@@ -632,11 +656,32 @@ mod tests {
 
     #[test]
     fn view_queries_match_truncated_table() {
+        assert_view_matches_truncation(two_coflow_table(), 40);
+    }
+
+    /// Reservations standing past a port's last hidden one (guard
+    /// windows here) are not copied into the view: queries before the
+    /// first of them resolve in the compacted list, queries from it on
+    /// in the base table, and both must agree with the truncated table.
+    #[test]
+    fn view_queries_cross_into_the_base_past_the_last_hidden_entry() {
+        let mut prt = two_coflow_table();
+        for w in [32, 50, 68] {
+            for i in 0..4 {
+                prt.reserve(i, (i + 1) % 4, t(w), t(w + 4), ResvKind::Guard);
+            }
+        }
+        assert_view_matches_truncation(prt, 80);
+    }
+
+    /// Hide coflow 1's future at `now = 6` and compare every query of the
+    /// view against the table with that future truncated, over
+    /// `[now, until_ms)`.
+    fn assert_view_matches_truncation(prt: Prt, until_ms: u64) {
         let now = t(6);
-        let mut seq = two_coflow_table();
+        let mut seq = prt.clone();
         seq.truncate_future_of(1, now);
 
-        let prt = two_coflow_table();
         let mut view = DeltaView::new(&prt, now);
         view.hide_future_of(1);
         view.seal();
@@ -644,7 +689,7 @@ mod tests {
         // The view's contract covers `t >= now` only — Algorithm 1
         // never probes behind the replan instant.
         for p in 0..4 {
-            for ms in 6..40 {
+            for ms in 6..until_ms {
                 let q = t(ms);
                 assert_eq!(
                     view.in_free_at(p, q),

@@ -13,10 +13,10 @@
 //!
 //! We realize `Φ` as the `N` cyclic-shift permutations
 //! (`in.i → out.(i+k mod N)`), which provably cover every circuit.
-//! Guard windows are seeded into the PRT as [`ResvKind::Guard`]
-//! reservations; Algorithm 1 then schedules around them without any
-//! modification — to the intra-Coflow routine they are simply port
-//! reservations it must not displace.
+//! Guard windows stand in the PRT as [`ResvKind::Guard`] reservations
+//! ([`StarvationGuard::seed_prt`]); Algorithm 1 then schedules around
+//! them without any modification — to the intra-Coflow routine they are
+//! simply port reservations it must not displace.
 
 use crate::prt::{Prt, ResvKind};
 use ocs_model::{Assignment, Dur, Time};
@@ -127,8 +127,7 @@ impl StarvationGuard {
     /// The guard window of interval `m`:
     /// `[m(T+τ) + T, (m+1)(T+τ))` with assignment `A_(m mod N)`.
     pub fn window(&self, m: u64) -> GuardWindow {
-        let base = Time::ZERO + self.interval_len() * m;
-        let start = base + self.config.period;
+        let start = self.window_start(m);
         let end = start + self.config.tau;
         GuardWindow {
             start,
@@ -138,33 +137,15 @@ impl StarvationGuard {
         }
     }
 
-    /// All guard windows overlapping `[from, until)`, in order.
-    pub fn windows_in(&self, from: Time, until: Time) -> Vec<GuardWindow> {
-        if until <= from {
-            return Vec::new();
-        }
-        let ilen = self.interval_len().as_ps();
-        let first = from.as_ps() / ilen;
-        let mut out = Vec::new();
-        let mut m = first.saturating_sub(1); // window of interval m-1 may straddle `from`
-        loop {
-            let w = self.window(m);
-            if w.start >= until {
-                break;
-            }
-            if w.end > from {
-                out.push(w);
-            }
-            m += 1;
-        }
-        out
+    /// When the guard window of interval `m` starts: `m(T+τ) + T`.
+    pub fn window_start(&self, m: u64) -> Time {
+        Time::ZERO + self.interval_len() * m + self.config.period
     }
 
     /// The first guard-window end at or after `t` (the next natural
     /// rescheduling point for the online replay).
     pub fn next_window_end_after(&self, t: Time) -> Time {
-        let ilen = self.interval_len().as_ps();
-        let m = t.as_ps() / ilen;
+        let m = self.interval_at(t);
         let w = self.window(m);
         if w.end > t {
             w.end
@@ -173,20 +154,32 @@ impl StarvationGuard {
         }
     }
 
-    /// Seed every guard window overlapping `[from, until)` into the PRT as
-    /// `Guard` reservations on all of the window's circuits. Windows whose
-    /// start precedes `from` are skipped (the caller has already settled
-    /// them); normal scheduling will then flow around the seeded windows.
-    pub fn seed_prt(&self, prt: &mut Prt, from: Time, until: Time) {
+    /// The interval `t` falls in. Its window is the earliest one not
+    /// over at `t`: still to come, or under way.
+    pub fn interval_at(&self, t: Time) -> u64 {
+        t.as_ps() / self.interval_len().as_ps()
+    }
+
+    /// Reserve the windows of intervals `first..` that start before
+    /// `until` on all of their circuits, as `Guard` reservations, and
+    /// return the first interval left unreserved — the cursor to pass as
+    /// `first` next time. The windows are a fixed timetable, so a caller
+    /// keeps them as *standing* obstacles: reserved once, extended by the
+    /// returned cursor as its planning horizon grows, never re-derived.
+    /// A caller whose cursor has fallen behind its clock resumes from
+    /// [`StarvationGuard::interval_at`] the clock, so that a window under
+    /// way then stands like any other and nothing is planned through it.
+    pub fn seed_prt(&self, prt: &mut Prt, first: u64, until: Time) -> u64 {
         assert_eq!(prt.ports(), self.ports, "PRT port count mismatch");
-        for w in self.windows_in(from, until) {
-            if w.start < from {
-                continue;
-            }
+        let mut m = first;
+        while self.window_start(m) < until {
+            let w = self.window(m);
             for &(i, j) in w.assignment.pairs() {
                 prt.reserve(i, j, w.start, w.end, ResvKind::Guard);
             }
+            m += 1;
         }
+        m
     }
 }
 
@@ -227,19 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn windows_in_selects_overlaps() {
-        let g = guard();
-        // [0, 100) contains no window; [0, 101) clips window 0.
-        assert!(g.windows_in(Time::ZERO, Time::from_millis(100)).is_empty());
-        assert_eq!(g.windows_in(Time::ZERO, Time::from_millis(101)).len(), 1);
-        // A range starting inside window 0 still reports it.
-        let ws = g.windows_in(Time::from_millis(110), Time::from_millis(360));
-        assert_eq!(ws.len(), 3);
-        assert_eq!(ws[0].interval, 0);
-        assert_eq!(ws[2].interval, 2);
-    }
-
-    #[test]
     fn next_window_end() {
         let g = guard();
         assert_eq!(g.next_window_end_after(Time::ZERO), Time::from_millis(120));
@@ -257,7 +237,7 @@ mod tests {
     fn seeding_blocks_all_ports_during_window() {
         let g = guard();
         let mut prt = Prt::new(4);
-        g.seed_prt(&mut prt, Time::ZERO, Time::from_millis(240));
+        assert_eq!(g.seed_prt(&mut prt, 0, Time::from_millis(240)), 2);
         for p in 0..4 {
             assert!(!prt.in_free_at(p, Time::from_millis(110)));
             assert!(!prt.out_free_at(p, Time::from_millis(110)));
@@ -265,6 +245,27 @@ mod tests {
         }
         // Guard reservations are not flow reservations.
         assert!(prt.flow_reservations().is_empty());
+    }
+
+    #[test]
+    fn seeding_extends_from_the_cursor_and_stands_a_window_under_way() {
+        let g = guard();
+        let mut prt = Prt::new(4);
+        // A clock inside window 0 is still in interval 0: resuming there
+        // stands the window under way, then window 1.
+        let first = g.interval_at(Time::from_millis(110));
+        assert_eq!(first, 0);
+        let next = g.seed_prt(&mut prt, first, Time::from_millis(300));
+        assert_eq!(next, 2);
+        assert!(!prt.in_free_at(0, Time::from_millis(115)));
+        assert!(!prt.in_free_at(0, Time::from_millis(230)));
+        // Once window 0 is over the clock is in interval 1.
+        assert_eq!(g.interval_at(Time::from_millis(120)), 1);
+        // A shorter horizon neither moves the cursor back nor reserves twice.
+        assert_eq!(g.seed_prt(&mut prt, next, Time::from_millis(200)), next);
+        // Extending picks up exactly where the cursor stopped.
+        assert_eq!(g.seed_prt(&mut prt, next, Time::from_millis(500)), 4);
+        assert_eq!(prt.all_reservations().len(), 4 * 4);
     }
 
     #[test]

@@ -589,7 +589,8 @@ impl Daemon {
                 "\"admitted\": {}, \"completed\": {}, \"rejected\": {}, ",
                 "\"bytes_admitted\": {}, \"outstanding_demand_secs\": {:.6}, ",
                 "\"utilization\": {:.6}, \"circuit_setups\": {}, \"guard_windows\": {}, ",
-                "\"resched_events\": {}, \"reservations_made\": {}, ",
+                "\"resched_events\": {}, \"full_replans\": {}, \"coflows_skipped\": {}, ",
+                "\"reservations_reused\": {}, \"reservations_made\": {}, ",
                 "\"faults\": {{\"setup_failures\": {}, \"port_flaps\": {}, ",
                 "\"delta_inflations\": {}, \"retries\": {}, \"recoveries\": {}, ",
                 "\"max_attempts\": {}, \"backoff_total_secs\": {:.6}, \"flows_in_backoff\": {}}}, ",
@@ -612,6 +613,9 @@ impl Daemon {
             t.circuit_setups,
             self.backend.guard_windows(),
             s.events,
+            s.full_replans,
+            s.coflows_skipped,
+            s.reservations_reused,
             s.reservations_made,
             f.setup_failures,
             f.port_flaps,
@@ -708,6 +712,24 @@ impl Daemon {
             "Rescheduling events processed",
             &by_backend,
             s.events,
+        );
+        p.counter(
+            "ocs_daemon_full_replans_total",
+            "Rescheduling events that fell back to the full re-plan",
+            &by_backend,
+            s.full_replans,
+        );
+        p.counter(
+            "ocs_daemon_coflows_skipped_total",
+            "Coflows whose plans affected-set rescheduling kept as they were",
+            &by_backend,
+            s.coflows_skipped,
+        );
+        p.counter(
+            "ocs_daemon_reservations_reused_total",
+            "Reservations a delta replan reproduced and kept in place",
+            &by_backend,
+            s.reservations_reused,
         );
         p.counter(
             "ocs_daemon_reservations_total",

@@ -190,7 +190,7 @@ impl SchedulingBackend for SunflowBackend<'_> {
     }
 
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        self.stepper.submit(coflow, self.policy.as_ref())
+        self.stepper.submit(coflow)
     }
 
     fn next_event_time(&self) -> Option<Time> {

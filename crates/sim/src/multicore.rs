@@ -157,7 +157,7 @@ impl<'p> MultiSunflowBackend<'p> {
                     .map(|f| self.fabric.processing_time(f.bytes))
                     .sum::<Dur>();
                 self.steppers[core]
-                    .submit(part, self.policy.as_ref())
+                    .submit(part)
                     .expect("part was validated at submission");
                 n += 1;
             }

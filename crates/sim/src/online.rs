@@ -16,11 +16,14 @@
 //! 3. re-runs `IntraCoflow` for every active Coflow in priority order
 //!    against the shared PRT.
 //!
-//! With the optional starvation guard (§4.2) enabled, recurring
-//! `(T, τ)` guard windows are seeded into the PRT before each scheduling
-//! pass; during a guard window every active Coflow with demand on the
-//! window's circuits receives an equal share of its transmit time, and
-//! each guard-window end is an additional rescheduling point.
+//! With the optional starvation guard (§4.2) enabled, the recurring
+//! `(T, τ)` guard windows stand in the PRT as reservations of their own —
+//! each reserved once, as far ahead as any plan can reach — and every
+//! scheduling pass plans around them; during a guard window every active
+//! Coflow with demand on the window's circuits receives an equal share
+//! of its transmit time, and each guard-window end is an additional
+//! rescheduling point (for the Coflows the window credited, and whoever
+//! they free ports for).
 
 use crate::backend::{SchedulingBackend, SunflowBackend};
 use ocs_model::{Coflow, Fabric, ScheduleOutcome};
@@ -81,9 +84,10 @@ pub struct OnlineConfig {
     /// every event, as the original replay did. The scoped fast path
     /// engages automatically only in configurations where it is
     /// outcome-identical (`Keep`/`Yield` policy, `OrderedPort` demand
-    /// order, no quantum, no guard); this switch forces the full re-plan
-    /// even then — an escape hatch and the reference arm of the
-    /// equivalence tests.
+    /// order, no quantum — with or without a starvation guard); this
+    /// switch forces the full re-plan even then — an escape hatch and
+    /// the reference arm of the equivalence tests. Either way the
+    /// fallback is counted in [`ReplayStats::full_replans`].
     pub full_replan: bool,
     /// Worker threads for the scoped replanner's port-disjoint rank
     /// segments: `0` (the default) resolves to the host's available
@@ -188,6 +192,11 @@ pub struct ReplayStats {
     /// planning passes — the port-scoped engine re-examines only demands
     /// touching a just-released port.
     pub demands_scanned: u64,
+    /// Events that fell back to the full re-plan of every active Coflow:
+    /// all of them under [`OnlineConfig::full_replan`],
+    /// [`ActiveCircuitPolicy::Preempt`], a demand quantum or a demand
+    /// order other than `OrderedPort`; none otherwise.
+    pub full_replans: u64,
     /// Coflows actually re-planned at rescheduling events.
     pub coflows_rescheduled: u64,
     /// Coflows skipped by affected-set rescheduling: their port
@@ -247,6 +256,7 @@ impl ReplayStats {
             reschedule_micros,
             releases_visited,
             demands_scanned,
+            full_replans,
             coflows_rescheduled,
             coflows_skipped,
             reservations_reused,
@@ -267,6 +277,7 @@ impl ReplayStats {
         self.reschedule_micros += reschedule_micros;
         self.releases_visited += releases_visited;
         self.demands_scanned += demands_scanned;
+        self.full_replans += full_replans;
         self.coflows_rescheduled += coflows_rescheduled;
         self.coflows_skipped += coflows_skipped;
         self.reservations_reused += reservations_reused;

@@ -186,7 +186,7 @@ impl<'p> PortGroupBackend<'p> {
                 }
                 self.shards[g]
                     .stepper
-                    .submit(b.build(), self.policy.as_ref())
+                    .submit(b.build())
                     .expect("part was validated at submission");
                 n += 1;
             }

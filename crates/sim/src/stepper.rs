@@ -58,18 +58,19 @@ impl Pending {
 /// scratch (wake heap included) per worker thread. Owned by the stepper
 /// and reset — never reallocated — per replan, so the steady-state
 /// event loop's planning path allocates only the plans themselves.
-/// Derived state: deliberately excluded from snapshots.
+/// Everything is sized by the *active* Coflows, never by how many were
+/// ever submitted. Derived state: deliberately excluded from snapshots.
 #[derive(Debug, Default)]
 struct ReplanScratch {
     /// Active Coflow indices in the policy's total order.
     prio: Vec<usize>,
-    /// Coflow id → position in the total order.
+    /// Coflow id → rank (position in `prio`).
     rank: HashMap<u64, usize>,
-    /// Affected-set seeds, indexed like `coflows`.
+    /// Affected-set seeds, indexed by rank.
     seed: Vec<bool>,
-    /// The affected set, in priority order.
+    /// The affected set (Coflow indices), in priority order.
     dirty: Vec<usize>,
-    /// `dirty_flag[idx]` ⇔ `idx ∈ dirty` (this round).
+    /// `dirty_flag[rank]` ⇔ `prio[rank] ∈ dirty` (this round).
     dirty_flag: Vec<bool>,
     /// `(owner rank, src, dst)` of newly in-flight reservations.
     crossings: Vec<(usize, InPort, OutPort)>,
@@ -89,17 +90,30 @@ struct ReplanScratch {
     removed: Vec<RemovedResv>,
     /// One intra-Coflow planning scratch per worker thread.
     planners: Vec<ScheduleScratch>,
+    /// Guard settlement: `(coflow idx, flow idx, src)` of every flow
+    /// riding the window being settled.
+    takers: Vec<(usize, usize, InPort)>,
+    /// Guard settlement: takers per circuit, by source port.
+    sharers: Vec<u64>,
+    /// Guard settlement: the output port the window connects each input
+    /// port to (`usize::MAX` for none).
+    window_peer: Vec<OutPort>,
 }
 
 impl ReplanScratch {
-    fn reset(&mut self, ports: usize, coflows: usize) {
+    /// Clear every buffer and load the priority order: `prio` becomes
+    /// `order`, `rank` its inverse by Coflow id.
+    fn reset(&mut self, ports: usize, order: &[usize], coflows: &[Coflow]) {
         self.prio.clear();
+        self.prio.extend_from_slice(order);
         self.rank.clear();
+        self.rank
+            .extend(order.iter().enumerate().map(|(r, &i)| (coflows[i].id(), r)));
         self.seed.clear();
-        self.seed.resize(coflows, false);
+        self.seed.resize(order.len(), false);
         self.dirty.clear();
         self.dirty_flag.clear();
-        self.dirty_flag.resize(coflows, false);
+        self.dirty_flag.resize(order.len(), false);
         self.crossings.clear();
         self.cross_in.clear();
         self.cross_in.resize(ports, 0);
@@ -145,6 +159,30 @@ struct CoflowState {
 impl CoflowState {
     fn done(&self) -> bool {
         self.remaining.iter().all(|r| r.is_zero())
+    }
+
+    /// `Σ (remaining + 2δ)` over the unfinished flows: the length of
+    /// this Coflow's plan were its circuits laid end to end.
+    fn plan_span(&self, delta: Dur) -> Dur {
+        let unfinished = self.remaining.iter().filter(|r| !r.is_zero());
+        unfinished.map(|&r| r + delta * 2).sum()
+    }
+
+    /// Credit `served` to flow `fi` from a circuit that began
+    /// transmitting at `svc` and released its ports at `end`. Returns
+    /// how much shorter [`CoflowState::plan_span`] got.
+    fn credit(&mut self, fi: usize, served: Dur, svc: Time, end: Time, delta: Dur) -> Dur {
+        self.remaining[fi] -= served;
+        if !served.is_zero() && self.first_service.is_none_or(|f| svc < f) {
+            self.first_service = Some(svc);
+        }
+        if self.remaining[fi].is_zero() && self.finish[fi].is_none() {
+            self.finish[fi] = Some(end);
+            if !served.is_zero() {
+                return served + delta * 2;
+            }
+        }
+        served
     }
 
     fn completion(&self) -> Time {
@@ -324,6 +362,7 @@ pub struct StepperSnapshot {
     stats: ReplayStats,
     next_guard_window: u64,
     guard_windows_elapsed: u64,
+    guard_seeded: u64,
     fuel: u64,
     last_replan_at: Time,
 }
@@ -337,7 +376,7 @@ pub struct StepperSnapshot {
 ///
 /// let fabric = Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10));
 /// let mut s = OnlineStepper::new(&fabric, &OnlineConfig::default());
-/// s.submit(Coflow::builder(0).flow(0, 1, 1_000_000).build(), &ShortestFirst)
+/// s.submit(Coflow::builder(0).flow(0, 1, 1_000_000).build())
 ///     .unwrap();
 /// s.run_until(Time::from_millis(500), &ShortestFirst);
 /// let done = s.drain_completions();
@@ -350,7 +389,6 @@ pub struct StepperSnapshot {
 /// of the Coflow alone; see `replay_regression.rs`), so switching
 /// policies mid-run would scramble the memo.
 pub struct OnlineStepper {
-    /// TEMP profiling: section nanos, printed on drop.
     fabric: Fabric,
     config: OnlineConfig,
     guard: Option<StarvationGuard>,
@@ -363,10 +401,10 @@ pub struct OnlineStepper {
     active: Vec<usize>,
     /// `is_active[idx]` ⇔ `idx ∈ active`.
     is_active: Vec<bool>,
-    /// Non-completed Coflow indices in the policy's total order,
-    /// maintained by binary insertion at submit time so each event sorts
-    /// its active subset by memoized position instead of re-deriving
-    /// priority keys per comparison.
+    /// The active Coflow indices in the policy's total order: binary
+    /// insertion at arrival, removal at completion, so each event reads
+    /// its priority walk off this list instead of sorting — and a deep
+    /// queue of future arrivals costs the walk nothing.
     priority_order: Vec<usize>,
     /// `(arrival, id, idx)` of submitted, not-yet-arrived Coflows.
     pending_arrivals: BTreeSet<(Time, u64, usize)>,
@@ -385,10 +423,18 @@ pub struct OnlineStepper {
     resched_wall: Duration,
     next_guard_window: u64,
     guard_windows_elapsed: u64,
+    /// First guard interval whose window is not yet standing in the PRT
+    /// (the [`StarvationGuard::seed_prt`] cursor).
+    guard_seeded: u64,
+    /// `Σ (remaining + 2δ)` over the unfinished flows of active Coflows:
+    /// the length of their plans laid end to end, which bounds how far
+    /// any plan can reach and so how far the guard windows must stand.
+    /// Maintained at arrival and at every credit; derived state.
+    plan_span: Dur,
     fuel: u64,
     /// True when the configuration admits affected-set rescheduling
-    /// (`replan_scoped`): no guard, no preemption, `OrderedPort` demand
-    /// order, exact demands, and `full_replan` not forced.
+    /// (`replan_scoped`): no preemption, `OrderedPort` demand order,
+    /// exact demands, and `full_replan` not forced.
     scoped: bool,
     /// Per-Coflow port footprint (every `(src, dst)` any of its flows
     /// touches), indexed like `coflows`. Static once submitted.
@@ -398,6 +444,11 @@ pub struct OnlineStepper {
     /// the affected set. Populated only in scoped mode and always
     /// drained by `replan_scoped` within the same event.
     event_dirty: Vec<usize>,
+    /// Ports on which planned circuits were retired outside a re-plan at
+    /// the event being processed (a Coflow the guard finished ahead of
+    /// its plan): any Coflow sharing one may move up. Drained like
+    /// `event_dirty`.
+    event_ports: PortSet,
     /// Clock value of the most recent re-plan; reservations whose start
     /// crossed it since are newly in flight and dirty their ports.
     last_replan_at: Time,
@@ -436,18 +487,21 @@ impl OnlineStepper {
             completions: Vec::new(),
             now: Time::ZERO,
             // Process an event at t=0 on the first run even if the first
-            // arrival is later: the batch loop's first iteration seeds
-            // guard windows from the origin, and byte-identity with it
-            // depends on replicating that.
+            // arrival is later: the batch loop's first iteration ran at
+            // the origin, and byte-identity with it depends on
+            // replicating that.
             dirty: true,
             stats: ReplayStats::default(),
             resched_wall: Duration::ZERO,
             next_guard_window: 0,
             guard_windows_elapsed: 0,
+            guard_seeded: 0,
+            plan_span: Dur::ZERO,
             fuel: 10_000,
             scoped: scoped_mode(config),
             footprints: Vec::new(),
             event_dirty: Vec::new(),
+            event_ports: PortSet::new(fabric.ports()),
             last_replan_at: Time::ZERO,
             scratch: ReplanScratch::default(),
             replan_threads: resolve_replan_threads(config),
@@ -559,12 +613,9 @@ impl OnlineStepper {
 
     /// Submit one Coflow for scheduling. Its arrival must not precede
     /// the stepper's clock; it becomes an arrival event at that time.
-    /// Pass the same `policy` as every other call.
-    pub fn submit(
-        &mut self,
-        coflow: Coflow,
-        policy: &dyn PriorityPolicy,
-    ) -> Result<(), SubmitError> {
+    /// The Coflow is ranked by the policy of the run that processes its
+    /// arrival.
+    pub fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
         if !self.fabric.fits(&coflow) {
             return Err(SubmitError::ExceedsFabric {
                 id: coflow.id(),
@@ -588,20 +639,6 @@ impl OnlineStepper {
         self.coflows.push(coflow);
         self.states.push(None);
         self.is_active.push(false);
-        // Binary-insert into the policy's total order (ties broken by
-        // arrival then id, exactly like `PriorityPolicy::sort`).
-        let coflows = &self.coflows;
-        let fabric = &self.fabric;
-        let new = &coflows[idx];
-        let pos = self.priority_order.partition_point(|&i| {
-            let c = &coflows[i];
-            policy
-                .compare(c, new, fabric)
-                .then_with(|| c.arrival().cmp(&new.arrival()))
-                .then_with(|| c.id().cmp(&new.id()))
-                == Ordering::Less
-        });
-        self.priority_order.insert(pos, idx);
         self.pending_arrivals.insert((arrival, id, idx));
         if arrival <= self.now {
             self.dirty = true;
@@ -718,6 +755,7 @@ impl OnlineStepper {
             stats: self.stats(),
             next_guard_window: self.next_guard_window,
             guard_windows_elapsed: self.guard_windows_elapsed,
+            guard_seeded: self.guard_seeded,
             fuel: self.fuel,
             last_replan_at: self.last_replan_at,
         }
@@ -733,8 +771,11 @@ impl OnlineStepper {
             .map(|(i, c)| (c.id(), i))
             .collect();
         let mut is_active = vec![false; snap.coflows.len()];
+        let mut plan_span = Dur::ZERO;
         for &i in &snap.active {
             is_active[i] = true;
+            let st = snap.states[i].as_ref().expect("active implies state");
+            plan_span += st.plan_span(snap.fabric.delta());
         }
         OnlineStepper {
             fabric: snap.fabric,
@@ -763,6 +804,8 @@ impl OnlineStepper {
             resched_wall: Duration::from_micros(snap.stats.reschedule_micros),
             next_guard_window: snap.next_guard_window,
             guard_windows_elapsed: snap.guard_windows_elapsed,
+            guard_seeded: snap.guard_seeded,
+            plan_span,
             fuel: snap.fuel,
             scoped: scoped_mode(&snap.config),
             footprints: snap
@@ -771,6 +814,7 @@ impl OnlineStepper {
                 .map(|c| footprint_of(c, &snap.fabric))
                 .collect(),
             event_dirty: Vec::new(),
+            event_ports: PortSet::new(snap.fabric.ports()),
             last_replan_at: snap.last_replan_at,
             scratch: ReplanScratch::default(),
             replan_threads: resolve_replan_threads(&snap.config),
@@ -807,19 +851,33 @@ impl OnlineStepper {
                 break;
             }
             self.pending_arrivals.pop_first();
-            let c = &self.coflows[idx];
-            self.states[idx] = Some(CoflowState {
+            let (coflows, fabric) = (&self.coflows, &self.fabric);
+            let c = &coflows[idx];
+            let st = CoflowState {
                 remaining: c
                     .flows()
                     .iter()
-                    .map(|f| self.fabric.processing_time(f.bytes))
+                    .map(|f| fabric.processing_time(f.bytes))
                     .collect(),
                 finish: vec![None; c.num_flows()],
                 setups: 0,
                 first_service: None,
-            });
+            };
+            self.plan_span += st.plan_span(fabric.delta());
+            self.states[idx] = Some(st);
             self.active.push(idx);
             self.is_active[idx] = true;
+            // Binary-insert into the policy's total order (ties broken
+            // by arrival then id, exactly like `PriorityPolicy::sort`).
+            let pos = self.priority_order.partition_point(|&i| {
+                let o = &coflows[i];
+                policy
+                    .compare(o, c, fabric)
+                    .then_with(|| o.arrival().cmp(&c.arrival()))
+                    .then_with(|| o.id().cmp(&c.id()))
+                    == Ordering::Less
+            });
+            self.priority_order.insert(pos, idx);
             if self.scoped {
                 self.event_dirty.push(idx);
             }
@@ -844,6 +902,20 @@ impl OnlineStepper {
                 });
                 self.is_active[idx] = false;
                 any_done = true;
+                // Only the guard finishes a Coflow ahead of its plan;
+                // the circuits it no longer needs go, and whoever shares
+                // their ports may move up.
+                if self.scoped
+                    && self.prt.truncate_future_of_into(
+                        self.coflows[idx].id(),
+                        t,
+                        &mut self.scratch.removed,
+                    ) > 0
+                {
+                    self.stats.reservations_truncated +=
+                        untrack(&mut self.unsettled, &self.scratch.removed, t);
+                    self.event_ports.union_with(&self.footprints[idx]);
+                }
                 false
             } else {
                 true
@@ -851,10 +923,8 @@ impl OnlineStepper {
         });
         self.active = active;
         if any_done {
-            let (states, is_active) = (&self.states, &self.is_active);
-            // Keep not-yet-arrived (no state) and still-active entries.
-            self.priority_order
-                .retain(|&i| states[i].is_none() || is_active[i]);
+            let is_active = &self.is_active;
+            self.priority_order.retain(|&i| is_active[i]);
         }
 
         if self.active.is_empty() && self.pending_arrivals.is_empty() {
@@ -862,7 +932,7 @@ impl OnlineStepper {
         }
         self.stats.events += 1;
         let t0 = Instant::now();
-        self.replan(policy, hook);
+        self.replan(hook);
         self.resched_wall += t0.elapsed();
         self.fuel = self
             .fuel
@@ -894,16 +964,7 @@ impl OnlineStepper {
             };
             let served = hook.on_settle(&resv, available, t);
             let credited = served.served.min(available);
-            st.remaining[r.flow.flow_idx] -= credited;
-            if !credited.is_zero() {
-                let svc = r.start + delta;
-                if st.first_service.is_none_or(|f| svc < f) {
-                    st.first_service = Some(svc);
-                }
-            }
-            if st.remaining[r.flow.flow_idx].is_zero() && st.finish[r.flow.flow_idx].is_none() {
-                st.finish[r.flow.flow_idx] = Some(r.end);
-            }
+            self.plan_span -= st.credit(r.flow.flow_idx, credited, r.start + delta, r.end, delta);
             if credited < available {
                 // Shortfall: hold the flow out of planning until the
                 // hook's backoff elapses, then a retry event re-plans it.
@@ -923,10 +984,12 @@ impl OnlineStepper {
     }
 
     /// Settle guard windows whose end has passed: equal share of the
-    /// window's transmit time among active flows on each circuit.
+    /// window's transmit time among active flows on each circuit. Every
+    /// Coflow credited has changed state and seeds the affected set.
     fn settle_guard(&mut self, t: Time) {
         let Some(g) = self.guard else { return };
         let delta = self.fabric.delta();
+        let n = self.fabric.ports();
         loop {
             let w = g.window(self.next_guard_window);
             if w.end > t {
@@ -938,32 +1001,43 @@ impl OnlineStepper {
             if tx.is_zero() {
                 continue;
             }
+            // An assignment gives each input port at most one circuit,
+            // so a flow rides the window iff its destination is its
+            // source's peer: one pass over the active flows collects the
+            // takers and counts them per circuit (by source port).
+            let ReplanScratch {
+                takers,
+                sharers,
+                window_peer,
+                ..
+            } = &mut self.scratch;
+            takers.clear();
+            sharers.clear();
+            sharers.resize(n, 0);
+            window_peer.clear();
+            window_peer.resize(n, usize::MAX);
             for &(i, j) in w.assignment.pairs() {
-                // Flows of active coflows with remaining demand on (i, j).
-                let mut takers: Vec<(usize, usize)> = Vec::new();
-                for &idx in &self.active {
-                    let st = self.states[idx].as_ref().expect("active implies state");
-                    for (fi, f) in self.coflows[idx].flows().iter().enumerate() {
-                        if f.src == i && f.dst == j && !st.remaining[fi].is_zero() {
-                            takers.push((idx, fi));
-                        }
+                window_peer[i] = j;
+            }
+            for &idx in &self.active {
+                let st = self.states[idx].as_ref().expect("active implies state");
+                for (fi, f) in self.coflows[idx].flows().iter().enumerate() {
+                    if window_peer[f.src] == f.dst && !st.remaining[fi].is_zero() {
+                        takers.push((idx, fi, f.src));
+                        sharers[f.src] += 1;
                     }
                 }
-                if takers.is_empty() {
-                    continue;
-                }
-                let share = tx / takers.len() as u64;
-                let svc = w.start + delta;
-                for (idx, fi) in takers {
-                    let st = self.states[idx].as_mut().expect("active implies state");
-                    let served = share.min(st.remaining[fi]);
-                    st.remaining[fi] -= served;
-                    if !served.is_zero() && st.first_service.is_none_or(|f| svc < f) {
-                        st.first_service = Some(svc);
-                    }
-                    if st.remaining[fi].is_zero() && st.finish[fi].is_none() {
-                        st.finish[fi] = Some(w.end);
-                    }
+            }
+            let svc = w.start + delta;
+            for &(idx, fi, src) in takers.iter() {
+                let st = self.states[idx].as_mut().expect("active implies state");
+                let served = (tx / sharers[src]).min(st.remaining[fi]);
+                // A Coflow that arrived with the window under way is
+                // served from its arrival, not from before it.
+                let svc = svc.max(self.coflows[idx].arrival());
+                self.plan_span -= st.credit(fi, served, svc, w.end, delta);
+                if self.scoped && !served.is_zero() && self.event_dirty.last() != Some(&idx) {
+                    self.event_dirty.push(idx);
                 }
             }
         }
@@ -972,13 +1046,57 @@ impl OnlineStepper {
     /// Re-derive plans at the current event, then remember when we did:
     /// scoped (affected-set) when the configuration admits it, otherwise
     /// the full re-plan of every active Coflow.
-    fn replan(&mut self, _policy: &dyn PriorityPolicy, hook: &mut dyn SettleHook) {
+    fn replan(&mut self, hook: &mut dyn SettleHook) {
+        if let Some(g) = self.guard {
+            // The guard windows stand in the table as far as a plan is
+            // expected to reach: the active plans laid end to end, diluted
+            // by the windows themselves ((T+τ)/T <= 2; tripled for
+            // slack). An estimate, not a bound — a plan that outran it is
+            // retracted before the windows it missed go in. The cursor
+            // only moves forward, so each window is reserved once; after
+            // an idle gap it resumes at the clock's own interval, whose
+            // window may be under way — that one stands too, so no
+            // arrival inside it is planned through it.
+            let until = self.now + self.plan_span * 3 + g.interval_len() * 3 + Dur::from_millis(1);
+            let first = self.guard_seeded.max(g.interval_at(self.now));
+            self.retract_plans_past(g.window_start(first));
+            self.guard_seeded = g.seed_prt(&mut self.prt, first, until);
+        }
         if self.scoped {
             self.replan_scoped(hook);
         } else {
+            self.stats.full_replans += 1;
             self.replan_full(hook);
         }
         self.last_replan_at = self.now;
+    }
+
+    /// Drop the future plan of every Coflow whose plan ends past
+    /// `standing`, the start of the first guard window not yet in the
+    /// table: it was laid where no window stood, and the windows about to
+    /// go in may cross it. Such a Coflow re-plans at this event. Rare: a
+    /// period `T` within a few `δ` of the set-up delay splits every flow
+    /// at every window, and each piece pays `δ` again, so plans run many
+    /// times their `plan_span`. A circuit in flight never reaches past
+    /// `standing`: the windows stood three intervals past its plan's
+    /// clock, a window ends (an event, and this check) every interval,
+    /// and one circuit is shorter than `plan_span`.
+    fn retract_plans_past(&mut self, standing: Time) {
+        let now = self.now;
+        for &idx in &self.active {
+            let id = self.coflows[idx].id();
+            if self.prt.last_end_of(id).is_none_or(|end| end <= standing) {
+                continue;
+            }
+            self.prt
+                .truncate_future_of_into(id, now, &mut self.scratch.removed);
+            self.stats.reservations_truncated +=
+                untrack(&mut self.unsettled, &self.scratch.removed, now);
+            if self.scoped {
+                self.event_dirty.push(idx);
+                self.event_ports.union_with(&self.footprints[idx]);
+            }
+        }
     }
 
     /// Drop future plans and re-derive them in priority order (with
@@ -987,34 +1105,19 @@ impl OnlineStepper {
         let delta = self.fabric.delta();
         let now = self.now;
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset(self.fabric.ports(), self.coflows.len());
-
-        // Priority order over the *active* coflows (also drives Yield's
-        // who-may-displace-whom decisions): filter the memoized total
-        // order — comparison-free — instead of re-running the policy.
-        scratch.prio.extend(
-            self.priority_order
-                .iter()
-                .copied()
-                .filter(|&i| self.is_active[i]),
-        );
-        for (pos, &i) in self.priority_order.iter().enumerate() {
-            if self.is_active[i] {
-                scratch.rank.insert(self.coflows[i].id(), pos);
-            }
-        }
+        // The memoized priority order over the active Coflows (it also
+        // drives Yield's who-may-displace-whom decisions).
+        scratch.reset(self.fabric.ports(), &self.priority_order, &self.coflows);
         let prio = std::mem::take(&mut scratch.prio);
         let rank = std::mem::take(&mut scratch.rank);
 
         // Under Preempt every in-flight circuit is torn down immediately;
         // under Keep and Yield they initially continue (Yield may cut
         // specific ones below once the new plan shows who they block).
-        self.prt.truncate_future_into(
-            now,
+        self.truncate_all(
             self.config.active_policy != ActiveCircuitPolicy::Preempt,
             &mut scratch.removed,
         );
-        self.stats.reservations_truncated += untrack(&mut self.unsettled, &scratch.removed, now);
         if self.config.active_policy == ActiveCircuitPolicy::Preempt {
             // A cut reservation now ends at `now`: settle it so its
             // partial service is credited before re-planning.
@@ -1025,24 +1128,6 @@ impl OnlineStepper {
         // circuits that directly block higher-priority Coflows). Rounds
         // are bounded because each round cuts at least one circuit.
         loop {
-            // Seed guard windows far enough out to cover any plan (they
-            // were dropped with the rest of the future by truncation).
-            if let Some(g) = self.guard {
-                let mut span = Dur::ZERO;
-                for &idx in &prio {
-                    let st = self.states[idx].as_ref().expect("active implies state");
-                    for r in &st.remaining {
-                        if !r.is_zero() {
-                            span += *r + delta + delta;
-                        }
-                    }
-                }
-                // Guard windows dilute the timeline by (T+τ)/T <= 2;
-                // triple the span for slack.
-                let horizon = now + span * 3 + g.interval_len() * 3 + Dur::from_millis(1);
-                g.seed_prt(&mut self.prt, now, horizon);
-            }
-
             if self.config.active_policy == ActiveCircuitPolicy::Yield {
                 self.stats.yield_rounds += 1;
             }
@@ -1147,14 +1232,29 @@ impl OnlineStepper {
             // Credit the partial service of the displaced circuits, then
             // drop the tentative plan and re-plan around the freed ports.
             self.settle_flows(now, hook);
-            self.prt
-                .truncate_future_into(now, true, &mut scratch.removed);
-            self.stats.reservations_truncated +=
-                untrack(&mut self.unsettled, &scratch.removed, now);
+            self.truncate_all(true, &mut scratch.removed);
         }
         scratch.prio = prio;
         scratch.rank = rank;
         self.scratch = scratch;
+    }
+
+    /// The full re-plan's clean slate: drop every reservation starting at
+    /// or after `now` (cutting in-flight circuits too unless
+    /// `keep_active`), mirror that into the unsettled queue, and stand
+    /// the guard windows the sweep took with it back up.
+    fn truncate_all(&mut self, keep_active: bool, removed: &mut Vec<RemovedResv>) {
+        let now = self.now;
+        self.prt.truncate_future_into(now, keep_active, removed);
+        self.stats.reservations_truncated += untrack(&mut self.unsettled, removed, now);
+        if let Some(g) = self.guard {
+            // A window under way is never cut: the sweep left it alone.
+            let mut first = g.interval_at(now);
+            if g.window_start(first) < now {
+                first += 1;
+            }
+            g.seed_prt(&mut self.prt, first, g.window_start(self.guard_seeded));
+        }
     }
 
     /// Affected-set rescheduling: re-plan only the Coflows the event can
@@ -1171,35 +1271,30 @@ impl OnlineStepper {
     /// has a footprint disjoint from every port that changed, so its
     /// kept plan is byte-identical to what `replan_full` would re-derive
     /// (see DESIGN §4) — under the gating configuration (`OrderedPort`
-    /// order, exact demands, no guard, no preemption) only.
+    /// order, exact demands, no preemption) only. Starvation-guard
+    /// windows are standing reservations the delta view reads from its
+    /// base like any in-flight circuit: the same obstacles to a kept
+    /// plan and to its re-derivation. What a window changes is the state
+    /// of the Coflows it credits, and those arrive here as seeds.
     fn replan_scoped(&mut self, hook: &mut dyn SettleHook) {
         let delta = self.fabric.delta();
         let now = self.now;
         let ports = self.fabric.ports();
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset(ports, self.coflows.len());
-
-        scratch.prio.extend(
-            self.priority_order
-                .iter()
-                .copied()
-                .filter(|&i| self.is_active[i]),
-        );
-        for (pos, &i) in self.priority_order.iter().enumerate() {
-            if self.is_active[i] {
-                scratch.rank.insert(self.coflows[i].id(), pos);
-            }
-        }
+        scratch.reset(ports, &self.priority_order, &self.coflows);
         let prio = std::mem::take(&mut scratch.prio);
         let rank = std::mem::take(&mut scratch.rank);
         let mut cross_ports = scratch.cross_ports.take().expect("reset populates");
         let mut dirty_ports = scratch.dirty_ports.take().expect("reset populates");
 
-        for idx in std::mem::take(&mut self.event_dirty) {
-            if self.is_active[idx] {
-                scratch.seed[idx] = true;
+        for idx in self.event_dirty.drain(..) {
+            // Seeds that completed at this very event have no rank left.
+            if let Some(&r) = rank.get(&self.coflows[idx].id()) {
+                scratch.seed[r] = true;
             }
         }
+        dirty_ports.union_with(&self.event_ports);
+        self.event_ports.clear();
         // Reservations that went in flight since the last re-plan, tagged
         // with their owner's rank. Such a circuit is news only to Coflows
         // *outranking* the owner: they planned before the owner created
@@ -1207,7 +1302,11 @@ impl OnlineStepper {
         // plan), while everyone at or below the owner already planned
         // around it. Sorted by rank; the walk below visits Coflows in
         // increasing rank, so it sheds each crossing from a counted port
-        // set as it passes the owner.
+        // set as it passes the owner. An in-flight circuit's owner is
+        // always ranked: a Coflow completes when its last circuit ends,
+        // or when a guard window credits the rest of it — and a window
+        // shares a port with any circuit of a flow it credits, so no
+        // such circuit can be in flight when the window ends.
         for r in self.unsettled.iter() {
             if r.start >= self.last_replan_at && r.start < now {
                 scratch.crossings.push((rank[&r.flow.coflow], r.src, r.dst));
@@ -1228,12 +1327,9 @@ impl OnlineStepper {
 
         loop {
             // Close the affected set down the priority order.
-            for &idx in &scratch.dirty {
-                scratch.dirty_flag[idx] = false;
-            }
+            scratch.dirty_flag.fill(false);
             scratch.dirty.clear();
-            for &idx in &prio {
-                let my_rank = rank[&self.coflows[idx].id()];
+            for (my_rank, &idx) in prio.iter().enumerate() {
                 // Crossings owned at or above this rank are no longer
                 // news from here down.
                 while next_cross < scratch.crossings.len()
@@ -1250,13 +1346,13 @@ impl OnlineStepper {
                     }
                     next_cross += 1;
                 }
-                if scratch.seed[idx]
+                if scratch.seed[my_rank]
                     || self.footprints[idx].intersects(&dirty_ports)
                     || self.footprints[idx].intersects(&cross_ports)
                 {
                     dirty_ports.union_with(&self.footprints[idx]);
                     scratch.dirty.push(idx);
-                    scratch.dirty_flag[idx] = true;
+                    scratch.dirty_flag[my_rank] = true;
                 }
             }
             self.stats.coflows_rescheduled += scratch.dirty.len() as u64;
@@ -1273,7 +1369,7 @@ impl OnlineStepper {
             // before); other Coflows' credit is never looked up.
             scratch.pending.clear();
             for r in self.unsettled.iter() {
-                if r.start < now && scratch.dirty_flag[self.id_to_idx[&r.flow.coflow]] {
+                if r.start < now && scratch.dirty_flag[rank[&r.flow.coflow]] {
                     *scratch.pending.entry(r.flow).or_insert(Dur::ZERO) += r.transmit_time(delta);
                 }
             }
@@ -1506,17 +1602,15 @@ impl OnlineStepper {
                 self.prt.cut_reservation(p.src, p.start, now);
                 self.unsettled.remove(p);
                 self.unsettled.insert(Pending { end: now, ..*p });
-                scratch.seed[self.id_to_idx[&p.flow.coflow]] = true;
+                scratch.seed[rank[&p.flow.coflow]] = true;
                 dirty_ports.insert_in(p.src);
                 dirty_ports.insert_out(p.dst);
             }
             // Credit the partial service of the displaced circuits; a
             // shortfall verdict here seeds its Coflow for next round.
             self.settle_flows(now, hook);
-            for idx in std::mem::take(&mut self.event_dirty) {
-                if self.is_active[idx] {
-                    scratch.seed[idx] = true;
-                }
+            for idx in self.event_dirty.drain(..) {
+                scratch.seed[rank[&self.coflows[idx].id()]] = true;
             }
         }
 
@@ -1582,12 +1676,11 @@ fn plan_segment(
 /// Does this configuration admit affected-set rescheduling with results
 /// byte-identical to the full re-plan? Requires `OrderedPort` demand
 /// order and exact demands (so a kept plan's tail re-derives from flow
-/// remainders), no starvation guard (guard windows perturb every port),
-/// and no preemption (Preempt tears down the in-flight circuits the
-/// scoped path keeps).
+/// remainders) and no preemption (Preempt tears down the in-flight
+/// circuits the scoped path keeps). Every event of any other
+/// configuration is counted in `ReplayStats::full_replans`.
 fn scoped_mode(config: &OnlineConfig) -> bool {
     !config.full_replan
-        && config.guard.is_none()
         && config.active_policy != ActiveCircuitPolicy::Preempt
         && config.sunflow.order == FlowOrder::OrderedPort
         && config.sunflow.quantum.is_none()
@@ -1633,7 +1726,7 @@ fn untrack(unsettled: &mut BTreeSet<Pending>, removed: &[RemovedResv], now: Time
 mod tests {
     use super::*;
     use ocs_model::Bandwidth;
-    use sunflow_core::ShortestFirst;
+    use sunflow_core::{GuardConfig, ShortestFirst};
 
     fn fabric() -> Fabric {
         Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10))
@@ -1663,7 +1756,7 @@ mod tests {
         for slice in 0..20u64 {
             let deadline = Time::from_millis(slice * 50);
             while fed < coflows.len() && coflows[fed].arrival() <= deadline {
-                s.submit(coflows[fed].clone(), &ShortestFirst).unwrap();
+                s.submit(coflows[fed].clone()).unwrap();
                 fed += 1;
             }
             s.run_until(deadline, &ShortestFirst);
@@ -1687,14 +1780,14 @@ mod tests {
     fn submit_rejections() {
         let f = fabric();
         let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
-        s.submit(Coflow::builder(1).flow(0, 0, mb(1)).build(), &ShortestFirst)
+        s.submit(Coflow::builder(1).flow(0, 0, mb(1)).build())
             .unwrap();
         assert_eq!(
-            s.submit(Coflow::builder(1).flow(1, 1, mb(1)).build(), &ShortestFirst),
+            s.submit(Coflow::builder(1).flow(1, 1, mb(1)).build()),
             Err(SubmitError::DuplicateId(1))
         );
         assert!(matches!(
-            s.submit(Coflow::builder(2).flow(0, 9, mb(1)).build(), &ShortestFirst),
+            s.submit(Coflow::builder(2).flow(0, 9, mb(1)).build()),
             Err(SubmitError::ExceedsFabric { id: 2, .. })
         ));
         s.run_until(Time::from_millis(500), &ShortestFirst);
@@ -1703,8 +1796,7 @@ mod tests {
                 Coflow::builder(3)
                     .arrival(Time::from_millis(100))
                     .flow(0, 0, mb(1))
-                    .build(),
-                &ShortestFirst
+                    .build()
             ),
             Err(SubmitError::ArrivalInPast { .. })
         ));
@@ -1715,16 +1807,10 @@ mod tests {
         let f = fabric();
         let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
         // Two coflows contending for in.0: the second waits for the first.
-        s.submit(
-            Coflow::builder(0).flow(0, 0, mb(10)).build(),
-            &ShortestFirst,
-        )
-        .unwrap();
-        s.submit(
-            Coflow::builder(1).flow(0, 1, mb(20)).build(),
-            &ShortestFirst,
-        )
-        .unwrap();
+        s.submit(Coflow::builder(0).flow(0, 0, mb(10)).build())
+            .unwrap();
+        s.submit(Coflow::builder(1).flow(0, 1, mb(20)).build())
+            .unwrap();
         s.run_to_idle(&ShortestFirst);
         let mut done = s.drain_completions();
         done.sort_by_key(|c| c.outcome.coflow);
@@ -1757,12 +1843,12 @@ mod tests {
         let c = Coflow::builder(0).flow(0, 0, mb(1)).build();
 
         let mut clean = OnlineStepper::new(&f, &OnlineConfig::default());
-        clean.submit(c.clone(), &ShortestFirst).unwrap();
+        clean.submit(c.clone()).unwrap();
         clean.run_to_idle(&ShortestFirst);
         let clean_finish = clean.drain_completions()[0].outcome.finish;
 
         let mut faulty = OnlineStepper::new(&f, &OnlineConfig::default());
-        faulty.submit(c, &ShortestFirst).unwrap();
+        faulty.submit(c).unwrap();
         let mut hook = FailFirst { failed: 0 };
         faulty.run_to_idle_with(&ShortestFirst, &mut hook);
         let done = faulty.drain_completions();
@@ -1785,7 +1871,7 @@ mod tests {
             .collect();
         let mut a = OnlineStepper::new(&f, &OnlineConfig::default());
         for c in &coflows {
-            a.submit(c.clone(), &ShortestFirst).unwrap();
+            a.submit(c.clone()).unwrap();
         }
         a.run_until(Time::from_millis(40), &ShortestFirst);
         let snap = a.snapshot();
@@ -1802,6 +1888,78 @@ mod tests {
         assert_eq!(a.guard_windows(), b.guard_windows());
     }
 
+    /// One giant Coflow behind a stream of small ones: its plan runs
+    /// through a hundred guard intervals, and at every instant we look,
+    /// each interval between the clock and the end of that plan has its
+    /// window standing on every circuit — reserved once as the horizon
+    /// reached it, never dropped since.
+    #[test]
+    fn standing_guard_windows_cover_the_longest_plan() {
+        let f = fabric();
+        let config = GuardConfig::new(Dur::from_millis(100), Dur::from_millis(20));
+        let guard = StarvationGuard::new(f.ports(), config);
+        let mut s = OnlineStepper::new(&f, &OnlineConfig::default().guard(config));
+        // 4 x 4 s of transfers, all out of in.0: at least 16 s of plan.
+        let mut giant = Coflow::builder(0);
+        for dst in 0..4 {
+            giant = giant.flow(0, dst, mb(500));
+        }
+        s.submit(giant.build()).unwrap();
+        for i in 1..=40u64 {
+            let small = Coflow::builder(i)
+                .arrival(Time::from_millis(i * 25))
+                .flow((i % 4) as usize, (i % 3) as usize, mb(1))
+                .build();
+            s.submit(small).unwrap();
+        }
+        for at_ms in [0, 30, 500, 2_000, 9_000] {
+            s.run_until(Time::from_millis(at_ms), &ShortestFirst);
+            let plan_end = s.prt().last_end_of(0).expect("giant is planned");
+            assert!(plan_end > s.now() + guard.interval_len() * 50);
+            let standing = s.prt().all_reservations();
+            let mut m = s.now().as_ps() / guard.interval_len().as_ps() + 1;
+            while guard.window(m).start < plan_end {
+                let w = guard.window(m);
+                for &(src, dst) in w.assignment.pairs() {
+                    let resv = RemovedResv {
+                        src,
+                        dst,
+                        start: w.start,
+                        end: w.end,
+                        kind: ResvKind::Guard,
+                    };
+                    assert!(
+                        standing.contains(&resv),
+                        "at {at_ms} ms: no window for interval {m} on {src}->{dst}"
+                    );
+                }
+                m += 1;
+            }
+        }
+        s.run_to_idle(&ShortestFirst);
+        assert_eq!(s.drain_completions().len(), 41);
+        assert_eq!(s.stats().full_replans, 0);
+    }
+
+    /// A Coflow arriving with a guard window under way shares the whole
+    /// window's transmit time, but its service cannot predate its arrival.
+    #[test]
+    fn guard_service_never_predates_arrival() {
+        let f = fabric();
+        let config = GuardConfig::new(Dur::from_millis(100), Dur::from_millis(40));
+        let mut s = OnlineStepper::new(&f, &OnlineConfig::default().guard(config));
+        // Window 0 is [100, 140) ms and configures in.i -> out.i.
+        let arrival = Time::from_millis(125);
+        let late = Coflow::builder(0)
+            .arrival(arrival)
+            .flow(1, 1, mb(1))
+            .build();
+        s.submit(late).unwrap();
+        s.run_to_idle(&ShortestFirst);
+        let done = s.drain_completions();
+        assert_eq!(done[0].first_service, Some(arrival));
+    }
+
     #[test]
     fn compact_history_preserves_future() {
         let f = fabric();
@@ -1812,7 +1970,6 @@ mod tests {
                     .arrival(Time::from_millis(i * 100))
                     .flow((i as usize) % 4, (i as usize + 1) % 4, mb(2))
                     .build(),
-                &ShortestFirst,
             )
             .unwrap();
         }

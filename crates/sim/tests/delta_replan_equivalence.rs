@@ -5,13 +5,16 @@
 //! path (`replan_threads(4)`) must change *nothing* except the
 //! `parallel_replans` counter, regardless of host core count.
 
+mod common;
+
+use common::stretch;
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};
 use ocs_sim::{simulate_circuit, ActiveCircuitPolicy, OnlineConfig, ReplayResult};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use sunflow_core::{
-    ClassThenShortest, ExplicitOrder, FirstComeFirstServed, LongestFirst, PriorityPolicy,
-    ShortestFirst,
+    ClassThenShortest, ExplicitOrder, FirstComeFirstServed, GuardConfig, LongestFirst,
+    PriorityPolicy, ShortestFirst,
 };
 
 fn fabric(ports: usize) -> Fabric {
@@ -66,14 +69,21 @@ fn assert_identical(a: &ReplayResult, b: &ReplayResult, label: &str) {
         a.stats.yield_rounds, b.stats.yield_rounds,
         "{label}: yield rounds"
     );
+    assert_eq!(a.guard_windows, b.guard_windows, "{label}: guard windows");
 }
 
 /// Scoped delta replay vs forced full replay vs forced 4-thread scoped
-/// replay, for one policy. The two scoped runs must agree on every
-/// counter except `parallel_replans`.
-fn check_policy(coflows: &[Coflow], f: &Fabric, policy: &dyn PriorityPolicy, label: &str) {
+/// replay, for one policy, with or without a starvation guard. The two
+/// scoped runs must agree on every counter except `parallel_replans`.
+fn check_policy(
+    coflows: &[Coflow],
+    f: &Fabric,
+    policy: &dyn PriorityPolicy,
+    guard: Option<GuardConfig>,
+    label: &str,
+) {
     for active in [ActiveCircuitPolicy::Yield, ActiveCircuitPolicy::Keep] {
-        let scoped_cfg = OnlineConfig::default().active_policy(active);
+        let scoped_cfg = OnlineConfig::default().active_policy(active).guard(guard);
         let scoped = simulate_circuit(coflows, f, &scoped_cfg, policy);
         let full = simulate_circuit(coflows, f, &scoped_cfg.full_replan(true), policy);
         let wide = simulate_circuit(coflows, f, &scoped_cfg.replan_threads(4), policy);
@@ -83,6 +93,8 @@ fn check_policy(coflows: &[Coflow], f: &Fabric, policy: &dyn PriorityPolicy, lab
 
         let s = &scoped.stats;
         let w = &wide.stats;
+        assert_eq!(s.full_replans, 0, "{label}: scoped run fell back");
+        assert_eq!(full.stats.full_replans, full.stats.events, "{label}");
         assert_eq!(s.reservations_made, w.reservations_made, "{label}: made");
         assert_eq!(
             s.reservations_truncated, w.reservations_truncated,
@@ -124,8 +136,16 @@ proptest! {
             ("ClassThenShortest", &ClassThenShortest::new(classes, 9)),
             ("ExplicitOrder", &explicit),
         ];
+        // Unguarded, under the dense guard of the goldens, and — on the
+        // workload stretched to span several minute-long intervals —
+        // under the sparse guard of the benchmark.
+        let dense = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
+        let sparse = GuardConfig::new(Dur::from_secs(60), Dur::from_millis(100));
+        let stretched = stretch(&coflows, 100);
         for (name, policy) in policies {
-            check_policy(&coflows, &f, policy, name);
+            check_policy(&coflows, &f, policy, None, name);
+            check_policy(&coflows, &f, policy, Some(dense), &format!("{name}, dense guard"));
+            check_policy(&stretched, &f, policy, Some(sparse), &format!("{name}, sparse guard"));
         }
     }
 }
@@ -150,7 +170,12 @@ fn dense_workload_exercises_reuse_segments_and_parallelism() {
         coflows.push(b.build());
     }
     let f = fabric(16);
-    let seq = simulate_circuit(&coflows, &f, &OnlineConfig::default(), &ShortestFirst);
+    let seq = simulate_circuit(
+        &coflows,
+        &f,
+        &OnlineConfig::default().replan_threads(1),
+        &ShortestFirst,
+    );
     let wide = simulate_circuit(
         &coflows,
         &f,

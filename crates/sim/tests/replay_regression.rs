@@ -129,7 +129,7 @@ fn run_stepper_chunked(
     for slice in 1..=25u64 {
         let deadline = Time::from_millis(slice * 100);
         while fed < coflows.len() && coflows[fed].arrival() <= deadline {
-            stepper.submit(coflows[fed].clone(), prio).expect("submit");
+            stepper.submit(coflows[fed].clone()).expect("submit");
             fed += 1;
         }
         stepper.run_until(deadline, prio);

@@ -4,12 +4,15 @@
 //! finish times, setup counts and displacement decisions — while the
 //! scoped run demonstrably skips re-planning work.
 
+mod common;
+
+use common::stretch;
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Reservation, Time};
 use ocs_sim::{
     simulate_circuit, ActiveCircuitPolicy, OnlineConfig, OnlineStepper, ReplayResult, SettleHook,
     SettleVerdict,
 };
-use sunflow_core::ShortestFirst;
+use sunflow_core::{GuardConfig, ShortestFirst};
 
 fn fabric(ports: usize) -> Fabric {
     Fabric::new(ports, Bandwidth::GBPS, Dur::from_millis(10))
@@ -73,27 +76,160 @@ fn assert_same_outcomes(scoped: &ReplayResult, full: &ReplayResult, label: &str)
     assert_eq!(scoped.stats.cuts, full.stats.cuts, "{label}: cuts");
 }
 
+/// Unguarded, and under the §4.2 starvation guard, where the scoped
+/// replay plans around standing guard windows and re-plans at a window's
+/// end only the Coflows the window credited and whoever they free ports
+/// for: the dense guard of the goldens and the sparse one of the
+/// benchmark (on the workload stretched to span several of its
+/// minute-long intervals). Under Keep and Yield, against the forced full
+/// replay: same completions, same setups, same guard-window count.
 #[test]
 fn scoped_and_full_replay_are_byte_identical() {
-    for seed in [3, 0x5eed, 0xdead_beef, 0x1234_5678_9abc] {
-        for policy in [ActiveCircuitPolicy::Yield, ActiveCircuitPolicy::Keep] {
-            for ports in [4u64, 8, 16] {
-                let coflows = workload(seed, 30, ports, 2_000);
-                let scoped_cfg = OnlineConfig::default().active_policy(policy);
-                let full_cfg = scoped_cfg.full_replan(true);
-                let f = fabric(ports as usize);
-                let scoped = simulate_circuit(&coflows, &f, &scoped_cfg, &ShortestFirst);
-                let full = simulate_circuit(&coflows, &f, &full_cfg, &ShortestFirst);
-                let label = format!("seed {seed:#x}, {policy:?}, {ports} ports");
-                assert_same_outcomes(&scoped, &full, &label);
-                assert_eq!(
-                    full.stats.coflows_skipped, 0,
-                    "{label}: forced full replay must skip nothing"
-                );
-                assert!(
-                    scoped.stats.coflows_rescheduled < full.stats.coflows_rescheduled,
-                    "{label}: scoped replay re-planned as much as the full one"
-                );
+    let dense = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
+    let sparse = GuardConfig::new(Dur::from_secs(60), Dur::from_millis(100));
+    for (name, guard, k) in [
+        ("no", None, 1),
+        ("dense", Some(dense), 1),
+        ("sparse", Some(sparse), 100),
+    ] {
+        let mut skipped = 0;
+        for seed in [3, 0x5eed, 0xdead_beef, 0x1234_5678_9abc] {
+            for policy in [ActiveCircuitPolicy::Yield, ActiveCircuitPolicy::Keep] {
+                for ports in [4u64, 8, 16] {
+                    let coflows = stretch(&workload(seed, 30, ports, 2_000), k);
+                    let f = fabric(ports as usize);
+                    let label = format!("{name} guard, seed {seed:#x}, {policy:?}, {ports} ports");
+                    let (scoped, _) = check_scoped_vs_full(&coflows, &f, policy, guard, &label);
+                    assert_eq!(
+                        scoped.guard_windows > 0,
+                        guard.is_some(),
+                        "{label}: windows elapsed"
+                    );
+                    skipped += scoped.stats.coflows_skipped;
+                }
+            }
+        }
+        assert!(skipped > 0, "{name} guard: scoped replays skipped nothing");
+    }
+}
+
+/// Replay `coflows` scoped and with the full re-plan forced, assert the
+/// two agree on every outcome and that each took the path it was asked
+/// to, and hand both back.
+fn check_scoped_vs_full(
+    coflows: &[Coflow],
+    f: &Fabric,
+    policy: ActiveCircuitPolicy,
+    guard: Option<GuardConfig>,
+    label: &str,
+) -> (ReplayResult, ReplayResult) {
+    let scoped_cfg = OnlineConfig::default().active_policy(policy).guard(guard);
+    let scoped = simulate_circuit(coflows, f, &scoped_cfg, &ShortestFirst);
+    let full = simulate_circuit(coflows, f, &scoped_cfg.full_replan(true), &ShortestFirst);
+    assert_same_outcomes(&scoped, &full, label);
+    assert_eq!(
+        scoped.guard_windows, full.guard_windows,
+        "{label}: guard windows"
+    );
+    assert_eq!(
+        scoped.stats.full_replans, 0,
+        "{label}: the scoped replay fell back to the full re-plan"
+    );
+    assert_eq!(
+        full.stats.full_replans, full.stats.events,
+        "{label}: the forced full replay must count every event"
+    );
+    assert_eq!(
+        full.stats.coflows_skipped, 0,
+        "{label}: forced full replay must skip nothing"
+    );
+    assert!(
+        scoped.stats.coflows_rescheduled <= full.stats.coflows_rescheduled,
+        "{label}: scoped replay re-planned more than the full one"
+    );
+    (scoped, full)
+}
+
+/// A guard period barely longer than δ splits every flow at every window
+/// and each piece pays δ again, so plans run many times the span the
+/// standing windows are extended by. A plan that outran them is retracted
+/// and laid again once the windows it missed stand — never crossed by
+/// them.
+#[test]
+fn plans_that_outrun_the_standing_windows_are_laid_again() {
+    let guard = GuardConfig::new(Dur::from_millis(12), Dur::from_millis(12));
+    for seed in [1, 2] {
+        for ports in [4u64, 8] {
+            let coflows = workload(seed, 10, ports, 400);
+            // 2-48 ms a flow, through 2 ms a window gap.
+            let f = fabric(ports as usize).with_bandwidth(Bandwidth::from_gbps(4));
+            for policy in [ActiveCircuitPolicy::Yield, ActiveCircuitPolicy::Keep] {
+                let label = format!("tight guard, seed {seed}, {policy:?}, {ports} ports");
+                check_scoped_vs_full(&coflows, &f, policy, Some(guard), &label);
+            }
+        }
+    }
+}
+
+/// After an idle gap the standing windows lag the clock. The window under
+/// way at the next arrival must stand like any other: were it passed
+/// over, a Coflow arriving inside it would be planned straight through
+/// it, the window would credit the flow in full at its end, and the
+/// Coflow would complete and leave the priority order with a circuit
+/// still in flight — one port in two circuits, and an owner the scoped
+/// re-plan can no longer rank.
+#[test]
+fn an_arrival_inside_a_window_under_way_waits_for_it_to_end() {
+    let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
+    let f = fabric(4);
+    // Window 10 is [2600, 2640) ms on A_2 (in.i -> out.(i+2)); the
+    // standing windows stopped near 800 ms when Coflow 0 finished.
+    let at = Time::from_millis(2_610);
+    let coflows = vec![
+        Coflow::builder(0).flow(0, 0, 1_000_000).build(),
+        // Shares both ports of Coflow 2's circuit.
+        Coflow::builder(1)
+            .arrival(at)
+            .flow(0, 1, 60_000_000)
+            .flow(3, 2, 60_000_000)
+            .build(),
+        // 24 ms of demand on one of the window's own circuits: the
+        // window serves all of it.
+        Coflow::builder(2).arrival(at).flow(0, 2, 3_000_000).build(),
+        // 24 ms on a circuit the window does not make.
+        Coflow::builder(3).arrival(at).flow(1, 0, 3_000_000).build(),
+    ];
+    for policy in [ActiveCircuitPolicy::Yield, ActiveCircuitPolicy::Keep] {
+        let label = format!("{policy:?}");
+        let (scoped, _) = check_scoped_vs_full(&coflows, &f, policy, Some(guard), &label);
+        let of = |id| scoped.outcomes.iter().find(|o| o.coflow == id).unwrap();
+        assert_eq!(of(2).finish, Time::from_millis(2_640), "{label}");
+        assert_eq!(of(2).circuit_setups, 0, "{label}: served by the window");
+        // δ + 24 ms from the window's end, not from the arrival.
+        assert_eq!(of(3).finish, Time::from_millis(2_674), "{label}");
+    }
+}
+
+/// The same at random: one early Coflow, an idle gap of ten guard
+/// intervals, then a burst of arrivals inside a guard window.
+#[test]
+fn scoped_and_full_agree_on_a_burst_inside_a_window_after_an_idle_gap() {
+    let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
+    for seed in 1..=40u64 {
+        for ports in [4u64, 8] {
+            let mut coflows = vec![Coflow::builder(1_000).flow(0, 0, 1_000_000).build()];
+            for c in workload(seed, 12, ports, 35) {
+                let arrival = c.arrival() + Dur::from_millis(2_602);
+                let mut b = Coflow::builder(c.id()).arrival(arrival);
+                for fl in c.flows() {
+                    b = b.flow(fl.src, fl.dst, fl.bytes / 4);
+                }
+                coflows.push(b.build());
+            }
+            let f = fabric(ports as usize);
+            for policy in [ActiveCircuitPolicy::Yield, ActiveCircuitPolicy::Keep] {
+                let label = format!("burst seed {seed}, {policy:?}, {ports} ports");
+                check_scoped_vs_full(&coflows, &f, policy, Some(guard), &label);
             }
         }
     }
@@ -141,7 +277,7 @@ fn scoped_and_full_agree_under_injected_faults() {
         let f = fabric(8);
         let mut stepper = OnlineStepper::new(&f, &cfg);
         for c in coflows {
-            stepper.submit(c, &ShortestFirst).expect("submit");
+            stepper.submit(c).expect("submit");
         }
         let mut hook = ShortEveryThird { n: 0 };
         stepper.run_to_idle_with(&ShortestFirst, &mut hook);
@@ -177,7 +313,7 @@ fn scoped_snapshot_restore_continues_identically() {
     let f = fabric(8);
     let mut a = OnlineStepper::new(&f, &OnlineConfig::default());
     for c in &coflows {
-        a.submit(c.clone(), &ShortestFirst).expect("submit");
+        a.submit(c.clone()).expect("submit");
     }
     a.run_until(Time::from_millis(700), &ShortestFirst);
     let snap = a.snapshot();

@@ -109,7 +109,7 @@ proptest! {
             // The uninterrupted reference run.
             let mut whole = OnlineStepper::new(&f, &cfg);
             for c in &coflows {
-                whole.submit(c.clone(), policy).expect("submit");
+                whole.submit(c.clone()).expect("submit");
             }
             whole.run_to_idle(policy);
 
@@ -118,7 +118,7 @@ proptest! {
             // stay with the first half).
             let mut first = OnlineStepper::new(&f, &cfg);
             for c in &coflows {
-                first.submit(c.clone(), policy).expect("submit");
+                first.submit(c.clone()).expect("submit");
             }
             first.run_until(Time::from_millis(cut_ms), policy);
             let mut done = first.drain_completions();
