@@ -17,7 +17,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod fig_hybrid;
 pub mod fig_kcore;
-pub mod hybrid;
 pub mod ordering;
 pub mod table3;
 pub mod table4;

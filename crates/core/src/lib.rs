@@ -57,13 +57,13 @@ pub use intra::{
     FlowOrder, IntraScheduler, PlanTable, ScheduleCounters, ScheduleScratch, SunflowConfig,
 };
 pub use multicore::{
-    partition_by_core, CoreAssign, CoreAssignKind, CoreLoad, CorePlan, LeastLoaded, RankPack,
-    RoundRobin, StaticHash, ThresholdSplit, UnknownAssignError,
+    CoreAssign, CoreAssignKind, CoreLoad, CorePlan, LeastLoaded, RankPack, RoundRobin, StaticHash,
+    UnknownAssignError,
 };
 pub use portset::PortSet;
 pub use prt::{PortProbe, Prt, PrtSnapshot, RemovedResv, ResvKind};
 pub use split::{
-    NonSplitting, SolverSplit, SplitContext, SplitDecision, SplitKind, SplitPolicy,
+    NonSplitting, SolverSplit, SplitContext, SplitDecision, SplitKind, SplitPolicy, ThresholdSplit,
     UnknownSplitError,
 };
 pub use starvation::{GuardConfig, GuardWindow, StarvationGuard};

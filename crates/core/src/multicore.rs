@@ -22,10 +22,9 @@
 //! * [`CoreAssign`] — the placement seam: given a Coflow and the current
 //!   per-core byte loads ([`CoreLoad`]), return one core per flow.
 //!   Implementations: [`StaticHash`] (stateless FNV), [`RoundRobin`],
-//!   [`LeastLoaded`] (by outstanding reserved bytes), [`RankPack`]
+//!   [`LeastLoaded`] (by outstanding reserved bytes) and [`RankPack`]
 //!   (demand-aware: biggest flows first, each to the core minimizing its
-//!   bottleneck-port load), and [`ThresholdSplit`] (the hybrid
-//!   circuit/packet seam: a two-"core" split by flow size).
+//!   bottleneck-port load).
 
 use crate::intra::PlanTable;
 use crate::prt::{PortProbe, Prt, ResvKind};
@@ -388,42 +387,8 @@ impl CoreAssign for RankPack {
     }
 }
 
-/// The hybrid circuit/packet seam expressed as a two-core placement:
-/// flows strictly smaller than `threshold` bytes go to core 1 (the
-/// packet network), everything else to core 0 (the circuits). With
-/// `threshold = 0` everything rides core 0.
-#[derive(Clone, Copy, Debug)]
-pub struct ThresholdSplit {
-    /// Flows strictly below this many bytes go to core 1.
-    pub threshold: u64,
-}
-
-impl ThresholdSplit {
-    /// A split at `threshold` bytes.
-    pub fn new(threshold: u64) -> ThresholdSplit {
-        ThresholdSplit { threshold }
-    }
-}
-
-impl CoreAssign for ThresholdSplit {
-    fn name(&self) -> &'static str {
-        "threshold-split"
-    }
-
-    fn assign(&mut self, coflow: &Coflow, cores: usize, _load: &CoreLoad) -> Vec<usize> {
-        assert!(cores >= 2, "a threshold split needs both sides");
-        coflow
-            .flows()
-            .iter()
-            .map(|f| usize::from(f.bytes < self.threshold))
-            .collect()
-    }
-}
-
 /// Every named placement policy, selectable by name (the
 /// `--backend sunflow:<K>:<assign>` selector and the bench sweeps).
-/// [`ThresholdSplit`] is deliberately absent: it is the hybrid seam,
-/// parameterized by a byte threshold, not a K-core balancer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoreAssignKind {
     /// [`StaticHash`].
@@ -505,50 +470,6 @@ impl std::fmt::Display for CoreAssignKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-// ---------------------------------------------------------------------
-// Partitioning
-// ---------------------------------------------------------------------
-
-/// Split `coflow` into one sub-Coflow per core according to a placement
-/// (`assignment[i]` is flow `i`'s core). Returns the per-core parts
-/// (`None` where a core received nothing) and, per original flow, its
-/// `(core, index within that core's part)` — the map a caller uses to
-/// reassemble per-flow results from per-core outcomes.
-///
-/// Flow order within each part follows the original Coflow, so a part
-/// is itself a well-formed Coflow with the same id and arrival.
-pub fn partition_by_core(
-    coflow: &Coflow,
-    assignment: &[usize],
-    cores: usize,
-) -> (Vec<Option<Coflow>>, Vec<(usize, usize)>) {
-    assert_eq!(
-        assignment.len(),
-        coflow.num_flows(),
-        "placement must cover every flow"
-    );
-    let mut per_core: Vec<Vec<&ocs_model::Flow>> = vec![Vec::new(); cores];
-    let mut map = Vec::with_capacity(coflow.num_flows());
-    for (f, &core) in coflow.flows().iter().zip(assignment) {
-        assert!(core < cores, "placement core {core} out of range");
-        map.push((core, per_core[core].len()));
-        per_core[core].push(f);
-    }
-    let parts = per_core
-        .into_iter()
-        .map(|flows| {
-            flows
-                .into_iter()
-                .fold(
-                    Coflow::builder(coflow.id()).arrival(coflow.arrival()),
-                    |b, f| b.flow(f.src, f.dst, f.bytes),
-                )
-                .try_build()
-        })
-        .collect();
-    (parts, map)
 }
 
 #[cfg(test)]
@@ -716,33 +637,6 @@ mod tests {
         let a = RankPack.assign(&c, 2, &load);
         assert_eq!(a.iter().filter(|&&core| core == 0).count(), 2);
         assert_eq!(a.iter().filter(|&&core| core == 1).count(), 2);
-    }
-
-    #[test]
-    fn threshold_split_separates_small_flows() {
-        let c = sample();
-        let load = CoreLoad::new(2, 4);
-        let a = ThresholdSplit::new(500).assign(&c, 2, &load);
-        assert_eq!(a, vec![1, 0, 1, 0]);
-    }
-
-    #[test]
-    fn partition_round_trips_flows() {
-        let c = sample();
-        let assignment = vec![1, 0, 1, 2];
-        let (parts, map) = partition_by_core(&c, &assignment, 3);
-        assert_eq!(map, vec![(1, 0), (0, 0), (1, 1), (2, 0)]);
-        let p0 = parts[0].as_ref().expect("core 0 got flow 1");
-        assert_eq!(p0.num_flows(), 1);
-        assert_eq!(p0.flows()[0].bytes, 900);
-        assert_eq!(p0.arrival(), c.arrival());
-        assert_eq!(p0.id(), c.id());
-        let p1 = parts[1].as_ref().expect("core 1 got flows 0 and 2");
-        assert_eq!(p1.num_flows(), 2);
-        assert_eq!(p1.flows()[1].bytes, 400);
-        // Total bytes are conserved.
-        let total: u64 = parts.iter().flatten().map(Coflow::total_bytes).sum();
-        assert_eq!(total, c.total_bytes());
     }
 
     #[test]

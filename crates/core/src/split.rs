@@ -15,9 +15,6 @@
 //!   circuits'.
 //! * [`ThresholdSplit`] — the classic per-flow hybrid (c-Through,
 //!   Helios, Solstice): small flows → packets, big flows → circuits.
-//!   The same struct is the two-"core" [`CoreAssign`](crate::CoreAssign)
-//!   policy of the historical `simulate_hybrid`, so the seam stays one
-//!   type wide.
 //! * [`SolverSplit`] — per-Coflow byte optimization: bisect on the
 //!   packet fraction minimizing the max of the two fabrics' estimated
 //!   finish times (the circuit finish is non-increasing and the packet
@@ -36,7 +33,6 @@
 
 use crate::delta::DeltaView;
 use crate::intra::{schedule_demands_on, Demand, ScheduleScratch, SunflowConfig};
-use crate::multicore::ThresholdSplit;
 use crate::prt::Prt;
 use ocs_model::{packet_lower_bound, Coflow, DemandSplit, Dur, Fabric, Time};
 
@@ -182,8 +178,24 @@ impl SplitPolicy for NonSplitting {
 }
 
 // ---------------------------------------------------------------------
-// ThresholdSplit (ported from the historical simulate_hybrid)
+// ThresholdSplit
 // ---------------------------------------------------------------------
+
+/// The classic per-flow hybrid split: flows strictly smaller than
+/// `threshold` bytes ride the packet network, everything else the
+/// circuits. With `threshold = 0` everything rides the circuits.
+#[derive(Clone, Copy, Debug)]
+pub struct ThresholdSplit {
+    /// Flows strictly below this many bytes go to the packet network.
+    pub threshold: u64,
+}
+
+impl ThresholdSplit {
+    /// A split at `threshold` bytes.
+    pub fn new(threshold: u64) -> ThresholdSplit {
+        ThresholdSplit { threshold }
+    }
+}
 
 impl SplitPolicy for ThresholdSplit {
     fn name(&self) -> &'static str {
@@ -390,7 +402,7 @@ impl SplitPolicy for SolverSplit {
             let split = DemandSplit::by_packet_fraction(coflow, num, den);
             let parts = split.carve(coflow);
             let circuit = match &parts.circuit {
-                Some(part) => policy.probe_circuit(part, ctx),
+                Some((part, _)) => policy.probe_circuit(part, ctx),
                 None => ctx.now,
             };
             let packet = match &parts.packet {
@@ -401,7 +413,7 @@ impl SplitPolicy for SolverSplit {
                 // the estimate cannot see future arrivals at all.
                 // Inflate the packet side by 5/4 so only carves with
                 // real margin leave the circuits.
-                Some(part) => {
+                Some((part, _)) => {
                     let est = ctx.packet_estimate(part).since(ctx.now);
                     ctx.now + Dur::from_ps((est.as_ps() / 4).saturating_mul(5))
                 }

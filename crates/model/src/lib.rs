@@ -42,5 +42,5 @@ pub use schedule::{
     served_per_flow, validate_port_constraints, Assignment, FlowRef, Reservation, ScheduleError,
     ScheduleOutcome,
 };
-pub use split::{DemandSplit, SplitParts, Subflow, SubflowRef};
+pub use split::{CarvedPart, DemandSplit, SplitParts, Subflow};
 pub use time::{Bandwidth, Dur, Time};

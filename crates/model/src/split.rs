@@ -7,8 +7,8 @@
 //! either fabric — or *both*, with its bytes carved between them. A
 //! [`DemandSplit`] records that per-flow decision as a list of
 //! [`Subflow`]s, and [`DemandSplit::carve`] materializes the two part
-//! Coflows plus the [`SubflowRef`] map needed to reassemble per-flow
-//! finish times. The Coflow's completion is defined as the **max over
+//! Coflows plus each part's back-map (part flow → original flow) needed
+//! to reassemble per-flow finish times. The Coflow's completion is defined as the **max over
 //! its parts** — all-or-nothing semantics survive the split.
 
 use crate::coflow::{Coflow, CoflowId};
@@ -29,29 +29,21 @@ pub struct Subflow {
     pub packet_bytes: u64,
 }
 
-/// Where one original flow's finish times land after a carve: the index
-/// of its subflow within the circuit part and/or the packet part.
-///
-/// A flow routed whole has exactly one side populated; a byte-split
-/// flow has both, and its finish is the max of the two.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SubflowRef {
-    /// Index within the circuit part's flows, if any bytes went there.
-    pub circuit: Option<usize>,
-    /// Index within the packet part's flows, if any bytes went there.
-    pub packet: Option<usize>,
-}
+/// One side of a carve: the part Coflow and, per flow of it, the index
+/// of the original flow it carries bytes of.
+pub type CarvedPart = (Coflow, Vec<u32>);
 
-/// The two materialized part Coflows of a carve, plus the per-flow map
-/// back to the original Coflow.
+/// The two materialized part Coflows of a carve, each with its
+/// back-map to the original Coflow.
+///
+/// A flow routed whole appears in exactly one back-map; a byte-split
+/// flow in both, and its finish is the max of the two.
 #[derive(Clone, Debug)]
 pub struct SplitParts {
     /// The circuit-side part (`None` when every byte went to packets).
-    pub circuit: Option<Coflow>,
+    pub circuit: Option<CarvedPart>,
     /// The packet-side part (`None` when every byte went to circuits).
-    pub packet: Option<Coflow>,
-    /// One entry per original flow, in `Coflow::flows()` order.
-    pub map: Vec<SubflowRef>,
+    pub packet: Option<CarvedPart>,
 }
 
 /// A per-Coflow demand split: one [`Subflow`] per flow, byte-preserving.
@@ -209,32 +201,25 @@ impl DemandSplit {
 
     /// Materialize the two part Coflows. Both parts keep the original
     /// id and arrival (they are the *same* logical Coflow on two
-    /// fabrics, reassembled by id), and both preserve flow order, so a
-    /// whole-flow split carves identically to the two-"core"
-    /// `partition_by_core` placement it generalizes.
+    /// fabrics, reassembled by id), and both preserve flow order.
     pub fn carve(&self, coflow: &Coflow) -> SplitParts {
         let mut circuit = Coflow::builder(coflow.id()).arrival(coflow.arrival());
         let mut packet = Coflow::builder(coflow.id()).arrival(coflow.arrival());
-        let mut map = Vec::with_capacity(coflow.num_flows());
-        let (mut nc, mut np) = (0usize, 0usize);
+        let (mut circuit_back, mut packet_back) = (Vec::new(), Vec::new());
         for (s, f) in self.subflows.iter().zip(coflow.flows()) {
-            let mut r = SubflowRef::default();
+            let orig = u32::try_from(s.flow_idx).expect("flow count fits u32");
             if s.circuit_bytes > 0 {
                 circuit = circuit.flow(f.src, f.dst, s.circuit_bytes);
-                r.circuit = Some(nc);
-                nc += 1;
+                circuit_back.push(orig);
             }
             if s.packet_bytes > 0 {
                 packet = packet.flow(f.src, f.dst, s.packet_bytes);
-                r.packet = Some(np);
-                np += 1;
+                packet_back.push(orig);
             }
-            map.push(r);
         }
         SplitParts {
-            circuit: circuit.try_build(),
-            packet: packet.try_build(),
-            map,
+            circuit: circuit.try_build().map(|c| (c, circuit_back)),
+            packet: packet.try_build().map(|c| (c, packet_back)),
         }
     }
 
@@ -265,33 +250,14 @@ mod tests {
         assert_eq!(s.packet_subflows(), 2);
         assert_eq!(s.circuit_subflows(), 1);
         let parts = s.carve(&c);
-        let circuit = parts.circuit.expect("big flow");
-        let packet = parts.packet.expect("small flows");
+        let (circuit, circuit_back) = parts.circuit.expect("big flow");
+        let (packet, packet_back) = parts.packet.expect("small flows");
         assert_eq!(circuit.id(), 7);
         assert_eq!(packet.id(), 7);
         assert_eq!(circuit.num_flows(), 1);
         assert_eq!(packet.num_flows(), 2);
-        assert_eq!(
-            parts.map[0],
-            SubflowRef {
-                circuit: None,
-                packet: Some(0)
-            }
-        );
-        assert_eq!(
-            parts.map[1],
-            SubflowRef {
-                circuit: Some(0),
-                packet: None
-            }
-        );
-        assert_eq!(
-            parts.map[2],
-            SubflowRef {
-                circuit: None,
-                packet: Some(1)
-            }
-        );
+        assert_eq!(circuit_back, vec![1]);
+        assert_eq!(packet_back, vec![0, 2]);
     }
 
     #[test]
@@ -310,11 +276,8 @@ mod tests {
         // A mid fraction byte-splits every flow: both sides populated.
         let half = DemandSplit::by_packet_fraction(&c, 4, 8);
         let parts = half.carve(&c);
-        assert_eq!(parts.map.len(), 3);
-        assert!(parts
-            .map
-            .iter()
-            .all(|r| r.circuit.is_some() && r.packet.is_some()));
+        assert_eq!(parts.circuit.expect("half").1, vec![0, 1, 2]);
+        assert_eq!(parts.packet.expect("half").1, vec![0, 1, 2]);
     }
 
     #[test]
@@ -322,10 +285,10 @@ mod tests {
         let c = coflow();
         let all_c = DemandSplit::all_circuit(&c).carve(&c);
         assert!(all_c.packet.is_none());
-        assert_eq!(all_c.circuit.expect("all").num_flows(), 3);
+        assert_eq!(all_c.circuit.expect("all").0.num_flows(), 3);
         let all_p = DemandSplit::all_packet(&c).carve(&c);
         assert!(all_p.circuit.is_none());
-        assert_eq!(all_p.packet.expect("all").num_flows(), 3);
+        assert_eq!(all_p.packet.expect("all").0.num_flows(), 3);
     }
 
     #[test]

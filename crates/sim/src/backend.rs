@@ -20,19 +20,20 @@
 //!   any [`RateScheduler`] (Varys / Aalo / fair sharing).
 //!
 //! The batch entry points (`simulate_circuit`,
-//! `simulate_circuit_aggregated`, `simulate_packet`, `simulate_hybrid`)
-//! are thin constructors over these backends plus the event loop in
+//! `simulate_circuit_aggregated`, `simulate_packet`) are thin
+//! constructors over these backends plus the event loop in
 //! [`crate::engine`]; their replays are bit-identical to the historical
 //! standalone loops (pinned by the golden fingerprints in
 //! `replay_regression.rs` and `backend_regression.rs`).
 
+use crate::arrivals::ArrivalQueue;
 use crate::online::{OnlineConfig, ReplayStats};
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_baselines::{CircuitScheduler, ExecConfig, SwitchModel, TimedAssignment};
 use ocs_model::KCoreFabric;
 use ocs_model::{Coflow, DemandMatrix, Dur, Fabric, FlowRef, Reservation, ScheduleOutcome, Time};
 use ocs_packet::{Aalo, ActiveCoflow, FairSharing, RateScheduler, Varys};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind};
 
 /// A resumable, event-driven simulation of one Coflow scheduler.
@@ -169,11 +170,6 @@ impl<'p> SunflowBackend<'p> {
             policy,
         }
     }
-
-    /// The wrapped stepper (read-only), e.g. for PRT inspection.
-    pub fn stepper(&self) -> &OnlineStepper {
-        &self.stepper
-    }
 }
 
 impl SchedulingBackend for SunflowBackend<'_> {
@@ -282,10 +278,7 @@ pub struct CircuitBackend {
     exec: ExecConfig,
     fabric: Fabric,
     now: Time,
-    /// Future arrivals, keyed by (arrival, id) — admission order.
-    pending: BTreeMap<(Time, u64), Coflow>,
-    /// Every id ever submitted (duplicate rejection).
-    ids: HashSet<u64>,
+    arrivals: ArrivalQueue,
     tracked: Vec<Tracked>,
     /// Aggregate outstanding demand across active Coflows.
     remaining: DemandMatrix,
@@ -319,8 +312,7 @@ impl CircuitBackend {
             exec,
             fabric: *fabric,
             now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
+            arrivals: ArrivalQueue::default(),
             tracked: Vec::new(),
             remaining: DemandMatrix::zero(n),
             fifo: HashMap::new(),
@@ -337,22 +329,14 @@ impl CircuitBackend {
         self.setups
     }
 
-    fn next_arrival(&self) -> Option<Time> {
-        self.pending.keys().next().map(|&(a, _)| a)
-    }
-
     /// Admit every pending Coflow whose arrival is at or before `now`.
     fn admit_due(&mut self) -> u64 {
         let mut admitted = 0u64;
-        while let Some(&(arrival, id)) = self.pending.keys().next() {
-            if arrival > self.now {
-                break;
-            }
-            let c = self.pending.remove(&(arrival, id)).expect("peeked");
+        while let Some(c) = self.arrivals.pop_due(self.now) {
             let slot = self.tracked.len();
             let mut tr = Tracked {
-                id,
-                arrival,
+                id: c.id(),
+                arrival: c.arrival(),
                 finish: vec![None; c.num_flows()],
                 unfinished: 0,
                 first_service: None,
@@ -633,33 +617,17 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
-        Ok(())
+        self.arrivals
+            .submit(coflow, &self.fabric, self.now, |_| Ok(()))
     }
 
     fn next_event_time(&self) -> Option<Time> {
         if !self.remaining.is_zero() {
             // Drainable demand: work proceeds continuously until the
             // next arrival re-plans it (or forever — the sentinel).
-            Some(self.next_arrival().unwrap_or(Time::MAX))
+            Some(self.arrivals.next_arrival().unwrap_or(Time::MAX))
         } else {
-            self.next_arrival()
+            self.arrivals.next_arrival()
         }
     }
 
@@ -668,7 +636,7 @@ impl SchedulingBackend for CircuitBackend {
         loop {
             // Run the current plan window: until the next arrival
             // invalidates the aggregate, or to the deadline.
-            let limit = match self.next_arrival() {
+            let limit = match self.arrivals.next_arrival() {
                 Some(a) if a < deadline => a,
                 _ => deadline,
             };
@@ -691,7 +659,7 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.active == 0 && self.remaining.is_zero()
+        self.arrivals.is_empty() && self.active == 0 && self.remaining.is_zero()
     }
 
     fn active_coflows(&self) -> usize {
@@ -699,7 +667,7 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn queued_arrivals(&self) -> usize {
-        self.pending.len()
+        self.arrivals.len()
     }
 
     fn outstanding_demand(&self) -> Dur {
@@ -734,9 +702,7 @@ pub struct PacketBackend<'s> {
     scheduler: Box<dyn RateScheduler + 's>,
     fabric: Fabric,
     now: Time,
-    /// Future arrivals, keyed by (arrival, id) — admission order.
-    pending: BTreeMap<(Time, u64), Coflow>,
-    ids: HashSet<u64>,
+    arrivals: ArrivalQueue,
     acts: Vec<ActiveCoflow>,
     /// Parallel to `acts`: first instant each Coflow held a positive
     /// aggregate rate, for queue-latency telemetry.
@@ -758,8 +724,7 @@ impl<'s> PacketBackend<'s> {
             scheduler,
             fabric: *fabric,
             now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
+            arrivals: ArrivalQueue::default(),
             acts: Vec::new(),
             first_service: Vec::new(),
             completions: Vec::new(),
@@ -785,7 +750,7 @@ impl<'s> PacketBackend<'s> {
             tx[f.src] += b;
             rx[f.dst] += b;
         }
-        for f in self.pending.values().flat_map(|c| c.flows().iter()) {
+        for f in self.arrivals.coflows().flat_map(|c| c.flows().iter()) {
             tx[f.src] += f.bytes as f64;
             rx[f.dst] += f.bytes as f64;
         }
@@ -797,7 +762,7 @@ impl<'s> PacketBackend<'s> {
 
     /// Next candidate events: (arrival, flow finish, scheduler event).
     fn candidates(&self) -> (Option<Time>, Option<Time>, Option<Time>) {
-        let t_arrival = self.pending.keys().next().map(|&(a, _)| a.max(self.now));
+        let t_arrival = self.arrivals.next_arrival().map(|a| a.max(self.now));
         let t_finish = self
             .acts
             .iter()
@@ -841,24 +806,10 @@ impl SchedulingBackend for PacketBackend<'_> {
     }
 
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        self.fuel += 1_000 * (1 + coflow.num_flows() as u64);
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
+        let fuel = 1_000 * (1 + coflow.num_flows() as u64);
+        self.arrivals
+            .submit(coflow, &self.fabric, self.now, |_| Ok(()))?;
+        self.fuel += fuel;
         Ok(())
     }
 
@@ -943,11 +894,7 @@ impl SchedulingBackend for PacketBackend<'_> {
             }
 
             // Arrivals at (or before) now.
-            while let Some(&(arrival, id)) = self.pending.keys().next() {
-                if arrival > self.now {
-                    break;
-                }
-                let c = self.pending.remove(&(arrival, id)).expect("peeked");
+            while let Some(c) = self.arrivals.pop_due(self.now) {
                 self.acts.push(ActiveCoflow::new(&c));
                 self.first_service.push(None);
                 topology_changed = true;
@@ -969,7 +916,7 @@ impl SchedulingBackend for PacketBackend<'_> {
                 }
             }
 
-            if self.acts.is_empty() && self.pending.is_empty() {
+            if self.acts.is_empty() && self.arrivals.is_empty() {
                 break;
             }
         }
@@ -995,7 +942,7 @@ impl SchedulingBackend for PacketBackend<'_> {
     }
 
     fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.acts.is_empty()
+        self.arrivals.is_empty() && self.acts.is_empty()
     }
 
     fn active_coflows(&self) -> usize {
@@ -1003,7 +950,7 @@ impl SchedulingBackend for PacketBackend<'_> {
     }
 
     fn queued_arrivals(&self) -> usize {
-        self.pending.len()
+        self.arrivals.len()
     }
 
     fn outstanding_demand(&self) -> Dur {
@@ -1433,7 +1380,12 @@ mod tests {
     #[test]
     fn submit_errors_are_typed_for_every_backend() {
         let f = fabric();
-        for kind in BackendKind::ALL {
+        // `portgroups:2` is not in ALL (it refuses cross-group flows);
+        // every flow below stays inside one of its two-port groups.
+        let kinds = BackendKind::ALL
+            .into_iter()
+            .chain([BackendKind::PortGroups { groups: 2 }]);
+        for kind in kinds {
             let mut b = kind.build(&f, &OnlineConfig::default(), Box::new(ShortestFirst));
             b.submit(Coflow::builder(1).flow(0, 0, 1_000).build())
                 .expect("fits");
@@ -1451,6 +1403,27 @@ mod tests {
                 "{}",
                 kind.name()
             );
+            // Once the clock has moved, an arrival behind it is refused
+            // — and leaves no trace: the same id, arriving later, is
+            // accepted.
+            let now = Time::from_millis(50);
+            b.advance_to(now, &mut FullService);
+            let at = |ms| {
+                Coflow::builder(3)
+                    .arrival(Time::from_millis(ms))
+                    .flow(1, 1, 1_000)
+                    .build()
+            };
+            assert_eq!(
+                b.submit(at(10)),
+                Err(SubmitError::ArrivalInPast {
+                    arrival: Time::from_millis(10),
+                    now,
+                }),
+                "{}",
+                kind.selector()
+            );
+            assert_eq!(b.submit(at(60)), Ok(()), "{}", kind.selector());
         }
     }
 

@@ -1,15 +1,16 @@
 //! The canonical event loop over [`SchedulingBackend`]s.
 //!
 //! Every batch entry point in this crate (`simulate_circuit`,
-//! `simulate_circuit_aggregated`, [`simulate_packet`],
-//! `simulate_hybrid`) and every online driver (`ocs-bench` evaluation,
-//! the `ocs-daemon` service) runs this loop: poll each backend for its
-//! next internal event, advance every backend whose event is due at the
-//! global minimum, repeat until no backend has work. Running several
-//! backends through one loop shares a single virtual clock — that is
-//! what makes `simulate_hybrid` a genuine composition of a circuit
-//! backend and a packet backend rather than two independent simulations
-//! glued together afterwards.
+//! `simulate_circuit_aggregated`, [`simulate_packet`]) and every online
+//! driver (`ocs-bench` evaluation, the `ocs-daemon` service) runs this
+//! loop: poll each backend for its next internal event, advance every
+//! backend whose event is due at the global minimum, repeat until no
+//! backend has work. Running several backends through one loop shares a
+//! single virtual clock. The fan-out backends (`sunflow:<K>`,
+//! `portgroups:<G>`, `hybrid:<split>`) apply the same rule to the planes
+//! inside them, which is what makes the hybrid a genuine composition of
+//! a circuit plane and a packet plane rather than two independent
+//! simulations glued together afterwards.
 
 use crate::backend::{PacketBackend, SchedulingBackend};
 use crate::stepper::{FullService, SettleHook, SubmitError};

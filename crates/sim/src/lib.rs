@@ -19,11 +19,19 @@
 //!   arrivals one at a time, advance to a deadline, drain completions,
 //!   inject settlement faults, snapshot/restore. The substrate of
 //!   [`SunflowBackend`].
+//! * `compositor` (private) — the one fan-out machine behind the three
+//!   backends below: hold arrivals until their instant, route each
+//!   Coflow (whole or carved) to independent planes, advance the planes
+//!   on one clock, merge part completions. Each backend is a type alias
+//!   of it plus a small router.
 //! * [`multicore`] — the K-core OCS generalization: Sunflow sharded
 //!   across `K` parallel circuit planes ([`MultiSunflowBackend`]) and
 //!   the O(K)-approximation multi-core list scheduler
 //!   ([`KCoreBackend`]), both selectable through [`BackendKind`]
 //!   (`sunflow:<K>[:<assign>]`, `kcore:<K>`).
+//! * [`portgroup`] — Sunflow sharded across disjoint port groups
+//!   ([`PortGroupBackend`], `portgroups:<G>`), the groups advancing on
+//!   worker threads.
 //! * [`hybrid`] — the §6 REACToR-style hybrid as a first-class backend
 //!   ([`HybridBackend`]): a slim packet network beside the
 //!   Sunflow-scheduled circuits on one clock, with a pluggable
@@ -44,7 +52,9 @@
 #![forbid(unsafe_code)]
 
 pub mod aggregate;
+mod arrivals;
 pub mod backend;
+mod compositor;
 pub mod engine;
 pub mod hybrid;
 pub mod intra_driver;
@@ -60,7 +70,7 @@ pub use backend::{
     UnknownBackendError,
 };
 pub use engine::{run_backends_to_idle, run_trace, simulate_packet};
-pub use hybrid::{simulate_hybrid, HybridBackend, HybridConfig, HybridConfigError, HybridResult};
+pub use hybrid::{HybridBackend, HybridConfig, HybridConfigError};
 pub use intra_driver::{run_intra, IntraEngine};
 pub use multicore::{KCoreBackend, MultiSunflowBackend};
 pub use online::{simulate_circuit, ActiveCircuitPolicy, OnlineConfig, ReplayResult, ReplayStats};

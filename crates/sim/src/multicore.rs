@@ -9,9 +9,9 @@
 //!   [`CoreAssign`] placement policy (consulted *at arrival time*, so
 //!   load-aware policies see the live per-core byte loads), and each
 //!   part replays independently on its core's stepper. The parts share
-//!   one virtual clock — the backend advances each stepper only at its
-//!   own event instants, exactly like the engine composes backends —
-//!   and a Coflow completes when its last part does. With `K = 1`
+//!   one virtual clock — the fan-out compositor advances each stepper
+//!   only at its own event instants, exactly like the engine composes
+//!   backends — and a Coflow completes when its last part does. With `K = 1`
 //!   every placement policy routes everything to core 0 and the replay
 //!   is byte-identical to the single-switch [`SunflowBackend`]
 //!   (pinned by the goldens in `kcore_regression.rs`).
@@ -26,61 +26,71 @@
 //!
 //! [`SunflowBackend`]: crate::backend::SunflowBackend
 
+use crate::arrivals::ArrivalQueue;
 use crate::backend::{CoreStatus, SchedulingBackend};
+use crate::compositor::{partition, Compositor, Part, Plane, Router};
 use crate::online::{OnlineConfig, ReplayStats};
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_model::{
     packet_lower_bound, Coflow, Dur, Fabric, Flow, FlowRef, KCoreFabric, Reservation,
     ScheduleOutcome, Time,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use sunflow_core::{
-    partition_by_core, schedule_demands_on, CoreAssign, CoreAssignKind, CoreLoad, CorePlan, Demand,
-    PriorityPolicy, ScheduleScratch, SunflowConfig,
+    schedule_demands_on, CoreAssign, CoreAssignKind, CoreLoad, CorePlan, Demand, PriorityPolicy,
+    ScheduleScratch, SunflowConfig,
 };
 
 // ---------------------------------------------------------------------
 // MultiSunflowBackend
 // ---------------------------------------------------------------------
 
-/// Per-Coflow reassembly state while its parts run on their cores.
-struct MergeState {
-    arrival: Time,
-    /// Per original flow: `(core, index within that core's part)`.
-    map: Vec<(usize, usize)>,
-    /// Per original flow: `(core, src, dst, bytes)` — released from the
-    /// load gauge when the Coflow completes.
-    placed: Vec<(usize, usize, usize, u64)>,
-    parts_left: usize,
-    flow_finish: Vec<Time>,
-    finish: Time,
-    setups: u64,
-    first_service: Option<Time>,
-}
-
 /// Sunflow generalized to a [`KCoreFabric`]: `K` independent
-/// [`OnlineStepper`]s (one PRT shard each) behind one clock, with a
-/// [`CoreAssign`] policy splitting every arriving Coflow across them.
+/// [`OnlineStepper`]s (one PRT shard each) behind the compositor's one
+/// clock, with a [`CoreAssign`] policy splitting every arriving Coflow
+/// across them.
 ///
 /// Cross-core replans are port-disjoint by construction — each stepper
 /// owns its shard outright — so they compose with the stepper's own
 /// parallel rank segments without coordination.
-pub struct MultiSunflowBackend<'p> {
-    fabric: Fabric,
-    steppers: Vec<OnlineStepper>,
-    policy: Box<dyn PriorityPolicy + 'p>,
+pub type MultiSunflowBackend<'p> = Compositor<'p, CoreRouter>;
+
+/// The K-core `Router`: whole flows placed on cores by a
+/// [`CoreAssign`] policy that sees the live per-core byte loads.
+pub struct CoreRouter {
     assign: Box<dyn CoreAssign + Send>,
     load: CoreLoad,
-    now: Time,
-    /// Future arrivals, split at admission time: (arrival, id) order
-    /// matches the stepper's own arrival queue, so splitting at arrival
-    /// admits Coflows in exactly the order batch submission would.
-    pending: BTreeMap<(Time, u64), Coflow>,
-    ids: HashSet<u64>,
-    merge: HashMap<u64, MergeState>,
-    completions: Vec<Completion>,
-    /// Per-core processing time admitted so far (telemetry gauge).
-    admitted: Vec<Dur>,
+    /// Per in-flight Coflow, per flow: `(core, src, dst, bytes)` —
+    /// released from the load gauge when the Coflow completes.
+    placed: HashMap<u64, Vec<(usize, usize, usize, u64)>>,
+}
+
+impl Router for CoreRouter {
+    fn route(&mut self, coflow: &Coflow, planes: &[Plane]) -> Vec<Part> {
+        let assignment = self.assign.assign(coflow, planes.len(), &self.load);
+        assert_eq!(
+            assignment.len(),
+            coflow.num_flows(),
+            "placement must cover every flow"
+        );
+        let placed = coflow
+            .flows()
+            .iter()
+            .zip(&assignment)
+            .map(|(f, &core)| {
+                self.load.add(core, f.src, f.dst, f.bytes);
+                (core, f.src, f.dst, f.bytes)
+            })
+            .collect();
+        self.placed.insert(coflow.id(), placed);
+        partition(coflow, planes.len(), |i, f| (assignment[i], f.src, f.dst))
+    }
+
+    fn release(&mut self, id: u64) {
+        for (core, src, dst, bytes) in self.placed.remove(&id).expect("routed") {
+            self.load.remove(core, src, dst, bytes);
+        }
+    }
 }
 
 impl<'p> MultiSunflowBackend<'p> {
@@ -93,271 +103,15 @@ impl<'p> MultiSunflowBackend<'p> {
         assign: Box<dyn CoreAssign + Send>,
     ) -> MultiSunflowBackend<'p> {
         let core = fabric.core();
-        MultiSunflowBackend {
-            fabric: core,
-            steppers: (0..fabric.cores())
-                .map(|_| OnlineStepper::new(&core, config))
-                .collect(),
-            policy,
+        let planes = (0..fabric.cores())
+            .map(|_| Plane::Circuit(OnlineStepper::new(&core, config)))
+            .collect();
+        let router = CoreRouter {
             assign,
             load: CoreLoad::new(fabric.cores(), core.ports()),
-            now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
-            merge: HashMap::new(),
-            completions: Vec::new(),
-            admitted: vec![Dur::ZERO; fabric.cores()],
-        }
-    }
-
-    /// One core's stepper (read-only), e.g. for PRT inspection.
-    pub fn stepper(&self, core: usize) -> &OnlineStepper {
-        &self.steppers[core]
-    }
-
-    /// The placement policy's name.
-    pub fn assign_name(&self) -> &'static str {
-        self.assign.name()
-    }
-
-    /// Split and admit every pending Coflow due at or before `t`.
-    fn admit_due(&mut self, t: Time) -> u64 {
-        let mut n = 0u64;
-        while let Some(&(arrival, id)) = self.pending.keys().next() {
-            if arrival > t {
-                break;
-            }
-            let c = self.pending.remove(&(arrival, id)).expect("peeked");
-            let cores = self.steppers.len();
-            let assignment = self.assign.assign(&c, cores, &self.load);
-            let (parts, map) = partition_by_core(&c, &assignment, cores);
-            let mut placed = Vec::with_capacity(c.num_flows());
-            for (f, &core) in c.flows().iter().zip(&assignment) {
-                self.load.add(core, f.src, f.dst, f.bytes);
-                placed.push((core, f.src, f.dst, f.bytes));
-            }
-            self.merge.insert(
-                id,
-                MergeState {
-                    arrival,
-                    map,
-                    placed,
-                    parts_left: parts.iter().flatten().count(),
-                    flow_finish: vec![Time::ZERO; c.num_flows()],
-                    finish: arrival,
-                    setups: 0,
-                    first_service: None,
-                },
-            );
-            for (core, part) in parts.into_iter().enumerate() {
-                let Some(part) = part else { continue };
-                self.admitted[core] += part
-                    .flows()
-                    .iter()
-                    .map(|f| self.fabric.processing_time(f.bytes))
-                    .sum::<Dur>();
-                self.steppers[core]
-                    .submit(part)
-                    .expect("part was validated at submission");
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Drain per-core completions into the per-Coflow merge states,
-    /// emitting a merged [`Completion`] once the last part lands.
-    fn absorb_completions(&mut self) {
-        for core in 0..self.steppers.len() {
-            for part in self.steppers[core].drain_completions() {
-                let id = part.outcome.coflow;
-                let st = self
-                    .merge
-                    .get_mut(&id)
-                    .expect("completion for an unknown part");
-                for (orig, &(pc, pi)) in st.map.iter().enumerate() {
-                    if pc == core {
-                        st.flow_finish[orig] = part.outcome.flow_finish[pi];
-                    }
-                }
-                st.finish = st.finish.max(part.outcome.finish);
-                st.setups += part.outcome.circuit_setups;
-                st.first_service = match (st.first_service, part.first_service) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                st.parts_left -= 1;
-                if st.parts_left == 0 {
-                    let st = self.merge.remove(&id).expect("present");
-                    for &(c, src, dst, bytes) in &st.placed {
-                        self.load.remove(c, src, dst, bytes);
-                    }
-                    self.completions.push(Completion {
-                        outcome: ScheduleOutcome {
-                            coflow: id,
-                            start: st.arrival,
-                            finish: st.finish,
-                            flow_finish: st.flow_finish,
-                            circuit_setups: st.setups,
-                        },
-                        first_service: st.first_service,
-                    });
-                }
-            }
-        }
-    }
-}
-
-impl SchedulingBackend for MultiSunflowBackend<'_> {
-    fn name(&self) -> &'static str {
-        "Sunflow"
-    }
-
-    fn switch_model(&self) -> &'static str {
-        "not-all-stop"
-    }
-
-    fn now(&self) -> Time {
-        self.now
-    }
-
-    fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
-        Ok(())
-    }
-
-    fn next_event_time(&self) -> Option<Time> {
-        let arrival = self.pending.keys().next().map(|&(a, _)| a);
-        let inner = self
-            .steppers
-            .iter()
-            .filter_map(OnlineStepper::next_event_time)
-            .min();
-        [arrival, inner].into_iter().flatten().min()
-    }
-
-    fn advance_to(&mut self, deadline: Time, hook: &mut dyn SettleHook) -> u64 {
-        let mut processed = 0u64;
-        loop {
-            let arrival = self.pending.keys().next().map(|&(a, _)| a);
-            let inner = self
-                .steppers
-                .iter()
-                .filter_map(OnlineStepper::next_event_time)
-                .min();
-            let Some(t) = [arrival, inner].into_iter().flatten().min() else {
-                break;
-            };
-            if t > deadline {
-                break;
-            }
-            // Admit first so a stepper sees arrivals due at `t` before
-            // it plans at `t` — identical to batch submission, where the
-            // arrival already sits in its queue.
-            processed += self.admit_due(t);
-            for s in &mut self.steppers {
-                if s.next_event_time().is_some_and(|e| e <= t) {
-                    processed += s.run_until_with(t, self.policy.as_ref(), hook);
-                }
-            }
-            self.absorb_completions();
-            self.now = self.now.max(t);
-        }
-        if deadline != Time::MAX {
-            // Nothing happens strictly between events; float every core
-            // to the deadline so later submissions cannot rewrite the
-            // span (the steppers float their own clocks the same way).
-            for s in &mut self.steppers {
-                s.run_until_with(deadline, self.policy.as_ref(), hook);
-            }
-            self.absorb_completions();
-            self.now = self.now.max(deadline);
-        }
-        processed
-    }
-
-    fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.merge.is_empty()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.merge.len()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        self.pending.len()
-            + self
-                .steppers
-                .iter()
-                .map(OnlineStepper::queued_arrivals)
-                .sum::<usize>()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
-        self.steppers
-            .iter()
-            .map(OnlineStepper::outstanding_demand)
-            .sum()
-    }
-
-    fn deferred_flows(&self) -> usize {
-        self.steppers
-            .iter()
-            .map(OnlineStepper::deferred_flows)
-            .sum()
-    }
-
-    fn guard_windows(&self) -> u64 {
-        self.steppers.iter().map(OnlineStepper::guard_windows).sum()
-    }
-
-    fn stats(&self) -> Option<ReplayStats> {
-        let mut total = ReplayStats::default();
-        for s in &self.steppers {
-            total.absorb(&s.stats());
-        }
-        Some(total)
-    }
-
-    fn compact_history(&mut self) -> usize {
-        self.steppers
-            .iter_mut()
-            .map(OnlineStepper::compact_history)
-            .sum()
-    }
-
-    fn cores(&self) -> usize {
-        self.steppers.len()
-    }
-
-    fn core_status(&self, core: usize) -> Option<CoreStatus> {
-        let s = self.steppers.get(core)?;
-        Some(CoreStatus {
-            active_coflows: s.active_coflows(),
-            outstanding_demand: s.outstanding_demand(),
-            demand_admitted: self.admitted[core],
-            reservations_made: s.stats().reservations_made,
-        })
+            placed: HashMap::new(),
+        };
+        Compositor::over(core, planes, policy, router)
     }
 }
 
@@ -408,8 +162,7 @@ pub struct KCoreBackend {
     assign: Box<dyn CoreAssign + Send>,
     load: CoreLoad,
     now: Time,
-    pending: BTreeMap<(Time, u64), Coflow>,
-    ids: HashSet<u64>,
+    arrivals: ArrivalQueue,
     active: HashMap<u64, ActiveKc>,
     /// Planned circuits keyed by (settle instant, sequence).
     settle: BTreeMap<(Time, u64), SettleItem>,
@@ -440,8 +193,7 @@ impl KCoreBackend {
             assign: assign.build(),
             load: CoreLoad::new(fabric.cores(), core.ports()),
             now: Time::ZERO,
-            pending: BTreeMap::new(),
-            ids: HashSet::new(),
+            arrivals: ArrivalQueue::default(),
             active: HashMap::new(),
             settle: BTreeMap::new(),
             retries: BTreeMap::new(),
@@ -496,13 +248,7 @@ impl KCoreBackend {
     /// Admit every pending Coflow due at or before `t`, shortest
     /// effective bottleneck first.
     fn admit_due(&mut self, t: Time) -> u64 {
-        let mut due: Vec<Coflow> = Vec::new();
-        while let Some(&(arrival, id)) = self.pending.keys().next() {
-            if arrival > t {
-                break;
-            }
-            due.push(self.pending.remove(&(arrival, id)).expect("peeked"));
-        }
+        let mut due: Vec<Coflow> = std::iter::from_fn(|| self.arrivals.pop_due(t)).collect();
         if due.is_empty() {
             return 0;
         }
@@ -730,28 +476,12 @@ impl SchedulingBackend for KCoreBackend {
     }
 
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if !self.ids.insert(coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            self.ids.remove(&coflow.id());
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        self.pending.insert((coflow.arrival(), coflow.id()), coflow);
-        Ok(())
+        self.arrivals
+            .submit(coflow, &self.fabric, self.now, |_| Ok(()))
     }
 
     fn next_event_time(&self) -> Option<Time> {
-        let arrival = self.pending.keys().next().map(|&(a, _)| a);
+        let arrival = self.arrivals.next_arrival();
         let settle = self.settle.keys().next().map(|&(t, _)| t);
         let retry = self.retries.keys().next().map(|&(t, _)| t);
         [arrival, settle, retry].into_iter().flatten().min()
@@ -780,7 +510,7 @@ impl SchedulingBackend for KCoreBackend {
     }
 
     fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.active.is_empty()
+        self.arrivals.is_empty() && self.active.is_empty()
     }
 
     fn active_coflows(&self) -> usize {
@@ -788,7 +518,7 @@ impl SchedulingBackend for KCoreBackend {
     }
 
     fn queued_arrivals(&self) -> usize {
-        self.pending.len()
+        self.arrivals.len()
     }
 
     fn outstanding_demand(&self) -> Dur {

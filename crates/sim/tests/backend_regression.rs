@@ -8,68 +8,13 @@
 //! in `aggregate.rs` and `ocs_packet::sim`) on fixed deterministic
 //! workloads; the unified engine must reproduce them byte for byte.
 
+mod common;
+
+use common::{fabric, fingerprint, workload};
 use ocs_baselines::CircuitScheduler;
-use ocs_model::{Bandwidth, Coflow, Dur, Fabric, ScheduleOutcome, Time};
+use ocs_model::ScheduleOutcome;
 use ocs_packet::{Aalo, RateScheduler, Varys};
 use ocs_sim::{simulate_circuit_aggregated, simulate_packet};
-
-fn fabric() -> Fabric {
-    Fabric::new(8, Bandwidth::GBPS, Dur::from_millis(10))
-}
-
-/// xorshift64* so the workload is deterministic without pulling `rand`
-/// into the fixture (same generator as `replay_regression.rs`).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-/// A dense, overlapping 40-Coflow workload on 8 ports: 1–4 flows each,
-/// 1–24 MB per flow, arrivals spread over ~2 s (identical to the Sunflow
-/// regression workload, so the three engine families are pinned on the
-/// same trace).
-fn workload() -> Vec<Coflow> {
-    let mut s = 0x5af1_0e5e_ed00_0001u64;
-    let mut coflows = Vec::new();
-    for id in 0..40u64 {
-        let arrival = Time::from_millis(xorshift(&mut s) % 2_000);
-        let mut b = Coflow::builder(id).arrival(arrival);
-        let flows = 1 + (xorshift(&mut s) % 4) as usize;
-        for _ in 0..flows {
-            let src = (xorshift(&mut s) % 8) as usize;
-            let dst = (xorshift(&mut s) % 8) as usize;
-            let bytes = (1 + xorshift(&mut s) % 24) * 1_000_000;
-            b = b.flow(src, dst, bytes);
-        }
-        coflows.push(b.build());
-    }
-    coflows
-}
-
-/// FNV-1a over every observable field of the outcomes.
-fn fingerprint(outcomes: &[ScheduleOutcome]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for o in outcomes {
-        eat(o.coflow);
-        eat(o.start.as_ps());
-        eat(o.finish.as_ps());
-        eat(o.circuit_setups);
-        for f in &o.flow_finish {
-            eat(f.as_ps());
-        }
-    }
-    h
-}
 
 fn run_aggregated(scheduler: CircuitScheduler) -> Vec<ScheduleOutcome> {
     simulate_circuit_aggregated(&workload(), &fabric(), scheduler)

@@ -1,6 +1,139 @@
-//! Helpers shared by the replan-equivalence suites.
+//! Helpers shared by the integration suites: the 40-Coflow regression
+//! fixture and its FNV fingerprint (every golden constant was captured
+//! on them), random workloads and policy rosters for the equivalence
+//! properties, and a time-stretch for the replan suites.
 
-use ocs_model::{Coflow, Time};
+// Each suite compiles this module on its own and uses a subset.
+#![allow(dead_code)]
+
+use ocs_model::{Bandwidth, Coflow, Dur, Fabric, ScheduleOutcome, Time};
+use ocs_sim::ReplayResult;
+use proptest::prelude::*;
+use std::collections::HashMap;
+use sunflow_core::{
+    ClassThenShortest, ExplicitOrder, FirstComeFirstServed, LongestFirst, PriorityPolicy,
+    ShortestFirst,
+};
+
+/// The fixture fabric: 8 ports, 1 Gbps, δ = 10 ms.
+pub fn fabric() -> Fabric {
+    Fabric::new(8, Bandwidth::GBPS, Dur::from_millis(10))
+}
+
+/// xorshift64* so the workload is deterministic without pulling `rand`
+/// into the fixture.
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545F4914F6CDD1D)
+}
+
+/// A dense, overlapping 40-Coflow workload on 8 ports: 1–4 flows each,
+/// 1–24 MB per flow, arrivals spread over ~2 s so the replay sees long
+/// chains of arrival/completion events with real contention.
+pub fn workload() -> Vec<Coflow> {
+    let mut s = 0x5af1_0e5e_ed00_0001u64;
+    let mut coflows = Vec::new();
+    for id in 0..40u64 {
+        let arrival = Time::from_millis(xorshift(&mut s) % 2_000);
+        let mut b = Coflow::builder(id).arrival(arrival);
+        let flows = 1 + (xorshift(&mut s) % 4) as usize;
+        for _ in 0..flows {
+            let src = (xorshift(&mut s) % 8) as usize;
+            let dst = (xorshift(&mut s) % 8) as usize;
+            let bytes = (1 + xorshift(&mut s) % 24) * 1_000_000;
+            b = b.flow(src, dst, bytes);
+        }
+        coflows.push(b.build());
+    }
+    coflows
+}
+
+fn eat(h: &mut u64, v: u64) {
+    for byte in v.to_le_bytes() {
+        *h ^= byte as u64;
+        *h = h.wrapping_mul(0x100000001b3);
+    }
+}
+
+/// FNV-1a over every observable field of the outcomes.
+pub fn fingerprint(outcomes: &[ScheduleOutcome]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for o in outcomes {
+        eat(&mut h, o.coflow);
+        eat(&mut h, o.start.as_ps());
+        eat(&mut h, o.finish.as_ps());
+        eat(&mut h, o.circuit_setups);
+        for f in &o.flow_finish {
+            eat(&mut h, f.as_ps());
+        }
+    }
+    h
+}
+
+/// [`fingerprint`] of a replay's outcomes, then its guard-window count.
+pub fn fingerprint_replay(r: &ReplayResult) -> u64 {
+    let mut h = fingerprint(&r.outcomes);
+    eat(&mut h, r.guard_windows);
+    h
+}
+
+/// `outcomes` sorted into the order `coflows` lists their ids.
+pub fn in_input_order(
+    coflows: &[Coflow],
+    mut outcomes: Vec<ScheduleOutcome>,
+) -> Vec<ScheduleOutcome> {
+    let input_pos: HashMap<u64, usize> = coflows
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.id(), i))
+        .collect();
+    outcomes.sort_by_key(|o| input_pos[&o.coflow]);
+    outcomes
+}
+
+/// A small random workload: up to 12 Coflows, 1–4 flows each, on the
+/// 8-port fixture fabric.
+pub fn arb_workload() -> impl Strategy<Value = Vec<Coflow>> {
+    proptest::collection::vec(
+        (
+            0u64..500,
+            proptest::collection::vec((0usize..8, 0usize..8, 1u64..20_000_000), 1..=4),
+        ),
+        1..=12,
+    )
+    .prop_map(|rows| {
+        rows.into_iter()
+            .enumerate()
+            .map(|(id, (arrival_ms, flows))| {
+                let mut b = Coflow::builder(id as u64).arrival(Time::from_millis(arrival_ms));
+                for (s, d, z) in flows {
+                    b = b.flow(s, d, z);
+                }
+                b.build()
+            })
+            .collect()
+    })
+}
+
+/// The five priority policies, boxed for uniform iteration.
+pub fn policies(coflows: &[Coflow]) -> Vec<(&'static str, Box<dyn PriorityPolicy>)> {
+    let classes: HashMap<u64, u32> = coflows
+        .iter()
+        .map(|c| (c.id(), (c.id() % 3) as u32))
+        .collect();
+    let order: Vec<u64> = coflows.iter().map(|c| c.id()).rev().collect();
+    vec![
+        ("shortest", Box::new(ShortestFirst)),
+        ("longest", Box::new(LongestFirst)),
+        ("fcfs", Box::new(FirstComeFirstServed)),
+        ("class", Box::new(ClassThenShortest::new(classes, 9))),
+        ("explicit", Box::new(ExplicitOrder::new(order))),
+    ]
+}
 
 /// The same workload `k` times slower and larger: arrivals and flow sizes
 /// both scale, so it keeps its shape while spanning `k` times the time —

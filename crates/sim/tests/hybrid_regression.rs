@@ -12,85 +12,26 @@
 //! 40-Coflow fixture of `replay_regression.rs`, so split-routing or
 //! merge changes that shift one timestamp are caught too.
 
-use ocs_model::{Bandwidth, Coflow, Dur, Fabric, ScheduleOutcome, Time};
+mod common;
+
+use common::{arb_workload, fabric, fingerprint, in_input_order, policies, workload};
+use ocs_model::{Coflow, Fabric, ScheduleOutcome, Time};
 use ocs_sim::{
-    simulate_circuit, simulate_hybrid, FullService, HybridBackend, HybridConfig, OnlineConfig,
+    simulate_circuit, FullService, HybridBackend, HybridConfig, OnlineConfig, ReplayStats,
     SchedulingBackend,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
-use sunflow_core::{
-    ClassThenShortest, ExplicitOrder, FirstComeFirstServed, LongestFirst, NonSplitting,
-    PriorityPolicy, ShortestFirst, SplitPolicy,
-};
-
-fn fabric() -> Fabric {
-    Fabric::new(8, Bandwidth::GBPS, Dur::from_millis(10))
-}
-
-/// xorshift64* so the workload is deterministic without pulling `rand`
-/// into the fixture (same generator and seed as `replay_regression.rs`).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-/// The dense 40-Coflow workload of `replay_regression.rs`, byte for
-/// byte — the golden asserted below was captured on it.
-fn workload() -> Vec<Coflow> {
-    let mut s = 0x5af1_0e5e_ed00_0001u64;
-    let mut coflows = Vec::new();
-    for id in 0..40u64 {
-        let arrival = Time::from_millis(xorshift(&mut s) % 2_000);
-        let mut b = Coflow::builder(id).arrival(arrival);
-        let flows = 1 + (xorshift(&mut s) % 4) as usize;
-        for _ in 0..flows {
-            let src = (xorshift(&mut s) % 8) as usize;
-            let dst = (xorshift(&mut s) % 8) as usize;
-            let bytes = (1 + xorshift(&mut s) % 24) * 1_000_000;
-            b = b.flow(src, dst, bytes);
-        }
-        coflows.push(b.build());
-    }
-    coflows
-}
-
-/// FNV-1a over every observable field of the outcomes (the same hash
-/// as `replay_regression.rs`, minus the guard counter the hybrid
-/// result does not carry).
-fn fingerprint(outcomes: &[ScheduleOutcome]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for o in outcomes {
-        eat(o.coflow);
-        eat(o.start.as_ps());
-        eat(o.finish.as_ps());
-        eat(o.circuit_setups);
-        for f in &o.flow_finish {
-            eat(f.as_ps());
-        }
-    }
-    h
-}
+use sunflow_core::{NonSplitting, PriorityPolicy, ShortestFirst, SplitPolicy, ThresholdSplit};
 
 /// Replay `coflows` through a [`HybridBackend`] under `split`,
-/// returning outcomes in input order.
+/// returning outcomes in input order and the merged replay counters.
 fn run_hybrid(
     coflows: &[Coflow],
     fabric: &Fabric,
     config: &HybridConfig,
     prio: &dyn PriorityPolicy,
     split: Box<dyn SplitPolicy + Send + '_>,
-) -> Vec<ScheduleOutcome> {
+) -> (Vec<ScheduleOutcome>, ReplayStats) {
     let mut backend =
         HybridBackend::new(fabric, config, Box::new(prio), split).expect("valid config");
     for c in coflows {
@@ -98,18 +39,26 @@ fn run_hybrid(
     }
     backend.advance_to(Time::MAX, &mut FullService);
     assert!(backend.is_idle(), "replay must drain");
-    let mut outcomes: Vec<_> = backend
+    let outcomes = backend
         .drain_completions()
         .into_iter()
         .map(|c| c.outcome)
         .collect();
-    let input_pos: HashMap<u64, usize> = coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.id(), i))
-        .collect();
-    outcomes.sort_by_key(|o| input_pos[&o.coflow]);
-    outcomes
+    (
+        in_input_order(coflows, outcomes),
+        backend.stats().expect("hybrid keeps stats"),
+    )
+}
+
+/// The classic threshold hybrid at the config's smallness threshold.
+fn run_threshold(coflows: &[Coflow], config: &HybridConfig) -> (Vec<ScheduleOutcome>, ReplayStats) {
+    run_hybrid(
+        coflows,
+        &fabric(),
+        config,
+        &ShortestFirst,
+        Box::new(ThresholdSplit::new(config.small_flow_threshold)),
+    )
 }
 
 /// The [`ThresholdSplit`] hybrid replay on the fixture, pinned: a
@@ -118,17 +67,11 @@ fn run_hybrid(
 /// genuinely exercises both fabrics.
 #[test]
 fn threshold_hybrid_fixture_matches_golden() {
-    let r = simulate_hybrid(
-        &workload(),
-        &fabric(),
-        &HybridConfig::default(),
-        &ShortestFirst,
-    )
-    .expect("valid config");
-    assert!(r.stats.subflows_split > 0, "fixture must split subflows");
-    assert!(r.stats.bytes_to_packet > 0, "fixture must route bytes");
-    assert!(r.packet_flows > 0 && r.circuit_flows > 0);
-    assert_eq!(fingerprint(&r.outcomes), GOLDEN_HYBRID_THRESHOLD);
+    let (outcomes, stats) = run_threshold(&workload(), &HybridConfig::default());
+    assert!(stats.subflows_split > 0, "fixture must split subflows");
+    assert!(stats.bytes_to_packet > 0, "fixture must route bytes");
+    assert!(stats.reservations_made > 0, "fixture must use the circuits");
+    assert_eq!(fingerprint(&outcomes), GOLDEN_HYBRID_THRESHOLD);
 }
 
 /// A zero smallness threshold degenerates [`ThresholdSplit`] to pure
@@ -142,51 +85,11 @@ fn degenerate_threshold_matches_pure_circuit_on_fixture() {
         small_flow_threshold: 0,
         ..HybridConfig::default()
     };
-    let h = simulate_hybrid(&coflows, &f, &cfg, &ShortestFirst).expect("valid config");
+    let (outcomes, stats) = run_threshold(&coflows, &cfg);
     let pure = simulate_circuit(&coflows, &f, &cfg.online, &ShortestFirst);
-    assert_eq!(h.packet_flows, 0);
-    assert_eq!(h.stats.bytes_to_packet, 0);
-    assert_eq!(fingerprint(&h.outcomes), fingerprint(&pure.outcomes));
-}
-
-/// A small random workload: up to 12 Coflows, 1–4 flows each, on the
-/// 8-port fixture fabric.
-fn arb_workload() -> impl Strategy<Value = Vec<Coflow>> {
-    proptest::collection::vec(
-        (
-            0u64..500,
-            proptest::collection::vec((0usize..8, 0usize..8, 1u64..20_000_000), 1..=4),
-        ),
-        1..=12,
-    )
-    .prop_map(|rows| {
-        rows.into_iter()
-            .enumerate()
-            .map(|(id, (arrival_ms, flows))| {
-                let mut b = Coflow::builder(id as u64).arrival(Time::from_millis(arrival_ms));
-                for (s, d, z) in flows {
-                    b = b.flow(s, d, z);
-                }
-                b.build()
-            })
-            .collect()
-    })
-}
-
-/// The five priority policies, boxed for uniform iteration.
-fn policies(coflows: &[Coflow]) -> Vec<(&'static str, Box<dyn PriorityPolicy>)> {
-    let classes: HashMap<u64, u32> = coflows
-        .iter()
-        .map(|c| (c.id(), (c.id() % 3) as u32))
-        .collect();
-    let order: Vec<u64> = coflows.iter().map(|c| c.id()).rev().collect();
-    vec![
-        ("shortest", Box::new(ShortestFirst)),
-        ("longest", Box::new(LongestFirst)),
-        ("fcfs", Box::new(FirstComeFirstServed)),
-        ("class", Box::new(ClassThenShortest::new(classes, 9))),
-        ("explicit", Box::new(ExplicitOrder::new(order))),
-    ]
+    assert_eq!(stats.subflows_split, 0);
+    assert_eq!(stats.bytes_to_packet, 0);
+    assert_eq!(fingerprint(&outcomes), fingerprint(&pure.outcomes));
 }
 
 proptest! {
@@ -211,7 +114,7 @@ proptest! {
         for (pname, prio) in policies(&coflows) {
             let pure = simulate_circuit(&coflows, &f, &OnlineConfig::default(), prio.as_ref());
             let golden = fingerprint(&pure.outcomes);
-            let zero = run_hybrid(
+            let (zero, _) = run_hybrid(
                 &coflows,
                 &f,
                 &cfg,
@@ -224,7 +127,7 @@ proptest! {
                 "zero-threshold NonSplitting hybrid diverged from simulate_circuit under {}",
                 pname
             );
-            let slim = run_hybrid(
+            let (slim, _) = run_hybrid(
                 &coflows,
                 &f,
                 &tiny_frac,
@@ -246,17 +149,8 @@ proptest! {
 #[test]
 #[ignore = "golden capture helper, not a check"]
 fn capture() {
-    let r = simulate_hybrid(
-        &workload(),
-        &fabric(),
-        &HybridConfig::default(),
-        &ShortestFirst,
-    )
-    .expect("valid config");
-    println!(
-        "GOLDEN_HYBRID_THRESHOLD: {:#018x}",
-        fingerprint(&r.outcomes)
-    );
+    let (outcomes, _) = run_threshold(&workload(), &HybridConfig::default());
+    println!("GOLDEN_HYBRID_THRESHOLD: {:#018x}", fingerprint(&outcomes));
 }
 
 // Golden fingerprint, captured from the `capture` test above on the

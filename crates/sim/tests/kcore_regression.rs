@@ -11,75 +11,20 @@
 //! A separate golden pins the `K = 4` least-loaded replay, so placement
 //! and multi-shard planning changes are caught too.
 
-use ocs_model::{Bandwidth, Coflow, Dur, Fabric, KCoreFabric, Time};
+mod common;
+
+use common::{
+    arb_workload, fabric, fingerprint_replay as fingerprint, in_input_order, policies, workload,
+};
+use ocs_model::{Coflow, Dur, Fabric, KCoreFabric, Time};
 use ocs_sim::{
     simulate_circuit, ActiveCircuitPolicy, FullService, MultiSunflowBackend, OnlineConfig,
     ReplayResult, SchedulingBackend,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
 use sunflow_core::{
-    ClassThenShortest, CoreAssignKind, ExplicitOrder, FirstComeFirstServed, GuardConfig,
-    LongestFirst, PriorityPolicy, ShortestFirst,
+    CoreAssignKind, FirstComeFirstServed, GuardConfig, PriorityPolicy, ShortestFirst,
 };
-
-fn fabric() -> Fabric {
-    Fabric::new(8, Bandwidth::GBPS, Dur::from_millis(10))
-}
-
-/// xorshift64* so the workload is deterministic without pulling `rand`
-/// into the fixture (same generator and seed as `replay_regression.rs`).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-/// The dense 40-Coflow workload of `replay_regression.rs`, byte for
-/// byte — the goldens asserted below were captured on it.
-fn workload() -> Vec<Coflow> {
-    let mut s = 0x5af1_0e5e_ed00_0001u64;
-    let mut coflows = Vec::new();
-    for id in 0..40u64 {
-        let arrival = Time::from_millis(xorshift(&mut s) % 2_000);
-        let mut b = Coflow::builder(id).arrival(arrival);
-        let flows = 1 + (xorshift(&mut s) % 4) as usize;
-        for _ in 0..flows {
-            let src = (xorshift(&mut s) % 8) as usize;
-            let dst = (xorshift(&mut s) % 8) as usize;
-            let bytes = (1 + xorshift(&mut s) % 24) * 1_000_000;
-            b = b.flow(src, dst, bytes);
-        }
-        coflows.push(b.build());
-    }
-    coflows
-}
-
-/// FNV-1a over every observable field of the replay result (identical
-/// to `replay_regression.rs`).
-fn fingerprint(r: &ReplayResult) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for o in &r.outcomes {
-        eat(o.coflow);
-        eat(o.start.as_ps());
-        eat(o.finish.as_ps());
-        eat(o.circuit_setups);
-        for f in &o.flow_finish {
-            eat(f.as_ps());
-        }
-    }
-    eat(r.guard_windows);
-    h
-}
 
 /// Replay `coflows` on a `K`-core fabric under `assign`, reassembling a
 /// [`ReplayResult`] with outcomes in input order.
@@ -98,19 +43,13 @@ fn run_multicore(
     }
     backend.advance_to(Time::MAX, &mut FullService);
     assert!(backend.is_idle(), "replay must drain");
-    let mut outcomes: Vec<_> = backend
+    let outcomes = backend
         .drain_completions()
         .into_iter()
         .map(|c| c.outcome)
         .collect();
-    let input_pos: HashMap<u64, usize> = coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.id(), i))
-        .collect();
-    outcomes.sort_by_key(|o| input_pos[&o.coflow]);
     ReplayResult {
-        outcomes,
+        outcomes: in_input_order(coflows, outcomes),
         guard_windows: backend.guard_windows(),
         stats: backend.stats().expect("sunflow keeps stats"),
     }
@@ -244,46 +183,6 @@ fn capture() {
         &ShortestFirst,
     );
     println!("GOLDEN_K4_LEAST_LOADED: {:#018x}", fingerprint(&r));
-}
-
-/// A small random workload: up to 12 Coflows, 1–4 flows each, on the
-/// 8-port fixture fabric.
-fn arb_workload() -> impl Strategy<Value = Vec<Coflow>> {
-    proptest::collection::vec(
-        (
-            0u64..500,
-            proptest::collection::vec((0usize..8, 0usize..8, 1u64..20_000_000), 1..=4),
-        ),
-        1..=12,
-    )
-    .prop_map(|rows| {
-        rows.into_iter()
-            .enumerate()
-            .map(|(id, (arrival_ms, flows))| {
-                let mut b = Coflow::builder(id as u64).arrival(Time::from_millis(arrival_ms));
-                for (s, d, z) in flows {
-                    b = b.flow(s, d, z);
-                }
-                b.build()
-            })
-            .collect()
-    })
-}
-
-/// The five priority policies, boxed for uniform iteration.
-fn policies(coflows: &[Coflow]) -> Vec<(&'static str, Box<dyn PriorityPolicy>)> {
-    let classes: HashMap<u64, u32> = coflows
-        .iter()
-        .map(|c| (c.id(), (c.id() % 3) as u32))
-        .collect();
-    let order: Vec<u64> = coflows.iter().map(|c| c.id()).rev().collect();
-    vec![
-        ("shortest", Box::new(ShortestFirst)),
-        ("longest", Box::new(LongestFirst)),
-        ("fcfs", Box::new(FirstComeFirstServed)),
-        ("class", Box::new(ClassThenShortest::new(classes, 9))),
-        ("explicit", Box::new(ExplicitOrder::new(order))),
-    ]
 }
 
 proptest! {

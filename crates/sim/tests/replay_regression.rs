@@ -8,67 +8,12 @@
 //! deterministic workloads; any future change to the replay that shifts a
 //! single finish timestamp or setup count fails these tests.
 
-use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};
+mod common;
+
+use common::{fabric, fingerprint_replay as fingerprint, in_input_order, workload};
+use ocs_model::{Coflow, Dur, Time};
 use ocs_sim::{simulate_circuit, ActiveCircuitPolicy, OnlineConfig, OnlineStepper, ReplayResult};
 use sunflow_core::{FirstComeFirstServed, GuardConfig, PriorityPolicy, ShortestFirst};
-
-fn fabric() -> Fabric {
-    Fabric::new(8, Bandwidth::GBPS, Dur::from_millis(10))
-}
-
-/// xorshift64* so the workload is deterministic without pulling `rand`
-/// into the fixture.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-/// A dense, overlapping 40-Coflow workload on 8 ports: 1–4 flows each,
-/// 1–24 MB per flow, arrivals spread over ~2 s so the replay sees long
-/// chains of arrival/completion events with real contention.
-fn workload() -> Vec<Coflow> {
-    let mut s = 0x5af1_0e5e_ed00_0001u64;
-    let mut coflows = Vec::new();
-    for id in 0..40u64 {
-        let arrival = Time::from_millis(xorshift(&mut s) % 2_000);
-        let mut b = Coflow::builder(id).arrival(arrival);
-        let flows = 1 + (xorshift(&mut s) % 4) as usize;
-        for _ in 0..flows {
-            let src = (xorshift(&mut s) % 8) as usize;
-            let dst = (xorshift(&mut s) % 8) as usize;
-            let bytes = (1 + xorshift(&mut s) % 24) * 1_000_000;
-            b = b.flow(src, dst, bytes);
-        }
-        coflows.push(b.build());
-    }
-    coflows
-}
-
-/// FNV-1a over every observable field of the replay result.
-fn fingerprint(r: &ReplayResult) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for o in &r.outcomes {
-        eat(o.coflow);
-        eat(o.start.as_ps());
-        eat(o.finish.as_ps());
-        eat(o.circuit_setups);
-        for f in &o.flow_finish {
-            eat(f.as_ps());
-        }
-    }
-    eat(r.guard_windows);
-    h
-}
 
 fn run(policy: ActiveCircuitPolicy, guard: Option<GuardConfig>) -> ReplayResult {
     let cfg = OnlineConfig::default().active_policy(policy).guard(guard);
@@ -140,15 +85,9 @@ fn run_stepper_chunked(
     completions.extend(stepper.drain_completions());
 
     // Outcomes in the batch API's input order (workload order).
-    let mut outcomes: Vec<_> = completions.into_iter().map(|c| c.outcome).collect();
-    let input_pos: std::collections::HashMap<u64, usize> = workload()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.id(), i))
-        .collect();
-    outcomes.sort_by_key(|o| input_pos[&o.coflow]);
+    let outcomes = completions.into_iter().map(|c| c.outcome).collect();
     ReplayResult {
-        outcomes,
+        outcomes: in_input_order(&workload(), outcomes),
         guard_windows: stepper.guard_windows(),
         stats: stepper.stats(),
     }
