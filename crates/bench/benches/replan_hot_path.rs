@@ -5,8 +5,9 @@
 //! the two entries is the delta-PRT win; a regression toward parity
 //! means the reuse/masking machinery stopped paying for itself. The
 //! `+guard` pair replays the same trace under the §4.2 starvation guard,
-//! whose windows stand in the table: the delta path plans around them,
-//! the full path sweeps them out and stands them back up every event.
+//! whose timetable every probe of the table carries: both paths plan
+//! around the same windows, the full path re-laying every plan between
+//! them at every event.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};

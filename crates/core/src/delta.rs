@@ -58,14 +58,13 @@ struct MaskEntry {
 /// forward from the replan instant), so [`DeltaView::seal`] compacts
 /// each masked port's *visible* reservations still live past `now` —
 /// typically a handful of planned circuits — into a flat sorted
-/// interval list, up to the first one past the port's last hidden
-/// reservation. Queries inside that stretch never descend the base
+/// interval list. Queries on a masked port never descend the base
 /// `BTreeMap`s: both the compacted base intervals and the overlay
-/// answer in `O(log F)` of the stretch's depth. Past it nothing is
-/// hidden, so the base table answers directly — a port's standing
-/// future (a starvation guard's timetable, say) is never copied.
-/// Confirmed entries re-enter the visible state through the overlay,
-/// exactly as a fresh reservation would.
+/// answer in `O(log F)` of the port's *future* depth, and the base's
+/// guard timetable — arithmetic, never an entry — is merged in as the
+/// base itself would. Unmasked ports delegate to the base's cached
+/// probes. Confirmed entries re-enter the visible state through the
+/// overlay, exactly as a fresh reservation would.
 #[derive(Debug)]
 pub struct DeltaView<'a> {
     base: &'a Prt,
@@ -78,20 +77,11 @@ pub struct DeltaView<'a> {
     out_mask: Vec<Vec<u32>>,
     /// Per *masked* input port, the visible base intervals with
     /// `end > now` — the in-flight circuit (if any) plus unhidden future
-    /// reservations — sorted by start, through the first one starting
-    /// at or after the end of the port's last hidden reservation. Built
-    /// by [`DeltaView::seal`]; empty for unmasked ports.
+    /// reservations — sorted by start. Built by [`DeltaView::seal`];
+    /// empty for unmasked ports (they delegate to the base's probes).
     in_future: Vec<Vec<(Time, Time)>>,
     /// Same intervals for output ports.
     out_future: Vec<Vec<(Time, Time)>>,
-    /// Per input port, the instant from which the base table answers
-    /// queries directly: the origin for unmasked ports (they delegate to
-    /// the base's cached queries throughout); for masked ports the start
-    /// of the last interval in `in_future` when the list stopped short
-    /// of the port's whole future, `Time::MAX` when it holds all of it.
-    in_base_from: Vec<Time>,
-    /// Same instants for output ports.
-    out_base_from: Vec<Time>,
     /// Per input port, the overlay's `(start, end)` intervals, sorted by
     /// start (reservations on a port never overlap, so ends too). Holds
     /// fresh *and* confirmed reservations — both are visible.
@@ -118,8 +108,6 @@ impl<'a> DeltaView<'a> {
             out_mask: vec![Vec::new(); n],
             in_future: vec![Vec::new(); n],
             out_future: vec![Vec::new(); n],
-            in_base_from: vec![Time::ZERO; n],
-            out_base_from: vec![Time::ZERO; n],
             in_overlay: vec![Vec::new(); n],
             out_overlay: vec![Vec::new(); n],
             log: Vec::new(),
@@ -158,7 +146,7 @@ impl<'a> DeltaView<'a> {
         }
         for i in 0..self.base.ports() {
             if !self.in_mask[i].is_empty() {
-                self.in_base_from[i] = Self::build_future(
+                Self::build_future(
                     self.base.in_entries(i),
                     mask,
                     &self.in_mask[i],
@@ -167,7 +155,7 @@ impl<'a> DeltaView<'a> {
                 );
             }
             if !self.out_mask[i].is_empty() {
-                self.out_base_from[i] = Self::build_future(
+                Self::build_future(
                     self.base.out_entries(i),
                     mask,
                     &self.out_mask[i],
@@ -179,29 +167,22 @@ impl<'a> DeltaView<'a> {
         self.sealed = true;
     }
 
-    /// Compact one masked port: the covering entry at `now` plus the
-    /// later ones, skipping hidden starts, through the first that starts
-    /// at or after the end of the port's last hidden reservation.
-    /// Entries ending at or before `now` can never answer a `t >= now`
-    /// query — a covering entry that already ended leaves the port free,
-    /// and only ends strictly after `t` are releases. From the last
-    /// interval's start on nothing is hidden and every query resolves
-    /// within the base map, so the copy stops there and that start is
-    /// returned (`Time::MAX` if the port's future ran out first): inside
-    /// the list a next start and a next release always exist in it.
+    /// Compact one masked port: the covering entry at `now` plus every
+    /// later one, skipping hidden starts. Entries ending at or before
+    /// `now` can never answer a `t >= now` query — a covering entry that
+    /// already ended leaves the port free, and only ends strictly after
+    /// `t` are releases.
     fn build_future(
         map: &BTreeMap<Time, Entry>,
         mask: &[MaskEntry],
         list: &[u32],
         now: Time,
         out: &mut Vec<(Time, Time)>,
-    ) -> Time {
+    ) {
         let hidden = |s: Time| {
             list.binary_search_by_key(&s, |&i| mask[i as usize].resv.start)
                 .is_ok()
         };
-        // Sorted by start on one port, so the last hidden entry ends last.
-        let last_hidden_end = mask[*list.last().expect("masked port") as usize].resv.end;
         if let Some((&s, e)) = map.range(..=now).next_back() {
             if e.end > now && !hidden(s) {
                 out.push((s, e.end));
@@ -210,12 +191,8 @@ impl<'a> DeltaView<'a> {
         for (&s, e) in map.range((Excluded(now), Unbounded)) {
             if !hidden(s) {
                 out.push((s, e.end));
-                if s >= last_hidden_end {
-                    return s;
-                }
             }
         }
-        Time::MAX
     }
 
     /// Number of reservations currently hidden by the mask.
@@ -231,31 +208,6 @@ impl<'a> DeltaView<'a> {
             .map(|pos| list[pos] as usize)
     }
 
-    /// Is `t` outside every overlay interval of this port?
-    fn overlay_free_at(list: &[(Time, Time)], t: Time) -> bool {
-        let idx = list.partition_point(|iv| iv.0 <= t);
-        idx == 0 || list[idx - 1].1 <= t
-    }
-
-    /// Earliest overlay start strictly after `t`, or `Time::MAX`.
-    fn overlay_next_start_after(list: &[(Time, Time)], t: Time) -> Time {
-        let idx = list.partition_point(|iv| iv.0 <= t);
-        if idx < list.len() {
-            list[idx].0
-        } else {
-            Time::MAX
-        }
-    }
-
-    /// Earliest overlay end strictly after `t`, or `None`.
-    fn overlay_next_release_after(list: &[(Time, Time)], t: Time) -> Option<Time> {
-        let idx = list.partition_point(|iv| iv.0 <= t);
-        if idx > 0 && list[idx - 1].1 > t {
-            return Some(list[idx - 1].1);
-        }
-        list.get(idx).map(|iv| iv.1)
-    }
-
     /// Fused probe of one sorted interval list: freeness, next start,
     /// and next release at `t` from a single `partition_point`.
     fn overlay_probe(list: &[(Time, Time)], t: Time) -> PortProbe {
@@ -269,19 +221,6 @@ impl<'a> DeltaView<'a> {
                 Some(list[idx - 1].1)
             } else {
                 next.map(|iv| iv.1)
-            },
-        }
-    }
-
-    /// Combine two probes of the same port (base and overlay state): the
-    /// port is free when both are, and the earliest start/release wins.
-    fn merge_probe(a: PortProbe, b: PortProbe) -> PortProbe {
-        PortProbe {
-            free: a.free && b.free,
-            next_start: a.next_start.min(b.next_start),
-            next_release: match (a.next_release, b.next_release) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, y) => x.or(y),
             },
         }
     }
@@ -320,102 +259,33 @@ impl PlanTable for DeltaView<'_> {
         self.base.ports()
     }
 
-    fn in_free_at(&self, i: InPort, t: Time) -> bool {
-        debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base_free = if t >= self.in_base_from[i] {
-            self.base.in_free_at(i, t)
-        } else {
-            Self::overlay_free_at(&self.in_future[i], t)
-        };
-        base_free && Self::overlay_free_at(&self.in_overlay[i], t)
-    }
-
-    fn out_free_at(&self, j: OutPort, t: Time) -> bool {
-        debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base_free = if t >= self.out_base_from[j] {
-            self.base.out_free_at(j, t)
-        } else {
-            Self::overlay_free_at(&self.out_future[j], t)
-        };
-        base_free && Self::overlay_free_at(&self.out_overlay[j], t)
-    }
-
-    fn in_next_start_after(&self, i: InPort, t: Time) -> Time {
-        debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if t >= self.in_base_from[i] {
-            self.base.in_next_start_after(i, t)
-        } else {
-            Self::overlay_next_start_after(&self.in_future[i], t)
-        };
-        base.min(Self::overlay_next_start_after(&self.in_overlay[i], t))
-    }
-
-    fn out_next_start_after(&self, j: OutPort, t: Time) -> Time {
-        debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if t >= self.out_base_from[j] {
-            self.base.out_next_start_after(j, t)
-        } else {
-            Self::overlay_next_start_after(&self.out_future[j], t)
-        };
-        base.min(Self::overlay_next_start_after(&self.out_overlay[j], t))
-    }
-
-    fn in_next_release_after(&self, i: InPort, t: Time) -> Option<Time> {
-        debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if t >= self.in_base_from[i] {
-            self.base.in_next_release_after(i, t)
-        } else {
-            Self::overlay_next_release_after(&self.in_future[i], t)
-        };
-        let over = Self::overlay_next_release_after(&self.in_overlay[i], t);
-        match (base, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn out_next_release_after(&self, j: OutPort, t: Time) -> Option<Time> {
-        debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if t >= self.out_base_from[j] {
-            self.base.out_next_release_after(j, t)
-        } else {
-            Self::overlay_next_release_after(&self.out_future[j], t)
-        };
-        let over = Self::overlay_next_release_after(&self.out_overlay[j], t);
-        match (base, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if t >= self.in_base_from[i] {
+        let base = if self.in_mask[i].is_empty() {
             self.base.in_probe(i, t)
         } else {
-            Self::overlay_probe(&self.in_future[i], t)
+            // The compacted list holds reservations only: the guard
+            // timetable is the base's to add, here as on the other arm.
+            self.base
+                .merge_guard(Self::overlay_probe(&self.in_future[i], t), t)
         };
-        Self::merge_probe(base, Self::overlay_probe(&self.in_overlay[i], t))
+        base.merge(Self::overlay_probe(&self.in_overlay[i], t))
     }
 
     fn out_probe(&self, j: OutPort, t: Time) -> PortProbe {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if t >= self.out_base_from[j] {
+        let base = if self.out_mask[j].is_empty() {
             self.base.out_probe(j, t)
         } else {
-            Self::overlay_probe(&self.out_future[j], t)
+            self.base
+                .merge_guard(Self::overlay_probe(&self.out_future[j], t), t)
         };
-        Self::merge_probe(base, Self::overlay_probe(&self.out_overlay[j], t))
+        base.merge(Self::overlay_probe(&self.out_overlay[j], t))
     }
 
     fn reserve(&mut self, src: InPort, dst: OutPort, start: Time, end: Time, kind: ResvKind) {
         debug_assert!(self.sealed, "planning against an unsealed DeltaView");
-        let flow = match kind {
-            ResvKind::Flow(flow) => flow,
-            // Guard windows are standing reservations of the base table
-            // (the view reads them like any other); no planner makes one.
-            ResvKind::Guard => panic!("DeltaView cannot plan guard windows"),
-        };
+        let ResvKind::Flow(flow) = kind;
         let resv = Reservation {
             src,
             dst,
@@ -438,7 +308,7 @@ impl PlanTable for DeltaView<'_> {
             }
         }
         debug_assert!(
-            self.in_free_at(src, start) && self.out_free_at(dst, start),
+            self.in_probe(src, start).free && self.out_probe(dst, start).free,
             "fresh reservation overlaps the visible state"
         );
         Self::overlay_insert(&mut self.in_overlay[src], start, end);
@@ -659,19 +529,44 @@ mod tests {
         assert_view_matches_truncation(two_coflow_table(), 40);
     }
 
-    /// Reservations standing past a port's last hidden one (guard
-    /// windows here) are not copied into the view: queries before the
-    /// first of them resolve in the compacted list, queries from it on
-    /// in the base table, and both must agree with the truncated table.
+    /// Visible reservations past a masked port's last hidden one (a third
+    /// Coflow's here) answer from the compacted list like the ones
+    /// before it, in agreement with the truncated table.
     #[test]
-    fn view_queries_cross_into_the_base_past_the_last_hidden_entry() {
+    fn view_queries_see_reservations_past_the_last_hidden_entry() {
         let mut prt = two_coflow_table();
-        for w in [32, 50, 68] {
+        for (k, w) in [32, 50, 68].into_iter().enumerate() {
             for i in 0..4 {
-                prt.reserve(i, (i + 1) % 4, t(w), t(w + 4), ResvKind::Guard);
+                let flow = FlowRef {
+                    coflow: 3,
+                    flow_idx: 4 * k + i,
+                };
+                prt.reserve(i, (i + 1) % 4, t(w), t(w + 4), ResvKind::Flow(flow));
             }
         }
         assert_view_matches_truncation(prt, 80);
+    }
+
+    /// On a guarded base a masked port's compacted list and an unmasked
+    /// port's delegation to the base both carry the timetable.
+    #[test]
+    fn view_queries_of_a_guarded_table_match_truncation() {
+        use crate::starvation::{GuardConfig, StarvationGuard};
+        // Windows [34, 38), [72, 76): clear of the two-Coflow table.
+        let guard = StarvationGuard::new(4, GuardConfig::new(d(34), d(4)));
+        let mut prt = Prt::with_guard(4, Some(guard));
+        for r in two_coflow_table().all_reservations() {
+            prt.reserve(r.src, r.dst, r.start, r.end, r.kind);
+        }
+        let f = |flow_idx| {
+            ResvKind::Flow(FlowRef {
+                coflow: 3,
+                flow_idx,
+            })
+        };
+        prt.reserve(1, 2, t(40), t(44), f(0));
+        prt.reserve(0, 1, t(60), t(64), f(1));
+        assert_view_matches_truncation(prt, 90);
     }
 
     /// Hide coflow 1's future at `now = 6` and compare every query of the
@@ -691,53 +586,10 @@ mod tests {
         for p in 0..4 {
             for ms in 6..until_ms {
                 let q = t(ms);
-                assert_eq!(
-                    view.in_free_at(p, q),
-                    seq.in_free_at(p, q),
-                    "in_free {p} {ms}"
-                );
-                assert_eq!(
-                    view.out_free_at(p, q),
-                    seq.out_free_at(p, q),
-                    "out_free {p} {ms}"
-                );
-                assert_eq!(
-                    view.in_next_start_after(p, q),
-                    seq.in_next_start_after(p, q),
-                    "in_next_start {p} {ms}"
-                );
-                assert_eq!(
-                    view.out_next_start_after(p, q),
-                    seq.out_next_start_after(p, q),
-                    "out_next_start {p} {ms}"
-                );
-                assert_eq!(
-                    view.in_next_release_after(p, q),
-                    seq.in_next_release_after(p, q),
-                    "in_next_release {p} {ms}"
-                );
-                assert_eq!(
-                    view.out_next_release_after(p, q),
-                    seq.out_next_release_after(p, q),
-                    "out_next_release {p} {ms}"
-                );
-                // The fused probes must agree with the scalar queries.
-                assert_eq!(
-                    view.in_probe(p, q),
-                    PortProbe {
-                        free: seq.in_free_at(p, q),
-                        next_start: seq.in_next_start_after(p, q),
-                        next_release: seq.in_next_release_after(p, q),
-                    },
-                    "in_probe {p} {ms}"
-                );
+                assert_eq!(view.in_probe(p, q), seq.in_probe(p, q), "in_probe {p} {ms}");
                 assert_eq!(
                     view.out_probe(p, q),
-                    PortProbe {
-                        free: seq.out_free_at(p, q),
-                        next_start: seq.out_next_start_after(p, q),
-                        next_release: seq.out_next_release_after(p, q),
-                    },
+                    seq.out_probe(p, q),
                     "out_probe {p} {ms}"
                 );
             }

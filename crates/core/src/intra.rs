@@ -168,53 +168,30 @@ fn no_release_message(coflow_id: u64, t: Time, pending: usize) -> String {
     )
 }
 
-/// The reservation-table query surface Algorithm 1 plans against.
+/// The reservation table Algorithm 1 plans against: the four calls
+/// [`schedule_demands_on`] makes, and nothing else.
 ///
 /// [`Prt`] is the canonical implementation; `DeltaView`
 /// ([`crate::delta`]) implements the same surface over a *read-only*
 /// base table plus a mask-and-overlay diff, which is how the delta
 /// re-planner computes a new plan against the old one without mutating
-/// the shared table until the diff is applied. The planner core is
-/// generic (and monomorphized) over this trait, so both paths run the
-/// identical loop and produce byte-identical reservations.
+/// the shared table until the diff is applied; [`crate::CorePlan`] routes
+/// each port to one of `K` shards. The planner core is generic (and
+/// monomorphized) over this trait, so every path runs the identical loop
+/// and produces byte-identical reservations.
+///
+/// A port's state at an instant is one fused [`PortProbe`] — freeness,
+/// next start and next release resolved from a single lookup position.
+/// Every obstacle a planner must respect is in that answer: the table's
+/// reservations and, for a guarded table, the §4.2 timetable
+/// ([`crate::StarvationGuard::probe`]); `reserve` re-validates both.
 pub trait PlanTable {
     /// Number of ports on each side of the table.
     fn ports(&self) -> usize;
-    /// Is input port `i` free at instant `t`?
-    fn in_free_at(&self, i: InPort, t: Time) -> bool;
-    /// Is output port `j` free at instant `t`?
-    fn out_free_at(&self, j: OutPort, t: Time) -> bool;
-    /// Earliest reservation start strictly after `t` on input port `i`.
-    fn in_next_start_after(&self, i: InPort, t: Time) -> Time;
-    /// Earliest reservation start strictly after `t` on output port `j`.
-    fn out_next_start_after(&self, j: OutPort, t: Time) -> Time;
-    /// Earliest circuit release strictly after `t` on input port `i`.
-    fn in_next_release_after(&self, i: InPort, t: Time) -> Option<Time>;
-    /// Earliest circuit release strictly after `t` on output port `j`.
-    fn out_next_release_after(&self, j: OutPort, t: Time) -> Option<Time>;
-    /// Fused snapshot of input port `i` at `t`: freeness, next start, and
-    /// next release in one call. The demand examination needs two or
-    /// three of these answers per port side; an implementation that
-    /// resolves them from a single lookup position (both [`Prt`] and
-    /// `DeltaView` do) cuts the per-exam query count accordingly. The
-    /// default composes the three scalar queries, so implementing them
-    /// alone stays correct.
-    fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
-        PortProbe {
-            free: self.in_free_at(i, t),
-            next_start: self.in_next_start_after(i, t),
-            next_release: self.in_next_release_after(i, t),
-        }
-    }
-    /// Fused snapshot of output port `j` at `t` (see
-    /// [`PlanTable::in_probe`]).
-    fn out_probe(&self, j: OutPort, t: Time) -> PortProbe {
-        PortProbe {
-            free: self.out_free_at(j, t),
-            next_start: self.out_next_start_after(j, t),
-            next_release: self.out_next_release_after(j, t),
-        }
-    }
+    /// Fused snapshot of input port `i` at `t`.
+    fn in_probe(&self, i: InPort, t: Time) -> PortProbe;
+    /// Fused snapshot of output port `j` at `t`.
+    fn out_probe(&self, j: OutPort, t: Time) -> PortProbe;
     /// Reserve the circuit `[in.src, out.dst]` during `[start, end)`.
     fn reserve(&mut self, src: InPort, dst: OutPort, start: Time, end: Time, kind: ResvKind);
 }
@@ -222,24 +199,6 @@ pub trait PlanTable {
 impl PlanTable for Prt {
     fn ports(&self) -> usize {
         Prt::ports(self)
-    }
-    fn in_free_at(&self, i: InPort, t: Time) -> bool {
-        Prt::in_free_at(self, i, t)
-    }
-    fn out_free_at(&self, j: OutPort, t: Time) -> bool {
-        Prt::out_free_at(self, j, t)
-    }
-    fn in_next_start_after(&self, i: InPort, t: Time) -> Time {
-        Prt::in_next_start_after(self, i, t)
-    }
-    fn out_next_start_after(&self, j: OutPort, t: Time) -> Time {
-        Prt::out_next_start_after(self, j, t)
-    }
-    fn in_next_release_after(&self, i: InPort, t: Time) -> Option<Time> {
-        Prt::in_next_release_after(self, i, t)
-    }
-    fn out_next_release_after(&self, j: OutPort, t: Time) -> Option<Time> {
-        Prt::out_next_release_after(self, j, t)
     }
     fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
         Prt::in_probe(self, i, t)
@@ -455,9 +414,10 @@ pub fn schedule_demands_on<T: PlanTable>(
                 // The examination checks the input side first; when an
                 // existing table reservation blocks `src`, reproduce its
                 // direct subscription exactly.
-                if !table.in_free_at(src, t) {
-                    let w = table
-                        .in_next_release_after(src, t)
+                let ip = table.in_probe(src, t);
+                if !ip.free {
+                    let w = ip
+                        .next_release
                         .unwrap_or_else(|| panic!("{}", no_release_message(coflow_id, t, live)));
                     wake.push(Reverse((w, i)));
                 } else {

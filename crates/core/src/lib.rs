@@ -66,4 +66,4 @@ pub use split::{
     NonSplitting, SolverSplit, SplitContext, SplitDecision, SplitKind, SplitPolicy, ThresholdSplit,
     UnknownSplitError,
 };
-pub use starvation::{GuardConfig, GuardWindow, StarvationGuard};
+pub use starvation::{GuardConfig, GuardError, GuardWindow, StarvationGuard};

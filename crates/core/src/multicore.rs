@@ -142,24 +142,6 @@ impl PlanTable for CorePlan {
     fn ports(&self) -> usize {
         self.ports * self.shards.len()
     }
-    fn in_free_at(&self, i: InPort, t: Time) -> bool {
-        self.shards[i / self.ports].in_free_at(i % self.ports, t)
-    }
-    fn out_free_at(&self, j: OutPort, t: Time) -> bool {
-        self.shards[j / self.ports].out_free_at(j % self.ports, t)
-    }
-    fn in_next_start_after(&self, i: InPort, t: Time) -> Time {
-        self.shards[i / self.ports].in_next_start_after(i % self.ports, t)
-    }
-    fn out_next_start_after(&self, j: OutPort, t: Time) -> Time {
-        self.shards[j / self.ports].out_next_start_after(j % self.ports, t)
-    }
-    fn in_next_release_after(&self, i: InPort, t: Time) -> Option<Time> {
-        self.shards[i / self.ports].in_next_release_after(i % self.ports, t)
-    }
-    fn out_next_release_after(&self, j: OutPort, t: Time) -> Option<Time> {
-        self.shards[j / self.ports].out_next_release_after(j % self.ports, t)
-    }
     fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
         self.shards[i / self.ports].in_probe(i % self.ports, t)
     }
@@ -579,7 +561,10 @@ mod tests {
             5,
             Time::ZERO,
             Time::from_millis(1),
-            ResvKind::Guard,
+            ResvKind::Flow(ocs_model::FlowRef {
+                coflow: 0,
+                flow_idx: 0,
+            }),
         );
     }
 

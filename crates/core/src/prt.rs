@@ -21,9 +21,16 @@
 //! * [`Prt::truncate_future`] — used by the online trace replay to discard
 //!   not-yet-started reservations when priorities change on a Coflow
 //!   arrival or completion.
+//!
+//! All three per-port answers come from one fused [`PortProbe`]
+//! ([`Prt::in_probe`] / [`Prt::out_probe`]); the scalar queries are
+//! projections of it. A table built with a [`StarvationGuard`]
+//! ([`Prt::with_guard`]) merges the §4.2 timetable into every probe —
+//! the guard windows are obstacles of this table without ever being
+//! reservations in it.
 
-use crate::portset::PortSet;
-use ocs_model::{CoflowId, Dur, FlowRef, InPort, OutPort, Reservation, Time};
+use crate::starvation::StarvationGuard;
+use ocs_model::{CoflowId, FlowRef, InPort, OutPort, Reservation, Time};
 use std::collections::{BTreeMap, HashMap};
 
 /// What a reservation serves.
@@ -31,9 +38,6 @@ use std::collections::{BTreeMap, HashMap};
 pub enum ResvKind {
     /// A circuit transmitting one flow of one Coflow.
     Flow(FlowRef),
-    /// A starvation-guard window (§4.2): the circuit is time-shared by all
-    /// Coflows with demand on it.
-    Guard,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -67,6 +71,21 @@ impl PortProbe {
         next_start: Time::MAX,
         next_release: None,
     };
+
+    /// The probe, at the same port and instant, of the union of the two
+    /// non-overlapping reservation sets `self` and `other` were taken
+    /// from: free when both are, and the earliest start and release win.
+    #[inline]
+    pub fn merge(self, other: PortProbe) -> PortProbe {
+        PortProbe {
+            free: self.free && other.free,
+            next_start: self.next_start.min(other.next_start),
+            next_release: match (self.next_release, other.next_release) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            },
+        }
+    }
 }
 
 /// A reservation removed or shortened by [`Prt::truncate_future`].
@@ -86,11 +105,12 @@ pub struct RemovedResv {
 
 /// A point-in-time capture of a whole [`Prt`], produced by
 /// [`Prt::snapshot`] and consumed by [`Prt::from_snapshot`]. Plain data:
-/// the port count and every reservation (guard windows included), so a
-/// checkpointing service can serialize it in any format it likes.
+/// the port count, the guard timetable (if any) and every reservation,
+/// so a checkpointing service can serialize it in any format it likes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PrtSnapshot {
     ports: usize,
+    guard: Option<StarvationGuard>,
     resvs: Vec<RemovedResv>,
 }
 
@@ -98,6 +118,11 @@ impl PrtSnapshot {
     /// Number of ports on each side of the snapshotted switch.
     pub fn ports(&self) -> usize {
         self.ports
+    }
+
+    /// The snapshotted table's guard timetable, if it had one.
+    pub fn guard(&self) -> Option<StarvationGuard> {
+        self.guard
     }
 
     /// The captured reservations, ordered by `(src, start)`.
@@ -118,8 +143,16 @@ impl PrtSnapshot {
     /// Assemble a snapshot from parts (e.g. parsed back from a
     /// checkpoint file). Consistency is checked by
     /// [`Prt::from_snapshot`], not here.
-    pub fn from_parts(ports: usize, resvs: Vec<RemovedResv>) -> PrtSnapshot {
-        PrtSnapshot { ports, resvs }
+    pub fn from_parts(
+        ports: usize,
+        guard: Option<StarvationGuard>,
+        resvs: Vec<RemovedResv>,
+    ) -> PrtSnapshot {
+        PrtSnapshot {
+            ports,
+            guard,
+            resvs,
+        }
     }
 }
 
@@ -161,11 +194,14 @@ pub struct Prt {
     out_tail: Vec<Option<(Time, Time)>>,
     /// Per-Coflow reservation index, maintained incrementally by
     /// `reserve` / `truncate_future` / `cut_reservation`. The online
-    /// replay's per-event queries (`reservations_of`, `last_end_of`)
-    /// touch only the owning Coflow's entries instead of rescanning the
-    /// whole table, whose history grows without bound over a replay.
-    /// Guard windows serve no single Coflow and are not indexed.
+    /// replay's per-event queries (`future_reservations_of`,
+    /// `last_end_of`) touch only the owning Coflow's entries instead of
+    /// rescanning the whole table, whose history grows without bound
+    /// over a replay.
     by_coflow: HashMap<CoflowId, CoflowIndex>,
+    /// The §4.2 timetable merged into every probe, if this table serves
+    /// a guarded scheduler.
+    guard: Option<StarvationGuard>,
 }
 
 /// Index entries of one Coflow's reservations.
@@ -177,20 +213,12 @@ struct CoflowIndex {
     /// Multiset of this Coflow's reservation end times, so
     /// [`Prt::last_end_of`] is O(1) even after cuts re-key ends.
     ends: BTreeMap<Time, u32>,
-    /// Multiset of input ports this Coflow holds reservations on — its
-    /// port footprint, kept as counts so removals know when a port
-    /// leaves the footprint.
-    in_ports: BTreeMap<InPort, u32>,
-    /// Same multiset for output ports.
-    out_ports: BTreeMap<OutPort, u32>,
 }
 
 impl CoflowIndex {
     fn insert(&mut self, src: InPort, dst: OutPort, start: Time, end: Time, flow_idx: usize) {
         self.resvs.insert((start, src), (dst, end, flow_idx));
         *self.ends.entry(end).or_insert(0) += 1;
-        *self.in_ports.entry(src).or_insert(0) += 1;
-        *self.out_ports.entry(dst).or_insert(0) += 1;
     }
 
     fn drop_end(&mut self, end: Time) {
@@ -205,27 +233,11 @@ impl CoflowIndex {
     }
 
     fn remove(&mut self, src: InPort, start: Time) {
-        let (dst, end, _) = self
+        let (_, end, _) = self
             .resvs
             .remove(&(start, src))
             .expect("coflow index out of sync: missing reservation");
         self.drop_end(end);
-        let c = self
-            .in_ports
-            .get_mut(&src)
-            .expect("coflow in-port multiset out of sync");
-        *c -= 1;
-        if *c == 0 {
-            self.in_ports.remove(&src);
-        }
-        let c = self
-            .out_ports
-            .get_mut(&dst)
-            .expect("coflow out-port multiset out of sync");
-        *c -= 1;
-        if *c == 0 {
-            self.out_ports.remove(&dst);
-        }
     }
 
     /// Re-key a reservation's end to `now` (a cut in-flight circuit).
@@ -242,11 +254,22 @@ impl CoflowIndex {
 }
 
 impl Prt {
-    /// An empty table for an `n`-port switch.
+    /// An empty table for an `n`-port switch with no starvation guard.
     ///
     /// # Panics
     /// Panics if `n` is zero.
     pub fn new(n: usize) -> Prt {
+        Prt::with_guard(n, None)
+    }
+
+    /// An empty table for an `n`-port switch whose ports are, besides
+    /// their reservations, taken during every window of `guard`'s
+    /// timetable: each probe merges [`StarvationGuard::probe`], and
+    /// [`Prt::reserve`] refuses a circuit that touches a window.
+    ///
+    /// # Panics
+    /// Panics if `n` is zero.
+    pub fn with_guard(n: usize, guard: Option<StarvationGuard>) -> Prt {
         assert!(n > 0, "PRT needs at least one port");
         Prt {
             ins: vec![BTreeMap::new(); n],
@@ -254,6 +277,7 @@ impl Prt {
             in_tail: vec![None; n],
             out_tail: vec![None; n],
             by_coflow: HashMap::new(),
+            guard,
         }
     }
 
@@ -284,71 +308,35 @@ impl Prt {
         }
     }
 
-    /// `free_at` with the tail cache consulted first. The tail entry
-    /// resolves every query at or after its reservation's start; only
-    /// queries strictly before the tail's start walk the map.
-    #[inline]
-    fn free_at_cached(map: &BTreeMap<Time, Entry>, tail: Option<(Time, Time)>, t: Time) -> bool {
-        match tail {
-            None => true,
-            Some((start, end)) => {
-                if t >= end {
-                    true
-                } else if t >= start {
-                    false
-                } else {
-                    Self::free_at(map, t)
-                }
-            }
-        }
-    }
-
-    /// `next_start_after` with the tail cache consulted first.
-    #[inline]
-    fn next_start_after_cached(
-        map: &BTreeMap<Time, Entry>,
-        tail: Option<(Time, Time)>,
-        t: Time,
-    ) -> Time {
-        match tail {
-            None => Time::MAX,
-            Some((start, _)) => {
-                if t >= start {
-                    Time::MAX
-                } else {
-                    Self::next_start_after(map, t)
-                }
-            }
-        }
-    }
-
     /// Is input port `i` free at instant `t`?
     pub fn in_free_at(&self, i: InPort, t: Time) -> bool {
-        Self::free_at_cached(&self.ins[i], self.in_tail[i], t)
+        self.in_probe(i, t).free
     }
 
     /// Is output port `j` free at instant `t`?
     pub fn out_free_at(&self, j: OutPort, t: Time) -> bool {
-        Self::free_at_cached(&self.outs[j], self.out_tail[j], t)
+        self.out_probe(j, t).free
     }
 
     /// The earliest reservation start strictly after `t` on input port
     /// `i`, or `Time::MAX` if the port is unreserved beyond `t`.
     pub fn in_next_start_after(&self, i: InPort, t: Time) -> Time {
-        Self::next_start_after_cached(&self.ins[i], self.in_tail[i], t)
+        self.in_probe(i, t).next_start
     }
 
     /// The earliest reservation start strictly after `t` on output port
     /// `j`, or `Time::MAX` if the port is unreserved beyond `t`.
     pub fn out_next_start_after(&self, j: OutPort, t: Time) -> Time {
-        Self::next_start_after_cached(&self.outs[j], self.out_tail[j], t)
+        self.out_probe(j, t).next_start
     }
 
     /// Reference implementation of [`Prt::in_free_at`] that always walks
-    /// the `BTreeMap`, bypassing the tail cache. Kept for the
-    /// equivalence property tests and the fast-path micro-benchmarks;
-    /// compiled only under the `naive-twins` feature (or `cfg(test)`) so
-    /// release consumers carry no dead reference code.
+    /// the `BTreeMap`, bypassing the tail cache (and, like every
+    /// `naive_*` query, seeing reservations only — not a guard
+    /// timetable). Kept for the equivalence property tests and the
+    /// fast-path micro-benchmarks; compiled only under the `naive-twins`
+    /// feature (or `cfg(test)`) so release consumers carry no dead
+    /// reference code.
     #[cfg(any(test, feature = "naive-twins"))]
     #[doc(hidden)]
     pub fn naive_in_free_at(&self, i: InPort, t: Time) -> bool {
@@ -390,66 +378,40 @@ impl Prt {
             .min()
     }
 
-    /// The earliest release strictly after `t` in one port map, derived
-    /// from the reservation intervals themselves: reservations on a port
-    /// never overlap, so ends ascend with starts, and the answer is the
-    /// covering entry's end if it is still running — else the
-    /// next-starting entry's end.
-    fn next_release_in(map: &BTreeMap<Time, Entry>, t: Time) -> Option<Time> {
-        match map.range(..=t).next_back() {
-            Some((_, e)) if e.end > t => Some(e.end),
-            _ => map
-                .range((std::ops::Bound::Excluded(t), std::ops::Bound::Unbounded))
-                .next()
-                .map(|(_, e)| e.end),
-        }
-    }
-
-    /// `next_release_in` with the tail cache consulted first: past the
-    /// tail's end there is no release; inside the tail the release *is*
-    /// the tail's end.
-    #[inline]
-    fn next_release_cached(
-        map: &BTreeMap<Time, Entry>,
-        tail: Option<(Time, Time)>,
-        t: Time,
-    ) -> Option<Time> {
-        match tail {
-            None => None,
-            Some((start, end)) => {
-                if t >= end {
-                    None
-                } else if t >= start {
-                    Some(end)
-                } else {
-                    Self::next_release_in(map, t)
-                }
-            }
-        }
-    }
-
     /// The earliest circuit release strictly after `t` on input port `i`.
     pub fn in_next_release_after(&self, i: InPort, t: Time) -> Option<Time> {
-        Self::next_release_cached(&self.ins[i], self.in_tail[i], t)
+        self.in_probe(i, t).next_release
     }
 
     /// The earliest circuit release strictly after `t` on output port `j`.
     pub fn out_next_release_after(&self, j: OutPort, t: Time) -> Option<Time> {
-        Self::next_release_cached(&self.outs[j], self.out_tail[j], t)
+        self.out_probe(j, t).next_release
     }
 
     /// Fused planning snapshot of input port `i` at `t` — freeness, next
     /// start, and next release answered from one tail-cache consultation
-    /// (or, before the tail's start, one pair of map walks) instead of
-    /// three separate queries. See [`crate::PlanTable::in_probe`].
+    /// (or, before the tail's start, one pair of map walks), merged with
+    /// the guard timetable if the table has one. See
+    /// [`crate::PlanTable::in_probe`].
     pub fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
-        Self::probe_cached(&self.ins[i], self.in_tail[i], t)
+        self.merge_guard(Self::probe_cached(&self.ins[i], self.in_tail[i], t), t)
     }
 
     /// Fused planning snapshot of output port `j` at `t` (see
     /// [`Prt::in_probe`]).
     pub fn out_probe(&self, j: OutPort, t: Time) -> PortProbe {
-        Self::probe_cached(&self.outs[j], self.out_tail[j], t)
+        self.merge_guard(Self::probe_cached(&self.outs[j], self.out_tail[j], t), t)
+    }
+
+    /// `probe`, taken at `t` from (a subset of) this table's
+    /// reservations on some port, completed with the guard timetable.
+    /// An unguarded table pays one branch.
+    #[inline]
+    pub(crate) fn merge_guard(&self, probe: PortProbe, t: Time) -> PortProbe {
+        match &self.guard {
+            None => probe,
+            Some(g) => probe.merge(g.probe(t)),
+        }
     }
 
     fn probe_cached(map: &BTreeMap<Time, Entry>, tail: Option<(Time, Time)>, t: Time) -> PortProbe {
@@ -491,40 +453,6 @@ impl Prt {
         }
     }
 
-    /// The earliest circuit release strictly after `t` on *any* port of
-    /// `ports` — the port-scoped Algorithm 1 line 10: a Coflow advancing
-    /// `t` only cares about releases on ports it still has demand on.
-    pub fn next_release_on(&self, ports: &PortSet, t: Time) -> Option<Time> {
-        let mut best: Option<Time> = None;
-        for i in ports.ins() {
-            if let Some(r) = self.in_next_release_after(i, t) {
-                best = Some(best.map_or(r, |b| b.min(r)));
-            }
-        }
-        for j in ports.outs() {
-            if let Some(r) = self.out_next_release_after(j, t) {
-                best = Some(best.map_or(r, |b| b.min(r)));
-            }
-        }
-        best
-    }
-
-    /// The set of ports `coflow` currently holds reservations on — its
-    /// port footprint, answered from the per-Coflow index. The empty set
-    /// (over this table's port count) if it holds none.
-    pub fn footprint_of(&self, coflow: CoflowId) -> PortSet {
-        let mut set = PortSet::new(self.ports());
-        if let Some(idx) = self.by_coflow.get(&coflow) {
-            for &p in idx.in_ports.keys() {
-                set.insert_in(p);
-            }
-            for &p in idx.out_ports.keys() {
-                set.insert_out(p);
-            }
-        }
-        set
-    }
-
     /// Reference implementation of [`Prt::in_next_release_after`] via a
     /// full scan of the port's entries (see [`Prt::naive_in_free_at`] for
     /// the twin pattern).
@@ -545,41 +473,24 @@ impl Prt {
             .min()
     }
 
-    /// Reference implementation of [`Prt::next_release_on`].
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_next_release_on(&self, ports: &PortSet, t: Time) -> Option<Time> {
-        let ins = ports
-            .ins()
-            .filter_map(|i| self.naive_in_next_release_after(i, t));
-        let outs = ports
-            .outs()
-            .filter_map(|j| self.naive_out_next_release_after(j, t));
-        ins.chain(outs).min()
-    }
-
-    /// Reference implementation of [`Prt::footprint_of`] via the full
-    /// table scan.
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_footprint_of(&self, coflow: CoflowId) -> PortSet {
-        let mut set = PortSet::new(self.ports());
-        for r in self.iter_reservations() {
-            if r.flow.coflow == coflow {
-                set.insert_in(r.src);
-                set.insert_out(r.dst);
-            }
-        }
-        set
-    }
-
     /// Reserve the circuit `[in.src, out.dst]` during `[start, end)`.
     ///
     /// # Panics
-    /// Panics if the interval is empty or overlaps an existing reservation
-    /// on either port — those are scheduler bugs, not input conditions.
+    /// Panics if the interval is empty, overlaps an existing reservation
+    /// on either port, or (on a guarded table) starts inside a guard
+    /// window or reaches the next one — those are scheduler bugs, not
+    /// input conditions.
     pub fn reserve(&mut self, src: InPort, dst: OutPort, start: Time, end: Time, kind: ResvKind) {
         assert!(end > start, "reservation interval must be non-empty");
+        if let Some(g) = &self.guard {
+            let window = g.probe(start);
+            assert!(window.free, "a guard window is under way at {start}");
+            assert!(
+                end <= window.next_start,
+                "reservation would overlap the guard window at {}",
+                window.next_start
+            );
+        }
         for (map, tail, port, side) in [
             (&self.ins[src], self.in_tail[src], src, "input"),
             (&self.outs[dst], self.out_tail[dst], dst, "output"),
@@ -618,15 +529,11 @@ impl Prt {
         if self.out_tail[dst].is_none_or(|(s, _)| start > s) {
             self.out_tail[dst] = Some((start, end));
         }
-        if let ResvKind::Flow(flow) = kind {
-            self.by_coflow.entry(flow.coflow).or_default().insert(
-                src,
-                dst,
-                start,
-                end,
-                flow.flow_idx,
-            );
-        }
+        let ResvKind::Flow(flow) = kind;
+        self.by_coflow
+            .entry(flow.coflow)
+            .or_default()
+            .insert(src, dst, start, end, flow.flow_idx);
     }
 
     /// Reference implementation of [`Prt::reserve`] that always runs both
@@ -674,59 +581,34 @@ impl Prt {
                 kind,
             },
         );
-        if let ResvKind::Flow(flow) = kind {
-            self.by_coflow.entry(flow.coflow).or_default().insert(
-                src,
-                dst,
-                start,
-                end,
-                flow.flow_idx,
-            );
-        }
+        let ResvKind::Flow(flow) = kind;
+        self.by_coflow
+            .entry(flow.coflow)
+            .or_default()
+            .insert(src, dst, start, end, flow.flow_idx);
     }
 
     /// All flow reservations currently in the table, ordered by
-    /// `(src, start)`. Guard windows are excluded (they serve no single
-    /// flow).
+    /// `(src, start)`.
     pub fn flow_reservations(&self) -> Vec<Reservation> {
         self.iter_reservations().collect()
     }
 
     /// Non-allocating iterator over all flow reservations, ordered by
-    /// `(src, start)`. Guard windows are excluded.
+    /// `(src, start)`.
     pub fn iter_reservations(&self) -> impl Iterator<Item = Reservation> + '_ {
         self.ins.iter().enumerate().flat_map(|(src, map)| {
-            map.iter().filter_map(move |(&start, e)| match e.kind {
-                ResvKind::Flow(flow) => Some(Reservation {
+            map.iter().map(move |(&start, e)| {
+                let ResvKind::Flow(flow) = e.kind;
+                Reservation {
                     src,
                     dst: e.peer,
                     start,
                     end: e.end,
                     flow,
-                }),
-                ResvKind::Guard => None,
+                }
             })
         })
-    }
-
-    /// Iterator over the reservations serving `coflow`, ordered by
-    /// `(start, src)`, answered from the per-Coflow index — O(own
-    /// reservations), independent of the rest of the table.
-    pub fn reservations_of(&self, coflow: CoflowId) -> impl Iterator<Item = Reservation> + '_ {
-        self.by_coflow
-            .get(&coflow)
-            .into_iter()
-            .flat_map(move |idx| {
-                idx.resvs
-                    .iter()
-                    .map(move |(&(start, src), &(dst, end, flow_idx))| Reservation {
-                        src,
-                        dst,
-                        start,
-                        end,
-                        flow: FlowRef { coflow, flow_idx },
-                    })
-            })
     }
 
     /// The latest reservation end among `coflow`'s reservations, or
@@ -799,21 +681,8 @@ impl Prt {
         }
     }
 
-    /// Reference implementation of [`Prt::reservations_of`] via the full
-    /// table scan (see [`Prt::naive_in_free_at`] for the twin pattern).
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_reservations_of(&self, coflow: CoflowId) -> Vec<Reservation> {
-        let mut out: Vec<Reservation> = self
-            .iter_reservations()
-            .filter(|r| r.flow.coflow == coflow)
-            .collect();
-        out.sort_by_key(|r| (r.start, r.src));
-        out
-    }
-
     /// Reference implementation of [`Prt::last_end_of`] via the full
-    /// table scan.
+    /// table scan (see [`Prt::naive_in_free_at`] for the twin pattern).
     #[cfg(any(test, feature = "naive-twins"))]
     #[doc(hidden)]
     pub fn naive_last_end_of(&self, coflow: CoflowId) -> Option<Time> {
@@ -823,8 +692,8 @@ impl Prt {
             .max()
     }
 
-    /// All reservations (including guard windows) as
-    /// `(src, dst, start, end, kind)`.
+    /// All reservations as `(src, dst, start, end, kind)`, ordered by
+    /// `(src, start)`.
     pub fn all_reservations(&self) -> Vec<RemovedResv> {
         let mut out = Vec::new();
         for (src, map) in self.ins.iter().enumerate() {
@@ -841,20 +710,15 @@ impl Prt {
         out
     }
 
-    /// The latest reservation end in the table, or `None` if empty.
-    /// Reservations on a port never overlap, so each port's horizon is
-    /// its latest-starting reservation's end — the tail cache.
-    pub fn horizon(&self) -> Option<Time> {
-        self.in_tail.iter().flatten().map(|&(_, end)| end).max()
-    }
-
     /// Capture the full reservation state as a flat, order-independent
-    /// value. A snapshot is plain data (port count + reservation list),
-    /// so it can be serialized by callers that checkpoint a long-running
-    /// scheduler and fed back through [`Prt::from_snapshot`].
+    /// value. A snapshot is plain data (port count, guard timetable and
+    /// reservation list), so it can be serialized by callers that
+    /// checkpoint a long-running scheduler and fed back through
+    /// [`Prt::from_snapshot`].
     pub fn snapshot(&self) -> PrtSnapshot {
         PrtSnapshot {
             ports: self.ports(),
+            guard: self.guard,
             resvs: self.all_reservations(),
         }
     }
@@ -866,11 +730,11 @@ impl Prt {
     /// states.
     ///
     /// # Panics
-    /// Panics if the snapshot is inconsistent (empty intervals or
-    /// overlapping reservations on a port) — snapshots taken from a live
-    /// table are always consistent.
+    /// Panics if the snapshot is inconsistent (empty intervals,
+    /// reservations overlapping on a port or touching a guard window) —
+    /// snapshots taken from a live table are always consistent.
     pub fn from_snapshot(snap: &PrtSnapshot) -> Prt {
-        let mut prt = Prt::new(snap.ports);
+        let mut prt = Prt::with_guard(snap.ports, snap.guard);
         let mut resvs: Vec<&RemovedResv> = snap.resvs.iter().collect();
         resvs.sort_by_key(|r| (r.start, r.src));
         for r in resvs {
@@ -886,8 +750,8 @@ impl Prt {
     ///
     /// Only strictly-past state is touched: queries at any `t >= cutoff`
     /// (port freeness, next starts, releases, per-Coflow last ends) are
-    /// unaffected. History-dependent accessors ([`Prt::in_busy_time`],
-    /// [`Prt::reservations_of`]) lose the forgotten intervals — callers
+    /// unaffected. History-dependent accessors ([`Prt::flow_reservations`],
+    /// [`Prt::all_reservations`]) lose the forgotten intervals — callers
     /// must account for served demand before pruning.
     pub fn forget_before(&mut self, cutoff: Time) -> usize {
         let mut dropped = 0;
@@ -1000,22 +864,9 @@ impl Prt {
                         });
                     }
                 } else {
-                    if e.end > now && !keep_active && e.kind != ResvKind::Guard {
+                    if e.end > now && !keep_active {
                         // Straddles `now` and preemption is allowed: cut.
-                        // Guard windows are never cut — the starvation
-                        // guard's whole point is immunity to scheduling
-                        // churn.
-                        self.ins[src].get_mut(&start).expect("entry exists").end = now;
-                        self.outs[e.peer]
-                            .get_mut(&start)
-                            .expect("peer entry exists")
-                            .end = now;
-                        if let ResvKind::Flow(flow) = e.kind {
-                            self.by_coflow
-                                .get_mut(&flow.coflow)
-                                .expect("coflow index out of sync")
-                                .cut(src, start, now);
-                        }
+                        self.shorten(src, start, e, now);
                         touched = true;
                         out_touched[e.peer] = true;
                         count += 1;
@@ -1072,18 +923,8 @@ impl Prt {
                         end: e.end,
                         kind: e.kind,
                     });
-                } else if e.end > now && !keep_active && e.kind != ResvKind::Guard {
-                    self.ins[src].get_mut(&start).expect("entry exists").end = now;
-                    self.outs[e.peer]
-                        .get_mut(&start)
-                        .expect("peer entry exists")
-                        .end = now;
-                    if let ResvKind::Flow(flow) = e.kind {
-                        self.by_coflow
-                            .get_mut(&flow.coflow)
-                            .expect("coflow index out of sync")
-                            .cut(src, start, now);
-                    }
+                } else if e.end > now && !keep_active {
+                    self.shorten(src, start, e, now);
                     touched = true;
                     removed.push(RemovedResv {
                         src,
@@ -1128,65 +969,60 @@ impl Prt {
         out: &mut Vec<RemovedResv>,
     ) -> u64 {
         out.clear();
-        let n = self.truncate_future_of_sink(coflow, now, Some(out));
-        out.sort_by_key(|r| (r.src, r.start));
-        n
-    }
-
-    /// [`Prt::truncate_future_of`] for callers that only need the count:
-    /// no `Vec<RemovedResv>` is built.
-    pub fn truncate_future_of_count(&mut self, coflow: CoflowId, now: Time) -> u64 {
-        self.truncate_future_of_sink(coflow, now, None)
-    }
-
-    fn truncate_future_of_sink(
-        &mut self,
-        coflow: CoflowId,
-        now: Time,
-        mut out: Option<&mut Vec<RemovedResv>>,
-    ) -> u64 {
-        let entries: Vec<(Time, InPort, OutPort, Time, usize)> = match self.by_coflow.get(&coflow) {
-            None => return 0,
-            Some(idx) => idx
-                .resvs
-                .range((now, 0)..)
-                .map(|(&(start, src), &(dst, end, flow_idx))| (start, src, dst, end, flow_idx))
-                .collect(),
+        let Some(idx) = self.by_coflow.get(&coflow) else {
+            return 0;
         };
-        let mut count = 0u64;
-        for (start, src, dst, end, flow_idx) in entries {
-            self.ins[src].remove(&start).expect("entry exists");
-            self.outs[dst].remove(&start).expect("peer entry exists");
-            let kind = ResvKind::Flow(FlowRef { coflow, flow_idx });
-            self.unindex(kind, src, start);
-            self.in_tail[src] = Self::tail_of(&self.ins[src]);
-            self.out_tail[dst] = Self::tail_of(&self.outs[dst]);
-            count += 1;
-            if let Some(out) = out.as_deref_mut() {
-                out.push(RemovedResv {
+        out.extend(
+            idx.resvs
+                .range((now, 0)..)
+                .map(|(&(start, src), &(dst, end, flow_idx))| RemovedResv {
                     src,
                     dst,
                     start,
                     end,
-                    kind,
-                });
-            }
+                    kind: ResvKind::Flow(FlowRef { coflow, flow_idx }),
+                }),
+        );
+        for r in out.iter() {
+            self.ins[r.src].remove(&r.start).expect("entry exists");
+            self.outs[r.dst]
+                .remove(&r.start)
+                .expect("peer entry exists");
+            self.unindex(r.kind, r.src, r.start);
+            self.in_tail[r.src] = Self::tail_of(&self.ins[r.src]);
+            self.out_tail[r.dst] = Self::tail_of(&self.outs[r.dst]);
         }
-        count
+        out.sort_by_key(|r| (r.src, r.start));
+        out.len() as u64
     }
 
     /// Drop a removed reservation from the per-Coflow index.
     fn unindex(&mut self, kind: ResvKind, src: InPort, start: Time) {
-        if let ResvKind::Flow(flow) = kind {
-            let idx = self
-                .by_coflow
-                .get_mut(&flow.coflow)
-                .expect("coflow index out of sync");
-            idx.remove(src, start);
-            if idx.resvs.is_empty() {
-                self.by_coflow.remove(&flow.coflow);
-            }
+        let ResvKind::Flow(flow) = kind;
+        let idx = self
+            .by_coflow
+            .get_mut(&flow.coflow)
+            .expect("coflow index out of sync");
+        idx.remove(src, start);
+        if idx.resvs.is_empty() {
+            self.by_coflow.remove(&flow.coflow);
         }
+    }
+
+    /// Shorten the reservation `e` keyed `(src, start)` to end at `now`,
+    /// on both ports and in the per-Coflow index. The tail caches are the
+    /// caller's to refresh.
+    fn shorten(&mut self, src: InPort, start: Time, e: Entry, now: Time) {
+        self.ins[src].get_mut(&start).expect("entry exists").end = now;
+        self.outs[e.peer]
+            .get_mut(&start)
+            .expect("peer entry exists")
+            .end = now;
+        let ResvKind::Flow(flow) = e.kind;
+        self.by_coflow
+            .get_mut(&flow.coflow)
+            .expect("coflow index out of sync")
+            .cut(src, start, now);
     }
 
     fn tail_of(map: &BTreeMap<Time, Entry>) -> Option<(Time, Time)> {
@@ -1210,40 +1046,21 @@ impl Prt {
             start < now && now < e.end,
             "cut_reservation: reservation is not in flight at {now}"
         );
-        self.ins[src].get_mut(&start).expect("checked").end = now;
-        self.outs[e.peer].get_mut(&start).expect("peer entry").end = now;
+        self.shorten(src, start, e, now);
         if self.in_tail[src].is_some_and(|(s, _)| s == start) {
             self.in_tail[src] = Some((start, now));
         }
         if self.out_tail[e.peer].is_some_and(|(s, _)| s == start) {
             self.out_tail[e.peer] = Some((start, now));
         }
-        if let ResvKind::Flow(flow) = e.kind {
-            self.by_coflow
-                .get_mut(&flow.coflow)
-                .expect("coflow index out of sync")
-                .cut(src, start, now);
-        }
-    }
-
-    /// Total time input port `i` is reserved within `[from, to)`.
-    /// Used by tests and utilization reports.
-    pub fn in_busy_time(&self, i: InPort, from: Time, to: Time) -> Dur {
-        let mut busy = Dur::ZERO;
-        for (&s, e) in &self.ins[i] {
-            let lo = s.max(from);
-            let hi = e.end.min(to);
-            if hi > lo {
-                busy += hi.since(lo);
-            }
-        }
-        busy
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::starvation::GuardConfig;
+    use ocs_model::Dur;
 
     fn flow(idx: usize) -> ResvKind {
         ResvKind::Flow(FlowRef {
@@ -1357,21 +1174,54 @@ mod tests {
         assert!(prt.is_empty());
     }
 
-    #[test]
-    fn guard_windows_are_not_flow_reservations() {
-        let mut prt = Prt::new(2);
-        prt.reserve(0, 0, t(0), t(10), ResvKind::Guard);
-        prt.reserve(1, 1, t(0), t(10), flow(0));
-        assert_eq!(prt.flow_reservations().len(), 1);
-        assert_eq!(prt.all_reservations().len(), 2);
+    /// T = 100 ms, τ = 20 ms: windows [100, 120), [220, 240), ...
+    fn guarded(n: usize) -> Prt {
+        let config = GuardConfig::new(Dur::from_millis(100), Dur::from_millis(20));
+        Prt::with_guard(n, Some(StarvationGuard::new(n, config)))
     }
 
     #[test]
-    fn busy_time_accumulates_within_window() {
-        let mut prt = Prt::new(2);
-        prt.reserve(0, 0, t(0), t(10), flow(0));
-        prt.reserve(0, 1, t(20), t(30), flow(1));
-        assert_eq!(prt.in_busy_time(0, t(5), t(25)), Dur::from_millis(10));
+    fn guard_windows_take_every_port_without_being_reservations() {
+        let mut prt = guarded(2);
+        prt.reserve(1, 1, t(0), t(10), flow(0));
+        for p in 0..2 {
+            assert!(prt.in_free_at(p, t(50)));
+            assert!(!prt.in_free_at(p, t(110)));
+            assert!(!prt.out_free_at(p, t(110)));
+            assert!(prt.out_free_at(p, t(120)));
+        }
+        // The window and the reservation answer as one obstacle set.
+        assert_eq!(
+            prt.in_probe(1, t(5)),
+            PortProbe {
+                free: false,
+                next_start: t(100),
+                next_release: Some(t(10)),
+            }
+        );
+        assert_eq!(prt.in_next_start_after(0, t(110)), t(220));
+        assert_eq!(prt.next_release_after(t(10)), Some(t(120)));
+        assert_eq!(prt.all_reservations().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a guard window is under way")]
+    fn reserving_inside_a_guard_window_panics() {
+        guarded(2).reserve(0, 0, t(105), t(110), flow(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "would overlap the guard window at")]
+    fn reserving_into_the_next_guard_window_panics() {
+        guarded(2).reserve(0, 0, t(90), t(101), flow(0));
+    }
+
+    #[test]
+    fn reservations_may_touch_a_guard_window_on_both_sides() {
+        let mut prt = guarded(2);
+        prt.reserve(0, 0, t(90), t(100), flow(0));
+        prt.reserve(0, 0, t(120), t(220), flow(1));
+        assert_eq!(prt.all_reservations().len(), 2);
     }
 
     #[test]
@@ -1408,9 +1258,8 @@ mod tests {
         prt.reserve(0, 0, t(0), t(10), flow_of(1, 0));
         prt.reserve(1, 1, t(5), t(30), flow_of(2, 0));
         prt.reserve(2, 2, t(0), t(20), flow_of(1, 1));
-        prt.reserve(3, 3, t(0), t(5), ResvKind::Guard);
 
-        let of1: Vec<_> = prt.reservations_of(1).collect();
+        let of1: Vec<_> = prt.future_reservations_of(1, Time::ZERO).collect();
         assert_eq!(of1.len(), 2);
         // (start, src) order.
         assert_eq!((of1[0].src, of1[0].start), (0, t(0)));
@@ -1418,9 +1267,7 @@ mod tests {
         assert_eq!(prt.last_end_of(1), Some(t(20)));
         assert_eq!(prt.last_end_of(2), Some(t(30)));
         assert_eq!(prt.last_end_of(99), None);
-        // Guard windows are not indexed under any coflow.
         assert_eq!(prt.iter_reservations().count(), 3);
-        assert_eq!(prt.naive_reservations_of(1), of1);
         assert_eq!(prt.naive_last_end_of(1), Some(t(20)));
     }
 
@@ -1434,11 +1281,11 @@ mod tests {
         prt.truncate_future(t(20), true);
         assert_eq!(prt.last_end_of(1), Some(t(40)));
         assert_eq!(prt.last_end_of(2), None, "fully-future coflow unindexed");
-        assert_eq!(prt.reservations_of(2).count(), 0);
+        assert_eq!(prt.future_reservations_of(2, Time::ZERO).count(), 0);
 
         prt.cut_reservation(0, t(0), t(20));
         assert_eq!(prt.last_end_of(1), Some(t(20)));
-        let rs: Vec<_> = prt.reservations_of(1).collect();
+        let rs: Vec<_> = prt.future_reservations_of(1, Time::ZERO).collect();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].end, t(20));
         assert_eq!(prt.naive_last_end_of(1), Some(t(20)));
@@ -1462,7 +1309,7 @@ mod tests {
             prt.reserve(0, 1, t(12), t(40), flow_of(1, 1)); // straddles 20
             prt.reserve(1, 2, t(20), t(30), flow_of(2, 0)); // future
             prt.reserve(1, 3, t(35), t(45), flow_of(2, 1)); // future
-            prt.reserve(2, 2, t(50), t(60), ResvKind::Guard); // future guard
+            prt.reserve(2, 2, t(50), t(60), flow_of(3, 0)); // future
             prt
         };
         for keep in [true, false] {
@@ -1477,35 +1324,27 @@ mod tests {
     }
 
     #[test]
-    fn horizon_tracks_latest_end() {
-        let mut prt = Prt::new(2);
-        assert_eq!(prt.horizon(), None);
-        prt.reserve(0, 0, t(0), t(10), flow(0));
-        prt.reserve(1, 1, t(0), t(50), flow(1));
-        assert_eq!(prt.horizon(), Some(t(50)));
-    }
-
-    #[test]
     fn snapshot_roundtrip_preserves_queries_and_index() {
-        let mut prt = Prt::new(4);
+        // Guarded: the timetable must come back with the reservations.
+        let mut prt = guarded(4);
         prt.reserve(0, 0, t(0), t(10), flow_of(1, 0));
         prt.reserve(0, 1, t(12), t(40), flow_of(1, 1));
         prt.reserve(1, 2, t(20), t(30), flow_of(2, 0));
-        prt.reserve(2, 2, t(50), t(60), ResvKind::Guard);
+        prt.reserve(2, 2, t(50), t(60), flow_of(3, 0));
         prt.cut_reservation(0, t(12), t(25));
 
         let snap = prt.snapshot();
         assert_eq!(snap.ports(), 4);
         assert_eq!(snap.len(), 4);
+        assert!(snap.guard().is_some());
         let back = Prt::from_snapshot(&snap);
 
         assert_eq!(back.all_reservations(), prt.all_reservations());
         assert_eq!(back.flow_reservations(), prt.flow_reservations());
-        assert_eq!(back.horizon(), prt.horizon());
         assert_eq!(back.last_end_of(1), prt.last_end_of(1));
         assert_eq!(back.last_end_of(2), prt.last_end_of(2));
         for p in 0..4 {
-            for ms in [0u64, 5, 12, 24, 25, 30, 55, 60] {
+            for ms in [0u64, 5, 12, 24, 25, 30, 55, 60, 100, 119, 120] {
                 assert_eq!(back.in_free_at(p, t(ms)), prt.in_free_at(p, t(ms)));
                 assert_eq!(back.out_free_at(p, t(ms)), prt.out_free_at(p, t(ms)));
                 assert_eq!(
@@ -1514,18 +1353,18 @@ mod tests {
                 );
             }
         }
-        let mut releases = Vec::new();
-        let mut cursor = Time::ZERO;
-        while let Some(r) = back.next_release_after(cursor) {
-            releases.push(r);
-            cursor = r;
-        }
-        let mut expect = Vec::new();
-        cursor = Time::ZERO;
-        while let Some(r) = prt.next_release_after(cursor) {
-            expect.push(r);
-            cursor = r;
-        }
+        // The timetable's releases never end: walk them through 500 ms.
+        let releases_of = |table: &Prt| {
+            let mut releases = Vec::new();
+            let mut cursor = Time::ZERO;
+            while let Some(r) = table.next_release_after(cursor).filter(|&r| r < t(500)) {
+                releases.push(r);
+                cursor = r;
+            }
+            releases
+        };
+        let (releases, expect) = (releases_of(&back), releases_of(&prt));
+        assert!(releases.contains(&t(25)) && releases.contains(&t(360)));
         assert_eq!(releases, expect);
     }
 
@@ -1545,7 +1384,8 @@ mod tests {
         let mut prt = Prt::new(3);
         prt.reserve(2, 1, t(5), t(15), flow_of(3, 0));
         let snap = prt.snapshot();
-        let rebuilt = PrtSnapshot::from_parts(snap.ports(), snap.reservations().to_vec());
+        let rebuilt =
+            PrtSnapshot::from_parts(snap.ports(), snap.guard(), snap.reservations().to_vec());
         assert_eq!(rebuilt, snap);
         assert!(!rebuilt.is_empty());
     }
@@ -1556,7 +1396,7 @@ mod tests {
         prt.reserve(0, 0, t(0), t(10), flow_of(1, 0)); // dead at 20
         prt.reserve(0, 1, t(12), t(20), flow_of(1, 1)); // ends exactly at 20: dead
         prt.reserve(1, 1, t(25), t(40), flow_of(2, 0)); // future
-        prt.reserve(2, 2, t(15), t(30), ResvKind::Guard); // straddles 20: kept
+        prt.reserve(2, 2, t(15), t(30), flow_of(3, 0)); // straddles 20: kept
 
         assert_eq!(prt.forget_before(t(20)), 2);
         assert_eq!(prt.all_reservations().len(), 2);
@@ -1566,13 +1406,13 @@ mod tests {
         assert_eq!(prt.last_end_of(2), Some(t(40)));
         // Forgotten coflow's index entries are gone.
         assert_eq!(prt.last_end_of(1), None);
-        assert_eq!(prt.reservations_of(1).count(), 0);
+        assert_eq!(prt.future_reservations_of(1, Time::ZERO).count(), 0);
         // Pruning is idempotent.
         assert_eq!(prt.forget_before(t(20)), 0);
     }
 
     #[test]
-    fn per_port_release_queues_answer_scoped_queries() {
+    fn per_port_release_queries_see_only_their_port() {
         let mut prt = Prt::new(4);
         prt.reserve(0, 1, t(0), t(10), flow_of(1, 0));
         prt.reserve(0, 2, t(15), t(30), flow_of(1, 1));
@@ -1584,20 +1424,6 @@ mod tests {
         assert_eq!(prt.out_next_release_after(1, Time::ZERO), Some(t(10)));
         assert_eq!(prt.out_next_release_after(1, t(10)), Some(t(20)));
         assert_eq!(prt.in_next_release_after(2, Time::ZERO), None);
-
-        // A scoped query sees only releases on its ports.
-        let mut ports = PortSet::new(4);
-        ports.insert_in(3);
-        assert_eq!(prt.next_release_on(&ports, Time::ZERO), Some(t(20)));
-        ports.insert_out(2);
-        assert_eq!(prt.next_release_on(&ports, Time::ZERO), Some(t(20)));
-        assert_eq!(prt.next_release_on(&ports, t(20)), Some(t(30)));
-        assert_eq!(prt.next_release_on(&ports, t(30)), None);
-        assert_eq!(
-            prt.next_release_on(&PortSet::new(4), Time::ZERO),
-            None,
-            "empty scope sees nothing"
-        );
 
         // Twins agree.
         for p in 0..4 {
@@ -1612,10 +1438,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            prt.next_release_on(&ports, Time::ZERO),
-            prt.naive_next_release_on(&ports, Time::ZERO)
-        );
     }
 
     #[test]
@@ -1634,26 +1456,6 @@ mod tests {
         assert_eq!(prt.in_next_release_after(0, Time::ZERO), Some(t(30)));
         assert_eq!(prt.in_next_release_after(1, Time::ZERO), None);
         assert_eq!(prt.out_next_release_after(1, Time::ZERO), None);
-    }
-
-    #[test]
-    fn footprint_tracks_reservations() {
-        let mut prt = Prt::new(4);
-        prt.reserve(0, 1, t(0), t(10), flow_of(1, 0));
-        prt.reserve(2, 1, t(10), t(20), flow_of(1, 1));
-        prt.reserve(3, 3, t(0), t(5), flow_of(2, 0));
-
-        let fp = prt.footprint_of(1);
-        assert_eq!(fp.ins().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(fp.outs().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(fp, prt.naive_footprint_of(1));
-        assert!(prt.footprint_of(99).is_empty());
-
-        // Truncating away one reservation shrinks the footprint; the
-        // shared out port survives while the other reservation holds it.
-        prt.truncate_future_of(1, t(0));
-        assert!(prt.footprint_of(1).is_empty());
-        assert_eq!(prt.footprint_of(2), prt.naive_footprint_of(2));
     }
 
     #[test]
@@ -1697,6 +1499,6 @@ mod tests {
         assert!(prt.in_free_at(0, t(0)));
         assert!(prt.out_free_at(1, t(0)));
         prt.reserve(0, 1, t(5), t(8), flow_of(2, 0));
-        assert_eq!(prt.horizon(), Some(t(8)));
+        assert_eq!(prt.last_end_of(2), Some(t(8)));
     }
 }

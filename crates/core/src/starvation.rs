@@ -13,12 +13,16 @@
 //!
 //! We realize `Φ` as the `N` cyclic-shift permutations
 //! (`in.i → out.(i+k mod N)`), which provably cover every circuit.
-//! Guard windows stand in the PRT as [`ResvKind::Guard`] reservations
-//! ([`StarvationGuard::seed_prt`]); Algorithm 1 then schedules around
-//! them without any modification — to the intra-Coflow routine they are
-//! simply port reservations it must not displace.
+//! Every `A_k` is a perfect matching, so a window takes *every* port:
+//! whether a port is inside one at `t`, and when the next one starts or
+//! ends, is arithmetic on `t mod (T + τ)` ([`StarvationGuard::probe`]),
+//! the same for all ports. A guarded [`Prt`](crate::Prt) merges that
+//! answer into every port probe, so Algorithm 1 schedules around the
+//! windows without any modification — to the intra-Coflow routine they
+//! are simply port reservations it must not displace — and no window is
+//! ever written into the table.
 
-use crate::prt::{Prt, ResvKind};
+use crate::prt::PortProbe;
 use ocs_model::{Assignment, Dur, Time};
 
 /// Parameters of the starvation guard: `T` (normal scheduling) and `τ`
@@ -64,15 +68,66 @@ impl GuardConfig {
         self
     }
 
-    /// Validate against a fabric's `δ`: the paper requires `T ≫ τ > δ`.
-    ///
-    /// # Panics
-    /// Panics if `τ <= δ` or `T < τ`.
-    pub fn validate(&self, delta: Dur) {
-        assert!(self.tau > delta, "guard window τ must exceed δ");
-        assert!(self.period >= self.tau, "T must dominate τ");
+    /// Validate against a fabric's `δ`: the paper requires `T ≫ τ > δ`,
+    /// and the interval `T + τ` must fit the picosecond clock.
+    pub fn validate(&self, delta: Dur) -> Result<(), GuardError> {
+        if self.tau <= delta {
+            return Err(GuardError::TauNotAboveDelta {
+                tau: self.tau,
+                delta,
+            });
+        }
+        if self.period < self.tau {
+            return Err(GuardError::PeriodBelowTau {
+                period: self.period,
+                tau: self.tau,
+            });
+        }
+        if self.period.as_ps().checked_add(self.tau.as_ps()).is_none() {
+            return Err(GuardError::IntervalOverflow);
+        }
+        Ok(())
     }
 }
+
+/// Why a [`GuardConfig`] cannot run on a fabric ([`GuardConfig::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GuardError {
+    /// `τ <= δ`: a window would end before its circuits are set up.
+    TauNotAboveDelta {
+        /// The rejected window length.
+        tau: Dur,
+        /// The fabric's reconfiguration delay.
+        delta: Dur,
+    },
+    /// `T < τ`: the shared windows would outweigh priority scheduling.
+    PeriodBelowTau {
+        /// The rejected period.
+        period: Dur,
+        /// The window length it falls below.
+        tau: Dur,
+    },
+    /// `T + τ` overflows the picosecond clock.
+    IntervalOverflow,
+}
+
+impl std::fmt::Display for GuardError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GuardError::TauNotAboveDelta { tau, delta } => {
+                write!(f, "guard window τ ({tau}) must exceed δ ({delta})")
+            }
+            GuardError::PeriodBelowTau { period, tau } => {
+                write!(f, "guard period T ({period}) must not be below τ ({tau})")
+            }
+            GuardError::IntervalOverflow => {
+                write!(f, "guard interval T + τ overflows the picosecond clock")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GuardError {}
 
 /// One concrete guard window on the timeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -95,8 +150,8 @@ impl GuardWindow {
     }
 }
 
-/// Generator of guard windows for an `n`-port fabric.
-#[derive(Clone, Copy, Debug)]
+/// The guard's timetable on an `n`-port fabric.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StarvationGuard {
     config: GuardConfig,
     ports: usize,
@@ -127,59 +182,47 @@ impl StarvationGuard {
     /// The guard window of interval `m`:
     /// `[m(T+τ) + T, (m+1)(T+τ))` with assignment `A_(m mod N)`.
     pub fn window(&self, m: u64) -> GuardWindow {
-        let start = self.window_start(m);
-        let end = start + self.config.tau;
+        let start = Time::ZERO + self.interval_len() * m + self.config.period;
         GuardWindow {
             start,
-            end,
+            end: start + self.config.tau,
             interval: m,
             assignment: Assignment::cyclic_shift(self.ports, (m % self.ports as u64) as usize),
         }
     }
 
-    /// When the guard window of interval `m` starts: `m(T+τ) + T`.
-    pub fn window_start(&self, m: u64) -> Time {
-        Time::ZERO + self.interval_len() * m + self.config.period
-    }
-
-    /// The first guard-window end at or after `t` (the next natural
+    /// The first guard-window end strictly after `t` (the next natural
     /// rescheduling point for the online replay).
     pub fn next_window_end_after(&self, t: Time) -> Time {
-        let m = self.interval_at(t);
-        let w = self.window(m);
-        if w.end > t {
-            w.end
-        } else {
-            self.window(m + 1).end
-        }
+        self.probe(t)
+            .next_release
+            .expect("the timetable never ends")
     }
 
-    /// The interval `t` falls in. Its window is the earliest one not
-    /// over at `t`: still to come, or under way.
-    pub fn interval_at(&self, t: Time) -> u64 {
-        t.as_ps() / self.interval_len().as_ps()
-    }
-
-    /// Reserve the windows of intervals `first..` that start before
-    /// `until` on all of their circuits, as `Guard` reservations, and
-    /// return the first interval left unreserved — the cursor to pass as
-    /// `first` next time. The windows are a fixed timetable, so a caller
-    /// keeps them as *standing* obstacles: reserved once, extended by the
-    /// returned cursor as its planning horizon grows, never re-derived.
-    /// A caller whose cursor has fallen behind its clock resumes from
-    /// [`StarvationGuard::interval_at`] the clock, so that a window under
-    /// way then stands like any other and nothing is planned through it.
-    pub fn seed_prt(&self, prt: &mut Prt, first: u64, until: Time) -> u64 {
-        assert_eq!(prt.ports(), self.ports, "PRT port count mismatch");
-        let mut m = first;
-        while self.window_start(m) < until {
-            let w = self.window(m);
-            for &(i, j) in w.assignment.pairs() {
-                prt.reserve(i, j, w.start, w.end, ResvKind::Guard);
-            }
-            m += 1;
+    /// What the timetable contributes to a probe of any port at `t`, as
+    /// if every window stood in the table as a reservation on each of
+    /// its circuits. With `L = T + τ` and `m = ⌊t / L⌋`, window `m` is
+    /// `[mL + T, (m+1)L)`: inside it the port is busy until `(m+1)L` and
+    /// the next window starts at `(m+1)L + T`; before it the port is
+    /// free, window `m` starts next and its end is the next release. An
+    /// instant past the end of the clock saturates to `Time::MAX`
+    /// ("never").
+    #[inline]
+    pub fn probe(&self, t: Time) -> PortProbe {
+        let (period, len) = (self.config.period.as_ps(), self.interval_len().as_ps());
+        let origin = t.as_ps() / len * len;
+        let start = origin.saturating_add(period);
+        let end = origin.saturating_add(len);
+        let inside = t.as_ps() >= start;
+        PortProbe {
+            free: !inside,
+            next_start: Time::from_ps(if inside {
+                end.saturating_add(period)
+            } else {
+                start
+            }),
+            next_release: Some(Time::from_ps(end)),
         }
-        m
     }
 }
 
@@ -233,39 +276,33 @@ mod tests {
         );
     }
 
+    /// The probe is the probe of a table holding every window as a
+    /// reservation: busy exactly inside `[mL + T, (m+1)L)`, the next
+    /// start and release those of the window under way or to come.
     #[test]
-    fn seeding_blocks_all_ports_during_window() {
+    fn probe_answers_as_if_every_window_stood_in_the_table() {
         let g = guard();
-        let mut prt = Prt::new(4);
-        assert_eq!(g.seed_prt(&mut prt, 0, Time::from_millis(240)), 2);
-        for p in 0..4 {
-            assert!(!prt.in_free_at(p, Time::from_millis(110)));
-            assert!(!prt.out_free_at(p, Time::from_millis(110)));
-            assert!(prt.in_free_at(p, Time::from_millis(50)));
-        }
-        // Guard reservations are not flow reservations.
-        assert!(prt.flow_reservations().is_empty());
+        let at = |ms| g.probe(Time::from_millis(ms));
+        let probe = |free, start, release| PortProbe {
+            free,
+            next_start: Time::from_millis(start),
+            next_release: Some(Time::from_millis(release)),
+        };
+        assert_eq!(at(0), probe(true, 100, 120));
+        assert_eq!(at(99), probe(true, 100, 120));
+        // Half-open: busy from the start, free again exactly at the end.
+        assert_eq!(at(100), probe(false, 220, 120));
+        assert_eq!(at(119), probe(false, 220, 120));
+        assert_eq!(at(120), probe(true, 220, 240));
+        assert_eq!(at(230), probe(false, 340, 240));
     }
 
+    /// Past the end of the clock a window never starts or ends.
     #[test]
-    fn seeding_extends_from_the_cursor_and_stands_a_window_under_way() {
-        let g = guard();
-        let mut prt = Prt::new(4);
-        // A clock inside window 0 is still in interval 0: resuming there
-        // stands the window under way, then window 1.
-        let first = g.interval_at(Time::from_millis(110));
-        assert_eq!(first, 0);
-        let next = g.seed_prt(&mut prt, first, Time::from_millis(300));
-        assert_eq!(next, 2);
-        assert!(!prt.in_free_at(0, Time::from_millis(115)));
-        assert!(!prt.in_free_at(0, Time::from_millis(230)));
-        // Once window 0 is over the clock is in interval 1.
-        assert_eq!(g.interval_at(Time::from_millis(120)), 1);
-        // A shorter horizon neither moves the cursor back nor reserves twice.
-        assert_eq!(g.seed_prt(&mut prt, next, Time::from_millis(200)), next);
-        // Extending picks up exactly where the cursor stopped.
-        assert_eq!(g.seed_prt(&mut prt, next, Time::from_millis(500)), 4);
-        assert_eq!(prt.all_reservations().len(), 4 * 4);
+    fn probe_saturates_at_the_end_of_the_clock() {
+        let p = guard().probe(Time::from_ps(u64::MAX - 1));
+        assert_eq!(p.next_start, Time::MAX);
+        assert_eq!(p.next_release, Some(Time::MAX));
     }
 
     #[test]
@@ -276,8 +313,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must exceed")]
-    fn tau_not_exceeding_delta_is_rejected() {
-        GuardConfig::new(Dur::from_millis(100), Dur::from_millis(5)).validate(Dur::from_millis(10));
+    fn validate_names_the_violated_constraint() {
+        let ms = Dur::from_millis;
+        let check = |t, tau| GuardConfig::new(t, tau).validate(ms(10));
+        assert_eq!(check(ms(100), ms(30)), Ok(()));
+        let tau_low = GuardError::TauNotAboveDelta {
+            tau: ms(10),
+            delta: ms(10),
+        };
+        assert_eq!(check(ms(100), ms(10)), Err(tau_low));
+        assert!(tau_low.to_string().contains("must exceed δ"));
+        let period_low = GuardError::PeriodBelowTau {
+            period: ms(20),
+            tau: ms(30),
+        };
+        assert_eq!(check(ms(20), ms(30)), Err(period_low));
+        assert!(check(Dur::ZERO, Dur::ZERO).is_err());
+        assert_eq!(check(Dur::MAX, ms(30)), Err(GuardError::IntervalOverflow));
     }
 }

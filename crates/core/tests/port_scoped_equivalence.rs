@@ -1,14 +1,14 @@
 //! Equivalence property tests for the port-scoped scheduling machinery:
-//! the per-port release queues, Coflow port footprints and the
-//! dirty-port indexed `schedule_demands` must answer exactly like their
-//! scan-everything `naive_*` twins after any legal mutation sequence.
+//! the per-port release queries and the dirty-port indexed
+//! `schedule_demands` must answer exactly like their scan-everything
+//! `naive_*` twins after any legal mutation sequence.
 //!
 //! Compiled against the `naive-twins` feature via the crate's
 //! self-dev-dependency, like `prt_index_equivalence.rs`.
 
 use ocs_model::{Dur, FlowRef, Time};
 use proptest::prelude::*;
-use sunflow_core::{schedule_demands, Demand, FlowOrder, PortSet, Prt, ResvKind, SunflowConfig};
+use sunflow_core::{schedule_demands, Demand, FlowOrder, Prt, ResvKind, SunflowConfig};
 
 const COFLOWS: u64 = 5;
 const PORTS: usize = 4;
@@ -68,8 +68,8 @@ fn legal_reserve(prt: &Prt, src: usize, dst: usize, start: Time, end: Time) -> b
         && end <= prt.out_next_start_after(dst, start)
 }
 
-/// Scoped release queries and footprints must agree with the full scans
-/// at a spread of probe times and port subsets.
+/// Per-port release queries must agree with the full scans at a spread
+/// of probe times.
 fn assert_scoped_queries_agree(prt: &Prt) -> Result<(), TestCaseError> {
     let probes = [0u64, 1, 50, 100, 199, 260].map(Time::from_millis);
     for p in 0..PORTS {
@@ -90,48 +90,14 @@ fn assert_scoped_queries_agree(prt: &Prt) -> Result<(), TestCaseError> {
             );
         }
     }
-    // A few port subsets, including empty and everything.
-    let mut subsets = vec![
-        PortSet::new(PORTS),
-        PortSet::new(PORTS),
-        PortSet::new(PORTS),
-    ];
-    for p in 0..PORTS {
-        subsets[1].insert_in(p);
-        subsets[1].insert_out(p);
-        if p % 2 == 0 {
-            subsets[2].insert_in(p);
-        } else {
-            subsets[2].insert_out(p);
-        }
-    }
-    for ps in &subsets {
-        for t in probes {
-            prop_assert_eq!(
-                prt.next_release_on(ps, t),
-                prt.naive_next_release_on(ps, t),
-                "scoped next-release diverged at {:?}",
-                t
-            );
-        }
-    }
-    for c in 0..COFLOWS {
-        prop_assert_eq!(
-            prt.footprint_of(c),
-            prt.naive_footprint_of(c),
-            "footprint of coflow {} diverged from the full scan",
-            c
-        );
-    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The per-port release queues and footprint multisets stay in sync
-    /// with the table through reserves, truncations (global and
-    /// per-Coflow) and cuts.
+    /// The per-port release queries stay in sync with the table through
+    /// reserves, truncations (global and per-Coflow) and cuts.
     #[test]
     fn scoped_queries_match_naive(ops in arb_ops()) {
         let mut prt = Prt::new(PORTS);
@@ -174,10 +140,7 @@ proptest! {
                     // Scoped truncation drops exactly this Coflow's
                     // future reservations and nothing else.
                     for r in &removed {
-                        let ResvKind::Flow(f) = r.kind else {
-                            prop_assert!(false, "removed a non-flow reservation");
-                            unreachable!()
-                        };
+                        let ResvKind::Flow(f) = r.kind;
                         prop_assert_eq!(f.coflow, coflow);
                         prop_assert!(r.start >= now);
                     }
@@ -188,7 +151,7 @@ proptest! {
                         "scoped truncation lost or duplicated reservations"
                     );
                     prop_assert!(
-                        prt.reservations_of(coflow).all(|r| r.start < now),
+                        survivors.iter().all(|r| r.flow.coflow != coflow || r.start < now),
                         "a future reservation of the truncated coflow survived"
                     );
                     let foreign = |rs: &[ocs_model::Reservation]| {

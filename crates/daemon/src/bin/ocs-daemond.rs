@@ -23,7 +23,7 @@ use ocs_daemon::{
     run_pipelined, run_to_completion, ArrivalSpec, Daemon, DaemonConfig, IngestMode, OnFull,
     PipelineConfig, PolicyKind, ServeReport, TcpServer,
 };
-use ocs_model::time::PS_PER_MS;
+use ocs_model::time::{PS_PER_MS, PS_PER_US};
 use ocs_model::{Bandwidth, Dur, Fabric};
 use ocs_sim::ActiveCircuitPolicy;
 use ocs_workload::{LoadgenConfig, SynthConfig};
@@ -137,22 +137,52 @@ impl Args {
     }
 }
 
+/// `--guard T_MS,TAU_MS` as durations. Whether they suit the fabric's δ
+/// is [`parse_fabric_and_guard`]'s to say, once every flag is read.
 fn parse_guard(raw: &str) -> Result<GuardConfig, String> {
     let (t, tau) = raw
         .split_once(',')
         .ok_or_else(|| format!("--guard expects T_MS,TAU_MS, got {raw:?}"))?;
-    let period: u64 = t
-        .trim()
-        .parse()
-        .map_err(|e| format!("--guard period: {e}"))?;
-    let tau: u64 = tau
-        .trim()
-        .parse()
-        .map_err(|e| format!("--guard tau: {e}"))?;
-    Ok(GuardConfig::new(
-        Dur::from_millis(period),
-        Dur::from_millis(tau),
-    ))
+    let millis = |field: &str, raw: &str| -> Result<Dur, String> {
+        let ms: u64 = raw
+            .trim()
+            .parse()
+            .map_err(|e| format!("--guard {field}: {e}"))?;
+        ms.checked_mul(PS_PER_MS)
+            .map(Dur::from_ps)
+            .ok_or_else(|| format!("--guard {field}: {ms} ms overflows the picosecond clock"))
+    };
+    Ok(GuardConfig::new(millis("period", t)?, millis("tau", tau)?))
+}
+
+/// The fabric `--ports`, `--bandwidth-gbps` and `--delta-us` describe,
+/// and the check of `--guard` against its δ: a usage error naming the
+/// flag at fault, where `Fabric::new`, `Bandwidth::from_gbps` and
+/// `OnlineStepper::new` would panic.
+fn parse_fabric_and_guard(
+    ports: usize,
+    gbps: u64,
+    delta_us: u64,
+    guard: Option<GuardConfig>,
+) -> Result<Fabric, String> {
+    if ports == 0 {
+        return Err("--ports must be at least 1".to_string());
+    }
+    let bps = gbps
+        .checked_mul(1_000_000_000)
+        .filter(|&bps| bps > 0)
+        .ok_or_else(|| {
+            format!("--bandwidth-gbps must be positive and fit 64-bit bps, got {gbps}")
+        })?;
+    let delta = delta_us
+        .checked_mul(PS_PER_US)
+        .map(Dur::from_ps)
+        .ok_or_else(|| format!("--delta-us: {delta_us} overflows the picosecond clock"))?;
+    if let Some(g) = guard {
+        g.validate(delta)
+            .map_err(|e| format!("--guard: {e} (δ = {delta}, from --delta-us {delta_us})"))?;
+    }
+    Ok(Fabric::new(ports, Bandwidth::from_bps(bps), delta))
 }
 
 fn parse_active(raw: &str) -> Result<ActiveCircuitPolicy, String> {
@@ -255,11 +285,7 @@ fn parse_run(args: &mut Args) -> Result<RunOpts, String> {
     if opts.config.faults.total_per_mille() > 1000 {
         return Err("fault probabilities sum to more than 1000 per mille".to_string());
     }
-    opts.config.fabric = Fabric::new(
-        ports,
-        Bandwidth::from_gbps(gbps),
-        Dur::from_micros(delta_us),
-    );
+    opts.config.fabric = parse_fabric_and_guard(ports, gbps, delta_us, opts.config.online.guard)?;
     if pipelined {
         opts.pipeline = Some(pipeline);
     }
@@ -445,6 +471,7 @@ fn cmd_loadgen(args: &mut Args) -> Result<ExitCode, String> {
             other => return Err(format!("unknown flag {other:?} for loadgen")),
         }
     }
+    config.fabric = parse_fabric_and_guard(load.ports, gbps, delta_us, None)?;
     let coflows = ocs_workload::generate_load(&load);
     let jsonl = ocs_workload::to_jsonl(&coflows);
     if emit_trace {
@@ -464,11 +491,6 @@ fn cmd_loadgen(args: &mut Args) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    config.fabric = Fabric::new(
-        load.ports,
-        Bandwidth::from_gbps(gbps),
-        Dur::from_micros(delta_us),
-    );
     let mut daemon = Daemon::new(&config);
     let wall = std::time::Instant::now();
     let report = run_pipelined(
@@ -538,5 +560,72 @@ fn main() -> ExitCode {
     match result {
         Ok(code) => code,
         Err(msg) => fail(&msg),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_flags(flags: &[&str]) -> Result<RunOpts, String> {
+        parse_run(&mut Args {
+            argv: flags.iter().map(|f| f.to_string()).collect(),
+            pos: 0,
+        })
+    }
+
+    fn usage_error(flags: &[&str]) -> String {
+        run_flags(flags).err().expect("flags must be rejected")
+    }
+
+    #[test]
+    fn parse_guard_reads_period_and_tau_in_ms() {
+        let g = parse_guard("200, 40").unwrap();
+        assert_eq!(g.period, Dur::from_millis(200));
+        assert_eq!(g.tau, Dur::from_millis(40));
+        assert!(parse_guard("200").unwrap_err().contains("T_MS,TAU_MS"));
+        assert!(parse_guard("x,40").unwrap_err().contains("--guard period"));
+        let huge = parse_guard("18446744073709551615,40").unwrap_err();
+        assert!(huge.contains("--guard period") && huge.contains("overflows"));
+    }
+
+    /// Each of these reached a panic in the library before the parser
+    /// checked it; all are usage errors naming the flag (and, for the
+    /// guard, δ).
+    #[test]
+    fn flags_no_fabric_or_guard_can_run_with_are_usage_errors() {
+        let tau_low = usage_error(&["--delta-us", "1000", "--guard", "100,1"]);
+        assert!(tau_low.contains("--guard") && tau_low.contains("must exceed δ"));
+        assert!(tau_low.contains("--delta-us 1000"));
+        let period_low = usage_error(&["--guard", "5,40"]);
+        assert!(period_low.contains("--guard") && period_low.contains("must not be below τ"));
+        assert!(usage_error(&["--guard", "0,0"]).contains("must exceed δ"));
+        assert!(usage_error(&["--guard", "18446744073709551615,40"]).contains("overflows"));
+        // The guard is judged against the δ of the whole command line.
+        assert!(usage_error(&["--guard", "200,40", "--delta-us", "40000"]).contains("--guard"));
+        assert!(usage_error(&["--ports", "0"]).contains("--ports"));
+        assert!(usage_error(&["--bandwidth-gbps", "0"]).contains("--bandwidth-gbps"));
+        assert!(
+            usage_error(&["--bandwidth-gbps", "18446744073709551615"]).contains("--bandwidth-gbps")
+        );
+        assert!(usage_error(&["--delta-us", "18446744073709551615"]).contains("--delta-us"));
+    }
+
+    #[test]
+    fn a_valid_guarded_fabric_is_accepted() {
+        let opts = run_flags(&[
+            "--ports",
+            "16",
+            "--bandwidth-gbps",
+            "10",
+            "--delta-us",
+            "1000",
+            "--guard",
+            "200,40",
+        ])
+        .expect("valid flags");
+        assert_eq!(opts.config.fabric.ports(), 16);
+        assert_eq!(opts.config.fabric.delta(), Dur::from_millis(1));
+        assert!(opts.config.online.guard.is_some());
     }
 }

@@ -16,14 +16,16 @@
 //! 3. re-runs `IntraCoflow` for every active Coflow in priority order
 //!    against the shared PRT.
 //!
-//! With the optional starvation guard (§4.2) enabled, the recurring
-//! `(T, τ)` guard windows stand in the PRT as reservations of their own —
-//! each reserved once, as far ahead as any plan can reach — and every
-//! scheduling pass plans around them; during a guard window every active
-//! Coflow with demand on the window's circuits receives an equal share
-//! of its transmit time, and each guard-window end is an additional
-//! rescheduling point (for the Coflows the window credited, and whoever
-//! they free ports for).
+//! With the optional starvation guard (§4.2) enabled, the stepper's PRT
+//! is built with the recurring `(T, τ)` timetable
+//! ([`sunflow_core::Prt::with_guard`]): every port probe answers as if
+//! each window were reserved on all of its circuits, however far ahead
+//! a plan reaches, so every scheduling pass plans around the windows
+//! while the table holds flow reservations only. During a guard window
+//! every active Coflow with demand on the window's circuits receives an
+//! equal share of its transmit time, and each guard-window end is an
+//! additional rescheduling point (for the Coflows the window credited,
+//! and whoever they free ports for).
 
 use crate::backend::{SchedulingBackend, SunflowBackend};
 use ocs_model::{Coflow, Fabric, ScheduleOutcome};
@@ -219,9 +221,10 @@ pub struct ReplayStats {
     /// threads (requires `replan_threads` to resolve above 1 *and* at
     /// least two segments). Zero on a single-core host.
     pub parallel_replans: u64,
-    /// Fully-released reservations retired from the PRT once settled —
-    /// the table holds only the working set (active and planned
-    /// circuits) instead of the whole trace history.
+    /// Fully-released flow reservations retired from the PRT once
+    /// settled — the table holds only the working set (active and
+    /// planned circuits) instead of the whole trace history. Guard
+    /// windows are never in the table, so they are not counted here.
     pub reservations_retired: u64,
     /// Event rounds a port-group backend advanced two or more shards on
     /// scoped worker threads (requires an inert settle hook, cloneable

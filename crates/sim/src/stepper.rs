@@ -161,28 +161,16 @@ impl CoflowState {
         self.remaining.iter().all(|r| r.is_zero())
     }
 
-    /// `Σ (remaining + 2δ)` over the unfinished flows: the length of
-    /// this Coflow's plan were its circuits laid end to end.
-    fn plan_span(&self, delta: Dur) -> Dur {
-        let unfinished = self.remaining.iter().filter(|r| !r.is_zero());
-        unfinished.map(|&r| r + delta * 2).sum()
-    }
-
     /// Credit `served` to flow `fi` from a circuit that began
-    /// transmitting at `svc` and released its ports at `end`. Returns
-    /// how much shorter [`CoflowState::plan_span`] got.
-    fn credit(&mut self, fi: usize, served: Dur, svc: Time, end: Time, delta: Dur) -> Dur {
+    /// transmitting at `svc` and released its ports at `end`.
+    fn credit(&mut self, fi: usize, served: Dur, svc: Time, end: Time) {
         self.remaining[fi] -= served;
         if !served.is_zero() && self.first_service.is_none_or(|f| svc < f) {
             self.first_service = Some(svc);
         }
         if self.remaining[fi].is_zero() && self.finish[fi].is_none() {
             self.finish[fi] = Some(end);
-            if !served.is_zero() {
-                return served + delta * 2;
-            }
         }
-        served
     }
 
     fn completion(&self) -> Time {
@@ -362,7 +350,6 @@ pub struct StepperSnapshot {
     stats: ReplayStats,
     next_guard_window: u64,
     guard_windows_elapsed: u64,
-    guard_seeded: u64,
     fuel: u64,
     last_replan_at: Time,
 }
@@ -423,14 +410,6 @@ pub struct OnlineStepper {
     resched_wall: Duration,
     next_guard_window: u64,
     guard_windows_elapsed: u64,
-    /// First guard interval whose window is not yet standing in the PRT
-    /// (the [`StarvationGuard::seed_prt`] cursor).
-    guard_seeded: u64,
-    /// `Σ (remaining + 2δ)` over the unfinished flows of active Coflows:
-    /// the length of their plans laid end to end, which bounds how far
-    /// any plan can reach and so how far the guard windows must stand.
-    /// Maintained at arrival and at every credit; derived state.
-    plan_span: Dur,
     fuel: u64,
     /// True when the configuration admits affected-set rescheduling
     /// (`replan_scoped`): no preemption, `OrderedPort` demand order,
@@ -465,16 +444,15 @@ impl OnlineStepper {
     /// # Panics
     /// Panics if `config.guard` violates `T ≫ τ > δ` for this fabric.
     pub fn new(fabric: &Fabric, config: &OnlineConfig) -> OnlineStepper {
-        if let Some(g) = config.guard {
-            g.validate(fabric.delta());
-        }
+        let guard = config.guard.map(|g| {
+            g.validate(fabric.delta()).unwrap_or_else(|e| panic!("{e}"));
+            StarvationGuard::new(fabric.ports(), g)
+        });
         OnlineStepper {
             fabric: *fabric,
             config: *config,
-            guard: config
-                .guard
-                .map(|g| StarvationGuard::new(fabric.ports(), g)),
-            prt: Prt::new(fabric.ports()),
+            guard,
+            prt: Prt::with_guard(fabric.ports(), guard),
             coflows: Vec::new(),
             states: Vec::new(),
             id_to_idx: HashMap::new(),
@@ -495,8 +473,6 @@ impl OnlineStepper {
             resched_wall: Duration::ZERO,
             next_guard_window: 0,
             guard_windows_elapsed: 0,
-            guard_seeded: 0,
-            plan_span: Dur::ZERO,
             fuel: 10_000,
             scoped: scoped_mode(config),
             footprints: Vec::new(),
@@ -755,7 +731,6 @@ impl OnlineStepper {
             stats: self.stats(),
             next_guard_window: self.next_guard_window,
             guard_windows_elapsed: self.guard_windows_elapsed,
-            guard_seeded: self.guard_seeded,
             fuel: self.fuel,
             last_replan_at: self.last_replan_at,
         }
@@ -771,19 +746,13 @@ impl OnlineStepper {
             .map(|(i, c)| (c.id(), i))
             .collect();
         let mut is_active = vec![false; snap.coflows.len()];
-        let mut plan_span = Dur::ZERO;
         for &i in &snap.active {
             is_active[i] = true;
-            let st = snap.states[i].as_ref().expect("active implies state");
-            plan_span += st.plan_span(snap.fabric.delta());
         }
         OnlineStepper {
             fabric: snap.fabric,
             config: snap.config,
-            guard: snap
-                .config
-                .guard
-                .map(|g| StarvationGuard::new(snap.fabric.ports(), g)),
+            guard: snap.prt.guard(),
             prt: Prt::from_snapshot(&snap.prt),
             coflows: snap.coflows.clone(),
             states: snap.states.clone(),
@@ -804,8 +773,6 @@ impl OnlineStepper {
             resched_wall: Duration::from_micros(snap.stats.reschedule_micros),
             next_guard_window: snap.next_guard_window,
             guard_windows_elapsed: snap.guard_windows_elapsed,
-            guard_seeded: snap.guard_seeded,
-            plan_span,
             fuel: snap.fuel,
             scoped: scoped_mode(&snap.config),
             footprints: snap
@@ -863,7 +830,6 @@ impl OnlineStepper {
                 setups: 0,
                 first_service: None,
             };
-            self.plan_span += st.plan_span(fabric.delta());
             self.states[idx] = Some(st);
             self.active.push(idx);
             self.is_active[idx] = true;
@@ -964,7 +930,7 @@ impl OnlineStepper {
             };
             let served = hook.on_settle(&resv, available, t);
             let credited = served.served.min(available);
-            self.plan_span -= st.credit(r.flow.flow_idx, credited, r.start + delta, r.end, delta);
+            st.credit(r.flow.flow_idx, credited, r.start + delta, r.end);
             if credited < available {
                 // Shortfall: hold the flow out of planning until the
                 // hook's backoff elapses, then a retry event re-plans it.
@@ -1035,7 +1001,7 @@ impl OnlineStepper {
                 // A Coflow that arrived with the window under way is
                 // served from its arrival, not from before it.
                 let svc = svc.max(self.coflows[idx].arrival());
-                self.plan_span -= st.credit(fi, served, svc, w.end, delta);
+                st.credit(fi, served, svc, w.end);
                 if self.scoped && !served.is_zero() && self.event_dirty.last() != Some(&idx) {
                     self.event_dirty.push(idx);
                 }
@@ -1047,21 +1013,6 @@ impl OnlineStepper {
     /// scoped (affected-set) when the configuration admits it, otherwise
     /// the full re-plan of every active Coflow.
     fn replan(&mut self, hook: &mut dyn SettleHook) {
-        if let Some(g) = self.guard {
-            // The guard windows stand in the table as far as a plan is
-            // expected to reach: the active plans laid end to end, diluted
-            // by the windows themselves ((T+τ)/T <= 2; tripled for
-            // slack). An estimate, not a bound — a plan that outran it is
-            // retracted before the windows it missed go in. The cursor
-            // only moves forward, so each window is reserved once; after
-            // an idle gap it resumes at the clock's own interval, whose
-            // window may be under way — that one stands too, so no
-            // arrival inside it is planned through it.
-            let until = self.now + self.plan_span * 3 + g.interval_len() * 3 + Dur::from_millis(1);
-            let first = self.guard_seeded.max(g.interval_at(self.now));
-            self.retract_plans_past(g.window_start(first));
-            self.guard_seeded = g.seed_prt(&mut self.prt, first, until);
-        }
         if self.scoped {
             self.replan_scoped(hook);
         } else {
@@ -1069,34 +1020,6 @@ impl OnlineStepper {
             self.replan_full(hook);
         }
         self.last_replan_at = self.now;
-    }
-
-    /// Drop the future plan of every Coflow whose plan ends past
-    /// `standing`, the start of the first guard window not yet in the
-    /// table: it was laid where no window stood, and the windows about to
-    /// go in may cross it. Such a Coflow re-plans at this event. Rare: a
-    /// period `T` within a few `δ` of the set-up delay splits every flow
-    /// at every window, and each piece pays `δ` again, so plans run many
-    /// times their `plan_span`. A circuit in flight never reaches past
-    /// `standing`: the windows stood three intervals past its plan's
-    /// clock, a window ends (an event, and this check) every interval,
-    /// and one circuit is shorter than `plan_span`.
-    fn retract_plans_past(&mut self, standing: Time) {
-        let now = self.now;
-        for &idx in &self.active {
-            let id = self.coflows[idx].id();
-            if self.prt.last_end_of(id).is_none_or(|end| end <= standing) {
-                continue;
-            }
-            self.prt
-                .truncate_future_of_into(id, now, &mut self.scratch.removed);
-            self.stats.reservations_truncated +=
-                untrack(&mut self.unsettled, &self.scratch.removed, now);
-            if self.scoped {
-                self.event_dirty.push(idx);
-                self.event_ports.union_with(&self.footprints[idx]);
-            }
-        }
     }
 
     /// Drop future plans and re-derive them in priority order (with
@@ -1241,20 +1164,11 @@ impl OnlineStepper {
 
     /// The full re-plan's clean slate: drop every reservation starting at
     /// or after `now` (cutting in-flight circuits too unless
-    /// `keep_active`), mirror that into the unsettled queue, and stand
-    /// the guard windows the sweep took with it back up.
+    /// `keep_active`) and mirror that into the unsettled queue.
     fn truncate_all(&mut self, keep_active: bool, removed: &mut Vec<RemovedResv>) {
         let now = self.now;
         self.prt.truncate_future_into(now, keep_active, removed);
         self.stats.reservations_truncated += untrack(&mut self.unsettled, removed, now);
-        if let Some(g) = self.guard {
-            // A window under way is never cut: the sweep left it alone.
-            let mut first = g.interval_at(now);
-            if g.window_start(first) < now {
-                first += 1;
-            }
-            g.seed_prt(&mut self.prt, first, g.window_start(self.guard_seeded));
-        }
     }
 
     /// Affected-set rescheduling: re-plan only the Coflows the event can
@@ -1272,8 +1186,8 @@ impl OnlineStepper {
     /// kept plan is byte-identical to what `replan_full` would re-derive
     /// (see DESIGN §4) — under the gating configuration (`OrderedPort`
     /// order, exact demands, no preemption) only. Starvation-guard
-    /// windows are standing reservations the delta view reads from its
-    /// base like any in-flight circuit: the same obstacles to a kept
+    /// windows are a fixed timetable every probe of the table (and of
+    /// the delta view over it) carries: the same obstacles to a kept
     /// plan and to its re-derivation. What a window changes is the state
     /// of the Coflows it credits, and those arrive here as seeds.
     fn replan_scoped(&mut self, hook: &mut dyn SettleHook) {
@@ -1698,14 +1612,10 @@ fn footprint_of(coflow: &Coflow, fabric: &Fabric) -> PortSet {
 
 /// Mirror a `truncate_future` removal list into the unsettled queue:
 /// dropped reservations leave it, shortened ones re-key to end (and so
-/// settle) at `now`. Returns the number of flow reservations affected.
+/// settle) at `now`. Returns the number of reservations affected.
 fn untrack(unsettled: &mut BTreeSet<Pending>, removed: &[RemovedResv], now: Time) -> u64 {
-    let mut flows = 0u64;
     for r in removed {
-        let ResvKind::Flow(flow) = r.kind else {
-            continue;
-        };
-        flows += 1;
+        let ResvKind::Flow(flow) = r.kind;
         let p = Pending {
             end: r.end,
             src: r.src,
@@ -1719,7 +1629,7 @@ fn untrack(unsettled: &mut BTreeSet<Pending>, removed: &[RemovedResv], now: Time
             unsettled.insert(Pending { end: now, ..p });
         }
     }
-    flows
+    removed.len() as u64
 }
 
 #[cfg(test)]
@@ -1890,11 +1800,10 @@ mod tests {
 
     /// One giant Coflow behind a stream of small ones: its plan runs
     /// through a hundred guard intervals, and at every instant we look,
-    /// each interval between the clock and the end of that plan has its
-    /// window standing on every circuit — reserved once as the horizon
-    /// reached it, never dropped since.
+    /// no circuit in the table touches any window between the clock and
+    /// the end of that plan — though no window is ever reserved.
     #[test]
-    fn standing_guard_windows_cover_the_longest_plan() {
+    fn no_plan_crosses_a_guard_window_however_long() {
         let f = fabric();
         let config = GuardConfig::new(Dur::from_millis(100), Dur::from_millis(20));
         let guard = StarvationGuard::new(f.ports(), config);
@@ -1916,21 +1825,16 @@ mod tests {
             s.run_until(Time::from_millis(at_ms), &ShortestFirst);
             let plan_end = s.prt().last_end_of(0).expect("giant is planned");
             assert!(plan_end > s.now() + guard.interval_len() * 50);
-            let standing = s.prt().all_reservations();
-            let mut m = s.now().as_ps() / guard.interval_len().as_ps() + 1;
+            // The table holds circuits only (`ResvKind` has no other
+            // kind), and none of them touches a window.
+            let circuits = s.prt().all_reservations();
+            let mut m = 0;
             while guard.window(m).start < plan_end {
                 let w = guard.window(m);
-                for &(src, dst) in w.assignment.pairs() {
-                    let resv = RemovedResv {
-                        src,
-                        dst,
-                        start: w.start,
-                        end: w.end,
-                        kind: ResvKind::Guard,
-                    };
+                for r in &circuits {
                     assert!(
-                        standing.contains(&resv),
-                        "at {at_ms} ms: no window for interval {m} on {src}->{dst}"
+                        r.end <= w.start || r.start >= w.end,
+                        "at {at_ms} ms: {r:?} crosses the window of interval {m}"
                     );
                 }
                 m += 1;

@@ -77,7 +77,7 @@ fn assert_same_outcomes(scoped: &ReplayResult, full: &ReplayResult, label: &str)
 }
 
 /// Unguarded, and under the §4.2 starvation guard, where the scoped
-/// replay plans around standing guard windows and re-plans at a window's
+/// replay plans around the guard timetable and re-plans at a window's
 /// end only the Coflows the window credited and whoever they free ports
 /// for: the dense guard of the goldens and the sparse one of the
 /// benchmark (on the workload stretched to span several of its
@@ -151,12 +151,13 @@ fn check_scoped_vs_full(
 }
 
 /// A guard period barely longer than δ splits every flow at every window
-/// and each piece pays δ again, so plans run many times the span the
-/// standing windows are extended by. A plan that outran them is retracted
-/// and laid again once the windows it missed stand — never crossed by
-/// them.
+/// and each piece pays δ again, so plans run many times the summed
+/// demand — past any horizon estimated from it, which is how far windows
+/// stood while they were reservations. The timetable has no horizon:
+/// however far a plan runs, `Prt::reserve` would refuse a circuit that
+/// crossed a window, on the scoped path and the full one alike.
 #[test]
-fn plans_that_outrun_the_standing_windows_are_laid_again() {
+fn plans_far_longer_than_their_demand_stop_at_every_window() {
     let guard = GuardConfig::new(Dur::from_millis(12), Dur::from_millis(12));
     for seed in [1, 2] {
         for ports in [4u64, 8] {
@@ -171,19 +172,18 @@ fn plans_that_outrun_the_standing_windows_are_laid_again() {
     }
 }
 
-/// After an idle gap the standing windows lag the clock. The window under
-/// way at the next arrival must stand like any other: were it passed
-/// over, a Coflow arriving inside it would be planned straight through
-/// it, the window would credit the flow in full at its end, and the
-/// Coflow would complete and leave the priority order with a circuit
-/// still in flight — one port in two circuits, and an owner the scoped
-/// re-plan can no longer rank.
+/// A window under way when an arrival ends an idle gap is an obstacle
+/// like any other: were it passed over, a Coflow arriving inside it
+/// would be planned straight through it, the window would credit the
+/// flow in full at its end, and the Coflow would complete and leave the
+/// priority order with a circuit still in flight — one port in two
+/// circuits, and an owner the scoped re-plan can no longer rank.
 #[test]
 fn an_arrival_inside_a_window_under_way_waits_for_it_to_end() {
     let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
     let f = fabric(4);
     // Window 10 is [2600, 2640) ms on A_2 (in.i -> out.(i+2)); the
-    // standing windows stopped near 800 ms when Coflow 0 finished.
+    // fabric has been idle since Coflow 0 finished, long before.
     let at = Time::from_millis(2_610);
     let coflows = vec![
         Coflow::builder(0).flow(0, 0, 1_000_000).build(),
