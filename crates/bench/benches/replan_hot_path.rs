@@ -1,13 +1,14 @@
-//! Criterion micro-benchmark of the re-plan hot path itself: the scoped
-//! delta replay (reservation reuse + scan masking + segment planning)
-//! against the same trace replayed with `full_replan(true)` — the
-//! truncate-everything-then-rebuild loop it replaces. The ratio between
-//! the two entries is the delta-PRT win; a regression toward parity
-//! means the reuse/masking machinery stopped paying for itself. The
+//! Criterion micro-benchmark of the re-plan hot path itself: the online
+//! replay with affected-set skipping (the default) against the same
+//! trace replayed with `full_replan(true)`. There is one replan path;
+//! the `full` rows are that path with skipping off — every active
+//! Coflow seeded at every round, each plan re-derived through the delta
+//! view and confirmed in place where it comes out the same. The ratio
+//! between the two entries is what skipping saves; a regression toward
+//! parity means the affected-set closure stopped paying for itself. The
 //! `+guard` pair replays the same trace under the §4.2 starvation guard,
-//! whose timetable every probe of the table carries: both paths plan
-//! around the same windows, the full path re-laying every plan between
-//! them at every event.
+//! whose timetable every probe of the table carries: both arms plan
+//! around the same windows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};

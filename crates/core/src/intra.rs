@@ -340,9 +340,9 @@ pub fn schedule_demands_counted(
 }
 
 /// [`schedule_demands_counted`] generic over the [`PlanTable`] and with
-/// caller-recycled [`ScheduleScratch`] — the engine both the full
-/// re-planner (against [`Prt`]) and the delta re-planner (against
-/// `DeltaView`) run.
+/// caller-recycled [`ScheduleScratch`] — the engine both the offline
+/// schedulers (against [`Prt`]) and the online replay's re-planner
+/// (against `DeltaView`) run.
 ///
 /// The fresh-port mask short-circuits the dominant blocked-demand churn:
 /// when a candidate wakes on a port this call already reserved past `t`,

@@ -18,9 +18,12 @@
 //!   holds the port later (inter-Coflow scheduling, Figure 2);
 //! * [`Prt::next_release_after`] — line 10, "advance t to next circuit
 //!   release time";
-//! * [`Prt::truncate_future`] — used by the online trace replay to discard
-//!   not-yet-started reservations when priorities change on a Coflow
-//!   arrival or completion.
+//! * [`Prt::truncate_future`] — discard every not-yet-started
+//!   reservation, as when priorities change on a Coflow arrival or
+//!   completion. The online replay no longer sweeps: it retires per
+//!   Coflow ([`Prt::truncate_future_of`]) and by diff
+//!   ([`crate::DeltaPlan::apply`]); the sweep stays as the oracle those
+//!   are tested against.
 //!
 //! All three per-port answers come from one fused [`PortProbe`]
 //! ([`Prt::in_probe`] / [`Prt::out_probe`]); the scalar queries are
@@ -803,26 +806,11 @@ impl Prt {
     /// long-running replay's table does not pay for its history.
     pub fn truncate_future(&mut self, now: Time, keep_active: bool) -> Vec<RemovedResv> {
         let mut removed = Vec::new();
-        self.truncate_future_into(now, keep_active, &mut removed);
-        removed
-    }
-
-    /// [`Prt::truncate_future`] into a caller-owned scratch buffer: `out`
-    /// is cleared, filled with the removed reservations in `(src, start)`
-    /// order, and the count is returned. A replanning loop reuses one
-    /// buffer across calls so steady-state truncation allocates nothing.
-    pub fn truncate_future_into(
-        &mut self,
-        now: Time,
-        keep_active: bool,
-        out: &mut Vec<RemovedResv>,
-    ) -> u64 {
-        out.clear();
-        let n = self.truncate_future_sink(now, keep_active, Some(out));
+        self.truncate_future_sink(now, keep_active, Some(&mut removed));
         // The backward walks discovered entries in descending-start order;
         // report them in the canonical (src, start) order.
-        out.sort_by_key(|r| (r.src, r.start));
-        n
+        removed.sort_by_key(|r| (r.src, r.start));
+        removed
     }
 
     /// [`Prt::truncate_future`] for callers that only need the count
@@ -960,8 +948,9 @@ impl Prt {
     }
 
     /// [`Prt::truncate_future_of`] into a caller-owned scratch buffer
-    /// (cleared, filled in `(src, start)` order); returns the count. See
-    /// [`Prt::truncate_future_into`].
+    /// (cleared, filled in `(src, start)` order); returns the count. A
+    /// replanning loop reuses one buffer across calls so steady-state
+    /// truncation allocates nothing.
     pub fn truncate_future_of_into(
         &mut self,
         coflow: CoflowId,

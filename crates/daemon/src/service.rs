@@ -589,7 +589,7 @@ impl Daemon {
                 "\"admitted\": {}, \"completed\": {}, \"rejected\": {}, ",
                 "\"bytes_admitted\": {}, \"outstanding_demand_secs\": {:.6}, ",
                 "\"utilization\": {:.6}, \"circuit_setups\": {}, \"guard_windows\": {}, ",
-                "\"resched_events\": {}, \"full_replans\": {}, \"coflows_skipped\": {}, ",
+                "\"resched_events\": {}, \"coflows_skipped\": {}, ",
                 "\"reservations_reused\": {}, \"reservations_made\": {}, ",
                 "\"faults\": {{\"setup_failures\": {}, \"port_flaps\": {}, ",
                 "\"delta_inflations\": {}, \"retries\": {}, \"recoveries\": {}, ",
@@ -613,7 +613,6 @@ impl Daemon {
             t.circuit_setups,
             self.backend.guard_windows(),
             s.events,
-            s.full_replans,
             s.coflows_skipped,
             s.reservations_reused,
             s.reservations_made,
@@ -712,12 +711,6 @@ impl Daemon {
             "Rescheduling events processed",
             &by_backend,
             s.events,
-        );
-        p.counter(
-            "ocs_daemon_full_replans_total",
-            "Rescheduling events that fell back to the full re-plan",
-            &by_backend,
-            s.full_replans,
         );
         p.counter(
             "ocs_daemon_coflows_skipped_total",

@@ -34,7 +34,7 @@ use ocs_model::KCoreFabric;
 use ocs_model::{Coflow, DemandMatrix, Dur, Fabric, FlowRef, Reservation, ScheduleOutcome, Time};
 use ocs_packet::{Aalo, ActiveCoflow, FairSharing, RateScheduler, Varys};
 use std::collections::{HashMap, VecDeque};
-use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind};
+use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind, SunflowConfig};
 
 /// A resumable, event-driven simulation of one Coflow scheduler.
 ///
@@ -1154,7 +1154,7 @@ impl BackendKind {
                 let k = KCoreFabric::new(*fabric, *cores as usize);
                 Box::new(crate::KCoreBackend::new(
                     &k,
-                    online.sunflow,
+                    SunflowConfig::default(),
                     CoreAssignKind::RankPack,
                 ))
             }

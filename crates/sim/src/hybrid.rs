@@ -117,8 +117,6 @@ pub struct SplitRouter<'p> {
     /// The full-rate fabric, for the split context.
     fabric: Fabric,
     packet_fabric: Fabric,
-    /// Planning configuration for circuit-side probes.
-    sunflow: SunflowConfig,
     /// The split counters (`subflows_split`, `bytes_to_packet`,
     /// `split_evals`); every other field stays zero.
     counters: ReplayStats,
@@ -139,7 +137,7 @@ impl Router for SplitRouter<'_> {
             packet_outstanding: packet.outstanding_demand(),
             packet_backlog: Some(&backlog),
             circuit_queue: Some(&queue),
-            config: self.sunflow,
+            config: SunflowConfig::default(),
         };
         let decision = self.split.split(coflow, &ctx);
         self.counters.split_evals += decision.evals;
@@ -190,7 +188,6 @@ impl<'p> HybridBackend<'p> {
             split,
             fabric: *fabric,
             packet_fabric,
-            sunflow: config.online.sunflow,
             counters: ReplayStats::default(),
         };
         Ok(Compositor::over(*fabric, planes, policy, router))

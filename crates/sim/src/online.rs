@@ -7,14 +7,16 @@
 //!
 //! 1. settles all circuit reservations that have ended (crediting the
 //!    data they carried and recording flow finish times);
-//! 2. discards all not-yet-started reservations
-//!    ([`Prt::truncate_future`]); circuits already transmitting continue
-//!    unless a higher-priority Coflow is waiting on one of their ports,
-//!    in which case they yield (the default
-//!    [`ActiveCircuitPolicy::Yield`]; `Keep` and `Preempt` are the
-//!    never/always extremes);
-//! 3. re-runs `IntraCoflow` for every active Coflow in priority order
-//!    against the shared PRT.
+//! 2. cuts short the in-flight circuits its [`ActiveCircuitPolicy`]
+//!    names — by default ([`ActiveCircuitPolicy::Yield`]) those with a
+//!    higher-priority Coflow waiting on one of their ports; `Keep` and
+//!    `Preempt` are the never/always extremes;
+//! 3. re-runs `IntraCoflow`, in priority order against the shared PRT,
+//!    for the Coflows the event can have touched — those whose state
+//!    changed and, transitively down the priority order, whoever shares
+//!    a port with one — hiding their not-yet-started reservations while
+//!    they plan and applying only the difference. Every other Coflow's
+//!    plan is what re-planning it would re-derive, and stays.
 //!
 //! With the optional starvation guard (§4.2) enabled, the stepper's PRT
 //! is built with the recurring `(T, τ)` timetable
@@ -29,10 +31,12 @@
 
 use crate::backend::{SchedulingBackend, SunflowBackend};
 use ocs_model::{Coflow, Fabric, ScheduleOutcome};
-use sunflow_core::{GuardConfig, PriorityPolicy, SunflowConfig};
+use sunflow_core::{GuardConfig, PriorityPolicy};
 
 /// What happens to circuits that are mid-transmission when priorities
-/// change at a rescheduling event.
+/// change at a rescheduling event: each value names the set of in-flight
+/// circuits cut short before the event's plans are derived, and that is
+/// all the three differ in.
 ///
 /// Sunflow is non-preemptive *within* a Coflow; across Coflows, §4.2
 /// gives the operator "flexible preemption policies" whose goal is "to
@@ -41,19 +45,22 @@ use sunflow_core::{GuardConfig, PriorityPolicy, SunflowConfig};
 /// and is the default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ActiveCircuitPolicy {
-    /// Never touch an in-flight circuit: it finishes its reserved
+    /// Cut nothing: an in-flight circuit finishes its reserved
     /// interval. Maximally frugal with reconfigurations, but a newly
     /// arrived high-priority Coflow can be held up for the entire
     /// residual length of a low-priority giant's circuit.
     Keep,
-    /// Tear every in-flight circuit down at each rescheduling event; all
-    /// remainders are re-planned (and pay `δ` again). Maximally
-    /// responsive, needlessly wasteful when nothing contends.
+    /// Cut every in-flight circuit at each rescheduling event, before
+    /// anything is planned; all remainders are re-planned (and pay `δ`
+    /// again). Maximally responsive, needlessly wasteful when nothing
+    /// contends.
     Preempt,
-    /// Displace an in-flight circuit only when the fresh plan shows a
-    /// *higher-priority* Coflow waiting on one of its ports (default).
-    /// High-priority Coflows are never blocked by lower-priority ones,
-    /// and uncontended circuits keep their already-paid `δ`.
+    /// Cut an in-flight circuit only when the fresh plan shows a
+    /// *higher-priority* Coflow waiting on one of its ports, then plan
+    /// again around the freed ports, until a plan exposes no such
+    /// blocker (default). High-priority Coflows are never blocked by
+    /// lower-priority ones, and uncontended circuits keep their
+    /// already-paid `δ`.
     Yield,
 }
 
@@ -76,20 +83,14 @@ pub enum ActiveCircuitPolicy {
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct OnlineConfig {
-    /// Sunflow intra-Coflow settings (reservation ordering).
-    pub sunflow: SunflowConfig,
     /// In-flight circuit handling at rescheduling events.
     pub active_policy: ActiveCircuitPolicy,
     /// Optional starvation guard (§4.2).
     pub guard: Option<GuardConfig>,
-    /// Disable affected-set rescheduling: re-plan every active Coflow at
-    /// every event, as the original replay did. The scoped fast path
-    /// engages automatically only in configurations where it is
-    /// outcome-identical (`Keep`/`Yield` policy, `OrderedPort` demand
-    /// order, no quantum — with or without a starvation guard); this
-    /// switch forces the full re-plan even then — an escape hatch and
-    /// the reference arm of the equivalence tests. Either way the
-    /// fallback is counted in [`ReplayStats::full_replans`].
+    /// Seed every active Coflow at every planning round, so none is
+    /// skipped: the same replan path with the affected-set closure made
+    /// trivial. Outcomes are byte-identical either way; this is the
+    /// reference arm of the equivalence tests.
     pub full_replan: bool,
     /// Worker threads for the scoped replanner's port-disjoint rank
     /// segments: `0` (the default) resolves to the host's available
@@ -102,7 +103,6 @@ pub struct OnlineConfig {
 impl Default for OnlineConfig {
     fn default() -> OnlineConfig {
         OnlineConfig {
-            sunflow: SunflowConfig::default(),
             active_policy: ActiveCircuitPolicy::Yield,
             guard: None,
             full_replan: false,
@@ -112,12 +112,6 @@ impl Default for OnlineConfig {
 }
 
 impl OnlineConfig {
-    /// Set the Sunflow intra-Coflow configuration.
-    pub fn sunflow(mut self, sunflow: SunflowConfig) -> OnlineConfig {
-        self.sunflow = sunflow;
-        self
-    }
-
     /// Set the in-flight circuit policy at rescheduling events.
     pub fn active_policy(mut self, policy: ActiveCircuitPolicy) -> OnlineConfig {
         self.active_policy = policy;
@@ -130,8 +124,8 @@ impl OnlineConfig {
         self
     }
 
-    /// Force (or, with `false`, re-allow skipping) the full re-plan of
-    /// every active Coflow at every event.
+    /// Seed (or, with `false`, stop seeding) every active Coflow at
+    /// every planning round; see [`OnlineConfig::full_replan`].
     pub fn full_replan(mut self, full: bool) -> OnlineConfig {
         self.full_replan = full;
         self
@@ -162,10 +156,11 @@ pub struct ReplayResult {
 /// the trace cost. Purely informational — identical traces under the
 /// same configuration produce identical counters except for
 /// `reschedule_micros`, which is wall-clock and feeds the `compute_s`
-/// field of the `BENCH_<id>.json` records. (Toggling
+/// field of the `BENCH_<id>.json` records. There is one replan path, so
+/// every counter is live in every configuration; toggling
 /// [`OnlineConfig::full_replan`] changes the *work* counters — skipped
 /// Coflows plan and truncate nothing — while leaving every outcome
-/// byte-identical.)
+/// byte-identical.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ReplayStats {
@@ -179,8 +174,10 @@ pub struct ReplayStats {
     pub cuts: u64,
     /// Reservations created by the intra-Coflow scheduler.
     pub reservations_made: u64,
-    /// Flow reservations dropped or shortened by future-truncation at
-    /// rescheduling events.
+    /// Flow reservations dropped or shortened at rescheduling events:
+    /// planned circuits a re-plan did not reproduce, the leftover plan of
+    /// a Coflow the guard finished early, and the in-flight circuits
+    /// [`ActiveCircuitPolicy::Preempt`] cut (Yield's are in `cuts`).
     pub reservations_truncated: u64,
     /// Wall-clock microseconds spent rescheduling (truncation, priority
     /// sorting, intra-Coflow planning, displacement analysis).
@@ -194,11 +191,6 @@ pub struct ReplayStats {
     /// planning passes — the port-scoped engine re-examines only demands
     /// touching a just-released port.
     pub demands_scanned: u64,
-    /// Events that fell back to the full re-plan of every active Coflow:
-    /// all of them under [`OnlineConfig::full_replan`],
-    /// [`ActiveCircuitPolicy::Preempt`], a demand quantum or a demand
-    /// order other than `OrderedPort`; none otherwise.
-    pub full_replans: u64,
     /// Coflows actually re-planned at rescheduling events.
     pub coflows_rescheduled: u64,
     /// Coflows skipped by affected-set rescheduling: their port
@@ -259,7 +251,6 @@ impl ReplayStats {
             reschedule_micros,
             releases_visited,
             demands_scanned,
-            full_replans,
             coflows_rescheduled,
             coflows_skipped,
             reservations_reused,
@@ -280,7 +271,6 @@ impl ReplayStats {
         self.reschedule_micros += reschedule_micros;
         self.releases_visited += releases_visited;
         self.demands_scanned += demands_scanned;
-        self.full_replans += full_replans;
         self.coflows_rescheduled += coflows_rescheduled;
         self.coflows_skipped += coflows_skipped;
         self.reservations_reused += reservations_reused;
@@ -323,7 +313,7 @@ pub fn simulate_circuit(
 mod tests {
     use super::*;
     use ocs_model::{circuit_lower_bound, Bandwidth, Dur, Time};
-    use sunflow_core::ShortestFirst;
+    use sunflow_core::{ShortestFirst, SunflowConfig};
 
     fn fabric() -> Fabric {
         Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10))

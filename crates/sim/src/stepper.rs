@@ -28,9 +28,8 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 use sunflow_core::{
-    schedule_demands_on, DeltaPlan, DeltaView, Demand, FlowOrder, PortSet, PriorityPolicy, Prt,
-    PrtSnapshot, RemovedResv, ResvKind, ScheduleCounters, ScheduleScratch, StarvationGuard,
-    SunflowConfig,
+    schedule_demands_on, DeltaPlan, DeltaView, Demand, PortSet, PriorityPolicy, Prt, PrtSnapshot,
+    RemovedResv, ResvKind, ScheduleCounters, ScheduleScratch, StarvationGuard, SunflowConfig,
 };
 
 /// A not-yet-settled flow reservation, mirrored out of the PRT so the
@@ -411,17 +410,13 @@ pub struct OnlineStepper {
     next_guard_window: u64,
     guard_windows_elapsed: u64,
     fuel: u64,
-    /// True when the configuration admits affected-set rescheduling
-    /// (`replan_scoped`): no preemption, `OrderedPort` demand order,
-    /// exact demands, and `full_replan` not forced.
-    scoped: bool,
     /// Per-Coflow port footprint (every `(src, dst)` any of its flows
     /// touches), indexed like `coflows`. Static once submitted.
     footprints: Vec<PortSet>,
     /// Coflow indices whose *state* changed at the event being processed
     /// (arrivals, settle shortfalls, deferral expiries) — the seeds of
-    /// the affected set. Populated only in scoped mode and always
-    /// drained by `replan_scoped` within the same event.
+    /// the affected set. Always drained within the same event: by
+    /// `replan`, or at the idle early return of `process_event`.
     event_dirty: Vec<usize>,
     /// Ports on which planned circuits were retired outside a re-plan at
     /// the event being processed (a Coflow the guard finished ahead of
@@ -474,7 +469,6 @@ impl OnlineStepper {
             next_guard_window: 0,
             guard_windows_elapsed: 0,
             fuel: 10_000,
-            scoped: scoped_mode(config),
             footprints: Vec::new(),
             event_dirty: Vec::new(),
             event_ports: PortSet::new(fabric.ports()),
@@ -774,7 +768,6 @@ impl OnlineStepper {
             next_guard_window: snap.next_guard_window,
             guard_windows_elapsed: snap.guard_windows_elapsed,
             fuel: snap.fuel,
-            scoped: scoped_mode(&snap.config),
             footprints: snap
                 .coflows
                 .iter()
@@ -793,13 +786,11 @@ impl OnlineStepper {
         assert!(t >= self.now, "events must be processed in time order");
         self.now = t;
         self.dirty = false;
-        if self.scoped && !self.deferred.is_empty() {
-            // A flow leaving fault backoff becomes plannable again; its
-            // Coflow seeds the affected set.
-            for (fref, &until) in self.deferred.iter() {
-                if until <= t {
-                    self.event_dirty.push(self.id_to_idx[&fref.coflow]);
-                }
+        // A flow leaving fault backoff becomes plannable again; its
+        // Coflow seeds the affected set.
+        for (fref, &until) in self.deferred.iter() {
+            if until <= t {
+                self.event_dirty.push(self.id_to_idx[&fref.coflow]);
             }
         }
         self.deferred.retain(|_, until| *until > t);
@@ -844,9 +835,7 @@ impl OnlineStepper {
                     == Ordering::Less
             });
             self.priority_order.insert(pos, idx);
-            if self.scoped {
-                self.event_dirty.push(idx);
-            }
+            self.event_dirty.push(idx);
         }
 
         // ---- Completions. ----
@@ -871,15 +860,14 @@ impl OnlineStepper {
                 // Only the guard finishes a Coflow ahead of its plan;
                 // the circuits it no longer needs go, and whoever shares
                 // their ports may move up.
-                if self.scoped
-                    && self.prt.truncate_future_of_into(
-                        self.coflows[idx].id(),
-                        t,
-                        &mut self.scratch.removed,
-                    ) > 0
+                if self.prt.truncate_future_of_into(
+                    self.coflows[idx].id(),
+                    t,
+                    &mut self.scratch.removed,
+                ) > 0
                 {
                     self.stats.reservations_truncated +=
-                        untrack(&mut self.unsettled, &self.scratch.removed, t);
+                        untrack(&mut self.unsettled, &self.scratch.removed);
                     self.event_ports.union_with(&self.footprints[idx]);
                 }
                 false
@@ -894,7 +882,10 @@ impl OnlineStepper {
         }
 
         if self.active.is_empty() && self.pending_arrivals.is_empty() {
-            return; // idle: nothing to plan
+            // Idle: nothing to plan, so nothing to seed either.
+            self.event_dirty.clear();
+            self.event_ports.clear();
+            return;
         }
         self.stats.events += 1;
         let t0 = Instant::now();
@@ -939,12 +930,10 @@ impl OnlineStepper {
                     until = t + Dur::from_ps(1);
                 }
                 self.deferred.insert(r.flow, until);
-                if self.scoped {
-                    // The shortfall stays on the flow's remaining demand;
-                    // its Coflow must re-plan once the backoff elapses —
-                    // and right now, to stop planning the deferred flow.
-                    self.event_dirty.push(idx);
-                }
+                // The shortfall stays on the flow's remaining demand; its
+                // Coflow must re-plan once the backoff elapses — and
+                // right now, to stop planning the deferred flow.
+                self.event_dirty.push(idx);
             }
         }
     }
@@ -1002,195 +991,39 @@ impl OnlineStepper {
                 // served from its arrival, not from before it.
                 let svc = svc.max(self.coflows[idx].arrival());
                 st.credit(fi, served, svc, w.end);
-                if self.scoped && !served.is_zero() && self.event_dirty.last() != Some(&idx) {
+                if !served.is_zero() && self.event_dirty.last() != Some(&idx) {
                     self.event_dirty.push(idx);
                 }
             }
         }
     }
 
-    /// Re-derive plans at the current event, then remember when we did:
-    /// scoped (affected-set) when the configuration admits it, otherwise
-    /// the full re-plan of every active Coflow.
-    fn replan(&mut self, hook: &mut dyn SettleHook) {
-        if self.scoped {
-            self.replan_scoped(hook);
-        } else {
-            self.stats.full_replans += 1;
-            self.replan_full(hook);
-        }
-        self.last_replan_at = self.now;
-    }
-
-    /// Drop future plans and re-derive them in priority order (with
-    /// Yield displacement rounds), exactly as the batch loop did.
-    fn replan_full(&mut self, hook: &mut dyn SettleHook) {
-        let delta = self.fabric.delta();
-        let now = self.now;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // The memoized priority order over the active Coflows (it also
-        // drives Yield's who-may-displace-whom decisions).
-        scratch.reset(self.fabric.ports(), &self.priority_order, &self.coflows);
-        let prio = std::mem::take(&mut scratch.prio);
-        let rank = std::mem::take(&mut scratch.rank);
-
-        // Under Preempt every in-flight circuit is torn down immediately;
-        // under Keep and Yield they initially continue (Yield may cut
-        // specific ones below once the new plan shows who they block).
-        self.truncate_all(
-            self.config.active_policy != ActiveCircuitPolicy::Preempt,
-            &mut scratch.removed,
-        );
-        if self.config.active_policy == ActiveCircuitPolicy::Preempt {
-            // A cut reservation now ends at `now`: settle it so its
-            // partial service is credited before re-planning.
-            self.settle_flows(now, hook);
-        }
-
-        // Plan (and under Yield, re-plan after displacing in-flight
-        // circuits that directly block higher-priority Coflows). Rounds
-        // are bounded because each round cuts at least one circuit.
-        loop {
-            if self.config.active_policy == ActiveCircuitPolicy::Yield {
-                self.stats.yield_rounds += 1;
-            }
-            self.stats.coflows_rescheduled += prio.len() as u64;
-
-            // Pending service from in-flight reservations (credited at
-            // their end; don't schedule that demand twice). Everything in
-            // the queue has `end > now` here: the ended prefix was
-            // settled at `now` and the planned future was truncated.
-            scratch.pending.clear();
-            for r in self.unsettled.iter() {
-                *scratch.pending.entry(r.flow).or_insert(Dur::ZERO) += r.transmit_time(delta);
-            }
-
-            for &idx in &prio {
-                let c = &self.coflows[idx];
-                let st = self.states[idx].as_ref().expect("active implies state");
-                scratch.demands.clear();
-                for (fi, f) in c.flows().iter().enumerate() {
-                    let fref = FlowRef {
-                        coflow: c.id(),
-                        flow_idx: fi,
-                    };
-                    if self.deferred.contains_key(&fref) {
-                        continue; // in fault backoff
-                    }
-                    let committed = scratch.pending.get(&fref).copied().unwrap_or(Dur::ZERO);
-                    let rem = st.remaining[fi].saturating_sub(committed);
-                    if !rem.is_zero() {
-                        scratch.demands.push(Demand {
-                            flow_idx: fi,
-                            src: f.src,
-                            dst: f.dst,
-                            remaining: rem,
-                        });
-                    }
-                }
-                if !scratch.demands.is_empty() {
-                    let (made, counters) = schedule_demands_on(
-                        &mut self.prt,
-                        c.id(),
-                        &scratch.demands,
-                        now,
-                        delta,
-                        self.config.sunflow,
-                        &mut scratch.planners[0],
-                    );
-                    self.stats.releases_visited += counters.releases_visited;
-                    self.stats.demands_scanned += counters.demands_scanned;
-                    self.stats.reservations_made += made.len() as u64;
-                    for r in made {
-                        self.unsettled.insert(Pending {
-                            end: r.end,
-                            src: r.src,
-                            start: r.start,
-                            dst: r.dst,
-                            flow: r.flow,
-                        });
-                    }
-                }
-            }
-
-            if self.config.active_policy != ActiveCircuitPolicy::Yield {
-                break;
-            }
-
-            // Index the in-flight circuits by the ports they hold and
-            // when they release them. The queue holds exactly the
-            // in-flight circuits (`start < now`) plus this round's plan
-            // (`start >= now`) — no history to skip over.
-            let mut holds: HashMap<(bool, usize, Time), (usize, Pending)> = HashMap::new();
-            for r in self.unsettled.iter().filter(|r| r.start < now) {
-                if let Some(&owner_rank) = rank.get(&r.flow.coflow) {
-                    holds.insert((true, r.src, r.end), (owner_rank, *r));
-                    holds.insert((false, r.dst, r.end), (owner_rank, *r));
-                }
-            }
-            let mut cuts: Vec<Pending> = Vec::new();
-            if !holds.is_empty() {
-                for r in self.unsettled.iter().filter(|r| r.start >= now) {
-                    let waiter_rank = rank[&r.flow.coflow];
-                    for key in [(true, r.src, r.start), (false, r.dst, r.start)] {
-                        if let Some(&(owner_rank, p)) = holds.get(&key) {
-                            if waiter_rank < owner_rank {
-                                cuts.push(p);
-                            }
-                        }
-                    }
-                }
-            }
-            cuts.sort_unstable();
-            cuts.dedup();
-            if cuts.is_empty() {
-                break;
-            }
-            self.stats.cuts += cuts.len() as u64;
-            for p in &cuts {
-                self.prt.cut_reservation(p.src, p.start, now);
-                self.unsettled.remove(p);
-                self.unsettled.insert(Pending { end: now, ..*p });
-            }
-            // Credit the partial service of the displaced circuits, then
-            // drop the tentative plan and re-plan around the freed ports.
-            self.settle_flows(now, hook);
-            self.truncate_all(true, &mut scratch.removed);
-        }
-        scratch.prio = prio;
-        scratch.rank = rank;
-        self.scratch = scratch;
-    }
-
-    /// The full re-plan's clean slate: drop every reservation starting at
-    /// or after `now` (cutting in-flight circuits too unless
-    /// `keep_active`) and mirror that into the unsettled queue.
-    fn truncate_all(&mut self, keep_active: bool, removed: &mut Vec<RemovedResv>) {
-        let now = self.now;
-        self.prt.truncate_future_into(now, keep_active, removed);
-        self.stats.reservations_truncated += untrack(&mut self.unsettled, removed, now);
-    }
-
-    /// Affected-set rescheduling: re-plan only the Coflows the event can
-    /// have touched, keep everyone else's plans in place.
+    /// Re-derive plans at the current event: re-plan only the Coflows
+    /// the event can have touched, keep everyone else's plans in place.
+    ///
+    /// The three [`ActiveCircuitPolicy`] values differ only in the
+    /// in-flight circuits cut (`cut_circuits`) before a round plans:
+    /// `Keep` none, `Preempt` every one, once, up front, `Yield` the ones
+    /// the previous round showed blocking a higher-priority Coflow.
     ///
     /// The affected set starts from the Coflows whose state changed at
     /// this event (`event_dirty`: arrivals, settle shortfalls, deferral
-    /// expiries) plus the ports of every reservation that went in flight
-    /// since the last re-plan (a kept plan predates those circuits
-    /// becoming unremovable obstacles). It is then closed downward over
-    /// the priority order: a re-planned Coflow may move reservations on
-    /// any port of its footprint, which can displace any lower-priority
-    /// Coflow sharing one, transitively. A Coflow outside the closure
-    /// has a footprint disjoint from every port that changed, so its
-    /// kept plan is byte-identical to what `replan_full` would re-derive
-    /// (see DESIGN §4) — under the gating configuration (`OrderedPort`
-    /// order, exact demands, no preemption) only. Starvation-guard
-    /// windows are a fixed timetable every probe of the table (and of
-    /// the delta view over it) carries: the same obstacles to a kept
-    /// plan and to its re-derivation. What a window changes is the state
-    /// of the Coflows it credits, and those arrive here as seeds.
-    fn replan_scoped(&mut self, hook: &mut dyn SettleHook) {
+    /// expiries, guard credit, cut circuits — every active Coflow under
+    /// [`OnlineConfig::full_replan`]) plus the ports of every cut circuit
+    /// and of every reservation that went in flight since the last
+    /// re-plan (a kept plan predates those circuits becoming unremovable
+    /// obstacles). It is then closed downward over the priority order: a
+    /// re-planned Coflow may move reservations on any port of its
+    /// footprint, which can displace any lower-priority Coflow sharing
+    /// one, transitively. A Coflow outside the closure has a footprint
+    /// disjoint from every port that changed, so its kept plan is
+    /// byte-identical to what re-planning everyone would re-derive (see
+    /// DESIGN §4). Starvation-guard windows are a fixed timetable every
+    /// probe of the table (and of the delta view over it) carries: the
+    /// same obstacles to a kept plan and to its re-derivation. What a
+    /// window changes is the state of the Coflows it credits, and those
+    /// arrive here as seeds.
+    fn replan(&mut self, hook: &mut dyn SettleHook) {
         let delta = self.fabric.delta();
         let now = self.now;
         let ports = self.fabric.ports();
@@ -1201,18 +1034,25 @@ impl OnlineStepper {
         let mut cross_ports = scratch.cross_ports.take().expect("reset populates");
         let mut dirty_ports = scratch.dirty_ports.take().expect("reset populates");
 
-        for idx in self.event_dirty.drain(..) {
-            // Seeds that completed at this very event have no rank left.
-            if let Some(&r) = rank.get(&self.coflows[idx].id()) {
-                scratch.seed[r] = true;
-            }
+        // The cut set before round one. Cutting comes first: a cut
+        // circuit is settled, so it is no crossing below, and a shortfall
+        // verdict on it is one more seed of this event.
+        if self.config.active_policy == ActiveCircuitPolicy::Preempt {
+            let cuts: Vec<Pending> = self
+                .unsettled
+                .iter()
+                .filter(|r| r.start < now)
+                .copied()
+                .collect();
+            self.stats.reservations_truncated += cuts.len() as u64;
+            self.cut_circuits(&cuts, &rank, &mut scratch.seed, &mut dirty_ports, hook);
         }
         dirty_ports.union_with(&self.event_ports);
         self.event_ports.clear();
         // Reservations that went in flight since the last re-plan, tagged
         // with their owner's rank. Such a circuit is news only to Coflows
         // *outranking* the owner: they planned before the owner created
-        // it (a full re-plan truncates lower-ranked futures before they
+        // it (re-planning everyone hides lower-ranked futures while they
         // plan), while everyone at or below the owner already planned
         // around it. Sorted by rank; the walk below visits Coflows in
         // increasing rank, so it sheds each crossing from a counted port
@@ -1240,6 +1080,15 @@ impl OnlineStepper {
         let mut next_cross = 0usize;
 
         loop {
+            for idx in self.event_dirty.drain(..) {
+                // Seeds that completed at this very event have no rank left.
+                if let Some(&r) = rank.get(&self.coflows[idx].id()) {
+                    scratch.seed[r] = true;
+                }
+            }
+            if self.config.full_replan {
+                scratch.seed.fill(true);
+            }
             // Close the affected set down the priority order.
             scratch.dirty_flag.fill(false);
             scratch.dirty.clear();
@@ -1279,8 +1128,8 @@ impl OnlineStepper {
             // Pending in-flight service of the *dirty* Coflows, credited
             // at circuit end — don't schedule that demand twice. Their
             // future entries are excluded (the delta view hides those
-            // futures from planning, exactly as truncation removed them
-            // before); other Coflows' credit is never looked up.
+            // futures from planning); other Coflows' credit is never
+            // looked up.
             scratch.pending.clear();
             for r in self.unsettled.iter() {
                 if r.start < now && scratch.dirty_flag[rank[&r.flow.coflow]] {
@@ -1386,7 +1235,6 @@ impl OnlineStepper {
                 let members = &scratch.members;
                 let demands = &scratch.demands;
                 let segments = &segments;
-                let sunflow = self.config.sunflow;
                 let collected: Vec<Vec<(usize, SegmentPlan)>> = std::thread::scope(|scope| {
                     let handles: Vec<_> = scratch.planners[..workers]
                         .iter_mut()
@@ -1405,7 +1253,6 @@ impl OnlineStepper {
                                             demands,
                                             now,
                                             delta,
-                                            sunflow,
                                             planner,
                                         ),
                                     ));
@@ -1434,7 +1281,6 @@ impl OnlineStepper {
                         &scratch.demands,
                         now,
                         delta,
-                        self.config.sunflow,
                         &mut scratch.planners[0],
                     )));
                 }
@@ -1442,9 +1288,9 @@ impl OnlineStepper {
 
             // Apply the diffs: retire stale reservations, keep confirmed
             // ones in place, insert fresh ones — leaving the table (and
-            // the unsettled mirror) byte-identical to what truncate-all-
-            // then-rebuild would have produced, at the cost of only the
-            // actual diff.
+            // the unsettled mirror) byte-identical to what truncating the
+            // members' futures and rebuilding them would produce, at the
+            // cost of only the actual diff.
             for result in results {
                 let (plan, counters, made) = result.expect("every segment planned");
                 self.stats.releases_visited += counters.releases_visited;
@@ -1454,8 +1300,7 @@ impl OnlineStepper {
                 self.stats.delta_applied += plan.stale_len() + plan.fresh_len();
                 scratch.removed.clear();
                 plan.apply(&mut self.prt, &mut scratch.removed);
-                self.stats.reservations_truncated +=
-                    untrack(&mut self.unsettled, &scratch.removed, now);
+                self.stats.reservations_truncated += untrack(&mut self.unsettled, &scratch.removed);
                 for r in plan.fresh() {
                     self.unsettled.insert(Pending {
                         end: r.end,
@@ -1471,9 +1316,9 @@ impl OnlineStepper {
                 break;
             }
 
-            // Yield displacement — same analysis as the full re-plan,
-            // over the whole queue: in-flight circuits (`start < now`)
-            // against kept plans and this round's plans (`start >= now`).
+            // Yield displacement, over the whole queue: in-flight
+            // circuits (`start < now`) against kept plans and this
+            // round's plans (`start >= now`).
             let mut holds: HashMap<(bool, usize, Time), (usize, Pending)> = HashMap::new();
             for r in self.unsettled.iter().filter(|r| r.start < now) {
                 if let Some(&owner_rank) = rank.get(&r.flow.coflow) {
@@ -1500,9 +1345,7 @@ impl OnlineStepper {
                 break;
             }
             self.stats.cuts += cuts.len() as u64;
-            // Next round's affected set: the displaced owners must
-            // re-plan their unserved remainder, and the freed port time
-            // may pull any Coflow sharing a cut port earlier. The
+            // Next round's affected set is the cut's alone: the
             // crossings were consumed by round one — its plans absorbed
             // them.
             scratch.crossings.clear();
@@ -1512,20 +1355,7 @@ impl OnlineStepper {
             next_cross = 0;
             scratch.seed.fill(false);
             dirty_ports.clear();
-            for p in &cuts {
-                self.prt.cut_reservation(p.src, p.start, now);
-                self.unsettled.remove(p);
-                self.unsettled.insert(Pending { end: now, ..*p });
-                scratch.seed[rank[&p.flow.coflow]] = true;
-                dirty_ports.insert_in(p.src);
-                dirty_ports.insert_out(p.dst);
-            }
-            // Credit the partial service of the displaced circuits; a
-            // shortfall verdict here seeds its Coflow for next round.
-            self.settle_flows(now, hook);
-            for idx in self.event_dirty.drain(..) {
-                scratch.seed[rank[&self.coflows[idx].id()]] = true;
-            }
+            self.cut_circuits(&cuts, &rank, &mut scratch.seed, &mut dirty_ports, hook);
         }
 
         scratch.prio = prio;
@@ -1533,6 +1363,33 @@ impl OnlineStepper {
         scratch.cross_ports = Some(cross_ports);
         scratch.dirty_ports = Some(dirty_ports);
         self.scratch = scratch;
+        self.last_replan_at = now;
+    }
+
+    /// Cut in-flight circuits short at `now`, ahead of a planning round:
+    /// each releases its ports in the table, re-keys in the settle queue
+    /// to end now, seeds its owner (the unserved remainder must re-plan)
+    /// and dirties both ports (the freed time may pull any Coflow sharing
+    /// one earlier). Settling then credits the partial service; a
+    /// shortfall verdict there seeds its Coflow through `event_dirty`.
+    fn cut_circuits(
+        &mut self,
+        cuts: &[Pending],
+        rank: &HashMap<u64, usize>,
+        seed: &mut [bool],
+        dirty_ports: &mut PortSet,
+        hook: &mut dyn SettleHook,
+    ) {
+        let now = self.now;
+        for p in cuts {
+            self.prt.cut_reservation(p.src, p.start, now);
+            self.unsettled.remove(p);
+            self.unsettled.insert(Pending { end: now, ..*p });
+            seed[rank[&p.flow.coflow]] = true;
+            dirty_ports.insert_in(p.src);
+            dirty_ports.insert_out(p.dst);
+        }
+        self.settle_flows(now, hook);
     }
 }
 
@@ -1553,9 +1410,7 @@ type SegmentPlan = (DeltaPlan, ScheduleCounters, u64);
 /// Plan one port-disjoint segment of the dirty list against a masked
 /// view of the shared table. Hides every member's future plan first
 /// (even members with no remaining demand — their stale futures must
-/// go, exactly as truncation removed them), then plans members in
-/// priority order.
-#[allow(clippy::too_many_arguments)]
+/// go), then plans members in priority order.
 fn plan_segment(
     prt: &Prt,
     seg_members: &[u32],
@@ -1563,7 +1418,6 @@ fn plan_segment(
     demands: &[Demand],
     now: Time,
     delta: Dur,
-    sunflow: SunflowConfig,
     planner: &mut ScheduleScratch,
 ) -> SegmentPlan {
     let mut view = DeltaView::new(prt, now);
@@ -1579,25 +1433,20 @@ fn plan_segment(
         if span.is_empty() {
             continue;
         }
-        let (resvs, c) = schedule_demands_on(&mut view, id, span, now, delta, sunflow, planner);
+        let (resvs, c) = schedule_demands_on(
+            &mut view,
+            id,
+            span,
+            now,
+            delta,
+            SunflowConfig::default(),
+            planner,
+        );
         counters.releases_visited += c.releases_visited;
         counters.demands_scanned += c.demands_scanned;
         made += resvs.len() as u64;
     }
     (view.finish(), counters, made)
-}
-
-/// Does this configuration admit affected-set rescheduling with results
-/// byte-identical to the full re-plan? Requires `OrderedPort` demand
-/// order and exact demands (so a kept plan's tail re-derives from flow
-/// remainders) and no preemption (Preempt tears down the in-flight
-/// circuits the scoped path keeps). Every event of any other
-/// configuration is counted in `ReplayStats::full_replans`.
-fn scoped_mode(config: &OnlineConfig) -> bool {
-    !config.full_replan
-        && config.active_policy != ActiveCircuitPolicy::Preempt
-        && config.sunflow.order == FlowOrder::OrderedPort
-        && config.sunflow.quantum.is_none()
 }
 
 /// The set of ports any of the Coflow's flows touches.
@@ -1610,24 +1459,20 @@ fn footprint_of(coflow: &Coflow, fabric: &Fabric) -> PortSet {
     fp
 }
 
-/// Mirror a `truncate_future` removal list into the unsettled queue:
-/// dropped reservations leave it, shortened ones re-key to end (and so
-/// settle) at `now`. Returns the number of reservations affected.
-fn untrack(unsettled: &mut BTreeSet<Pending>, removed: &[RemovedResv], now: Time) -> u64 {
+/// Mirror a list of not-yet-started reservations removed from the table
+/// (a finished Coflow's leftover plan, a delta apply's stale entries)
+/// into the unsettled queue. Returns how many there were.
+fn untrack(unsettled: &mut BTreeSet<Pending>, removed: &[RemovedResv]) -> u64 {
     for r in removed {
         let ResvKind::Flow(flow) = r.kind;
-        let p = Pending {
+        let was_pending = unsettled.remove(&Pending {
             end: r.end,
             src: r.src,
             start: r.start,
             dst: r.dst,
             flow,
-        };
-        let was_pending = unsettled.remove(&p);
-        debug_assert!(was_pending, "truncated reservation missing from queue");
-        if r.start < now {
-            unsettled.insert(Pending { end: now, ..p });
-        }
+        });
+        debug_assert!(was_pending, "removed reservation missing from queue");
     }
     removed.len() as u64
 }
@@ -1842,7 +1687,6 @@ mod tests {
         }
         s.run_to_idle(&ShortestFirst);
         assert_eq!(s.drain_completions().len(), 41);
-        assert_eq!(s.stats().full_replans, 0);
     }
 
     /// A Coflow arriving with a guard window under way shares the whole

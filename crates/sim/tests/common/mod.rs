@@ -7,13 +7,21 @@
 #![allow(dead_code)]
 
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, ScheduleOutcome, Time};
-use ocs_sim::ReplayResult;
+use ocs_sim::{ActiveCircuitPolicy, ReplayResult};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use sunflow_core::{
     ClassThenShortest, ExplicitOrder, FirstComeFirstServed, LongestFirst, PriorityPolicy,
     ShortestFirst,
 };
+
+/// Every in-flight circuit policy: the replan suites run all three
+/// against the arm that seeds every Coflow.
+pub const ACTIVE_POLICIES: [ActiveCircuitPolicy; 3] = [
+    ActiveCircuitPolicy::Yield,
+    ActiveCircuitPolicy::Keep,
+    ActiveCircuitPolicy::Preempt,
+];
 
 /// The fixture fabric: 8 ports, 1 Gbps, δ = 10 ms.
 pub fn fabric() -> Fabric {

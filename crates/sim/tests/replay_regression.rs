@@ -47,6 +47,14 @@ fn guarded_yield_matches_golden() {
 }
 
 #[test]
+fn guarded_preempt_matches_golden() {
+    let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
+    let r = run(ActiveCircuitPolicy::Preempt, Some(guard));
+    assert_eq!(fingerprint(&r), GOLDEN_PREEMPT_GUARDED);
+    assert_eq!(r.guard_windows, 14);
+}
+
+#[test]
 fn fcfs_policy_matches_golden() {
     let cfg = OnlineConfig::default();
     let r = simulate_circuit(&workload(), &fabric(), &cfg, &FirstComeFirstServed);
@@ -99,7 +107,7 @@ fn run_stepper_chunked(
 #[test]
 fn chunked_stepper_matches_all_goldens() {
     let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
-    let cases: [(&str, ActiveCircuitPolicy, Option<GuardConfig>, u64); 4] = [
+    let cases: [(&str, ActiveCircuitPolicy, Option<GuardConfig>, u64); 5] = [
         ("yield", ActiveCircuitPolicy::Yield, None, GOLDEN_YIELD),
         ("keep", ActiveCircuitPolicy::Keep, None, GOLDEN_KEEP),
         (
@@ -113,6 +121,12 @@ fn chunked_stepper_matches_all_goldens() {
             ActiveCircuitPolicy::Yield,
             Some(guard),
             GOLDEN_GUARDED,
+        ),
+        (
+            "guarded preempt",
+            ActiveCircuitPolicy::Preempt,
+            Some(guard),
+            GOLDEN_PREEMPT_GUARDED,
         ),
     ];
     for (name, policy, guard, golden) in cases {
@@ -169,6 +183,12 @@ fn capture() {
         "GOLDEN_GUARDED: {:#018x}",
         fingerprint(&run(ActiveCircuitPolicy::Yield, Some(guard)))
     );
+    let preempt_guarded = run(ActiveCircuitPolicy::Preempt, Some(guard));
+    println!(
+        "GOLDEN_PREEMPT_GUARDED: {:#018x} ({} windows)",
+        fingerprint(&preempt_guarded),
+        preempt_guarded.guard_windows
+    );
     let fcfs = simulate_circuit(
         &workload(),
         &fabric(),
@@ -184,4 +204,7 @@ const GOLDEN_YIELD: u64 = 0x99c7ea2f62e9f5a6;
 const GOLDEN_KEEP: u64 = 0x1f488db3af7cffdc;
 const GOLDEN_PREEMPT: u64 = 0xac667ca4f8f67d86;
 const GOLDEN_GUARDED: u64 = 0x4824bb0ab880aa60;
+// Captured at the last commit that re-planned Preempt by sweeping the
+// whole table (PR 18 tree).
+const GOLDEN_PREEMPT_GUARDED: u64 = 0x571506d679fd6718;
 const GOLDEN_FCFS: u64 = 0xba96a2fc5cd01dc5;
