@@ -7,7 +7,7 @@
 //! per-family branching here.
 
 use ocs_model::{packet_lower_bound, Coflow, Dur, Fabric};
-use ocs_sim::{run_trace, BackendKind, ReplayStats};
+use ocs_sim::{run_trace, BackendKind, OnlineConfig, ReplayStats};
 use std::time::{Duration, Instant};
 use sunflow_core::ShortestFirst;
 
@@ -88,7 +88,7 @@ pub fn eval_inter_with_stats(
     let mut backend =
         engine
             .backend()
-            .build(fabric, &crate::online_config(), Box::new(ShortestFirst));
+            .build(fabric, &OnlineConfig::default(), Box::new(ShortestFirst));
     let t0 = Instant::now();
     let outcomes = run_trace(coflows, backend.as_mut());
     let wall = t0.elapsed();
@@ -130,7 +130,6 @@ pub fn replay_counters(stats: &ReplayStats) -> Vec<(String, u64)> {
         ("reservations_reused".into(), stats.reservations_reused),
         ("delta_applied".into(), stats.delta_applied),
         ("replan_segments".into(), stats.replan_segments),
-        ("parallel_replans".into(), stats.parallel_replans),
         ("reservations_retired".into(), stats.reservations_retired),
         (
             "parallel_shard_advances".into(),

@@ -12,10 +12,6 @@
 //! * `OCS_BENCH_COFLOWS` — truncate the workload for quick runs;
 //! * `OCS_BENCH_THREADS` — worker threads for the sweep engine
 //!   (default: all cores);
-//! * `OCS_BENCH_REPLAN_THREADS` — worker threads for the scoped
-//!   replanner inside each replay (default 0 = all cores; outcome-
-//!   neutral, so CI can force >1 on single-core hosts to exercise the
-//!   parallel path);
 //! * `OCS_SCALE_COFLOWS` — trace length of the daemon scale soak
 //!   (default 100 000);
 //! * `OCS_BENCH_JSON_DIR` — where to write `BENCH_<id>.json` records
@@ -30,7 +26,7 @@ pub mod intra_eval;
 pub mod workloads;
 
 use ocs_metrics::{Report, RunTiming, SweepTiming};
-use ocs_sim::{OnlineConfig, Sweep, SweepBuilder, SweepResult};
+use ocs_sim::{Sweep, SweepBuilder, SweepResult};
 use std::path::PathBuf;
 
 /// Interpret an `OCS_BENCH_THREADS` value: unset or empty means 0
@@ -69,41 +65,6 @@ pub fn resolve_json_dir(raw: Option<&std::ffi::OsStr>) -> Result<PathBuf, String
             }
         }
     }
-}
-
-/// Interpret an `OCS_BENCH_REPLAN_THREADS` value: unset or empty means 0
-/// ("all cores", the `OnlineConfig` default); anything else must be a
-/// non-negative integer. A typo is an error — it must never silently
-/// replay on the default.
-pub fn parse_replan_threads(raw: Option<&str>) -> Result<usize, String> {
-    match raw.map(str::trim) {
-        None | Some("") => Ok(0),
-        Some(s) => s.parse().map_err(|_| {
-            format!(
-                "OCS_BENCH_REPLAN_THREADS must be a non-negative integer \
-                 (0 = all cores, 1 = sequential), got {s:?}"
-            )
-        }),
-    }
-}
-
-/// The [`OnlineConfig`] every inter-Coflow replay runs: the defaults,
-/// with the scoped replanner's worker-thread count overridable through
-/// `OCS_BENCH_REPLAN_THREADS`. The thread count is outcome-neutral
-/// (segments merge deterministically), so forcing it above 1 on a
-/// single-core CI host exercises the parallel replan path without
-/// changing any measured CCT.
-///
-/// # Panics
-/// Panics with a clear message when `OCS_BENCH_REPLAN_THREADS` is set to
-/// something that is not a non-negative integer.
-pub fn online_config() -> OnlineConfig {
-    let threads =
-        match parse_replan_threads(std::env::var("OCS_BENCH_REPLAN_THREADS").ok().as_deref()) {
-            Ok(n) => n,
-            Err(msg) => panic!("{msg}"),
-        };
-    OnlineConfig::default().replan_threads(threads)
 }
 
 /// A sweep configured from the environment (`OCS_BENCH_THREADS`).
@@ -199,20 +160,6 @@ mod tests {
             let err = parse_threads(Some(garbage)).unwrap_err();
             assert!(
                 err.contains("OCS_BENCH_THREADS") && err.contains(garbage),
-                "error must name the variable and the bad value: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn replan_threads_env_parses_or_errors_loudly() {
-        assert_eq!(parse_replan_threads(None), Ok(0));
-        assert_eq!(parse_replan_threads(Some("")), Ok(0));
-        assert_eq!(parse_replan_threads(Some("2")), Ok(2));
-        for garbage in ["auto", "-2", "1.5"] {
-            let err = parse_replan_threads(Some(garbage)).unwrap_err();
-            assert!(
-                err.contains("OCS_BENCH_REPLAN_THREADS") && err.contains(garbage),
                 "error must name the variable and the bad value: {err}"
             );
         }

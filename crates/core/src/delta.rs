@@ -50,7 +50,7 @@ struct MaskEntry {
 /// planned ones. Implements [`PlanTable`], so
 /// [`crate::schedule_demands_on`] runs Algorithm 1 against it unchanged.
 ///
-/// Build one per replan segment: [`DeltaView::hide_future_of`] each
+/// Build one per planning round: [`DeltaView::hide_future_of`] each
 /// dirty Coflow, [`DeltaView::seal`], plan the members in priority
 /// order, then [`DeltaView::finish`] into the [`DeltaPlan`] to apply.
 ///
@@ -317,7 +317,7 @@ impl PlanTable for DeltaView<'_> {
     }
 }
 
-/// The closed-out diff of one replan segment: which hidden reservations
+/// The closed-out diff of one planning round: which hidden reservations
 /// survived (confirmed), which are stale, and which are fresh — plus the
 /// full creation-order log for the naive twin.
 #[derive(Clone, Debug)]
@@ -359,7 +359,7 @@ impl DeltaPlan {
 
     /// Apply the diff to the table the view was built over: remove every
     /// stale reservation (appending each to `removed`, which is *not*
-    /// cleared — segments of one replan share the buffer), then insert
+    /// cleared — the caller owns and recycles the buffer), then insert
     /// the fresh ones in creation order. [`Prt::reserve`]'s non-overlap
     /// assertions re-validate the plan against the live table.
     pub fn apply(&self, prt: &mut Prt, removed: &mut Vec<RemovedResv>) {

@@ -58,8 +58,9 @@ run OPTIONS:
   --guard T_MS,TAU_MS     starvation guard period and shared window
   --max-queue N           admission queue depth cap (default 4096)
   --max-outstanding-secs F  outstanding transmit-demand cap
-  --replan-threads N      worker threads for parallel replans / shard
-                          advances (default 0 = all available cores)
+  --replan-threads N      port-group shards advanced at once with
+                          --backend portgroups:<G> (default 0 = all
+                          available cores)
   --pipelined             ingest through the bounded-channel front end
   --channel-capacity N    admission channel bound (default 1024)
   --batch-max N           max arrivals admitted per step (default 256)

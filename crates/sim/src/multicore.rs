@@ -51,8 +51,8 @@ use sunflow_core::{
 /// across them.
 ///
 /// Cross-core replans are port-disjoint by construction — each stepper
-/// owns its shard outright — so they compose with the stepper's own
-/// parallel rank segments without coordination.
+/// owns its shard outright and re-plans it on its own, one planning view
+/// per round — so cores never coordinate.
 pub type MultiSunflowBackend<'p> = Compositor<'p, CoreRouter>;
 
 /// The K-core `Router`: whole flows placed on cores by a

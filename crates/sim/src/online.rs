@@ -31,7 +31,7 @@
 
 use crate::backend::{SchedulingBackend, SunflowBackend};
 use ocs_model::{Coflow, Fabric, ScheduleOutcome};
-use sunflow_core::{GuardConfig, PriorityPolicy};
+use sunflow_core::{DeltaPlan, GuardConfig, PriorityPolicy};
 
 /// What happens to circuits that are mid-transmission when priorities
 /// change at a rescheduling event: each value names the set of in-flight
@@ -92,11 +92,11 @@ pub struct OnlineConfig {
     /// trivial. Outcomes are byte-identical either way; this is the
     /// reference arm of the equivalence tests.
     pub full_replan: bool,
-    /// Worker threads for the scoped replanner's port-disjoint rank
-    /// segments: `0` (the default) resolves to the host's available
-    /// parallelism; `1` forces sequential planning. Segments are planned
-    /// on scoped threads and merged deterministically, so the thread
-    /// count never changes outcomes — only wall-clock.
+    /// Port-group shards a [`crate::PortGroupBackend`] advances at once:
+    /// `0` (the default) resolves to the host's available parallelism;
+    /// `1` advances them one after another. Shards are independent, so
+    /// the count never changes outcomes — only wall-clock. A single-plane
+    /// stepper plans sequentially and ignores it.
     pub replan_threads: usize,
 }
 
@@ -131,7 +131,7 @@ impl OnlineConfig {
         self
     }
 
-    /// Set the scoped replanner's worker-thread count (`0` = all cores,
+    /// Set how many port-group shards advance at once (`0` = all cores,
     /// `1` = sequential). Outcome-neutral; see
     /// [`OnlineConfig::replan_threads`].
     pub fn replan_threads(mut self, threads: usize) -> OnlineConfig {
@@ -206,12 +206,11 @@ pub struct ReplayStats {
     /// plus fresh insertions (the diff the old truncate-and-rebuild path
     /// would have paid in full).
     pub delta_applied: u64,
-    /// Port-disjoint rank segments the scoped replanner partitioned its
-    /// priority walks into (each segment plans independently).
+    /// Planning views built: one per planning round that re-planned at
+    /// least one Coflow.
     pub replan_segments: u64,
-    /// Replan rounds whose segments actually ran on multiple scoped
-    /// threads (requires `replan_threads` to resolve above 1 *and* at
-    /// least two segments). Zero on a single-core host.
+    /// Always zero: the replanner plans one view per round on the
+    /// calling thread. Kept only because the `benchmark/` crate reads it.
     pub parallel_replans: u64,
     /// Fully-released flow reservations retired from the PRT once
     /// settled — the table holds only the working set (active and
@@ -220,8 +219,8 @@ pub struct ReplayStats {
     pub reservations_retired: u64,
     /// Event rounds a port-group backend advanced two or more shards on
     /// scoped worker threads (requires an inert settle hook, cloneable
-    /// policies and `replan_threads` resolving above 1). Zero for
-    /// unsharded backends and on single-core hosts.
+    /// policies and [`OnlineConfig::replan_threads`] resolving above 1).
+    /// Zero for every other backend and on single-core hosts.
     pub parallel_shard_advances: u64,
     /// Subflows a hybrid backend carved off to the packet fabric
     /// (whole-flow routing and byte-level carving both count). Zero for
@@ -282,6 +281,14 @@ impl ReplayStats {
         self.subflows_split += subflows_split;
         self.bytes_to_packet += bytes_to_packet;
         self.split_evals += split_evals;
+    }
+
+    /// Count one planning view closed into `plan`: the view, the
+    /// reservations it confirmed in place, and the diff it applies.
+    pub(crate) fn count_view(&mut self, plan: &DeltaPlan) {
+        self.replan_segments += 1;
+        self.reservations_reused += plan.reused();
+        self.delta_applied += plan.stale_len() + plan.fresh_len();
     }
 }
 

@@ -12,8 +12,9 @@
 //! serving path: the groups share nothing (no PRT, no priority rank
 //! interleaving, no load gauge), so when several groups have events due
 //! at the same instant the backend advances them on scoped worker
-//! threads — one whole stepper per worker, not just the port-disjoint
-//! rank segments the stepper itself parallelizes. The result is
+//! threads, one whole stepper per worker (each stepper plans
+//! sequentially). This is the one place the replay runs in parallel:
+//! independent planes, not pieces of one plane's replan. The result is
 //! byte-identical to sequential advancement because the shards are
 //! independent by construction; the parallel path additionally requires
 //!
@@ -32,7 +33,7 @@
 
 use crate::compositor::{partition, Compositor, Part, Plane, Router};
 use crate::online::OnlineConfig;
-use crate::stepper::{resolve_replan_threads, OnlineStepper, SubmitError};
+use crate::stepper::{OnlineStepper, SubmitError};
 use ocs_model::{Coflow, Fabric};
 use sunflow_core::PriorityPolicy;
 
@@ -99,6 +100,16 @@ impl<'p> PortGroupBackend<'p> {
             .collect();
         Compositor::over(*fabric, planes, policy, GroupRouter { group_ports })
             .advancing_in_parallel(resolve_replan_threads(config))
+    }
+}
+
+/// Resolve [`OnlineConfig::replan_threads`], the number of shards
+/// advanced at once: `0` means one per available core (falling back to
+/// sequential if the count is opaque).
+fn resolve_replan_threads(config: &OnlineConfig) -> usize {
+    match config.replan_threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
 }
 
@@ -239,6 +250,22 @@ mod tests {
             "expected at least one multi-shard parallel round"
         );
         assert_eq!(want, got);
+    }
+
+    #[test]
+    fn replan_threads_zero_means_one_shard_per_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_replan_threads(&OnlineConfig::default()), cores);
+        assert_eq!(
+            resolve_replan_threads(&OnlineConfig::default().replan_threads(0)),
+            cores
+        );
+        for n in [1, 2, 7] {
+            assert_eq!(
+                resolve_replan_threads(&OnlineConfig::default().replan_threads(n)),
+                n
+            );
+        }
     }
 
     #[test]

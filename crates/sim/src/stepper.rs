@@ -28,8 +28,8 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 use sunflow_core::{
-    schedule_demands_on, DeltaPlan, DeltaView, Demand, PortSet, PriorityPolicy, Prt, PrtSnapshot,
-    RemovedResv, ResvKind, ScheduleCounters, ScheduleScratch, StarvationGuard, SunflowConfig,
+    schedule_demands_on, DeltaView, Demand, PortSet, PriorityPolicy, Prt, PrtSnapshot, RemovedResv,
+    ResvKind, ScheduleScratch, StarvationGuard, SunflowConfig,
 };
 
 /// A not-yet-settled flow reservation, mirrored out of the PRT so the
@@ -52,9 +52,9 @@ impl Pending {
 }
 
 /// Recycled working memory of one replan: priority buffers, the
-/// affected-set walk's port sets and crossing counters, the per-round
-/// demand arena, the truncation sink, and one intra-Coflow planning
-/// scratch (wake heap included) per worker thread. Owned by the stepper
+/// affected-set walk's port sets and crossing counters, the demand
+/// buffer, the truncation sink, and the intra-Coflow planning
+/// scratch (wake heap included). Owned by the stepper
 /// and reset — never reallocated — per replan, so the steady-state
 /// event loop's planning path allocates only the plans themselves.
 /// Everything is sized by the *active* Coflows, never by how many were
@@ -79,16 +79,12 @@ struct ReplanScratch {
     dirty_ports: Option<PortSet>,
     /// In-flight service credit per flow of the dirty Coflows.
     pending: HashMap<FlowRef, Dur>,
-    /// Flat demand arena: every dirty Coflow's plannable demands, sliced
-    /// per member by `members` ranges.
+    /// The plannable demands of the Coflow being planned.
     demands: Vec<Demand>,
-    /// Per dirty Coflow (in priority order): `(id, begin, end)` range
-    /// into `demands`.
-    members: Vec<(u64, u32, u32)>,
     /// Sink buffer for truncations and delta-apply removals.
     removed: Vec<RemovedResv>,
-    /// One intra-Coflow planning scratch per worker thread.
-    planners: Vec<ScheduleScratch>,
+    /// The intra-Coflow planning scratch every member plans with.
+    planner: ScheduleScratch,
     /// Guard settlement: `(coflow idx, flow idx, src)` of every flow
     /// riding the window being settled.
     takers: Vec<(usize, usize, InPort)>,
@@ -128,17 +124,7 @@ impl ReplanScratch {
         }
         self.pending.clear();
         self.demands.clear();
-        self.members.clear();
         self.removed.clear();
-        if self.planners.is_empty() {
-            self.planners.push(ScheduleScratch::new());
-        }
-    }
-
-    fn ensure_planners(&mut self, n: usize) {
-        while self.planners.len() < n {
-            self.planners.push(ScheduleScratch::new());
-        }
     }
 }
 
@@ -428,9 +414,6 @@ pub struct OnlineStepper {
     last_replan_at: Time,
     /// Recycled replanning buffers (derived state, not snapshotted).
     scratch: ReplanScratch,
-    /// `config.replan_threads` with `0` resolved to the host's available
-    /// parallelism.
-    replan_threads: usize,
 }
 
 impl OnlineStepper {
@@ -474,7 +457,6 @@ impl OnlineStepper {
             event_ports: PortSet::new(fabric.ports()),
             last_replan_at: Time::ZERO,
             scratch: ReplanScratch::default(),
-            replan_threads: resolve_replan_threads(config),
         }
     }
 
@@ -777,7 +759,6 @@ impl OnlineStepper {
             event_ports: PortSet::new(snap.fabric.ports()),
             last_replan_at: snap.last_replan_at,
             scratch: ReplanScratch::default(),
-            replan_threads: resolve_replan_threads(&snap.config),
         }
     }
 
@@ -1137,167 +1118,63 @@ impl OnlineStepper {
                 }
             }
 
-            // Demand arena: every dirty Coflow's plannable demands, flat,
-            // so segment planning borrows only slices (thread-shareable).
-            scratch.demands.clear();
-            scratch.members.clear();
-            for &idx in &scratch.dirty {
-                let c = &self.coflows[idx];
-                let st = self.states[idx].as_ref().expect("active implies state");
-                let begin = scratch.demands.len() as u32;
-                for (fi, f) in c.flows().iter().enumerate() {
-                    let fref = FlowRef {
-                        coflow: c.id(),
-                        flow_idx: fi,
-                    };
-                    if self.deferred.contains_key(&fref) {
-                        continue; // in fault backoff
-                    }
-                    let committed = scratch.pending.get(&fref).copied().unwrap_or(Dur::ZERO);
-                    let rem = st.remaining[fi].saturating_sub(committed);
-                    if !rem.is_zero() {
-                        scratch.demands.push(Demand {
+            // Plan the affected set against one masked view of the
+            // (unmodified) table, the paper's sequential walk: hide every
+            // member's future plan (even a member with no remaining demand
+            // — its stale future must go), plan the members in priority
+            // order, then apply the diff — retire stale reservations, keep
+            // confirmed ones in place, insert fresh ones — leaving the
+            // table (and the unsettled mirror) byte-identical to what
+            // truncating the members' futures and rebuilding them would
+            // produce, at the cost of only the actual diff. The view is
+            // O(ports) to build, so an empty round builds none.
+            if !scratch.dirty.is_empty() {
+                let mut view = DeltaView::new(&self.prt, now);
+                for &idx in &scratch.dirty {
+                    view.hide_future_of(self.coflows[idx].id());
+                }
+                view.seal();
+                for &idx in &scratch.dirty {
+                    let c = &self.coflows[idx];
+                    let st = self.states[idx].as_ref().expect("active implies state");
+                    scratch.demands.clear();
+                    for (fi, f) in c.flows().iter().enumerate() {
+                        let fref = FlowRef {
+                            coflow: c.id(),
                             flow_idx: fi,
-                            src: f.src,
-                            dst: f.dst,
-                            remaining: rem,
-                        });
-                    }
-                }
-                scratch
-                    .members
-                    .push((c.id(), begin, scratch.demands.len() as u32));
-            }
-
-            // Partition the dirty list into port-disjoint segments:
-            // greedily merge any segments whose port unions the next
-            // Coflow's footprint touches (members keep priority order —
-            // positions into the dirty list are sorted after a merge).
-            // A Coflow plans only on its own footprint's ports, so
-            // disjoint segments cannot observe each other's masks or
-            // fresh reservations: any execution order — including
-            // parallel — is byte-identical to the sequential walk.
-            let mut segments: Vec<(Vec<u32>, PortSet)> = Vec::new();
-            for (pos, &idx) in scratch.dirty.iter().enumerate() {
-                let fp = &self.footprints[idx];
-                let mut target: Option<usize> = None;
-                let mut s = 0;
-                while s < segments.len() {
-                    if segments[s].1.intersects(fp) {
-                        match target {
-                            None => {
-                                target = Some(s);
-                                s += 1;
-                            }
-                            Some(t0) => {
-                                let (members, set) = segments.remove(s);
-                                segments[t0].0.extend(members);
-                                segments[t0].1.union_with(&set);
-                            }
+                        };
+                        if self.deferred.contains_key(&fref) {
+                            continue; // in fault backoff
                         }
-                    } else {
-                        s += 1;
+                        let committed = scratch.pending.get(&fref).copied().unwrap_or(Dur::ZERO);
+                        let rem = st.remaining[fi].saturating_sub(committed);
+                        if !rem.is_zero() {
+                            scratch.demands.push(Demand {
+                                flow_idx: fi,
+                                src: f.src,
+                                dst: f.dst,
+                                remaining: rem,
+                            });
+                        }
                     }
-                }
-                match target {
-                    None => {
-                        let mut set = PortSet::new(ports);
-                        set.union_with(fp);
-                        segments.push((vec![pos as u32], set));
+                    if scratch.demands.is_empty() {
+                        continue;
                     }
-                    Some(t0) => {
-                        segments[t0].0.push(pos as u32);
-                        segments[t0].1.union_with(fp);
-                    }
-                }
-            }
-            for (members, _) in segments.iter_mut() {
-                members.sort_unstable();
-            }
-            self.stats.replan_segments += segments.len() as u64;
-
-            // Plan every segment against its own masked view of the
-            // (unmodified) table; independent segments go wide on scoped
-            // threads. Results merge in segment order — deterministic
-            // regardless of completion order.
-            let nseg = segments.len();
-            let workers = if nseg >= 2 {
-                self.replan_threads.min(nseg)
-            } else {
-                1
-            };
-            let mut results: Vec<Option<SegmentPlan>> = Vec::new();
-            if workers > 1 {
-                self.stats.parallel_replans += 1;
-                scratch.ensure_planners(workers);
-                results.resize_with(nseg, || None);
-                let prt = &self.prt;
-                let members = &scratch.members;
-                let demands = &scratch.demands;
-                let segments = &segments;
-                let collected: Vec<Vec<(usize, SegmentPlan)>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = scratch.planners[..workers]
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(w, planner)| {
-                            scope.spawn(move || {
-                                let mut out = Vec::new();
-                                let mut seg = w;
-                                while seg < nseg {
-                                    out.push((
-                                        seg,
-                                        plan_segment(
-                                            prt,
-                                            &segments[seg].0,
-                                            members,
-                                            demands,
-                                            now,
-                                            delta,
-                                            planner,
-                                        ),
-                                    ));
-                                    seg += workers;
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("replan worker panicked"))
-                        .collect()
-                });
-                for per_worker in collected {
-                    for (i, r) in per_worker {
-                        results[i] = Some(r);
-                    }
-                }
-            } else {
-                for seg in &segments {
-                    results.push(Some(plan_segment(
-                        &self.prt,
-                        &seg.0,
-                        &scratch.members,
+                    let (resvs, counters) = schedule_demands_on(
+                        &mut view,
+                        c.id(),
                         &scratch.demands,
                         now,
                         delta,
-                        &mut scratch.planners[0],
-                    )));
+                        SunflowConfig::default(),
+                        &mut scratch.planner,
+                    );
+                    self.stats.releases_visited += counters.releases_visited;
+                    self.stats.demands_scanned += counters.demands_scanned;
+                    self.stats.reservations_made += resvs.len() as u64;
                 }
-            }
-
-            // Apply the diffs: retire stale reservations, keep confirmed
-            // ones in place, insert fresh ones — leaving the table (and
-            // the unsettled mirror) byte-identical to what truncating the
-            // members' futures and rebuilding them would produce, at the
-            // cost of only the actual diff.
-            for result in results {
-                let (plan, counters, made) = result.expect("every segment planned");
-                self.stats.releases_visited += counters.releases_visited;
-                self.stats.demands_scanned += counters.demands_scanned;
-                self.stats.reservations_made += made;
-                self.stats.reservations_reused += plan.reused();
-                self.stats.delta_applied += plan.stale_len() + plan.fresh_len();
+                let plan = view.finish();
+                self.stats.count_view(&plan);
                 scratch.removed.clear();
                 plan.apply(&mut self.prt, &mut scratch.removed);
                 self.stats.reservations_truncated += untrack(&mut self.unsettled, &scratch.removed);
@@ -1391,62 +1268,6 @@ impl OnlineStepper {
         }
         self.settle_flows(now, hook);
     }
-}
-
-/// Resolve the configured worker count: `0` means one worker per
-/// available core (falling back to sequential if the count is opaque).
-pub(crate) fn resolve_replan_threads(config: &OnlineConfig) -> usize {
-    match config.replan_threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-}
-
-/// One planned segment's outcome: the diff to apply, the planning
-/// counters, and the total number of reservations the planner emitted
-/// (confirmed or fresh — the historical `reservations_made` semantics).
-type SegmentPlan = (DeltaPlan, ScheduleCounters, u64);
-
-/// Plan one port-disjoint segment of the dirty list against a masked
-/// view of the shared table. Hides every member's future plan first
-/// (even members with no remaining demand — their stale futures must
-/// go), then plans members in priority order.
-fn plan_segment(
-    prt: &Prt,
-    seg_members: &[u32],
-    members: &[(u64, u32, u32)],
-    demands: &[Demand],
-    now: Time,
-    delta: Dur,
-    planner: &mut ScheduleScratch,
-) -> SegmentPlan {
-    let mut view = DeltaView::new(prt, now);
-    for &pos in seg_members {
-        view.hide_future_of(members[pos as usize].0);
-    }
-    view.seal();
-    let mut counters = ScheduleCounters::default();
-    let mut made = 0u64;
-    for &pos in seg_members {
-        let (id, begin, end) = members[pos as usize];
-        let span = &demands[begin as usize..end as usize];
-        if span.is_empty() {
-            continue;
-        }
-        let (resvs, c) = schedule_demands_on(
-            &mut view,
-            id,
-            span,
-            now,
-            delta,
-            SunflowConfig::default(),
-            planner,
-        );
-        counters.releases_visited += c.releases_visited;
-        counters.demands_scanned += c.demands_scanned;
-        made += resvs.len() as u64;
-    }
-    (view.finish(), counters, made)
 }
 
 /// The set of ports any of the Coflow's flows touches.

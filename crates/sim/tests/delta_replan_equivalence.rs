@@ -1,16 +1,16 @@
 //! Delta-PRT replanning must be invisible in every outcome: for any
 //! workload, any priority policy and any active-circuit policy, the
-//! scoped replay (affected-set skipping + reservation reuse + segment
-//! planning) must reproduce the replay that seeds every Coflow at every
-//! round byte-for-byte — and forcing the parallel segment
-//! path (`replan_threads(4)`) must change *nothing* except the
-//! `parallel_replans` counter, regardless of host core count.
+//! scoped replay (affected-set skipping + reservation reuse, one planning
+//! view per round) must reproduce the replay that seeds every Coflow at
+//! every round byte-for-byte. Driven in slices, the same stepper must
+//! leave nothing behind: whenever no Coflow is active its table is empty,
+//! and once idle no demand is outstanding.
 
 mod common;
 
 use common::{stretch, ACTIVE_POLICIES};
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};
-use ocs_sim::{simulate_circuit, OnlineConfig, ReplayResult};
+use ocs_sim::{simulate_circuit, OnlineConfig, OnlineStepper, ReplayResult};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use sunflow_core::{
@@ -73,9 +73,8 @@ fn assert_identical(a: &ReplayResult, b: &ReplayResult, label: &str) {
     assert_eq!(a.guard_windows, b.guard_windows, "{label}: guard windows");
 }
 
-/// Scoped delta replay vs forced full replay vs forced 4-thread scoped
-/// replay, for one policy, with or without a starvation guard. The two
-/// scoped runs must agree on every counter except `parallel_replans`.
+/// Scoped delta replay vs forced full replay, for one policy, with or
+/// without a starvation guard; each configuration also driven in slices.
 fn check_policy(
     coflows: &[Coflow],
     f: &Fabric,
@@ -85,36 +84,57 @@ fn check_policy(
 ) {
     for active in ACTIVE_POLICIES {
         let scoped_cfg = OnlineConfig::default().active_policy(active).guard(guard);
+        let full_cfg = scoped_cfg.full_replan(true);
         let scoped = simulate_circuit(coflows, f, &scoped_cfg, policy);
-        let full = simulate_circuit(coflows, f, &scoped_cfg.full_replan(true), policy);
-        let wide = simulate_circuit(coflows, f, &scoped_cfg.replan_threads(4), policy);
+        let full = simulate_circuit(coflows, f, &full_cfg, policy);
         let label = format!("{label}, {active:?}");
         assert_identical(&scoped, &full, &format!("{label} vs full"));
-        assert_identical(&scoped, &wide, &format!("{label} vs 4-thread"));
-
-        let s = &scoped.stats;
-        let w = &wide.stats;
-        assert_eq!(s.reservations_made, w.reservations_made, "{label}: made");
-        assert_eq!(
-            s.reservations_truncated, w.reservations_truncated,
-            "{label}: truncated"
-        );
-        assert_eq!(
-            s.reservations_reused, w.reservations_reused,
-            "{label}: reused"
-        );
-        assert_eq!(s.delta_applied, w.delta_applied, "{label}: delta applied");
-        assert_eq!(s.demands_scanned, w.demands_scanned, "{label}: scans");
-        assert_eq!(s.releases_visited, w.releases_visited, "{label}: releases");
-        assert_eq!(s.replan_segments, w.replan_segments, "{label}: segments");
-        assert_eq!(
-            s.coflows_rescheduled, w.coflows_rescheduled,
-            "{label}: rescheduled"
-        );
-
         // The reference arm is the same path with nothing skipped.
         assert_eq!(full.stats.coflows_skipped, 0, "{label}: full skipped");
+
+        check_idle_table(coflows, f, &scoped_cfg, policy, &scoped, &label);
+        let full_label = format!("{label}, full");
+        check_idle_table(coflows, f, &full_cfg, policy, &full, &full_label);
     }
+}
+
+/// Drive a stepper in 37 ms `run_until` slices: whenever no Coflow is
+/// active the table must hold no circuit, once idle no demand may be
+/// outstanding, and the sliced run must finish every Coflow when the
+/// batch replay `want` does.
+fn check_idle_table(
+    coflows: &[Coflow],
+    f: &Fabric,
+    config: &OnlineConfig,
+    policy: &dyn PriorityPolicy,
+    want: &ReplayResult,
+    label: &str,
+) {
+    let mut s = OnlineStepper::new(f, config);
+    for c in coflows {
+        s.submit(c.clone()).expect("submit");
+    }
+    let mut t = Time::ZERO;
+    while !s.is_idle() {
+        t += Dur::from_millis(37);
+        s.run_until(t, policy);
+        if s.active_coflows() == 0 {
+            assert_eq!(
+                s.prt().all_reservations(),
+                vec![],
+                "{label}: circuits left with no Coflow active at {t}"
+            );
+        }
+    }
+    s.run_to_idle(policy);
+    assert_eq!(s.outstanding_demand(), Dur::ZERO, "{label}: demand left");
+    let mut done: Vec<_> = s
+        .drain_completions()
+        .into_iter()
+        .map(|c| c.outcome)
+        .collect();
+    done.sort_by_key(|o| o.coflow);
+    assert_eq!(done, want.outcomes, "{label}: sliced vs batch");
 }
 
 proptest! {
@@ -148,13 +168,13 @@ proptest! {
 }
 
 /// A dense deterministic workload must actually exercise the machinery
-/// this suite pins: confirmed (reused) reservations, multi-segment
-/// rounds, and — with forced workers — the parallel join path.
+/// this suite pins — confirmed (reused) reservations — and the stepper
+/// must ignore the shard-advance thread count.
 #[test]
-fn dense_workload_exercises_reuse_segments_and_parallelism() {
+fn dense_workload_exercises_reuse() {
     // Four port-disjoint clusters of four ports each; four Coflows (one
     // per cluster) arrive at every instant, so a single arrival event
-    // dirties four disconnected footprints — four segments per round.
+    // dirties four disconnected footprints, all planned in one view.
     let mut coflows = Vec::new();
     for id in 0..40u64 {
         let cluster = (id % 4) * 4;
@@ -179,20 +199,20 @@ fn dense_workload_exercises_reuse_segments_and_parallelism() {
         &OnlineConfig::default().replan_threads(4),
         &ShortestFirst,
     );
-    assert_identical(&seq, &wide, "dense seq vs wide");
+    assert_identical(&seq, &wide, "dense 1 vs 4 threads");
     assert!(
         seq.stats.reservations_reused > 0,
         "delta replans confirmed no reservations"
     );
-    assert!(
-        seq.stats.replan_segments > seq.stats.events,
-        "expected multi-segment rounds, got {} segments over {} events",
-        seq.stats.replan_segments,
-        seq.stats.events
+    let counters = |r: &ReplayResult| {
+        let mut s = r.stats;
+        s.reschedule_micros = 0; // wall-clock
+        s
+    };
+    assert_eq!(
+        counters(&seq),
+        counters(&wide),
+        "thread count reached the stepper"
     );
-    assert_eq!(seq.stats.parallel_replans, 0, "sequential run went wide");
-    assert!(
-        wide.stats.parallel_replans > 0,
-        "forced 4-thread run never joined a parallel round"
-    );
+    assert_eq!(wide.stats.parallel_replans, 0, "the stepper went wide");
 }
