@@ -8,9 +8,12 @@
 //! (nothing is "small", every Coflow keeps the circuits), exercised at
 //! both the default and a vanishingly slim packet bandwidth.
 //!
-//! A separate golden pins the [`ThresholdSplit`] hybrid replay on the
-//! 40-Coflow fixture of `replay_regression.rs`, so split-routing or
-//! merge changes that shift one timestamp are caught too.
+//! Two more goldens pin the [`ThresholdSplit`] and the [`SolverSplit`]
+//! hybrid replays on the 40-Coflow fixture of `replay_regression.rs`, so
+//! split-routing, solver or merge changes that shift one timestamp are
+//! caught too.
+//!
+//! [`SolverSplit`]: sunflow_core::SolverSplit
 
 mod common;
 
@@ -21,7 +24,9 @@ use ocs_sim::{
     SchedulingBackend,
 };
 use proptest::prelude::*;
-use sunflow_core::{NonSplitting, PriorityPolicy, ShortestFirst, SplitPolicy, ThresholdSplit};
+use sunflow_core::{
+    NonSplitting, PriorityPolicy, ShortestFirst, SplitKind, SplitPolicy, ThresholdSplit,
+};
 
 /// Replay `coflows` through a [`HybridBackend`] under `split`,
 /// returning outcomes in input order and the merged replay counters.
@@ -61,6 +66,13 @@ fn run_threshold(coflows: &[Coflow], config: &HybridConfig) -> (Vec<ScheduleOutc
     )
 }
 
+/// The byte solver as `hybrid:solver` builds it (resolution 1024).
+fn run_solver(coflows: &[Coflow]) -> (Vec<ScheduleOutcome>, ReplayStats) {
+    let config = HybridConfig::default();
+    let split = SplitKind::Solver.build(config.small_flow_threshold);
+    run_hybrid(coflows, &fabric(), &config, &ShortestFirst, split)
+}
+
 /// The [`ThresholdSplit`] hybrid replay on the fixture, pinned: a
 /// split-routing, carve or completion-merge change that shifts one
 /// timestamp fails here. The counters double-check that the golden
@@ -72,6 +84,18 @@ fn threshold_hybrid_fixture_matches_golden() {
     assert!(stats.bytes_to_packet > 0, "fixture must route bytes");
     assert!(stats.reservations_made > 0, "fixture must use the circuits");
     assert_eq!(fingerprint(&outcomes), GOLDEN_HYBRID_THRESHOLD);
+}
+
+/// The solver hybrid replay on the fixture, pinned: every bisection
+/// branch and every carve the solver picks feeds the circuit and packet
+/// planes, so a solver change that picks one different fraction shifts
+/// timestamps here.
+#[test]
+fn solver_hybrid_fixture_matches_golden() {
+    let (outcomes, stats) = run_solver(&workload());
+    assert!(stats.subflows_split > 0, "the solver must carve subflows");
+    assert!(stats.bytes_to_packet > 0, "the solver must route bytes");
+    assert_eq!(fingerprint(&outcomes), GOLDEN_HYBRID_SOLVER);
 }
 
 /// A zero smallness threshold degenerates [`ThresholdSplit`] to pure
@@ -151,9 +175,13 @@ proptest! {
 fn capture() {
     let (outcomes, _) = run_threshold(&workload(), &HybridConfig::default());
     println!("GOLDEN_HYBRID_THRESHOLD: {:#018x}", fingerprint(&outcomes));
+    let (outcomes, _) = run_solver(&workload());
+    println!("GOLDEN_HYBRID_SOLVER: {:#018x}", fingerprint(&outcomes));
 }
 
 // Golden fingerprint, captured from the `capture` test above on the
 // 40-Coflow fixture under the default hybrid config (2 MB smallness
 // threshold, 10% packet bandwidth).
 const GOLDEN_HYBRID_THRESHOLD: u64 = 0xcf1337b4fc0c8b11;
+// Same fixture and config under `SplitKind::Solver` (resolution 1024).
+const GOLDEN_HYBRID_SOLVER: u64 = 0x9547bdce9eb97bab;
