@@ -8,8 +8,8 @@
 //! This experiment replays the full trace under each split policy
 //! (`non-splitting`, `threshold`, `solver`) and under both pure
 //! fabrics (`sunflow`, `varys`), and records average CCT plus the
-//! split counters (`subflows_split`, `bytes_to_packet`, `split_evals`)
-//! in each run's `counters` object of `BENCH_hybrid.json`.
+//! split counters (`subflows_split`, `bytes_to_packet`, `split_evals`,
+//! `split_plans`) in each run's `counters` object of `BENCH_hybrid.json`.
 //!
 //! Three claims gate the split-policy sweep: the solver split must beat
 //! pure Sunflow *and* pure Varys on average CCT (it sees both fabrics

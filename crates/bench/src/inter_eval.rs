@@ -140,6 +140,7 @@ pub fn replay_counters(stats: &ReplayStats) -> Vec<(String, u64)> {
         ("subflows_split".into(), stats.subflows_split),
         ("bytes_to_packet".into(), stats.bytes_to_packet),
         ("split_evals".into(), stats.split_evals),
+        ("split_plans".into(), stats.split_plans),
     ]
 }
 

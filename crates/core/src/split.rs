@@ -19,14 +19,15 @@
 //!   packet fraction minimizing the max of the two fabrics' estimated
 //!   finish times (the circuit finish is non-increasing and the packet
 //!   finish non-decreasing in the fraction, so the max is V-shaped and
-//!   the balance point is found in `O(log resolution)` probes). The
-//!   circuit side's achievable finish is probed against the **live
+//!   the balance point is found in `O(log resolution)` evaluations).
+//!   The circuit side's achievable finish is probed against the **live
 //!   PRT** through a discarded [`DeltaView`] plan (the probe never
 //!   mutates the table), tempered by a preemption-aware queue estimate
 //!   so a long planned tail does not scare short Coflows off the
-//!   circuits; the packet side is inflated by a 5/4 pessimism factor
-//!   because the fair-shared fabric finishes concurrent carves later
-//!   than a FIFO drain would.
+//!   circuits; the plan runs only when two cheap bounds on the probe
+//!   cannot decide the bisection step. The packet side is inflated by a
+//!   5/4 pessimism factor because the fair-shared fabric finishes
+//!   concurrent carves later than a FIFO drain would.
 //!
 //! [`SplitKind`] is the selector enum behind the daemon's
 //! `--backend hybrid:<split>[:<frac>]` grammar.
@@ -125,6 +126,9 @@ pub struct SplitDecision {
     pub split: DemandSplit,
     /// Candidate splits the policy evaluated (≥ 1).
     pub evals: u64,
+    /// Circuit plans the policy ran against the live PRT to reach the
+    /// decision (≤ `evals`; zero for policies that never plan).
+    pub plans: u64,
 }
 
 /// A pluggable demand-routing policy for hybrid fabrics: consulted once
@@ -173,7 +177,11 @@ impl SplitPolicy for NonSplitting {
         } else {
             DemandSplit::all_circuit(coflow)
         };
-        SplitDecision { split, evals: 1 }
+        SplitDecision {
+            split,
+            evals: 1,
+            plans: 0,
+        }
     }
 }
 
@@ -206,6 +214,7 @@ impl SplitPolicy for ThresholdSplit {
         SplitDecision {
             split: DemandSplit::by_flow_threshold(coflow, self.threshold),
             evals: 1,
+            plans: 0,
         }
     }
 }
@@ -222,15 +231,16 @@ impl SplitPolicy for ThresholdSplit {
 /// V-shaped in the fraction and its minimum sits where the curves
 /// cross. The solver evaluates both pure endpoints, then bisects on
 /// the sign of `circuit − packet` down to a `1/resolution` byte
-/// granularity — `2 + log2(resolution)` probes per Coflow, fine enough
-/// to find the balance point even when the fabrics' rates differ by an
-/// order of magnitude (at 10% packet bandwidth the useful carves
+/// granularity — `2 + log2(resolution)` evaluations per Coflow, fine
+/// enough to find the balance point even when the fabrics' rates differ
+/// by an order of magnitude (at 10% packet bandwidth the useful carves
 /// cluster below `f ≈ 1/11`, invisible to any coarse uniform ladder).
 ///
-/// The circuit estimate is a *probe* of the live PRT (see
-/// [`probe_circuit`](Self::probe_circuit)); the packet estimate is the
-/// slim fabric's per-port backlog plus the carve's own processing time
-/// (see [`SplitContext::packet_estimate`]).
+/// The circuit estimate is a *probe* of the live PRT, and an evaluation
+/// plans it only when two cheap bounds cannot decide the bisection step
+/// (see [`bounded_probe`](Self::bounded_probe)); the packet estimate is
+/// the slim fabric's per-port backlog plus the carve's own processing
+/// time (see [`SplitContext::packet_estimate`]).
 pub struct SolverSplit {
     /// Byte-fraction denominator of the bisection (candidates are
     /// `num/resolution`); the search costs `2 + ⌈log2(resolution)⌉`
@@ -238,6 +248,10 @@ pub struct SolverSplit {
     pub resolution: u64,
     scratch: ScheduleScratch,
 }
+
+/// The best candidate so far: its finish, its packet numerator, its
+/// carve.
+type Best = Option<(Time, u64, DemandSplit)>;
 
 impl SolverSplit {
     /// A solver policy bisecting packet fractions at `1/resolution`
@@ -250,10 +264,57 @@ impl SolverSplit {
         }
     }
 
-    /// Probe the finish time the circuit side can achieve for `part`
-    /// given every reservation already in `prt`.
+    /// Evaluate the carve `num/resolution`: fold its finish into `best`
+    /// and return the `(circuit, packet)` finishes the bisection
+    /// branches on. Ties prefer the smaller packet fraction — circuits
+    /// are the scheduled fabric, packets the escape hatch.
+    fn candidate(
+        &mut self,
+        coflow: &Coflow,
+        num: u64,
+        ctx: &SplitContext<'_>,
+        best: &mut Best,
+        plans: &mut u64,
+    ) -> (Time, Time) {
+        let split = DemandSplit::by_packet_fraction(coflow, num, self.resolution);
+        let parts = split.carve(coflow);
+        let packet = match &parts.packet {
+            Some((part, _)) => Self::packet_finish(part, ctx),
+            None => ctx.now,
+        };
+        let improves = |finish: Time| {
+            best.as_ref()
+                .is_none_or(|(b, bn, _)| finish < *b || (finish == *b && num < *bn))
+        };
+        let circuit = match &parts.circuit {
+            Some((part, _)) => self.bounded_probe(part, ctx, packet, &improves, plans),
+            None => ctx.now,
+        };
+        let finish = circuit.max(packet);
+        if improves(finish) {
+            *best = Some((finish, num, split));
+        }
+        (circuit, packet)
+    }
+
+    /// The packet side's finish for `part`.
     ///
-    /// Two estimates, and the probe keeps the smaller:
+    /// The packet fabric is fair-shared, not FIFO: a carve's bytes do
+    /// not drain *behind* the backlog, they share rate with it, so
+    /// concurrent carves all finish near the full-drain time — later
+    /// than `queue + own`. And the estimate cannot see future arrivals
+    /// at all. Inflate the packet side by 5/4 so only carves with real
+    /// margin leave the circuits.
+    fn packet_finish(part: &Coflow, ctx: &SplitContext<'_>) -> Time {
+        let est = ctx.packet_estimate(part).since(ctx.now);
+        ctx.now + Dur::from_ps((est.as_ps() / 4).saturating_mul(5))
+    }
+
+    /// Probe the finish time the circuit side can achieve for `part`
+    /// given every reservation already in `prt` — or a stand-in that
+    /// steers the bisection step exactly as the probe would.
+    ///
+    /// The probe is the smaller of two estimates:
     ///
     /// * **Plan-around**: `part`'s demands are planned against the live
     ///   PRT through a [`DeltaView`] and the plan is discarded —
@@ -262,24 +323,59 @@ impl SolverSplit {
     ///   scheduling: a congested PRT pushes the plan to the tail even
     ///   when the real stepper would reorder in `part`'s favor at the
     ///   next replan.
-    /// * **Preemption-aware queue**: only reservations owned by Coflows
-    ///   that would outrank `part` (shorter remaining bottleneck — the
-    ///   shortest-first key, recovered from each Coflow's own reserved
-    ///   time) count as queueing; `part` then pays `δ` plus that
-    ///   higher-priority load plus its own bottleneck time.
+    /// * **Preemption-aware queue** (`hi`): only reservations owned by
+    ///   Coflows that would outrank `part` (shorter remaining
+    ///   bottleneck — the shortest-first key, recovered from each
+    ///   Coflow's own reserved time) count as queueing; `part` then
+    ///   pays `δ` plus that higher-priority load plus its own
+    ///   bottleneck time.
     ///
     /// Without the second estimate the solver death-spirals under load:
     /// plan-around reports near-makespan finishes for *every* arrival,
     /// so everything flees to the slim packet fabric and drowns it.
-    fn probe_circuit(&mut self, part: &Coflow, ctx: &SplitContext<'_>) -> Time {
+    ///
+    /// The plan is the expensive half, and it runs only when neither
+    /// bound on the probe decides the step against `packet`:
+    ///
+    /// * the probe is at most `hi`, so `hi ≤ packet` fixes the step's
+    ///   finish at `packet` and its branch at "circuits not slower";
+    ///   `hi` stands in;
+    /// * the probe is at least `lo = now + δ + T_pL(part)` — every plan
+    ///   serves its bottleneck port's bytes in disjoint reservations,
+    ///   each opening with a `δ`, from `now` on (quantization and guard
+    ///   windows only lengthen it; `hi` contains the same bottleneck
+    ///   sum) — so `lo > packet` fixes the branch at "circuits slower"
+    ///   and the finish at the probe, which cannot displace the best
+    ///   candidate when `lo` cannot (`improves(lo)` false); `lo`
+    ///   stands in.
+    ///
+    /// Every branch and every `best` update therefore matches the
+    /// always-plan probe's, with no assumption that the circuit finish
+    /// is monotone in the fraction. `plans` counts the plans run.
+    fn bounded_probe(
+        &mut self,
+        part: &Coflow,
+        ctx: &SplitContext<'_>,
+        packet: Time,
+        improves: &dyn Fn(Time) -> bool,
+        plans: &mut u64,
+    ) -> Time {
+        let lo = ctx.circuit_estimate(part);
         let Some(prt) = ctx.prt else {
-            return ctx.circuit_estimate(part);
+            return lo;
         };
-        let planned = self.probe_plan(part, ctx, prt);
-        planned.min(Self::preemptive_estimate(part, prt, ctx))
+        let hi = Self::preemptive_estimate(part, prt, ctx);
+        if hi <= packet {
+            return hi;
+        }
+        if lo > packet && !improves(lo) {
+            return lo;
+        }
+        *plans += 1;
+        self.probe_plan(part, ctx, prt).min(hi)
     }
 
-    /// The plan-around half of [`probe_circuit`](Self::probe_circuit).
+    /// The plan-around half of [`bounded_probe`](Self::bounded_probe).
     fn probe_plan(&mut self, part: &Coflow, ctx: &SplitContext<'_>, prt: &Prt) -> Time {
         let demands: Vec<Demand> = part
             .flows()
@@ -306,7 +402,7 @@ impl SolverSplit {
         resvs.iter().map(|r| r.end).max().unwrap_or(ctx.now)
     }
 
-    /// The preemption-aware half of [`probe_circuit`](Self::probe_circuit):
+    /// The preemption-aware half of [`bounded_probe`](Self::bounded_probe):
     /// `δ` plus, on `part`'s bottleneck port, the remaining reserved time
     /// of Coflows that outrank it plus `part`'s own processing time.
     ///
@@ -390,46 +486,10 @@ impl SplitPolicy for SolverSplit {
 
     fn split(&mut self, coflow: &Coflow, ctx: &SplitContext<'_>) -> SplitDecision {
         let den = self.resolution;
-        let mut evals = 0u64;
-        // Best candidate so far; ties prefer the smaller packet
-        // fraction — circuits are the scheduled fabric, packets the
-        // escape hatch.
-        let mut best: Option<(Time, u64, DemandSplit)> = None;
-        let candidate = |policy: &mut SolverSplit,
-                         num: u64,
-                         best: &mut Option<(Time, u64, DemandSplit)>|
-         -> (Time, Time) {
-            let split = DemandSplit::by_packet_fraction(coflow, num, den);
-            let parts = split.carve(coflow);
-            let circuit = match &parts.circuit {
-                Some((part, _)) => policy.probe_circuit(part, ctx),
-                None => ctx.now,
-            };
-            let packet = match &parts.packet {
-                // The packet fabric is fair-shared, not FIFO: a carve's
-                // bytes do not drain *behind* the backlog, they share
-                // rate with it, so concurrent carves all finish near
-                // the full-drain time — later than `queue + own`. And
-                // the estimate cannot see future arrivals at all.
-                // Inflate the packet side by 5/4 so only carves with
-                // real margin leave the circuits.
-                Some((part, _)) => {
-                    let est = ctx.packet_estimate(part).since(ctx.now);
-                    ctx.now + Dur::from_ps((est.as_ps() / 4).saturating_mul(5))
-                }
-                None => ctx.now,
-            };
-            let finish = circuit.max(packet);
-            if best
-                .as_ref()
-                .is_none_or(|(b, bn, _)| finish < *b || (finish == *b && num < *bn))
-            {
-                *best = Some((finish, num, split));
-            }
-            (circuit, packet)
-        };
-        candidate(self, 0, &mut best);
-        candidate(self, den, &mut best);
+        let (mut evals, mut plans) = (0u64, 0u64);
+        let mut best: Best = None;
+        self.candidate(coflow, 0, ctx, &mut best, &mut plans);
+        self.candidate(coflow, den, ctx, &mut best, &mut plans);
         evals += 2;
         // Bisect on the sign of circuit − packet: the circuit finish is
         // non-increasing and the packet finish non-decreasing in the
@@ -437,7 +497,7 @@ impl SplitPolicy for SolverSplit {
         let (mut lo, mut hi) = (0u64, den);
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            let (circuit, packet) = candidate(self, mid, &mut best);
+            let (circuit, packet) = self.candidate(coflow, mid, ctx, &mut best, &mut plans);
             evals += 1;
             if circuit > packet {
                 lo = mid;
@@ -448,6 +508,7 @@ impl SplitPolicy for SolverSplit {
         SplitDecision {
             split: best.expect("at least one candidate").2,
             evals,
+            plans,
         }
     }
 }
@@ -540,7 +601,10 @@ impl std::fmt::Display for SplitKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocs_model::Bandwidth;
+    use crate::prt::ResvKind;
+    use crate::starvation::{GuardConfig, StarvationGuard};
+    use ocs_model::{Bandwidth, FlowRef};
+    use proptest::prelude::*;
 
     fn fabrics() -> (Fabric, Fabric) {
         let circuit = Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10));
@@ -651,6 +715,194 @@ mod tests {
         let big = Coflow::builder(1).flow(0, 1, mb(100)).build();
         let d = solver.split(&big, &ctx(&circuit, &packet, Some(&congested)));
         assert!(d.split.is_pure_packet(), "{:?}", d.split);
+    }
+
+    /// The always-plan reference the bounded probe must reproduce: the
+    /// same bisection with every candidate's circuit side planned.
+    /// Checks on the way that every plan ends no earlier than `lo` and
+    /// every probe lies in `[lo, hi]` — the two facts the skip rule
+    /// rests on. Returns the chosen carve and the evaluations.
+    fn exhaustive(
+        solver: &mut SolverSplit,
+        coflow: &Coflow,
+        ctx: &SplitContext<'_>,
+    ) -> (DemandSplit, u64) {
+        let den = solver.resolution;
+        let mut best: Best = None;
+        let candidate = |solver: &mut SolverSplit, num: u64, best: &mut Best| {
+            let split = DemandSplit::by_packet_fraction(coflow, num, den);
+            let parts = split.carve(coflow);
+            let circuit = match (&parts.circuit, ctx.prt) {
+                (None, _) => ctx.now,
+                (Some((part, _)), None) => ctx.circuit_estimate(part),
+                (Some((part, _)), Some(prt)) => {
+                    let planned = solver.probe_plan(part, ctx, prt);
+                    let lo = ctx.circuit_estimate(part);
+                    let hi = SolverSplit::preemptive_estimate(part, prt, ctx);
+                    assert!(lo <= planned, "plan {planned} ends before lo {lo}");
+                    assert!(lo <= hi, "hi {hi} below lo {lo}");
+                    planned.min(hi)
+                }
+            };
+            let packet = match &parts.packet {
+                Some((part, _)) => SolverSplit::packet_finish(part, ctx),
+                None => ctx.now,
+            };
+            let finish = circuit.max(packet);
+            if best
+                .as_ref()
+                .is_none_or(|(b, bn, _)| finish < *b || (finish == *b && num < *bn))
+            {
+                *best = Some((finish, num, split));
+            }
+            (circuit, packet)
+        };
+        candidate(solver, 0, &mut best);
+        candidate(solver, den, &mut best);
+        let mut evals = 2;
+        let (mut lo, mut hi) = (0u64, den);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            let (circuit, packet) = candidate(solver, mid, &mut best);
+            evals += 1;
+            if circuit > packet {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (best.expect("at least one candidate").2, evals)
+    }
+
+    const PORTS: usize = 6;
+
+    /// `Some` draw of `s` three times in four, else `None`.
+    fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+        (0u8..4, s).prop_map(|(k, v)| (k > 0).then_some(v))
+    }
+
+    /// A table of `PORTS` ports, guarded or not, holding reservations of
+    /// random owners: each `(src, dst, gap, len, owner)` lands `gap` after
+    /// both its ports free up (and outside every guard window).
+    fn arb_prt() -> impl Strategy<Value = Prt> {
+        let resv = (0..PORTS, 0..PORTS, 0u64..40, 1u64..120, 0u64..12);
+        (
+            maybe((100u64..400, 12u64..40)),
+            proptest::collection::vec(resv, 0..40),
+        )
+            .prop_map(|(guard, resvs)| {
+                let guard = guard.map(|(t, tau)| {
+                    let cfg = GuardConfig::new(Dur::from_millis(t), Dur::from_millis(tau));
+                    StarvationGuard::new(PORTS, cfg)
+                });
+                let mut prt = Prt::with_guard(PORTS, guard);
+                let (mut busy_in, mut busy_out) = ([Time::ZERO; PORTS], [Time::ZERO; PORTS]);
+                for (i, (src, dst, gap, len, owner)) in resvs.into_iter().enumerate() {
+                    let mut start = busy_in[src].max(busy_out[dst]) + Dur::from_millis(gap);
+                    let mut end = start + Dur::from_millis(len);
+                    if let Some(g) = &guard {
+                        let window = g.probe(start);
+                        if !window.free {
+                            start = window.next_release.expect("a window ends");
+                        }
+                        end = (start + Dur::from_millis(len)).min(g.probe(start).next_start);
+                    }
+                    if end <= start {
+                        continue;
+                    }
+                    let flow = FlowRef {
+                        coflow: 100 + owner,
+                        flow_idx: i,
+                    };
+                    prt.reserve(src, dst, start, end, ResvKind::Flow(flow));
+                    busy_in[src] = end;
+                    busy_out[dst] = end;
+                }
+                prt
+            })
+    }
+
+    /// A Coflow of up to eight flows on `PORTS` ports, 100 B to 400 MB
+    /// each, log-uniform (from far under `δ` to hundreds of them).
+    fn arb_coflow() -> impl Strategy<Value = Coflow> {
+        let flow = (0..PORTS, 0..PORTS, 1u64..40, 2u32..8);
+        proptest::collection::vec(flow, 1..8).prop_map(|flows| {
+            flows
+                .into_iter()
+                .fold(Coflow::builder(7), |b, (s, d, m, e)| {
+                    b.flow(s, d, m * 10u64.pow(e))
+                })
+                .build()
+        })
+    }
+
+    /// A backlog of 0 µs to 20 s, log-uniform: idle, light and drowned
+    /// packet fabrics alike.
+    fn arb_micros() -> impl Strategy<Value = u64> {
+        (0u64..20, 0u32..7).prop_map(|(m, e)| m * 10u64.pow(e))
+    }
+
+    /// Queued circuit-side Coflows as `(key, port, load)` in ms: those
+    /// keyed at or below an arrival's own key outrank it.
+    type Queue = Vec<(u64, usize, u64)>;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The bounded probe is invisible: on random tables (guarded or
+        /// not, or none), priority queues, packet backlogs and Coflows it
+        /// picks the exhaustive reference's carve after as many
+        /// evaluations, and plans at most once per evaluation.
+        #[test]
+        fn bounded_probe_matches_the_exhaustive_reference(
+            coflow in arb_coflow(),
+            prt in maybe(arb_prt()),
+            (resolution, now_ms, delta_ms, quantum) in (
+                (0usize..3).prop_map(|i| [4u64, 64, 1024][i]),
+                0u64..300,
+                (0usize..2).prop_map(|i| [1u64, 10][i]),
+                maybe(1u64..5),
+            ),
+            queue in maybe(proptest::collection::vec((0u64..400, 0..PORTS, 0u64..300), 0..12)),
+            (backlog, outstanding) in (
+                maybe(proptest::collection::vec(arb_micros(), PORTS)),
+                arb_micros(),
+            ),
+        ) {
+            let circuit = Fabric::new(PORTS, Bandwidth::GBPS, Dur::from_millis(delta_ms));
+            let packet = Fabric::new(PORTS, Bandwidth::from_bps(100_000_000), Dur::ZERO);
+            let queue_probe = queue.map(|q: Queue| {
+                move |key: Dur| {
+                    let mut hp = vec![Dur::ZERO; PORTS];
+                    for &(k, port, load) in &q {
+                        if Dur::from_millis(k) <= key {
+                            hp[port] += Dur::from_millis(load);
+                        }
+                    }
+                    hp
+                }
+            });
+            let backlog: Option<Vec<Dur>> =
+                backlog.map(|b| b.into_iter().map(Dur::from_micros).collect());
+            let ctx = SplitContext {
+                now: Time::from_millis(now_ms),
+                circuit: &circuit,
+                packet: &packet,
+                prt: prt.as_ref(),
+                packet_outstanding: Dur::from_micros(outstanding),
+                packet_backlog: backlog.as_deref(),
+                circuit_queue: queue_probe.as_ref().map(|q| q as &dyn Fn(Dur) -> Vec<Dur>),
+                config: SunflowConfig::default().quantum(quantum.map(Dur::from_millis)),
+            };
+            let bounded = SolverSplit::new(resolution).split(&coflow, &ctx);
+            let (split, evals) = exhaustive(&mut SolverSplit::new(resolution), &coflow, &ctx);
+            prop_assert_eq!(&bounded.split, &split);
+            prop_assert_eq!(bounded.evals, evals);
+            prop_assert!(bounded.plans <= bounded.evals);
+            if prt.is_none() {
+                prop_assert_eq!(bounded.plans, 0);
+            }
+        }
     }
 
     #[test]

@@ -178,6 +178,28 @@ impl Coflow {
         b.build()
     }
 
+    /// A Coflow from flows already known to keep the builder's
+    /// invariants — positive sizes, distinct `(src, dst)` pairs — so the
+    /// builder's linear duplicate search is skipped; `None` when `flows`
+    /// is empty. For carving parts out of an existing Coflow, whose
+    /// pairs are distinct by construction.
+    pub(crate) fn from_distinct_flows(
+        id: CoflowId,
+        arrival: Time,
+        flows: Vec<Flow>,
+    ) -> Option<Coflow> {
+        debug_assert!(flows.iter().all(|f| f.bytes > 0), "flows are positive");
+        debug_assert!(
+            {
+                let mut pairs: Vec<_> = flows.iter().map(|f| (f.src, f.dst)).collect();
+                pairs.sort_unstable();
+                pairs.windows(2).all(|w| w[0] != w[1])
+            },
+            "flow pairs are distinct"
+        );
+        (!flows.is_empty()).then_some(Coflow { id, arrival, flows })
+    }
+
     /// Returns a copy with every flow's byte count scaled by `num/den`
     /// (rounded to the nearest byte, floored at 1 byte). Used by the
     /// idleness-scaling experiments of Figure 8.

@@ -11,7 +11,7 @@
 //! to reassemble per-flow finish times. The Coflow's completion is defined as the **max over
 //! its parts** — all-or-nothing semantics survive the split.
 
-use crate::coflow::{Coflow, CoflowId};
+use crate::coflow::{Coflow, Flow};
 
 /// One flow's carve across the hybrid fabric: how many of its bytes
 /// ride the circuit network and how many the packet network.
@@ -202,30 +202,35 @@ impl DemandSplit {
     /// Materialize the two part Coflows. Both parts keep the original
     /// id and arrival (they are the *same* logical Coflow on two
     /// fabrics, reassembled by id), and both preserve flow order.
+    ///
+    /// Each part holds a subset of `coflow`'s flows, whose `(src, dst)`
+    /// pairs are distinct already, so the parts are built without the
+    /// builder's duplicate search.
     pub fn carve(&self, coflow: &Coflow) -> SplitParts {
-        let mut circuit = Coflow::builder(coflow.id()).arrival(coflow.arrival());
-        let mut packet = Coflow::builder(coflow.id()).arrival(coflow.arrival());
+        let (mut circuit, mut packet) = (Vec::new(), Vec::new());
         let (mut circuit_back, mut packet_back) = (Vec::new(), Vec::new());
         for (s, f) in self.subflows.iter().zip(coflow.flows()) {
             let orig = u32::try_from(s.flow_idx).expect("flow count fits u32");
             if s.circuit_bytes > 0 {
-                circuit = circuit.flow(f.src, f.dst, s.circuit_bytes);
+                circuit.push(Flow {
+                    bytes: s.circuit_bytes,
+                    ..*f
+                });
                 circuit_back.push(orig);
             }
             if s.packet_bytes > 0 {
-                packet = packet.flow(f.src, f.dst, s.packet_bytes);
+                packet.push(Flow {
+                    bytes: s.packet_bytes,
+                    ..*f
+                });
                 packet_back.push(orig);
             }
         }
+        let part = |flows| Coflow::from_distinct_flows(coflow.id(), coflow.arrival(), flows);
         SplitParts {
-            circuit: circuit.try_build().map(|c| (c, circuit_back)),
-            packet: packet.try_build().map(|c| (c, packet_back)),
+            circuit: part(circuit).map(|c| (c, circuit_back)),
+            packet: part(packet).map(|c| (c, packet_back)),
         }
-    }
-
-    /// The id-preserving carve target, for diagnostics.
-    pub fn coflow_of(&self, coflow: &Coflow) -> CoflowId {
-        coflow.id()
     }
 }
 
@@ -278,6 +283,36 @@ mod tests {
         let parts = half.carve(&c);
         assert_eq!(parts.circuit.expect("half").1, vec![0, 1, 2]);
         assert_eq!(parts.packet.expect("half").1, vec![0, 1, 2]);
+    }
+
+    proptest::proptest! {
+        /// A carve is what building each part flow by flow yields: same
+        /// flows in the same order, same back-maps.
+        #[test]
+        fn carve_matches_the_builder(
+            flows in proptest::collection::vec((0usize..6, 0usize..6, 1u64..1 << 40), 1..40),
+            num in 0u64..=64,
+        ) {
+            let c = flows
+                .iter()
+                .fold(Coflow::builder(3), |b, &(s, d, z)| b.flow(s, d, z))
+                .build();
+            let split = DemandSplit::by_packet_fraction(&c, num, 64);
+            let parts = split.carve(&c);
+            let by_builder = |side: fn(&Subflow) -> u64| {
+                let mut b = Coflow::builder(c.id()).arrival(c.arrival());
+                let mut back = Vec::new();
+                for (s, f) in split.subflows().iter().zip(c.flows()) {
+                    if side(s) > 0 {
+                        b = b.flow(f.src, f.dst, side(s));
+                        back.push(s.flow_idx as u32);
+                    }
+                }
+                b.try_build().map(|p| (p, back))
+            };
+            proptest::prop_assert_eq!(parts.circuit, by_builder(|s| s.circuit_bytes));
+            proptest::prop_assert_eq!(parts.packet, by_builder(|s| s.packet_bytes));
+        }
     }
 
     #[test]

@@ -704,6 +704,11 @@ pub struct PacketBackend<'s> {
     now: Time,
     arrivals: ArrivalQueue,
     acts: Vec<ActiveCoflow>,
+    /// The earliest fluid-finish instant over `acts` ([`Self::fluid_finish`]),
+    /// recomputed wherever `acts` or `now` change so that polling
+    /// [`next_event_time`](SchedulingBackend::next_event_time) does not
+    /// rescan every flow.
+    next_finish: Option<Time>,
     /// Parallel to `acts`: first instant each Coflow held a positive
     /// aggregate rate, for queue-latency telemetry.
     first_service: Vec<Option<Time>>,
@@ -726,6 +731,7 @@ impl<'s> PacketBackend<'s> {
             now: Time::ZERO,
             arrivals: ArrivalQueue::default(),
             acts: Vec::new(),
+            next_finish: None,
             first_service: Vec::new(),
             completions: Vec::new(),
             fuel: 100_000,
@@ -760,11 +766,9 @@ impl<'s> PacketBackend<'s> {
             .collect()
     }
 
-    /// Next candidate events: (arrival, flow finish, scheduler event).
-    fn candidates(&self) -> (Option<Time>, Option<Time>, Option<Time>) {
-        let t_arrival = self.arrivals.next_arrival().map(|a| a.max(self.now));
-        let t_finish = self
-            .acts
+    /// The earliest instant an active flow drains at its current rate.
+    fn fluid_finish(&self) -> Option<Time> {
+        self.acts
             .iter()
             .flat_map(|a| a.flows.iter())
             .filter(|f| !f.done() && f.rate > 1e-3)
@@ -783,12 +787,17 @@ impl<'s> PacketBackend<'s> {
                     self.now + Dur::from_secs_f64(dt) + Dur::from_ps(1)
                 })
             })
-            .min();
+            .min()
+    }
+
+    /// Next candidate events: (arrival, flow finish, scheduler event).
+    fn candidates(&self) -> (Option<Time>, Option<Time>, Option<Time>) {
+        let t_arrival = self.arrivals.next_arrival().map(|a| a.max(self.now));
         let t_sched = self
             .scheduler
             .next_event(&self.acts, self.now)
             .filter(|&t| t > self.now);
-        (t_arrival, t_finish, t_sched)
+        (t_arrival, self.next_finish, t_sched)
     }
 }
 
@@ -915,6 +924,7 @@ impl SchedulingBackend for PacketBackend<'_> {
                     }
                 }
             }
+            self.next_finish = self.fluid_finish();
 
             if self.acts.is_empty() && self.arrivals.is_empty() {
                 break;
@@ -933,6 +943,7 @@ impl SchedulingBackend for PacketBackend<'_> {
                 }
             }
             self.now = deadline;
+            self.next_finish = self.fluid_finish();
         }
         processed
     }
@@ -1261,6 +1272,7 @@ mod tests {
     use super::*;
     use crate::stepper::FullService;
     use ocs_model::Bandwidth;
+    use proptest::prelude::*;
     use sunflow_core::ShortestFirst;
 
     fn fabric() -> Fabric {
@@ -1424,6 +1436,126 @@ mod tests {
                 kind.selector()
             );
             assert_eq!(b.submit(at(60)), Ok(()), "{}", kind.selector());
+        }
+    }
+
+    /// Up to ten Coflows of one to four flows on four ports, arriving in
+    /// the first 300 ms, 10 KB to 20 MB per flow.
+    fn arb_packet_workload() -> impl Strategy<Value = Vec<Coflow>> {
+        let flow = (0usize..4, 0usize..4, 10_000u64..20_000_000);
+        let coflow = (0u64..300, proptest::collection::vec(flow, 1..5));
+        proptest::collection::vec(coflow, 1..10).prop_map(|cs| {
+            cs.into_iter()
+                .enumerate()
+                .map(|(id, (at, flows))| {
+                    let b = Coflow::builder(id as u64).arrival(Time::from_millis(at));
+                    flows
+                        .into_iter()
+                        .fold(b, |b, (s, d, z)| b.flow(s, d, z))
+                        .build()
+                })
+                .collect()
+        })
+    }
+
+    fn rate_schedulers() -> [Box<dyn RateScheduler>; 3] {
+        [
+            Box::new(Varys),
+            Box::new(Aalo::default()),
+            Box::new(FairSharing),
+        ]
+    }
+
+    /// Advance `b` to `t`, submitting first every Coflow of `pending`
+    /// due by then, and check the cached fluid finish against a fresh
+    /// scan of the flows.
+    fn advance_checked(b: &mut PacketBackend<'_>, pending: &mut Vec<Coflow>, t: Time) {
+        let due = pending.iter().take_while(|c| c.arrival() <= t).count();
+        for c in pending.drain(..due) {
+            b.submit(c).expect("arrives at or after the clock");
+        }
+        b.advance_to(t, &mut FullService);
+        assert_eq!(b.next_finish, b.fluid_finish(), "stale fluid finish at {t}");
+    }
+
+    /// Outcomes by Coflow id.
+    fn drained(b: &mut PacketBackend<'_>) -> Vec<ScheduleOutcome> {
+        let mut out: Vec<_> = b
+            .drain_completions()
+            .into_iter()
+            .map(|c| c.outcome)
+            .collect();
+        out.sort_by_key(|o| o.coflow);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The packet plane's cached next fluid finish equals a fresh
+        /// scan after every `advance_to`, for Varys, Aalo and fair
+        /// sharing: in one batch call to `Time::MAX`, in slices at a
+        /// random subset of the batch's own event instants (with
+        /// just-in-time submission; these replay the batch outcomes
+        /// exactly), and in slices at arbitrary deadlines (which float
+        /// the fluids between events, an extra `progress` step the
+        /// batch never takes, so they are held to completing every
+        /// Coflow once, not to its floating-point remainders).
+        #[test]
+        fn fluid_finish_cache_matches_a_fresh_scan(
+            mut coflows in arb_packet_workload(),
+            keep in proptest::collection::vec(0u8..3, 64),
+            cuts in proptest::collection::vec(1u64..400, 1..12),
+        ) {
+            coflows.sort_by_key(|c| c.arrival());
+            for (k, _) in rate_schedulers().iter().enumerate() {
+                let build = || PacketBackend::new(&fabric(), rate_schedulers().into_iter().nth(k).expect("three"));
+                let mut batch = build();
+                advance_checked(&mut batch, &mut coflows.clone(), Time::MAX);
+                let expect = drained(&mut batch);
+                prop_assert_eq!(expect.len(), coflows.len());
+
+                // Every event instant, one call each.
+                let mut stepped = build();
+                let mut pending = coflows.clone();
+                let mut instants = Vec::new();
+                loop {
+                    let next = [stepped.next_event_time(), pending.first().map(Coflow::arrival)];
+                    match next.into_iter().flatten().min() {
+                        Some(t) if t != Time::MAX => {
+                            advance_checked(&mut stepped, &mut pending, t);
+                            instants.push(t);
+                        }
+                        _ => break,
+                    }
+                }
+                advance_checked(&mut stepped, &mut pending, Time::MAX);
+                prop_assert_eq!(&drained(&mut stepped), &expect);
+
+                // About a third of those instants as slice deadlines.
+                let mut sliced = build();
+                let mut pending = coflows.clone();
+                for (i, &t) in instants.iter().enumerate() {
+                    if keep[i % keep.len()] == 0 {
+                        advance_checked(&mut sliced, &mut pending, t);
+                    }
+                }
+                advance_checked(&mut sliced, &mut pending, Time::MAX);
+                prop_assert_eq!(&drained(&mut sliced), &expect);
+
+                // Arbitrary deadlines, `cuts` ms apart.
+                let mut floated = build();
+                let mut pending = coflows.clone();
+                let mut t = Time::ZERO;
+                for &ms in &cuts {
+                    t += Dur::from_millis(ms);
+                    advance_checked(&mut floated, &mut pending, t);
+                }
+                advance_checked(&mut floated, &mut pending, Time::MAX);
+                let ids: Vec<u64> = drained(&mut floated).iter().map(|o| o.coflow).collect();
+                let want: Vec<u64> = expect.iter().map(|o| o.coflow).collect();
+                prop_assert_eq!(ids, want);
+            }
         }
     }
 

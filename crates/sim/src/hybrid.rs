@@ -102,8 +102,8 @@ impl std::error::Error for HybridConfigError {}
 /// stale — fabric state. Completions are reassembled per Coflow (`max`
 /// over parts, per-flow finishes mapped back through the carve), and
 /// the split counters feed
-/// [`ReplayStats::subflows_split`], [`ReplayStats::bytes_to_packet`]
-/// and [`ReplayStats::split_evals`].
+/// [`ReplayStats::subflows_split`], [`ReplayStats::bytes_to_packet`],
+/// [`ReplayStats::split_evals`] and [`ReplayStats::split_plans`].
 pub type HybridBackend<'p> = Compositor<'p, SplitRouter<'p>>;
 
 /// Plane indices of the hybrid compositor.
@@ -118,7 +118,7 @@ pub struct SplitRouter<'p> {
     fabric: Fabric,
     packet_fabric: Fabric,
     /// The split counters (`subflows_split`, `bytes_to_packet`,
-    /// `split_evals`); every other field stays zero.
+    /// `split_evals`, `split_plans`); every other field stays zero.
     counters: ReplayStats,
 }
 
@@ -141,6 +141,7 @@ impl Router for SplitRouter<'_> {
         };
         let decision = self.split.split(coflow, &ctx);
         self.counters.split_evals += decision.evals;
+        self.counters.split_plans += decision.plans;
         self.counters.subflows_split += decision.split.packet_subflows() as u64;
         self.counters.bytes_to_packet += decision.split.bytes_to_packet();
         let carved = decision.split.carve(coflow);

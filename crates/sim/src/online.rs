@@ -233,6 +233,10 @@ pub struct ReplayStats {
     /// admission time (one per Coflow for the cheap policies; one per
     /// fraction probed for the solver).
     pub split_evals: u64,
+    /// Circuit plans those evaluations ran against the live PRT (zero
+    /// for the cheap policies; for the solver, only the evaluations its
+    /// cheap bounds could not decide).
+    pub split_plans: u64,
 }
 
 impl ReplayStats {
@@ -261,6 +265,7 @@ impl ReplayStats {
             subflows_split,
             bytes_to_packet,
             split_evals,
+            split_plans,
         } = *other;
         self.events += events;
         self.yield_rounds += yield_rounds;
@@ -281,6 +286,7 @@ impl ReplayStats {
         self.subflows_split += subflows_split;
         self.bytes_to_packet += bytes_to_packet;
         self.split_evals += split_evals;
+        self.split_plans += split_plans;
     }
 
     /// Count one planning view closed into `plan`: the view, the
