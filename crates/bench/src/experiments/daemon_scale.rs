@@ -22,9 +22,7 @@
 //!    drain completes every Coflow that *was* admitted.
 //!
 //! A fourth pass soaks the sharded serving path: the same load confined
-//! to port groups on a `portgroups:4` backend with forced worker
-//! threads, checking disjoint partitions actually replan concurrently
-//! (`parallel_shard_advances > 0`).
+//! to port groups on a `portgroups:4` backend.
 //!
 //! Results are appended to the `daemon_soak` report so everything lands
 //! in one `BENCH_daemon.json`.
@@ -125,7 +123,6 @@ struct SoakPass {
     admit_p99_ns: u64,
     admit_p999_ns: u64,
     completed: u64,
-    parallel_shard_advances: u64,
 }
 
 fn soak(jsonl: &str, config: &DaemonConfig, pipeline: &PipelineConfig) -> SoakPass {
@@ -148,7 +145,6 @@ fn soak(jsonl: &str, config: &DaemonConfig, pipeline: &PipelineConfig) -> SoakPa
         admit_p99_ns: q(0.99),
         admit_p999_ns: q(0.999),
         completed: daemon.telemetry().completed,
-        parallel_shard_advances: daemon.stats().parallel_shard_advances,
     }
 }
 
@@ -200,20 +196,17 @@ pub fn append_measured(report: &mut Report, timing: &mut SweepTiming, scale: &Sc
         },
     );
 
-    // Pass 4: the sharded serving path — group-local load on portgroups:4
-    // with forced worker threads (the 1-core CI hosts would otherwise
-    // resolve to a single thread and the parallel path would not run).
+    // Pass 4: the sharded serving path — group-local load on portgroups:4.
     let groups = 4usize;
     let sharded_load = generate_load(&load_config(scale, scale.ports.div_ceil(groups)));
     let sharded_jsonl = to_jsonl(&sharded_load);
-    let mut sharded_cfg = DaemonConfig {
+    let sharded_cfg = DaemonConfig {
         fabric,
         backend: BackendKind::PortGroups {
             groups: groups as u32,
         },
         ..DaemonConfig::default()
     };
-    sharded_cfg.online.replan_threads = groups;
     let sharded = soak(
         &sharded_jsonl,
         &sharded_cfg,
@@ -256,12 +249,6 @@ pub fn append_measured(report: &mut Report, timing: &mut SweepTiming, scale: &Sc
             / (lossless.report.accepted + shedding.report.accepted) as f64,
         0.0,
     );
-    report.claim(
-        "scale soak: port-group shards replan concurrently (1 = parallel rounds seen)",
-        1.0,
-        (sharded.parallel_shard_advances > 0) as u64 as f64,
-        0.0,
-    );
     report.note(format!(
         "scale soak: {} Coflows at {:.0}/s virtual over {} ports; pipelined pass \
          {:.2} s wall = {:.0} admissions/s; admit-to-schedule latency p50 {} ns, \
@@ -281,9 +268,8 @@ pub fn append_measured(report: &mut Report, timing: &mut SweepTiming, scale: &Sc
         lossless.report.max_batch,
     ));
     report.note(format!(
-        "scale soak, sharded: portgroups:{groups} with {groups} worker threads \
-         admitted {} group-local Coflows, {} parallel shard-advance rounds",
-        sharded.report.accepted, sharded.parallel_shard_advances,
+        "scale soak, sharded: portgroups:{groups} admitted {} group-local Coflows",
+        sharded.report.accepted,
     ));
 
     timing.runs.push(RunTiming {
@@ -332,13 +318,7 @@ pub fn append_measured(report: &mut Report, timing: &mut SweepTiming, scale: &Sc
         wall_s: sharded.wall.as_secs_f64(),
         compute_s: None,
         backend: Some("Sunflow".to_string()),
-        counters: vec![
-            ("accepted".to_string(), sharded.report.accepted),
-            (
-                "parallel_shard_advances".to_string(),
-                sharded.parallel_shard_advances,
-            ),
-        ],
+        counters: vec![("accepted".to_string(), sharded.report.accepted)],
     });
     timing.wall_s += golden_wall.as_secs_f64()
         + lossless.wall.as_secs_f64()

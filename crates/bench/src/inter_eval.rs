@@ -131,10 +131,6 @@ pub fn replay_counters(stats: &ReplayStats) -> Vec<(String, u64)> {
         ("delta_applied".into(), stats.delta_applied),
         ("replan_segments".into(), stats.replan_segments),
         ("reservations_retired".into(), stats.reservations_retired),
-        (
-            "parallel_shard_advances".into(),
-            stats.parallel_shard_advances,
-        ),
         ("cuts".into(), stats.cuts),
         ("yield_rounds".into(), stats.yield_rounds),
         ("subflows_split".into(), stats.subflows_split),

@@ -109,7 +109,7 @@ pub struct RemovedResv {
 /// A point-in-time capture of a whole [`Prt`], produced by
 /// [`Prt::snapshot`] and consumed by [`Prt::from_snapshot`]. Plain data:
 /// the port count, the guard timetable (if any) and every reservation,
-/// so a checkpointing service can serialize it in any format it likes.
+/// so two tables compare by their snapshots.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PrtSnapshot {
     ports: usize,
@@ -121,11 +121,6 @@ impl PrtSnapshot {
     /// Number of ports on each side of the snapshotted switch.
     pub fn ports(&self) -> usize {
         self.ports
-    }
-
-    /// The snapshotted table's guard timetable, if it had one.
-    pub fn guard(&self) -> Option<StarvationGuard> {
-        self.guard
     }
 
     /// The captured reservations, ordered by `(src, start)`.
@@ -141,21 +136,6 @@ impl PrtSnapshot {
     /// True if the snapshotted table held no reservations.
     pub fn is_empty(&self) -> bool {
         self.resvs.is_empty()
-    }
-
-    /// Assemble a snapshot from parts (e.g. parsed back from a
-    /// checkpoint file). Consistency is checked by
-    /// [`Prt::from_snapshot`], not here.
-    pub fn from_parts(
-        ports: usize,
-        guard: Option<StarvationGuard>,
-        resvs: Vec<RemovedResv>,
-    ) -> PrtSnapshot {
-        PrtSnapshot {
-            ports,
-            guard,
-            resvs,
-        }
     }
 }
 
@@ -1325,7 +1305,6 @@ mod tests {
         let snap = prt.snapshot();
         assert_eq!(snap.ports(), 4);
         assert_eq!(snap.len(), 4);
-        assert!(snap.guard().is_some());
         let back = Prt::from_snapshot(&snap);
 
         assert_eq!(back.all_reservations(), prt.all_reservations());
@@ -1366,17 +1345,6 @@ mod tests {
         // overlapping the restored reservation still panics elsewhere.
         back.reserve(0, 1, t(10), t(20), flow_of(2, 0));
         assert_eq!(back.last_end_of(2), Some(t(20)));
-    }
-
-    #[test]
-    fn snapshot_from_parts_roundtrips() {
-        let mut prt = Prt::new(3);
-        prt.reserve(2, 1, t(5), t(15), flow_of(3, 0));
-        let snap = prt.snapshot();
-        let rebuilt =
-            PrtSnapshot::from_parts(snap.ports(), snap.guard(), snap.reservations().to_vec());
-        assert_eq!(rebuilt, snap);
-        assert!(!rebuilt.is_empty());
     }
 
     #[test]

@@ -47,8 +47,8 @@ run OPTIONS:
   --bandwidth-gbps N      link rate (default 1)
   --delta-us N            reconfiguration delay δ in µs (default 1000)
   --backend NAME          sunflow | sunflow:<K>[:<assign>] | kcore:<K> |
-                          hybrid:<split>[:<frac>] | solstice | tms | edmond |
-                          varys | aalo | fair
+                          portgroups:<G> | hybrid:<split>[:<frac>] |
+                          solstice | tms | edmond | varys | aalo | fair
                           (default sunflow; <assign> one of hash,
                           round-robin, least-loaded, rank-pack; <split> one
                           of non-splitting, threshold, solver; <frac> the
@@ -58,9 +58,6 @@ run OPTIONS:
   --guard T_MS,TAU_MS     starvation guard period and shared window
   --max-queue N           admission queue depth cap (default 4096)
   --max-outstanding-secs F  outstanding transmit-demand cap
-  --replan-threads N      port-group shards advanced at once with
-                          --backend portgroups:<G> (default 0 = all
-                          available cores)
   --pipelined             ingest through the bounded-channel front end
   --channel-capacity N    admission channel bound (default 1024)
   --batch-max N           max arrivals admitted per step (default 256)
@@ -93,7 +90,6 @@ loadgen OPTIONS:
                           with --backend portgroups:<G>
   --heavy-frac F          heavy multi-flow Coflow fraction (default 0.05)
   --backend NAME          scheduling backend (default sunflow)
-  --replan-threads N      as for run
   --channel-capacity / --batch-max / --on-full   as for run
                           (default --on-full wait: soak is lossless)
   --emit                  print the JSONL trace to stdout instead of
@@ -247,9 +243,6 @@ fn parse_run(args: &mut Args) -> Result<RunOpts, String> {
                 opts.config.online.active_policy = parse_active(&args.value("--active")?)?
             }
             "--guard" => opts.config.online.guard = Some(parse_guard(&args.value("--guard")?)?),
-            "--replan-threads" => {
-                opts.config.online.replan_threads = args.parsed("--replan-threads")?
-            }
             "--pipelined" => pipelined = true,
             "--channel-capacity" => {
                 pipeline.channel_capacity = args.parsed("--channel-capacity")?
@@ -460,7 +453,6 @@ fn cmd_loadgen(args: &mut Args) -> Result<ExitCode, String> {
                 }
             }
             "--backend" => config.backend = args.parsed("--backend")?,
-            "--replan-threads" => config.online.replan_threads = args.parsed("--replan-threads")?,
             "--channel-capacity" => {
                 pipeline.channel_capacity = args.parsed("--channel-capacity")?
             }
@@ -569,14 +561,18 @@ mod tests {
     use super::*;
 
     fn run_flags(flags: &[&str]) -> Result<RunOpts, String> {
-        parse_run(&mut Args {
-            argv: flags.iter().map(|f| f.to_string()).collect(),
-            pos: 0,
-        })
+        parse_run(&mut args(flags))
     }
 
     fn usage_error(flags: &[&str]) -> String {
         run_flags(flags).err().expect("flags must be rejected")
+    }
+
+    fn args(flags: &[&str]) -> Args {
+        Args {
+            argv: flags.iter().map(|f| f.to_string()).collect(),
+            pos: 0,
+        }
     }
 
     #[test]
@@ -628,5 +624,29 @@ mod tests {
         assert_eq!(opts.config.fabric.ports(), 16);
         assert_eq!(opts.config.fabric.delta(), Dur::from_millis(1));
         assert!(opts.config.online.guard.is_some());
+    }
+
+    /// Every replay advances on the calling thread: the thread-count
+    /// flag is gone from both subcommands, and naming it is a usage
+    /// error rather than a silently ignored option.
+    #[test]
+    fn replan_threads_is_an_unknown_flag() {
+        let run = usage_error(&["--replan-threads", "4"]);
+        assert_eq!(run, "unknown flag \"--replan-threads\" for run");
+        let loadgen = cmd_loadgen(&mut args(&["--replan-threads", "4"])).err();
+        assert_eq!(
+            loadgen.as_deref(),
+            Some("unknown flag \"--replan-threads\" for loadgen")
+        );
+    }
+
+    /// `run --backend` lists every selector family its parser accepts.
+    #[test]
+    fn run_usage_lists_port_groups() {
+        let run = &USAGE[USAGE.find("run OPTIONS:").unwrap()..USAGE.find("gen OPTIONS:").unwrap()];
+        assert!(run.contains("portgroups:<G>"), "{run}");
+        let opts = run_flags(&["--backend", "portgroups:4"]).expect("listed selector parses");
+        let want = ocs_sim::BackendKind::PortGroups { groups: 4 };
+        assert_eq!(opts.config.backend, want);
     }
 }

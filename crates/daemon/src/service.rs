@@ -1040,6 +1040,48 @@ mod tests {
         assert_eq!(whole.telemetry().cct.sum(), resumed.telemetry().cct.sum());
     }
 
+    /// A shortfall retry on `kcore:2` that fires while a later chunk of
+    /// the same flow is still planned must not be dropped: that chunk
+    /// can leave part of the shortfall unserved, and the drain used to
+    /// stop with the Coflow still active.
+    #[test]
+    fn kcore_retry_racing_a_planned_chunk_still_drains() {
+        let spec = [
+            (347, vec![(3, 2, 7), (3, 1, 10), (3, 2, 5)]),
+            (289, vec![(1, 0, 2), (0, 2, 2)]),
+            (329, vec![(2, 3, 8)]),
+            (12, vec![(3, 0, 7)]),
+            (349, vec![(3, 3, 10), (1, 3, 4), (0, 3, 8)]),
+            (253, vec![(3, 2, 3), (0, 1, 1)]),
+        ];
+        let fabric = Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10));
+        let cfg = DaemonConfig {
+            fabric,
+            backend: BackendKind::KCore { cores: 2 },
+            faults: FaultConfig {
+                seed: 7_945_962_501_737_646_056,
+                setup_failure_per_mille: 120,
+                port_flap_per_mille: 80,
+                delta_inflation_per_mille: 40,
+                base_backoff: fabric.delta(),
+                ..FaultConfig::default()
+            },
+            ..DaemonConfig::default()
+        };
+        let mut daemon = Daemon::new(&cfg);
+        for (id, (arrival_ms, flows)) in spec.iter().enumerate() {
+            let b = Coflow::builder(id as u64).arrival(Time::from_millis(*arrival_ms));
+            let b = flows
+                .iter()
+                .fold(b, |b, &(src, dst, mb)| b.flow(src, dst, mb * 1_000_000));
+            daemon.submit(b.build()).unwrap();
+        }
+        daemon.drain();
+        assert!(daemon.is_idle());
+        assert_eq!(daemon.telemetry().completed, 6);
+        assert!(daemon.fault_stats().retries > 0);
+    }
+
     #[test]
     fn status_and_prometheus_render() {
         let cfg = config();

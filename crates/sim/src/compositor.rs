@@ -17,13 +17,9 @@
 //!   submission, where the arrival already sits in the plane's queue.
 //! * A plane is advanced only at its own due instants (the engine's
 //!   rule), so it observes exactly the `advance_to` sequence it would
-//!   produce running alone; planes are drained in index order.
-//! * Due planes advance on scoped worker threads when there are at
-//!   least two of them, the thread budget allows, the hook is inert
-//!   ([`SettleHook::is_inert`]) and every plane has its own policy copy
-//!   ([`PriorityPolicy::clone_box`]); otherwise in index order against
-//!   the shared policy and hook. Planes share nothing, so both orders
-//!   replay byte-identically.
+//!   produce running alone; due planes advance in index order on the
+//!   calling thread, under the shared policy and hook, and are drained
+//!   in index order.
 //! * Circuit planes float to a finite deadline; the packet plane does
 //!   not — its fluids drain at rates that only change at its own
 //!   events, and cutting a span into more `progress` steps would
@@ -35,7 +31,7 @@
 use crate::arrivals::ArrivalQueue;
 use crate::backend::{CoreStatus, PacketBackend, SchedulingBackend};
 use crate::online::ReplayStats;
-use crate::stepper::{Completion, FullService, OnlineStepper, SettleHook, SubmitError};
+use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_model::{Coflow, CoflowBuilder, Dur, Fabric, Flow, ScheduleOutcome, Time};
 use std::collections::HashMap;
 use sunflow_core::PriorityPolicy;
@@ -157,13 +153,8 @@ pub struct Compositor<'p, R> {
     /// The full fabric: submission validation and the admitted gauge.
     fabric: Fabric,
     pub(crate) planes: Vec<Plane>,
-    /// The shared policy, used on every sequential path.
+    /// The policy every circuit plane is advanced under.
     policy: Box<dyn PriorityPolicy + 'p>,
-    /// Thread-safe policy copies for parallel advancement, one per
-    /// plane; empty keeps every plane on the sequential path.
-    own: Vec<Box<dyn PriorityPolicy + Send + Sync>>,
-    /// Worker budget for parallel plane advancement.
-    advance_threads: usize,
     router: R,
     now: Time,
     arrivals: ArrivalQueue,
@@ -171,9 +162,6 @@ pub struct Compositor<'p, R> {
     completions: Vec<Completion>,
     /// Per-plane processing time admitted so far (telemetry gauge).
     admitted: Vec<Dur>,
-    parallel_advances: u64,
-    /// Scratch: planes due in the current round.
-    due: Vec<usize>,
 }
 
 impl<'p, R: Router> Compositor<'p, R> {
@@ -190,27 +178,12 @@ impl<'p, R: Router> Compositor<'p, R> {
             admitted: vec![Dur::ZERO; planes.len()],
             planes,
             policy,
-            own: Vec::new(),
-            advance_threads: 1,
             router,
             now: Time::ZERO,
             arrivals: ArrivalQueue::default(),
             merge: HashMap::new(),
             completions: Vec::new(),
-            parallel_advances: 0,
-            due: Vec::new(),
         }
-    }
-
-    /// Let up to `threads` due planes advance at once, each under its
-    /// own copy of the policy — if every plane is a circuit plane and
-    /// the policy can be copied ([`PriorityPolicy::clone_box`]);
-    /// otherwise nothing changes.
-    pub(crate) fn advancing_in_parallel(mut self, threads: usize) -> Compositor<'p, R> {
-        let copy = |p: &Plane| p.stepper().and(self.policy.clone_box());
-        self.own = self.planes.iter().map_while(copy).collect();
-        self.advance_threads = threads;
-        self
     }
 
     fn steppers(&self) -> impl Iterator<Item = &OnlineStepper> {
@@ -256,57 +229,19 @@ impl<'p, R: Router> Compositor<'p, R> {
         n
     }
 
-    /// Advance every plane with an event due at or before `t`.
+    /// Advance every plane with an event due at or before `t`, in index
+    /// order. Planes share nothing, so advancing one never moves
+    /// another's next event.
     fn advance_planes(&mut self, t: Time, hook: &mut dyn SettleHook) -> u64 {
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        due.extend(
-            (0..self.planes.len())
-                .filter(|&i| self.planes[i].next_event_time().is_some_and(|e| e <= t)),
-        );
-        let parallel = due.len() >= 2
-            && self.advance_threads >= 2
-            && hook.is_inert()
-            && self.own.len() == self.planes.len();
-        let processed = if parallel {
-            self.parallel_advances += 1;
-            let mut owned: Vec<_> = self
-                .planes
-                .iter_mut()
-                .zip(&self.own)
-                .enumerate()
-                .filter(|(i, _)| due.contains(i))
-                .filter_map(|(_, (p, own))| Some((p.stepper_mut()?, own.as_ref())))
-                .collect();
-            let per = owned.len().div_ceil(self.advance_threads.min(owned.len()));
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = owned
-                    .chunks_mut(per)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .map(|(s, own)| s.run_until_with(t, *own, &mut FullService))
-                                .sum::<u64>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("plane advance worker panicked"))
-                    .sum()
+        let policy = self.policy.as_ref();
+        self.planes
+            .iter_mut()
+            .filter(|p| p.next_event_time().is_some_and(|e| e <= t))
+            .map(|p| match p {
+                Plane::Circuit(s) => s.run_until_with(t, policy, hook),
+                Plane::Packet(b) => b.advance_to(t, hook),
             })
-        } else {
-            let policy = self.policy.as_ref();
-            due.iter()
-                .map(|&i| match &mut self.planes[i] {
-                    Plane::Circuit(s) => s.run_until_with(t, policy, hook),
-                    Plane::Packet(b) => b.advance_to(t, hook),
-                })
-                .sum()
-        };
-        self.due = due;
-        processed
+            .sum()
     }
 
     /// Drain per-plane completions into the per-Coflow merge states,
@@ -440,7 +375,6 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
         for p in &self.planes {
             total.absorb(&p.stats());
         }
-        total.parallel_shard_advances += self.parallel_advances;
         self.router.fold_stats(&mut total);
         Some(total)
     }
@@ -465,5 +399,112 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
             demand_admitted: self.admitted[core],
             reservations_made: s.stats().reservations_made,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::online::{ActiveCircuitPolicy, OnlineConfig};
+    use crate::stepper::FullService;
+    use crate::{BackendKind, HybridBackend, HybridConfig, MultiSunflowBackend, PortGroupBackend};
+    use ocs_model::{Bandwidth, KCoreFabric};
+    use sunflow_core::{GuardConfig, ShortestFirst};
+
+    fn fabric() -> Fabric {
+        Fabric::new(8, Bandwidth::GBPS, Dur::from_millis(10))
+    }
+
+    /// Forty Coflows, each inside one half of the fabric (ports 0–3 or
+    /// 4–7), so `portgroups:2` accepts them too; arrivals in bursts with
+    /// idle gaps between them.
+    fn workload() -> Vec<Coflow> {
+        (0..40u64)
+            .map(|id| {
+                let base = (id % 2) as usize * 4;
+                let burst = id / 8;
+                let mut b = Coflow::builder(id).arrival(Time::from_millis(burst * 900 + id * 7));
+                for k in 0..1 + id % 3 {
+                    let src = base + ((id + k) % 4) as usize;
+                    let dst = base + ((id * 3 + k * 5) % 4) as usize;
+                    b = b.flow(src, dst, (1 + (id + k) % 5) * 1_500_000);
+                }
+                b.build()
+            })
+            .collect()
+    }
+
+    /// Drive `c` in 37 ms slices with every Coflow submitted up front:
+    /// whenever a circuit plane has no Coflow active its table must hold
+    /// no circuit, and the slices must finish every Coflow.
+    fn check_idle_planes<R: Router>(mut c: Compositor<'_, R>, label: &str) {
+        let coflows = workload();
+        for co in &coflows {
+            c.submit(co.clone())
+                .expect("group-local Coflows fit every fabric");
+        }
+        let mut t = Time::ZERO;
+        let mut idle_reads = 0;
+        while !c.is_idle() {
+            t += Dur::from_millis(37);
+            c.advance_to(t, &mut FullService);
+            for (i, s) in c.planes.iter().filter_map(Plane::stepper).enumerate() {
+                if s.active_coflows() == 0 {
+                    idle_reads += 1;
+                    let left = s.prt().all_reservations();
+                    assert_eq!(
+                        left,
+                        vec![],
+                        "{label}: plane {i} idle at {t} holds circuits"
+                    );
+                }
+            }
+        }
+        assert!(idle_reads > 0, "{label}: no plane was ever idle mid-run");
+        assert_eq!(c.drain_completions().len(), coflows.len(), "{label}");
+    }
+
+    #[test]
+    fn idle_fan_out_planes_hold_empty_tables() {
+        let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
+        for active in [
+            ActiveCircuitPolicy::Keep,
+            ActiveCircuitPolicy::Yield,
+            ActiveCircuitPolicy::Preempt,
+        ] {
+            for guard in [None, Some(guard)] {
+                let online = OnlineConfig::default().active_policy(active).guard(guard);
+                let label = |name| format!("{name}, {active:?}, guard {}", guard.is_some());
+                let f = fabric();
+
+                let Ok(BackendKind::MultiSunflow { cores, assign }) = "sunflow:2".parse() else {
+                    unreachable!("sunflow:2 is a multi-core selector")
+                };
+                let k = KCoreFabric::new(f, cores as usize);
+                let multi =
+                    MultiSunflowBackend::new(&k, &online, Box::new(ShortestFirst), assign.build());
+                check_idle_planes(multi, &label("sunflow:2"));
+
+                let groups = PortGroupBackend::new(&f, 2, &online, Box::new(ShortestFirst));
+                check_idle_planes(groups, &label("portgroups:2"));
+
+                let Ok(BackendKind::Hybrid {
+                    split,
+                    packet_bw_permille,
+                }) = "hybrid:threshold".parse()
+                else {
+                    unreachable!("hybrid:threshold is a hybrid selector")
+                };
+                let config = HybridConfig {
+                    online,
+                    packet_bandwidth_fraction: packet_bw_permille as f64 / 1000.0,
+                    ..HybridConfig::default()
+                };
+                let split = split.build(config.small_flow_threshold);
+                let hybrid = HybridBackend::new(&f, &config, Box::new(ShortestFirst), split)
+                    .expect("valid fraction");
+                check_idle_planes(hybrid, &label("hybrid:threshold"));
+            }
+        }
     }
 }

@@ -17,12 +17,11 @@
 //!   starvation guard.
 //! * [`stepper`] — Sunflow's replay as a resumable state machine: feed
 //!   arrivals one at a time, advance to a deadline, drain completions,
-//!   inject settlement faults, snapshot/restore. The substrate of
-//!   [`SunflowBackend`].
+//!   inject settlement faults. The substrate of [`SunflowBackend`].
 //! * `compositor` (private) — the one fan-out machine behind the three
 //!   backends below: hold arrivals until their instant, route each
 //!   Coflow (whole or carved) to independent planes, advance the planes
-//!   on one clock, merge part completions. Each backend is a type alias
+//!   in turn on one clock, merge part completions. Each backend is a type alias
 //!   of it plus a small router.
 //! * [`multicore`] — the K-core OCS generalization: Sunflow sharded
 //!   across `K` parallel circuit planes ([`MultiSunflowBackend`]) and
@@ -30,8 +29,7 @@
 //!   ([`KCoreBackend`]), both selectable through [`BackendKind`]
 //!   (`sunflow:<K>[:<assign>]`, `kcore:<K>`).
 //! * [`portgroup`] — Sunflow sharded across disjoint port groups
-//!   ([`PortGroupBackend`], `portgroups:<G>`), the groups advancing on
-//!   worker threads.
+//!   ([`PortGroupBackend`], `portgroups:<G>`).
 //! * [`hybrid`] — the §6 REACToR-style hybrid as a first-class backend
 //!   ([`HybridBackend`]): a slim packet network beside the
 //!   Sunflow-scheduled circuits on one clock, with a pluggable
@@ -75,7 +73,5 @@ pub use intra_driver::{run_intra, IntraEngine};
 pub use multicore::{KCoreBackend, MultiSunflowBackend};
 pub use online::{simulate_circuit, ActiveCircuitPolicy, OnlineConfig, ReplayResult, ReplayStats};
 pub use portgroup::PortGroupBackend;
-pub use stepper::{
-    Completion, FullService, OnlineStepper, SettleHook, SettleVerdict, StepperSnapshot, SubmitError,
-};
+pub use stepper::{Completion, FullService, OnlineStepper, SettleHook, SettleVerdict, SubmitError};
 pub use sweep::{Sweep, SweepBuilder, SweepResult, SweepRun};

@@ -441,13 +441,19 @@ impl KCoreBackend {
         if act.finish[fi].is_some() || act.remaining[fi].is_zero() {
             return;
         }
-        // Skip if a future planned circuit still covers this flow — the
-        // shortfall retry raced a truncation-split sibling reservation.
+        // A future planned circuit still covers this flow — the shortfall
+        // retry raced a truncation-split sibling reservation. Retry again
+        // once the last such circuit has settled: it may leave less than
+        // the shortfall, but never more.
         let covered = self
             .settle
             .values()
-            .any(|s| s.resv.flow.coflow == id && s.resv.flow.flow_idx == fi && s.resv.end > t);
-        if covered {
+            .filter(|s| s.resv.flow.coflow == id && s.resv.flow.flow_idx == fi && s.resv.end > t)
+            .map(|s| s.resv.end)
+            .max();
+        if let Some(end) = covered {
+            self.seq += 1;
+            self.retries.insert((end, self.seq), (id, fi));
             return;
         }
         let core = act.core_of[fi];

@@ -92,12 +92,6 @@ pub struct OnlineConfig {
     /// trivial. Outcomes are byte-identical either way; this is the
     /// reference arm of the equivalence tests.
     pub full_replan: bool,
-    /// Port-group shards a [`crate::PortGroupBackend`] advances at once:
-    /// `0` (the default) resolves to the host's available parallelism;
-    /// `1` advances them one after another. Shards are independent, so
-    /// the count never changes outcomes — only wall-clock. A single-plane
-    /// stepper plans sequentially and ignores it.
-    pub replan_threads: usize,
 }
 
 impl Default for OnlineConfig {
@@ -106,7 +100,6 @@ impl Default for OnlineConfig {
             active_policy: ActiveCircuitPolicy::Yield,
             guard: None,
             full_replan: false,
-            replan_threads: 0,
         }
     }
 }
@@ -131,11 +124,9 @@ impl OnlineConfig {
         self
     }
 
-    /// Set how many port-group shards advance at once (`0` = all cores,
-    /// `1` = sequential). Outcome-neutral; see
-    /// [`OnlineConfig::replan_threads`].
-    pub fn replan_threads(mut self, threads: usize) -> OnlineConfig {
-        self.replan_threads = threads;
+    /// Does nothing: every replay advances on the calling thread. Kept
+    /// only because the `benchmark/` crate still calls it.
+    pub fn replan_threads(self, _threads: usize) -> OnlineConfig {
         self
     }
 }
@@ -217,11 +208,6 @@ pub struct ReplayStats {
     /// planned circuits) instead of the whole trace history. Guard
     /// windows are never in the table, so they are not counted here.
     pub reservations_retired: u64,
-    /// Event rounds a port-group backend advanced two or more shards on
-    /// scoped worker threads (requires an inert settle hook, cloneable
-    /// policies and [`OnlineConfig::replan_threads`] resolving above 1).
-    /// Zero for every other backend and on single-core hosts.
-    pub parallel_shard_advances: u64,
     /// Subflows a hybrid backend carved off to the packet fabric
     /// (whole-flow routing and byte-level carving both count). Zero for
     /// single-fabric backends.
@@ -261,7 +247,6 @@ impl ReplayStats {
             replan_segments,
             parallel_replans,
             reservations_retired,
-            parallel_shard_advances,
             subflows_split,
             bytes_to_packet,
             split_evals,
@@ -282,7 +267,6 @@ impl ReplayStats {
         self.replan_segments += replan_segments;
         self.parallel_replans += parallel_replans;
         self.reservations_retired += reservations_retired;
-        self.parallel_shard_advances += parallel_shard_advances;
         self.subflows_split += subflows_split;
         self.bytes_to_packet += bytes_to_packet;
         self.split_evals += split_evals;

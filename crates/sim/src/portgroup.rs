@@ -8,28 +8,15 @@
 //! exactly the regime of rack-, pod- or tenant-partitioned clusters
 //! where arrivals never cross the partition boundary.
 //!
-//! What the partition buys is *coarse-grained* parallelism on the
-//! serving path: the groups share nothing (no PRT, no priority rank
-//! interleaving, no load gauge), so when several groups have events due
-//! at the same instant the backend advances them on scoped worker
-//! threads, one whole stepper per worker (each stepper plans
-//! sequentially). This is the one place the replay runs in parallel:
-//! independent planes, not pieces of one plane's replan. The result is
-//! byte-identical to sequential advancement because the shards are
-//! independent by construction; the parallel path additionally requires
-//!
-//! * an inert settle hook ([`SettleHook::is_inert`]) — fault injection
-//!   funnels every settlement through one `&mut` hook and stays
-//!   sequential, and
-//! * a cloneable priority policy ([`PriorityPolicy::clone_box`]) so
-//!   each shard owns a thread-safe copy.
+//! The groups share nothing (no PRT, no priority rank interleaving, no
+//! load gauge): each is an independent Sunflow fabric, advanced in group
+//! order on the calling thread like every other compositor plane.
 //!
 //! Selector: `portgroups:<G>`. The selector is intentionally **not** in
 //! [`BackendKind::ALL`]: every entry there must accept arbitrary
 //! cross-port traffic, which a partitioned backend refuses by design.
 //!
 //! [`BackendKind::ALL`]: crate::BackendKind::ALL
-//! [`SettleHook::is_inert`]: crate::SettleHook::is_inert
 
 use crate::compositor::{partition, Compositor, Part, Plane, Router};
 use crate::online::OnlineConfig;
@@ -76,12 +63,9 @@ impl Router for GroupRouter {
 }
 
 impl<'p> PortGroupBackend<'p> {
-    /// A `groups`-way partitioned backend over `fabric`. `groups` is
-    /// clamped to `[1, ports]`; uneven divisions give the last group the
-    /// remainder. Every group gets its own copy of `policy` when the
-    /// policy supports [`PriorityPolicy::clone_box`], which is what lets
-    /// due groups advance on worker threads (up to
-    /// [`OnlineConfig::replan_threads`] of them).
+    /// A `groups`-way partitioned backend over `fabric`, every group
+    /// scheduled under `policy`. `groups` is clamped to `[1, ports]`;
+    /// uneven divisions give the last group the remainder.
     pub fn new(
         fabric: &Fabric,
         groups: usize,
@@ -99,17 +83,6 @@ impl<'p> PortGroupBackend<'p> {
             })
             .collect();
         Compositor::over(*fabric, planes, policy, GroupRouter { group_ports })
-            .advancing_in_parallel(resolve_replan_threads(config))
-    }
-}
-
-/// Resolve [`OnlineConfig::replan_threads`], the number of shards
-/// advanced at once: `0` means one per available core (falling back to
-/// sequential if the count is opaque).
-fn resolve_replan_threads(config: &OnlineConfig) -> usize {
-    match config.replan_threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
     }
 }
 
@@ -124,13 +97,6 @@ mod tests {
 
     fn fabric(ports: usize) -> Fabric {
         Fabric::new(ports, Bandwidth::from_gbps(1), Dur::from_micros(20))
-    }
-
-    /// Rounds that advanced two or more groups on worker threads.
-    fn parallel_advances(pg: &PortGroupBackend<'_>) -> u64 {
-        pg.stats()
-            .expect("sunflow keeps stats")
-            .parallel_shard_advances
     }
 
     /// A deterministic group-local workload: every Coflow's flows stay
@@ -233,43 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_advance_is_byte_identical_to_sequential() {
-        let f = fabric(16);
-        let trace = group_local_trace(16, 4, 48);
-        let sequential = OnlineConfig::default().replan_threads(1);
-        let parallel = OnlineConfig::default().replan_threads(4);
-
-        let mut seq = PortGroupBackend::new(&f, 4, &sequential, Box::new(ShortestFirst));
-        let want = run_trace(&trace, &mut seq);
-        assert_eq!(parallel_advances(&seq), 0);
-
-        let mut par = PortGroupBackend::new(&f, 4, &parallel, Box::new(ShortestFirst));
-        let got = run_trace(&trace, &mut par);
-        assert!(
-            parallel_advances(&par) > 0,
-            "expected at least one multi-shard parallel round"
-        );
-        assert_eq!(want, got);
-    }
-
-    #[test]
-    fn replan_threads_zero_means_one_shard_per_core() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(resolve_replan_threads(&OnlineConfig::default()), cores);
-        assert_eq!(
-            resolve_replan_threads(&OnlineConfig::default().replan_threads(0)),
-            cores
-        );
-        for n in [1, 2, 7] {
-            assert_eq!(
-                resolve_replan_threads(&OnlineConfig::default().replan_threads(n)),
-                n
-            );
-        }
-    }
-
-    #[test]
-    fn non_inert_hooks_advance_sequentially() {
+    fn every_group_settles_through_the_callers_hook() {
         struct Spy(u64);
         impl SettleHook for Spy {
             fn on_settle(
@@ -284,14 +214,21 @@ mod tests {
         }
         let f = fabric(8);
         let trace = group_local_trace(8, 4, 16);
-        let config = OnlineConfig::default().replan_threads(4);
+        let config = OnlineConfig::default();
         let mut pg = PortGroupBackend::new(&f, 2, &config, Box::new(ShortestFirst));
         for c in &trace {
             pg.submit(c.clone()).unwrap();
         }
         let mut spy = Spy(0);
         pg.advance_to(Time::MAX, &mut spy);
-        assert_eq!(parallel_advances(&pg), 0, "stateful hook must serialize");
-        assert!(spy.0 > 0, "every settlement funneled through the hook");
+        assert_eq!(pg.drain_completions().len(), trace.len());
+        // Every flow is served by at least one settling circuit, on
+        // whichever group it rides.
+        let flows: usize = trace.iter().map(Coflow::num_flows).sum();
+        assert!(
+            spy.0 >= flows as u64,
+            "{} settlements for {flows} flows",
+            spy.0
+        );
     }
 }

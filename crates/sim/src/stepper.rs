@@ -4,21 +4,21 @@
 //! list and returns after the fact. A long-running scheduling service
 //! needs the same unsettled-reservation event loop *opened up*: feed
 //! Coflow arrivals as they are admitted, advance the virtual clock to a
-//! deadline, collect completions as they happen, checkpoint and resume.
-//! [`OnlineStepper`] is that shape; `simulate_circuit` is now a thin
-//! batch wrapper over it, and the golden fingerprint tests in
-//! `replay_regression.rs` pin the two to byte-identical results.
+//! deadline, collect completions as they happen. [`OnlineStepper`] is
+//! that shape; `simulate_circuit` is a thin batch wrapper over it, and
+//! the golden fingerprint tests in `replay_regression.rs` pin the two to
+//! byte-identical results.
 //!
-//! Two additions beyond the batch loop:
+//! One addition beyond the batch loop: a [`SettleHook`] observes every
+//! circuit settlement and may withhold part (or all) of the service it
+//! would have delivered — the seam a fault injector plugs into. A
+//! shorted flow is *deferred* (excluded from planning) until the hook's
+//! `retry_after` backoff elapses, at which point a retry event re-plans
+//! it; no demand is ever lost.
 //!
-//! * a [`SettleHook`] observes every circuit settlement and may withhold
-//!   part (or all) of the service it would have delivered — the seam a
-//!   fault injector plugs into. A shorted flow is *deferred* (excluded
-//!   from planning) until the hook's `retry_after` backoff elapses, at
-//!   which point a retry event re-plans it; no demand is ever lost.
-//! * [`OnlineStepper::snapshot`] / [`OnlineStepper::restore`] capture
-//!   and rebuild the entire replay state (PRT included, via
-//!   [`Prt::snapshot`]) so a service can checkpoint mid-run.
+//! Checkpointing is the caller's: the daemon records its commands and
+//! replays them into a fresh backend (`ocs_daemon::Daemon::checkpoint`),
+//! which works for this stepper as for every other backend.
 
 use crate::online::{ActiveCircuitPolicy, OnlineConfig, ReplayStats};
 use ocs_model::{
@@ -28,8 +28,8 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 use sunflow_core::{
-    schedule_demands_on, DeltaView, Demand, PortSet, PriorityPolicy, Prt, PrtSnapshot, RemovedResv,
-    ResvKind, ScheduleScratch, StarvationGuard, SunflowConfig,
+    schedule_demands_on, DeltaView, Demand, PortSet, PriorityPolicy, Prt, RemovedResv, ResvKind,
+    ScheduleScratch, StarvationGuard, SunflowConfig,
 };
 
 /// A not-yet-settled flow reservation, mirrored out of the PRT so the
@@ -58,7 +58,7 @@ impl Pending {
 /// and reset — never reallocated — per replan, so the steady-state
 /// event loop's planning path allocates only the plans themselves.
 /// Everything is sized by the *active* Coflows, never by how many were
-/// ever submitted. Derived state: deliberately excluded from snapshots.
+/// ever submitted.
 #[derive(Debug, Default)]
 struct ReplanScratch {
     /// Active Coflow indices in the policy's total order.
@@ -128,7 +128,7 @@ impl ReplanScratch {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct CoflowState {
     /// Remaining processing time per flow.
     remaining: Vec<Dur>,
@@ -212,12 +212,8 @@ pub trait SettleHook {
     /// settling (`resv.end <= now`).
     fn on_settle(&mut self, resv: &Reservation, available: Dur, now: Time) -> SettleVerdict;
 
-    /// `true` when this hook is behaviorally identical to [`FullService`]
-    /// — `on_settle` always grants the full available window and keeps no
-    /// state. Sharded backends use this to substitute a private
-    /// `FullService` per worker thread and advance disjoint shards in
-    /// parallel; a hook that injects faults or mutates state must keep
-    /// the default `false` so every settle funnels through it serially.
+    /// Read by nothing: every settlement reaches the hook on the calling
+    /// thread. Kept only because the `benchmark/` crate implements it.
     fn is_inert(&self) -> bool {
         false
     }
@@ -230,10 +226,6 @@ pub struct FullService;
 impl SettleHook for FullService {
     fn on_settle(&mut self, _resv: &Reservation, available: Dur, _now: Time) -> SettleVerdict {
         SettleVerdict::full(available)
-    }
-
-    fn is_inert(&self) -> bool {
-        true
     }
 }
 
@@ -311,34 +303,6 @@ pub struct Completion {
     pub first_service: Option<Time>,
 }
 
-/// A point-in-time capture of a whole [`OnlineStepper`], produced by
-/// [`OnlineStepper::snapshot`] and consumed by [`OnlineStepper::restore`].
-/// Opaque plain data (the PRT is captured through [`Prt::snapshot`]);
-/// restoring and continuing yields the same event sequence as never
-/// having stopped — `stepper_snapshot.rs` property-tests this across all
-/// priority policies.
-#[derive(Clone, Debug)]
-pub struct StepperSnapshot {
-    fabric: Fabric,
-    config: OnlineConfig,
-    prt: PrtSnapshot,
-    coflows: Vec<Coflow>,
-    states: Vec<Option<CoflowState>>,
-    active: Vec<usize>,
-    priority_order: Vec<usize>,
-    pending_arrivals: BTreeSet<(Time, u64, usize)>,
-    unsettled: Vec<Pending>,
-    deferred: HashMap<FlowRef, Time>,
-    completions: Vec<Completion>,
-    now: Time,
-    dirty: bool,
-    stats: ReplayStats,
-    next_guard_window: u64,
-    guard_windows_elapsed: u64,
-    fuel: u64,
-    last_replan_at: Time,
-}
-
 /// The online replay's event loop as a resumable state machine.
 ///
 /// ```
@@ -412,7 +376,7 @@ pub struct OnlineStepper {
     /// Clock value of the most recent re-plan; reservations whose start
     /// crossed it since are newly in flight and dirty their ports.
     last_replan_at: Time,
-    /// Recycled replanning buffers (derived state, not snapshotted).
+    /// Recycled replanning buffers.
     scratch: ReplanScratch,
 }
 
@@ -686,80 +650,6 @@ impl OnlineStepper {
     /// completion order.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completions)
-    }
-
-    /// Capture the entire replay state (including undrained completions).
-    pub fn snapshot(&self) -> StepperSnapshot {
-        StepperSnapshot {
-            fabric: self.fabric,
-            config: self.config,
-            prt: self.prt.snapshot(),
-            coflows: self.coflows.clone(),
-            states: self.states.clone(),
-            active: self.active.clone(),
-            priority_order: self.priority_order.clone(),
-            pending_arrivals: self.pending_arrivals.clone(),
-            unsettled: self.unsettled.iter().copied().collect(),
-            deferred: self.deferred.clone(),
-            completions: self.completions.clone(),
-            now: self.now,
-            dirty: self.dirty,
-            stats: self.stats(),
-            next_guard_window: self.next_guard_window,
-            guard_windows_elapsed: self.guard_windows_elapsed,
-            fuel: self.fuel,
-            last_replan_at: self.last_replan_at,
-        }
-    }
-
-    /// Rebuild a stepper from a snapshot. Continuing from the restored
-    /// stepper produces the same event sequence as never having stopped.
-    pub fn restore(snap: &StepperSnapshot) -> OnlineStepper {
-        let id_to_idx = snap
-            .coflows
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.id(), i))
-            .collect();
-        let mut is_active = vec![false; snap.coflows.len()];
-        for &i in &snap.active {
-            is_active[i] = true;
-        }
-        OnlineStepper {
-            fabric: snap.fabric,
-            config: snap.config,
-            guard: snap.prt.guard(),
-            prt: Prt::from_snapshot(&snap.prt),
-            coflows: snap.coflows.clone(),
-            states: snap.states.clone(),
-            id_to_idx,
-            active: snap.active.clone(),
-            is_active,
-            priority_order: snap.priority_order.clone(),
-            pending_arrivals: snap.pending_arrivals.clone(),
-            unsettled: snap.unsettled.iter().copied().collect(),
-            deferred: snap.deferred.clone(),
-            completions: snap.completions.clone(),
-            now: snap.now,
-            dirty: snap.dirty,
-            stats: ReplayStats {
-                reschedule_micros: 0,
-                ..snap.stats
-            },
-            resched_wall: Duration::from_micros(snap.stats.reschedule_micros),
-            next_guard_window: snap.next_guard_window,
-            guard_windows_elapsed: snap.guard_windows_elapsed,
-            fuel: snap.fuel,
-            footprints: snap
-                .coflows
-                .iter()
-                .map(|c| footprint_of(c, &snap.fabric))
-                .collect(),
-            event_dirty: Vec::new(),
-            event_ports: PortSet::new(snap.fabric.ports()),
-            last_replan_at: snap.last_replan_at,
-            scratch: ReplanScratch::default(),
-        }
     }
 
     /// The full event body: settle, admit, complete, re-plan.
@@ -1432,36 +1322,6 @@ mod tests {
         let o = &done[0].outcome;
         assert!(o.finish > clean_finish, "retry must cost time");
         assert!(o.circuit_setups >= 2, "retry pays a fresh setup");
-    }
-
-    #[test]
-    fn snapshot_restore_continues_identically() {
-        let f = fabric();
-        let coflows: Vec<Coflow> = (0..8)
-            .map(|i| {
-                Coflow::builder(i)
-                    .arrival(Time::from_millis((i * 13) % 60))
-                    .flow((i as usize) % 4, (i as usize * 3 + 1) % 4, mb(1 + i % 4))
-                    .build()
-            })
-            .collect();
-        let mut a = OnlineStepper::new(&f, &OnlineConfig::default());
-        for c in &coflows {
-            a.submit(c.clone()).unwrap();
-        }
-        a.run_until(Time::from_millis(40), &ShortestFirst);
-        let snap = a.snapshot();
-        let mut b = OnlineStepper::restore(&snap);
-        a.run_to_idle(&ShortestFirst);
-        b.run_to_idle(&ShortestFirst);
-        let key = |mut v: Vec<Completion>| {
-            v.sort_by_key(|c| c.outcome.coflow);
-            v.into_iter()
-                .map(|c| (c.outcome.coflow, c.outcome.finish, c.outcome.circuit_setups))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(a.drain_completions()), key(b.drain_completions()));
-        assert_eq!(a.guard_windows(), b.guard_windows());
     }
 
     /// One giant Coflow behind a stream of small ones: its plan runs

@@ -361,28 +361,3 @@ fn a_coflow_the_guard_finishes_leaves_no_circuit_behind() {
         }
     }
 }
-
-/// Snapshot/restore mid-run must preserve the affected-set bookkeeping
-/// (footprints, last re-plan clock): the restored scoped stepper finishes
-/// exactly like the uninterrupted one.
-#[test]
-fn scoped_snapshot_restore_continues_identically() {
-    let coflows = workload(0x77, 20, 8, 2_000);
-    let f = fabric(8);
-    let mut a = OnlineStepper::new(&f, &OnlineConfig::default());
-    for c in &coflows {
-        a.submit(c.clone()).expect("submit");
-    }
-    a.run_until(Time::from_millis(700), &ShortestFirst);
-    let snap = a.snapshot();
-    let mut b = OnlineStepper::restore(&snap);
-    a.run_to_idle(&ShortestFirst);
-    b.run_to_idle(&ShortestFirst);
-    let key = |mut v: Vec<ocs_sim::Completion>| {
-        v.sort_by_key(|c| c.outcome.coflow);
-        v.into_iter()
-            .map(|c| (c.outcome.coflow, c.outcome.finish, c.outcome.circuit_setups))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(key(a.drain_completions()), key(b.drain_completions()));
-}
