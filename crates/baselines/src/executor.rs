@@ -12,6 +12,11 @@
 //! * **All-stop** (the conventional model of prior work): every circuit
 //!   stops whenever anything is reconfigured.
 //!
+//! [`Switch`] is the executor, resumable at a limit (the aggregated replay
+//! of `ocs_sim::CircuitBackend` re-plans at every Coflow arrival);
+//! [`execute`] runs it to completion for the offline per-Coflow path.
+//! Both read the same per-circuit transmission [`Segment`]s.
+//!
 //! With `early_advance` enabled the executor moves to the next assignment
 //! as soon as every circuit of the current one has gone idle (no real
 //! demand left), mirroring the paper's account of Solstice execution
@@ -59,7 +64,135 @@ impl Default for ExecConfig {
     }
 }
 
-/// The result of executing a schedule.
+/// One transmission interval on one circuit: `(src, dst)` carried demand
+/// over `[tx_start, tx_end)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Segment {
+    /// Input port.
+    pub src: usize,
+    /// Output port.
+    pub dst: usize,
+    /// First instant of transmission.
+    pub tx_start: Time,
+    /// Instant transmission stopped.
+    pub tx_end: Time,
+}
+
+/// The physical switch an assignment sequence runs on: which circuit
+/// each input port holds, and how many circuits were ever set up (the
+/// switching count [`execute`] reports). It is resumable —
+/// [`Switch::run`] may stop at a limit, and a later call with a fresh
+/// plan continues from the circuits left standing.
+///
+/// This is the one place the assignment arithmetic lives: the stall,
+/// the ride-through of persistent circuits, early advance, all-stop and
+/// teardown. A circuit charged a setup is a circuit recorded, even when
+/// its window ends before it could transmit: a later assignment reusing
+/// it rides through, one replacing it pays `δ`. A setup the limit cuts
+/// short still completes — a plan reusing that circuit waits out the
+/// rest of its `δ` (and on the all-stop switch, so does every circuit).
+#[derive(Clone, Debug)]
+pub struct Switch {
+    delta: Dur,
+    cfg: ExecConfig,
+    /// Peer of each input port, and the instant that circuit is up.
+    cur: Vec<Option<(usize, Time)>>,
+    setups: u64,
+}
+
+impl Switch {
+    /// A switch of `ports` ports with no circuit up.
+    pub fn new(ports: usize, delta: Dur, cfg: ExecConfig) -> Switch {
+        Switch {
+            delta,
+            cfg,
+            cur: vec![None; ports],
+            setups: 0,
+        }
+    }
+
+    /// Execute `plan` against `remaining` from `t`, stopping at `limit`
+    /// or when the demand drains. Drains `remaining`, appends every
+    /// transmission to `segments` and returns the instant execution
+    /// stopped.
+    pub fn run(
+        &mut self,
+        plan: &[TimedAssignment],
+        remaining: &mut DemandMatrix,
+        mut t: Time,
+        limit: Time,
+        segments: &mut Vec<Segment>,
+    ) -> Time {
+        for ta in plan {
+            if remaining.is_zero() || t >= limit {
+                break;
+            }
+            let pairs = ta.assignment.pairs();
+
+            // A circuit persists if its port already holds it (`Some`: how
+            // long until it is up, should a limit have cut its setup
+            // short). Nothing changes iff every circuit up persists.
+            let persistent: Vec<Option<Dur>> = pairs
+                .iter()
+                .map(|&(i, j)| {
+                    self.cur[i]
+                        .filter(|c| c.0 == j)
+                        .map(|c| c.1.saturating_since(t))
+                })
+                .collect();
+            let changed_any =
+                persistent.contains(&None) || persistent.len() != self.cur.iter().flatten().count();
+            self.setups += persistent.iter().filter(|p| p.is_none()).count() as u64;
+
+            // Reconfiguration stall at the head of the window, until every
+            // circuit is up; a circuit transmits from `t + offset(k)`.
+            let pending = persistent
+                .iter()
+                .flatten()
+                .fold(Dur::ZERO, |a, &b| a.max(b));
+            let stall = pending.max(if changed_any { self.delta } else { Dur::ZERO });
+            let offset = |k: usize| match (self.cfg.switch, persistent[k]) {
+                (SwitchModel::NotAllStop, Some(up_in)) => up_in,
+                _ => stall,
+            };
+
+            // Effective transmission duration beyond the stall: with early
+            // advance, until the last circuit drains (an idle circuit needs
+            // nothing, as `offset(k) <= stall`).
+            let t_eff = if self.cfg.early_advance {
+                let needed = pairs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(i, j))| (offset(k) + remaining.get(i, j)).saturating_sub(stall));
+                needed.max().unwrap_or(Dur::ZERO).min(ta.duration)
+            } else {
+                ta.duration
+            };
+            let window_end = (t + stall + t_eff).min(limit);
+
+            // Circuits not in this assignment are torn down.
+            let mut next = vec![None; self.cur.len()];
+            for (k, &(i, j)) in pairs.iter().enumerate() {
+                let tx_start = t + offset(k);
+                next[i] = Some((j, tx_start));
+                let served = remaining.drain(i, j, window_end.saturating_since(tx_start));
+                if served > Dur::ZERO {
+                    segments.push(Segment {
+                        src: i,
+                        dst: j,
+                        tx_start,
+                        tx_end: tx_start + served,
+                    });
+                }
+            }
+            self.cur = next;
+            t = window_end;
+        }
+        t
+    }
+}
+
+/// The result of executing a schedule to completion.
 #[derive(Clone, Debug)]
 pub struct ExecResult {
     /// When the last demand entry drained.
@@ -69,11 +202,12 @@ pub struct ExecResult {
     /// Total circuit establishments paid (the switching count of
     /// Figure 5, including circuits configured for dummy demand).
     pub circuit_setups: u64,
-    /// The executed assignment windows as `(start, end)` instants.
-    pub windows: Vec<(Time, Time)>,
+    /// Every transmission performed, in window order.
+    pub segments: Vec<Segment>,
 }
 
-/// Execute `assignments` against `demand` starting at `start`.
+/// Execute `assignments` against `demand` starting at `start`, on a
+/// switch with no circuit up, until the demand drains.
 ///
 /// # Panics
 /// Panics if the assignment sequence fails to drain all demand — the
@@ -87,99 +221,23 @@ pub fn execute(
     start: Time,
 ) -> ExecResult {
     let mut remaining = demand.clone();
-    let mut entry_finish: HashMap<(usize, usize), Time> = HashMap::new();
-    let mut finish = start;
-    let mut setups = 0u64;
-    let mut windows = Vec::new();
-
-    // Current configuration: peer of each input port.
-    let mut cur: Vec<Option<usize>> = vec![None; demand.n()];
-    let mut t = start;
-
-    for ta in assignments {
-        if remaining.is_zero() {
-            break;
-        }
-        let pairs = ta.assignment.pairs();
-
-        // Which circuits change, and does anything change at all?
-        let persistent: Vec<bool> = pairs.iter().map(|&(i, j)| cur[i] == Some(j)).collect();
-        let changed_any = persistent.iter().any(|&p| !p)
-            || cur
-                .iter()
-                .enumerate()
-                .any(|(i, c)| c.is_some() && !pairs.iter().any(|&(pi, _)| pi == i));
-        setups += persistent.iter().filter(|&&p| !p).count() as u64;
-
-        // Reconfiguration stall at the head of the window.
-        let stall = if changed_any { delta } else { Dur::ZERO };
-
-        // Per-circuit transmit start offset from the window start.
-        let offsets: Vec<Dur> = persistent
-            .iter()
-            .map(|&p| match (cfg.switch, p) {
-                (SwitchModel::NotAllStop, true) => Dur::ZERO,
-                _ => stall,
-            })
-            .collect();
-
-        // Effective transmission duration beyond the stall.
-        let t_eff = if cfg.early_advance {
-            let mut needed = Dur::ZERO;
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                let rem = remaining.get(i, j);
-                if rem > Dur::ZERO {
-                    // Circuit k finishes its remaining demand at
-                    // offsets[k] + rem (window-relative); the window must
-                    // extend stall + t_eff to cover it, capped at nominal.
-                    needed = needed.max((offsets[k] + rem).saturating_sub(stall));
-                }
-            }
-            needed.min(ta.duration)
-        } else {
-            ta.duration
-        };
-
-        let window_end = t + stall + t_eff;
-
-        // Serve each circuit within the window.
-        for (k, &(i, j)) in pairs.iter().enumerate() {
-            let tx_start = t + offsets[k];
-            if window_end <= tx_start {
-                continue;
-            }
-            let capacity = window_end.since(tx_start);
-            let before = remaining.get(i, j);
-            let served = remaining.drain(i, j, capacity);
-            if before > Dur::ZERO && served == before {
-                let done_at = tx_start + before;
-                entry_finish.insert((i, j), done_at);
-                finish = finish.max(done_at);
-            }
-            cur[i] = Some(j);
-        }
-        // Tear down circuits not in this assignment.
-        for (i, c) in cur.iter_mut().enumerate() {
-            if c.is_some() && !pairs.iter().any(|&(pi, _)| pi == i) {
-                *c = None;
-            }
-        }
-
-        windows.push((t, window_end));
-        t = window_end;
-    }
-
+    let mut switch = Switch::new(demand.n(), delta, cfg);
+    let mut segments = Vec::new();
+    switch.run(assignments, &mut remaining, start, Time::MAX, &mut segments);
     assert!(
         remaining.is_zero(),
         "assignment sequence failed to drain {} entries (scheduler bug)",
         remaining.num_nonzero()
     );
-
     ExecResult {
-        finish,
-        entry_finish,
-        circuit_setups: setups,
-        windows,
+        finish: segments.iter().map(|s| s.tx_end).fold(start, Time::max),
+        // An entry drains at the end of its last segment.
+        entry_finish: segments
+            .iter()
+            .map(|s| ((s.src, s.dst), s.tx_end))
+            .collect(),
+        circuit_setups: switch.setups,
+        segments,
     }
 }
 
@@ -233,7 +291,21 @@ mod tests {
         assert_eq!(r.circuit_setups, 4);
         assert_eq!(r.entry_finish[&(0, 0)], tms(18));
         assert_eq!(r.entry_finish[&(0, 1)], tms(32));
-        assert_eq!(r.windows, vec![(tms(0), tms(18)), (tms(18), tms(32))]);
+        let seg = |src, dst, a, b| Segment {
+            src,
+            dst,
+            tx_start: tms(a),
+            tx_end: tms(b),
+        };
+        assert_eq!(
+            r.segments,
+            vec![
+                seg(0, 0, 10, 18),
+                seg(1, 1, 10, 18),
+                seg(0, 1, 28, 32),
+                seg(1, 0, 28, 32)
+            ]
+        );
     }
 
     #[test]
@@ -299,7 +371,7 @@ mod tests {
         }];
         let r = execute(&schedule, &d, ms(10), ExecConfig::default(), Time::ZERO);
         assert_eq!(r.finish, tms(12));
-        assert_eq!(r.windows[0].1, tms(12));
+        assert_eq!(r.segments[0].tx_end, tms(12));
     }
 
     #[test]
@@ -345,6 +417,89 @@ mod tests {
         // 10 stall + 10 + 10 with no second stall.
         assert_eq!(r.finish, tms(30));
         assert_eq!(r.circuit_setups, 1);
+    }
+
+    #[test]
+    fn a_circuit_set_up_without_transmitting_replaces_the_old_one() {
+        // (0,0) runs its full slot with demand left; (0,1)+(1,0) then
+        // carries nothing but still replaces both circuits; when (0,0)
+        // comes back it is a new circuit and pays δ again.
+        let mut d = DemandMatrix::zero(2);
+        d.set(0, 0, ms(20));
+        d.set(1, 1, ms(5));
+        let schedule = vec![
+            TimedAssignment {
+                assignment: Assignment::new(vec![(0, 0), (1, 1)]),
+                duration: ms(10),
+            },
+            TimedAssignment {
+                assignment: Assignment::new(vec![(0, 1), (1, 0)]),
+                duration: ms(5),
+            },
+            TimedAssignment {
+                assignment: Assignment::new(vec![(0, 0)]),
+                duration: ms(10),
+            },
+        ];
+        let r = execute(&schedule, &d, ms(10), ExecConfig::default(), Time::ZERO);
+        // Window 1: [0, 20), (0,0) serves 10 of 20. Window 2: stall only,
+        // [20, 30). Window 3: stall to 40, the last 10 of (0,0) to 50.
+        assert_eq!(r.entry_finish[&(0, 0)], tms(50));
+        assert_eq!(r.circuit_setups, 5);
+    }
+
+    #[test]
+    fn a_run_stopped_at_a_limit_resumes_on_the_circuits_left_up() {
+        let mut d = DemandMatrix::zero(2);
+        d.set(0, 0, ms(20));
+        let plan = vec![TimedAssignment {
+            assignment: Assignment::new(vec![(0, 0)]),
+            duration: ms(20),
+        }];
+        let mut switch = Switch::new(2, ms(10), ExecConfig::default());
+        let mut segments = Vec::new();
+        let stop = switch.run(&plan, &mut d, Time::ZERO, tms(15), &mut segments);
+        assert_eq!(stop, tms(15));
+        assert_eq!(d.get(0, 0), ms(15));
+        // Re-planned from the limit: (0,0) is still up, so no stall.
+        let stop = switch.run(&plan, &mut d, stop, Time::MAX, &mut segments);
+        assert_eq!(stop, tms(30));
+        assert!(d.is_zero());
+        assert_eq!(switch.setups, 1);
+        assert_eq!(segments[1].tx_start, tms(15));
+    }
+
+    #[test]
+    fn a_setup_cut_short_by_the_limit_completes_before_the_circuit_transmits() {
+        for switch in [SwitchModel::NotAllStop, SwitchModel::AllStop] {
+            let mut d = DemandMatrix::zero(2);
+            d.set(0, 0, ms(20));
+            let plan = vec![TimedAssignment {
+                assignment: Assignment::new(vec![(0, 0)]),
+                duration: ms(20),
+            }];
+            let cfg = ExecConfig {
+                switch,
+                early_advance: true,
+            };
+            let mut sw = Switch::new(2, ms(10), cfg);
+            let mut segments = Vec::new();
+            // Stopped 5 ms into the 10 ms setup: nothing transmitted.
+            let stop = sw.run(&plan, &mut d, Time::ZERO, tms(5), &mut segments);
+            assert_eq!(stop, tms(5));
+            assert!(segments.is_empty());
+            // Re-planned at 5: the circuit is the one being set up, so it
+            // pays no second setup but waits out the first until 10.
+            sw.run(&plan, &mut d, stop, Time::MAX, &mut segments);
+            let seg = Segment {
+                src: 0,
+                dst: 0,
+                tx_start: tms(10),
+                tx_end: tms(30),
+            };
+            assert_eq!(segments, vec![seg], "{switch:?}");
+            assert_eq!(sw.setups, 1);
+        }
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! * [`executor`] — plays any assignment sequence on the switch under
 //!   either the **all-stop** or the accurate **not-all-stop** model, and
 //!   counts circuit establishments (the switching count of Figure 5).
+//!   Its resumable [`Switch`] is the one executor: the offline service
+//!   path and the aggregated replay in `ocs-sim` both run it, on demand
+//!   shrunk to its active ports by [`compact`].
 //!
 //! All of them consume a single demand matrix: when multiple Coflows
 //! compete they must be aggregated into one generic demand, losing the
@@ -28,7 +31,9 @@ pub mod solstice;
 pub mod tms;
 
 pub use edmond::{edmond_schedule, DEFAULT_SLOT};
-pub use executor::{execute, ExecConfig, ExecResult, SwitchModel, TimedAssignment};
-pub use sched::CircuitScheduler;
+pub use executor::{
+    execute, ExecConfig, ExecResult, Segment, Switch, SwitchModel, TimedAssignment,
+};
+pub use sched::{compact, CircuitScheduler, Compacted};
 pub use solstice::solstice_schedule;
 pub use tms::tms_schedule;

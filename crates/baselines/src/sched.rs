@@ -7,6 +7,7 @@ use crate::executor::{execute, ExecConfig, SwitchModel, TimedAssignment};
 use crate::solstice::solstice_schedule;
 use crate::tms::tms_schedule;
 use ocs_model::{Coflow, DemandMatrix, Dur, Fabric, ScheduleOutcome, Time};
+use std::collections::BTreeSet;
 
 /// The circuit-scheduling baselines of §3.1.1 / §5.2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,12 +67,9 @@ impl CircuitScheduler {
     /// Like [`CircuitScheduler::service_coflow`] with an explicit
     /// execution config (used by the all-stop ablation).
     ///
-    /// The demand matrix is first *compacted* to the Coflow's active
-    /// ports (padded square): stuffing and decomposition then only ever
-    /// configure circuits among ports the Coflow actually touches, which
-    /// is what the paper's Figure 1b depicts for Solstice. Without
-    /// compaction, QuickStuff on a 150-port fabric would flood the other
-    /// ~146 idle ports with dummy demand.
+    /// The demand matrix is first [`compact`]ed to the Coflow's active
+    /// ports, and the plan executes in compact space — padding circuits
+    /// included.
     pub fn service_coflow_with(
         &self,
         coflow: &Coflow,
@@ -80,39 +78,19 @@ impl CircuitScheduler {
         cfg: ExecConfig,
     ) -> ScheduleOutcome {
         assert!(fabric.fits(coflow), "coflow exceeds fabric ports");
-        // Compact index maps for the active ports.
-        let mut srcs: Vec<usize> = coflow.flows().iter().map(|f| f.src).collect();
-        srcs.sort_unstable();
-        srcs.dedup();
-        let mut dsts: Vec<usize> = coflow.flows().iter().map(|f| f.dst).collect();
-        dsts.sort_unstable();
-        dsts.dedup();
-        let k = srcs.len().max(dsts.len());
-        let src_of: std::collections::HashMap<usize, usize> =
-            srcs.iter().enumerate().map(|(c, &p)| (p, c)).collect();
-        let dst_of: std::collections::HashMap<usize, usize> =
-            dsts.iter().enumerate().map(|(c, &p)| (p, c)).collect();
-
-        let mut demand = DemandMatrix::zero(k);
-        for f in coflow.flows() {
-            demand.add(
-                src_of[&f.src],
-                dst_of[&f.dst],
-                fabric.processing_time(f.bytes),
-            );
-        }
-
-        let schedule = self.schedule(&demand);
-        let r = execute(&schedule, &demand, fabric.delta(), cfg, start);
+        let c = compact(
+            coflow
+                .flows()
+                .iter()
+                .map(|f| (f.src, f.dst, fabric.processing_time(f.bytes))),
+        );
+        let schedule = self.schedule(&c.demand);
+        let r = execute(&schedule, &c.demand, fabric.delta(), cfg, start);
 
         let flow_finish: Vec<Time> = coflow
             .flows()
             .iter()
-            .map(|f| {
-                *r.entry_finish
-                    .get(&(src_of[&f.src], dst_of[&f.dst]))
-                    .expect("executed schedule covers every flow")
-            })
+            .map(|f| r.entry_finish[&(index(&c.srcs, f.src), index(&c.dsts, f.dst))])
             .collect();
         ScheduleOutcome {
             coflow: coflow.id(),
@@ -122,6 +100,57 @@ impl CircuitScheduler {
             circuit_setups: r.circuit_setups,
         }
     }
+}
+
+/// Demand compacted to its active ports: row `r` of `demand` is real
+/// input port `srcs[r]`, column `c` is real output port `dsts[c]`. The
+/// matrix is square, `max(|srcs|, |dsts|)` wide, so the shorter side has
+/// padding rows or columns that map to no real port.
+///
+/// Stuffing and decomposition then only ever configure circuits among
+/// ports the demand touches, which is what the paper's Figure 1b
+/// depicts for Solstice; without compaction, QuickStuff on a 150-port
+/// fabric would flood the ~146 idle ports with dummy demand.
+///
+/// The two callers differ in one thing, the padding circuits. The
+/// offline service path ([`CircuitScheduler::service_coflow_with`])
+/// executes the plan in compact space, so padding circuits are set up
+/// and counted — Figure 5's switching count includes dummy circuits.
+/// The aggregated replay (`ocs_sim::CircuitBackend`) translates the
+/// plan back to real ports and drops them, as they map to no port.
+#[derive(Clone, Debug)]
+pub struct Compacted {
+    /// Real input port of each row, ascending.
+    pub srcs: Vec<usize>,
+    /// Real output port of each column, ascending.
+    pub dsts: Vec<usize>,
+    /// The compacted square demand matrix.
+    pub demand: DemandMatrix,
+}
+
+/// Compact the demand entries `(src, dst, p)` to their active ports;
+/// entries on the same circuit add up.
+///
+/// # Panics
+/// Panics if `entries` is empty.
+pub fn compact(entries: impl Iterator<Item = (usize, usize, Dur)>) -> Compacted {
+    let entries: Vec<(usize, usize, Dur)> = entries.collect();
+    let srcs: BTreeSet<usize> = entries.iter().map(|e| e.0).collect();
+    let dsts: BTreeSet<usize> = entries.iter().map(|e| e.1).collect();
+    let mut c = Compacted {
+        demand: DemandMatrix::zero(srcs.len().max(dsts.len())),
+        srcs: srcs.into_iter().collect(),
+        dsts: dsts.into_iter().collect(),
+    };
+    for (i, j, p) in entries {
+        c.demand.add(index(&c.srcs, i), index(&c.dsts, j), p);
+    }
+    c
+}
+
+/// The compact index of real port `p` in `ports` (`srcs` or `dsts`).
+fn index(ports: &[usize], p: usize) -> usize {
+    ports.binary_search(&p).expect("port carries demand")
 }
 
 #[cfg(test)]

@@ -118,22 +118,23 @@ proptest! {
     }
 
     /// Raw executor conservation: a hand-fed square demand matrix is
-    /// drained exactly once (entry finishes are within the executed
-    /// window span).
+    /// drained exactly once — each entry's segments add up to its demand
+    /// and the last of them ends at its reported finish.
     #[test]
-    fn executor_reports_consistent_windows(coflow in arb_coflow(), fabric in arb_fabric()) {
+    fn executor_reports_consistent_segments(coflow in arb_coflow(), fabric in arb_fabric()) {
         let demand = DemandMatrix::from_coflow(&coflow, &fabric);
         let plan = CircuitScheduler::Solstice.schedule(&demand);
         let r = execute(&plan, &demand, fabric.delta(), ExecConfig::default(), Time::ZERO);
         prop_assert_eq!(r.entry_finish.len(), demand.num_nonzero());
-        if let Some(&(_, last_end)) = r.windows.last().as_ref() {
-            for (&_, &t) in &r.entry_finish {
-                prop_assert!(t <= *last_end);
+        for (i, j, p) in demand.nonzero() {
+            let segs: Vec<_> = r.segments.iter().filter(|s| (s.src, s.dst) == (i, j)).collect();
+            let served: Dur = segs.iter().map(|s| s.tx_end.since(s.tx_start)).sum();
+            prop_assert_eq!(served, p);
+            prop_assert_eq!(segs.last().map(|s| s.tx_end), Some(r.entry_finish[&(i, j)]));
+            // Segments on one circuit are ordered and disjoint.
+            for w in segs.windows(2) {
+                prop_assert!(w[0].tx_end <= w[1].tx_start);
             }
-        }
-        // Windows are contiguous and ordered.
-        for w in r.windows.windows(2) {
-            prop_assert_eq!(w[0].1, w[1].0);
         }
     }
 }

@@ -270,8 +270,3 @@ pub fn summary(reports: &[Report]) -> Report {
     }
     summary
 }
-
-/// Run all ablations into one report list.
-pub fn run_all() -> Vec<Report> {
-    run_all_measured().0
-}

@@ -82,11 +82,6 @@ pub fn run_settings_measured() -> (Vec<Setting>, SweepTiming) {
     (out, timing)
 }
 
-/// Run all settings; returns them alongside the report.
-pub fn run_settings() -> Vec<Setting> {
-    run_settings_measured().0
-}
-
 /// Run the experiment and produce the report plus its sweep timing.
 pub fn run_measured() -> (Report, SweepTiming) {
     let (settings, timing) = run_settings_measured();

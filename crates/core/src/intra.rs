@@ -15,10 +15,7 @@
 
 use crate::portset::PortSet;
 use crate::prt::{PortProbe, Prt, ResvKind};
-use ocs_model::{
-    circuit_lower_bound, packet_lower_bound, Coflow, Dur, Fabric, FlowRef, InPort, OutPort,
-    Reservation, Time,
-};
+use ocs_model::{Coflow, Dur, Fabric, FlowRef, InPort, OutPort, Reservation, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -807,16 +804,6 @@ impl<'f> IntraScheduler<'f> {
             self.config,
         );
         CoflowSchedule::new(coflow.id(), start, coflow.num_flows(), reservations)
-    }
-
-    /// Lemma 1 bound for `coflow`: `2 · T_cL`.
-    pub fn lemma1_bound(&self, coflow: &Coflow) -> Dur {
-        circuit_lower_bound(coflow, self.fabric) * 2
-    }
-
-    /// Lemma 2 reference: the packet-switched lower bound `T_pL`.
-    pub fn packet_bound(&self, coflow: &Coflow) -> Dur {
-        packet_lower_bound(coflow, self.fabric)
     }
 }
 

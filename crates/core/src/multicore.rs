@@ -70,11 +70,6 @@ impl CorePlan {
         self.shards.len()
     }
 
-    /// Ports per core, `N`.
-    pub fn ports_per_core(&self) -> usize {
-        self.ports
-    }
-
     /// The global port id of local `port` on `core`.
     pub fn global(&self, core: usize, port: usize) -> usize {
         debug_assert!(core < self.shards.len() && port < self.ports);
@@ -91,27 +86,10 @@ impl CorePlan {
         &self.shards[core]
     }
 
-    /// One core's shard (mutable — e.g. for history retirement).
-    pub fn shard_mut(&mut self, core: usize) -> &mut Prt {
-        &mut self.shards[core]
-    }
-
     /// Total reserved time on `core`, maintained incrementally as
     /// reservations are made.
     pub fn reserved_on(&self, core: usize) -> Dur {
         self.reserved[core]
-    }
-
-    /// The core with the least total reserved time (lowest index wins
-    /// ties).
-    pub fn least_loaded_core(&self) -> usize {
-        let mut best = 0;
-        for c in 1..self.reserved.len() {
-            if self.reserved[c] < self.reserved[best] {
-                best = c;
-            }
-        }
-        best
     }
 
     /// Retire reservations that ended at or before `cutoff` from every
@@ -548,7 +526,6 @@ mod tests {
         assert!(resv.iter().all(|r| r.start == Time::ZERO));
         assert_eq!(plan.reserved_on(0), plan.reserved_on(1));
         assert_eq!(plan.naive_reserved_on(0), plan.reserved_on(0));
-        assert_eq!(plan.least_loaded_core(), 0);
     }
 
     #[test]

@@ -463,12 +463,6 @@ impl Daemon {
         served.as_secs_f64() / (self.config.fabric.ports() as f64 * elapsed)
     }
 
-    /// One core's backend telemetry (`None` for single-switch backends
-    /// and out-of-range cores).
-    pub fn backend_core_status(&self, core: usize) -> Option<ocs_sim::CoreStatus> {
-        self.backend.core_status(core)
-    }
-
     /// Per-core status rows of a multi-core backend: empty for
     /// single-switch backends (`K = 1` and no core seam).
     fn core_rows(&self) -> Vec<(usize, ocs_sim::CoreStatus)> {
@@ -1145,9 +1139,16 @@ mod tests {
                 "core {core} reservation counter"
             );
         }
-        for core in 0..2 {
-            let st = daemon.backend_core_status(core).expect("core in range");
-            assert!(st.reservations_made > 0, "core {core} did work");
+        for core in ["0", "1"] {
+            let series = format!(
+                "ocs_daemon_core_reservations_total{{backend=\"Sunflow\",core=\"{core}\"}} "
+            );
+            let line = prom
+                .lines()
+                .find(|l| l.starts_with(&series))
+                .expect("series");
+            let made: u64 = line[series.len()..].trim().parse().expect("counter value");
+            assert!(made > 0, "core {core} did work");
         }
 
         // The single-switch daemon emits no core series at all.

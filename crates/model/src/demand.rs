@@ -103,14 +103,6 @@ impl DemandMatrix {
         Dur::from_ps((0..self.n).map(|i| self.data[i * self.n + j]).sum())
     }
 
-    /// The maximum port load: `max(max_i Σ_j p_ij, max_j Σ_i p_ij)`.
-    /// This equals the packet-switched CCT lower bound `T_pL` (Equation 2).
-    pub fn max_port_load(&self) -> Dur {
-        let rows = (0..self.n).map(|i| self.row_sum(i));
-        let cols = (0..self.n).map(|j| self.col_sum(j));
-        rows.chain(cols).max().unwrap_or(Dur::ZERO)
-    }
-
     /// Iterate over the non-zero entries as `(i, j, p_ij)`.
     pub fn nonzero(&self) -> impl Iterator<Item = (usize, usize, Dur)> + '_ {
         self.data.iter().enumerate().filter_map(move |(k, &v)| {
@@ -174,14 +166,13 @@ mod tests {
     }
 
     #[test]
-    fn sums_and_max_load() {
+    fn sums() {
         let mut m = DemandMatrix::zero(3);
         m.set(0, 0, Dur::from_millis(5));
         m.set(0, 1, Dur::from_millis(3));
         m.set(1, 1, Dur::from_millis(9));
         assert_eq!(m.row_sum(0), Dur::from_millis(8));
         assert_eq!(m.col_sum(1), Dur::from_millis(12));
-        assert_eq!(m.max_port_load(), Dur::from_millis(12));
         assert_eq!(m.total(), Dur::from_millis(17));
     }
 

@@ -14,8 +14,8 @@
 //! * [`SunflowBackend`] — Sunflow with a pluggable [`PriorityPolicy`],
 //!   wrapping [`OnlineStepper`] (§4–5).
 //! * [`CircuitBackend`] — the §3.2 aggregated-demand straw man over any
-//!   [`CircuitScheduler`] (Solstice / TMS / Edmond), on either switch
-//!   model of the assignment executor.
+//!   [`CircuitScheduler`] (Solstice / TMS / Edmond), executed by the
+//!   same [`Switch`] as the offline per-Coflow service path.
 //! * [`PacketBackend`] — the event-driven fluid packet simulation over
 //!   any [`RateScheduler`] (Varys / Aalo / fair sharing).
 //!
@@ -29,9 +29,11 @@
 use crate::arrivals::ArrivalQueue;
 use crate::online::{OnlineConfig, ReplayStats};
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
-use ocs_baselines::{CircuitScheduler, ExecConfig, SwitchModel, TimedAssignment};
+use ocs_baselines::{compact, CircuitScheduler, Segment, Switch};
 use ocs_model::KCoreFabric;
-use ocs_model::{Coflow, DemandMatrix, Dur, Fabric, FlowRef, Reservation, ScheduleOutcome, Time};
+use ocs_model::{
+    Assignment, Coflow, DemandMatrix, Dur, Fabric, FlowRef, Reservation, ScheduleOutcome, Time,
+};
 use ocs_packet::{Aalo, ActiveCoflow, FairSharing, RateScheduler, Varys};
 use std::collections::{HashMap, VecDeque};
 use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind, SunflowConfig};
@@ -53,8 +55,8 @@ pub trait SchedulingBackend {
     /// ("Sunflow", "Solstice", "Varys", ...).
     fn name(&self) -> &'static str;
 
-    /// The switch model this backend schedules for: `"not-all-stop"`,
-    /// `"all-stop"`, or `"packet"` (δ = 0).
+    /// The switch model this backend schedules for: `"not-all-stop"` or
+    /// `"packet"` (δ = 0).
     fn switch_model(&self) -> &'static str;
 
     /// The backend's virtual clock: all events up to here are processed.
@@ -239,15 +241,6 @@ impl SchedulingBackend for SunflowBackend<'_> {
 // Aggregated circuit baselines
 // ---------------------------------------------------------------------
 
-/// A contiguous transmission interval on one circuit.
-#[derive(Clone, Copy, Debug)]
-struct Segment {
-    src: usize,
-    dst: usize,
-    tx_start: Time,
-    tx_end: Time,
-}
-
 /// Per-Coflow bookkeeping of the aggregated replay.
 struct Tracked {
     id: u64,
@@ -275,7 +268,6 @@ type FifoQueue = VecDeque<(usize, usize, Dur)>;
 /// the observability the aggregation destroys.
 pub struct CircuitBackend {
     scheduler: CircuitScheduler,
-    exec: ExecConfig,
     fabric: Fabric,
     now: Time,
     arrivals: ArrivalQueue,
@@ -285,9 +277,8 @@ pub struct CircuitBackend {
     /// FIFO attribution queues per circuit:
     /// (tracked slot, flow index, remaining processing time).
     fifo: HashMap<(usize, usize), FifoQueue>,
-    /// Physical circuit configuration.
-    cur: Vec<Option<usize>>,
-    setups: u64,
+    /// The physical switch the plans execute on.
+    switch: Switch,
     active: usize,
     completions: Vec<Completion>,
 }
@@ -296,37 +287,19 @@ impl CircuitBackend {
     /// An aggregated-baseline backend for `scheduler` on `fabric`, under
     /// the scheduler's own execution config (not-all-stop switch).
     pub fn new(fabric: &Fabric, scheduler: CircuitScheduler) -> CircuitBackend {
-        CircuitBackend::with_exec(fabric, scheduler, scheduler.exec_config())
-    }
-
-    /// Like [`CircuitBackend::new`] with an explicit execution config
-    /// (the all-stop ablation sets `switch: SwitchModel::AllStop`).
-    pub fn with_exec(
-        fabric: &Fabric,
-        scheduler: CircuitScheduler,
-        exec: ExecConfig,
-    ) -> CircuitBackend {
         let n = fabric.ports();
         CircuitBackend {
             scheduler,
-            exec,
             fabric: *fabric,
             now: Time::ZERO,
             arrivals: ArrivalQueue::default(),
             tracked: Vec::new(),
             remaining: DemandMatrix::zero(n),
             fifo: HashMap::new(),
-            cur: vec![None; n],
-            setups: 0,
+            switch: Switch::new(n, fabric.delta(), scheduler.exec_config()),
             active: 0,
             completions: Vec::new(),
         }
-    }
-
-    /// Circuit establishments executed so far (aggregate; per-Coflow
-    /// attribution does not exist under aggregation).
-    pub fn circuit_setups(&self) -> u64 {
-        self.setups
     }
 
     /// Admit every pending Coflow whose arrival is at or before `now`.
@@ -393,62 +366,21 @@ impl CircuitBackend {
     fn execute_until(&mut self, limit: Time, hook: &mut dyn SettleHook) -> u64 {
         let mut rounds = 0u64;
         while !self.remaining.is_zero() && self.now < limit {
-            // Compact the aggregate to its active ports before planning —
-            // stuffing a mostly-idle 150-port matrix would flood the
-            // fabric with dummy demand (same compaction the per-Coflow
-            // service path applies). Assignments are translated back to
-            // real ports; circuits that exist purely for stuffing padding
-            // carry no real demand and are dropped from execution.
-            let mut srcs: Vec<usize> = Vec::new();
-            let mut dsts: Vec<usize> = Vec::new();
-            for (i, j, _) in self.remaining.nonzero() {
-                srcs.push(i);
-                dsts.push(j);
+            // Plan on the aggregate compacted to its active ports, then
+            // translate back to real ports: padding circuits map to no
+            // port and are dropped (see `Compacted`).
+            let c = compact(self.remaining.nonzero());
+            let mut plan = self.scheduler.schedule(&c.demand);
+            for ta in &mut plan {
+                let real = |&(i, j): &(usize, usize)| Some((*c.srcs.get(i)?, *c.dsts.get(j)?));
+                ta.assignment =
+                    Assignment::new(ta.assignment.pairs().iter().filter_map(real).collect());
             }
-            srcs.sort_unstable();
-            srcs.dedup();
-            dsts.sort_unstable();
-            dsts.dedup();
-            let kk = srcs.len().max(dsts.len());
-            let src_at = |c: usize| srcs.get(c).copied();
-            let dst_at = |c: usize| dsts.get(c).copied();
-            let mut compact = DemandMatrix::zero(kk);
-            for (ci, &i) in srcs.iter().enumerate() {
-                for (cj, &j) in dsts.iter().enumerate() {
-                    let p = self.remaining.get(i, j);
-                    if p > Dur::ZERO {
-                        compact.set(ci, cj, p);
-                    }
-                }
-            }
-            let plan: Vec<TimedAssignment> = self
-                .scheduler
-                .schedule(&compact)
-                .into_iter()
-                .map(|ta| TimedAssignment {
-                    assignment: ocs_model::Assignment::new(
-                        ta.assignment
-                            .pairs()
-                            .iter()
-                            .filter_map(|&(ci, cj)| Some((src_at(ci)?, dst_at(cj)?)))
-                            .collect(),
-                    ),
-                    duration: ta.duration,
-                })
-                .collect();
             let mut segments = Vec::new();
-            let stopped = run_plan(
-                &plan,
-                &mut self.remaining,
-                &mut self.cur,
-                self.fabric.delta(),
-                self.exec,
-                self.now,
-                limit,
-                &mut segments,
-                &mut self.setups,
-            );
-            self.apply_segments(&segments, hook);
+            let stopped =
+                self.switch
+                    .run(&plan, &mut self.remaining, self.now, limit, &mut segments);
+            self.apply_segments(segments, hook);
             assert!(
                 stopped > self.now || self.remaining.is_zero() || stopped >= limit,
                 "aggregate replay failed to progress at {}",
@@ -464,8 +396,7 @@ impl CircuitBackend {
     /// consulting `hook` once per settled chunk. A shorted chunk keeps
     /// the shortfall on the flow's queue entry and restores it to the
     /// aggregate demand, to be re-planned in a later round.
-    fn apply_segments(&mut self, segments: &[Segment], hook: &mut dyn SettleHook) {
-        let mut segs = segments.to_vec();
+    fn apply_segments(&mut self, mut segs: Vec<Segment>, hook: &mut dyn SettleHook) {
         segs.sort_by_key(|s| (s.tx_start, s.src, s.dst));
         for s in segs {
             let mut done_slots: Vec<usize> = Vec::new();
@@ -520,96 +451,13 @@ impl CircuitBackend {
     }
 }
 
-/// Execute `plan` against `remaining` from `t`, stopping at `limit` (or
-/// when the demand drains). Updates `remaining` and the physical circuit
-/// configuration `cur`; returns the transmission segments performed and
-/// the instant execution stopped.
-///
-/// Under [`SwitchModel::NotAllStop`], circuits persisting across a
-/// reconfiguration transmit through the stall; under
-/// [`SwitchModel::AllStop`] every circuit waits out the stall.
-#[allow(clippy::too_many_arguments)]
-fn run_plan(
-    plan: &[TimedAssignment],
-    remaining: &mut DemandMatrix,
-    cur: &mut [Option<usize>],
-    delta: Dur,
-    cfg: ExecConfig,
-    mut t: Time,
-    limit: Time,
-    segments: &mut Vec<Segment>,
-    setups: &mut u64,
-) -> Time {
-    for ta in plan {
-        if remaining.is_zero() || t >= limit {
-            break;
-        }
-        let pairs = ta.assignment.pairs();
-        let persistent: Vec<bool> = pairs.iter().map(|&(i, j)| cur[i] == Some(j)).collect();
-        let changed_any = persistent.iter().any(|&p| !p)
-            || cur
-                .iter()
-                .enumerate()
-                .any(|(i, c)| c.is_some() && !pairs.iter().any(|&(pi, _)| pi == i));
-        *setups += persistent.iter().filter(|&&p| !p).count() as u64;
-        let stall = if changed_any { delta } else { Dur::ZERO };
-        let rides_through = |k: usize| persistent[k] && cfg.switch == SwitchModel::NotAllStop;
-
-        // Effective transmit duration beyond the stall.
-        let t_eff = if cfg.early_advance {
-            let mut needed = Dur::ZERO;
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                let rem = remaining.get(i, j);
-                if rem > Dur::ZERO {
-                    let offset = if rides_through(k) { Dur::ZERO } else { stall };
-                    needed = needed.max((offset + rem).saturating_sub(stall));
-                }
-            }
-            needed.min(ta.duration)
-        } else {
-            ta.duration
-        };
-        let window_end = (t + stall + t_eff).min(limit);
-
-        for (k, &(i, j)) in pairs.iter().enumerate() {
-            let tx_start = t + if rides_through(k) { Dur::ZERO } else { stall };
-            cur[i] = Some(j);
-            if window_end <= tx_start {
-                continue;
-            }
-            let served = remaining.drain(i, j, window_end.since(tx_start));
-            if served > Dur::ZERO {
-                segments.push(Segment {
-                    src: i,
-                    dst: j,
-                    tx_start,
-                    tx_end: tx_start + served,
-                });
-            }
-        }
-        for (i, c) in cur.iter_mut().enumerate() {
-            if c.is_some() && !pairs.iter().any(|&(pi, _)| pi == i) {
-                *c = None;
-            }
-        }
-        t = window_end;
-        if t >= limit {
-            break;
-        }
-    }
-    t
-}
-
 impl SchedulingBackend for CircuitBackend {
     fn name(&self) -> &'static str {
         self.scheduler.name()
     }
 
     fn switch_model(&self) -> &'static str {
-        match self.exec.switch {
-            SwitchModel::NotAllStop => "not-all-stop",
-            SwitchModel::AllStop => "all-stop",
-        }
+        "not-all-stop"
     }
 
     fn now(&self) -> Time {

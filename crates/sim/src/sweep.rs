@@ -68,14 +68,6 @@ pub struct SweepResult<T> {
     pub threads: usize,
 }
 
-impl<T> SweepResult<T> {
-    /// Sum of the per-run wall-clock durations — what a sequential
-    /// execution would have cost, modulo cache effects.
-    pub fn serial_wall(&self) -> Duration {
-        self.runs.iter().map(|r| r.wall).sum()
-    }
-}
-
 /// A set of labelled, independent jobs to execute. See the module docs.
 pub struct Sweep<'a, T> {
     jobs: Vec<Job<'a, T>>,
@@ -321,7 +313,6 @@ mod tests {
         let result = sweep.run_sequential();
         assert_eq!(result.runs[0].compute, Some(Duration::from_millis(5)));
         assert_eq!(result.runs[1].compute, None);
-        assert!(result.serial_wall() <= result.wall);
     }
 
     #[test]
