@@ -82,11 +82,18 @@ pub fn fingerprint(outcomes: &[ScheduleOutcome]) -> u64 {
     h
 }
 
+/// [`fingerprint`] of `outcomes`, then every value of `extra`.
+pub fn fingerprint_with(outcomes: &[ScheduleOutcome], extra: &[u64]) -> u64 {
+    let mut h = fingerprint(outcomes);
+    for &v in extra {
+        eat(&mut h, v);
+    }
+    h
+}
+
 /// [`fingerprint`] of a replay's outcomes, then its guard-window count.
 pub fn fingerprint_replay(r: &ReplayResult) -> u64 {
-    let mut h = fingerprint(&r.outcomes);
-    eat(&mut h, r.guard_windows);
-    h
+    fingerprint_with(&r.outcomes, &[r.guard_windows])
 }
 
 /// `outcomes` sorted into the order `coflows` lists their ids.
