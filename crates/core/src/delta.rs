@@ -27,9 +27,9 @@
 //!    so the non-overlap assertions in [`Prt::reserve`] re-validate the
 //!    plan against the live table;
 //! 3. after `apply`, the table is byte-identical to what
-//!    truncate-then-rebuild would have produced (pinned by the
-//!    [`DeltaPlan::naive_apply`] twin and the `delta_replan_equivalence`
-//!    property test).
+//!    truncate-then-rebuild would have produced (pinned by this module's
+//!    remove-everything-then-replay test and the
+//!    `delta_replan_equivalence` property test).
 
 use crate::intra::PlanTable;
 use crate::prt::{Entry, PortProbe, Prt, RemovedResv, ResvKind};
@@ -318,8 +318,8 @@ impl PlanTable for DeltaView<'_> {
 }
 
 /// The closed-out diff of one planning round: which hidden reservations
-/// survived (confirmed), which are stale, and which are fresh — plus the
-/// full creation-order log for the naive twin.
+/// survived (confirmed), which are stale, and which are fresh, in
+/// creation order.
 #[derive(Clone, Debug)]
 pub struct DeltaPlan {
     /// The hidden base reservations, tagged `true` when confirmed.
@@ -376,26 +376,6 @@ impl DeltaPlan {
             }
         }
     }
-
-    /// Reference implementation of [`DeltaPlan::apply`] (the `naive_*`
-    /// twin pattern, see [`Prt::naive_in_free_at`]): remove *every*
-    /// masked reservation — confirmed ones included — then re-make the
-    /// full plan in creation order, exactly as truncate-then-rebuild
-    /// would. The resulting table must answer every query identically to
-    /// [`DeltaPlan::apply`]'s.
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_apply(&self, prt: &mut Prt, removed: &mut Vec<RemovedResv>) {
-        for (r, confirmed) in &self.mask {
-            let rem = prt.remove_reservation(r.src, r.start);
-            if !confirmed {
-                removed.push(rem);
-            }
-        }
-        for (r, _) in &self.log {
-            prt.reserve(r.src, r.dst, r.start, r.end, ResvKind::Flow(r.flow));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -418,6 +398,21 @@ mod tests {
             dst,
             flow_idx,
             remaining: d(rem),
+        }
+    }
+
+    /// The reference for [`DeltaPlan::apply`]: remove *every* masked
+    /// reservation — confirmed ones included — then re-make the full
+    /// plan in creation order, exactly as truncate-then-rebuild would.
+    fn naive_apply(plan: &DeltaPlan, prt: &mut Prt, removed: &mut Vec<RemovedResv>) {
+        for (r, confirmed) in &plan.mask {
+            let rem = prt.remove_reservation(r.src, r.start);
+            if !confirmed {
+                removed.push(rem);
+            }
+        }
+        for (r, _) in &plan.log {
+            prt.reserve(r.src, r.dst, r.start, r.end, ResvKind::Flow(r.flow));
         }
     }
 
@@ -519,7 +514,7 @@ mod tests {
         let mut removed_fast = Vec::new();
         let mut removed_naive = Vec::new();
         plan.apply(&mut fast, &mut removed_fast);
-        plan.naive_apply(&mut naive, &mut removed_naive);
+        naive_apply(&plan, &mut naive, &mut removed_naive);
         assert_eq!(fast.snapshot(), naive.snapshot());
         assert_eq!(removed_fast, removed_naive);
     }

@@ -115,21 +115,24 @@ fn xorshift64star(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545F4914F6CDD1D)
 }
 
-fn order_demands(demands: &mut [Demand], order: FlowOrder) {
-    match order {
-        FlowOrder::OrderedPort => {
-            demands.sort_by_key(|d| (d.src, d.dst));
-        }
-        FlowOrder::SortedDemand => {
-            demands.sort_by(|a, b| b.remaining.cmp(&a.remaining).then(a.src.cmp(&b.src)));
-        }
-        FlowOrder::Random { seed } => {
-            // Fisher–Yates with a fixed seed (never zero, which would be
-            // a fixed point of xorshift).
-            let mut s = seed | 1;
-            for i in (1..demands.len()).rev() {
-                let j = (xorshift64star(&mut s) % (i as u64 + 1)) as usize;
-                demands.swap(i, j);
+impl FlowOrder {
+    /// Permute `demands` into this consideration order.
+    pub fn apply(self, demands: &mut [Demand]) {
+        match self {
+            FlowOrder::OrderedPort => {
+                demands.sort_by_key(|d| (d.src, d.dst));
+            }
+            FlowOrder::SortedDemand => {
+                demands.sort_by(|a, b| b.remaining.cmp(&a.remaining).then(a.src.cmp(&b.src)));
+            }
+            FlowOrder::Random { seed } => {
+                // Fisher–Yates with a fixed seed (never zero, which would
+                // be a fixed point of xorshift).
+                let mut s = seed | 1;
+                for i in (1..demands.len()).rev() {
+                    let j = (xorshift64star(&mut s) % (i as u64 + 1)) as usize;
+                    demands.swap(i, j);
+                }
             }
         }
     }
@@ -172,10 +175,9 @@ fn no_release_message(coflow_id: u64, t: Time, pending: usize) -> String {
 /// ([`crate::delta`]) implements the same surface over a *read-only*
 /// base table plus a mask-and-overlay diff, which is how the delta
 /// re-planner computes a new plan against the old one without mutating
-/// the shared table until the diff is applied; [`crate::CorePlan`] routes
-/// each port to one of `K` shards. The planner core is generic (and
-/// monomorphized) over this trait, so every path runs the identical loop
-/// and produces byte-identical reservations.
+/// the shared table until the diff is applied. The planner core is
+/// generic (and monomorphized) over this trait, so every path runs the
+/// identical loop and produces byte-identical reservations.
 ///
 /// A port's state at an instant is one fused [`PortProbe`] — freeness,
 /// next start and next release resolved from a single lookup position.
@@ -317,13 +319,14 @@ pub fn schedule_demands(
 /// of a gap shorter than `δ`, or its own truncated reservation's end —
 /// and `t` advances straight to the earliest subscription. Each pass
 /// then re-examines only the demands waking exactly at the new `t`.
-/// Releases the naive loop would have visited in between are provably
-/// no-ops — mid-call the table only *gains* reservations of this Coflow,
-/// so a demand's state cannot improve before its subscribed instant —
-/// and same-instant wakes are scanned in pending order, so the
-/// reservations produced are byte-identical to the naive
-/// rescan-everything loop's (same order, same starts, same ends), at
-/// O(wakes × log) instead of O(global releases × pending demands).
+/// Releases a rescan-everything loop would have visited in between are
+/// provably no-ops — mid-call the table only *gains* reservations of
+/// this Coflow, so a demand's state cannot improve before its subscribed
+/// instant — and same-instant wakes are scanned in pending order, so the
+/// reservations produced are byte-identical to that loop's (same order,
+/// same starts, same ends; the reference loop lives in this crate's
+/// `port_scoped_equivalence` tests), at O(wakes × log) instead of
+/// O(global releases × pending demands).
 pub fn schedule_demands_counted(
     prt: &mut Prt,
     coflow_id: u64,
@@ -374,7 +377,7 @@ pub fn schedule_demands_on<T: PlanTable>(
             }),
     );
     let pending = &mut scratch.pending;
-    order_demands(pending, config.order);
+    config.order.apply(pending);
 
     let mut counters = ScheduleCounters::default();
     let mut made = Vec::new();
@@ -544,7 +547,7 @@ pub fn schedule_demands_on<T: PlanTable>(
             }
         }
         counters.releases_visited += 1;
-        // Ascending index order matches the naive loop's scan order.
+        // Ascending index order matches the rescan loop's scan order.
         candidates.sort_unstable();
     }
     (made, counters)
@@ -584,78 +587,6 @@ fn wake_token(
             candidates.extend(parked_out[p].drain(..).map(|i| i as usize));
         }
     }
-}
-
-/// Reference implementation of [`schedule_demands`]: the original
-/// rescan-everything loop, advancing `t` through *global* releases and
-/// re-examining every pending demand at each one. Kept (per the
-/// `naive_*` twin pattern) for the equivalence property tests and the
-/// `intra_schedule` micro-benchmark; compiled only under the
-/// `naive-twins` feature (or `cfg(test)`).
-#[cfg(any(test, feature = "naive-twins"))]
-#[doc(hidden)]
-pub fn naive_schedule_demands(
-    prt: &mut Prt,
-    coflow_id: u64,
-    demands: &[Demand],
-    start: Time,
-    delta: Dur,
-    config: SunflowConfig,
-) -> Vec<Reservation> {
-    let mut pending: Vec<Demand> = demands
-        .iter()
-        .copied()
-        .filter(|d| d.remaining > Dur::ZERO)
-        .map(|d| Demand {
-            remaining: config.quantize(d.remaining),
-            ..d
-        })
-        .collect();
-    order_demands(&mut pending, config.order);
-
-    let mut made = Vec::new();
-    let mut t = start;
-
-    while !pending.is_empty() {
-        for d in pending.iter_mut() {
-            if !(prt.in_free_at(d.src, t) && prt.out_free_at(d.dst, t)) {
-                continue;
-            }
-            let tm = prt
-                .in_next_start_after(d.src, t)
-                .min(prt.out_next_start_after(d.dst, t));
-            let lm = if tm == Time::MAX {
-                Dur::MAX
-            } else {
-                tm.since(t)
-            };
-            let ld = delta + d.remaining;
-            let l = if lm < delta { Dur::ZERO } else { lm.min(ld) };
-            if l > Dur::ZERO {
-                let flow = FlowRef {
-                    coflow: coflow_id,
-                    flow_idx: d.flow_idx,
-                };
-                prt.reserve(d.src, d.dst, t, t + l, ResvKind::Flow(flow));
-                made.push(Reservation {
-                    src: d.src,
-                    dst: d.dst,
-                    start: t,
-                    end: t + l,
-                    flow,
-                });
-                d.remaining = ld - l;
-            }
-        }
-        pending.retain(|d| d.remaining > Dur::ZERO);
-        if pending.is_empty() {
-            break;
-        }
-        t = prt
-            .next_release_after(t)
-            .unwrap_or_else(|| panic!("{}", no_release_message(coflow_id, t, pending.len())));
-    }
-    made
 }
 
 /// The schedule Sunflow produced for one Coflow.
@@ -1117,66 +1048,5 @@ mod tests {
         assert!(msg.contains(&format!("{}", Time::from_millis(17))), "{msg}");
         assert!(msg.contains("3 pending demand(s)"), "{msg}");
         assert!(msg.contains("no future circuit release"), "{msg}");
-    }
-
-    /// The port-scoped loop must reproduce the naive loop byte for byte —
-    /// same reservations, same creation order — on a contended table
-    /// under every demand ordering. (The exhaustive randomized version
-    /// lives in the `port_scoped_equivalence` proptest suite.)
-    #[test]
-    fn indexed_and_naive_schedules_are_byte_identical() {
-        let delta = Dur::from_millis(10);
-        let build_prt = || {
-            let mut prt = Prt::new(6);
-            // Higher-priority obstacles on a few ports, including gaps
-            // shorter than delta and releases on irrelevant ports.
-            let hp = |i| {
-                ResvKind::Flow(FlowRef {
-                    coflow: 99,
-                    flow_idx: i,
-                })
-            };
-            prt.reserve(0, 1, Time::from_millis(5), Time::from_millis(35), hp(0));
-            prt.reserve(1, 0, Time::from_millis(20), Time::from_millis(26), hp(1));
-            prt.reserve(2, 2, Time::from_millis(0), Time::from_millis(90), hp(2));
-            prt.reserve(5, 5, Time::from_millis(3), Time::from_millis(7), hp(3));
-            prt
-        };
-        let demands: Vec<Demand> = [
-            (0usize, 1usize, 40u64),
-            (0, 2, 15),
-            (1, 0, 25),
-            (2, 1, 10),
-            (3, 3, 30),
-            (1, 1, 5),
-        ]
-        .iter()
-        .enumerate()
-        .map(|(flow_idx, &(src, dst, ms))| Demand {
-            flow_idx,
-            src,
-            dst,
-            remaining: Dur::from_millis(ms),
-        })
-        .collect();
-        for order in [
-            FlowOrder::OrderedPort,
-            FlowOrder::SortedDemand,
-            FlowOrder::Random { seed: 11 },
-        ] {
-            let cfg = SunflowConfig::default().order(order);
-            let mut fast_prt = build_prt();
-            let mut naive_prt = build_prt();
-            let (fast, counters) =
-                schedule_demands_counted(&mut fast_prt, 7, &demands, Time::ZERO, delta, cfg);
-            let naive = naive_schedule_demands(&mut naive_prt, 7, &demands, Time::ZERO, delta, cfg);
-            assert_eq!(fast, naive, "reservations diverge under {order:?}");
-            assert_eq!(
-                fast_prt.all_reservations(),
-                naive_prt.all_reservations(),
-                "tables diverge under {order:?}"
-            );
-            assert!(counters.demands_scanned > 0 && counters.releases_visited > 0);
-        }
     }
 }

@@ -20,10 +20,9 @@
 //!   ones, never the other way around. [`starvation`] adds the paper's
 //!   `(Φ, T, τ)` round-robin guard so that even the lowest-priority
 //!   Coflow receives service within every `N(T+τ)` interval.
-//! * **K-core sharding** ([`multicore`]): `K` per-core PRT shards behind
-//!   the one [`PlanTable`](crate::intra::PlanTable) trait
-//!   ([`CorePlan`]), plus the subflow→core placement policies
-//!   ([`CoreAssign`]) of the multi-core OCS generalization. `K = 1` is
+//! * **K-core placement** ([`multicore`]): the subflow→core placement
+//!   policies ([`CoreAssign`]) of the multi-core OCS generalization. A
+//!   `K`-core fabric plans on one [`Prt`] over `K·N` ports; `K = 1` is
 //!   the degenerate single-switch case and replays byte-identically.
 //! * **Hybrid demand splitting** ([`split`]): the [`SplitPolicy`] seam
 //!   routing each arriving Coflow's bytes between the circuit fabric
@@ -57,7 +56,7 @@ pub use intra::{
     FlowOrder, IntraScheduler, PlanTable, ScheduleCounters, ScheduleScratch, SunflowConfig,
 };
 pub use multicore::{
-    CoreAssign, CoreAssignKind, CoreLoad, CorePlan, LeastLoaded, RankPack, RoundRobin, StaticHash,
+    CoreAssign, CoreAssignKind, CoreLoad, LeastLoaded, RankPack, RoundRobin, StaticHash,
     UnknownAssignError,
 };
 pub use portset::PortSet;

@@ -1,143 +1,18 @@
-//! K-core scheduling: per-core PRT shards and subflow→core placement.
+//! K-core placement: which core carries each subflow.
 //!
 //! The multi-core OCS papers named in the workspace's PAPERS.md model the
 //! network as `K` parallel circuit planes ("cores") over the same `N`
 //! hosts; every host owns one transceiver per core, so the cores are
-//! fully independent switching fabrics. For the scheduler this is the
-//! natural sharding axis: each core gets its own [`Prt`] shard, and a
-//! placement policy decides which core carries each subflow.
-//!
-//! Two pieces live here:
-//!
-//! * [`CorePlan`] — `K` per-core [`Prt`] shards behind the one
-//!   [`PlanTable`] trait Algorithm 1 plans against, via *global port
-//!   virtualization*: global port `g` denotes local port `g mod N` on
-//!   core `g / N`. A demand pre-mapped to its assigned core's global
-//!   ports is planned by the unmodified
-//!   [`schedule_demands_on`](crate::intra::schedule_demands_on) engine;
-//!   ports of different cores never alias, so per-core plans compose
-//!   port-disjointly. With `K = 1` the mapping is the identity and every
-//!   query delegates verbatim to the single shard — the degenerate
-//!   single-switch case.
-//! * [`CoreAssign`] — the placement seam: given a Coflow and the current
-//!   per-core byte loads ([`CoreLoad`]), return one core per flow.
-//!   Implementations: [`StaticHash`] (stateless FNV), [`RoundRobin`],
-//!   [`LeastLoaded`] (by outstanding reserved bytes) and [`RankPack`]
-//!   (demand-aware: biggest flows first, each to the core minimizing its
-//!   bottleneck-port load).
+//! fully independent switching fabrics. A `K`-core fabric is therefore
+//! one [`Prt`](crate::Prt) over `K·N` ports (local port `p` of core `c`
+//! is port `c·N + p`), and what is left to decide is placement:
+//! [`CoreAssign`] — given a Coflow and the current per-core byte loads
+//! ([`CoreLoad`]), return one core per flow. Implementations:
+//! [`StaticHash`] (stateless FNV), [`RoundRobin`], [`LeastLoaded`] (by
+//! outstanding reserved bytes) and [`RankPack`] (demand-aware: biggest
+//! flows first, each to the core minimizing its bottleneck-port load).
 
-use crate::intra::PlanTable;
-use crate::prt::{PortProbe, Prt, ResvKind};
-use ocs_model::{Coflow, Dur, InPort, OutPort, Time};
-
-// ---------------------------------------------------------------------
-// CorePlan
-// ---------------------------------------------------------------------
-
-/// `K` per-core [`Prt`] shards behind one [`PlanTable`].
-///
-/// Global port `g` addresses local port `g % ports` on core
-/// `g / ports`; [`CorePlan::global`] and [`CorePlan::split`] convert.
-/// Every query and reservation delegates to exactly one shard, so a
-/// planning call only ever touches the shards its demands were placed
-/// on — cross-core plans are port-disjoint by construction.
-#[derive(Clone, Debug)]
-pub struct CorePlan {
-    shards: Vec<Prt>,
-    ports: usize,
-    /// Incrementally maintained total reserved time per core (the
-    /// utilization-skew gauge; equals the full-shard scan
-    /// [`CorePlan::naive_reserved_on`] recomputes).
-    reserved: Vec<Dur>,
-}
-
-impl CorePlan {
-    /// An empty plan of `cores` shards with `ports` ports each.
-    ///
-    /// # Panics
-    /// Panics if `cores` or `ports` is zero.
-    pub fn new(cores: usize, ports: usize) -> CorePlan {
-        assert!(cores > 0, "a core plan needs at least one core");
-        CorePlan {
-            shards: (0..cores).map(|_| Prt::new(ports)).collect(),
-            ports,
-            reserved: vec![Dur::ZERO; cores],
-        }
-    }
-
-    /// Number of cores, `K`.
-    pub fn cores(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The global port id of local `port` on `core`.
-    pub fn global(&self, core: usize, port: usize) -> usize {
-        debug_assert!(core < self.shards.len() && port < self.ports);
-        core * self.ports + port
-    }
-
-    /// The `(core, local port)` pair a global port id addresses.
-    pub fn split(&self, global: usize) -> (usize, usize) {
-        (global / self.ports, global % self.ports)
-    }
-
-    /// One core's shard (read-only).
-    pub fn shard(&self, core: usize) -> &Prt {
-        &self.shards[core]
-    }
-
-    /// Total reserved time on `core`, maintained incrementally as
-    /// reservations are made.
-    pub fn reserved_on(&self, core: usize) -> Dur {
-        self.reserved[core]
-    }
-
-    /// Retire reservations that ended at or before `cutoff` from every
-    /// shard; returns how many records were forgotten.
-    pub fn forget_before(&mut self, cutoff: Time) -> usize {
-        self.shards
-            .iter_mut()
-            .map(|s| s.forget_before(cutoff))
-            .sum()
-    }
-
-    /// Recompute `reserved_on(core)` from a full scan of the shard —
-    /// the reference twin of the incremental gauge. Note the gauge
-    /// keeps counting reservations the scan no longer sees once
-    /// [`CorePlan::forget_before`] retired them; the equivalence holds
-    /// on un-retired tables.
-    #[cfg(any(test, feature = "naive-twins"))]
-    pub fn naive_reserved_on(&self, core: usize) -> Dur {
-        self.shards[core]
-            .all_reservations()
-            .iter()
-            .map(|r| r.end.since(r.start))
-            .sum()
-    }
-}
-
-impl PlanTable for CorePlan {
-    fn ports(&self) -> usize {
-        self.ports * self.shards.len()
-    }
-    fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
-        self.shards[i / self.ports].in_probe(i % self.ports, t)
-    }
-    fn out_probe(&self, j: OutPort, t: Time) -> PortProbe {
-        self.shards[j / self.ports].out_probe(j % self.ports, t)
-    }
-    fn reserve(&mut self, src: InPort, dst: OutPort, start: Time, end: Time, kind: ResvKind) {
-        let core = src / self.ports;
-        assert_eq!(
-            core,
-            dst / self.ports,
-            "a circuit cannot span cores (src {src}, dst {dst}, {} ports/core)",
-            self.ports
-        );
-        self.shards[core].reserve(src % self.ports, dst % self.ports, start, end, kind);
-        self.reserved[core] += end.since(start);
-    }
-}
+use ocs_model::{Coflow, InPort, OutPort};
 
 // ---------------------------------------------------------------------
 // Core loads
@@ -435,115 +310,7 @@ impl std::fmt::Display for CoreAssignKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intra::{schedule_demands_on, Demand, ScheduleScratch, SunflowConfig};
-    use ocs_model::{Bandwidth, Fabric};
-
-    fn demands_for(fabric: &Fabric, c: &Coflow) -> Vec<Demand> {
-        c.flows()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Demand {
-                flow_idx: i,
-                src: f.src,
-                dst: f.dst,
-                remaining: fabric.processing_time(f.bytes),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn k1_core_plan_matches_a_plain_prt() {
-        let fabric = Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10));
-        let c = Coflow::builder(7)
-            .flow(0, 1, 5_000_000)
-            .flow(1, 0, 3_000_000)
-            .flow(2, 3, 9_000_000)
-            .flow(0, 2, 1_000_000)
-            .build();
-        let demands = demands_for(&fabric, &c);
-        let cfg = SunflowConfig::default();
-        let mut scratch = ScheduleScratch::new();
-
-        let mut prt = Prt::new(4);
-        let (plain, _) = schedule_demands_on(
-            &mut prt,
-            7,
-            &demands,
-            Time::ZERO,
-            fabric.delta(),
-            cfg,
-            &mut scratch,
-        );
-
-        let mut plan = CorePlan::new(1, 4);
-        let (sharded, _) = schedule_demands_on(
-            &mut plan,
-            7,
-            &demands,
-            Time::ZERO,
-            fabric.delta(),
-            cfg,
-            &mut scratch,
-        );
-
-        assert_eq!(plain, sharded);
-        assert_eq!(plan.reserved_on(0), plan.naive_reserved_on(0));
-    }
-
-    #[test]
-    fn cross_core_demands_plan_independently() {
-        // Two flows sharing a physical src port but placed on different
-        // cores do not block each other: each core is its own plane.
-        let fabric = Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10));
-        let mut plan = CorePlan::new(2, 4);
-        let p = fabric.processing_time(5_000_000);
-        let demands = [
-            Demand {
-                flow_idx: 0,
-                src: plan.global(0, 0),
-                dst: plan.global(0, 1),
-                remaining: p,
-            },
-            Demand {
-                flow_idx: 1,
-                src: plan.global(1, 0),
-                dst: plan.global(1, 1),
-                remaining: p,
-            },
-        ];
-        let mut scratch = ScheduleScratch::new();
-        let (resv, _) = schedule_demands_on(
-            &mut plan,
-            1,
-            &demands,
-            Time::ZERO,
-            fabric.delta(),
-            SunflowConfig::default(),
-            &mut scratch,
-        );
-        assert_eq!(resv.len(), 2);
-        // Both start immediately — no serialization across cores.
-        assert!(resv.iter().all(|r| r.start == Time::ZERO));
-        assert_eq!(plan.reserved_on(0), plan.reserved_on(1));
-        assert_eq!(plan.naive_reserved_on(0), plan.reserved_on(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot span cores")]
-    fn cross_core_circuits_are_rejected() {
-        let mut plan = CorePlan::new(2, 4);
-        PlanTable::reserve(
-            &mut plan,
-            0,
-            5,
-            Time::ZERO,
-            Time::from_millis(1),
-            ResvKind::Flow(ocs_model::FlowRef {
-                coflow: 0,
-                flow_idx: 0,
-            }),
-        );
-    }
+    use ocs_model::Time;
 
     fn sample() -> Coflow {
         Coflow::builder(3)

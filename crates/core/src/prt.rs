@@ -10,27 +10,23 @@
 //! may touch but never overlap on a port; this *is* the optical-switch
 //! port constraint of §2.1, and [`Prt::reserve`] enforces it.
 //!
-//! The table supports exactly the queries Algorithm 1 needs:
+//! The table answers exactly the queries Algorithm 1 needs, all from one
+//! fused [`PortProbe`] per port ([`Prt::in_probe`] / [`Prt::out_probe`]):
 //!
-//! * `*_free_at` — line 15, "both in.i and out.j are free at t";
-//! * `next_start_after` — line 16, "earliest next-reserv-time", which
-//!   bounds the reservation length when a higher-priority Coflow already
-//!   holds the port later (inter-Coflow scheduling, Figure 2);
-//! * [`Prt::next_release_after`] — line 10, "advance t to next circuit
-//!   release time";
-//! * [`Prt::truncate_future`] — discard every not-yet-started
-//!   reservation, as when priorities change on a Coflow arrival or
-//!   completion. The online replay no longer sweeps: it retires per
-//!   Coflow ([`Prt::truncate_future_of`]) and by diff
-//!   ([`crate::DeltaPlan::apply`]); the sweep stays as the oracle those
-//!   are tested against.
+//! * `free` — line 15, "both in.i and out.j are free at t";
+//! * `next_start` — line 16, "earliest next-reserv-time", which bounds
+//!   the reservation length when a higher-priority Coflow already holds
+//!   the port later (inter-Coflow scheduling, Figure 2);
+//! * `next_release` — line 10, "advance t to next circuit release time",
+//!   scoped to the port a waiting demand is blocked on.
 //!
-//! All three per-port answers come from one fused [`PortProbe`]
-//! ([`Prt::in_probe`] / [`Prt::out_probe`]); the scalar queries are
-//! projections of it. A table built with a [`StarvationGuard`]
-//! ([`Prt::with_guard`]) merges the §4.2 timetable into every probe —
-//! the guard windows are obstacles of this table without ever being
-//! reservations in it.
+//! [`Prt::truncate_future`] discards every not-yet-started reservation,
+//! as when priorities change on a Coflow arrival or completion. The
+//! online replay does not sweep: it retires per Coflow
+//! ([`Prt::truncate_future_of`]) and by diff ([`crate::DeltaPlan::apply`]).
+//! A table built with a [`StarvationGuard`] ([`Prt::with_guard`]) merges
+//! the §4.2 timetable into every probe — the guard windows are obstacles
+//! of this table without ever being reservations in it.
 
 use crate::starvation::StarvationGuard;
 use ocs_model::{CoflowId, FlowRef, InPort, OutPort, Reservation, Time};
@@ -50,11 +46,10 @@ pub(crate) struct Entry {
     pub(crate) kind: ResvKind,
 }
 
-/// Fused snapshot of one port's planning state at an instant `t`: the
-/// answers of `in_free_at`, `in_next_start_after`, and
-/// `in_next_release_after` (or their output-side twins) resolved from a
-/// single lookup position. Algorithm 1's demand examination needs two or
-/// three of these per port side; probing answers all of them for the
+/// Fused snapshot of one port's planning state at an instant `t`:
+/// freeness, next start and next release resolved from a single lookup
+/// position. Algorithm 1's demand examination needs two or three of
+/// these answers per port side; probing answers all of them for the
 /// price of one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PortProbe {
@@ -152,13 +147,14 @@ impl PrtSnapshot {
 ///
 /// // Both ports are taken for the interval, all others unaffected
 /// // (the not-all-stop model).
-/// assert!(!prt.in_free_at(0, Time::from_millis(15)));
-/// assert!(!prt.out_free_at(2, Time::from_millis(15)));
-/// assert!(prt.in_free_at(1, Time::from_millis(15)));
+/// assert!(!prt.in_probe(0, Time::from_millis(15)).free);
+/// assert!(!prt.out_probe(2, Time::from_millis(15)).free);
+/// assert!(prt.in_probe(1, Time::from_millis(15)).free);
 ///
-/// // The queries Algorithm 1 is built from:
-/// assert_eq!(prt.in_next_start_after(0, Time::ZERO), Time::from_millis(10));
-/// assert_eq!(prt.next_release_after(Time::ZERO), Some(Time::from_millis(30)));
+/// // The answers Algorithm 1 is built from, one probe per port:
+/// let probe = prt.in_probe(0, Time::ZERO);
+/// assert_eq!(probe.next_start, Time::from_millis(10));
+/// assert_eq!(probe.next_release, Some(Time::from_millis(30)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Prt {
@@ -291,86 +287,6 @@ impl Prt {
         }
     }
 
-    /// Is input port `i` free at instant `t`?
-    pub fn in_free_at(&self, i: InPort, t: Time) -> bool {
-        self.in_probe(i, t).free
-    }
-
-    /// Is output port `j` free at instant `t`?
-    pub fn out_free_at(&self, j: OutPort, t: Time) -> bool {
-        self.out_probe(j, t).free
-    }
-
-    /// The earliest reservation start strictly after `t` on input port
-    /// `i`, or `Time::MAX` if the port is unreserved beyond `t`.
-    pub fn in_next_start_after(&self, i: InPort, t: Time) -> Time {
-        self.in_probe(i, t).next_start
-    }
-
-    /// The earliest reservation start strictly after `t` on output port
-    /// `j`, or `Time::MAX` if the port is unreserved beyond `t`.
-    pub fn out_next_start_after(&self, j: OutPort, t: Time) -> Time {
-        self.out_probe(j, t).next_start
-    }
-
-    /// Reference implementation of [`Prt::in_free_at`] that always walks
-    /// the `BTreeMap`, bypassing the tail cache (and, like every
-    /// `naive_*` query, seeing reservations only — not a guard
-    /// timetable). Kept for the equivalence property tests and the
-    /// fast-path micro-benchmarks; compiled only under the `naive-twins`
-    /// feature (or `cfg(test)`) so release consumers carry no dead
-    /// reference code.
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_in_free_at(&self, i: InPort, t: Time) -> bool {
-        Self::free_at(&self.ins[i], t)
-    }
-
-    /// Reference implementation of [`Prt::out_free_at`] (see
-    /// [`Prt::naive_in_free_at`]).
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_out_free_at(&self, j: OutPort, t: Time) -> bool {
-        Self::free_at(&self.outs[j], t)
-    }
-
-    /// Reference implementation of [`Prt::in_next_start_after`] (see
-    /// [`Prt::naive_in_free_at`]).
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_in_next_start_after(&self, i: InPort, t: Time) -> Time {
-        Self::next_start_after(&self.ins[i], t)
-    }
-
-    /// Reference implementation of [`Prt::out_next_start_after`] (see
-    /// [`Prt::naive_in_free_at`]).
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_out_next_start_after(&self, j: OutPort, t: Time) -> Time {
-        Self::next_start_after(&self.outs[j], t)
-    }
-
-    /// The earliest circuit release (reservation end) strictly after `t`,
-    /// across all ports — Algorithm 1 line 10. Answered as the minimum
-    /// over per-input-port release queries (every reservation ends on its
-    /// input port); only the naive rescan-everything loop advances its
-    /// clock through this global view.
-    pub fn next_release_after(&self, t: Time) -> Option<Time> {
-        (0..self.ins.len())
-            .filter_map(|i| self.in_next_release_after(i, t))
-            .min()
-    }
-
-    /// The earliest circuit release strictly after `t` on input port `i`.
-    pub fn in_next_release_after(&self, i: InPort, t: Time) -> Option<Time> {
-        self.in_probe(i, t).next_release
-    }
-
-    /// The earliest circuit release strictly after `t` on output port `j`.
-    pub fn out_next_release_after(&self, j: OutPort, t: Time) -> Option<Time> {
-        self.out_probe(j, t).next_release
-    }
-
     /// Fused planning snapshot of input port `i` at `t` — freeness, next
     /// start, and next release answered from one tail-cache consultation
     /// (or, before the tail's start, one pair of map walks), merged with
@@ -436,26 +352,6 @@ impl Prt {
         }
     }
 
-    /// Reference implementation of [`Prt::in_next_release_after`] via a
-    /// full scan of the port's entries (see [`Prt::naive_in_free_at`] for
-    /// the twin pattern).
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_in_next_release_after(&self, i: InPort, t: Time) -> Option<Time> {
-        self.ins[i].values().map(|e| e.end).filter(|&e| e > t).min()
-    }
-
-    /// Reference implementation of [`Prt::out_next_release_after`].
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_out_next_release_after(&self, j: OutPort, t: Time) -> Option<Time> {
-        self.outs[j]
-            .values()
-            .map(|e| e.end)
-            .filter(|&e| e > t)
-            .min()
-    }
-
     /// Reserve the circuit `[in.src, out.dst]` during `[start, end)`.
     ///
     /// # Panics
@@ -519,66 +415,7 @@ impl Prt {
             .insert(src, dst, start, end, flow.flow_idx);
     }
 
-    /// Reference implementation of [`Prt::reserve`] that always runs both
-    /// overlap scans and skips the tail-cache bookkeeping. Kept for the
-    /// fast-path micro-benchmarks; a table built through it must only be
-    /// queried through the `naive_*` accessors.
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_reserve(
-        &mut self,
-        src: InPort,
-        dst: OutPort,
-        start: Time,
-        end: Time,
-        kind: ResvKind,
-    ) {
-        assert!(end > start, "reservation interval must be non-empty");
-        for (map, port, side) in [
-            (&self.ins[src], src, "input"),
-            (&self.outs[dst], dst, "output"),
-        ] {
-            assert!(
-                Self::free_at(map, start),
-                "{side} port {port} is busy at {start}"
-            );
-            let next = Self::next_start_after(map, start);
-            assert!(
-                end <= next,
-                "reservation on {side} port {port} would overlap the next one at {next}"
-            );
-        }
-        self.ins[src].insert(
-            start,
-            Entry {
-                end,
-                peer: dst,
-                kind,
-            },
-        );
-        self.outs[dst].insert(
-            start,
-            Entry {
-                end,
-                peer: src,
-                kind,
-            },
-        );
-        let ResvKind::Flow(flow) = kind;
-        self.by_coflow
-            .entry(flow.coflow)
-            .or_default()
-            .insert(src, dst, start, end, flow.flow_idx);
-    }
-
-    /// All flow reservations currently in the table, ordered by
-    /// `(src, start)`.
-    pub fn flow_reservations(&self) -> Vec<Reservation> {
-        self.iter_reservations().collect()
-    }
-
-    /// Non-allocating iterator over all flow reservations, ordered by
-    /// `(src, start)`.
+    /// Iterator over all flow reservations, ordered by `(src, start)`.
     pub fn iter_reservations(&self) -> impl Iterator<Item = Reservation> + '_ {
         self.ins.iter().enumerate().flat_map(|(src, map)| {
             map.iter().map(move |(&start, e)| {
@@ -664,17 +501,6 @@ impl Prt {
         }
     }
 
-    /// Reference implementation of [`Prt::last_end_of`] via the full
-    /// table scan (see [`Prt::naive_in_free_at`] for the twin pattern).
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_last_end_of(&self, coflow: CoflowId) -> Option<Time> {
-        self.iter_reservations()
-            .filter(|r| r.flow.coflow == coflow)
-            .map(|r| r.end)
-            .max()
-    }
-
     /// All reservations as `(src, dst, start, end, kind)`, ordered by
     /// `(src, start)`.
     pub fn all_reservations(&self) -> Vec<RemovedResv> {
@@ -733,7 +559,7 @@ impl Prt {
     ///
     /// Only strictly-past state is touched: queries at any `t >= cutoff`
     /// (port freeness, next starts, releases, per-Coflow last ends) are
-    /// unaffected. History-dependent accessors ([`Prt::flow_reservations`],
+    /// unaffected. History-dependent accessors ([`Prt::iter_reservations`],
     /// [`Prt::all_reservations`]) lose the forgotten intervals — callers
     /// must account for served demand before pruning.
     pub fn forget_before(&mut self, cutoff: Time) -> usize {
@@ -865,54 +691,6 @@ impl Prt {
         count
     }
 
-    /// Reference implementation of [`Prt::truncate_future`]: the original
-    /// collect-every-key full scan. Kept (per the `naive_*` twin pattern,
-    /// see [`Prt::naive_in_free_at`]) for the equivalence property tests
-    /// and micro-benchmarks.
-    #[cfg(any(test, feature = "naive-twins"))]
-    #[doc(hidden)]
-    pub fn naive_truncate_future(&mut self, now: Time, keep_active: bool) -> Vec<RemovedResv> {
-        let mut removed = Vec::new();
-        let n = self.ports();
-        let mut touched = false;
-        for src in 0..n {
-            let starts: Vec<Time> = self.ins[src].keys().copied().collect();
-            for start in starts {
-                let e = self.ins[src][&start];
-                if start >= now {
-                    self.ins[src].remove(&start);
-                    self.outs[e.peer].remove(&start);
-                    self.unindex(e.kind, src, start);
-                    touched = true;
-                    removed.push(RemovedResv {
-                        src,
-                        dst: e.peer,
-                        start,
-                        end: e.end,
-                        kind: e.kind,
-                    });
-                } else if e.end > now && !keep_active {
-                    self.shorten(src, start, e, now);
-                    touched = true;
-                    removed.push(RemovedResv {
-                        src,
-                        dst: e.peer,
-                        start,
-                        end: e.end,
-                        kind: e.kind,
-                    });
-                }
-            }
-        }
-        if touched {
-            for p in 0..n {
-                self.in_tail[p] = Self::tail_of(&self.ins[p]);
-                self.out_tail[p] = Self::tail_of(&self.outs[p]);
-            }
-        }
-        removed
-    }
-
     /// Remove only `coflow`'s reservations with `start >= now`
     /// (keep-active semantics: a straddling circuit keeps transmitting).
     /// The affected-set replanner uses this to truncate exactly the
@@ -1042,28 +820,36 @@ mod tests {
         Time::from_millis(ms)
     }
 
+    /// The earliest release after `t` on any port (every reservation
+    /// ends on its input port): Algorithm 1 line 10's global clock.
+    fn next_release(prt: &Prt, t: Time) -> Option<Time> {
+        (0..prt.ports())
+            .filter_map(|i| prt.in_probe(i, t).next_release)
+            .min()
+    }
+
     #[test]
     fn fresh_ports_are_free_forever() {
         let prt = Prt::new(4);
-        assert!(prt.in_free_at(0, Time::ZERO));
-        assert!(prt.out_free_at(3, t(1000)));
-        assert_eq!(prt.in_next_start_after(0, Time::ZERO), Time::MAX);
-        assert_eq!(prt.next_release_after(Time::ZERO), None);
+        assert!(prt.in_probe(0, Time::ZERO).free);
+        assert!(prt.out_probe(3, t(1000)).free);
+        assert_eq!(prt.in_probe(0, Time::ZERO).next_start, Time::MAX);
+        assert_eq!(next_release(&prt, Time::ZERO), None);
     }
 
     #[test]
     fn reservation_blocks_both_ports_half_open() {
         let mut prt = Prt::new(4);
         prt.reserve(0, 2, t(10), t(20), flow(0));
-        assert!(prt.in_free_at(0, t(9)));
-        assert!(!prt.in_free_at(0, t(10)));
-        assert!(!prt.out_free_at(2, t(19)));
+        assert!(prt.in_probe(0, t(9)).free);
+        assert!(!prt.in_probe(0, t(10)).free);
+        assert!(!prt.out_probe(2, t(19)).free);
         // Half-open: free again exactly at the end.
-        assert!(prt.in_free_at(0, t(20)));
-        assert!(prt.out_free_at(2, t(20)));
+        assert!(prt.in_probe(0, t(20)).free);
+        assert!(prt.out_probe(2, t(20)).free);
         // Other ports unaffected (not-all-stop).
-        assert!(prt.in_free_at(1, t(15)));
-        assert!(prt.out_free_at(0, t(15)));
+        assert!(prt.in_probe(1, t(15)).free);
+        assert!(prt.out_probe(0, t(15)).free);
     }
 
     #[test]
@@ -1071,11 +857,11 @@ mod tests {
         let mut prt = Prt::new(4);
         prt.reserve(0, 0, t(10), t(20), flow(0));
         prt.reserve(1, 1, t(5), t(8), flow(1));
-        assert_eq!(prt.in_next_start_after(0, Time::ZERO), t(10));
-        assert_eq!(prt.in_next_start_after(0, t(10)), Time::MAX);
-        assert_eq!(prt.next_release_after(Time::ZERO), Some(t(8)));
-        assert_eq!(prt.next_release_after(t(8)), Some(t(20)));
-        assert_eq!(prt.next_release_after(t(20)), None);
+        assert_eq!(prt.in_probe(0, Time::ZERO).next_start, t(10));
+        assert_eq!(prt.in_probe(0, t(10)).next_start, Time::MAX);
+        assert_eq!(next_release(&prt, Time::ZERO), Some(t(8)));
+        assert_eq!(next_release(&prt, t(8)), Some(t(20)));
+        assert_eq!(next_release(&prt, t(20)), None);
     }
 
     #[test]
@@ -1084,7 +870,7 @@ mod tests {
         prt.reserve(0, 0, t(0), t(10), flow(0));
         prt.reserve(0, 1, t(10), t(20), flow(1));
         prt.reserve(1, 0, t(10), t(20), flow(2));
-        assert_eq!(prt.flow_reservations().len(), 3);
+        assert_eq!(prt.iter_reservations().count(), 3);
     }
 
     #[test]
@@ -1114,16 +900,16 @@ mod tests {
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].src, 2);
         // Active reservation kept intact.
-        assert!(!prt.in_free_at(1, t(20)));
-        assert_eq!(prt.next_release_after(t(15)), Some(t(25)));
+        assert!(!prt.in_probe(1, t(20)).free);
+        assert_eq!(next_release(&prt, t(15)), Some(t(25)));
 
         let removed = prt.truncate_future(t(15), false);
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].src, 1);
         assert_eq!(removed[0].end, t(25)); // reports the original end
                                            // The active reservation was cut at 15.
-        assert!(prt.in_free_at(1, t(15)));
-        assert_eq!(prt.next_release_after(t(14)), Some(t(15)));
+        assert!(prt.in_probe(1, t(15)).free);
+        assert_eq!(next_release(&prt, t(14)), Some(t(15)));
     }
 
     #[test]
@@ -1131,7 +917,7 @@ mod tests {
         let mut prt = Prt::new(2);
         prt.reserve(0, 0, t(0), t(10), flow(0));
         assert!(prt.truncate_future(t(10), true).is_empty());
-        assert_eq!(prt.flow_reservations().len(), 1);
+        assert_eq!(prt.iter_reservations().count(), 1);
     }
 
     #[test]
@@ -1154,10 +940,10 @@ mod tests {
         let mut prt = guarded(2);
         prt.reserve(1, 1, t(0), t(10), flow(0));
         for p in 0..2 {
-            assert!(prt.in_free_at(p, t(50)));
-            assert!(!prt.in_free_at(p, t(110)));
-            assert!(!prt.out_free_at(p, t(110)));
-            assert!(prt.out_free_at(p, t(120)));
+            assert!(prt.in_probe(p, t(50)).free);
+            assert!(!prt.in_probe(p, t(110)).free);
+            assert!(!prt.out_probe(p, t(110)).free);
+            assert!(prt.out_probe(p, t(120)).free);
         }
         // The window and the reservation answer as one obstacle set.
         assert_eq!(
@@ -1168,8 +954,8 @@ mod tests {
                 next_release: Some(t(10)),
             }
         );
-        assert_eq!(prt.in_next_start_after(0, t(110)), t(220));
-        assert_eq!(prt.next_release_after(t(10)), Some(t(120)));
+        assert_eq!(prt.in_probe(0, t(110)).next_start, t(220));
+        assert_eq!(next_release(&prt, t(10)), Some(t(120)));
         assert_eq!(prt.all_reservations().len(), 1);
     }
 
@@ -1198,11 +984,11 @@ mod tests {
         let mut prt = Prt::new(2);
         prt.reserve(0, 1, t(0), t(100), flow(0));
         prt.cut_reservation(0, t(0), t(40));
-        assert!(prt.in_free_at(0, t(40)));
-        assert!(prt.out_free_at(1, t(40)));
-        assert!(!prt.in_free_at(0, t(39)));
-        assert_eq!(prt.next_release_after(t(0)), Some(t(40)));
-        let rs = prt.flow_reservations();
+        assert!(prt.in_probe(0, t(40)).free);
+        assert!(prt.out_probe(1, t(40)).free);
+        assert!(!prt.in_probe(0, t(39)).free);
+        assert_eq!(next_release(&prt, t(0)), Some(t(40)));
+        let rs: Vec<_> = prt.iter_reservations().collect();
         assert_eq!(rs[0].end, t(40));
     }
 
@@ -1237,7 +1023,6 @@ mod tests {
         assert_eq!(prt.last_end_of(2), Some(t(30)));
         assert_eq!(prt.last_end_of(99), None);
         assert_eq!(prt.iter_reservations().count(), 3);
-        assert_eq!(prt.naive_last_end_of(1), Some(t(20)));
     }
 
     #[test]
@@ -1257,7 +1042,6 @@ mod tests {
         let rs: Vec<_> = prt.future_reservations_of(1, Time::ZERO).collect();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].end, t(20));
-        assert_eq!(prt.naive_last_end_of(1), Some(t(20)));
     }
 
     #[test]
@@ -1268,28 +1052,6 @@ mod tests {
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].end, t(100));
         assert_eq!(prt.last_end_of(7), Some(t(30)));
-    }
-
-    #[test]
-    fn fast_and_naive_truncation_agree() {
-        let build = || {
-            let mut prt = Prt::new(4);
-            prt.reserve(0, 0, t(0), t(10), flow_of(1, 0)); // past
-            prt.reserve(0, 1, t(12), t(40), flow_of(1, 1)); // straddles 20
-            prt.reserve(1, 2, t(20), t(30), flow_of(2, 0)); // future
-            prt.reserve(1, 3, t(35), t(45), flow_of(2, 1)); // future
-            prt.reserve(2, 2, t(50), t(60), flow_of(3, 0)); // future
-            prt
-        };
-        for keep in [true, false] {
-            let mut fast = build();
-            let mut naive = build();
-            let rf = fast.truncate_future(t(20), keep);
-            let rn = naive.naive_truncate_future(t(20), keep);
-            assert_eq!(rf, rn, "removed lists diverge (keep_active={keep})");
-            assert_eq!(fast.flow_reservations(), naive.flow_reservations());
-            assert_eq!(fast.all_reservations(), naive.all_reservations());
-        }
     }
 
     #[test]
@@ -1308,16 +1070,15 @@ mod tests {
         let back = Prt::from_snapshot(&snap);
 
         assert_eq!(back.all_reservations(), prt.all_reservations());
-        assert_eq!(back.flow_reservations(), prt.flow_reservations());
         assert_eq!(back.last_end_of(1), prt.last_end_of(1));
         assert_eq!(back.last_end_of(2), prt.last_end_of(2));
         for p in 0..4 {
             for ms in [0u64, 5, 12, 24, 25, 30, 55, 60, 100, 119, 120] {
-                assert_eq!(back.in_free_at(p, t(ms)), prt.in_free_at(p, t(ms)));
-                assert_eq!(back.out_free_at(p, t(ms)), prt.out_free_at(p, t(ms)));
+                assert_eq!(back.in_probe(p, t(ms)).free, prt.in_probe(p, t(ms)).free);
+                assert_eq!(back.out_probe(p, t(ms)).free, prt.out_probe(p, t(ms)).free);
                 assert_eq!(
-                    back.in_next_start_after(p, t(ms)),
-                    prt.in_next_start_after(p, t(ms))
+                    back.in_probe(p, t(ms)).next_start,
+                    prt.in_probe(p, t(ms)).next_start
                 );
             }
         }
@@ -1325,7 +1086,7 @@ mod tests {
         let releases_of = |table: &Prt| {
             let mut releases = Vec::new();
             let mut cursor = Time::ZERO;
-            while let Some(r) = table.next_release_after(cursor).filter(|&r| r < t(500)) {
+            while let Some(r) = next_release(table, cursor).filter(|&r| r < t(500)) {
                 releases.push(r);
                 cursor = r;
             }
@@ -1358,8 +1119,8 @@ mod tests {
         assert_eq!(prt.forget_before(t(20)), 2);
         assert_eq!(prt.all_reservations().len(), 2);
         // Future queries unaffected.
-        assert!(!prt.in_free_at(1, t(30)));
-        assert_eq!(prt.next_release_after(t(20)), Some(t(30)));
+        assert!(!prt.in_probe(1, t(30)).free);
+        assert_eq!(next_release(&prt, t(20)), Some(t(30)));
         assert_eq!(prt.last_end_of(2), Some(t(40)));
         // Forgotten coflow's index entries are gone.
         assert_eq!(prt.last_end_of(1), None);
@@ -1375,26 +1136,12 @@ mod tests {
         prt.reserve(0, 2, t(15), t(30), flow_of(1, 1));
         prt.reserve(3, 1, t(10), t(20), flow_of(2, 0));
 
-        assert_eq!(prt.in_next_release_after(0, Time::ZERO), Some(t(10)));
-        assert_eq!(prt.in_next_release_after(0, t(10)), Some(t(30)));
-        assert_eq!(prt.in_next_release_after(0, t(30)), None);
-        assert_eq!(prt.out_next_release_after(1, Time::ZERO), Some(t(10)));
-        assert_eq!(prt.out_next_release_after(1, t(10)), Some(t(20)));
-        assert_eq!(prt.in_next_release_after(2, Time::ZERO), None);
-
-        // Twins agree.
-        for p in 0..4 {
-            for ms in [0u64, 5, 10, 15, 20, 30] {
-                assert_eq!(
-                    prt.in_next_release_after(p, t(ms)),
-                    prt.naive_in_next_release_after(p, t(ms))
-                );
-                assert_eq!(
-                    prt.out_next_release_after(p, t(ms)),
-                    prt.naive_out_next_release_after(p, t(ms))
-                );
-            }
-        }
+        assert_eq!(prt.in_probe(0, Time::ZERO).next_release, Some(t(10)));
+        assert_eq!(prt.in_probe(0, t(10)).next_release, Some(t(30)));
+        assert_eq!(prt.in_probe(0, t(30)).next_release, None);
+        assert_eq!(prt.out_probe(1, Time::ZERO).next_release, Some(t(10)));
+        assert_eq!(prt.out_probe(1, t(10)).next_release, Some(t(20)));
+        assert_eq!(prt.in_probe(2, Time::ZERO).next_release, None);
     }
 
     #[test]
@@ -1403,16 +1150,16 @@ mod tests {
         prt.reserve(0, 1, t(0), t(100), flow_of(1, 0));
         prt.reserve(2, 2, t(0), t(50), flow_of(2, 0));
         prt.cut_reservation(0, t(0), t(40));
-        assert_eq!(prt.in_next_release_after(0, Time::ZERO), Some(t(40)));
-        assert_eq!(prt.out_next_release_after(1, t(40)), None);
+        assert_eq!(prt.in_probe(0, Time::ZERO).next_release, Some(t(40)));
+        assert_eq!(prt.out_probe(1, t(40)).next_release, None);
 
         let mut prt = Prt::new(2);
         prt.reserve(0, 0, t(0), t(100), flow_of(1, 0)); // straddles 30
         prt.reserve(1, 1, t(40), t(60), flow_of(2, 0)); // future
         prt.truncate_future(t(30), false);
-        assert_eq!(prt.in_next_release_after(0, Time::ZERO), Some(t(30)));
-        assert_eq!(prt.in_next_release_after(1, Time::ZERO), None);
-        assert_eq!(prt.out_next_release_after(1, Time::ZERO), None);
+        assert_eq!(prt.in_probe(0, Time::ZERO).next_release, Some(t(30)));
+        assert_eq!(prt.in_probe(1, Time::ZERO).next_release, None);
+        assert_eq!(prt.out_probe(1, Time::ZERO).next_release, None);
     }
 
     #[test]
@@ -1436,9 +1183,9 @@ mod tests {
         // coflow 1, given coflow 2's future survives.
         assert_eq!(scoped.last_end_of(1), Some(t(40)));
         assert_eq!(scoped.last_end_of(2), Some(t(50)));
-        assert!(scoped.in_free_at(1, t(25)));
-        assert!(!scoped.in_free_at(2, t(35)));
-        assert_eq!(scoped.in_next_release_after(1, Time::ZERO), None);
+        assert!(scoped.in_probe(1, t(25)).free);
+        assert!(!scoped.in_probe(2, t(35)).free);
+        assert_eq!(scoped.in_probe(1, Time::ZERO).next_release, None);
         // Tail caches refreshed: port 1 accepts a fresh reservation.
         scoped.reserve(1, 1, t(25), t(35), flow_of(3, 0));
         assert_eq!(scoped.last_end_of(3), Some(t(35)));
@@ -1453,8 +1200,8 @@ mod tests {
         assert_eq!(prt.forget_before(t(10)), 1);
         assert!(prt.is_empty());
         // Tail caches were reset: the port is free and reusable.
-        assert!(prt.in_free_at(0, t(0)));
-        assert!(prt.out_free_at(1, t(0)));
+        assert!(prt.in_probe(0, t(0)).free);
+        assert!(prt.out_probe(1, t(0)).free);
         prt.reserve(0, 1, t(5), t(8), flow_of(2, 0));
         assert_eq!(prt.last_end_of(2), Some(t(8)));
     }
