@@ -6,13 +6,13 @@
 //! Coflow in that order against the shared PRT, so a more prioritized
 //! Coflow is never blocked by a less prioritized one — lower-priority
 //! reservations are truncated around higher-priority ones (Figure 2).
+//! That walk runs at every Coflow arrival and completion in the online
+//! replay of the `ocs-sim` crate; this module holds the orderings.
 //!
 //! The ordering is pluggable via [`PriorityPolicy`]; the paper's
 //! evaluation uses [`ShortestFirst`] (order by `T_pL`), the policy that
 //! makes Sunflow comparable to Varys and Aalo.
 
-use crate::intra::{CoflowSchedule, IntraScheduler, SunflowConfig};
-use crate::prt::Prt;
 use ocs_model::{packet_lower_bound, Coflow, Fabric};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -153,64 +153,10 @@ impl PriorityPolicy for ExplicitOrder {
     }
 }
 
-/// Offline inter-Coflow scheduler: Algorithm 1's `InterCoflow` procedure.
-///
-/// Given a batch of Coflows, it empties the PRT and applies the
-/// intra-Coflow routine to each Coflow in priority order. Each Coflow is
-/// scheduled no earlier than its arrival time. For the online
-/// (event-driven) variant that reschedules on arrivals and completions,
-/// see the `ocs-sim` crate.
-#[derive(Clone, Copy, Debug)]
-pub struct InterScheduler<'f> {
-    fabric: &'f Fabric,
-    config: SunflowConfig,
-}
-
-impl<'f> InterScheduler<'f> {
-    /// Create a scheduler for `fabric`.
-    pub fn new(fabric: &'f Fabric, config: SunflowConfig) -> InterScheduler<'f> {
-        InterScheduler { fabric, config }
-    }
-
-    /// Schedule the batch under `policy`. Returns one schedule per Coflow,
-    /// in the order the Coflows were given.
-    pub fn schedule_batch(
-        &self,
-        coflows: &[Coflow],
-        policy: &dyn PriorityPolicy,
-    ) -> Vec<CoflowSchedule> {
-        let mut prt = Prt::new(self.fabric.ports());
-        self.schedule_batch_on(&mut prt, coflows, policy)
-    }
-
-    /// Like [`InterScheduler::schedule_batch`] but against an existing
-    /// PRT (which may hold guard windows or prior commitments).
-    pub fn schedule_batch_on(
-        &self,
-        prt: &mut Prt,
-        coflows: &[Coflow],
-        policy: &dyn PriorityPolicy,
-    ) -> Vec<CoflowSchedule> {
-        let intra = IntraScheduler::new(self.fabric, self.config);
-        let mut order: Vec<&Coflow> = coflows.iter().collect();
-        policy.sort(&mut order, self.fabric);
-
-        let mut by_id: HashMap<u64, CoflowSchedule> = HashMap::with_capacity(coflows.len());
-        for c in order {
-            let s = intra.schedule_on(prt, c, c.arrival());
-            by_id.insert(c.id(), s);
-        }
-        coflows
-            .iter()
-            .map(|c| by_id.remove(&c.id()).expect("scheduled every coflow"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocs_model::{validate_port_constraints, Bandwidth, Dur, Time};
+    use ocs_model::{Bandwidth, Dur, Time};
 
     fn fabric() -> Fabric {
         Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10))
@@ -228,61 +174,6 @@ mod tests {
         let mut order: Vec<&Coflow> = vec![&big, &small];
         ShortestFirst.sort(&mut order, &f);
         assert_eq!(order[0].id(), 1);
-    }
-
-    /// The higher-priority Coflow must finish as if it were alone on the
-    /// fabric; the lower-priority one works around it.
-    #[test]
-    fn priority_coflow_is_never_blocked() {
-        let f = fabric();
-        let hi = Coflow::builder(0).flow(0, 0, mb(1)).build(); // T_pL small
-        let lo = Coflow::builder(1)
-            .flow(0, 0, mb(100))
-            .flow(0, 1, mb(100))
-            .build();
-        let inter = InterScheduler::new(&f, SunflowConfig::default());
-        let schedules = inter.schedule_batch(&[hi.clone(), lo.clone()], &ShortestFirst);
-
-        // hi alone would take delta + 8 ms = 18 ms.
-        assert_eq!(schedules[0].cct(), Dur::from_millis(18));
-        // Port constraints hold across BOTH coflows' reservations.
-        let mut all = schedules[0].reservations().to_vec();
-        all.extend_from_slice(schedules[1].reservations());
-        validate_port_constraints(&all).unwrap();
-    }
-
-    /// Figure 2 shape: C2's reservation on a port needed later by C1 must
-    /// be truncated, not block C1.
-    #[test]
-    fn figure2_truncation_behaviour() {
-        let f = fabric();
-        // C1: two flows from in.0; C2 shares out.1 via in.1.
-        let c1 = Coflow::builder(0)
-            .flow(0, 0, mb(1))
-            .flow(0, 1, mb(1))
-            .build();
-        let c2 = Coflow::builder(1).flow(1, 1, mb(100)).build();
-        let inter = InterScheduler::new(&f, SunflowConfig::default());
-        let schedules = inter.schedule_batch(&[c1.clone(), c2.clone()], &ShortestFirst);
-        // C1 (higher priority, smaller T_pL) is optimal: 2 x (10+8) ms.
-        assert_eq!(schedules[0].cct(), Dur::from_millis(36));
-        // C2 is split around C1's use of out.1.
-        assert!(schedules[1].reservations().len() >= 2);
-        let mut all = schedules[0].reservations().to_vec();
-        all.extend_from_slice(schedules[1].reservations());
-        validate_port_constraints(&all).unwrap();
-    }
-
-    #[test]
-    fn arrival_times_are_respected() {
-        let f = fabric();
-        let late = Coflow::builder(0)
-            .arrival(Time::from_millis(500))
-            .flow(0, 0, mb(1))
-            .build();
-        let inter = InterScheduler::new(&f, SunflowConfig::default());
-        let s = inter.schedule_batch(&[late], &ShortestFirst);
-        assert_eq!(s[0].reservations()[0].start, Time::from_millis(500));
     }
 
     #[test]
@@ -337,35 +228,5 @@ mod tests {
         let mut order: Vec<&Coflow> = vec![&second, &first];
         FirstComeFirstServed.sort(&mut order, &f);
         assert_eq!(order[0].id(), 5);
-    }
-
-    /// Aggregate demand satisfaction across a batch: every flow of every
-    /// coflow receives exactly its processing time.
-    #[test]
-    fn batch_satisfies_all_demand() {
-        let f = fabric();
-        let coflows = vec![
-            Coflow::builder(0)
-                .flow(0, 0, mb(3))
-                .flow(1, 1, mb(2))
-                .build(),
-            Coflow::builder(1)
-                .flow(0, 1, mb(5))
-                .flow(1, 0, mb(7))
-                .build(),
-            Coflow::builder(2).flow(2, 2, mb(1)).build(),
-        ];
-        let inter = InterScheduler::new(&f, SunflowConfig::default());
-        let schedules = inter.schedule_batch(&coflows, &ShortestFirst);
-        for (c, s) in coflows.iter().zip(&schedules) {
-            let served = ocs_model::served_per_flow(s.reservations(), f.delta());
-            for (idx, fl) in c.flows().iter().enumerate() {
-                let key = ocs_model::FlowRef {
-                    coflow: c.id(),
-                    flow_idx: idx,
-                };
-                assert_eq!(served[&key], f.processing_time(fl.bytes));
-            }
-        }
     }
 }

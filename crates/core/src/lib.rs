@@ -48,8 +48,8 @@ pub mod starvation;
 
 pub use delta::{DeltaPlan, DeltaView};
 pub use inter::{
-    ClassThenShortest, ExplicitOrder, FirstComeFirstServed, InterScheduler, LongestFirst,
-    PriorityPolicy, ShortestFirst,
+    ClassThenShortest, ExplicitOrder, FirstComeFirstServed, LongestFirst, PriorityPolicy,
+    ShortestFirst,
 };
 pub use intra::{
     schedule_demands, schedule_demands_counted, schedule_demands_on, CoflowSchedule, Demand,

@@ -10,7 +10,7 @@ use ocs_model::{
     Bandwidth, Coflow, Dur, Fabric, FlowRef,
 };
 use proptest::prelude::*;
-use sunflow_core::{FlowOrder, InterScheduler, IntraScheduler, ShortestFirst, SunflowConfig};
+use sunflow_core::{FlowOrder, IntraScheduler, SunflowConfig};
 
 /// A generated Coflow: up to 8x8 ports, 1..=16 flows, 1 byte..64 MB each.
 fn arb_coflow(id: u64) -> impl Strategy<Value = Coflow> {
@@ -89,44 +89,5 @@ proptest! {
     fn offline_switching_is_minimal(coflow in arb_coflow(0), fabric in arb_fabric()) {
         let s = IntraScheduler::new(&fabric, SunflowConfig::default()).schedule(&coflow);
         prop_assert_eq!(s.circuit_setups(), coflow.num_flows() as u64);
-    }
-
-    /// Inter-Coflow batches: joint validity, per-coflow demand
-    /// satisfaction, and the top-priority Coflow achieving its solo CCT.
-    #[test]
-    fn inter_batch_validity(
-        a in arb_coflow(0),
-        b in arb_coflow(1),
-        c in arb_coflow(2),
-        fabric in arb_fabric(),
-    ) {
-        let coflows = [a, b, c];
-        let inter = InterScheduler::new(&fabric, SunflowConfig::default());
-        let schedules = inter.schedule_batch(&coflows, &ShortestFirst);
-
-        let mut all = Vec::new();
-        for s in &schedules {
-            all.extend_from_slice(s.reservations());
-        }
-        prop_assert!(validate_port_constraints(&all).is_ok());
-
-        for (cf, s) in coflows.iter().zip(&schedules) {
-            let served = served_per_flow(s.reservations(), fabric.delta());
-            for (idx, f) in cf.flows().iter().enumerate() {
-                let key = FlowRef { coflow: cf.id(), flow_idx: idx };
-                prop_assert_eq!(served[&key], fabric.processing_time(f.bytes));
-            }
-        }
-
-        // The highest-priority coflow is never blocked: it finishes
-        // exactly as fast as it would alone (it is scheduled first on an
-        // empty PRT, so its schedule is its solo schedule).
-        let solo_policy = ShortestFirst;
-        let mut order: Vec<&Coflow> = coflows.iter().collect();
-        use sunflow_core::PriorityPolicy;
-        solo_policy.sort(&mut order, &fabric);
-        let top = order[0].id() as usize;
-        let solo = IntraScheduler::new(&fabric, SunflowConfig::default()).schedule(&coflows[top]);
-        prop_assert_eq!(schedules[top].cct(), solo.cct());
     }
 }

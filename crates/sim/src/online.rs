@@ -87,11 +87,6 @@ pub struct OnlineConfig {
     pub active_policy: ActiveCircuitPolicy,
     /// Optional starvation guard (§4.2).
     pub guard: Option<GuardConfig>,
-    /// Seed every active Coflow at every planning round, so none is
-    /// skipped: the same replan path with the affected-set closure made
-    /// trivial. Outcomes are byte-identical either way; this is the
-    /// reference arm of the equivalence tests.
-    pub full_replan: bool,
 }
 
 impl Default for OnlineConfig {
@@ -99,7 +94,6 @@ impl Default for OnlineConfig {
         OnlineConfig {
             active_policy: ActiveCircuitPolicy::Yield,
             guard: None,
-            full_replan: false,
         }
     }
 }
@@ -114,13 +108,6 @@ impl OnlineConfig {
     /// Enable (or disable, with `None`) the §4.2 starvation guard.
     pub fn guard(mut self, guard: impl Into<Option<GuardConfig>>) -> OnlineConfig {
         self.guard = guard.into();
-        self
-    }
-
-    /// Seed (or, with `false`, stop seeding) every active Coflow at
-    /// every planning round; see [`OnlineConfig::full_replan`].
-    pub fn full_replan(mut self, full: bool) -> OnlineConfig {
-        self.full_replan = full;
         self
     }
 
@@ -148,10 +135,11 @@ pub struct ReplayResult {
 /// same configuration produce identical counters except for
 /// `reschedule_micros`, which is wall-clock and feeds the `compute_s`
 /// field of the `BENCH_<id>.json` records. There is one replan path, so
-/// every counter is live in every configuration; toggling
-/// [`OnlineConfig::full_replan`] changes the *work* counters — skipped
-/// Coflows plan and truncate nothing — while leaving every outcome
-/// byte-identical.
+/// every counter is live in every configuration. The outcome-bearing
+/// counters (`events`, `yield_rounds`, `cuts`) are what the test-side
+/// reference replay re-derives; the *work* counters — Coflows
+/// re-planned or skipped, reservations reused — have no reference
+/// value, since the reference re-plans every Coflow at every round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ReplayStats {

@@ -879,21 +879,20 @@ impl OnlineStepper {
     ///
     /// The affected set starts from the Coflows whose state changed at
     /// this event (`event_dirty`: arrivals, settle shortfalls, deferral
-    /// expiries, guard credit, cut circuits — every active Coflow under
-    /// [`OnlineConfig::full_replan`]) plus the ports of every cut circuit
-    /// and of every reservation that went in flight since the last
-    /// re-plan (a kept plan predates those circuits becoming unremovable
-    /// obstacles). It is then closed downward over the priority order: a
-    /// re-planned Coflow may move reservations on any port of its
-    /// footprint, which can displace any lower-priority Coflow sharing
-    /// one, transitively. A Coflow outside the closure has a footprint
-    /// disjoint from every port that changed, so its kept plan is
-    /// byte-identical to what re-planning everyone would re-derive (see
-    /// DESIGN §4). Starvation-guard windows are a fixed timetable every
-    /// probe of the table (and of the delta view over it) carries: the
-    /// same obstacles to a kept plan and to its re-derivation. What a
-    /// window changes is the state of the Coflows it credits, and those
-    /// arrive here as seeds.
+    /// expiries, guard credit, cut circuits) plus the ports of every cut
+    /// circuit and of every reservation that went in flight since the
+    /// last re-plan (a kept plan predates those circuits becoming
+    /// unremovable obstacles). It is then closed downward over the
+    /// priority order: a re-planned Coflow may move reservations on any
+    /// port of its footprint, which can displace any lower-priority
+    /// Coflow sharing one, transitively. A Coflow outside the closure has
+    /// a footprint disjoint from every port that changed, so its kept
+    /// plan is byte-identical to what re-planning everyone would
+    /// re-derive (see DESIGN §4). Starvation-guard windows are a fixed
+    /// timetable every probe of the table (and of the delta view over it)
+    /// carries: the same obstacles to a kept plan and to its
+    /// re-derivation. What a window changes is the state of the Coflows
+    /// it credits, and those arrive here as seeds.
     fn replan(&mut self, hook: &mut dyn SettleHook) {
         let delta = self.fabric.delta();
         let now = self.now;
@@ -956,9 +955,6 @@ impl OnlineStepper {
                 if let Some(&r) = rank.get(&self.coflows[idx].id()) {
                     scratch.seed[r] = true;
                 }
-            }
-            if self.config.full_replan {
-                scratch.seed.fill(true);
             }
             // Close the affected set down the priority order.
             scratch.dirty_flag.fill(false);

@@ -1,13 +1,20 @@
 //! Helpers shared by the integration suites: the 40-Coflow regression
 //! fixture and its FNV fingerprint (every golden constant was captured
 //! on them), random workloads and policy rosters for the equivalence
-//! properties, and a time-stretch for the replan suites.
+//! properties, a time-stretch for the replan suites, and the reference
+//! online replay ([`ref_replay`]) with the stepper run it is compared to.
 
 // Each suite compiles this module on its own and uses a subset.
 #![allow(dead_code)]
 
+pub mod ref_replay;
+
+pub use ref_replay::{ref_replay, Replay};
+
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, ScheduleOutcome, Time};
-use ocs_sim::{ActiveCircuitPolicy, ReplayResult};
+use ocs_sim::{
+    ActiveCircuitPolicy, OnlineConfig, OnlineStepper, ReplayResult, ReplayStats, SettleHook,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use sunflow_core::{
@@ -16,7 +23,7 @@ use sunflow_core::{
 };
 
 /// Every in-flight circuit policy: the replan suites run all three
-/// against the arm that seeds every Coflow.
+/// against the reference replay.
 pub const ACTIVE_POLICIES: [ActiveCircuitPolicy; 3] = [
     ActiveCircuitPolicy::Yield,
     ActiveCircuitPolicy::Keep,
@@ -30,7 +37,7 @@ pub fn fabric() -> Fabric {
 
 /// xorshift64* so the workload is deterministic without pulling `rand`
 /// into the fixture.
-fn xorshift(state: &mut u64) -> u64 {
+pub fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x >> 12;
     x ^= x << 25;
@@ -52,6 +59,25 @@ pub fn workload() -> Vec<Coflow> {
         for _ in 0..flows {
             let src = (xorshift(&mut s) % 8) as usize;
             let dst = (xorshift(&mut s) % 8) as usize;
+            let bytes = (1 + xorshift(&mut s) % 24) * 1_000_000;
+            b = b.flow(src, dst, bytes);
+        }
+        coflows.push(b.build());
+    }
+    coflows
+}
+
+/// A random workload on `ports` ports: `n` Coflows, 1–4 flows of
+/// 1–24 MB each, arrivals spread over `window_ms`.
+pub fn random_workload(seed: u64, n: u64, ports: u64, window_ms: u64) -> Vec<Coflow> {
+    let mut s = seed | 1;
+    let mut coflows = Vec::new();
+    for id in 0..n {
+        let arrival = Time::from_millis(xorshift(&mut s) % window_ms);
+        let mut b = Coflow::builder(id).arrival(arrival);
+        for _ in 0..1 + (xorshift(&mut s) % 4) as usize {
+            let src = (xorshift(&mut s) % ports) as usize;
+            let dst = (xorshift(&mut s) % ports) as usize;
             let bytes = (1 + xorshift(&mut s) % 24) * 1_000_000;
             b = b.flow(src, dst, bytes);
         }
@@ -165,4 +191,90 @@ pub fn stretch(coflows: &[Coflow], k: u64) -> Vec<Coflow> {
             b.build()
         })
         .collect()
+}
+
+/// Run an [`OnlineStepper`] over `coflows` to idle under `hook`, in the
+/// shape [`ref_replay`] reports, with the stepper's work counters.
+pub fn stepper_replay(
+    coflows: &[Coflow],
+    f: &Fabric,
+    config: &OnlineConfig,
+    policy: &dyn PriorityPolicy,
+    hook: &mut dyn SettleHook,
+) -> (Replay, ReplayStats) {
+    let mut s = OnlineStepper::new(f, config);
+    for c in coflows {
+        s.submit(c.clone()).expect("submit");
+    }
+    s.run_to_idle_with(policy, hook);
+    let mut done: HashMap<u64, _> = s
+        .drain_completions()
+        .into_iter()
+        .map(|d| (d.outcome.coflow, d))
+        .collect();
+    let (outcomes, first_service) = coflows
+        .iter()
+        .map(|c| {
+            let d = done.remove(&c.id()).expect("every Coflow completes");
+            (d.outcome, d.first_service)
+        })
+        .unzip();
+    let stats = s.stats();
+    let replay = Replay {
+        outcomes,
+        first_service,
+        guard_windows: s.guard_windows(),
+        events: stats.events,
+        cuts: stats.cuts,
+        yield_rounds: stats.yield_rounds,
+    };
+    (replay, stats)
+}
+
+/// Assert two replays agree on every outcome, first service and event
+/// counter, naming the first field that differs.
+pub fn assert_replays_agree(got: &Replay, want: &Replay, label: &str) {
+    assert_eq!(got.outcomes.len(), want.outcomes.len(), "{label}: counts");
+    for (g, w) in got.outcomes.iter().zip(&want.outcomes) {
+        assert_eq!(g.coflow, w.coflow, "{label}: order");
+        assert_eq!(g.finish, w.finish, "{label}: coflow {} finish", g.coflow);
+        assert_eq!(
+            g.flow_finish, w.flow_finish,
+            "{label}: coflow {} flow finishes",
+            g.coflow
+        );
+        assert_eq!(
+            g.circuit_setups, w.circuit_setups,
+            "{label}: coflow {} setups",
+            g.coflow
+        );
+    }
+    assert_eq!(
+        got.first_service, want.first_service,
+        "{label}: first service"
+    );
+    assert_eq!(
+        got.guard_windows, want.guard_windows,
+        "{label}: guard windows"
+    );
+    assert_eq!(got.events, want.events, "{label}: events");
+    assert_eq!(got.cuts, want.cuts, "{label}: cuts");
+    assert_eq!(got.yield_rounds, want.yield_rounds, "{label}: yield rounds");
+}
+
+/// Replay `coflows` on the stepper and on [`ref_replay`], each with a
+/// fresh hook from `hook`, assert they agree, and hand back the
+/// stepper's run.
+pub fn check_against_reference<H: SettleHook>(
+    coflows: &[Coflow],
+    f: &Fabric,
+    config: &OnlineConfig,
+    policy: &dyn PriorityPolicy,
+    hook: impl Fn() -> H,
+    label: &str,
+) -> (Replay, ReplayStats) {
+    let (got, stats) = stepper_replay(coflows, f, config, policy, &mut hook());
+    let want = ref_replay(coflows, f, config, policy, &mut hook());
+    assert_replays_agree(&got, &want, label);
+    (got, stats)
 }

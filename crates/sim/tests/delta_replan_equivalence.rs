@@ -1,16 +1,17 @@
 //! Delta-PRT replanning must be invisible in every outcome: for any
 //! workload, any priority policy and any active-circuit policy, the
-//! scoped replay (affected-set skipping + reservation reuse, one planning
-//! view per round) must reproduce the replay that seeds every Coflow at
-//! every round byte-for-byte. Driven in slices, the same stepper must
-//! leave nothing behind: whenever no Coflow is active its table is empty,
-//! and once idle no demand is outstanding.
+//! stepper (affected-set skipping + reservation reuse, one planning view
+//! per round) must reproduce the reference replay
+//! ([`common::ref_replay`]), which re-plans every Coflow at every round
+//! on a flat reservation list, byte-for-byte. Driven in slices, the same
+//! stepper must leave nothing behind: whenever no Coflow is active its
+//! table is empty, and once idle no demand is outstanding.
 
 mod common;
 
-use common::{stretch, ACTIVE_POLICIES};
+use common::{check_against_reference, stretch, Replay, ACTIVE_POLICIES};
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};
-use ocs_sim::{simulate_circuit, OnlineConfig, OnlineStepper, ReplayResult};
+use ocs_sim::{simulate_circuit, FullService, OnlineConfig, OnlineStepper};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use sunflow_core::{
@@ -48,33 +49,9 @@ fn arb_workload(ports: usize, n: usize) -> impl Strategy<Value = Vec<Coflow>> {
     })
 }
 
-fn assert_identical(a: &ReplayResult, b: &ReplayResult, label: &str) {
-    assert_eq!(a.outcomes.len(), b.outcomes.len(), "{label}: counts");
-    for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-        assert_eq!(x.coflow, y.coflow, "{label}: order");
-        assert_eq!(x.finish, y.finish, "{label}: coflow {} finish", x.coflow);
-        assert_eq!(
-            x.flow_finish, y.flow_finish,
-            "{label}: coflow {} flow finishes",
-            x.coflow
-        );
-        assert_eq!(
-            x.circuit_setups, y.circuit_setups,
-            "{label}: coflow {} setups",
-            x.coflow
-        );
-    }
-    assert_eq!(a.stats.events, b.stats.events, "{label}: events");
-    assert_eq!(a.stats.cuts, b.stats.cuts, "{label}: cuts");
-    assert_eq!(
-        a.stats.yield_rounds, b.stats.yield_rounds,
-        "{label}: yield rounds"
-    );
-    assert_eq!(a.guard_windows, b.guard_windows, "{label}: guard windows");
-}
-
-/// Scoped delta replay vs forced full replay, for one policy, with or
-/// without a starvation guard; each configuration also driven in slices.
+/// The stepper against the reference for one priority policy, with or
+/// without a starvation guard, under every active-circuit policy; each
+/// configuration's stepper also driven in slices.
 fn check_policy(
     coflows: &[Coflow],
     f: &Fabric,
@@ -83,18 +60,10 @@ fn check_policy(
     label: &str,
 ) {
     for active in ACTIVE_POLICIES {
-        let scoped_cfg = OnlineConfig::default().active_policy(active).guard(guard);
-        let full_cfg = scoped_cfg.full_replan(true);
-        let scoped = simulate_circuit(coflows, f, &scoped_cfg, policy);
-        let full = simulate_circuit(coflows, f, &full_cfg, policy);
+        let cfg = OnlineConfig::default().active_policy(active).guard(guard);
         let label = format!("{label}, {active:?}");
-        assert_identical(&scoped, &full, &format!("{label} vs full"));
-        // The reference arm is the same path with nothing skipped.
-        assert_eq!(full.stats.coflows_skipped, 0, "{label}: full skipped");
-
-        check_idle_table(coflows, f, &scoped_cfg, policy, &scoped, &label);
-        let full_label = format!("{label}, full");
-        check_idle_table(coflows, f, &full_cfg, policy, &full, &full_label);
+        let (got, _) = check_against_reference(coflows, f, &cfg, policy, || FullService, &label);
+        check_idle_table(coflows, f, &cfg, policy, &got, &label);
     }
 }
 
@@ -107,7 +76,7 @@ fn check_idle_table(
     f: &Fabric,
     config: &OnlineConfig,
     policy: &dyn PriorityPolicy,
-    want: &ReplayResult,
+    want: &Replay,
     label: &str,
 ) {
     let mut s = OnlineStepper::new(f, config);
@@ -141,7 +110,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn delta_replay_matches_full_under_every_policy(coflows in arb_workload(8, 18)) {
+    fn delta_replay_matches_the_reference_under_every_policy(coflows in arb_workload(8, 18)) {
         let f = fabric(8);
         let explicit = ExplicitOrder::new(coflows.iter().map(|c| c.id()).rev());
         let classes: HashMap<u64, u32> =

@@ -1,17 +1,21 @@
 //! Affected-set rescheduling must be invisible in every outcome: for any
-//! workload and active-circuit policy, the default (scoped) replay and
-//! the same replay with `full_replan(true)` — the same path, seeding
-//! every active Coflow at every round — must produce byte-identical
-//! completions, finish times, setup counts and displacement decisions,
-//! while the scoped run demonstrably skips re-planning work.
+//! workload and active-circuit policy, the stepper — which re-plans only
+//! the Coflows an event can have touched, on the delta view of its
+//! table — must reproduce the reference replay ([`common::ref_replay`]),
+//! which re-plans every Coflow at every round from the paper on a flat
+//! reservation list: byte-identical completions, finish times, setup
+//! counts, first service and displacement decisions, while the stepper
+//! demonstrably skips re-planning work.
 
 mod common;
 
-use common::{stretch, ACTIVE_POLICIES};
+use common::{
+    check_against_reference, policies, random_workload as workload, stretch, ACTIVE_POLICIES,
+};
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Reservation, Time};
 use ocs_sim::{
-    simulate_circuit, ActiveCircuitPolicy, OnlineConfig, OnlineStepper, ReplayResult, SettleHook,
-    SettleVerdict,
+    simulate_circuit, ActiveCircuitPolicy, FullService, OnlineConfig, OnlineStepper, ReplayStats,
+    SettleHook, SettleVerdict,
 };
 use sunflow_core::{GuardConfig, ShortestFirst};
 
@@ -19,74 +23,15 @@ fn fabric(ports: usize) -> Fabric {
     Fabric::new(ports, Bandwidth::GBPS, Dur::from_millis(10))
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-/// A random workload on `ports` ports: `n` Coflows, 1–4 flows each,
-/// arrivals spread over `window_ms`.
-fn workload(seed: u64, n: u64, ports: u64, window_ms: u64) -> Vec<Coflow> {
-    let mut s = seed | 1;
-    let mut coflows = Vec::new();
-    for id in 0..n {
-        let arrival = Time::from_millis(xorshift(&mut s) % window_ms);
-        let mut b = Coflow::builder(id).arrival(arrival);
-        for _ in 0..1 + (xorshift(&mut s) % 4) as usize {
-            let src = (xorshift(&mut s) % ports) as usize;
-            let dst = (xorshift(&mut s) % ports) as usize;
-            let bytes = (1 + xorshift(&mut s) % 24) * 1_000_000;
-            b = b.flow(src, dst, bytes);
-        }
-        coflows.push(b.build());
-    }
-    coflows
-}
-
-fn assert_same_outcomes(scoped: &ReplayResult, full: &ReplayResult, label: &str) {
-    assert_eq!(
-        scoped.outcomes.len(),
-        full.outcomes.len(),
-        "{label}: completion counts diverged"
-    );
-    for (s, f) in scoped.outcomes.iter().zip(full.outcomes.iter()) {
-        assert_eq!(s.coflow, f.coflow, "{label}: outcome order diverged");
-        assert_eq!(s.finish, f.finish, "{label}: coflow {} finish", s.coflow);
-        assert_eq!(
-            s.flow_finish, f.flow_finish,
-            "{label}: coflow {} flow finishes",
-            s.coflow
-        );
-        assert_eq!(
-            s.circuit_setups, f.circuit_setups,
-            "{label}: coflow {} setups",
-            s.coflow
-        );
-    }
-    // The event structure must agree too: same events, same displacement
-    // rounds, same cuts — only the amount of re-planning work differs.
-    assert_eq!(scoped.stats.events, full.stats.events, "{label}: events");
-    assert_eq!(
-        scoped.stats.yield_rounds, full.stats.yield_rounds,
-        "{label}: yield rounds"
-    );
-    assert_eq!(scoped.stats.cuts, full.stats.cuts, "{label}: cuts");
-}
-
-/// Unguarded, and under the §4.2 starvation guard, where the scoped
-/// replay plans around the guard timetable and re-plans at a window's
-/// end only the Coflows the window credited and whoever they free ports
-/// for: the dense guard of the goldens and the sparse one of the
-/// benchmark (on the workload stretched to span several of its
-/// minute-long intervals). Under every active-circuit policy, against
-/// the replay that seeds everyone: same completions, same setups, same
-/// guard-window count.
+/// Unguarded, and under the §4.2 starvation guard, where the stepper
+/// plans around the guard timetable and re-plans at a window's end only
+/// the Coflows the window credited and whoever they free ports for: the
+/// dense guard of the goldens and the sparse one of the benchmark (on
+/// the workload stretched to span several of its minute-long
+/// intervals). Under every active-circuit policy, against the reference
+/// replay: same completions, same setups, same guard-window count.
 #[test]
-fn scoped_and_full_replay_are_byte_identical() {
+fn stepper_matches_the_reference_replay() {
     let dense = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
     let sparse = GuardConfig::new(Dur::from_secs(60), Dur::from_millis(100));
     for (name, guard, k) in [
@@ -101,13 +46,13 @@ fn scoped_and_full_replay_are_byte_identical() {
                     let coflows = stretch(&workload(seed, 30, ports, 2_000), k);
                     let f = fabric(ports as usize);
                     let label = format!("{name} guard, seed {seed:#x}, {policy:?}, {ports} ports");
-                    let (scoped, _) = check_scoped_vs_full(&coflows, &f, policy, guard, &label);
+                    let (got, stats) = check(&coflows, &f, policy, guard, &label);
                     assert_eq!(
-                        scoped.guard_windows > 0,
+                        got.guard_windows > 0,
                         guard.is_some(),
                         "{label}: windows elapsed"
                     );
-                    skipped += scoped.stats.coflows_skipped;
+                    skipped += stats.coflows_skipped;
                 }
             }
         }
@@ -115,33 +60,17 @@ fn scoped_and_full_replay_are_byte_identical() {
     }
 }
 
-/// Replay `coflows` scoped and with every Coflow seeded, assert the two
-/// agree on every outcome and that the seeded arm skipped nothing, and
-/// hand both back.
-fn check_scoped_vs_full(
+/// Replay `coflows` fault-free under shortest-first on the stepper and
+/// the reference, assert the two agree, and hand back the stepper's run.
+fn check(
     coflows: &[Coflow],
     f: &Fabric,
     policy: ActiveCircuitPolicy,
     guard: Option<GuardConfig>,
     label: &str,
-) -> (ReplayResult, ReplayResult) {
-    let scoped_cfg = OnlineConfig::default().active_policy(policy).guard(guard);
-    let scoped = simulate_circuit(coflows, f, &scoped_cfg, &ShortestFirst);
-    let full = simulate_circuit(coflows, f, &scoped_cfg.full_replan(true), &ShortestFirst);
-    assert_same_outcomes(&scoped, &full, label);
-    assert_eq!(
-        scoped.guard_windows, full.guard_windows,
-        "{label}: guard windows"
-    );
-    assert_eq!(
-        full.stats.coflows_skipped, 0,
-        "{label}: forced full replay must skip nothing"
-    );
-    assert!(
-        scoped.stats.coflows_rescheduled <= full.stats.coflows_rescheduled,
-        "{label}: scoped replay re-planned more than the full one"
-    );
-    (scoped, full)
+) -> (common::Replay, ReplayStats) {
+    let cfg = OnlineConfig::default().active_policy(policy).guard(guard);
+    check_against_reference(coflows, f, &cfg, &ShortestFirst, || FullService, label)
 }
 
 /// A guard period barely longer than δ splits every flow at every window
@@ -160,7 +89,7 @@ fn plans_far_longer_than_their_demand_stop_at_every_window() {
             let f = fabric(ports as usize).with_bandwidth(Bandwidth::from_gbps(4));
             for policy in ACTIVE_POLICIES {
                 let label = format!("tight guard, seed {seed}, {policy:?}, {ports} ports");
-                check_scoped_vs_full(&coflows, &f, policy, Some(guard), &label);
+                check(&coflows, &f, policy, Some(guard), &label);
             }
         }
     }
@@ -195,8 +124,8 @@ fn an_arrival_inside_a_window_under_way_waits_for_it_to_end() {
     ];
     for policy in ACTIVE_POLICIES {
         let label = format!("{policy:?}");
-        let (scoped, _) = check_scoped_vs_full(&coflows, &f, policy, Some(guard), &label);
-        let of = |id| scoped.outcomes.iter().find(|o| o.coflow == id).unwrap();
+        let (got, _) = check(&coflows, &f, policy, Some(guard), &label);
+        let of = |id| got.outcomes.iter().find(|o| o.coflow == id).unwrap();
         assert_eq!(of(2).finish, Time::from_millis(2_640), "{label}");
         assert_eq!(of(2).circuit_setups, 0, "{label}: served by the window");
         // δ + 24 ms from the window's end, not from the arrival.
@@ -207,7 +136,7 @@ fn an_arrival_inside_a_window_under_way_waits_for_it_to_end() {
 /// The same at random: one early Coflow, an idle gap of ten guard
 /// intervals, then a burst of arrivals inside a guard window.
 #[test]
-fn scoped_and_full_agree_on_a_burst_inside_a_window_after_an_idle_gap() {
+fn stepper_and_reference_agree_on_a_burst_inside_a_window_after_an_idle_gap() {
     let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
     for seed in 1..=40u64 {
         for ports in [4u64, 8] {
@@ -223,7 +152,7 @@ fn scoped_and_full_agree_on_a_burst_inside_a_window_after_an_idle_gap() {
             let f = fabric(ports as usize);
             for policy in ACTIVE_POLICIES {
                 let label = format!("burst seed {seed}, {policy:?}, {ports} ports");
-                check_scoped_vs_full(&coflows, &f, policy, Some(guard), &label);
+                check(&coflows, &f, policy, Some(guard), &label);
             }
         }
     }
@@ -246,81 +175,75 @@ fn scoped_replay_skips_most_coflows_on_wide_fabrics() {
     );
 }
 
-/// A hook that shorts every third settlement (deferral + retry events)
-/// exercises the shortfall and backoff-expiry seeds of the affected set;
-/// scoped and full runs must still agree on everything, under every
-/// active-circuit policy.
-#[test]
-fn scoped_and_full_agree_under_injected_faults() {
-    struct ShortEveryThird {
-        n: u64,
-        faults_left: u64,
-    }
-    impl SettleHook for ShortEveryThird {
-        fn on_settle(&mut self, _r: &Reservation, available: Dur, _now: Time) -> SettleVerdict {
-            self.n += 1;
-            if self.n.is_multiple_of(3) && self.faults_left > 0 {
-                self.faults_left -= 1;
-                SettleVerdict::shorted(available / 2, Dur::from_millis(7))
-            } else {
-                SettleVerdict::full(available)
-            }
-        }
-    }
+/// A fault hook that shorts every third settlement to half its service
+/// with a 7 ms backoff, until `faults_left` runs out.
+struct ShortEveryThird {
+    n: u64,
+    faults_left: u64,
+}
 
-    for policy in ACTIVE_POLICIES {
-        // A 7 ms backoff is below δ: under Preempt every retry event
-        // cuts each circuit still setting up, whose settlements feed the
-        // hook its next fault, and an unbounded hook never lets go.
-        let faults = match policy {
+impl ShortEveryThird {
+    /// As many faults as `policy` lets a replay drain: a 7 ms backoff is
+    /// below δ, so under Preempt every retry event cuts each circuit
+    /// still setting up, whose settlements feed the hook its next fault,
+    /// and an unbounded hook never lets go.
+    fn for_policy(policy: ActiveCircuitPolicy) -> ShortEveryThird {
+        let faults_left = match policy {
             ActiveCircuitPolicy::Preempt => 12,
             _ => u64::MAX,
         };
-        let run = |full_replan: bool| {
-            let coflows = workload(0xabcd, 25, 8, 2_000);
-            let cfg = OnlineConfig::default()
-                .active_policy(policy)
-                .full_replan(full_replan);
-            let f = fabric(8);
-            let mut stepper = OnlineStepper::new(&f, &cfg);
-            for c in coflows {
-                stepper.submit(c).expect("submit");
-            }
-            let mut hook = ShortEveryThird {
-                n: 0,
-                faults_left: faults,
-            };
-            stepper.run_to_idle_with(&ShortestFirst, &mut hook);
-            let mut done = stepper.drain_completions();
-            done.sort_by_key(|c| c.outcome.coflow);
-            (done, stepper.stats())
-        };
+        ShortEveryThird { n: 0, faults_left }
+    }
+}
 
-        let (scoped, scoped_stats) = run(false);
-        let (full, full_stats) = run(true);
-        assert_eq!(scoped.len(), full.len(), "{policy:?}");
-        for (s, f) in scoped.iter().zip(full.iter()) {
-            assert_eq!(s.outcome.coflow, f.outcome.coflow, "{policy:?}");
-            assert_eq!(s.outcome.finish, f.outcome.finish, "{policy:?}");
-            assert_eq!(s.outcome.flow_finish, f.outcome.flow_finish, "{policy:?}");
-            assert_eq!(
-                s.outcome.circuit_setups, f.outcome.circuit_setups,
-                "{policy:?}"
-            );
-            assert_eq!(s.first_service, f.first_service, "{policy:?}");
+impl SettleHook for ShortEveryThird {
+    fn on_settle(&mut self, _r: &Reservation, available: Dur, _now: Time) -> SettleVerdict {
+        self.n += 1;
+        if self.n.is_multiple_of(3) && self.faults_left > 0 {
+            self.faults_left -= 1;
+            SettleVerdict::shorted(available / 2, Dur::from_millis(7))
+        } else {
+            SettleVerdict::full(available)
         }
-        assert_eq!(scoped_stats.events, full_stats.events, "{policy:?}");
-        assert_eq!(scoped_stats.cuts, full_stats.cuts, "{policy:?}");
-        assert_eq!(full_stats.coflows_skipped, 0, "{policy:?}");
-        assert!(
-            scoped_stats.coflows_skipped > 0,
-            "{policy:?}: faulty run must still skip"
-        );
+    }
+}
+
+/// A hook that shorts every third settlement (deferral + retry events)
+/// exercises the shortfall and backoff-expiry seeds of the affected set;
+/// the stepper and the reference, each under its own copy of the hook,
+/// must still agree on everything — the hook sees the same calls in the
+/// same order — under every priority and active-circuit policy,
+/// unguarded and under the dense and the sparse guard.
+#[test]
+fn stepper_and_reference_agree_under_injected_faults() {
+    let clustered = workload(0xabcd, 25, 8, 2_000);
+    let f = fabric(8);
+    let dense = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
+    let sparse = GuardConfig::new(Dur::from_secs(60), Dur::from_millis(100));
+    let stretched = stretch(&clustered, 100);
+    for (guard, coflows) in [
+        (None, &clustered),
+        (Some(dense), &clustered),
+        (Some(sparse), &stretched),
+    ] {
+        for (name, priority) in policies(coflows) {
+            for policy in ACTIVE_POLICIES {
+                let label = format!("{name}, {policy:?}, guard {guard:?}");
+                let cfg = OnlineConfig::default().active_policy(policy).guard(guard);
+                let hook = || ShortEveryThird::for_policy(policy);
+                let (_, stats) =
+                    check_against_reference(coflows, &f, &cfg, priority.as_ref(), hook, &label);
+                assert!(
+                    stats.coflows_skipped > 0,
+                    "{label}: faulty run must still skip"
+                );
+            }
+        }
     }
 }
 
 /// A Coflow the guard finishes ahead of its plan leaves no circuit
-/// behind, whichever circuits the policy cuts and whoever is seeded:
+/// behind, whichever circuits the policy cuts:
 /// window 0 ([200, 240) ms, in.i -> out.i) serves Coflow 1 whole while
 /// its own circuit is planned for [240, 274) ms. Left in the table, that
 /// circuit holds in.0 against Coflow 2 until 274 ms.
@@ -329,35 +252,30 @@ fn a_coflow_the_guard_finishes_leaves_no_circuit_behind() {
     let guard = GuardConfig::new(Dur::from_millis(200), Dur::from_millis(40));
     let f = fabric(4);
     for policy in ACTIVE_POLICIES {
-        for full_replan in [false, true] {
-            let label = format!("{policy:?}, full_replan {full_replan}");
-            let cfg = OnlineConfig::default()
-                .active_policy(policy)
-                .guard(guard)
-                .full_replan(full_replan);
-            let mut s = OnlineStepper::new(&f, &cfg);
-            s.submit(Coflow::builder(0).flow(0, 1, 23_000_000).build())
-                .expect("submit");
-            let early = Coflow::builder(1)
-                .arrival(Time::from_millis(195))
-                .flow(0, 0, 3_000_000)
-                .build();
-            s.submit(early).expect("submit");
-            s.run_until(Time::from_millis(245), &ShortestFirst);
-            assert!(s.is_idle(), "{label}: both served by 240 ms");
-            assert_eq!(s.prt().all_reservations(), vec![], "{label}: ghost circuit");
-            let late = Coflow::builder(2)
-                .arrival(Time::from_millis(250))
-                .flow(0, 2, 1_000_000)
-                .build();
-            s.submit(late).expect("submit");
-            s.run_to_idle(&ShortestFirst);
-            let mut done = s.drain_completions();
-            done.sort_by_key(|c| c.outcome.coflow);
-            let finishes: Vec<Time> = done.iter().map(|c| c.outcome.finish).collect();
-            let setups: Vec<u64> = done.iter().map(|c| c.outcome.circuit_setups).collect();
-            assert_eq!(finishes, [194, 240, 268].map(Time::from_millis), "{label}");
-            assert_eq!(setups, [1, 0, 1], "{label}");
-        }
+        let label = format!("{policy:?}");
+        let cfg = OnlineConfig::default().active_policy(policy).guard(guard);
+        let mut s = OnlineStepper::new(&f, &cfg);
+        s.submit(Coflow::builder(0).flow(0, 1, 23_000_000).build())
+            .expect("submit");
+        let early = Coflow::builder(1)
+            .arrival(Time::from_millis(195))
+            .flow(0, 0, 3_000_000)
+            .build();
+        s.submit(early).expect("submit");
+        s.run_until(Time::from_millis(245), &ShortestFirst);
+        assert!(s.is_idle(), "{label}: both served by 240 ms");
+        assert_eq!(s.prt().all_reservations(), vec![], "{label}: ghost circuit");
+        let late = Coflow::builder(2)
+            .arrival(Time::from_millis(250))
+            .flow(0, 2, 1_000_000)
+            .build();
+        s.submit(late).expect("submit");
+        s.run_to_idle(&ShortestFirst);
+        let mut done = s.drain_completions();
+        done.sort_by_key(|c| c.outcome.coflow);
+        let finishes: Vec<Time> = done.iter().map(|c| c.outcome.finish).collect();
+        let setups: Vec<u64> = done.iter().map(|c| c.outcome.circuit_setups).collect();
+        assert_eq!(finishes, [194, 240, 268].map(Time::from_millis), "{label}");
+        assert_eq!(setups, [1, 0, 1], "{label}");
     }
 }

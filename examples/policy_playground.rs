@@ -9,7 +9,8 @@
 use std::collections::HashMap;
 use sunflow::metrics::Table;
 use sunflow::prelude::*;
-use sunflow::scheduler::{ClassThenShortest, FirstComeFirstServed, InterScheduler, PriorityPolicy};
+use sunflow::scheduler::{ClassThenShortest, FirstComeFirstServed, PriorityPolicy};
+use sunflow::sim::{engine::run_trace, SunflowBackend};
 
 fn main() {
     let fabric = Fabric::new(6, Fabric::GBPS, Fabric::default_delta());
@@ -32,7 +33,10 @@ fn main() {
             .build(),
     ];
 
-    let inter = InterScheduler::new(&fabric, SunflowConfig::default());
+    // All three arrive at t = 0 and no in-flight circuit is cut, so the
+    // online replay is §4.2's InterCoflow: IntraCoflow for each Coflow in
+    // priority order against the shared PRT.
+    let config = OnlineConfig::default().active_policy(ActiveCircuitPolicy::Keep);
     let privileged = ClassThenShortest::new(HashMap::from([(0u64, 0u32)]), 1);
 
     let policies: Vec<(&str, &dyn PriorityPolicy)> = vec![
@@ -43,12 +47,13 @@ fn main() {
 
     let mut table = Table::new(["policy", "CCT coflow 0", "CCT coflow 1", "CCT coflow 2"]);
     for (name, policy) in policies {
-        let schedules = inter.schedule_batch(&coflows, policy);
+        let mut backend = SunflowBackend::new(&fabric, &config, Box::new(policy));
+        let outcomes = run_trace(&coflows, &mut backend);
         table.row([
             name.to_string(),
-            format!("{}", schedules[0].cct()),
-            format!("{}", schedules[1].cct()),
-            format!("{}", schedules[2].cct()),
+            format!("{}", outcomes[0].cct(Time::ZERO)),
+            format!("{}", outcomes[1].cct(Time::ZERO)),
+            format!("{}", outcomes[2].cct(Time::ZERO)),
         ]);
     }
     println!("{}", table.render());

@@ -1,10 +1,12 @@
 //! End-to-end integration across the workspace: workload generation →
 //! scheduling (circuit and packet) → outcome invariants.
 
+use std::collections::HashMap;
 use sunflow::baselines::CircuitScheduler;
 use sunflow::model::lemma1_holds;
 use sunflow::packet::{Aalo, Varys};
 use sunflow::prelude::*;
+use sunflow::scheduler::PriorityPolicy;
 use sunflow::workload::{generate, perturb_sizes, SynthConfig};
 
 fn small_workload() -> Vec<sunflow::model::Coflow> {
@@ -125,14 +127,22 @@ fn offline_and_online_agree_for_simultaneous_arrivals() {
             b.build()
         })
         .collect();
-    let inter = sunflow::scheduler::InterScheduler::new(&f, SunflowConfig::default());
-    let offline = inter.schedule_batch(&coflows, &ShortestFirst);
+    // The offline batch: IntraCoflow for each Coflow in priority order
+    // against one shared PRT.
+    let intra = IntraScheduler::new(&f, SunflowConfig::default());
+    let mut prt = Prt::new(f.ports());
+    let mut order: Vec<&Coflow> = coflows.iter().collect();
+    ShortestFirst.sort(&mut order, &f);
+    let offline: HashMap<u64, Time> = order
+        .into_iter()
+        .map(|c| (c.id(), intra.schedule_on(&mut prt, c, Time::ZERO).finish()))
+        .collect();
     // Keep-policy replay matches the offline batch exactly: rescheduling
     // at completions re-derives the same plan when nothing is displaced.
-    let cfg = OnlineConfig::default().active_policy(sunflow::sim::ActiveCircuitPolicy::Keep);
+    let cfg = OnlineConfig::default().active_policy(ActiveCircuitPolicy::Keep);
     let online = simulate_circuit(&coflows, &f, &cfg, &ShortestFirst);
-    for (a, b) in offline.iter().zip(&online.outcomes) {
-        assert_eq!(a.finish(), b.finish, "coflow {}", a.coflow());
+    for o in &online.outcomes {
+        assert_eq!(offline[&o.coflow], o.finish, "coflow {}", o.coflow);
     }
 }
 
@@ -144,12 +154,13 @@ fn combining_equal_priority_coflows_costs_average_cct() {
     let a = Coflow::builder(0).flow(0, 0, 40_000_000).build();
     let b = Coflow::builder(1).flow(0, 1, 40_000_000).build();
     let intra = IntraScheduler::new(&f, SunflowConfig::default());
-    let inter = sunflow::scheduler::InterScheduler::new(&f, SunflowConfig::default());
 
     // Served individually (equal priority broken by id): the first
     // finishes early, the second later.
-    let separate = inter.schedule_batch(&[a.clone(), b.clone()], &ShortestFirst);
-    let avg_separate = (separate[0].cct().as_secs_f64() + separate[1].cct().as_secs_f64()) / 2.0;
+    let keep = OnlineConfig::default().active_policy(ActiveCircuitPolicy::Keep);
+    let separate = simulate_circuit(&[a.clone(), b.clone()], &f, &keep, &ShortestFirst).outcomes;
+    let cct = |i: usize| separate[i].cct(Time::ZERO).as_secs_f64();
+    let avg_separate = (cct(0) + cct(1)) / 2.0;
 
     // Combined: both constituents complete only when the union does.
     let merged = Coflow::merge(9, &[a, b]);
