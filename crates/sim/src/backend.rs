@@ -27,6 +27,7 @@
 //! `replay_regression.rs` and `backend_regression.rs`).
 
 use crate::arrivals::ArrivalQueue;
+use crate::book::FlowBook;
 use crate::online::{OnlineConfig, ReplayStats};
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_baselines::{compact, CircuitScheduler, Segment, Switch};
@@ -241,18 +242,9 @@ impl SchedulingBackend for SunflowBackend<'_> {
 // Aggregated circuit baselines
 // ---------------------------------------------------------------------
 
-/// Per-Coflow bookkeeping of the aggregated replay.
-struct Tracked {
-    id: u64,
-    arrival: Time,
-    finish: Vec<Option<Time>>,
-    unfinished: usize,
-    first_service: Option<Time>,
-}
-
-/// One FIFO attribution queue: (tracked slot, flow index, remaining
-/// processing time) per queued flow on a circuit.
-type FifoQueue = VecDeque<(usize, usize, Dur)>;
+/// One FIFO attribution queue: the book slot and flow of each queued
+/// flow on a circuit.
+type FifoQueue = VecDeque<(usize, FlowRef)>;
 
 /// The §3.2 aggregated-demand straw man as a [`SchedulingBackend`]: on
 /// every Coflow arrival all outstanding demand is summed into one
@@ -271,15 +263,14 @@ pub struct CircuitBackend {
     fabric: Fabric,
     now: Time,
     arrivals: ArrivalQueue,
-    tracked: Vec<Tracked>,
+    /// The active Coflows' accounts, in admission slots.
+    book: FlowBook,
     /// Aggregate outstanding demand across active Coflows.
     remaining: DemandMatrix,
-    /// FIFO attribution queues per circuit:
-    /// (tracked slot, flow index, remaining processing time).
+    /// FIFO attribution queues per circuit.
     fifo: HashMap<(usize, usize), FifoQueue>,
     /// The physical switch the plans execute on.
     switch: Switch,
-    active: usize,
     completions: Vec<Completion>,
 }
 
@@ -293,11 +284,10 @@ impl CircuitBackend {
             fabric: *fabric,
             now: Time::ZERO,
             arrivals: ArrivalQueue::default(),
-            tracked: Vec::new(),
+            book: FlowBook::default(),
             remaining: DemandMatrix::zero(n),
             fifo: HashMap::new(),
             switch: Switch::new(n, fabric.delta(), scheduler.exec_config()),
-            active: 0,
             completions: Vec::new(),
         }
     }
@@ -306,59 +296,23 @@ impl CircuitBackend {
     fn admit_due(&mut self) -> u64 {
         let mut admitted = 0u64;
         while let Some(c) = self.arrivals.pop_due(self.now) {
-            let slot = self.tracked.len();
-            let mut tr = Tracked {
-                id: c.id(),
-                arrival: c.arrival(),
-                finish: vec![None; c.num_flows()],
-                unfinished: 0,
-                first_service: None,
-            };
-            for (fi, f) in c.flows().iter().enumerate() {
-                let p = self.fabric.processing_time(f.bytes);
-                if p.is_zero() {
-                    // A zero-byte flow needs no circuit: done on arrival.
-                    // (The historical loop queued it and deadlocked.)
-                    tr.finish[fi] = Some(self.now);
-                } else {
-                    self.remaining.add(f.src, f.dst, p);
-                    self.fifo
-                        .entry((f.src, f.dst))
-                        .or_default()
-                        .push_back((slot, fi, p));
-                    tr.unfinished += 1;
-                }
-            }
-            self.active += 1;
-            let all_done = tr.unfinished == 0;
-            self.tracked.push(tr);
-            if all_done {
-                self.complete(slot);
+            let slot = self.book.next_slot();
+            self.book.admit(slot, &c, &self.fabric);
+            for (flow_idx, f) in c.flows().iter().enumerate() {
+                self.remaining
+                    .add(f.src, f.dst, self.fabric.processing_time(f.bytes));
+                let flow = FlowRef {
+                    coflow: c.id(),
+                    flow_idx,
+                };
+                self.fifo
+                    .entry((f.src, f.dst))
+                    .or_default()
+                    .push_back((slot, flow));
             }
             admitted += 1;
         }
         admitted
-    }
-
-    fn complete(&mut self, slot: usize) {
-        let tr = &self.tracked[slot];
-        let flow_finish: Vec<Time> = tr
-            .finish
-            .iter()
-            .map(|f| f.expect("all demand drained"))
-            .collect();
-        let finish = flow_finish.iter().copied().max().unwrap_or(tr.arrival);
-        self.completions.push(Completion {
-            outcome: ScheduleOutcome {
-                coflow: tr.id,
-                start: tr.arrival,
-                finish,
-                flow_finish,
-                circuit_setups: 0,
-            },
-            first_service: tr.first_service,
-        });
-        self.active -= 1;
     }
 
     /// Replay the plan/execute/attribute loop until `limit` or until the
@@ -393,8 +347,8 @@ impl CircuitBackend {
     }
 
     /// Attribute transmission segments to Coflow flows in FIFO order,
-    /// consulting `hook` once per settled chunk. A shorted chunk keeps
-    /// the shortfall on the flow's queue entry and restores it to the
+    /// consulting `hook` once per settled chunk. A shorted chunk leaves
+    /// the shortfall on the flow's account and restores it to the
     /// aggregate demand, to be re-planned in a later round.
     fn apply_segments(&mut self, mut segs: Vec<Segment>, hook: &mut dyn SettleHook) {
         segs.sort_by_key(|s| (s.tx_start, s.src, s.dst));
@@ -408,8 +362,8 @@ impl CircuitBackend {
             let mut budget = s.tx_end.since(s.tx_start);
             let mut shortfall = Dur::ZERO;
             while budget > Dur::ZERO {
-                let (slot, fi, rem) = *queue.front().expect("served beyond queued demand");
-                let take = rem.min(budget);
+                let (slot, flow) = *queue.front().expect("served beyond queued demand");
+                let take = self.book.remaining(slot)[flow.flow_idx].min(budget);
                 budget -= take;
                 let chunk_start = cursor;
                 cursor += take;
@@ -418,31 +372,23 @@ impl CircuitBackend {
                     dst: s.dst,
                     start: chunk_start,
                     end: cursor,
-                    flow: FlowRef {
-                        coflow: self.tracked[slot].id,
-                        flow_idx: fi,
-                    },
+                    flow,
                 };
                 let verdict = hook.on_settle(&resv, take, cursor);
                 let credited = verdict.served.min(take);
                 shortfall += take - credited;
-                let tr = &mut self.tracked[slot];
-                if credited > Dur::ZERO && tr.first_service.is_none() {
-                    tr.first_service = Some(chunk_start);
-                }
-                if credited == rem {
+                if self
+                    .book
+                    .credit(slot, flow.flow_idx, credited, chunk_start, cursor)
+                {
                     queue.pop_front();
-                    tr.finish[fi] = Some(cursor);
-                    tr.unfinished -= 1;
-                    if tr.unfinished == 0 {
+                    if self.book.is_done(slot) {
                         done_slots.push(slot);
                     }
-                } else {
-                    queue.front_mut().expect("checked").2 = rem - credited;
                 }
             }
             for slot in done_slots {
-                self.complete(slot);
+                self.completions.push(self.book.complete(slot));
             }
             if shortfall > Dur::ZERO {
                 self.remaining.add(s.src, s.dst, shortfall);
@@ -507,11 +453,11 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn is_idle(&self) -> bool {
-        self.arrivals.is_empty() && self.active == 0 && self.remaining.is_zero()
+        self.arrivals.is_empty() && self.book.open() == 0 && self.remaining.is_zero()
     }
 
     fn active_coflows(&self) -> usize {
-        self.active
+        self.book.open()
     }
 
     fn queued_arrivals(&self) -> usize {
@@ -519,7 +465,7 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn outstanding_demand(&self) -> Dur {
-        self.remaining.total()
+        self.book.outstanding()
     }
 }
 

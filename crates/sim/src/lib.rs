@@ -18,6 +18,9 @@
 //! * [`stepper`] — Sunflow's replay as a resumable state machine: feed
 //!   arrivals one at a time, advance to a deadline, drain completions,
 //!   inject settlement faults. The substrate of [`SunflowBackend`].
+//! * `book` (private) — the flow ledger of every circuit backend: the
+//!   stepper, [`KCoreBackend`] and [`CircuitBackend`] settle circuits,
+//!   credit service and build completions through one `FlowBook`.
 //! * `compositor` (private) — the one fan-out machine behind the three
 //!   backends below: hold arrivals until their instant, route each
 //!   Coflow (whole or carved) to independent planes, advance the planes
@@ -52,6 +55,7 @@
 pub mod aggregate;
 mod arrivals;
 pub mod backend;
+mod book;
 mod compositor;
 pub mod engine;
 pub mod hybrid;

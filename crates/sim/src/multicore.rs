@@ -28,12 +28,12 @@
 
 use crate::arrivals::ArrivalQueue;
 use crate::backend::{CoreStatus, SchedulingBackend};
+use crate::book::{FlowBook, Settled};
 use crate::compositor::{partition, Compositor, Part, Plane, Router};
 use crate::online::{OnlineConfig, ReplayStats};
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_model::{
-    packet_lower_bound, Coflow, Dur, Fabric, Flow, FlowRef, KCoreFabric, Reservation,
-    ScheduleOutcome, Time,
+    packet_lower_bound, Coflow, Dur, Fabric, Flow, FlowRef, KCoreFabric, Reservation, Time,
 };
 use std::collections::{BTreeMap, HashMap};
 use sunflow_core::{
@@ -119,25 +119,12 @@ impl<'p> MultiSunflowBackend<'p> {
 // KCoreBackend
 // ---------------------------------------------------------------------
 
-/// Per-Coflow state of the [`KCoreBackend`] replay.
-struct ActiveKc {
-    arrival: Time,
-    flows: Vec<Flow>,
-    /// Fixed at admission: the core carrying each flow.
-    core_of: Vec<usize>,
-    remaining: Vec<Dur>,
-    finish: Vec<Option<Time>>,
-    unfinished: usize,
-    first_service: Option<Time>,
-    setups: u64,
-}
-
-/// One planned circuit awaiting settlement.
-struct SettleItem {
-    /// The reservation with **global** (core-mapped) ports.
-    resv: Reservation,
-    /// Transmit time the circuit was planned to deliver.
-    planned: Dur,
+/// Where an active Coflow of the [`KCoreBackend`] replay lives: its
+/// book slot, and each flow with the core it was placed on at
+/// admission.
+struct Placement {
+    slot: usize,
+    flows: Vec<(usize, Flow)>,
 }
 
 /// The O(K)-approximation multi-core scheduler as a
@@ -166,9 +153,12 @@ pub struct KCoreBackend {
     load: CoreLoad,
     now: Time,
     arrivals: ArrivalQueue,
-    active: HashMap<u64, ActiveKc>,
-    /// Planned circuits keyed by (settle instant, sequence).
-    settle: BTreeMap<(Time, u64), SettleItem>,
+    active: HashMap<u64, Placement>,
+    /// The active Coflows' accounts, in admission slots.
+    book: FlowBook,
+    /// Planned circuits, on **global** (core-mapped) ports, keyed by
+    /// (settle instant, sequence).
+    settle: BTreeMap<(Time, u64), Reservation>,
     /// Shorted flows waiting out a fault backoff: (retry instant, seq)
     /// → (coflow, flow index).
     retries: BTreeMap<(Time, u64), (u64, usize)>,
@@ -198,6 +188,7 @@ impl KCoreBackend {
             now: Time::ZERO,
             arrivals: ArrivalQueue::default(),
             active: HashMap::new(),
+            book: FlowBook::default(),
             settle: BTreeMap::new(),
             retries: BTreeMap::new(),
             seq: 0,
@@ -242,19 +233,10 @@ impl KCoreBackend {
         self.stats.releases_visited += counters.releases_visited;
         self.stats.demands_scanned += counters.demands_scanned;
         self.stats.reservations_made += resvs.len() as u64;
-        let delta = self.fabric.delta();
-        let act = self.active.get_mut(&id).expect("planning an active coflow");
-        act.setups += resvs.len() as u64;
         for r in resvs {
             self.resv_per_core[r.src / n] += 1;
             self.seq += 1;
-            self.settle.insert(
-                (r.end, self.seq),
-                SettleItem {
-                    planned: r.end.since(r.start).saturating_sub(delta),
-                    resv: r,
-                },
-            );
+            self.settle.insert((r.end, self.seq), r);
         }
         self.stats.reschedule_micros += t0.elapsed().as_micros() as u64;
     }
@@ -280,63 +262,23 @@ impl KCoreBackend {
         for c in due {
             self.stats.events += 1;
             let assignment = self.assign.assign(&c, self.load.cores(), &self.load);
-            let mut demands = Vec::new();
-            let mut act = ActiveKc {
-                arrival: c.arrival(),
-                flows: c.flows().to_vec(),
-                core_of: assignment.clone(),
-                remaining: Vec::with_capacity(c.num_flows()),
-                finish: vec![None; c.num_flows()],
-                unfinished: 0,
-                first_service: None,
-                setups: 0,
-            };
+            let slot = self.book.next_slot();
+            self.book.admit(slot, &c, &self.fabric);
+            let mut demands = Vec::with_capacity(c.num_flows());
             for (fi, (f, &core)) in c.flows().iter().zip(&assignment).enumerate() {
                 let p = self.fabric.processing_time(f.bytes);
-                act.remaining.push(p);
-                if p.is_zero() {
-                    // A zero-byte flow needs no circuit: done on arrival.
-                    act.finish[fi] = Some(self.now.max(c.arrival()));
-                } else {
-                    self.load.add(core, f.src, f.dst, f.bytes);
-                    self.admitted[core] += p;
-                    act.unfinished += 1;
-                    demands.push(self.demand_on(core, fi, f.src, f.dst, p));
-                }
+                self.load.add(core, f.src, f.dst, f.bytes);
+                self.admitted[core] += p;
+                demands.push(self.demand_on(core, fi, f.src, f.dst, p));
             }
-            let id = c.id();
-            let all_done = act.unfinished == 0;
-            self.active.insert(id, act);
-            if all_done {
-                self.complete(id);
-            } else {
-                self.plan_demands(id, &demands, t);
-            }
+            let flows = assignment
+                .into_iter()
+                .zip(c.flows().iter().copied())
+                .collect();
+            self.active.insert(c.id(), Placement { slot, flows });
+            self.plan_demands(c.id(), &demands, t);
         }
         n
-    }
-
-    fn complete(&mut self, id: u64) {
-        let act = self
-            .active
-            .remove(&id)
-            .expect("completing an active coflow");
-        let flow_finish: Vec<Time> = act
-            .finish
-            .iter()
-            .map(|f| f.expect("all flows drained"))
-            .collect();
-        let finish = flow_finish.iter().copied().max().unwrap_or(act.arrival);
-        self.completions.push(Completion {
-            outcome: ScheduleOutcome {
-                coflow: id,
-                start: act.arrival,
-                finish,
-                flow_finish,
-                circuit_setups: act.setups,
-            },
-            first_service: act.first_service,
-        });
     }
 
     /// Settle every circuit ending at or before `t` and re-plan expired
@@ -363,14 +305,44 @@ impl KCoreBackend {
                 (None, None) => break,
             };
             if take_settle {
-                let (key, item) = self.settle.pop_first().expect("peeked");
+                let (key, resv) = self.settle.pop_first().expect("peeked");
                 if key.0 > t {
-                    self.settle.insert(key, item);
+                    self.settle.insert(key, resv);
                     break;
                 }
                 n += 1;
                 self.stats.events += 1;
-                self.settle_one(key.0, item, hook);
+                let FlowRef { coflow, flow_idx } = resv.flow;
+                let slot = self.active[&coflow].slot;
+                // The hook sees the physical (per-core local) ports.
+                let ports = self.fabric.ports();
+                let local = Reservation {
+                    src: resv.src % ports,
+                    dst: resv.dst % ports,
+                    ..resv
+                };
+                match self
+                    .book
+                    .settle(slot, &local, self.fabric.delta(), key.0, hook)
+                {
+                    Settled::Served => {}
+                    Settled::Finished => {
+                        let (core, f) = self.active[&coflow].flows[flow_idx];
+                        self.load.remove(core, f.src, f.dst, f.bytes);
+                        if self.book.is_done(slot) {
+                            self.active.remove(&coflow);
+                            self.completions.push(self.book.complete(slot));
+                        }
+                    }
+                    Settled::Short(at) => {
+                        // Re-plan the shortfall after the backoff. Later
+                        // already-planned chunks of this flow still settle
+                        // and credit normally; the retry covers only what
+                        // is left when it fires.
+                        self.seq += 1;
+                        self.retries.insert((at, self.seq), (coflow, flow_idx));
+                    }
+                }
             } else {
                 let (key, (id, fi)) = self.retries.pop_first().expect("peeked");
                 if key.0 > t {
@@ -385,87 +357,36 @@ impl KCoreBackend {
         n
     }
 
-    /// Settle one circuit: consult the hook, credit service, finish the
-    /// flow or queue the shortfall for re-planning.
-    fn settle_one(&mut self, at: Time, item: SettleItem, hook: &mut dyn SettleHook) {
-        let id = item.resv.flow.coflow;
-        let fi = item.resv.flow.flow_idx;
-        let Some(act) = self.active.get_mut(&id) else {
-            return; // over-planned leftovers of an already-done coflow
-        };
-        if act.finish[fi].is_some() {
-            return;
-        }
-        let remaining = act.remaining[fi];
-        let available = item.planned.min(remaining);
-        if available.is_zero() {
-            return;
-        }
-        // The hook sees the physical (per-core local) ports.
-        let n = self.fabric.ports();
-        let local = Reservation {
-            src: item.resv.src % n,
-            dst: item.resv.dst % n,
-            start: item.resv.start,
-            end: item.resv.end,
-            flow: FlowRef {
-                coflow: id,
-                flow_idx: fi,
-            },
-        };
-        let verdict = hook.on_settle(&local, available, at);
-        let credited = verdict.served.min(available);
-        let delta = self.fabric.delta();
-        if !credited.is_zero() && act.first_service.is_none() {
-            act.first_service = Some(item.resv.start + delta);
-        }
-        act.remaining[fi] = remaining - credited;
-        if act.remaining[fi].is_zero() {
-            act.finish[fi] = Some(item.resv.start + delta + credited);
-            let core = act.core_of[fi];
-            let f = act.flows[fi];
-            self.load.remove(core, f.src, f.dst, f.bytes);
-            act.unfinished -= 1;
-            if act.unfinished == 0 {
-                self.complete(id);
-            }
-        } else if credited < available {
-            // Shorted: re-plan the shortfall after the backoff. Later
-            // already-planned chunks of this flow still settle and
-            // credit normally; the retry covers only what is left when
-            // it fires.
-            let backoff = verdict.retry_after.unwrap_or(Dur::ZERO);
-            self.seq += 1;
-            self.retries.insert((at + backoff, self.seq), (id, fi));
-        }
-    }
-
     /// Re-plan one flow's remaining demand at `t` (fault recovery).
     fn replan_flow(&mut self, id: u64, fi: usize, t: Time) {
-        let Some(act) = self.active.get(&id) else {
+        let Some(placed) = self.active.get(&id) else {
             return;
         };
-        if act.finish[fi].is_some() || act.remaining[fi].is_zero() {
+        let remaining = self.book.remaining(placed.slot)[fi];
+        if remaining.is_zero() {
             return;
         }
         // A future planned circuit still covers this flow — the shortfall
         // retry raced a truncation-split sibling reservation. Retry again
         // once the last such circuit has settled: it may leave less than
         // the shortfall, but never more.
+        let flow = FlowRef {
+            coflow: id,
+            flow_idx: fi,
+        };
         let covered = self
             .settle
             .values()
-            .filter(|s| s.resv.flow.coflow == id && s.resv.flow.flow_idx == fi && s.resv.end > t)
-            .map(|s| s.resv.end)
+            .filter(|r| r.flow == flow && r.end > t)
+            .map(|r| r.end)
             .max();
         if let Some(end) = covered {
             self.seq += 1;
             self.retries.insert((end, self.seq), (id, fi));
             return;
         }
-        let core = act.core_of[fi];
-        let f = act.flows[fi];
-        let demand = self.demand_on(core, fi, f.src, f.dst, act.remaining[fi]);
+        let (core, f) = placed.flows[fi];
+        let demand = self.demand_on(core, fi, f.src, f.dst, remaining);
         self.plan_demands(id, &[demand], t);
     }
 }
@@ -530,10 +451,7 @@ impl SchedulingBackend for KCoreBackend {
     }
 
     fn outstanding_demand(&self) -> Dur {
-        self.active
-            .values()
-            .flat_map(|a| a.remaining.iter().copied())
-            .sum()
+        self.book.outstanding()
     }
 
     fn deferred_flows(&self) -> usize {
@@ -556,29 +474,22 @@ impl SchedulingBackend for KCoreBackend {
         if core >= self.load.cores() {
             return None;
         }
-        let outstanding = self
+        // Each active Coflow's unserved time on this core.
+        let on_core: Vec<Dur> = self
             .active
             .values()
-            .flat_map(|a| {
-                a.core_of
+            .map(|p| {
+                p.flows
                     .iter()
-                    .zip(&a.remaining)
-                    .filter(move |&(&c, _)| c == core)
+                    .zip(self.book.remaining(p.slot))
+                    .filter(|&(&(c, _), _)| c == core)
                     .map(|(_, &r)| r)
+                    .sum()
             })
-            .sum();
+            .collect();
         Some(CoreStatus {
-            active_coflows: self
-                .active
-                .values()
-                .filter(|a| {
-                    a.core_of
-                        .iter()
-                        .zip(&a.finish)
-                        .any(|(&c, f)| c == core && f.is_none())
-                })
-                .count(),
-            outstanding_demand: outstanding,
+            active_coflows: on_core.iter().filter(|r| !r.is_zero()).count(),
+            outstanding_demand: on_core.iter().copied().sum(),
             demand_admitted: self.admitted[core],
             reservations_made: self.resv_per_core[core],
         })

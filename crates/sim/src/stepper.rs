@@ -20,6 +20,7 @@
 //! replays them into a fresh backend (`ocs_daemon::Daemon::checkpoint`),
 //! which works for this stepper as for every other backend.
 
+use crate::book::{FlowBook, Settled};
 use crate::online::{ActiveCircuitPolicy, OnlineConfig, ReplayStats};
 use ocs_model::{
     Coflow, Dur, Fabric, FlowRef, InPort, OutPort, Reservation, ScheduleOutcome, Time,
@@ -125,45 +126,6 @@ impl ReplanScratch {
         self.pending.clear();
         self.demands.clear();
         self.removed.clear();
-    }
-}
-
-#[derive(Debug)]
-struct CoflowState {
-    /// Remaining processing time per flow.
-    remaining: Vec<Dur>,
-    /// Finish time per flow.
-    finish: Vec<Option<Time>>,
-    /// Executed circuit establishments.
-    setups: u64,
-    /// Instant the Coflow first received service (circuit transmit
-    /// begin, i.e. reservation start + δ), for queue-latency telemetry.
-    first_service: Option<Time>,
-}
-
-impl CoflowState {
-    fn done(&self) -> bool {
-        self.remaining.iter().all(|r| r.is_zero())
-    }
-
-    /// Credit `served` to flow `fi` from a circuit that began
-    /// transmitting at `svc` and released its ports at `end`.
-    fn credit(&mut self, fi: usize, served: Dur, svc: Time, end: Time) {
-        self.remaining[fi] -= served;
-        if !served.is_zero() && self.first_service.is_none_or(|f| svc < f) {
-            self.first_service = Some(svc);
-        }
-        if self.remaining[fi].is_zero() && self.finish[fi].is_none() {
-            self.finish[fi] = Some(end);
-        }
-    }
-
-    fn completion(&self) -> Time {
-        self.finish
-            .iter()
-            .map(|f| f.expect("completion of unfinished coflow"))
-            .max()
-            .expect("coflows are non-empty")
     }
 }
 
@@ -331,7 +293,8 @@ pub struct OnlineStepper {
     prt: Prt,
     /// Every Coflow ever submitted, by internal index.
     coflows: Vec<Coflow>,
-    states: Vec<Option<CoflowState>>,
+    /// The arrived, unfinished Coflows' accounts, slotted by index.
+    book: FlowBook,
     id_to_idx: HashMap<u64, usize>,
     /// Indices of arrived, not-yet-completed Coflows (admission order).
     active: Vec<usize>,
@@ -396,7 +359,7 @@ impl OnlineStepper {
             guard,
             prt: Prt::with_guard(fabric.ports(), guard),
             coflows: Vec::new(),
-            states: Vec::new(),
+            book: FlowBook::default(),
             id_to_idx: HashMap::new(),
             active: Vec::new(),
             is_active: Vec::new(),
@@ -464,14 +427,7 @@ impl OnlineStepper {
     /// Total unserved processing time across active Coflows — the
     /// admission-control "outstanding demand" gauge.
     pub fn outstanding_demand(&self) -> Dur {
-        let mut total = Dur::ZERO;
-        for &idx in &self.active {
-            let st = self.states[idx].as_ref().expect("active implies state");
-            for r in &st.remaining {
-                total += *r;
-            }
-        }
-        total
+        self.book.outstanding()
     }
 
     /// The shared Port Reservation Table (read-only).
@@ -494,14 +450,13 @@ impl OnlineStepper {
         let mut ctx = vec![Dur::ZERO; ports];
         let mut crx = vec![Dur::ZERO; ports];
         for &idx in &self.active {
-            let st = self.states[idx].as_ref().expect("active implies state");
             let flows = self.coflows[idx].flows();
             for p in 0..ports {
                 ctx[p] = Dur::ZERO;
                 crx[p] = Dur::ZERO;
             }
             let mut bottleneck = Dur::ZERO;
-            for (f, &rem) in flows.iter().zip(&st.remaining) {
+            for (f, &rem) in flows.iter().zip(self.book.remaining(idx)) {
                 ctx[f.src] += rem;
                 crx[f.dst] += rem;
                 bottleneck = bottleneck.max(ctx[f.src]).max(crx[f.dst]);
@@ -553,7 +508,6 @@ impl OnlineStepper {
         self.fuel += 1_000 * (1 + coflow.num_flows() as u64);
         self.footprints.push(footprint_of(&coflow, &self.fabric));
         self.coflows.push(coflow);
-        self.states.push(None);
         self.is_active.push(false);
         self.pending_arrivals.insert((arrival, id, idx));
         if arrival <= self.now {
@@ -682,17 +636,7 @@ impl OnlineStepper {
             self.pending_arrivals.pop_first();
             let (coflows, fabric) = (&self.coflows, &self.fabric);
             let c = &coflows[idx];
-            let st = CoflowState {
-                remaining: c
-                    .flows()
-                    .iter()
-                    .map(|f| fabric.processing_time(f.bytes))
-                    .collect(),
-                finish: vec![None; c.num_flows()],
-                setups: 0,
-                first_service: None,
-            };
-            self.states[idx] = Some(st);
+            self.book.admit(idx, c, fabric);
             self.active.push(idx);
             self.is_active[idx] = true;
             // Binary-insert into the policy's total order (ties broken
@@ -713,19 +657,8 @@ impl OnlineStepper {
         let mut any_done = false;
         let mut active = std::mem::take(&mut self.active);
         active.retain(|&idx| {
-            let st = self.states[idx].as_ref().expect("active implies state");
-            if st.done() {
-                let finish = st.completion();
-                self.completions.push(Completion {
-                    outcome: ScheduleOutcome {
-                        coflow: self.coflows[idx].id(),
-                        start: self.coflows[idx].arrival(),
-                        finish,
-                        flow_finish: st.finish.iter().map(|f| f.expect("done")).collect(),
-                        circuit_setups: st.setups,
-                    },
-                    first_service: st.first_service,
-                });
+            if self.book.is_done(idx) {
+                self.completions.push(self.book.complete(idx));
                 self.is_active[idx] = false;
                 any_done = true;
                 // Only the guard finishes a Coflow ahead of its plan;
@@ -778,11 +711,6 @@ impl OnlineStepper {
             }
             self.unsettled.pop_first();
             let idx = self.id_to_idx[&r.flow.coflow];
-            let st = self.states[idx]
-                .as_mut()
-                .expect("reservation for unseen coflow");
-            st.setups += 1;
-            let available = r.transmit_time(delta).min(st.remaining[r.flow.flow_idx]);
             let resv = Reservation {
                 src: r.src,
                 dst: r.dst,
@@ -790,16 +718,9 @@ impl OnlineStepper {
                 end: r.end,
                 flow: r.flow,
             };
-            let served = hook.on_settle(&resv, available, t);
-            let credited = served.served.min(available);
-            st.credit(r.flow.flow_idx, credited, r.start + delta, r.end);
-            if credited < available {
+            if let Settled::Short(until) = self.book.settle(idx, &resv, delta, t, hook) {
                 // Shortfall: hold the flow out of planning until the
                 // hook's backoff elapses, then a retry event re-plans it.
-                let mut until = t + served.retry_after.unwrap_or(Dur::ZERO);
-                if until <= t {
-                    until = t + Dur::from_ps(1);
-                }
                 self.deferred.insert(r.flow, until);
                 // The shortfall stays on the flow's remaining demand; its
                 // Coflow must re-plan once the backoff elapses — and
@@ -846,9 +767,9 @@ impl OnlineStepper {
                 window_peer[i] = j;
             }
             for &idx in &self.active {
-                let st = self.states[idx].as_ref().expect("active implies state");
+                let remaining = self.book.remaining(idx);
                 for (fi, f) in self.coflows[idx].flows().iter().enumerate() {
-                    if window_peer[f.src] == f.dst && !st.remaining[fi].is_zero() {
+                    if window_peer[f.src] == f.dst && !remaining[fi].is_zero() {
                         takers.push((idx, fi, f.src));
                         sharers[f.src] += 1;
                     }
@@ -856,12 +777,11 @@ impl OnlineStepper {
             }
             let svc = w.start + delta;
             for &(idx, fi, src) in takers.iter() {
-                let st = self.states[idx].as_mut().expect("active implies state");
-                let served = (tx / sharers[src]).min(st.remaining[fi]);
+                let served = (tx / sharers[src]).min(self.book.remaining(idx)[fi]);
                 // A Coflow that arrived with the window under way is
                 // served from its arrival, not from before it.
                 let svc = svc.max(self.coflows[idx].arrival());
-                st.credit(fi, served, svc, w.end);
+                self.book.credit(idx, fi, served, svc, w.end);
                 if !served.is_zero() && self.event_dirty.last() != Some(&idx) {
                     self.event_dirty.push(idx);
                 }
@@ -1022,7 +942,7 @@ impl OnlineStepper {
                 view.seal();
                 for &idx in &scratch.dirty {
                     let c = &self.coflows[idx];
-                    let st = self.states[idx].as_ref().expect("active implies state");
+                    let remaining = self.book.remaining(idx);
                     scratch.demands.clear();
                     for (fi, f) in c.flows().iter().enumerate() {
                         let fref = FlowRef {
@@ -1033,7 +953,7 @@ impl OnlineStepper {
                             continue; // in fault backoff
                         }
                         let committed = scratch.pending.get(&fref).copied().unwrap_or(Dur::ZERO);
-                        let rem = st.remaining[fi].saturating_sub(committed);
+                        let rem = remaining[fi].saturating_sub(committed);
                         if !rem.is_zero() {
                             scratch.demands.push(Demand {
                                 flow_idx: fi,

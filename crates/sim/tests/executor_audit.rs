@@ -19,6 +19,13 @@
 //! * multi-Coflow traces through [`CircuitBackend`] (which runs each
 //!   scheduler's own execution config), whose segments are read at the
 //!   settle hook, flow by flow.
+//!
+//! `kcore:<K>` plans circuits rather than executing assignments, so its
+//! audit reads the settle hook for what each circuit credited, clean and
+//! with every third circuit shorted: every flow is credited exactly its
+//! demand, no circuit credits more than its transmit time, completions
+//! come out in finish order, and a drained backend's table retires
+//! exactly the reservations it made.
 
 use ocs_baselines::{
     compact, execute, CircuitScheduler, ExecConfig, Segment, Switch, SwitchModel, TimedAssignment,
@@ -26,9 +33,13 @@ use ocs_baselines::{
 use ocs_model::{
     Assignment, Bandwidth, Coflow, DemandMatrix, Dur, Fabric, FlowRef, Reservation, Time,
 };
-use ocs_sim::{run_backends_to_idle, CircuitBackend, SchedulingBackend, SettleHook, SettleVerdict};
+use ocs_sim::{
+    run_backends_to_idle, BackendKind, CircuitBackend, OnlineConfig, SchedulingBackend, SettleHook,
+    SettleVerdict,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use sunflow_core::ShortestFirst;
 
 const PORTS: usize = 8;
 
@@ -147,6 +158,29 @@ impl SettleHook for Recorder {
     }
 }
 
+/// Logs every settled circuit with the service it credited. With
+/// `short`, every third circuit delivers half its offer and backs off
+/// 7 ms; the rest deliver in full.
+#[derive(Default)]
+struct CreditLog {
+    short: bool,
+    settled: u64,
+    log: Vec<(Reservation, Dur)>,
+}
+
+impl SettleHook for CreditLog {
+    fn on_settle(&mut self, resv: &Reservation, available: Dur, _now: Time) -> SettleVerdict {
+        self.settled += 1;
+        let verdict = if self.short && self.settled.is_multiple_of(3) {
+            SettleVerdict::shorted(available / 2, Dur::from_millis(7))
+        } else {
+            SettleVerdict::full(available)
+        };
+        self.log.push((*resv, verdict.served.min(available)));
+        verdict
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -216,7 +250,8 @@ proptest! {
     }
 
     /// Multi-Coflow traces through the aggregated replay: the chunks the
-    /// settle hook sees, attributed flow by flow.
+    /// settle hook sees, attributed flow by flow, and each Coflow's
+    /// first service.
     #[test]
     fn circuit_backend_traces_pass_the_audit(
         trace in proptest::collection::vec((0u64..300, arb_flows()), 1..5),
@@ -256,6 +291,79 @@ proptest! {
                     );
                 }
             }
+
+            // First service is the earliest chunk, wherever the FIFO
+            // attribution of its segment placed it.
+            let mut first: HashMap<u64, Time> = HashMap::new();
+            for r in &rec.0 {
+                let t = first.entry(r.flow.coflow).or_insert(r.start);
+                *t = (*t).min(r.start);
+            }
+            for c in backend.drain_completions() {
+                let id = c.outcome.coflow;
+                prop_assert_eq!(
+                    c.first_service,
+                    first.get(&id).copied(),
+                    "{}: coflow {} first service", sched.name(), id
+                );
+            }
+        }
+    }
+
+    /// Multi-Coflow traces through `kcore:<K>`, clean and shorted: the
+    /// credits the settle hook saw, flow by flow and circuit by circuit.
+    #[test]
+    fn kcore_traces_pass_the_audit(
+        trace in proptest::collection::vec((0u64..300, arb_flows()), 1..5),
+        cores in 1u32..4,
+    ) {
+        let f = fabric();
+        let coflows: Vec<Coflow> = trace
+            .iter()
+            .enumerate()
+            .map(|(id, (at, flows))| coflow(id as u64, Time::from_millis(*at), flows))
+            .collect();
+        let kind = BackendKind::KCore { cores };
+        for short in [false, true] {
+            let label = format!("{} short={short}", kind.selector());
+            let mut backend = kind.build(&f, &OnlineConfig::default(), Box::new(ShortestFirst));
+            for c in &coflows {
+                backend.submit(c.clone()).expect("valid trace");
+            }
+            let mut rec = CreditLog { short, ..CreditLog::default() };
+            backend.advance_to(Time::MAX, &mut rec);
+            prop_assert!(backend.is_idle(), "{}: must drain", label);
+
+            let mut per_flow: HashMap<FlowRef, Dur> = HashMap::new();
+            for (r, credited) in &rec.log {
+                let transmit = r.end.since(r.start).saturating_sub(f.delta());
+                prop_assert!(*credited <= transmit, "{}: {:?} credits {}", label, r, credited);
+                *per_flow.entry(r.flow).or_default() += *credited;
+            }
+            for c in &coflows {
+                for (flow_idx, fl) in c.flows().iter().enumerate() {
+                    let got = per_flow.get(&FlowRef { coflow: c.id(), flow_idx }).copied();
+                    prop_assert_eq!(
+                        got.unwrap_or(Dur::ZERO),
+                        f.processing_time(fl.bytes),
+                        "{}: coflow {} flow {}", label, c.id(), flow_idx
+                    );
+                }
+            }
+
+            let done = backend.drain_completions();
+            prop_assert_eq!(done.len(), coflows.len(), "{}", label);
+            for w in done.windows(2) {
+                prop_assert!(
+                    w[0].outcome.finish <= w[1].outcome.finish,
+                    "{}: coflow {} completes at {} after coflow {} at {}",
+                    label, w[1].outcome.coflow, w[1].outcome.finish,
+                    w[0].outcome.coflow, w[0].outcome.finish
+                );
+            }
+
+            let made = backend.stats().expect("kcore keeps stats").reservations_made;
+            prop_assert_eq!(backend.compact_history() as u64, made, "{}: idle table", label);
         }
     }
 }

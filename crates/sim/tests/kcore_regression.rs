@@ -20,10 +20,11 @@ use common::{
 };
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, KCoreFabric, Reservation, ScheduleOutcome, Time};
 use ocs_sim::{
-    simulate_circuit, ActiveCircuitPolicy, FullService, KCoreBackend, MultiSunflowBackend,
-    OnlineConfig, ReplayResult, SchedulingBackend, SettleHook, SettleVerdict,
+    simulate_circuit, ActiveCircuitPolicy, BackendKind, FullService, KCoreBackend,
+    MultiSunflowBackend, OnlineConfig, ReplayResult, SchedulingBackend, SettleHook, SettleVerdict,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 use sunflow_core::{
     schedule_demands_on, CoreAssignKind, Demand, FirstComeFirstServed, GuardConfig, PriorityPolicy,
     Prt, ScheduleScratch, ShortestFirst, SunflowConfig,
@@ -116,6 +117,115 @@ fn kcore_backend_matches_golden() {
         kcore_fingerprint(&mut ShortEveryThird(0)),
         GOLDEN_KCORE_SHORTED
     );
+}
+
+/// Passes every settlement to `inner` and keeps, per Coflow, the
+/// earliest transmit begin (`start + δ`) of a circuit it credited.
+struct FirstCredit<'h> {
+    inner: &'h mut dyn SettleHook,
+    delta: Dur,
+    first: HashMap<u64, Time>,
+}
+
+impl SettleHook for FirstCredit<'_> {
+    fn on_settle(&mut self, r: &Reservation, available: Dur, now: Time) -> SettleVerdict {
+        let verdict = self.inner.on_settle(r, available, now);
+        if !verdict.served.min(available).is_zero() {
+            let svc = r.start + self.delta;
+            let first = self.first.entry(r.flow.coflow).or_insert(svc);
+            *first = (*first).min(svc);
+        }
+        verdict
+    }
+}
+
+/// A `kcore:<K>` Coflow first receives service when the earliest of
+/// its credited circuits begins transmitting, not when the first of
+/// them settles: a short circuit that starts late can settle before a
+/// long one that started early. Checked on `kcore:2` and on the `K = 4`
+/// rank-pack fixture, clean and shorted.
+#[test]
+fn kcore_first_service_is_the_earliest_credited_circuit() {
+    let coflows = workload();
+    // `kcore:4` is the rank-pack fixture of `kcore_backend_matches_golden`.
+    for selector in ["kcore:2", "kcore:4"] {
+        let kind: BackendKind = selector.parse().expect("valid selector");
+        let hooks: [(&str, &mut dyn SettleHook); 2] = [
+            ("clean", &mut FullService),
+            ("shorted", &mut ShortEveryThird(0)),
+        ];
+        for (faults, inner) in hooks {
+            let mut backend =
+                kind.build(&fabric(), &OnlineConfig::default(), Box::new(ShortestFirst));
+            for c in &coflows {
+                backend.submit(c.clone()).expect("fixture fits the fabric");
+            }
+            let mut hook = FirstCredit {
+                inner,
+                delta: fabric().delta(),
+                first: HashMap::new(),
+            };
+            backend.advance_to(Time::MAX, &mut hook);
+            let done = backend.drain_completions();
+            assert_eq!(done.len(), coflows.len(), "{selector} {faults}");
+            for c in &done {
+                let id = c.outcome.coflow;
+                assert_eq!(
+                    c.first_service,
+                    hook.first.get(&id).copied(),
+                    "{selector} {faults}: coflow {id}"
+                );
+            }
+        }
+    }
+}
+
+/// Fails the first settlement outright with no backoff, serves the rest
+/// in full, and logs every settlement with its instant.
+#[derive(Default)]
+struct FailFirstNoBackoff(Vec<(Reservation, Time)>);
+
+impl SettleHook for FailFirstNoBackoff {
+    fn on_settle(&mut self, r: &Reservation, available: Dur, now: Time) -> SettleVerdict {
+        self.0.push((*r, now));
+        if self.0.len() == 1 {
+            SettleVerdict {
+                served: Dur::ZERO,
+                retry_after: None,
+            }
+        } else {
+            SettleVerdict::full(available)
+        }
+    }
+}
+
+/// `SettleVerdict::retry_after` of `None` retries "at the next
+/// representable instant": the circuit re-planned for the shorted flow
+/// starts strictly after the settle that shorted it, on the stepper and
+/// on `kcore:<K>` alike.
+#[test]
+fn zero_backoff_retry_starts_after_the_settle() {
+    let c = Coflow::builder(0).flow(0, 1, 2_000_000).build();
+    for selector in ["sunflow", "kcore:1", "kcore:2"] {
+        let kind: BackendKind = selector.parse().expect("valid selector");
+        let mut backend = kind.build(&fabric(), &OnlineConfig::default(), Box::new(ShortestFirst));
+        backend.submit(c.clone()).expect("fits the fabric");
+        let mut hook = FailFirstNoBackoff::default();
+        backend.advance_to(Time::MAX, &mut hook);
+        assert!(backend.is_idle(), "{selector}: must drain");
+        assert_eq!(backend.drain_completions().len(), 1, "{selector}");
+        let (shorted, at) = hook.0[0];
+        let retry = hook.0[1..]
+            .iter()
+            .map(|(r, _)| r)
+            .find(|r| r.flow == shorted.flow)
+            .expect("the shorted flow is re-planned");
+        assert!(
+            retry.start > at,
+            "{selector}: retry circuit starts at {}, the shorted settle was at {at}",
+            retry.start
+        );
+    }
 }
 
 /// Replay the lone Coflow `c` on a `cores`-core rank-pack
