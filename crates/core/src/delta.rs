@@ -45,31 +45,18 @@ struct MaskEntry {
     confirmed: bool,
 }
 
-/// A planning view over an immutable [`Prt`]: base reservations minus a
-/// mask of hidden (to-be-replanned) ones, plus an overlay of freshly
-/// planned ones. Implements [`PlanTable`], so
-/// [`crate::schedule_demands_on`] runs Algorithm 1 against it unchanged.
+/// The recyclable working memory of a [`DeltaView`] and the
+/// [`DeltaPlan`] it closes into: the mask, the planning log, and per
+/// port the mask index, the compacted base intervals and the overlay.
 ///
-/// Build one per planning round: [`DeltaView::hide_future_of`] each
-/// dirty Coflow, [`DeltaView::seal`], plan the members in priority
-/// order, then [`DeltaView::finish`] into the [`DeltaPlan`] to apply.
-///
-/// Every planning query happens at `t >= now` (Algorithm 1 walks time
-/// forward from the replan instant), so [`DeltaView::seal`] compacts
-/// each masked port's *visible* reservations still live past `now` —
-/// typically a handful of planned circuits — into a flat sorted
-/// interval list. Queries on a masked port never descend the base
-/// `BTreeMap`s: both the compacted base intervals and the overlay
-/// answer in `O(log F)` of the port's *future* depth, and the base's
-/// guard timetable — arithmetic, never an entry — is merged in as the
-/// base itself would. Unmasked ports delegate to the base's cached
-/// probes. Confirmed entries re-enter the visible state through the
-/// overlay, exactly as a fresh reservation would.
-#[derive(Debug)]
-pub struct DeltaView<'a> {
-    base: &'a Prt,
-    /// The replan instant: every query and reservation is at `t >= now`.
-    now: Time,
+/// A view takes the storage by value ([`DeltaView::new`]) and the plan
+/// hands it back ([`DeltaPlan::into_storage`]), so a caller planning
+/// round after round keeps one, and a round allocates only where it
+/// needs more room than the rounds before it left. Reuse clears only
+/// the ports the previous view touched: a round costs its masked and
+/// planned ports, never the fabric's width.
+#[derive(Clone, Debug, Default)]
+pub struct DeltaStorage {
     mask: Vec<MaskEntry>,
     /// Per input port, indices into `mask` sorted by reservation start.
     in_mask: Vec<Vec<u32>>,
@@ -88,29 +75,103 @@ pub struct DeltaView<'a> {
     in_overlay: Vec<Vec<(Time, Time)>>,
     /// Same intervals for output ports.
     out_overlay: Vec<Vec<(Time, Time)>>,
+    /// Input ports whose mask or overlay list is non-empty, each once:
+    /// the masked ones (all listed before [`DeltaView::seal`]), then the
+    /// ones a reservation first reached.
+    touched_in: Vec<usize>,
+    /// Same list for output ports.
+    touched_out: Vec<usize>,
     /// Every reservation the planner made through this view, in creation
     /// order, tagged `true` when it confirmed a masked entry.
     log: Vec<(Reservation, bool)>,
+}
+
+impl DeltaStorage {
+    /// Empty every list the last view filled and size the per-port
+    /// lists for `ports` ports.
+    fn reset(&mut self, ports: usize) {
+        for &i in &self.touched_in {
+            reuse(&mut self.in_mask[i]);
+            reuse(&mut self.in_future[i]);
+            reuse(&mut self.in_overlay[i]);
+        }
+        for &j in &self.touched_out {
+            reuse(&mut self.out_mask[j]);
+            reuse(&mut self.out_future[j]);
+            reuse(&mut self.out_overlay[j]);
+        }
+        self.touched_in.clear();
+        self.touched_out.clear();
+        reuse(&mut self.mask);
+        reuse(&mut self.log);
+        for lists in [&mut self.in_mask, &mut self.out_mask] {
+            lists.resize_with(ports, Vec::new);
+        }
+        for lists in [
+            &mut self.in_future,
+            &mut self.out_future,
+            &mut self.in_overlay,
+            &mut self.out_overlay,
+        ] {
+            lists.resize_with(ports, Vec::new);
+        }
+    }
+}
+
+/// Empty `list` for the next view, keeping room for at most four times
+/// what the last view put in it (and never less than 16 entries): a
+/// steady load reuses it without growing, and one heavy round does not
+/// hold its memory for the rest of the replay.
+fn reuse<T>(list: &mut Vec<T>) {
+    let room = 4 * list.len().max(4);
+    if list.capacity() > room {
+        list.shrink_to(room);
+    }
+    list.clear();
+}
+
+/// A planning view over an immutable [`Prt`]: base reservations minus a
+/// mask of hidden (to-be-replanned) ones, plus an overlay of freshly
+/// planned ones. Implements [`PlanTable`], so
+/// [`crate::schedule_demands_on`] runs Algorithm 1 against it unchanged.
+///
+/// Build one per planning round over recycled [`DeltaStorage`]:
+/// [`DeltaView::hide_future_of`] each dirty Coflow, [`DeltaView::seal`],
+/// plan the members in priority order, then [`DeltaView::finish`] into
+/// the [`DeltaPlan`] to apply, and take the storage back with
+/// [`DeltaPlan::into_storage`].
+///
+/// Every planning query happens at `t >= now` (Algorithm 1 walks time
+/// forward from the replan instant), so [`DeltaView::seal`] compacts
+/// each masked port's *visible* reservations still live past `now` —
+/// typically a handful of planned circuits — into a flat sorted
+/// interval list. Queries on a masked port never descend the base
+/// `BTreeMap`s: both the compacted base intervals and the overlay
+/// answer in `O(log F)` of the port's *future* depth, and the base's
+/// guard timetable — arithmetic, never an entry — is merged in as the
+/// base itself would. Unmasked ports delegate to the base's cached
+/// probes. Confirmed entries re-enter the visible state through the
+/// overlay, exactly as a fresh reservation would.
+#[derive(Debug)]
+pub struct DeltaView<'a> {
+    base: &'a Prt,
+    /// The replan instant: every query and reservation is at `t >= now`.
+    now: Time,
+    store: DeltaStorage,
     reused: u64,
     sealed: bool,
 }
 
 impl<'a> DeltaView<'a> {
-    /// An empty view over `base` for a replan at instant `now`: nothing
-    /// hidden, nothing planned.
-    pub fn new(base: &'a Prt, now: Time) -> DeltaView<'a> {
-        let n = base.ports();
+    /// An empty view over `base` for a replan at instant `now`, nothing
+    /// hidden and nothing planned, working in `store` (whatever a
+    /// previous view left there is cleared).
+    pub fn new(base: &'a Prt, now: Time, mut store: DeltaStorage) -> DeltaView<'a> {
+        store.reset(base.ports());
         DeltaView {
             base,
             now,
-            mask: Vec::new(),
-            in_mask: vec![Vec::new(); n],
-            out_mask: vec![Vec::new(); n],
-            in_future: vec![Vec::new(); n],
-            out_future: vec![Vec::new(); n],
-            in_overlay: vec![Vec::new(); n],
-            out_overlay: vec![Vec::new(); n],
-            log: Vec::new(),
+            store,
             reused: 0,
             sealed: false,
         }
@@ -124,45 +185,52 @@ impl<'a> DeltaView<'a> {
     /// Panics if the view is already sealed.
     pub fn hide_future_of(&mut self, coflow: CoflowId) {
         assert!(!self.sealed, "hide_future_of after seal");
+        let s = &mut self.store;
         for resv in self.base.future_reservations_of(coflow, self.now) {
-            let idx = self.mask.len() as u32;
-            self.mask.push(MaskEntry {
+            let idx = s.mask.len() as u32;
+            s.mask.push(MaskEntry {
                 resv,
                 confirmed: false,
             });
-            self.in_mask[resv.src].push(idx);
-            self.out_mask[resv.dst].push(idx);
+            if s.in_mask[resv.src].is_empty() {
+                s.touched_in.push(resv.src);
+            }
+            s.in_mask[resv.src].push(idx);
+            if s.out_mask[resv.dst].is_empty() {
+                s.touched_out.push(resv.dst);
+            }
+            s.out_mask[resv.dst].push(idx);
         }
     }
 
-    /// Finish mask construction: sort the per-port indices by start (so
-    /// [`DeltaView::reserve`] can binary-search for confirm matches) and
-    /// compact each masked port's visible live-past-`now` intervals.
-    /// Must be called before planning.
+    /// Finish mask construction: sort each masked port's indices by
+    /// start (so [`DeltaView::reserve`] can binary-search for confirm
+    /// matches) and compact its visible live-past-`now` intervals. Walks
+    /// the masked ports only. Must be called before planning.
     pub fn seal(&mut self) {
-        let mask = &self.mask;
-        for list in self.in_mask.iter_mut().chain(self.out_mask.iter_mut()) {
-            list.sort_unstable_by_key(|&i| mask[i as usize].resv.start);
+        let s = &mut self.store;
+        let mask = &s.mask;
+        for &i in &s.touched_in {
+            let list = &mut s.in_mask[i];
+            list.sort_unstable_by_key(|&m| mask[m as usize].resv.start);
+            Self::build_future(
+                self.base.in_entries(i),
+                mask,
+                list,
+                self.now,
+                &mut s.in_future[i],
+            );
         }
-        for i in 0..self.base.ports() {
-            if !self.in_mask[i].is_empty() {
-                Self::build_future(
-                    self.base.in_entries(i),
-                    mask,
-                    &self.in_mask[i],
-                    self.now,
-                    &mut self.in_future[i],
-                );
-            }
-            if !self.out_mask[i].is_empty() {
-                Self::build_future(
-                    self.base.out_entries(i),
-                    mask,
-                    &self.out_mask[i],
-                    self.now,
-                    &mut self.out_future[i],
-                );
-            }
+        for &j in &s.touched_out {
+            let list = &mut s.out_mask[j];
+            list.sort_unstable_by_key(|&m| mask[m as usize].resv.start);
+            Self::build_future(
+                self.base.out_entries(j),
+                mask,
+                list,
+                self.now,
+                &mut s.out_future[j],
+            );
         }
         self.sealed = true;
     }
@@ -197,13 +265,14 @@ impl<'a> DeltaView<'a> {
 
     /// Number of reservations currently hidden by the mask.
     pub fn masked_len(&self) -> usize {
-        self.mask.len()
+        self.store.mask.len()
     }
 
     /// Find the mask index of the entry starting at `start` in a sorted
     /// per-port list, if any.
     fn mask_at(&self, list: &[u32], start: Time) -> Option<usize> {
-        list.binary_search_by_key(&start, |&i| self.mask[i as usize].resv.start)
+        let mask = &self.store.mask;
+        list.binary_search_by_key(&start, |&i| mask[i as usize].resv.start)
             .ok()
             .map(|pos| list[pos] as usize)
     }
@@ -225,6 +294,20 @@ impl<'a> DeltaView<'a> {
         }
     }
 
+    /// Record `(start, end)` in the overlays of `src` and `dst`, listing
+    /// either port as touched if it had neither mask nor overlay yet.
+    fn overlay_both(&mut self, src: InPort, dst: OutPort, start: Time, end: Time) {
+        let s = &mut self.store;
+        if s.in_overlay[src].is_empty() && s.in_mask[src].is_empty() {
+            s.touched_in.push(src);
+        }
+        Self::overlay_insert(&mut s.in_overlay[src], start, end);
+        if s.out_overlay[dst].is_empty() && s.out_mask[dst].is_empty() {
+            s.touched_out.push(dst);
+        }
+        Self::overlay_insert(&mut s.out_overlay[dst], start, end);
+    }
+
     /// Insert `(start, end)` into a port's overlay, keeping it sorted.
     /// Planning time is non-decreasing within one member but restarts at
     /// `now` for the next, so appends dominate but are not guaranteed.
@@ -243,12 +326,7 @@ impl<'a> DeltaView<'a> {
     /// can be applied to it mutably.
     pub fn finish(self) -> DeltaPlan {
         DeltaPlan {
-            mask: self
-                .mask
-                .into_iter()
-                .map(|m| (m.resv, m.confirmed))
-                .collect(),
-            log: self.log,
+            store: self.store,
             reused: self.reused,
         }
     }
@@ -261,26 +339,28 @@ impl PlanTable for DeltaView<'_> {
 
     fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if self.in_mask[i].is_empty() {
+        let s = &self.store;
+        let base = if s.in_mask[i].is_empty() {
             self.base.in_probe(i, t)
         } else {
             // The compacted list holds reservations only: the guard
             // timetable is the base's to add, here as on the other arm.
             self.base
-                .merge_guard(Self::overlay_probe(&self.in_future[i], t), t)
+                .merge_guard(Self::overlay_probe(&s.in_future[i], t), t)
         };
-        base.merge(Self::overlay_probe(&self.in_overlay[i], t))
+        base.merge(Self::overlay_probe(&s.in_overlay[i], t))
     }
 
     fn out_probe(&self, j: OutPort, t: Time) -> PortProbe {
         debug_assert!(t >= self.now, "planning query before the replan instant");
-        let base = if self.out_mask[j].is_empty() {
+        let s = &self.store;
+        let base = if s.out_mask[j].is_empty() {
             self.base.out_probe(j, t)
         } else {
             self.base
-                .merge_guard(Self::overlay_probe(&self.out_future[j], t), t)
+                .merge_guard(Self::overlay_probe(&s.out_future[j], t), t)
         };
-        base.merge(Self::overlay_probe(&self.out_overlay[j], t))
+        base.merge(Self::overlay_probe(&s.out_overlay[j], t))
     }
 
     fn reserve(&mut self, src: InPort, dst: OutPort, start: Time, end: Time, kind: ResvKind) {
@@ -296,14 +376,13 @@ impl PlanTable for DeltaView<'_> {
         // Confirm: the plan reproduced a hidden reservation exactly —
         // keep it in place. The entry re-enters the visible state via
         // the overlay, exactly as a fresh reservation would.
-        if let Some(i) = self.mask_at(&self.in_mask[src], start) {
-            let m = &self.mask[i];
+        if let Some(i) = self.mask_at(&self.store.in_mask[src], start) {
+            let m = &mut self.store.mask[i];
             if !m.confirmed && m.resv.dst == dst && m.resv.end == end && m.resv.flow == flow {
-                self.mask[i].confirmed = true;
+                m.confirmed = true;
                 self.reused += 1;
-                self.log.push((resv, true));
-                Self::overlay_insert(&mut self.in_overlay[src], start, end);
-                Self::overlay_insert(&mut self.out_overlay[dst], start, end);
+                self.store.log.push((resv, true));
+                self.overlay_both(src, dst, start, end);
                 return;
             }
         }
@@ -311,22 +390,18 @@ impl PlanTable for DeltaView<'_> {
             self.in_probe(src, start).free && self.out_probe(dst, start).free,
             "fresh reservation overlaps the visible state"
         );
-        Self::overlay_insert(&mut self.in_overlay[src], start, end);
-        Self::overlay_insert(&mut self.out_overlay[dst], start, end);
-        self.log.push((resv, false));
+        self.overlay_both(src, dst, start, end);
+        self.store.log.push((resv, false));
     }
 }
 
 /// The closed-out diff of one planning round: which hidden reservations
 /// survived (confirmed), which are stale, and which are fresh, in
-/// creation order.
+/// creation order. It owns the view's storage until
+/// [`DeltaPlan::into_storage`] hands it back for the next view.
 #[derive(Clone, Debug)]
 pub struct DeltaPlan {
-    /// The hidden base reservations, tagged `true` when confirmed.
-    mask: Vec<(Reservation, bool)>,
-    /// Every planned reservation in creation order, tagged `true` when
-    /// it confirmed a masked entry (i.e. is already in the table).
-    log: Vec<(Reservation, bool)>,
+    store: DeltaStorage,
     reused: u64,
 }
 
@@ -340,18 +415,19 @@ impl DeltaPlan {
     /// Number of hidden reservations the plan did *not* reproduce —
     /// removed from the table by [`DeltaPlan::apply`].
     pub fn stale_len(&self) -> u64 {
-        self.mask.iter().filter(|(_, confirmed)| !confirmed).count() as u64
+        self.store.mask.len() as u64 - self.reused
     }
 
     /// Number of newly planned reservations — inserted by
     /// [`DeltaPlan::apply`].
     pub fn fresh_len(&self) -> u64 {
-        self.log.iter().filter(|(_, reused)| !reused).count() as u64
+        self.store.log.len() as u64 - self.reused
     }
 
     /// The newly planned reservations, in creation order.
     pub fn fresh(&self) -> impl Iterator<Item = &Reservation> {
-        self.log
+        self.store
+            .log
             .iter()
             .filter(|(_, reused)| !reused)
             .map(|(r, _)| r)
@@ -363,18 +439,22 @@ impl DeltaPlan {
     /// the fresh ones in creation order. [`Prt::reserve`]'s non-overlap
     /// assertions re-validate the plan against the live table.
     pub fn apply(&self, prt: &mut Prt, removed: &mut Vec<RemovedResv>) {
-        for (r, confirmed) in &self.mask {
-            if !confirmed {
+        for m in &self.store.mask {
+            if !m.confirmed {
+                let r = &m.resv;
                 let rem = prt.remove_reservation(r.src, r.start);
                 debug_assert_eq!(rem.end, r.end, "stale entry changed under the view");
                 removed.push(rem);
             }
         }
-        for (r, reused) in &self.log {
-            if !reused {
-                prt.reserve(r.src, r.dst, r.start, r.end, ResvKind::Flow(r.flow));
-            }
+        for (r, _) in self.store.log.iter().filter(|(_, reused)| !reused) {
+            prt.reserve(r.src, r.dst, r.start, r.end, ResvKind::Flow(r.flow));
         }
+    }
+
+    /// Hand the storage back for the next [`DeltaView::new`].
+    pub fn into_storage(self) -> DeltaStorage {
+        self.store
     }
 }
 
@@ -405,13 +485,13 @@ mod tests {
     /// reservation — confirmed ones included — then re-make the full
     /// plan in creation order, exactly as truncate-then-rebuild would.
     fn naive_apply(plan: &DeltaPlan, prt: &mut Prt, removed: &mut Vec<RemovedResv>) {
-        for (r, confirmed) in &plan.mask {
-            let rem = prt.remove_reservation(r.src, r.start);
-            if !confirmed {
+        for m in &plan.store.mask {
+            let rem = prt.remove_reservation(m.resv.src, m.resv.start);
+            if !m.confirmed {
                 removed.push(rem);
             }
         }
-        for (r, _) in &plan.log {
+        for (r, _) in &plan.store.log {
             prt.reserve(r.src, r.dst, r.start, r.end, ResvKind::Flow(r.flow));
         }
     }
@@ -443,7 +523,7 @@ mod tests {
 
         // Delta path: plan against the masked view, then apply the diff.
         let mut prt = two_coflow_table();
-        let mut view = DeltaView::new(&prt, now);
+        let mut view = DeltaView::new(&prt, now, DeltaStorage::default());
         view.hide_future_of(1);
         view.seal();
         let (delta_made, _) =
@@ -477,7 +557,7 @@ mod tests {
         let cfg = SunflowConfig::default();
         let mut scratch = ScheduleScratch::new();
 
-        let mut view = DeltaView::new(&prt, t(0));
+        let mut view = DeltaView::new(&prt, t(0), DeltaStorage::default());
         view.hide_future_of(1);
         view.seal();
         assert_eq!(view.masked_len(), 2);
@@ -504,7 +584,7 @@ mod tests {
         let mut scratch = ScheduleScratch::new();
 
         let mut fast = two_coflow_table();
-        let mut view = DeltaView::new(&fast, now);
+        let mut view = DeltaView::new(&fast, now, DeltaStorage::default());
         view.hide_future_of(1);
         view.seal();
         schedule_demands_on(&mut view, 1, &demands, now, d(1), cfg, &mut scratch);
@@ -572,7 +652,7 @@ mod tests {
         let mut seq = prt.clone();
         seq.truncate_future_of(1, now);
 
-        let mut view = DeltaView::new(&prt, now);
+        let mut view = DeltaView::new(&prt, now, DeltaStorage::default());
         view.hide_future_of(1);
         view.seal();
 

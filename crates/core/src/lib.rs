@@ -46,7 +46,7 @@ pub mod prt;
 pub mod split;
 pub mod starvation;
 
-pub use delta::{DeltaPlan, DeltaView};
+pub use delta::{DeltaPlan, DeltaStorage, DeltaView};
 pub use inter::{
     ClassThenShortest, ExplicitOrder, FirstComeFirstServed, LongestFirst, PriorityPolicy,
     ShortestFirst,

@@ -32,7 +32,7 @@
 //! [`SplitKind`] is the selector enum behind the daemon's
 //! `--backend hybrid:<split>[:<frac>]` grammar.
 
-use crate::delta::DeltaView;
+use crate::delta::{DeltaStorage, DeltaView};
 use crate::intra::{schedule_demands_on, Demand, ScheduleScratch, SunflowConfig};
 use crate::prt::Prt;
 use ocs_model::{packet_lower_bound, Coflow, DemandSplit, Dur, Fabric, Time};
@@ -247,6 +247,8 @@ pub struct SolverSplit {
     /// estimate evaluations per Coflow.
     pub resolution: u64,
     scratch: ScheduleScratch,
+    /// The probes' recycled view storage.
+    view: DeltaStorage,
 }
 
 /// The best candidate so far: its finish, its packet numerator, its
@@ -261,6 +263,7 @@ impl SolverSplit {
         SolverSplit {
             resolution,
             scratch: ScheduleScratch::default(),
+            view: DeltaStorage::default(),
         }
     }
 
@@ -388,7 +391,7 @@ impl SolverSplit {
                 remaining: ctx.circuit.processing_time(f.bytes),
             })
             .collect();
-        let mut view = DeltaView::new(prt, ctx.now);
+        let mut view = DeltaView::new(prt, ctx.now, std::mem::take(&mut self.view));
         view.seal();
         let (resvs, _) = schedule_demands_on(
             &mut view,
@@ -399,6 +402,7 @@ impl SolverSplit {
             ctx.config,
             &mut self.scratch,
         );
+        self.view = view.finish().into_storage();
         resvs.iter().map(|r| r.end).max().unwrap_or(ctx.now)
     }
 

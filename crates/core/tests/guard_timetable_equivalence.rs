@@ -16,8 +16,8 @@
 use ocs_model::{Dur, FlowRef, Time};
 use proptest::prelude::*;
 use sunflow_core::{
-    schedule_demands_on, DeltaView, Demand, GuardConfig, PlanTable, Prt, ResvKind, ScheduleScratch,
-    StarvationGuard, SunflowConfig,
+    schedule_demands_on, DeltaStorage, DeltaView, Demand, GuardConfig, PlanTable, Prt, ResvKind,
+    ScheduleScratch, StarvationGuard, SunflowConfig,
 };
 
 /// The Coflow id the oracle's window reservations are filed under.
@@ -51,7 +51,7 @@ fn oracle_table(ports: usize, guard: &StarvationGuard) -> Prt {
 
 /// A view over `base` at `now` with `hidden`'s future masked.
 fn sealed_view(base: &Prt, now: Time, hidden: u64) -> DeltaView<'_> {
-    let mut view = DeltaView::new(base, now);
+    let mut view = DeltaView::new(base, now, DeltaStorage::default());
     view.hide_future_of(hidden);
     view.seal();
     view

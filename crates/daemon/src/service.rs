@@ -585,6 +585,7 @@ impl Daemon {
                 "\"utilization\": {:.6}, \"circuit_setups\": {}, \"guard_windows\": {}, ",
                 "\"resched_events\": {}, \"coflows_skipped\": {}, ",
                 "\"reservations_reused\": {}, \"reservations_made\": {}, ",
+                "\"yield_rounds\": {}, \"cuts\": {}, ",
                 "\"faults\": {{\"setup_failures\": {}, \"port_flaps\": {}, ",
                 "\"delta_inflations\": {}, \"retries\": {}, \"recoveries\": {}, ",
                 "\"max_attempts\": {}, \"backoff_total_secs\": {:.6}, \"flows_in_backoff\": {}}}, ",
@@ -610,6 +611,8 @@ impl Daemon {
             s.coflows_skipped,
             s.reservations_reused,
             s.reservations_made,
+            s.yield_rounds,
+            s.cuts,
             f.setup_failures,
             f.port_flaps,
             f.delta_inflations,
@@ -717,6 +720,18 @@ impl Daemon {
             "Reservations a delta replan reproduced and kept in place",
             &by_backend,
             s.reservations_reused,
+        );
+        p.counter(
+            "ocs_daemon_yield_rounds_total",
+            "Planning rounds run under the Yield active-circuit policy",
+            &by_backend,
+            s.yield_rounds,
+        );
+        p.counter(
+            "ocs_daemon_cuts_total",
+            "In-flight circuits Yield cut for a higher-priority Coflow",
+            &by_backend,
+            s.cuts,
         );
         p.counter(
             "ocs_daemon_reservations_total",

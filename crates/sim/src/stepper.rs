@@ -26,17 +26,17 @@ use ocs_model::{
     Coflow, Dur, Fabric, FlowRef, InPort, OutPort, Reservation, ScheduleOutcome, Time,
 };
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 use sunflow_core::{
-    schedule_demands_on, DeltaView, Demand, PortSet, PriorityPolicy, Prt, RemovedResv, ResvKind,
-    ScheduleScratch, StarvationGuard, SunflowConfig,
+    schedule_demands_on, DeltaStorage, DeltaView, Demand, PortSet, PriorityPolicy, Prt,
+    RemovedResv, ResvKind, ScheduleScratch, StarvationGuard, SunflowConfig,
 };
 
 /// A not-yet-settled flow reservation, mirrored out of the PRT so the
 /// event loop can settle, credit and displace circuits without rescanning
-/// the table's ever-growing history. Ordered by `(end, src)` — the settle
-/// order — which is unique because a port's reservations never overlap.
+/// the table's ever-growing history. Ordered by `(end, src)` first — the
+/// settle order, and the key of the unsettled queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Pending {
     end: Time,
@@ -44,6 +44,8 @@ struct Pending {
     start: Time,
     dst: OutPort,
     flow: FlowRef,
+    /// The owning Coflow's index (its id is `flow.coflow`).
+    idx: usize,
 }
 
 impl Pending {
@@ -53,37 +55,54 @@ impl Pending {
 }
 
 /// Recycled working memory of one replan: priority buffers, the
-/// affected-set walk's port sets and crossing counters, the demand
-/// buffer, the truncation sink, and the intra-Coflow planning
-/// scratch (wake heap included). Owned by the stepper
-/// and reset — never reallocated — per replan, so the steady-state
-/// event loop's planning path allocates only the plans themselves.
-/// Everything is sized by the *active* Coflows, never by how many were
-/// ever submitted.
+/// affected-set walk's port sets and crossing counters, the pending
+/// credit, the Yield holds and cut list, the demand buffer, the
+/// truncation sink, the delta view's storage and the intra-Coflow
+/// planning scratch (wake heap included). Owned by the stepper and reset
+/// — never reallocated — per replan, so the steady-state event loop's
+/// planning path allocates only the plans themselves and looks no
+/// Coflow id up. `rank` is sized by every Coflow ever submitted (one word
+/// each), the per-port buffers by the fabric, the rest by the *active*
+/// Coflows and their circuits.
 #[derive(Debug, Default)]
 struct ReplanScratch {
     /// Active Coflow indices in the policy's total order.
     prio: Vec<usize>,
-    /// Coflow id → rank (position in `prio`).
-    rank: HashMap<u64, usize>,
+    /// Coflow index → rank (position in `prio`); meaningful only for
+    /// active Coflows, stale for the rest.
+    rank: Vec<usize>,
     /// Affected-set seeds, indexed by rank.
     seed: Vec<bool>,
     /// The affected set (Coflow indices), in priority order.
     dirty: Vec<usize>,
-    /// `dirty_flag[rank]` ⇔ `prio[rank] ∈ dirty` (this round).
-    dirty_flag: Vec<bool>,
+    /// By rank: where a member of the affected set keeps its per-flow
+    /// credit in `credit`; `None` outside the set (this round).
+    credit_at: Vec<Option<usize>>,
+    /// In-flight service credit per flow of the affected set, member by
+    /// member in `dirty` order.
+    credit: Vec<Dur>,
     /// `(owner rank, src, dst)` of newly in-flight reservations.
     crossings: Vec<(usize, InPort, OutPort)>,
     cross_in: Vec<u32>,
     cross_out: Vec<u32>,
     cross_ports: Option<PortSet>,
     dirty_ports: Option<PortSet>,
-    /// In-flight service credit per flow of the dirty Coflows.
-    pending: HashMap<FlowRef, Dur>,
+    /// Yield: per input port, the `(owner rank, circuit)` in flight on
+    /// it (a port carries at most one); `None` elsewhere.
+    hold_in: Vec<Option<(usize, Pending)>>,
+    /// Same per output port.
+    hold_out: Vec<Option<(usize, Pending)>>,
+    /// Yield: the circuits entered in `hold_in` / `hold_out`, to reset
+    /// just those entries.
+    held: Vec<Pending>,
+    /// The in-flight circuits a round cuts.
+    cuts: Vec<Pending>,
     /// The plannable demands of the Coflow being planned.
     demands: Vec<Demand>,
     /// Sink buffer for truncations and delta-apply removals.
     removed: Vec<RemovedResv>,
+    /// The delta view's recycled storage.
+    view: DeltaStorage,
     /// The intra-Coflow planning scratch every member plans with.
     planner: ScheduleScratch,
     /// Guard settlement: `(coflow idx, flow idx, src)` of every flow
@@ -98,18 +117,19 @@ struct ReplanScratch {
 
 impl ReplanScratch {
     /// Clear every buffer and load the priority order: `prio` becomes
-    /// `order`, `rank` its inverse by Coflow id.
-    fn reset(&mut self, ports: usize, order: &[usize], coflows: &[Coflow]) {
+    /// `order`, `rank` its inverse over the `submitted` Coflow indices.
+    fn reset(&mut self, ports: usize, order: &[usize], submitted: usize) {
         self.prio.clear();
         self.prio.extend_from_slice(order);
-        self.rank.clear();
-        self.rank
-            .extend(order.iter().enumerate().map(|(r, &i)| (coflows[i].id(), r)));
+        self.rank.resize(submitted, usize::MAX);
+        for (r, &i) in order.iter().enumerate() {
+            self.rank[i] = r;
+        }
         self.seed.clear();
         self.seed.resize(order.len(), false);
         self.dirty.clear();
-        self.dirty_flag.clear();
-        self.dirty_flag.resize(order.len(), false);
+        self.credit_at.clear();
+        self.credit_at.resize(order.len(), None);
         self.crossings.clear();
         self.cross_in.clear();
         self.cross_in.resize(ports, 0);
@@ -123,7 +143,8 @@ impl ReplanScratch {
             Some(p) if p.ports() == ports => p.clear(),
             p => *p = Some(PortSet::new(ports)),
         }
-        self.pending.clear();
+        self.hold_in.resize(ports, None);
+        self.hold_out.resize(ports, None);
         self.demands.clear();
         self.removed.clear();
     }
@@ -307,8 +328,10 @@ pub struct OnlineStepper {
     priority_order: Vec<usize>,
     /// `(arrival, id, idx)` of submitted, not-yet-arrived Coflows.
     pending_arrivals: BTreeSet<(Time, u64, usize)>,
-    /// Every not-yet-settled flow reservation, mirrored out of the PRT.
-    unsettled: BTreeSet<Pending>,
+    /// Every not-yet-settled flow reservation, mirrored out of the PRT,
+    /// keyed by `(end, src)`: the settle order, unique because a port's
+    /// reservations never overlap.
+    unsettled: BTreeMap<(Time, InPort), Pending>,
     /// Flows shorted by the [`SettleHook`], excluded from planning until
     /// their backoff expires (values are strictly in the future).
     deferred: HashMap<FlowRef, Time>,
@@ -365,7 +388,7 @@ impl OnlineStepper {
             is_active: Vec::new(),
             priority_order: Vec::new(),
             pending_arrivals: BTreeSet::new(),
-            unsettled: BTreeSet::new(),
+            unsettled: BTreeMap::new(),
             deferred: HashMap::new(),
             completions: Vec::new(),
             now: Time::ZERO,
@@ -705,12 +728,12 @@ impl OnlineStepper {
     /// routing each through the hook.
     fn settle_flows(&mut self, t: Time, hook: &mut dyn SettleHook) {
         let delta = self.fabric.delta();
-        while let Some(&r) = self.unsettled.first() {
+        while let Some((_, &r)) = self.unsettled.first_key_value() {
             if r.end > t {
                 break;
             }
             self.unsettled.pop_first();
-            let idx = self.id_to_idx[&r.flow.coflow];
+            let idx = r.idx;
             let resv = Reservation {
                 src: r.src,
                 dst: r.dst,
@@ -818,7 +841,7 @@ impl OnlineStepper {
         let now = self.now;
         let ports = self.fabric.ports();
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset(ports, &self.priority_order, &self.coflows);
+        scratch.reset(ports, &self.priority_order, self.coflows.len());
         let prio = std::mem::take(&mut scratch.prio);
         let rank = std::mem::take(&mut scratch.rank);
         let mut cross_ports = scratch.cross_ports.take().expect("reset populates");
@@ -828,14 +851,18 @@ impl OnlineStepper {
         // circuit is settled, so it is no crossing below, and a shortfall
         // verdict on it is one more seed of this event.
         if self.config.active_policy == ActiveCircuitPolicy::Preempt {
-            let cuts: Vec<Pending> = self
-                .unsettled
-                .iter()
-                .filter(|r| r.start < now)
-                .copied()
-                .collect();
-            self.stats.reservations_truncated += cuts.len() as u64;
-            self.cut_circuits(&cuts, &rank, &mut scratch.seed, &mut dirty_ports, hook);
+            scratch.cuts.clear();
+            scratch
+                .cuts
+                .extend(self.unsettled.values().filter(|r| r.start < now));
+            self.stats.reservations_truncated += scratch.cuts.len() as u64;
+            self.cut_circuits(
+                &scratch.cuts,
+                &rank,
+                &mut scratch.seed,
+                &mut dirty_ports,
+                hook,
+            );
         }
         dirty_ports.union_with(&self.event_ports);
         self.event_ports.clear();
@@ -851,9 +878,13 @@ impl OnlineStepper {
         // or when a guard window credits the rest of it — and a window
         // shares a port with any circuit of a flow it credits, so no
         // such circuit can be in flight when the window ends.
-        for r in self.unsettled.iter() {
+        for r in self.unsettled.values() {
             if r.start >= self.last_replan_at && r.start < now {
-                scratch.crossings.push((rank[&r.flow.coflow], r.src, r.dst));
+                debug_assert!(
+                    self.is_active[r.idx],
+                    "in-flight circuit of no ranked Coflow"
+                );
+                scratch.crossings.push((rank[r.idx], r.src, r.dst));
             }
         }
         scratch.crossings.sort_unstable_by_key(|&(rk, _, _)| rk);
@@ -872,13 +903,15 @@ impl OnlineStepper {
         loop {
             for idx in self.event_dirty.drain(..) {
                 // Seeds that completed at this very event have no rank left.
-                if let Some(&r) = rank.get(&self.coflows[idx].id()) {
-                    scratch.seed[r] = true;
+                if self.is_active[idx] {
+                    scratch.seed[rank[idx]] = true;
                 }
             }
-            // Close the affected set down the priority order.
-            scratch.dirty_flag.fill(false);
+            // Close the affected set down the priority order, laying out
+            // each member's per-flow credit as it joins.
+            scratch.credit_at.fill(None);
             scratch.dirty.clear();
+            let mut credit_len = 0;
             for (my_rank, &idx) in prio.iter().enumerate() {
                 // Crossings owned at or above this rank are no longer
                 // news from here down.
@@ -902,7 +935,8 @@ impl OnlineStepper {
                 {
                     dirty_ports.union_with(&self.footprints[idx]);
                     scratch.dirty.push(idx);
-                    scratch.dirty_flag[my_rank] = true;
+                    scratch.credit_at[my_rank] = Some(credit_len);
+                    credit_len += self.coflows[idx].num_flows();
                 }
             }
             self.stats.coflows_rescheduled += scratch.dirty.len() as u64;
@@ -917,10 +951,15 @@ impl OnlineStepper {
             // future entries are excluded (the delta view hides those
             // futures from planning); other Coflows' credit is never
             // looked up.
-            scratch.pending.clear();
-            for r in self.unsettled.iter() {
-                if r.start < now && scratch.dirty_flag[rank[&r.flow.coflow]] {
-                    *scratch.pending.entry(r.flow).or_insert(Dur::ZERO) += r.transmit_time(delta);
+            scratch.credit.clear();
+            scratch.credit.resize(credit_len, Dur::ZERO);
+            for r in self.unsettled.values().filter(|r| r.start < now) {
+                debug_assert!(
+                    self.is_active[r.idx],
+                    "in-flight circuit of no ranked Coflow"
+                );
+                if let Some(at) = scratch.credit_at[rank[r.idx]] {
+                    scratch.credit[at + r.flow.flow_idx] += r.transmit_time(delta);
                 }
             }
 
@@ -932,17 +971,20 @@ impl OnlineStepper {
             // confirmed ones in place, insert fresh ones — leaving the
             // table (and the unsettled mirror) byte-identical to what
             // truncating the members' futures and rebuilding them would
-            // produce, at the cost of only the actual diff. The view is
-            // O(ports) to build, so an empty round builds none.
+            // produce, at the cost of only the actual diff. The view
+            // works in recycled storage and costs the ports it touches.
             if !scratch.dirty.is_empty() {
-                let mut view = DeltaView::new(&self.prt, now);
+                let mut view = DeltaView::new(&self.prt, now, std::mem::take(&mut scratch.view));
                 for &idx in &scratch.dirty {
                     view.hide_future_of(self.coflows[idx].id());
                 }
                 view.seal();
+                let mut at = 0;
                 for &idx in &scratch.dirty {
                     let c = &self.coflows[idx];
                     let remaining = self.book.remaining(idx);
+                    let credit = &scratch.credit[at..at + c.num_flows()];
+                    at += c.num_flows();
                     scratch.demands.clear();
                     for (fi, f) in c.flows().iter().enumerate() {
                         let fref = FlowRef {
@@ -952,8 +994,7 @@ impl OnlineStepper {
                         if self.deferred.contains_key(&fref) {
                             continue; // in fault backoff
                         }
-                        let committed = scratch.pending.get(&fref).copied().unwrap_or(Dur::ZERO);
-                        let rem = remaining[fi].saturating_sub(committed);
+                        let rem = remaining[fi].saturating_sub(credit[fi]);
                         if !rem.is_zero() {
                             scratch.demands.push(Demand {
                                 flow_idx: fi,
@@ -984,15 +1025,26 @@ impl OnlineStepper {
                 scratch.removed.clear();
                 plan.apply(&mut self.prt, &mut scratch.removed);
                 self.stats.reservations_truncated += untrack(&mut self.unsettled, &scratch.removed);
+                // The plan lists each member's reservations together, in
+                // planning order: walk `dirty` alongside for the owners.
+                let mut member = 0;
                 for r in plan.fresh() {
-                    self.unsettled.insert(Pending {
-                        end: r.end,
-                        src: r.src,
-                        start: r.start,
-                        dst: r.dst,
-                        flow: r.flow,
-                    });
+                    while self.coflows[scratch.dirty[member]].id() != r.flow.coflow {
+                        member += 1;
+                    }
+                    track(
+                        &mut self.unsettled,
+                        Pending {
+                            end: r.end,
+                            src: r.src,
+                            start: r.start,
+                            dst: r.dst,
+                            flow: r.flow,
+                            idx: scratch.dirty[member],
+                        },
+                    );
                 }
+                scratch.view = plan.into_storage();
             }
 
             if self.config.active_policy != ActiveCircuitPolicy::Yield {
@@ -1001,25 +1053,42 @@ impl OnlineStepper {
 
             // Yield displacement, over the whole queue: in-flight
             // circuits (`start < now`) against kept plans and this
-            // round's plans (`start >= now`).
-            let mut holds: HashMap<(bool, usize, Time), (usize, Pending)> = HashMap::new();
-            for r in self.unsettled.iter().filter(|r| r.start < now) {
-                if let Some(&owner_rank) = rank.get(&r.flow.coflow) {
-                    holds.insert((true, r.src, r.end), (owner_rank, *r));
-                    holds.insert((false, r.dst, r.end), (owner_rank, *r));
-                }
+            // round's plans (`start >= now`). A planned circuit waits on
+            // the one in flight on its input or output port if it starts
+            // exactly where that one ends.
+            let ReplanScratch {
+                hold_in,
+                hold_out,
+                held,
+                cuts,
+                ..
+            } = &mut scratch;
+            held.clear();
+            for r in self.unsettled.values().filter(|r| r.start < now) {
+                debug_assert!(
+                    hold_in[r.src].is_none() && hold_out[r.dst].is_none(),
+                    "two circuits in flight on one port: {r:?}"
+                );
+                hold_in[r.src] = Some((rank[r.idx], *r));
+                hold_out[r.dst] = Some((rank[r.idx], *r));
+                held.push(*r);
             }
-            let mut cuts: Vec<Pending> = Vec::new();
-            if !holds.is_empty() {
-                for r in self.unsettled.iter().filter(|r| r.start >= now) {
-                    let waiter_rank = rank[&r.flow.coflow];
-                    for key in [(true, r.src, r.start), (false, r.dst, r.start)] {
-                        if let Some(&(owner_rank, p)) = holds.get(&key) {
-                            if waiter_rank < owner_rank {
-                                cuts.push(p);
-                            }
+            cuts.clear();
+            if !held.is_empty() {
+                for r in self.unsettled.values().filter(|r| r.start >= now) {
+                    debug_assert!(self.is_active[r.idx], "planned circuit of no ranked Coflow");
+                    let waiter_rank = rank[r.idx];
+                    for &(owner_rank, p) in
+                        [&hold_in[r.src], &hold_out[r.dst]].into_iter().flatten()
+                    {
+                        if p.end == r.start && waiter_rank < owner_rank {
+                            cuts.push(p);
                         }
                     }
+                }
+                for r in held.iter() {
+                    hold_in[r.src] = None;
+                    hold_out[r.dst] = None;
                 }
             }
             cuts.sort_unstable();
@@ -1038,7 +1107,13 @@ impl OnlineStepper {
             next_cross = 0;
             scratch.seed.fill(false);
             dirty_ports.clear();
-            self.cut_circuits(&cuts, &rank, &mut scratch.seed, &mut dirty_ports, hook);
+            self.cut_circuits(
+                &scratch.cuts,
+                &rank,
+                &mut scratch.seed,
+                &mut dirty_ports,
+                hook,
+            );
         }
 
         scratch.prio = prio;
@@ -1058,7 +1133,7 @@ impl OnlineStepper {
     fn cut_circuits(
         &mut self,
         cuts: &[Pending],
-        rank: &HashMap<u64, usize>,
+        rank: &[usize],
         seed: &mut [bool],
         dirty_ports: &mut PortSet,
         hook: &mut dyn SettleHook,
@@ -1066,9 +1141,9 @@ impl OnlineStepper {
         let now = self.now;
         for p in cuts {
             self.prt.cut_reservation(p.src, p.start, now);
-            self.unsettled.remove(p);
-            self.unsettled.insert(Pending { end: now, ..*p });
-            seed[rank[&p.flow.coflow]] = true;
+            self.unsettled.remove(&(p.end, p.src));
+            track(&mut self.unsettled, Pending { end: now, ..*p });
+            seed[rank[p.idx]] = true;
             dirty_ports.insert_in(p.src);
             dirty_ports.insert_out(p.dst);
         }
@@ -1086,20 +1161,30 @@ fn footprint_of(coflow: &Coflow, fabric: &Fabric) -> PortSet {
     fp
 }
 
+/// Enter `p` in the unsettled queue under its `(end, src)` key, which no
+/// other unsettled reservation holds.
+fn track(unsettled: &mut BTreeMap<(Time, InPort), Pending>, p: Pending) {
+    let displaced = unsettled.insert((p.end, p.src), p);
+    debug_assert!(
+        displaced.is_none(),
+        "two unsettled circuits end on in.{} at {}",
+        p.src,
+        p.end
+    );
+}
+
 /// Mirror a list of not-yet-started reservations removed from the table
 /// (a finished Coflow's leftover plan, a delta apply's stale entries)
 /// into the unsettled queue. Returns how many there were.
-fn untrack(unsettled: &mut BTreeSet<Pending>, removed: &[RemovedResv]) -> u64 {
+fn untrack(unsettled: &mut BTreeMap<(Time, InPort), Pending>, removed: &[RemovedResv]) -> u64 {
     for r in removed {
-        let ResvKind::Flow(flow) = r.kind;
-        let was_pending = unsettled.remove(&Pending {
-            end: r.end,
-            src: r.src,
-            start: r.start,
-            dst: r.dst,
-            flow,
-        });
-        debug_assert!(was_pending, "removed reservation missing from queue");
+        let was = unsettled.remove(&(r.end, r.src));
+        debug_assert!(
+            was.is_some_and(|p| p.start == r.start
+                && p.dst == r.dst
+                && ResvKind::Flow(p.flow) == r.kind),
+            "removed reservation missing from queue"
+        );
     }
     removed.len() as u64
 }
