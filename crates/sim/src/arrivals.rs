@@ -1,11 +1,9 @@
-//! The future-arrival queue shared by every backend that holds a
-//! submitted Coflow until its arrival instant: the fan-out compositor,
-//! [`KCoreBackend`](crate::KCoreBackend),
+//! The future-arrival queue every backend holds a submitted Coflow in
+//! until its arrival instant: the [`OnlineStepper`](crate::OnlineStepper),
+//! the fan-out compositor, [`KCoreBackend`](crate::KCoreBackend),
 //! [`CircuitBackend`](crate::CircuitBackend) and
-//! [`PacketBackend`](crate::PacketBackend). ([`OnlineStepper`] keeps its
-//! own: it indexes arrivals into its Coflow table at submission.)
-//!
-//! [`OnlineStepper`]: crate::OnlineStepper
+//! [`PacketBackend`](crate::PacketBackend). A backend indexes a Coflow
+//! into its own tables when it pops it at admission.
 
 use crate::stepper::SubmitError;
 use ocs_model::{Coflow, Fabric, Time};

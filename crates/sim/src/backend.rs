@@ -11,8 +11,8 @@
 //! port occupancies ([`SchedulingBackend::advance_to`]), emitting
 //! [`Completion`]s. Three implementations cover the paper:
 //!
-//! * [`SunflowBackend`] — Sunflow with a pluggable [`PriorityPolicy`],
-//!   wrapping [`OnlineStepper`] (§4–5).
+//! * [`SunflowBackend`] — Sunflow with a pluggable [`PriorityPolicy`]:
+//!   the [`OnlineStepper`] (§4–5).
 //! * [`CircuitBackend`] — the §3.2 aggregated-demand straw man over any
 //!   [`CircuitScheduler`] (Solstice / TMS / Edmond), executed by the
 //!   same [`Switch`] as the offline per-Coflow service path.
@@ -46,10 +46,10 @@ use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind, SunflowConfig};
 /// `ocs-daemon` service) drive a `&mut dyn SchedulingBackend` instead of
 /// branching per family.
 ///
-/// The contract mirrors [`OnlineStepper`]: `submit` queues an arrival at
-/// or after the backend clock, `advance_to(deadline, hook)` processes
-/// every internal event up to and including `deadline` (then floats the
-/// clock to `deadline` unless it is [`Time::MAX`]), and completed
+/// The contract: `submit` queues an arrival at or after the backend
+/// clock, `advance_to(deadline, hook)` processes every internal event up
+/// to and including `deadline` (then floats the clock to `deadline`
+/// unless it is [`Time::MAX`]), and completed
 /// Coflows accumulate until [`SchedulingBackend::drain_completions`].
 pub trait SchedulingBackend {
     /// Canonical scheduler name for reports, labels and metrics
@@ -149,94 +149,9 @@ pub struct CoreStatus {
 // Sunflow
 // ---------------------------------------------------------------------
 
-/// Sunflow as a [`SchedulingBackend`]: an [`OnlineStepper`] paired with
-/// the [`PriorityPolicy`] it is driven under.
-///
-/// The stepper API threads the policy through every call; the backend
-/// owns one (borrowed policies coerce via the blanket
-/// `impl PriorityPolicy for &P`) so the trait object can be driven
-/// without per-call policy plumbing.
-pub struct SunflowBackend<'p> {
-    stepper: OnlineStepper,
-    policy: Box<dyn PriorityPolicy + 'p>,
-}
-
-impl<'p> SunflowBackend<'p> {
-    /// A Sunflow backend on `fabric` under `config` and `policy`.
-    pub fn new(
-        fabric: &Fabric,
-        config: &OnlineConfig,
-        policy: Box<dyn PriorityPolicy + 'p>,
-    ) -> SunflowBackend<'p> {
-        SunflowBackend {
-            stepper: OnlineStepper::new(fabric, config),
-            policy,
-        }
-    }
-}
-
-impl SchedulingBackend for SunflowBackend<'_> {
-    fn name(&self) -> &'static str {
-        "Sunflow"
-    }
-
-    fn switch_model(&self) -> &'static str {
-        "not-all-stop"
-    }
-
-    fn now(&self) -> Time {
-        self.stepper.now()
-    }
-
-    fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        self.stepper.submit(coflow)
-    }
-
-    fn next_event_time(&self) -> Option<Time> {
-        self.stepper.next_event_time()
-    }
-
-    fn advance_to(&mut self, deadline: Time, hook: &mut dyn SettleHook) -> u64 {
-        self.stepper
-            .run_until_with(deadline, self.policy.as_ref(), hook)
-    }
-
-    fn drain_completions(&mut self) -> Vec<Completion> {
-        self.stepper.drain_completions()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.stepper.is_idle()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.stepper.active_coflows()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        self.stepper.queued_arrivals()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
-        self.stepper.outstanding_demand()
-    }
-
-    fn deferred_flows(&self) -> usize {
-        self.stepper.deferred_flows()
-    }
-
-    fn guard_windows(&self) -> u64 {
-        self.stepper.guard_windows()
-    }
-
-    fn stats(&self) -> Option<ReplayStats> {
-        Some(self.stepper.stats())
-    }
-
-    fn compact_history(&mut self) -> usize {
-        self.stepper.compact_history()
-    }
-}
+/// Sunflow as a [`SchedulingBackend`]: the [`OnlineStepper`] itself,
+/// built with the [`PriorityPolicy`] it ranks Coflows by.
+pub type SunflowBackend<'p> = OnlineStepper<'p>;
 
 // ---------------------------------------------------------------------
 // Aggregated circuit baselines

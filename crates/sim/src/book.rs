@@ -46,7 +46,7 @@ pub(crate) enum Settled {
 }
 
 /// The accounts of the admitted, unfinished Coflows, in slots the
-/// owning backend picks (the stepper's submission index; the next
+/// owning backend picks (the stepper's admission index; the next
 /// unused slot elsewhere). A completed Coflow's account is dropped.
 #[derive(Debug, Default)]
 pub(crate) struct FlowBook {

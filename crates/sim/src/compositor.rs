@@ -18,8 +18,9 @@
 //! * A plane is advanced only at its own due instants (the engine's
 //!   rule), so it observes exactly the `advance_to` sequence it would
 //!   produce running alone; due planes advance in index order on the
-//!   calling thread, under the shared policy and hook, and are drained
-//!   in index order.
+//!   calling thread, under the shared hook, and are drained in index
+//!   order. (The circuit planes share one priority policy, which each
+//!   holds from construction.)
 //! * Circuit planes float to a finite deadline; the packet plane does
 //!   not — its fluids drain at rates that only change at its own
 //!   events, and cutting a span into more `progress` steps would
@@ -34,47 +35,35 @@ use crate::online::ReplayStats;
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_model::{Coflow, CoflowBuilder, Dur, Fabric, Flow, ScheduleOutcome, Time};
 use std::collections::HashMap;
-use sunflow_core::PriorityPolicy;
 
 /// One independent scheduling plane under the compositor's clock.
 // All but at most one plane are the large variant: boxing it saves nothing.
 #[allow(clippy::large_enum_variant)]
-pub enum Plane {
-    /// A Sunflow-scheduled circuit switch: one stepper over one PRT,
-    /// driven under the compositor's policy.
-    Circuit(OnlineStepper),
+pub enum Plane<'p> {
+    /// A Sunflow-scheduled circuit switch: one stepper over one PRT.
+    Circuit(OnlineStepper<'p>),
     /// The fair-shared packet network of the hybrid fabric.
     Packet(PacketBackend<'static>),
 }
 
-impl Plane {
-    fn next_event_time(&self) -> Option<Time> {
+impl Plane<'_> {
+    fn backend(&self) -> &dyn SchedulingBackend {
         match self {
-            Plane::Circuit(s) => s.next_event_time(),
-            Plane::Packet(b) => b.next_event_time(),
+            Plane::Circuit(s) => s,
+            Plane::Packet(b) => b,
+        }
+    }
+
+    fn backend_mut(&mut self) -> &mut dyn SchedulingBackend {
+        match self {
+            Plane::Circuit(s) => s,
+            Plane::Packet(b) => b,
         }
     }
 
     /// The plane's replay counters.
     pub fn stats(&self) -> ReplayStats {
-        match self {
-            Plane::Circuit(s) => s.stats(),
-            Plane::Packet(b) => b.stats().unwrap_or_default(),
-        }
-    }
-
-    fn stepper(&self) -> Option<&OnlineStepper> {
-        match self {
-            Plane::Circuit(s) => Some(s),
-            Plane::Packet(_) => None,
-        }
-    }
-
-    fn stepper_mut(&mut self) -> Option<&mut OnlineStepper> {
-        match self {
-            Plane::Circuit(s) => Some(s),
-            Plane::Packet(_) => None,
-        }
+        self.backend().stats().unwrap_or_default()
     }
 }
 
@@ -99,7 +88,7 @@ pub trait Router {
 
     /// Route `coflow`, at its arrival instant, against the live
     /// `planes`: at most one part per plane, in plane order.
-    fn route(&mut self, coflow: &Coflow, planes: &[Plane]) -> Vec<Part>;
+    fn route(&mut self, coflow: &Coflow, planes: &[Plane<'_>]) -> Vec<Part>;
 
     /// The Coflow `id` has completed on every plane.
     fn release(&mut self, _id: u64) {}
@@ -152,9 +141,7 @@ struct MergeState {
 pub struct Compositor<'p, R> {
     /// The full fabric: submission validation and the admitted gauge.
     fabric: Fabric,
-    pub(crate) planes: Vec<Plane>,
-    /// The policy every circuit plane is advanced under.
-    policy: Box<dyn PriorityPolicy + 'p>,
+    pub(crate) planes: Vec<Plane<'p>>,
     router: R,
     now: Time,
     arrivals: ArrivalQueue,
@@ -166,28 +153,18 @@ pub struct Compositor<'p, R> {
 
 impl<'p, R: Router> Compositor<'p, R> {
     /// A compositor over `planes` on `fabric`, every plane advanced in
-    /// turn under `policy`.
-    pub(crate) fn over(
-        fabric: Fabric,
-        planes: Vec<Plane>,
-        policy: Box<dyn PriorityPolicy + 'p>,
-        router: R,
-    ) -> Compositor<'p, R> {
+    /// turn.
+    pub(crate) fn over(fabric: Fabric, planes: Vec<Plane<'p>>, router: R) -> Compositor<'p, R> {
         Compositor {
             fabric,
             admitted: vec![Dur::ZERO; planes.len()],
             planes,
-            policy,
             router,
             now: Time::ZERO,
             arrivals: ArrivalQueue::default(),
             merge: HashMap::new(),
             completions: Vec::new(),
         }
-    }
-
-    fn steppers(&self) -> impl Iterator<Item = &OnlineStepper> {
-        self.planes.iter().filter_map(Plane::stepper)
     }
 
     /// True for the hybrid fabric: a packet plane beside the circuits.
@@ -216,10 +193,8 @@ impl<'p, R: Router> Compositor<'p, R> {
                 let flows = part.coflow.flows().iter();
                 let demand = flows.map(|f| self.fabric.processing_time(f.bytes));
                 self.admitted[part.plane] += demand.sum::<Dur>();
-                let accepted = match &mut self.planes[part.plane] {
-                    Plane::Circuit(s) => s.submit(part.coflow),
-                    Plane::Packet(b) => b.submit(part.coflow),
-                };
+                let plane = self.planes[part.plane].backend_mut();
+                let accepted = plane.submit(part.coflow);
                 accepted.expect("part was validated at submission");
                 st.parts.push((part.plane, part.back));
                 n += 1;
@@ -233,14 +208,11 @@ impl<'p, R: Router> Compositor<'p, R> {
     /// order. Planes share nothing, so advancing one never moves
     /// another's next event.
     fn advance_planes(&mut self, t: Time, hook: &mut dyn SettleHook) -> u64 {
-        let policy = self.policy.as_ref();
         self.planes
             .iter_mut()
+            .map(Plane::backend_mut)
             .filter(|p| p.next_event_time().is_some_and(|e| e <= t))
-            .map(|p| match p {
-                Plane::Circuit(s) => s.run_until_with(t, policy, hook),
-                Plane::Packet(b) => b.advance_to(t, hook),
-            })
+            .map(|p| p.advance_to(t, hook))
             .sum()
     }
 
@@ -249,10 +221,7 @@ impl<'p, R: Router> Compositor<'p, R> {
     /// flow carved across planes finishes when its last piece does.
     fn absorb_completions(&mut self) {
         for plane in 0..self.planes.len() {
-            let drained = match &mut self.planes[plane] {
-                Plane::Circuit(s) => s.drain_completions(),
-                Plane::Packet(b) => b.drain_completions(),
-            };
+            let drained = self.planes[plane].backend_mut().drain_completions();
             for part in drained {
                 let id = part.outcome.coflow;
                 let st = self
@@ -308,8 +277,9 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
     }
 
     fn next_event_time(&self) -> Option<Time> {
-        let planes = self.planes.iter().filter_map(Plane::next_event_time);
-        planes.chain(self.arrivals.next_arrival()).min()
+        let planes = self.planes.iter().map(Plane::backend);
+        let due = planes.filter_map(|p| p.next_event_time());
+        due.chain(self.arrivals.next_arrival()).min()
     }
 
     fn advance_to(&mut self, deadline: Time, hook: &mut dyn SettleHook) -> u64 {
@@ -327,8 +297,10 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
             // Nothing happens strictly between events; float the
             // circuit clocks to the deadline so later submissions
             // cannot rewrite the span.
-            for s in self.planes.iter_mut().filter_map(Plane::stepper_mut) {
-                s.run_until_with(deadline, self.policy.as_ref(), hook);
+            for p in &mut self.planes {
+                if let Plane::Circuit(s) = p {
+                    s.advance_to(deadline, hook);
+                }
             }
             self.absorb_completions();
             self.now = self.now.max(deadline);
@@ -355,19 +327,18 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
     }
 
     fn outstanding_demand(&self) -> Dur {
-        let demand = |p: &Plane| match p {
-            Plane::Circuit(s) => s.outstanding_demand(),
-            Plane::Packet(b) => b.outstanding_demand(),
-        };
-        self.planes.iter().map(demand).sum()
+        let planes = self.planes.iter().map(Plane::backend);
+        planes.map(|p| p.outstanding_demand()).sum()
     }
 
     fn deferred_flows(&self) -> usize {
-        self.steppers().map(OnlineStepper::deferred_flows).sum()
+        let planes = self.planes.iter().map(Plane::backend);
+        planes.map(|p| p.deferred_flows()).sum()
     }
 
     fn guard_windows(&self) -> u64 {
-        self.steppers().map(OnlineStepper::guard_windows).sum()
+        let planes = self.planes.iter().map(Plane::backend);
+        planes.map(|p| p.guard_windows()).sum()
     }
 
     fn stats(&self) -> Option<ReplayStats> {
@@ -380,24 +351,26 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
     }
 
     fn compact_history(&mut self) -> usize {
-        let steppers = self.planes.iter_mut().filter_map(Plane::stepper_mut);
-        steppers.map(OnlineStepper::compact_history).sum()
+        let planes = self.planes.iter_mut().map(Plane::backend_mut);
+        planes.map(|p| p.compact_history()).sum()
     }
 
     fn cores(&self) -> usize {
-        self.steppers().count()
+        let circuits = self.planes.iter();
+        circuits.filter(|p| matches!(p, Plane::Circuit(_))).count()
     }
 
     fn core_status(&self, core: usize) -> Option<CoreStatus> {
         if self.has_packet_plane() {
             return None;
         }
-        let s = self.planes.get(core)?.stepper()?;
+        let plane = self.planes.get(core)?;
+        let p = plane.backend();
         Some(CoreStatus {
-            active_coflows: s.active_coflows(),
-            outstanding_demand: s.outstanding_demand(),
+            active_coflows: p.active_coflows(),
+            outstanding_demand: p.outstanding_demand(),
             demand_admitted: self.admitted[core],
-            reservations_made: s.stats().reservations_made,
+            reservations_made: plane.stats().reservations_made,
         })
     }
 }
@@ -448,7 +421,11 @@ mod tests {
         while !c.is_idle() {
             t += Dur::from_millis(37);
             c.advance_to(t, &mut FullService);
-            for (i, s) in c.planes.iter().filter_map(Plane::stepper).enumerate() {
+            let steppers = c.planes.iter().filter_map(|p| match p {
+                Plane::Circuit(s) => Some(s),
+                Plane::Packet(_) => None,
+            });
+            for (i, s) in steppers.enumerate() {
                 if s.active_coflows() == 0 {
                     idle_reads += 1;
                     let left = s.prt().all_reservations();

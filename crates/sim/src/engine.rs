@@ -1,16 +1,12 @@
-//! The canonical event loop over [`SchedulingBackend`]s.
+//! The canonical event loop over a [`SchedulingBackend`].
 //!
 //! Every batch entry point in this crate (`simulate_circuit`,
-//! `simulate_circuit_aggregated`, [`simulate_packet`]) and every online
-//! driver (`ocs-bench` evaluation, the `ocs-daemon` service) runs this
-//! loop: poll each backend for its next internal event, advance every
-//! backend whose event is due at the global minimum, repeat until no
-//! backend has work. Running several backends through one loop shares a
-//! single virtual clock. The fan-out backends (`sunflow:<K>`,
-//! `portgroups:<G>`, `hybrid:<split>`) apply the same rule to the planes
-//! inside them, which is what makes the hybrid a genuine composition of
-//! a circuit plane and a packet plane rather than two independent
-//! simulations glued together afterwards.
+//! `simulate_circuit_aggregated`, [`simulate_packet`]) and the `ocs-bench`
+//! evaluation run this loop: poll the backend for its next internal
+//! event, advance it to that instant, repeat until it has no work.
+//! Composition on one clock is the fan-out backends' own business
+//! (`sunflow:<K>`, `portgroups:<G>`, `hybrid:<split>`): their compositor
+//! advances each plane only at that plane's own event instants.
 
 use crate::backend::{PacketBackend, SchedulingBackend};
 use crate::stepper::{FullService, SettleHook, SubmitError};
@@ -18,33 +14,19 @@ use ocs_model::{Coflow, Fabric, ScheduleOutcome, Time};
 use ocs_packet::RateScheduler;
 use std::collections::HashMap;
 
-/// Drive `backends` on one shared clock until every one is idle,
-/// consulting `hook` at each circuit settlement. Returns the total
-/// events processed across all backends.
-///
-/// Each round advances exactly the backends whose next event is due at
-/// the global minimum event time, to that time — so a backend observes
-/// the same sequence of `advance_to` instants it would produce running
-/// alone, and multi-backend composition cannot perturb any single
-/// backend's replay.
+/// Drive `backend` until it is idle, advancing it to each of its own
+/// event instants in turn and consulting `hook` at each circuit
+/// settlement. Returns the events processed.
 ///
 /// # Panics
-/// Panics if the backends repeatedly report a due event but process
+/// Panics if the backend repeatedly reports a due event but processes
 /// nothing — a backend bug that would otherwise spin forever.
-pub fn run_backends_to_idle(
-    backends: &mut [&mut dyn SchedulingBackend],
-    hook: &mut dyn SettleHook,
-) -> u64 {
+pub fn run_backends_to_idle(backend: &mut dyn SchedulingBackend, hook: &mut dyn SettleHook) -> u64 {
     let mut events = 0u64;
     let mut strikes = 0u32;
     let mut last_t: Option<Time> = None;
-    while let Some(t) = backends.iter().filter_map(|b| b.next_event_time()).min() {
-        let mut processed = 0u64;
-        for b in backends.iter_mut() {
-            if b.next_event_time().is_some_and(|e| e <= t) {
-                processed += b.advance_to(t, hook);
-            }
-        }
+    while let Some(t) = backend.next_event_time() {
+        let processed = backend.advance_to(t, hook);
         events += processed;
         if processed == 0 && last_t == Some(t) {
             strikes += 1;
@@ -75,7 +57,7 @@ pub fn run_trace(coflows: &[Coflow], backend: &mut dyn SchedulingBackend) -> Vec
             Err(e) => panic!("coflow ids must be unique: {e}"),
         }
     }
-    run_backends_to_idle(&mut [backend], &mut FullService);
+    run_backends_to_idle(backend, &mut FullService);
     let mut by_id: HashMap<u64, ScheduleOutcome> = backend
         .drain_completions()
         .into_iter()

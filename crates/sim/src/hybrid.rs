@@ -123,7 +123,7 @@ pub struct SplitRouter<'p> {
 }
 
 impl Router for SplitRouter<'_> {
-    fn route(&mut self, coflow: &Coflow, planes: &[Plane]) -> Vec<Part> {
+    fn route(&mut self, coflow: &Coflow, planes: &[Plane<'_>]) -> Vec<Part> {
         let [Plane::Circuit(stepper), Plane::Packet(packet)] = planes else {
             unreachable!("the hybrid constructor builds one circuit and one packet plane")
         };
@@ -182,7 +182,7 @@ impl<'p> HybridBackend<'p> {
             Bandwidth::from_bps(((fabric.bandwidth().as_bps() as f64) * frac).max(1.0) as u64);
         let packet_fabric = Fabric::new(fabric.ports(), packet_bw, fabric.delta());
         let planes = vec![
-            Plane::Circuit(OnlineStepper::new(fabric, &config.online)),
+            Plane::Circuit(OnlineStepper::new(fabric, &config.online, policy)),
             Plane::Packet(PacketBackend::new(&packet_fabric, Box::new(FairSharing))),
         ];
         let router = SplitRouter {
@@ -191,7 +191,7 @@ impl<'p> HybridBackend<'p> {
             packet_fabric,
             counters: ReplayStats::default(),
         };
-        Ok(Compositor::over(*fabric, planes, policy, router))
+        Ok(Compositor::over(*fabric, planes, router))
     }
 
     /// The packet side's replay counters (fluid events and re-rating

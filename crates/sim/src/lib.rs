@@ -5,9 +5,8 @@
 //!   packet-switched rate schedulers (Varys/Aalo/fair sharing) behind
 //!   one resumable submit / poll / advance interface, selectable by name
 //!   through [`BackendKind`].
-//! * [`engine`] — the canonical event loop over backends: every batch
-//!   `simulate_*` entry point and every online driver runs it; multiple
-//!   backends compose on one shared virtual clock.
+//! * [`engine`] — the canonical event loop over one backend: every batch
+//!   `simulate_*` entry point and the `ocs-bench` evaluation run it.
 //! * [`intra_driver`] — the paper's intra-Coflow evaluation: each Coflow
 //!   serviced alone on an idle fabric, under Sunflow or any of the
 //!   assignment-based baselines.
@@ -15,9 +14,13 @@
 //!   arrival times, rescheduling on Coflow arrivals and completions,
 //!   configurable in-flight-circuit policy and the optional §4.2
 //!   starvation guard.
-//! * [`stepper`] — Sunflow's replay as a resumable state machine: feed
-//!   arrivals one at a time, advance to a deadline, drain completions,
-//!   inject settlement faults. The substrate of [`SunflowBackend`].
+//! * [`stepper`] — Sunflow's replay as a resumable state machine, built
+//!   with its priority policy: feed arrivals one at a time, advance to a
+//!   deadline, drain completions, inject settlement faults. It is
+//!   [`SunflowBackend`].
+//! * `arrivals` (private) — the future-arrival queue every backend
+//!   holds submitted Coflows in until their arrival instant, with the
+//!   shared submit checks.
 //! * `book` (private) — the flow ledger of every circuit backend: the
 //!   stepper, [`KCoreBackend`] and [`CircuitBackend`] settle circuits,
 //!   credit service and build completions through one `FlowBook`.

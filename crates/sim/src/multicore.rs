@@ -36,6 +36,7 @@ use ocs_model::{
     packet_lower_bound, Coflow, Dur, Fabric, Flow, FlowRef, KCoreFabric, Reservation, Time,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 use sunflow_core::{
     schedule_demands_on, CoreAssign, CoreAssignKind, CoreLoad, Demand, PriorityPolicy, Prt,
     ScheduleScratch, SunflowConfig,
@@ -66,7 +67,7 @@ pub struct CoreRouter {
 }
 
 impl Router for CoreRouter {
-    fn route(&mut self, coflow: &Coflow, planes: &[Plane]) -> Vec<Part> {
+    fn route(&mut self, coflow: &Coflow, planes: &[Plane<'_>]) -> Vec<Part> {
         let assignment = self.assign.assign(coflow, planes.len(), &self.load);
         assert_eq!(
             assignment.len(),
@@ -103,15 +104,16 @@ impl<'p> MultiSunflowBackend<'p> {
         assign: Box<dyn CoreAssign + Send>,
     ) -> MultiSunflowBackend<'p> {
         let core = fabric.core();
+        let policy: Rc<dyn PriorityPolicy + 'p> = Rc::from(policy);
         let planes = (0..fabric.cores())
-            .map(|_| Plane::Circuit(OnlineStepper::new(&core, config)))
+            .map(|_| Plane::Circuit(OnlineStepper::sharing(&core, config, Rc::clone(&policy))))
             .collect();
         let router = CoreRouter {
             assign,
             load: CoreLoad::new(fabric.cores(), core.ports()),
             placed: HashMap::new(),
         };
-        Compositor::over(core, planes, policy, router)
+        Compositor::over(core, planes, router)
     }
 }
 

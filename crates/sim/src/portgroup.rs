@@ -22,6 +22,7 @@ use crate::compositor::{partition, Compositor, Part, Plane, Router};
 use crate::online::OnlineConfig;
 use crate::stepper::{OnlineStepper, SubmitError};
 use ocs_model::{Coflow, Fabric};
+use std::rc::Rc;
 use sunflow_core::PriorityPolicy;
 
 /// Sunflow sharded across `G` disjoint port groups — the daemon's
@@ -53,7 +54,7 @@ impl Router for GroupRouter {
         }
     }
 
-    fn route(&mut self, coflow: &Coflow, planes: &[Plane]) -> Vec<Part> {
+    fn route(&mut self, coflow: &Coflow, planes: &[Plane<'_>]) -> Vec<Part> {
         partition(coflow, planes.len(), |_, f| {
             let group = f.src / self.group_ports;
             let base = group * self.group_ports;
@@ -74,15 +75,16 @@ impl<'p> PortGroupBackend<'p> {
     ) -> PortGroupBackend<'p> {
         let groups = groups.clamp(1, fabric.ports());
         let group_ports = fabric.ports().div_ceil(groups);
+        let policy: Rc<dyn PriorityPolicy + 'p> = Rc::from(policy);
         let planes = (0..fabric.ports())
             .step_by(group_ports)
             .map(|base| {
                 let ports = group_ports.min(fabric.ports() - base);
                 let sub = Fabric::new(ports, fabric.bandwidth(), fabric.delta());
-                Plane::Circuit(OnlineStepper::new(&sub, config))
+                Plane::Circuit(OnlineStepper::sharing(&sub, config, Rc::clone(&policy)))
             })
             .collect();
-        Compositor::over(*fabric, planes, policy, GroupRouter { group_ports })
+        Compositor::over(*fabric, planes, GroupRouter { group_ports })
     }
 }
 

@@ -20,13 +20,16 @@
 //! replays them into a fresh backend (`ocs_daemon::Daemon::checkpoint`),
 //! which works for this stepper as for every other backend.
 
+use crate::arrivals::ArrivalQueue;
+use crate::backend::SchedulingBackend;
 use crate::book::{FlowBook, Settled};
 use crate::online::{ActiveCircuitPolicy, OnlineConfig, ReplayStats};
 use ocs_model::{
     Coflow, Dur, Fabric, FlowRef, InPort, OutPort, Reservation, ScheduleOutcome, Time,
 };
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 use sunflow_core::{
     schedule_demands_on, DeltaStorage, DeltaView, Demand, PortSet, PriorityPolicy, Prt,
@@ -61,7 +64,7 @@ impl Pending {
 /// planning scratch (wake heap included). Owned by the stepper and reset
 /// — never reallocated — per replan, so the steady-state event loop's
 /// planning path allocates only the plans themselves and looks no
-/// Coflow id up. `rank` is sized by every Coflow ever submitted (one word
+/// Coflow id up. `rank` is sized by every Coflow ever admitted (one word
 /// each), the per-port buffers by the fabric, the rest by the *active*
 /// Coflows and their circuits.
 #[derive(Debug, Default)]
@@ -117,11 +120,11 @@ struct ReplanScratch {
 
 impl ReplanScratch {
     /// Clear every buffer and load the priority order: `prio` becomes
-    /// `order`, `rank` its inverse over the `submitted` Coflow indices.
-    fn reset(&mut self, ports: usize, order: &[usize], submitted: usize) {
+    /// `order`, `rank` its inverse over the `admitted` Coflow indices.
+    fn reset(&mut self, ports: usize, order: &[usize], admitted: usize) {
         self.prio.clear();
         self.prio.extend_from_slice(order);
-        self.rank.resize(submitted, usize::MAX);
+        self.rank.resize(admitted, usize::MAX);
         for (r, &i) in order.iter().enumerate() {
             self.rank[i] = r;
         }
@@ -212,7 +215,7 @@ impl SettleHook for FullService {
     }
 }
 
-/// Why [`OnlineStepper::submit`] refused a Coflow.
+/// Why [`SchedulingBackend::submit`] refused a Coflow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// A Coflow with this id was already submitted.
@@ -275,7 +278,7 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// One finished Coflow, drained via [`OnlineStepper::drain_completions`].
+/// One finished Coflow, drained via [`SchedulingBackend::drain_completions`].
 #[derive(Clone, Debug)]
 pub struct Completion {
     /// The Coflow's schedule outcome (`start` is its arrival time).
@@ -286,37 +289,41 @@ pub struct Completion {
     pub first_service: Option<Time>,
 }
 
-/// The online replay's event loop as a resumable state machine.
+/// The online replay's event loop as a resumable state machine: Sunflow
+/// as a [`SchedulingBackend`] (exported as [`crate::SunflowBackend`]).
 ///
 /// ```
-/// use ocs_sim::{OnlineConfig, OnlineStepper};
+/// use ocs_sim::{FullService, OnlineConfig, SchedulingBackend, SunflowBackend};
 /// use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};
 /// use sunflow_core::ShortestFirst;
 ///
 /// let fabric = Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10));
-/// let mut s = OnlineStepper::new(&fabric, &OnlineConfig::default());
+/// let mut s = SunflowBackend::new(&fabric, &OnlineConfig::default(), Box::new(ShortestFirst));
 /// s.submit(Coflow::builder(0).flow(0, 1, 1_000_000).build())
 ///     .unwrap();
-/// s.run_until(Time::from_millis(500), &ShortestFirst);
+/// s.advance_to(Time::from_millis(500), &mut FullService);
 /// let done = s.drain_completions();
 /// assert_eq!(done.len(), 1);
 /// assert_eq!(done[0].outcome.finish, Time::from_millis(18));
 /// ```
 ///
-/// The same `policy` must be passed to every call that takes one — the
-/// stepper memoizes the policy's total order incrementally (a property
-/// of the Coflow alone; see `replay_regression.rs`), so switching
-/// policies mid-run would scramble the memo.
-pub struct OnlineStepper {
+/// The stepper is built with its [`PriorityPolicy`] and keeps it for
+/// life: it memoizes the policy's total order incrementally (a property
+/// of the Coflow alone; see `replay_regression.rs`).
+pub struct OnlineStepper<'p> {
     fabric: Fabric,
     config: OnlineConfig,
+    /// The inter-Coflow order every admission is ranked by; one `Rc`
+    /// shared by the circuit planes of a fan-out backend.
+    policy: Rc<dyn PriorityPolicy + 'p>,
     guard: Option<StarvationGuard>,
     prt: Prt,
-    /// Every Coflow ever submitted, by internal index.
+    /// Submitted Coflows whose arrival has not been processed yet.
+    arrivals: ArrivalQueue,
+    /// Every Coflow ever admitted, by internal index (admission order).
     coflows: Vec<Coflow>,
     /// The arrived, unfinished Coflows' accounts, slotted by index.
     book: FlowBook,
-    id_to_idx: HashMap<u64, usize>,
     /// Indices of arrived, not-yet-completed Coflows (admission order).
     active: Vec<usize>,
     /// `is_active[idx]` ⇔ `idx ∈ active`.
@@ -326,20 +333,19 @@ pub struct OnlineStepper {
     /// its priority walk off this list instead of sorting — and a deep
     /// queue of future arrivals costs the walk nothing.
     priority_order: Vec<usize>,
-    /// `(arrival, id, idx)` of submitted, not-yet-arrived Coflows.
-    pending_arrivals: BTreeSet<(Time, u64, usize)>,
     /// Every not-yet-settled flow reservation, mirrored out of the PRT,
     /// keyed by `(end, src)`: the settle order, unique because a port's
     /// reservations never overlap.
     unsettled: BTreeMap<(Time, InPort), Pending>,
-    /// Flows shorted by the [`SettleHook`], excluded from planning until
-    /// their backoff expires (values are strictly in the future).
-    deferred: HashMap<FlowRef, Time>,
+    /// Flows shorted by the [`SettleHook`], by `(Coflow index, flow
+    /// index)`, excluded from planning until their backoff expires
+    /// (values are strictly in the future).
+    deferred: HashMap<(usize, usize), Time>,
     completions: Vec<Completion>,
     now: Time,
-    /// True when state changed at (or before) `now` without an event
-    /// being processed there — set at construction and by same-instant
-    /// submissions, cleared by `process_event`.
+    /// True until the first event is processed: the batch loop's first
+    /// iteration ran at the origin even if the first arrival is later,
+    /// and byte-identity with it depends on replicating that.
     dirty: bool,
     stats: ReplayStats,
     resched_wall: Duration,
@@ -347,7 +353,7 @@ pub struct OnlineStepper {
     guard_windows_elapsed: u64,
     fuel: u64,
     /// Per-Coflow port footprint (every `(src, dst)` any of its flows
-    /// touches), indexed like `coflows`. Static once submitted.
+    /// touches), indexed like `coflows`. Static once admitted.
     footprints: Vec<PortSet>,
     /// Coflow indices whose *state* changed at the event being processed
     /// (arrivals, settle shortfalls, deferral expiries) — the seeds of
@@ -366,12 +372,26 @@ pub struct OnlineStepper {
     scratch: ReplanScratch,
 }
 
-impl OnlineStepper {
-    /// A stepper at `t = 0` with no Coflows.
+impl<'p> OnlineStepper<'p> {
+    /// A stepper at `t = 0` with no Coflows, ranking them by `policy`.
     ///
     /// # Panics
     /// Panics if `config.guard` violates `T ≫ τ > δ` for this fabric.
-    pub fn new(fabric: &Fabric, config: &OnlineConfig) -> OnlineStepper {
+    pub fn new(
+        fabric: &Fabric,
+        config: &OnlineConfig,
+        policy: Box<dyn PriorityPolicy + 'p>,
+    ) -> OnlineStepper<'p> {
+        OnlineStepper::sharing(fabric, config, Rc::from(policy))
+    }
+
+    /// Like [`OnlineStepper::new`], with a policy the caller shares
+    /// among several steppers (a fan-out backend's planes).
+    pub(crate) fn sharing(
+        fabric: &Fabric,
+        config: &OnlineConfig,
+        policy: Rc<dyn PriorityPolicy + 'p>,
+    ) -> OnlineStepper<'p> {
         let guard = config.guard.map(|g| {
             g.validate(fabric.delta()).unwrap_or_else(|e| panic!("{e}"));
             StarvationGuard::new(fabric.ports(), g)
@@ -379,23 +399,19 @@ impl OnlineStepper {
         OnlineStepper {
             fabric: *fabric,
             config: *config,
+            policy,
             guard,
             prt: Prt::with_guard(fabric.ports(), guard),
+            arrivals: ArrivalQueue::default(),
             coflows: Vec::new(),
             book: FlowBook::default(),
-            id_to_idx: HashMap::new(),
             active: Vec::new(),
             is_active: Vec::new(),
             priority_order: Vec::new(),
-            pending_arrivals: BTreeSet::new(),
             unsettled: BTreeMap::new(),
             deferred: HashMap::new(),
             completions: Vec::new(),
             now: Time::ZERO,
-            // Process an event at t=0 on the first run even if the first
-            // arrival is later: the batch loop's first iteration ran at
-            // the origin, and byte-identity with it depends on
-            // replicating that.
             dirty: true,
             stats: ReplayStats::default(),
             resched_wall: Duration::ZERO,
@@ -408,49 +424,6 @@ impl OnlineStepper {
             last_replan_at: Time::ZERO,
             scratch: ReplanScratch::default(),
         }
-    }
-
-    /// The stepper's virtual clock: all events up to here are processed.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Event-loop counters so far (`reschedule_micros` included).
-    pub fn stats(&self) -> ReplayStats {
-        let mut s = self.stats;
-        s.reschedule_micros = self.resched_wall.as_micros() as u64;
-        s
-    }
-
-    /// Starvation-guard windows elapsed so far.
-    pub fn guard_windows(&self) -> u64 {
-        self.guard_windows_elapsed
-    }
-
-    /// Arrived, not-yet-completed Coflows.
-    pub fn active_coflows(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Submitted Coflows whose arrival is still in the future.
-    pub fn queued_arrivals(&self) -> usize {
-        self.pending_arrivals.len()
-    }
-
-    /// Flows currently in fault backoff.
-    pub fn deferred_flows(&self) -> usize {
-        self.deferred.len()
-    }
-
-    /// True when no work remains: every submitted Coflow has completed.
-    pub fn is_idle(&self) -> bool {
-        self.active.is_empty() && self.pending_arrivals.is_empty()
-    }
-
-    /// Total unserved processing time across active Coflows — the
-    /// admission-control "outstanding demand" gauge.
-    pub fn outstanding_demand(&self) -> Dur {
-        self.book.outstanding()
     }
 
     /// The shared Port Reservation Table (read-only).
@@ -498,147 +471,16 @@ impl OnlineStepper {
         tx.iter().zip(&rx).map(|(&t, &r)| t.max(r)).collect()
     }
 
-    /// Drop PRT history that ended at or before `now`, returning how many
-    /// reservations were forgotten. Safe at any point between runs: only
-    /// settled reservations can have ended by `now`.
-    pub fn compact_history(&mut self) -> usize {
-        self.prt.forget_before(self.now)
-    }
-
-    /// Submit one Coflow for scheduling. Its arrival must not precede
-    /// the stepper's clock; it becomes an arrival event at that time.
-    /// The Coflow is ranked by the policy of the run that processes its
-    /// arrival.
-    pub fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
-        if !self.fabric.fits(&coflow) {
-            return Err(SubmitError::ExceedsFabric {
-                id: coflow.id(),
-                ports: self.fabric.ports(),
-            });
-        }
-        if self.id_to_idx.contains_key(&coflow.id()) {
-            return Err(SubmitError::DuplicateId(coflow.id()));
-        }
-        if coflow.arrival() < self.now {
-            return Err(SubmitError::ArrivalInPast {
-                arrival: coflow.arrival(),
-                now: self.now,
-            });
-        }
-        let idx = self.coflows.len();
-        let (arrival, id) = (coflow.arrival(), coflow.id());
-        self.id_to_idx.insert(id, idx);
-        self.fuel += 1_000 * (1 + coflow.num_flows() as u64);
-        self.footprints.push(footprint_of(&coflow, &self.fabric));
-        self.coflows.push(coflow);
-        self.is_active.push(false);
-        self.pending_arrivals.insert((arrival, id, idx));
-        if arrival <= self.now {
-            self.dirty = true;
-        }
-        Ok(())
-    }
-
-    /// When the next event is due, or `None` when idle. Events are
-    /// Coflow arrivals, planned completions, guard-window ends and fault
-    /// retries; a pending same-instant submission reports `now`.
-    pub fn next_event_time(&self) -> Option<Time> {
-        if self.dirty {
-            return Some(self.now);
-        }
-        let t_arrival = self.pending_arrivals.iter().next().map(|&(t, _, _)| t);
-        let t_completion = self
-            .active
-            .iter()
-            .map(|&idx| {
-                // A coflow completes when its last planned reservation
-                // ends (plans always cover all remaining demand). If it
-                // has none, all residual demand is pending in kept
-                // reservations or will be served by guard windows; fall
-                // back to the guard end.
-                match self.prt.last_end_of(self.coflows[idx].id()) {
-                    Some(end) if end > self.now => end,
-                    _ => self
-                        .guard
-                        .as_ref()
-                        .map(|g| g.next_window_end_after(self.now))
-                        .unwrap_or(Time::MAX),
-                }
-            })
-            .min();
-        let t_guard = self
-            .guard
-            .as_ref()
-            .filter(|_| !self.active.is_empty())
-            .map(|g| g.next_window_end_after(self.now));
-        let t_retry = self.deferred.values().copied().min();
-        [t_arrival, t_completion, t_guard, t_retry]
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Process every event up to and including `deadline` under the
-    /// default fault-free [`FullService`] hook, then advance the clock to
-    /// `deadline`. Returns the number of events processed.
-    pub fn run_until(&mut self, deadline: Time, policy: &dyn PriorityPolicy) -> u64 {
-        self.run_until_with(deadline, policy, &mut FullService)
-    }
-
-    /// Like [`OnlineStepper::run_until`] with an explicit [`SettleHook`].
-    pub fn run_until_with(
-        &mut self,
-        deadline: Time,
-        policy: &dyn PriorityPolicy,
-        hook: &mut dyn SettleHook,
-    ) -> u64 {
-        let mut processed = 0u64;
-        while let Some(t) = self.next_event_time() {
-            if t > deadline {
-                break;
-            }
-            assert!(t != Time::MAX, "no progress possible: deadlock");
-            self.process_event(t, policy, hook);
-            processed += 1;
-        }
-        if deadline > self.now && deadline != Time::MAX {
-            // Nothing happens strictly between events; float the clock
-            // up so later submissions cannot rewrite this span.
-            self.now = deadline;
-        }
-        processed
-    }
-
-    /// Run until every submitted Coflow has completed.
-    pub fn run_to_idle(&mut self, policy: &dyn PriorityPolicy) -> u64 {
-        self.run_until(Time::MAX, policy)
-    }
-
-    /// Like [`OnlineStepper::run_to_idle`] with an explicit hook.
-    pub fn run_to_idle_with(
-        &mut self,
-        policy: &dyn PriorityPolicy,
-        hook: &mut dyn SettleHook,
-    ) -> u64 {
-        self.run_until_with(Time::MAX, policy, hook)
-    }
-
-    /// Take every Coflow completion recorded since the last drain, in
-    /// completion order.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// The full event body: settle, admit, complete, re-plan.
-    fn process_event(&mut self, t: Time, policy: &dyn PriorityPolicy, hook: &mut dyn SettleHook) {
+    fn process_event(&mut self, t: Time, hook: &mut dyn SettleHook) {
         assert!(t >= self.now, "events must be processed in time order");
         self.now = t;
         self.dirty = false;
         // A flow leaving fault backoff becomes plannable again; its
         // Coflow seeds the affected set.
-        for (fref, &until) in self.deferred.iter() {
+        for (&(idx, _), &until) in self.deferred.iter() {
             if until <= t {
-                self.event_dirty.push(self.id_to_idx[&fref.coflow]);
+                self.event_dirty.push(idx);
             }
         }
         self.deferred.retain(|_, until| *until > t);
@@ -651,28 +493,26 @@ impl OnlineStepper {
         // set, not the whole replay history.
         self.stats.reservations_retired += self.prt.forget_before(t) as u64;
 
-        // ---- Arrivals at `t`. ----
-        while let Some(&(arrival, _, idx)) = self.pending_arrivals.iter().next() {
-            if arrival > t {
-                break;
-            }
-            self.pending_arrivals.pop_first();
-            let (coflows, fabric) = (&self.coflows, &self.fabric);
-            let c = &coflows[idx];
-            self.book.admit(idx, c, fabric);
+        // ---- Arrivals at `t`, indexed in admission order. ----
+        while let Some(c) = self.arrivals.pop_due(t) {
+            let idx = self.coflows.len();
+            self.book.admit(idx, &c, &self.fabric);
+            self.footprints.push(footprint_of(&c, &self.fabric));
             self.active.push(idx);
-            self.is_active[idx] = true;
+            self.is_active.push(true);
             // Binary-insert into the policy's total order (ties broken
             // by arrival then id, exactly like `PriorityPolicy::sort`).
+            let (coflows, fabric, policy) = (&self.coflows, &self.fabric, &self.policy);
             let pos = self.priority_order.partition_point(|&i| {
                 let o = &coflows[i];
                 policy
-                    .compare(o, c, fabric)
+                    .compare(o, &c, fabric)
                     .then_with(|| o.arrival().cmp(&c.arrival()))
                     .then_with(|| o.id().cmp(&c.id()))
                     == Ordering::Less
             });
             self.priority_order.insert(pos, idx);
+            self.coflows.push(c);
             self.event_dirty.push(idx);
         }
 
@@ -708,7 +548,7 @@ impl OnlineStepper {
             self.priority_order.retain(|&i| is_active[i]);
         }
 
-        if self.active.is_empty() && self.pending_arrivals.is_empty() {
+        if self.active.is_empty() && self.arrivals.is_empty() {
             // Idle: nothing to plan, so nothing to seed either.
             self.event_dirty.clear();
             self.event_ports.clear();
@@ -744,7 +584,7 @@ impl OnlineStepper {
             if let Settled::Short(until) = self.book.settle(idx, &resv, delta, t, hook) {
                 // Shortfall: hold the flow out of planning until the
                 // hook's backoff elapses, then a retry event re-plans it.
-                self.deferred.insert(r.flow, until);
+                self.deferred.insert((idx, r.flow.flow_idx), until);
                 // The shortfall stays on the flow's remaining demand; its
                 // Coflow must re-plan once the backoff elapses — and
                 // right now, to stop planning the deferred flow.
@@ -987,11 +827,7 @@ impl OnlineStepper {
                     at += c.num_flows();
                     scratch.demands.clear();
                     for (fi, f) in c.flows().iter().enumerate() {
-                        let fref = FlowRef {
-                            coflow: c.id(),
-                            flow_idx: fi,
-                        };
-                        if self.deferred.contains_key(&fref) {
+                        if self.deferred.contains_key(&(idx, fi)) {
                             continue; // in fault backoff
                         }
                         let rem = remaining[fi].saturating_sub(credit[fi]);
@@ -1151,6 +987,126 @@ impl OnlineStepper {
     }
 }
 
+impl SchedulingBackend for OnlineStepper<'_> {
+    fn name(&self) -> &'static str {
+        "Sunflow"
+    }
+
+    fn switch_model(&self) -> &'static str {
+        "not-all-stop"
+    }
+
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    /// The Coflow becomes an arrival event at its arrival time; the fuel
+    /// budget grows by its share.
+    fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
+        let fuel = 1_000 * (1 + coflow.num_flows() as u64);
+        self.arrivals
+            .submit(coflow, &self.fabric, self.now, |_| Ok(()))?;
+        self.fuel += fuel;
+        Ok(())
+    }
+
+    /// Events are Coflow arrivals, planned completions, guard-window
+    /// ends and fault retries.
+    fn next_event_time(&self) -> Option<Time> {
+        if self.dirty {
+            return Some(self.now);
+        }
+        let t_completion = self
+            .active
+            .iter()
+            .map(|&idx| {
+                // A coflow completes when its last planned reservation
+                // ends (plans always cover all remaining demand). If it
+                // has none, all residual demand is pending in kept
+                // reservations or will be served by guard windows; fall
+                // back to the guard end.
+                match self.prt.last_end_of(self.coflows[idx].id()) {
+                    Some(end) if end > self.now => end,
+                    _ => self
+                        .guard
+                        .as_ref()
+                        .map(|g| g.next_window_end_after(self.now))
+                        .unwrap_or(Time::MAX),
+                }
+            })
+            .min();
+        let t_guard = self
+            .guard
+            .as_ref()
+            .filter(|_| !self.active.is_empty())
+            .map(|g| g.next_window_end_after(self.now));
+        let t_retry = self.deferred.values().copied().min();
+        [self.arrivals.next_arrival(), t_completion, t_guard, t_retry]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    fn advance_to(&mut self, deadline: Time, hook: &mut dyn SettleHook) -> u64 {
+        let mut processed = 0u64;
+        while let Some(t) = self.next_event_time() {
+            if t > deadline {
+                break;
+            }
+            assert!(t != Time::MAX, "no progress possible: deadlock");
+            self.process_event(t, hook);
+            processed += 1;
+        }
+        if deadline > self.now && deadline != Time::MAX {
+            // Nothing happens strictly between events; float the clock
+            // up so later submissions cannot rewrite this span.
+            self.now = deadline;
+        }
+        processed
+    }
+
+    fn drain_completions(&mut self) -> Vec<Completion> {
+        std::mem::take(&mut self.completions)
+    }
+
+    fn is_idle(&self) -> bool {
+        self.active.is_empty() && self.arrivals.is_empty()
+    }
+
+    fn active_coflows(&self) -> usize {
+        self.active.len()
+    }
+
+    fn queued_arrivals(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    fn outstanding_demand(&self) -> Dur {
+        self.book.outstanding()
+    }
+
+    fn deferred_flows(&self) -> usize {
+        self.deferred.len()
+    }
+
+    fn guard_windows(&self) -> u64 {
+        self.guard_windows_elapsed
+    }
+
+    /// Event-loop counters so far (`reschedule_micros` included).
+    fn stats(&self) -> Option<ReplayStats> {
+        let mut s = self.stats;
+        s.reschedule_micros = self.resched_wall.as_micros() as u64;
+        Some(s)
+    }
+
+    /// Drop PRT history that ended at or before `now`. Safe at any point
+    /// between runs: only settled reservations can have ended by `now`.
+    fn compact_history(&mut self) -> usize {
+        self.prt.forget_before(self.now)
+    }
+}
+
 /// The set of ports any of the Coflow's flows touches.
 fn footprint_of(coflow: &Coflow, fabric: &Fabric) -> PortSet {
     let mut fp = PortSet::new(fabric.ports());
@@ -1199,6 +1155,10 @@ mod tests {
         Fabric::new(4, Bandwidth::GBPS, Dur::from_millis(10))
     }
 
+    fn stepper(config: &OnlineConfig) -> OnlineStepper<'static> {
+        OnlineStepper::new(&fabric(), config, Box::new(ShortestFirst))
+    }
+
     fn mb(m: u64) -> u64 {
         m * 1_000_000
     }
@@ -1217,7 +1177,7 @@ mod tests {
         let batch =
             crate::online::simulate_circuit(&coflows, &f, &OnlineConfig::default(), &ShortestFirst);
 
-        let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
+        let mut s = stepper(&OnlineConfig::default());
         // Feed arrivals just-in-time, advancing in 50 ms slices.
         let mut fed = 0usize;
         for slice in 0..20u64 {
@@ -1226,10 +1186,10 @@ mod tests {
                 s.submit(coflows[fed].clone()).unwrap();
                 fed += 1;
             }
-            s.run_until(deadline, &ShortestFirst);
+            s.advance_to(deadline, &mut FullService);
         }
         assert_eq!(fed, coflows.len());
-        s.run_to_idle(&ShortestFirst);
+        s.advance_to(Time::MAX, &mut FullService);
         assert!(s.is_idle());
 
         let mut done = s.drain_completions();
@@ -1243,10 +1203,59 @@ mod tests {
         }
     }
 
+    /// A Coflow submitted at the instant the clock was floated to is
+    /// the queue's next arrival: the next advance to that same instant
+    /// admits and plans it there, and the replay ends as the batch one.
+    #[test]
+    fn same_instant_submission_is_admitted_at_the_floated_clock() {
+        let coflows = [
+            Coflow::builder(0).flow(0, 1, mb(5)).build(),
+            Coflow::builder(1)
+                .arrival(Time::from_millis(30))
+                .flow(0, 2, mb(1))
+                .build(),
+        ];
+        let batch = crate::online::simulate_circuit(
+            &coflows,
+            &fabric(),
+            &OnlineConfig::default(),
+            &ShortestFirst,
+        );
+
+        let mut s = stepper(&OnlineConfig::default());
+        s.submit(coflows[0].clone()).unwrap();
+        let t = Time::from_millis(30);
+        s.advance_to(t, &mut FullService);
+        assert_eq!(s.now(), t, "no event at 30 ms: the clock floats there");
+        assert_eq!(s.prt().last_end_of(1), None);
+        s.submit(coflows[1].clone()).unwrap();
+        assert_eq!(s.queued_arrivals(), 1);
+        assert_eq!(s.next_event_time(), Some(t));
+        assert_eq!(s.advance_to(t, &mut FullService), 1);
+        assert_eq!(
+            (s.now(), s.queued_arrivals(), s.active_coflows()),
+            (t, 0, 2)
+        );
+        assert!(
+            s.prt().last_end_of(1).is_some_and(|end| end > t),
+            "planned at 30 ms"
+        );
+
+        s.advance_to(Time::MAX, &mut FullService);
+        let mut done = s.drain_completions();
+        done.sort_by_key(|c| c.outcome.coflow);
+        assert_eq!(done.len(), batch.outcomes.len());
+        for (c, b) in done.iter().zip(&batch.outcomes) {
+            assert_eq!(c.outcome.coflow, b.coflow);
+            assert_eq!(c.outcome.finish, b.finish);
+            assert_eq!(c.outcome.circuit_setups, b.circuit_setups);
+            assert_eq!(c.outcome.flow_finish, b.flow_finish);
+        }
+    }
+
     #[test]
     fn submit_rejections() {
-        let f = fabric();
-        let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
+        let mut s = stepper(&OnlineConfig::default());
         s.submit(Coflow::builder(1).flow(0, 0, mb(1)).build())
             .unwrap();
         assert_eq!(
@@ -1257,7 +1266,7 @@ mod tests {
             s.submit(Coflow::builder(2).flow(0, 9, mb(1)).build()),
             Err(SubmitError::ExceedsFabric { id: 2, .. })
         ));
-        s.run_until(Time::from_millis(500), &ShortestFirst);
+        s.advance_to(Time::from_millis(500), &mut FullService);
         assert!(matches!(
             s.submit(
                 Coflow::builder(3)
@@ -1272,13 +1281,13 @@ mod tests {
     #[test]
     fn completions_report_queue_latency() {
         let f = fabric();
-        let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
+        let mut s = stepper(&OnlineConfig::default());
         // Two coflows contending for in.0: the second waits for the first.
         s.submit(Coflow::builder(0).flow(0, 0, mb(10)).build())
             .unwrap();
         s.submit(Coflow::builder(1).flow(0, 1, mb(20)).build())
             .unwrap();
-        s.run_to_idle(&ShortestFirst);
+        s.advance_to(Time::MAX, &mut FullService);
         let mut done = s.drain_completions();
         done.sort_by_key(|c| c.outcome.coflow);
         let d = f.delta();
@@ -1306,18 +1315,17 @@ mod tests {
                 }
             }
         }
-        let f = fabric();
         let c = Coflow::builder(0).flow(0, 0, mb(1)).build();
 
-        let mut clean = OnlineStepper::new(&f, &OnlineConfig::default());
+        let mut clean = stepper(&OnlineConfig::default());
         clean.submit(c.clone()).unwrap();
-        clean.run_to_idle(&ShortestFirst);
+        clean.advance_to(Time::MAX, &mut FullService);
         let clean_finish = clean.drain_completions()[0].outcome.finish;
 
-        let mut faulty = OnlineStepper::new(&f, &OnlineConfig::default());
+        let mut faulty = stepper(&OnlineConfig::default());
         faulty.submit(c).unwrap();
         let mut hook = FailFirst { failed: 0 };
-        faulty.run_to_idle_with(&ShortestFirst, &mut hook);
+        faulty.advance_to(Time::MAX, &mut hook);
         let done = faulty.drain_completions();
         assert_eq!(done.len(), 1, "coflow must still complete");
         let o = &done[0].outcome;
@@ -1334,7 +1342,7 @@ mod tests {
         let f = fabric();
         let config = GuardConfig::new(Dur::from_millis(100), Dur::from_millis(20));
         let guard = StarvationGuard::new(f.ports(), config);
-        let mut s = OnlineStepper::new(&f, &OnlineConfig::default().guard(config));
+        let mut s = stepper(&OnlineConfig::default().guard(config));
         // 4 x 4 s of transfers, all out of in.0: at least 16 s of plan.
         let mut giant = Coflow::builder(0);
         for dst in 0..4 {
@@ -1349,7 +1357,7 @@ mod tests {
             s.submit(small).unwrap();
         }
         for at_ms in [0, 30, 500, 2_000, 9_000] {
-            s.run_until(Time::from_millis(at_ms), &ShortestFirst);
+            s.advance_to(Time::from_millis(at_ms), &mut FullService);
             let plan_end = s.prt().last_end_of(0).expect("giant is planned");
             assert!(plan_end > s.now() + guard.interval_len() * 50);
             // The table holds circuits only (`ResvKind` has no other
@@ -1367,7 +1375,7 @@ mod tests {
                 m += 1;
             }
         }
-        s.run_to_idle(&ShortestFirst);
+        s.advance_to(Time::MAX, &mut FullService);
         assert_eq!(s.drain_completions().len(), 41);
     }
 
@@ -1375,9 +1383,8 @@ mod tests {
     /// window's transmit time, but its service cannot predate its arrival.
     #[test]
     fn guard_service_never_predates_arrival() {
-        let f = fabric();
         let config = GuardConfig::new(Dur::from_millis(100), Dur::from_millis(40));
-        let mut s = OnlineStepper::new(&f, &OnlineConfig::default().guard(config));
+        let mut s = stepper(&OnlineConfig::default().guard(config));
         // Window 0 is [100, 140) ms and configures in.i -> out.i.
         let arrival = Time::from_millis(125);
         let late = Coflow::builder(0)
@@ -1385,15 +1392,14 @@ mod tests {
             .flow(1, 1, mb(1))
             .build();
         s.submit(late).unwrap();
-        s.run_to_idle(&ShortestFirst);
+        s.advance_to(Time::MAX, &mut FullService);
         let done = s.drain_completions();
         assert_eq!(done[0].first_service, Some(arrival));
     }
 
     #[test]
     fn compact_history_preserves_future() {
-        let f = fabric();
-        let mut s = OnlineStepper::new(&f, &OnlineConfig::default());
+        let mut s = stepper(&OnlineConfig::default());
         for i in 0..4u64 {
             s.submit(
                 Coflow::builder(i)
@@ -1403,16 +1409,19 @@ mod tests {
             )
             .unwrap();
         }
-        s.run_until(Time::from_millis(150), &ShortestFirst);
+        s.advance_to(Time::from_millis(150), &mut FullService);
         // The event loop retires settled circuits on its own; by 150 ms
         // some must have ended, and the explicit compaction that used to
         // find them now has nothing left to do.
         assert!(
-            s.stats().reservations_retired > 0,
+            s.stats()
+                .expect("the stepper keeps stats")
+                .reservations_retired
+                > 0,
             "some circuits must have ended by 150 ms"
         );
         assert_eq!(s.compact_history(), 0, "event loop already retired history");
-        s.run_to_idle(&ShortestFirst);
+        s.advance_to(Time::MAX, &mut FullService);
         assert_eq!(s.drain_completions().len(), 4);
     }
 }

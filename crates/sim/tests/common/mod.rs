@@ -13,7 +13,8 @@ pub use ref_replay::{ref_replay, Replay};
 
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, ScheduleOutcome, Time};
 use ocs_sim::{
-    ActiveCircuitPolicy, OnlineConfig, OnlineStepper, ReplayResult, ReplayStats, SettleHook,
+    ActiveCircuitPolicy, OnlineConfig, OnlineStepper, ReplayResult, ReplayStats, SchedulingBackend,
+    SettleHook,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -202,11 +203,11 @@ pub fn stepper_replay(
     policy: &dyn PriorityPolicy,
     hook: &mut dyn SettleHook,
 ) -> (Replay, ReplayStats) {
-    let mut s = OnlineStepper::new(f, config);
+    let mut s = OnlineStepper::new(f, config, Box::new(policy));
     for c in coflows {
         s.submit(c.clone()).expect("submit");
     }
-    s.run_to_idle_with(policy, hook);
+    s.advance_to(Time::MAX, hook);
     let mut done: HashMap<u64, _> = s
         .drain_completions()
         .into_iter()
@@ -219,7 +220,7 @@ pub fn stepper_replay(
             (d.outcome, d.first_service)
         })
         .unzip();
-    let stats = s.stats();
+    let stats = s.stats().expect("the stepper keeps stats");
     let replay = Replay {
         outcomes,
         first_service,

@@ -11,7 +11,7 @@ mod common;
 
 use common::{check_against_reference, stretch, Replay, ACTIVE_POLICIES};
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};
-use ocs_sim::{simulate_circuit, FullService, OnlineConfig, OnlineStepper};
+use ocs_sim::{simulate_circuit, FullService, OnlineConfig, OnlineStepper, SchedulingBackend};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use sunflow_core::{
@@ -67,7 +67,7 @@ fn check_policy(
     }
 }
 
-/// Drive a stepper in 37 ms `run_until` slices: whenever no Coflow is
+/// Drive a stepper in 37 ms `advance_to` slices: whenever no Coflow is
 /// active the table must hold no circuit, once idle no demand may be
 /// outstanding, and the sliced run must finish every Coflow when the
 /// batch replay `want` does.
@@ -79,14 +79,14 @@ fn check_idle_table(
     want: &Replay,
     label: &str,
 ) {
-    let mut s = OnlineStepper::new(f, config);
+    let mut s = OnlineStepper::new(f, config, Box::new(policy));
     for c in coflows {
         s.submit(c.clone()).expect("submit");
     }
     let mut t = Time::ZERO;
     while !s.is_idle() {
         t += Dur::from_millis(37);
-        s.run_until(t, policy);
+        s.advance_to(t, &mut FullService);
         if s.active_coflows() == 0 {
             assert_eq!(
                 s.prt().all_reservations(),
@@ -95,7 +95,7 @@ fn check_idle_table(
             );
         }
     }
-    s.run_to_idle(policy);
+    s.advance_to(Time::MAX, &mut FullService);
     assert_eq!(s.outstanding_demand(), Dur::ZERO, "{label}: demand left");
     let mut done: Vec<_> = s
         .drain_completions()

@@ -269,7 +269,7 @@ proptest! {
                 backend.submit(c.clone()).expect("valid trace");
             }
             let mut rec = Recorder::default();
-            run_backends_to_idle(&mut [&mut backend as &mut dyn SchedulingBackend], &mut rec);
+            run_backends_to_idle(&mut backend, &mut rec);
             let segs: Vec<Segment> = rec
                 .0
                 .iter()

@@ -12,7 +12,10 @@ mod common;
 
 use common::{fabric, fingerprint_replay as fingerprint, in_input_order, workload};
 use ocs_model::{Coflow, Dur, Time};
-use ocs_sim::{simulate_circuit, ActiveCircuitPolicy, OnlineConfig, OnlineStepper, ReplayResult};
+use ocs_sim::{
+    simulate_circuit, ActiveCircuitPolicy, FullService, OnlineConfig, OnlineStepper, ReplayResult,
+    SchedulingBackend,
+};
 use sunflow_core::{FirstComeFirstServed, GuardConfig, PriorityPolicy, ShortestFirst};
 
 fn run(policy: ActiveCircuitPolicy, guard: Option<GuardConfig>) -> ReplayResult {
@@ -76,7 +79,7 @@ fn run_stepper_chunked(
         c
     };
     let cfg = OnlineConfig::default().active_policy(policy).guard(guard);
-    let mut stepper = OnlineStepper::new(&fabric(), &cfg);
+    let mut stepper = OnlineStepper::new(&fabric(), &cfg, Box::new(prio));
     let mut fed = 0usize;
     let mut completions = Vec::new();
     for slice in 1..=25u64 {
@@ -85,11 +88,11 @@ fn run_stepper_chunked(
             stepper.submit(coflows[fed].clone()).expect("submit");
             fed += 1;
         }
-        stepper.run_until(deadline, prio);
+        stepper.advance_to(deadline, &mut FullService);
         completions.extend(stepper.drain_completions());
     }
     assert_eq!(fed, coflows.len(), "all arrivals fall within 2.5 s");
-    stepper.run_to_idle(prio);
+    stepper.advance_to(Time::MAX, &mut FullService);
     completions.extend(stepper.drain_completions());
 
     // Outcomes in the batch API's input order (workload order).
@@ -97,7 +100,7 @@ fn run_stepper_chunked(
     ReplayResult {
         outcomes: in_input_order(&workload(), outcomes),
         guard_windows: stepper.guard_windows(),
-        stats: stepper.stats(),
+        stats: stepper.stats().expect("the stepper keeps stats"),
     }
 }
 

@@ -15,7 +15,7 @@ use common::{
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Reservation, Time};
 use ocs_sim::{
     simulate_circuit, ActiveCircuitPolicy, FullService, OnlineConfig, OnlineStepper, ReplayStats,
-    SettleHook, SettleVerdict,
+    SchedulingBackend, SettleHook, SettleVerdict,
 };
 use sunflow_core::{GuardConfig, ShortestFirst};
 
@@ -254,7 +254,7 @@ fn a_coflow_the_guard_finishes_leaves_no_circuit_behind() {
     for policy in ACTIVE_POLICIES {
         let label = format!("{policy:?}");
         let cfg = OnlineConfig::default().active_policy(policy).guard(guard);
-        let mut s = OnlineStepper::new(&f, &cfg);
+        let mut s = OnlineStepper::new(&f, &cfg, Box::new(ShortestFirst));
         s.submit(Coflow::builder(0).flow(0, 1, 23_000_000).build())
             .expect("submit");
         let early = Coflow::builder(1)
@@ -262,7 +262,7 @@ fn a_coflow_the_guard_finishes_leaves_no_circuit_behind() {
             .flow(0, 0, 3_000_000)
             .build();
         s.submit(early).expect("submit");
-        s.run_until(Time::from_millis(245), &ShortestFirst);
+        s.advance_to(Time::from_millis(245), &mut FullService);
         assert!(s.is_idle(), "{label}: both served by 240 ms");
         assert_eq!(s.prt().all_reservations(), vec![], "{label}: ghost circuit");
         let late = Coflow::builder(2)
@@ -270,7 +270,7 @@ fn a_coflow_the_guard_finishes_leaves_no_circuit_behind() {
             .flow(0, 2, 1_000_000)
             .build();
         s.submit(late).expect("submit");
-        s.run_to_idle(&ShortestFirst);
+        s.advance_to(Time::MAX, &mut FullService);
         let mut done = s.drain_completions();
         done.sort_by_key(|c| c.outcome.coflow);
         let finishes: Vec<Time> = done.iter().map(|c| c.outcome.finish).collect();
