@@ -264,8 +264,10 @@ impl CircuitBackend {
     /// Attribute transmission segments to Coflow flows in FIFO order,
     /// consulting `hook` once per settled chunk. A shorted chunk leaves
     /// the shortfall on the flow's account and restores it to the
-    /// aggregate demand, to be re-planned in a later round.
+    /// aggregate demand, to be re-planned in a later round. The
+    /// completions this round records are queued in finish order.
     fn apply_segments(&mut self, mut segs: Vec<Segment>, hook: &mut dyn SettleHook) {
+        let first_completion = self.completions.len();
         segs.sort_by_key(|s| (s.tx_start, s.src, s.dst));
         for s in segs {
             let mut done_slots: Vec<usize> = Vec::new();
@@ -309,6 +311,10 @@ impl CircuitBackend {
                 self.remaining.add(s.src, s.dst, shortfall);
             }
         }
+        // Segments start in order but end out of it: a Coflow finishing
+        // on a long segment was recorded before one finishing earlier on
+        // a later, shorter segment.
+        self.completions[first_completion..].sort_by_key(|c| c.outcome.finish);
     }
 }
 

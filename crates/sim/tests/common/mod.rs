@@ -68,6 +68,24 @@ pub fn workload() -> Vec<Coflow> {
     coflows
 }
 
+/// `coflows` with every Coflow folded into one half of the 8-port
+/// fabric (ports 0–3 or 4–7, alternating by id): what `portgroups:2`
+/// accepts.
+pub fn group_local(coflows: &[Coflow]) -> Vec<Coflow> {
+    coflows
+        .iter()
+        .map(|c| {
+            let base = (c.id() % 2) as usize * 4;
+            c.flows()
+                .iter()
+                .fold(Coflow::builder(c.id()).arrival(c.arrival()), |b, f| {
+                    b.flow(base + f.src % 4, base + f.dst % 4, f.bytes)
+                })
+                .build()
+        })
+        .collect()
+}
+
 /// A random workload on `ports` ports: `n` Coflows, 1–4 flows of
 /// 1–24 MB each, arrivals spread over `window_ms`.
 pub fn random_workload(seed: u64, n: u64, ports: u64, window_ms: u64) -> Vec<Coflow> {

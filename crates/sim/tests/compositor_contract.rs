@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{fabric, in_input_order, workload};
+use common::{fabric, group_local, in_input_order, workload};
 use ocs_model::{Coflow, Dur, ScheduleOutcome, Time};
 use ocs_sim::{
     run_trace, BackendKind, FullService, HybridBackend, HybridConfig, OnlineConfig,
@@ -49,23 +49,6 @@ fn never_splitting_hybrid() -> Build {
     })
 }
 
-/// The fixture with every Coflow folded into one half of the fabric
-/// (ports 0–3 or 4–7, alternating by id): what `portgroups:2` accepts.
-fn group_local_workload() -> Vec<Coflow> {
-    workload()
-        .iter()
-        .map(|c| {
-            let base = (c.id() % 2) as usize * 4;
-            c.flows()
-                .iter()
-                .fold(Coflow::builder(c.id()).arrival(c.arrival()), |b, f| {
-                    b.flow(base + f.src % 4, base + f.dst % 4, f.bytes)
-                })
-        })
-        .map(|b| b.build())
-        .collect()
-}
-
 struct Row {
     name: &'static str,
     build: Build,
@@ -87,7 +70,7 @@ fn table() -> Vec<Row> {
         sel("sunflow:2:least-loaded"),
         sel("sunflow:4:rank-pack"),
         Row {
-            coflows: group_local_workload(),
+            coflows: group_local(&workload()),
             ..sel("portgroups:2")
         },
         sel("hybrid:threshold"),
