@@ -56,7 +56,7 @@ fn eval_kind(coflows: &[Coflow], fabric: &Fabric, kind: BackendKind) -> (HRun, D
     let t0 = Instant::now();
     let outcomes = run_trace(coflows, backend.as_mut());
     let wall = t0.elapsed();
-    let stats = backend.stats();
+    let stats = backend.status().stats;
     let compute = match &stats {
         Some(s) => Duration::from_micros(s.reschedule_micros),
         None => wall,

@@ -92,7 +92,7 @@ pub fn eval_inter_with_stats(
     let t0 = Instant::now();
     let outcomes = run_trace(coflows, backend.as_mut());
     let wall = t0.elapsed();
-    let stats = backend.stats();
+    let stats = backend.status().stats;
     // Scheduler-compute: backends with work counters report their own
     // rescheduling time; the rest are timed whole.
     let compute = match &stats {

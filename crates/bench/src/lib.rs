@@ -101,7 +101,7 @@ pub fn timing_of<T>(result: &SweepResult<T>) -> SweepTiming {
 }
 
 /// Tag every run of a sweep timing with the canonical scheduler name
-/// behind it (see `ocs_sim::SchedulingBackend::name`); for sweeps whose
+/// behind it (see `ocs_sim::BackendKind::name`); for sweeps whose
 /// runs all replay the same backend, e.g. the δ-sensitivity figures.
 pub fn tag_backend(timing: &mut SweepTiming, name: &str) {
     for r in &mut timing.runs {

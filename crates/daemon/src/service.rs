@@ -276,12 +276,12 @@ impl Daemon {
 
     /// The daemon's virtual clock.
     pub fn now(&self) -> Time {
-        self.backend.now()
+        self.backend.status().now
     }
 
     /// True when no admitted Coflow has unserved demand.
     pub fn is_idle(&self) -> bool {
-        self.backend.is_idle()
+        self.backend.status().idle
     }
 
     /// Which scheduling backend this daemon runs.
@@ -302,7 +302,7 @@ impl Daemon {
     /// Scheduler-side replay counters (all zero for backends without a
     /// rescheduling loop).
     pub fn stats(&self) -> ReplayStats {
-        self.backend.stats().unwrap_or_default()
+        self.backend.status().stats.unwrap_or_default()
     }
 
     /// The split policy's metric label when this daemon runs the hybrid
@@ -347,14 +347,14 @@ impl Daemon {
     }
 
     fn do_submit(&mut self, coflow: Coflow) -> Result<(), RejectReason> {
-        let depth = self.backend.active_coflows() + self.backend.queued_arrivals();
+        let status = self.backend.status();
+        let depth = status.active_coflows + status.queued_arrivals;
         if depth >= self.config.admission.max_queue_depth {
             return self.reject(RejectReason::QueueFull);
         }
         let demand = self.coflow_demand(&coflow);
-        if self
-            .backend
-            .outstanding_demand()
+        if status
+            .outstanding_demand
             .as_ps()
             .checked_add(demand.as_ps())
             .is_none_or(|total| total > self.config.admission.max_outstanding.as_ps())
@@ -438,7 +438,7 @@ impl Daemon {
     fn do_drain(&mut self) -> u64 {
         let processed = self.backend.advance_to(Time::MAX, &mut self.injector);
         self.absorb_completions();
-        debug_assert!(self.backend.is_idle());
+        debug_assert!(self.is_idle());
         processed
     }
 
@@ -452,15 +452,12 @@ impl Daemon {
     /// Fraction of total port-time spent transmitting admitted demand,
     /// `served / (ports × elapsed)`. Zero before the clock first moves.
     pub fn utilization(&self) -> f64 {
-        let elapsed = self.now().as_secs_f64();
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        let served = self
-            .telemetry
-            .demand_admitted
-            .saturating_sub(self.backend.outstanding_demand());
-        served.as_secs_f64() / (self.config.fabric.ports() as f64 * elapsed)
+        let status = self.backend.status();
+        self.port_share(
+            self.telemetry.demand_admitted,
+            status.outstanding_demand,
+            status.now,
+        )
     }
 
     /// Per-core status rows of a multi-core backend: empty for
@@ -474,16 +471,15 @@ impl Daemon {
             .collect()
     }
 
-    /// One core's utilization: served transmit time on that core over
-    /// the core's total port-time.
-    fn core_utilization(&self, status: &ocs_sim::CoreStatus) -> f64 {
-        let elapsed = self.now().as_secs_f64();
+    /// Served transmit time (`admitted - outstanding`) over the port-time
+    /// up to `now` of the fabric or of one of its cores; zero before the
+    /// clock first moves.
+    fn port_share(&self, admitted: Dur, outstanding: Dur, now: Time) -> f64 {
+        let elapsed = now.as_secs_f64();
         if elapsed <= 0.0 {
             return 0.0;
         }
-        let served = status
-            .demand_admitted
-            .saturating_sub(status.outstanding_demand);
+        let served = admitted.saturating_sub(outstanding);
         served.as_secs_f64() / (self.config.fabric.ports() as f64 * elapsed)
     }
 
@@ -529,7 +525,8 @@ impl Daemon {
     pub fn status_json(&self) -> String {
         let t = &self.telemetry;
         let f = self.fault_stats();
-        let s = self.stats();
+        let status = self.backend.status();
+        let s = status.stats.unwrap_or_default();
         let mut rejected = String::from("{");
         for (i, reason) in RejectReason::ALL.iter().enumerate() {
             if i > 0 {
@@ -557,7 +554,7 @@ impl Daemon {
                     core,
                     st.active_coflows,
                     st.outstanding_demand.as_secs_f64(),
-                    self.core_utilization(st),
+                    self.port_share(st.demand_admitted, st.outstanding_demand, status.now),
                     st.reservations_made,
                 ));
             }
@@ -591,22 +588,22 @@ impl Daemon {
                 "\"max_attempts\": {}, \"backoff_total_secs\": {:.6}, \"flows_in_backoff\": {}}}, ",
                 "{}{}\"cct_ps\": {}, \"queue_latency_ps\": {}, \"admit_latency_ns\": {}}}"
             ),
-            self.now().as_secs_f64(),
-            self.backend.name(),
-            self.backend.switch_model(),
+            status.now.as_secs_f64(),
+            self.config.backend.name(),
+            self.config.backend.switch_model(),
             self.config.policy.name(),
-            self.is_idle(),
-            self.backend.active_coflows(),
-            self.backend.queued_arrivals(),
-            self.backend.deferred_flows(),
+            status.idle,
+            status.active_coflows,
+            status.queued_arrivals,
+            status.deferred_flows,
             t.admitted,
             t.completed,
             rejected,
             t.bytes_admitted,
-            self.backend.outstanding_demand().as_secs_f64(),
-            self.utilization(),
+            status.outstanding_demand.as_secs_f64(),
+            self.port_share(t.demand_admitted, status.outstanding_demand, status.now),
             t.circuit_setups,
-            self.backend.guard_windows(),
+            status.guard_windows,
             s.events,
             s.coflows_skipped,
             s.reservations_reused,
@@ -637,8 +634,9 @@ impl Daemon {
         const PS: f64 = 1e-12;
         let t = &self.telemetry;
         let f = self.fault_stats();
-        let s = self.stats();
-        let b = self.backend.name();
+        let status = self.backend.status();
+        let s = status.stats.unwrap_or_default();
+        let b = self.config.backend.name();
         let by_backend = [("backend", b)];
         let mut p = PromRenderer::new();
         p.counter(
@@ -665,31 +663,31 @@ impl Daemon {
             "ocs_daemon_active_coflows",
             "Coflows currently in service",
             &by_backend,
-            self.backend.active_coflows() as f64,
+            status.active_coflows as f64,
         );
         p.gauge(
             "ocs_daemon_queued_arrivals",
             "Admitted Coflows not yet arrived on the virtual clock",
             &by_backend,
-            self.backend.queued_arrivals() as f64,
+            status.queued_arrivals as f64,
         );
         p.gauge(
             "ocs_daemon_deferred_flows",
             "Flows waiting out a fault-retry backoff",
             &by_backend,
-            self.backend.deferred_flows() as f64,
+            status.deferred_flows as f64,
         );
         p.gauge(
             "ocs_daemon_outstanding_demand_seconds",
             "Unserved transmit demand across admitted Coflows",
             &by_backend,
-            self.backend.outstanding_demand().as_secs_f64(),
+            status.outstanding_demand.as_secs_f64(),
         );
         p.gauge(
             "ocs_daemon_circuit_utilization",
             "Served transmit time over total port-time",
             &by_backend,
-            self.utilization(),
+            self.port_share(t.demand_admitted, status.outstanding_demand, status.now),
         );
         p.counter(
             "ocs_daemon_circuit_setups_total",
@@ -701,7 +699,7 @@ impl Daemon {
             "ocs_daemon_guard_windows_total",
             "Starvation-guard shared windows elapsed",
             &by_backend,
-            self.backend.guard_windows(),
+            status.guard_windows,
         );
         p.counter(
             "ocs_daemon_resched_events_total",
@@ -771,7 +769,7 @@ impl Daemon {
                 "ocs_daemon_core_utilization",
                 "Served transmit time over port-time, per switch core",
                 &by_core,
-                self.core_utilization(&st),
+                self.port_share(st.demand_admitted, st.outstanding_demand, status.now),
             );
             p.gauge(
                 "ocs_daemon_core_active_coflows",

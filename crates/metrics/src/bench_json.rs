@@ -43,7 +43,7 @@ pub struct RunTiming {
     /// measured any.
     pub compute_s: Option<f64>,
     /// Canonical scheduler name behind this run (the unified engine's
-    /// `SchedulingBackend::name`), emitted as a `"backend"` field when
+    /// `BackendKind::name`), emitted as a `"backend"` field when
     /// present. `None` for runs not tied to one scheduler.
     pub backend: Option<String>,
     /// Named work counters reported by the run itself (e.g. the replay's

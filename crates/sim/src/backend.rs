@@ -9,7 +9,12 @@
 //! polled for its next internal event
 //! ([`SchedulingBackend::next_event_time`]), and advances through timed
 //! port occupancies ([`SchedulingBackend::advance_to`]), emitting
-//! [`Completion`]s. Three implementations cover the paper:
+//! [`Completion`]s; everything else it reports is one
+//! [`BackendStatus`] snapshot ([`SchedulingBackend::status`]). Advancing
+//! to a finite deadline with no event there raises the clock and
+//! nothing else, so a live service that slices the clock replays the
+//! batch run — except on [`CircuitBackend`], where the deadline also
+//! ends the plan in execution. Three implementations cover the paper:
 //!
 //! * [`SunflowBackend`] — Sunflow with a pluggable [`PriorityPolicy`]:
 //!   the [`OnlineStepper`] (§4–5).
@@ -44,25 +49,19 @@ use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind, SunflowConfig};
 /// All three scheduler families implement this trait, so the layers
 /// above (batch replays, the hybrid composition, `ocs-bench`, the
 /// `ocs-daemon` service) drive a `&mut dyn SchedulingBackend` instead of
-/// branching per family.
+/// branching per family. A backend writes five calls: four that move it
+/// (`submit`, `next_event_time`, `advance_to`, `drain_completions`) and
+/// one [`status`](SchedulingBackend::status) snapshot that reports
+/// everything else. Its name and switch model are its [`BackendKind`]'s.
 ///
 /// The contract: `submit` queues an arrival at or after the backend
 /// clock, `advance_to(deadline, hook)` processes every internal event up
-/// to and including `deadline` (then floats the clock to `deadline`
-/// unless it is [`Time::MAX`]), and completed
-/// Coflows accumulate until [`SchedulingBackend::drain_completions`].
+/// to and including `deadline` (then raises the clock to `deadline`
+/// unless it is [`Time::MAX`]), and completed Coflows accumulate until
+/// [`SchedulingBackend::drain_completions`]. Raising the clock is all a
+/// finite deadline does, except on [`CircuitBackend`], where it also
+/// ends the plan in execution: the next round re-plans the aggregate.
 pub trait SchedulingBackend {
-    /// Canonical scheduler name for reports, labels and metrics
-    /// ("Sunflow", "Solstice", "Varys", ...).
-    fn name(&self) -> &'static str;
-
-    /// The switch model this backend schedules for: `"not-all-stop"` or
-    /// `"packet"` (δ = 0).
-    fn switch_model(&self) -> &'static str;
-
-    /// The backend's virtual clock: all events up to here are processed.
-    fn now(&self) -> Time;
-
     /// Submit one Coflow; it becomes an arrival event at its arrival
     /// time (which must not precede the clock).
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError>;
@@ -81,34 +80,8 @@ pub trait SchedulingBackend {
     /// completion order.
     fn drain_completions(&mut self) -> Vec<Completion>;
 
-    /// True when no work remains: every submitted Coflow has completed.
-    fn is_idle(&self) -> bool;
-
-    /// Arrived, not-yet-completed Coflows.
-    fn active_coflows(&self) -> usize;
-
-    /// Submitted Coflows whose arrival is still in the future.
-    fn queued_arrivals(&self) -> usize;
-
-    /// Total unserved processing time across active Coflows — the
-    /// admission-control "outstanding demand" gauge.
-    fn outstanding_demand(&self) -> Dur;
-
-    /// Flows currently in fault backoff (zero for backends without a
-    /// fault seam).
-    fn deferred_flows(&self) -> usize {
-        0
-    }
-
-    /// Starvation-guard windows elapsed (zero without a guard).
-    fn guard_windows(&self) -> u64 {
-        0
-    }
-
-    /// Replay work counters, for backends that keep them.
-    fn stats(&self) -> Option<ReplayStats> {
-        None
-    }
+    /// The backend's clock, gauges and counters, read at once.
+    fn status(&self) -> BackendStatus;
 
     /// Drop bookkeeping history no longer reachable from the clock;
     /// returns how many records were forgotten.
@@ -123,10 +96,47 @@ pub trait SchedulingBackend {
     }
 
     /// Telemetry for one core of a multi-core backend; `None` when
-    /// `core` is out of range or the backend is single-switch.
+    /// `core` is out of range or the backend is single-switch. Not part
+    /// of [`status`](SchedulingBackend::status): a row costs O(active)
+    /// on `kcore:<K>`.
     fn core_status(&self, _core: usize) -> Option<CoreStatus> {
         None
     }
+
+    /// [`BackendStatus::stats`]; kept only because `benchmark/` calls it.
+    fn stats(&self) -> Option<ReplayStats> {
+        self.status().stats
+    }
+
+    /// [`BackendStatus::guard_windows`]; kept only because `benchmark/`
+    /// calls it.
+    fn guard_windows(&self) -> u64 {
+        self.status().guard_windows
+    }
+}
+
+/// A backend's state at one instant ([`SchedulingBackend::status`]):
+/// the inputs of admission control, the daemon's gauges and every
+/// report's counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BackendStatus {
+    /// The virtual clock: all events up to here are processed.
+    pub now: Time,
+    /// No work remains: every submitted Coflow has completed.
+    pub idle: bool,
+    /// Arrived, not-yet-completed Coflows.
+    pub active_coflows: usize,
+    /// Submitted Coflows whose arrival is still in the future.
+    pub queued_arrivals: usize,
+    /// Total unserved processing time across active Coflows — the
+    /// admission-control "outstanding demand" gauge.
+    pub outstanding_demand: Dur,
+    /// Flows currently in fault backoff (zero without a fault seam).
+    pub deferred_flows: usize,
+    /// Starvation-guard windows elapsed (zero without a guard).
+    pub guard_windows: u64,
+    /// Replay work counters, for backends that keep them.
+    pub stats: Option<ReplayStats>,
 }
 
 /// Per-core telemetry of a multi-core backend
@@ -319,18 +329,6 @@ impl CircuitBackend {
 }
 
 impl SchedulingBackend for CircuitBackend {
-    fn name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
-    fn switch_model(&self) -> &'static str {
-        "not-all-stop"
-    }
-
-    fn now(&self) -> Time {
-        self.now
-    }
-
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
         self.arrivals
             .submit(coflow, &self.fabric, self.now, |_| Ok(()))
@@ -373,20 +371,15 @@ impl SchedulingBackend for CircuitBackend {
         std::mem::take(&mut self.completions)
     }
 
-    fn is_idle(&self) -> bool {
-        self.arrivals.is_empty() && self.book.open() == 0 && self.remaining.is_zero()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.book.open()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
-        self.book.outstanding()
+    fn status(&self) -> BackendStatus {
+        BackendStatus {
+            now: self.now,
+            idle: self.arrivals.is_empty() && self.book.open() == 0 && self.remaining.is_zero(),
+            active_coflows: self.book.open(),
+            queued_arrivals: self.arrivals.len(),
+            outstanding_demand: self.book.outstanding(),
+            ..BackendStatus::default()
+        }
     }
 }
 
@@ -413,14 +406,22 @@ const DONE_EPS: f64 = 1e-3;
 ///
 /// The packet switch configures no circuits, so the [`SettleHook`] fault
 /// seam never fires for this backend.
+///
+/// The fluids stay at the instant of the last event (`at`): a finite
+/// deadline raises only the clock, so slicing the clock at any deadlines
+/// replays the batch exactly — no extra `progress` step perturbs the
+/// floating-point remainders.
 pub struct PacketBackend<'s> {
     scheduler: Box<dyn RateScheduler + 's>,
     fabric: Fabric,
     now: Time,
+    /// The instant of the last event, where `acts` was last progressed
+    /// to; at most `now`.
+    at: Time,
     arrivals: ArrivalQueue,
     acts: Vec<ActiveCoflow>,
     /// The earliest fluid-finish instant over `acts` ([`Self::fluid_finish`]),
-    /// recomputed wherever `acts` or `now` change so that polling
+    /// recomputed wherever `acts` or `at` change so that polling
     /// [`next_event_time`](SchedulingBackend::next_event_time) does not
     /// rescan every flow.
     next_finish: Option<Time>,
@@ -444,6 +445,7 @@ impl<'s> PacketBackend<'s> {
             scheduler,
             fabric: *fabric,
             now: Time::ZERO,
+            at: Time::ZERO,
             arrivals: ArrivalQueue::default(),
             acts: Vec::new(),
             next_finish: None,
@@ -460,8 +462,7 @@ impl<'s> PacketBackend<'s> {
     /// active fluids and not-yet-admitted submissions. The congestion
     /// signal behind load-aware hybrid split policies: it resolves
     /// *where* the backlog sits, which the aggregate
-    /// [`outstanding_demand`](SchedulingBackend::outstanding_demand)
-    /// cannot.
+    /// [`BackendStatus::outstanding_demand`] cannot.
     pub fn port_backlog(&self) -> Vec<Dur> {
         let ports = self.fabric.ports();
         let mut tx = vec![0.0f64; ports];
@@ -494,12 +495,12 @@ impl<'s> PacketBackend<'s> {
                 // first, so the candidate is simply not due — don't
                 // overflow the clock computing it.
                 let dt = (f.remaining / f.rate).max(0.0);
-                ((dt * 1e12) < (u64::MAX - self.now.as_ps()) as f64).then(|| {
+                ((dt * 1e12) < (u64::MAX - self.at.as_ps()) as f64).then(|| {
                     // Round the finish instant *up* one picosecond: at
                     // high rates the clock quantum exceeds the byte
                     // epsilon, and rounding down would strand a sliver
                     // of the flow.
-                    self.now + Dur::from_secs_f64(dt) + Dur::from_ps(1)
+                    self.at + Dur::from_secs_f64(dt) + Dur::from_ps(1)
                 })
             })
             .min()
@@ -507,28 +508,16 @@ impl<'s> PacketBackend<'s> {
 
     /// Next candidate events: (arrival, flow finish, scheduler event).
     fn candidates(&self) -> (Option<Time>, Option<Time>, Option<Time>) {
-        let t_arrival = self.arrivals.next_arrival().map(|a| a.max(self.now));
+        let t_arrival = self.arrivals.next_arrival().map(|a| a.max(self.at));
         let t_sched = self
             .scheduler
-            .next_event(&self.acts, self.now)
-            .filter(|&t| t > self.now);
+            .next_event(&self.acts, self.at)
+            .filter(|&t| t > self.at);
         (t_arrival, self.next_finish, t_sched)
     }
 }
 
 impl SchedulingBackend for PacketBackend<'_> {
-    fn name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
-    fn switch_model(&self) -> &'static str {
-        "packet"
-    }
-
-    fn now(&self) -> Time {
-        self.now
-    }
-
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
         let fuel = 1_000 * (1 + coflow.num_flows() as u64);
         self.arrivals
@@ -573,12 +562,13 @@ impl SchedulingBackend for PacketBackend<'_> {
             self.events += 1;
 
             // Advance fluids to t_next.
-            let dt = t_next.since(self.now).as_secs_f64();
+            let dt = t_next.since(self.at).as_secs_f64();
             if dt > 0.0 {
                 for a in self.acts.iter_mut() {
                     a.progress(dt);
                 }
             }
+            self.at = t_next;
             self.now = t_next;
 
             // Mark flow completions.
@@ -646,19 +636,11 @@ impl SchedulingBackend for PacketBackend<'_> {
             }
         }
 
-        // Nothing *discrete* happens strictly between events, but fluids
-        // still drain: carry them across the floated span, then pin the
-        // clock. (Skipped at Time::MAX so batch runs stay bit-identical
-        // to the historical loop, which never floated.)
         if deadline != Time::MAX && self.now < deadline {
-            let dt = deadline.since(self.now).as_secs_f64();
-            if dt > 0.0 {
-                for a in self.acts.iter_mut() {
-                    a.progress(dt);
-                }
-            }
+            // Nothing happens strictly between events; raise the clock
+            // so later submissions cannot rewrite this span. The fluids
+            // stay at `at`: the next event progresses them in one step.
             self.now = deadline;
-            self.next_finish = self.fluid_finish();
         }
         processed
     }
@@ -667,39 +649,32 @@ impl SchedulingBackend for PacketBackend<'_> {
         std::mem::take(&mut self.completions)
     }
 
-    fn is_idle(&self) -> bool {
-        self.arrivals.is_empty() && self.acts.is_empty()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.acts.len()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
+    /// Outstanding demand reads the fluids as of the last event.
+    fn status(&self) -> BackendStatus {
         let bytes: f64 = self
             .acts
             .iter()
             .flat_map(|a| a.flows.iter())
             .map(|f| f.remaining.max(0.0))
             .sum();
-        self.fabric.processing_time(bytes.ceil() as u64)
-    }
-
-    fn stats(&self) -> Option<ReplayStats> {
-        // The packet side keeps the two counters that exist for a fluid
-        // simulation: events processed and time spent re-rating. The
-        // circuit-specific counters stay zero — but the stats are
-        // `Some`, so hybrid compositions can merge both sides instead
-        // of dropping this one.
-        Some(ReplayStats {
-            events: self.events,
-            reschedule_micros: self.alloc_micros,
-            ..ReplayStats::default()
-        })
+        BackendStatus {
+            now: self.now,
+            idle: self.arrivals.is_empty() && self.acts.is_empty(),
+            active_coflows: self.acts.len(),
+            queued_arrivals: self.arrivals.len(),
+            outstanding_demand: self.fabric.processing_time(bytes.ceil() as u64),
+            // The packet side keeps the two counters that exist for a
+            // fluid simulation: events processed and time spent
+            // re-rating. The circuit-specific counters stay zero — but
+            // the stats are `Some`, so hybrid compositions can merge
+            // both sides instead of dropping this one.
+            stats: Some(ReplayStats {
+                events: self.events,
+                reschedule_micros: self.alloc_micros,
+                ..ReplayStats::default()
+            }),
+            ..BackendStatus::default()
+        }
     }
 }
 
@@ -809,8 +784,7 @@ impl BackendKind {
     ];
 
     /// The canonical scheduler name — the single source every report
-    /// label and metric routes through ([`SchedulingBackend::name`]
-    /// returns the same string).
+    /// label and metric routes through.
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Sunflow
@@ -824,6 +798,17 @@ impl BackendKind {
             BackendKind::FairSharing => RateScheduler::name(&FairSharing),
             BackendKind::KCore { .. } => "KCore",
             BackendKind::Hybrid { .. } => "Hybrid",
+        }
+    }
+
+    /// The switch model the backend schedules for: `"not-all-stop"` for
+    /// circuits, `"packet"` (δ = 0) for the rate schedulers, `"hybrid"`
+    /// for circuits beside a packet network.
+    pub fn switch_model(&self) -> &'static str {
+        match self {
+            BackendKind::Varys | BackendKind::Aalo | BackendKind::FairSharing => "packet",
+            BackendKind::Hybrid { .. } => "hybrid",
+            _ => "not-all-stop",
         }
     }
 
@@ -1096,11 +1081,11 @@ mod tests {
         ];
         for (kind, name, switch) in expect {
             let b = kind.build(&f, &OnlineConfig::default(), Box::new(ShortestFirst));
-            assert_eq!(b.name(), name);
             assert_eq!(kind.name(), name);
-            assert_eq!(b.switch_model(), switch);
-            assert!(b.is_idle());
-            assert_eq!(b.now(), Time::ZERO);
+            assert_eq!(kind.switch_model(), switch);
+            let status = b.status();
+            assert!(status.idle);
+            assert_eq!(status.now, Time::ZERO);
         }
     }
 
@@ -1210,12 +1195,10 @@ mod tests {
         /// The packet plane's cached next fluid finish equals a fresh
         /// scan after every `advance_to`, for Varys, Aalo and fair
         /// sharing: in one batch call to `Time::MAX`, in slices at a
-        /// random subset of the batch's own event instants (with
-        /// just-in-time submission; these replay the batch outcomes
-        /// exactly), and in slices at arbitrary deadlines (which float
-        /// the fluids between events, an extra `progress` step the
-        /// batch never takes, so they are held to completing every
-        /// Coflow once, not to its floating-point remainders).
+        /// random subset of the batch's own event instants, and in
+        /// slices at arbitrary deadlines. With just-in-time submission
+        /// every slicing replays the batch outcomes exactly: a deadline
+        /// raises the clock and leaves the fluids at the last event.
         #[test]
         fn fluid_finish_cache_matches_a_fresh_scan(
             mut coflows in arb_packet_workload(),
@@ -1267,9 +1250,7 @@ mod tests {
                     advance_checked(&mut floated, &mut pending, t);
                 }
                 advance_checked(&mut floated, &mut pending, Time::MAX);
-                let ids: Vec<u64> = drained(&mut floated).iter().map(|o| o.coflow).collect();
-                let want: Vec<u64> = expect.iter().map(|o| o.coflow).collect();
-                prop_assert_eq!(ids, want);
+                prop_assert_eq!(&drained(&mut floated), &expect);
             }
         }
     }
@@ -1293,16 +1274,16 @@ mod tests {
             let mut hook = FullService;
             let mut t = Time::ZERO;
             for _ in 0..400 {
-                if b.is_idle() {
+                if b.status().idle {
                     break;
                 }
                 t += Dur::from_millis(25);
                 b.advance_to(t, &mut hook);
             }
-            if !b.is_idle() {
+            if !b.status().idle {
                 b.advance_to(Time::MAX, &mut hook);
             }
-            assert!(b.is_idle(), "{}", kind.name());
+            assert!(b.status().idle, "{}", kind.name());
             let done = b.drain_completions();
             assert_eq!(done.len(), 4, "{}", kind.name());
             for c in &done {

@@ -21,16 +21,15 @@
 //!   calling thread, under the shared hook, and are drained in index
 //!   order. (The circuit planes share one priority policy, which each
 //!   holds from construction.)
-//! * Circuit planes float to a finite deadline; the packet plane does
-//!   not — its fluids drain at rates that only change at its own
-//!   events, and cutting a span into more `progress` steps would
-//!   perturb the floating-point remainders.
+//! * No plane is advanced to a deadline that is not its own event: a
+//!   finite deadline raises only the compositor's clock, which is the
+//!   one submissions are checked against.
 //! * A compositor of circuit planes only is a multi-core fabric and
 //!   reports [`SchedulingBackend::cores`] / `core_status`; one with a
 //!   packet plane is the hybrid fabric and does not.
 
 use crate::arrivals::ArrivalQueue;
-use crate::backend::{CoreStatus, PacketBackend, SchedulingBackend};
+use crate::backend::{BackendStatus, CoreStatus, PacketBackend, SchedulingBackend};
 use crate::online::ReplayStats;
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
 use ocs_model::{Coflow, CoflowBuilder, Dur, Fabric, Flow, ScheduleOutcome, Time};
@@ -47,7 +46,7 @@ pub enum Plane<'p> {
 }
 
 impl Plane<'_> {
-    fn backend(&self) -> &dyn SchedulingBackend {
+    pub(crate) fn backend(&self) -> &dyn SchedulingBackend {
         match self {
             Plane::Circuit(s) => s,
             Plane::Packet(b) => b,
@@ -59,11 +58,6 @@ impl Plane<'_> {
             Plane::Circuit(s) => s,
             Plane::Packet(b) => b,
         }
-    }
-
-    /// The plane's replay counters.
-    pub fn stats(&self) -> ReplayStats {
-        self.backend().stats().unwrap_or_default()
     }
 }
 
@@ -250,26 +244,6 @@ impl<'p, R: Router> Compositor<'p, R> {
 }
 
 impl<R: Router> SchedulingBackend for Compositor<'_, R> {
-    fn name(&self) -> &'static str {
-        if self.has_packet_plane() {
-            "Hybrid"
-        } else {
-            "Sunflow"
-        }
-    }
-
-    fn switch_model(&self) -> &'static str {
-        if self.has_packet_plane() {
-            "hybrid"
-        } else {
-            "not-all-stop"
-        }
-    }
-
-    fn now(&self) -> Time {
-        self.now
-    }
-
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
         let router = &self.router;
         self.arrivals
@@ -294,15 +268,8 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
             self.now = self.now.max(t);
         }
         if deadline != Time::MAX {
-            // Nothing happens strictly between events; float the
-            // circuit clocks to the deadline so later submissions
-            // cannot rewrite the span.
-            for p in &mut self.planes {
-                if let Plane::Circuit(s) = p {
-                    s.advance_to(deadline, hook);
-                }
-            }
-            self.absorb_completions();
+            // Nothing happens strictly between events; raise the clock
+            // so later submissions cannot rewrite the span.
             self.now = self.now.max(deadline);
         }
         processed
@@ -312,42 +279,28 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
         std::mem::take(&mut self.completions)
     }
 
-    fn is_idle(&self) -> bool {
-        self.arrivals.is_empty() && self.merge.is_empty()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.merge.len()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        // A part reaches its plane at its arrival instant and the plane
-        // is advanced past it in the same round: planes queue nothing.
-        self.arrivals.len()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
-        let planes = self.planes.iter().map(Plane::backend);
-        planes.map(|p| p.outstanding_demand()).sum()
-    }
-
-    fn deferred_flows(&self) -> usize {
-        let planes = self.planes.iter().map(Plane::backend);
-        planes.map(|p| p.deferred_flows()).sum()
-    }
-
-    fn guard_windows(&self) -> u64 {
-        let planes = self.planes.iter().map(Plane::backend);
-        planes.map(|p| p.guard_windows()).sum()
-    }
-
-    fn stats(&self) -> Option<ReplayStats> {
-        let mut total = ReplayStats::default();
-        for p in &self.planes {
-            total.absorb(&p.stats());
+    /// Coflow gauges are the compositor's own (a part reaches its plane
+    /// at its arrival instant and the plane is advanced past it in the
+    /// same round: planes queue nothing); demand, backoff, windows and
+    /// counters are summed over the planes.
+    fn status(&self) -> BackendStatus {
+        let mut total = BackendStatus {
+            now: self.now,
+            idle: self.arrivals.is_empty() && self.merge.is_empty(),
+            active_coflows: self.merge.len(),
+            queued_arrivals: self.arrivals.len(),
+            ..BackendStatus::default()
+        };
+        let mut stats = ReplayStats::default();
+        for p in self.planes.iter().map(|p| p.backend().status()) {
+            total.outstanding_demand += p.outstanding_demand;
+            total.deferred_flows += p.deferred_flows;
+            total.guard_windows += p.guard_windows;
+            stats.absorb(&p.stats.unwrap_or_default());
         }
-        self.router.fold_stats(&mut total);
-        Some(total)
+        self.router.fold_stats(&mut stats);
+        total.stats = Some(stats);
+        total
     }
 
     fn compact_history(&mut self) -> usize {
@@ -364,13 +317,12 @@ impl<R: Router> SchedulingBackend for Compositor<'_, R> {
         if self.has_packet_plane() {
             return None;
         }
-        let plane = self.planes.get(core)?;
-        let p = plane.backend();
+        let p = self.planes.get(core)?.backend().status();
         Some(CoreStatus {
-            active_coflows: p.active_coflows(),
-            outstanding_demand: p.outstanding_demand(),
+            active_coflows: p.active_coflows,
+            outstanding_demand: p.outstanding_demand,
             demand_admitted: self.admitted[core],
-            reservations_made: plane.stats().reservations_made,
+            reservations_made: p.stats.unwrap_or_default().reservations_made,
         })
     }
 }
@@ -418,7 +370,7 @@ mod tests {
         }
         let mut t = Time::ZERO;
         let mut idle_reads = 0;
-        while !c.is_idle() {
+        while !c.status().idle {
             t += Dur::from_millis(37);
             c.advance_to(t, &mut FullService);
             let steppers = c.planes.iter().filter_map(|p| match p {
@@ -426,7 +378,7 @@ mod tests {
                 Plane::Packet(_) => None,
             });
             for (i, s) in steppers.enumerate() {
-                if s.active_coflows() == 0 {
+                if s.status().active_coflows == 0 {
                     idle_reads += 1;
                     let left = s.prt().all_reservations();
                     assert_eq!(

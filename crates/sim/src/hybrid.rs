@@ -134,7 +134,7 @@ impl Router for SplitRouter<'_> {
             circuit: &self.fabric,
             packet: &self.packet_fabric,
             prt: Some(stepper.prt()),
-            packet_outstanding: packet.outstanding_demand(),
+            packet_outstanding: packet.status().outstanding_demand,
             packet_backlog: Some(&backlog),
             circuit_queue: Some(&queue),
             config: SunflowConfig::default(),
@@ -197,7 +197,11 @@ impl<'p> HybridBackend<'p> {
     /// The packet side's replay counters (fluid events and re-rating
     /// time; circuit-specific counters stay zero).
     pub fn packet_stats(&self) -> ReplayStats {
-        self.planes[PACKET].stats()
+        self.planes[PACKET]
+            .backend()
+            .status()
+            .stats
+            .unwrap_or_default()
     }
 }
 
@@ -232,7 +236,7 @@ mod tests {
         )
         .expect("valid config");
         let outcomes = run_trace(cs, &mut b);
-        (outcomes, b.stats().expect("hybrid keeps stats"))
+        (outcomes, b.status().stats.expect("hybrid keeps stats"))
     }
 
     fn mixed_coflow(id: u64) -> Coflow {
@@ -360,7 +364,7 @@ mod tests {
         )
         .expect("valid config");
         run_trace(&cs, &mut b);
-        let stats = b.stats().expect("hybrid keeps stats");
+        let stats = b.status().stats.expect("hybrid keeps stats");
         assert_eq!(stats.subflows_split, 1);
         assert_eq!(stats.bytes_to_packet, mb(1));
         assert_eq!(stats.split_evals, 1);
@@ -387,7 +391,7 @@ mod tests {
         )
         .expect("valid config");
         let outcomes = run_trace(&cs, &mut b);
-        let stats = b.stats().expect("hybrid keeps stats");
+        let stats = b.status().stats.expect("hybrid keeps stats");
         assert_eq!(stats.subflows_split, 1);
         assert_eq!(stats.reservations_made, 0);
         assert_eq!(outcomes[0].circuit_setups, 0);
@@ -422,7 +426,7 @@ mod tests {
         .expect("valid config");
         let outcomes = run_trace(&cs, &mut b);
         assert_eq!(outcomes.len(), 16);
-        let stats = b.stats().expect("hybrid keeps stats");
+        let stats = b.status().stats.expect("hybrid keeps stats");
         // 4 estimate evaluations per Coflow (two endpoints plus a
         // two-step bisection at resolution 4)...
         assert_eq!(stats.split_evals, 64);

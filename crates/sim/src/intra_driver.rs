@@ -21,7 +21,7 @@ pub enum IntraEngine {
 
 impl IntraEngine {
     /// Canonical scheduler name for reports (the same string
-    /// [`crate::backend::SchedulingBackend::name`] reports for the
+    /// [`crate::backend::BackendKind::name`] reports for the
     /// corresponding online backend).
     pub fn name(&self) -> &'static str {
         match self {

@@ -71,8 +71,8 @@ pub mod sweep;
 
 pub use aggregate::simulate_circuit_aggregated;
 pub use backend::{
-    BackendKind, CircuitBackend, CoreStatus, PacketBackend, SchedulingBackend, SunflowBackend,
-    UnknownBackendError,
+    BackendKind, BackendStatus, CircuitBackend, CoreStatus, PacketBackend, SchedulingBackend,
+    SunflowBackend, UnknownBackendError,
 };
 pub use engine::{run_backends_to_idle, run_trace, simulate_packet};
 pub use hybrid::{HybridBackend, HybridConfig, HybridConfigError};

@@ -27,7 +27,7 @@
 //! [`SunflowBackend`]: crate::backend::SunflowBackend
 
 use crate::arrivals::ArrivalQueue;
-use crate::backend::{CoreStatus, SchedulingBackend};
+use crate::backend::{BackendStatus, CoreStatus, SchedulingBackend};
 use crate::book::{FlowBook, Settled};
 use crate::compositor::{partition, Compositor, Part, Plane, Router};
 use crate::online::{OnlineConfig, ReplayStats};
@@ -394,18 +394,6 @@ impl KCoreBackend {
 }
 
 impl SchedulingBackend for KCoreBackend {
-    fn name(&self) -> &'static str {
-        "KCore"
-    }
-
-    fn switch_model(&self) -> &'static str {
-        "not-all-stop"
-    }
-
-    fn now(&self) -> Time {
-        self.now
-    }
-
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
         self.arrivals
             .submit(coflow, &self.fabric, self.now, |_| Ok(()))
@@ -440,28 +428,17 @@ impl SchedulingBackend for KCoreBackend {
         std::mem::take(&mut self.completions)
     }
 
-    fn is_idle(&self) -> bool {
-        self.arrivals.is_empty() && self.active.is_empty()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.active.len()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
-        self.book.outstanding()
-    }
-
-    fn deferred_flows(&self) -> usize {
-        self.retries.len()
-    }
-
-    fn stats(&self) -> Option<ReplayStats> {
-        Some(self.stats)
+    fn status(&self) -> BackendStatus {
+        BackendStatus {
+            now: self.now,
+            idle: self.arrivals.is_empty() && self.active.is_empty(),
+            active_coflows: self.active.len(),
+            queued_arrivals: self.arrivals.len(),
+            outstanding_demand: self.book.outstanding(),
+            deferred_flows: self.retries.len(),
+            stats: Some(self.stats),
+            ..BackendStatus::default()
+        }
     }
 
     fn compact_history(&mut self) -> usize {

@@ -287,10 +287,11 @@ pub fn simulate_circuit(
 ) -> ReplayResult {
     let mut backend = SunflowBackend::new(fabric, config, Box::new(policy));
     let outcomes = crate::engine::run_trace(coflows, &mut backend);
+    let status = backend.status();
     ReplayResult {
         outcomes,
-        guard_windows: backend.guard_windows(),
-        stats: backend.stats().unwrap_or_default(),
+        guard_windows: status.guard_windows,
+        stats: status.stats.unwrap_or_default(),
     }
 }
 

@@ -21,7 +21,7 @@
 //! which works for this stepper as for every other backend.
 
 use crate::arrivals::ArrivalQueue;
-use crate::backend::SchedulingBackend;
+use crate::backend::{BackendStatus, SchedulingBackend};
 use crate::book::{FlowBook, Settled};
 use crate::online::{ActiveCircuitPolicy, OnlineConfig, ReplayStats};
 use ocs_model::{
@@ -988,18 +988,6 @@ impl<'p> OnlineStepper<'p> {
 }
 
 impl SchedulingBackend for OnlineStepper<'_> {
-    fn name(&self) -> &'static str {
-        "Sunflow"
-    }
-
-    fn switch_model(&self) -> &'static str {
-        "not-all-stop"
-    }
-
-    fn now(&self) -> Time {
-        self.now
-    }
-
     /// The Coflow becomes an arrival event at its arrival time; the fuel
     /// budget grows by its share.
     fn submit(&mut self, coflow: Coflow) -> Result<(), SubmitError> {
@@ -1069,35 +1057,21 @@ impl SchedulingBackend for OnlineStepper<'_> {
         std::mem::take(&mut self.completions)
     }
 
-    fn is_idle(&self) -> bool {
-        self.active.is_empty() && self.arrivals.is_empty()
-    }
-
-    fn active_coflows(&self) -> usize {
-        self.active.len()
-    }
-
-    fn queued_arrivals(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    fn outstanding_demand(&self) -> Dur {
-        self.book.outstanding()
-    }
-
-    fn deferred_flows(&self) -> usize {
-        self.deferred.len()
-    }
-
-    fn guard_windows(&self) -> u64 {
-        self.guard_windows_elapsed
-    }
-
-    /// Event-loop counters so far (`reschedule_micros` included).
-    fn stats(&self) -> Option<ReplayStats> {
-        let mut s = self.stats;
-        s.reschedule_micros = self.resched_wall.as_micros() as u64;
-        Some(s)
+    /// The event-loop counters include `reschedule_micros`.
+    fn status(&self) -> BackendStatus {
+        BackendStatus {
+            now: self.now,
+            idle: self.active.is_empty() && self.arrivals.is_empty(),
+            active_coflows: self.active.len(),
+            queued_arrivals: self.arrivals.len(),
+            outstanding_demand: self.book.outstanding(),
+            deferred_flows: self.deferred.len(),
+            guard_windows: self.guard_windows_elapsed,
+            stats: Some(ReplayStats {
+                reschedule_micros: self.resched_wall.as_micros() as u64,
+                ..self.stats
+            }),
+        }
     }
 
     /// Drop PRT history that ended at or before `now`. Safe at any point
@@ -1190,7 +1164,7 @@ mod tests {
         }
         assert_eq!(fed, coflows.len());
         s.advance_to(Time::MAX, &mut FullService);
-        assert!(s.is_idle());
+        assert!(s.status().idle);
 
         let mut done = s.drain_completions();
         done.sort_by_key(|c| c.outcome.coflow);
@@ -1226,16 +1200,18 @@ mod tests {
         s.submit(coflows[0].clone()).unwrap();
         let t = Time::from_millis(30);
         s.advance_to(t, &mut FullService);
-        assert_eq!(s.now(), t, "no event at 30 ms: the clock floats there");
+        assert_eq!(
+            s.status().now,
+            t,
+            "no event at 30 ms: the clock floats there"
+        );
         assert_eq!(s.prt().last_end_of(1), None);
         s.submit(coflows[1].clone()).unwrap();
-        assert_eq!(s.queued_arrivals(), 1);
+        assert_eq!(s.status().queued_arrivals, 1);
         assert_eq!(s.next_event_time(), Some(t));
         assert_eq!(s.advance_to(t, &mut FullService), 1);
-        assert_eq!(
-            (s.now(), s.queued_arrivals(), s.active_coflows()),
-            (t, 0, 2)
-        );
+        let st = s.status();
+        assert_eq!((st.now, st.queued_arrivals, st.active_coflows), (t, 0, 2));
         assert!(
             s.prt().last_end_of(1).is_some_and(|end| end > t),
             "planned at 30 ms"
@@ -1359,7 +1335,7 @@ mod tests {
         for at_ms in [0, 30, 500, 2_000, 9_000] {
             s.advance_to(Time::from_millis(at_ms), &mut FullService);
             let plan_end = s.prt().last_end_of(0).expect("giant is planned");
-            assert!(plan_end > s.now() + guard.interval_len() * 50);
+            assert!(plan_end > s.status().now + guard.interval_len() * 50);
             // The table holds circuits only (`ResvKind` has no other
             // kind), and none of them touches a window.
             let circuits = s.prt().all_reservations();
@@ -1414,7 +1390,8 @@ mod tests {
         // some must have ended, and the explicit compaction that used to
         // find them now has nothing left to do.
         assert!(
-            s.stats()
+            s.status()
+                .stats
                 .expect("the stepper keeps stats")
                 .reservations_retired
                 > 0,

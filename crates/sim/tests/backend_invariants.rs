@@ -7,6 +7,12 @@
 //!   completes exactly once, no earlier than it arrived, with its finish
 //!   the last of its flow finishes; completions drain in finish order
 //!   and the idle backend's gauges read zero;
+//! * **gauges** — after every slice of that run, and of one that submits
+//!   each Coflow half a second ahead of its arrival, the status snapshot
+//!   tracks the completions: the clock is at the slice's end, active
+//!   plus queued Coflows are those submitted and not yet drained, the
+//!   backend is idle exactly when there are none, and an idle backend
+//!   holds no demand;
 //! * **bounds** — no Coflow finishes faster than its most loaded port
 //!   can move its bytes at the backend's aggregate port rate; a Coflow
 //!   alone also pays a circuit setup before its first byte on a pure
@@ -29,7 +35,8 @@ use ocs_model::{
     ScheduleOutcome, Time,
 };
 use ocs_sim::{
-    run_trace, ActiveCircuitPolicy, BackendKind, FullService, OnlineConfig, SchedulingBackend,
+    run_trace, ActiveCircuitPolicy, BackendKind, BackendStatus, FullService, OnlineConfig,
+    SchedulingBackend,
 };
 use sunflow_core::ShortestFirst;
 
@@ -108,22 +115,26 @@ impl Row {
 }
 
 /// Drive `backend` the way a live service does: every `slice`, submit
-/// the Coflows arriving within it, advance to its end, drain. Returns
-/// the completions in the order they drained.
+/// the Coflows arriving within it (or within `ahead` after it), advance
+/// to its end, drain. After each slice `after` sees the backend's
+/// status, the slice's end and how many Coflows were submitted but not
+/// yet drained. Returns the completions in the order they drained.
 fn run_sliced(
     coflows: &[Coflow],
     backend: &mut dyn SchedulingBackend,
     slice: Dur,
+    ahead: Dur,
+    mut after: impl FnMut(BackendStatus, Time, usize),
 ) -> Vec<ScheduleOutcome> {
     let mut by_arrival: Vec<&Coflow> = coflows.iter().collect();
     by_arrival.sort_by_key(|c| (c.arrival(), c.id()));
     let mut fed = 0usize;
     let mut done = Vec::new();
     let mut deadline = Time::ZERO;
-    while fed < by_arrival.len() || !backend.is_idle() {
+    while fed < by_arrival.len() || !backend.status().idle {
         deadline += slice;
         assert!(deadline < Time::from_millis(600_000), "replay must drain");
-        while fed < by_arrival.len() && by_arrival[fed].arrival() <= deadline {
+        while fed < by_arrival.len() && by_arrival[fed].arrival() <= deadline + ahead {
             backend
                 .submit(by_arrival[fed].clone())
                 .expect("a just-in-time arrival is never in the past");
@@ -131,6 +142,7 @@ fn run_sliced(
         }
         backend.advance_to(deadline, &mut FullService);
         done.extend(backend.drain_completions().into_iter().map(|c| c.outcome));
+        after(backend.status(), deadline, fed - done.len());
     }
     done
 }
@@ -139,7 +151,13 @@ fn completes(row: &Row) {
     let f = fabric();
     let coflows = row.workload();
     let mut backend = row.build(&f);
-    let done = run_sliced(&coflows, backend.as_mut(), Dur::from_millis(7));
+    let done = run_sliced(
+        &coflows,
+        backend.as_mut(),
+        Dur::from_millis(7),
+        Dur::ZERO,
+        |_, _, _| {},
+    );
     let s = row.selector;
     assert!(
         done.windows(2).all(|w| w[0].finish <= w[1].finish),
@@ -163,15 +181,53 @@ fn completes(row: &Row) {
             c.id()
         );
     }
-    assert!(backend.is_idle(), "{s}");
-    assert_eq!(backend.active_coflows(), 0, "{s}: active after drain");
-    assert_eq!(backend.queued_arrivals(), 0, "{s}: queued after drain");
-    assert_eq!(backend.outstanding_demand(), Dur::ZERO, "{s}: demand left");
-    assert_eq!(backend.deferred_flows(), 0, "{s}: deferred after drain");
+    let status = backend.status();
+    assert!(status.idle, "{s}");
+    assert_eq!(status.active_coflows, 0, "{s}: active after drain");
+    assert_eq!(status.queued_arrivals, 0, "{s}: queued after drain");
+    assert_eq!(status.outstanding_demand, Dur::ZERO, "{s}: demand left");
+    assert_eq!(status.deferred_flows, 0, "{s}: deferred after drain");
     assert!(
         backend.drain_completions().is_empty(),
         "{s}: late completion"
     );
+}
+
+fn gauges(row: &Row) {
+    let f = fabric();
+    let coflows = row.workload();
+    let s = row.selector;
+    let check = |st: BackendStatus, end: Time, in_flight: usize| {
+        assert_eq!(st.now, end, "{s}: the clock is not at the slice's end");
+        assert_eq!(
+            st.active_coflows + st.queued_arrivals,
+            in_flight,
+            "{s}: at {end}, active plus queued is not submitted minus drained"
+        );
+        assert_eq!(
+            st.idle,
+            in_flight == 0,
+            "{s}: at {end}, idle = {} with {in_flight} in flight",
+            st.idle
+        );
+        if st.idle {
+            assert_eq!(
+                st.outstanding_demand,
+                Dur::ZERO,
+                "{s}: idle at {end} with demand"
+            );
+        }
+    };
+    for ahead in [Dur::ZERO, Dur::from_millis(500)] {
+        let mut backend = row.build(&f);
+        run_sliced(
+            &coflows,
+            backend.as_mut(),
+            Dur::from_millis(7),
+            ahead,
+            check,
+        );
+    }
 }
 
 /// `cct` takes at least `floor` at `permille` thousandths of the rate
@@ -247,7 +303,13 @@ fn sliced(row: &Row) {
     let coflows = row.workload();
     let batch = row.replay(&coflows, &f);
     for slice in [Dur::from_micros(1_300), Dur::from_millis(250)] {
-        let got = run_sliced(&coflows, row.build(&f).as_mut(), slice);
+        let got = run_sliced(
+            &coflows,
+            row.build(&f).as_mut(),
+            slice,
+            Dur::ZERO,
+            |_, _, _| {},
+        );
         assert_eq!(
             in_input_order(&coflows, got),
             batch,
@@ -339,53 +401,52 @@ macro_rules! roster {
 }
 
 // What a row leaves out, it leaves out by design:
-// * `sliced` on the aggregated circuit baselines and the packet
-//   backends — each `advance_to` deadline is a planning boundary for
-//   them (a fresh plan on the remaining aggregate; a fluid step whose
-//   float remainders round differently);
+// * `sliced` on the aggregated circuit baselines — each `advance_to`
+//   deadline is a planning boundary for them (a fresh plan on the
+//   remaining aggregate);
 // * `scale` where a policy compares bytes with a fixed size (Aalo's
 //   queue thresholds, the hybrid splits' small-flow threshold);
 // * Aalo shifts by a multiple of its 10 ms coordination epoch, which
 //   sits on absolute multiples of the epoch.
 roster! {
     sunflow_yield => Row::sunflow("sunflow", 1),
-        [completes, bounds, deterministic, submission_order, sliced, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     sunflow_keep => Row {
         online: OnlineConfig::default().active_policy(ActiveCircuitPolicy::Keep),
         ..Row::sunflow("sunflow", 1)
-    }, [completes, bounds, deterministic, submission_order, sliced, time_shift, scale];
+    }, [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     sunflow_preempt => Row {
         online: OnlineConfig::default().active_policy(ActiveCircuitPolicy::Preempt),
         ..Row::sunflow("sunflow", 1)
-    }, [completes, bounds, deterministic, submission_order, sliced, time_shift, scale];
+    }, [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     sunflow_2_least_loaded => Row::sunflow("sunflow:2:least-loaded", 2),
-        [completes, bounds, deterministic, submission_order, sliced, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     sunflow_4_rank_pack => Row::sunflow("sunflow:4:rank-pack", 4),
-        [completes, bounds, deterministic, submission_order, sliced, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     portgroups_2 => Row {
         group_local: true,
         ..Row::sunflow("portgroups:2", 1)
-    }, [completes, bounds, deterministic, submission_order, sliced, time_shift, scale];
+    }, [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     kcore_2 => Row::new("kcore:2", Plane::Circuit { cores: 2 }),
-        [completes, bounds, deterministic, submission_order, sliced, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     hybrid_threshold => Row::new("hybrid:threshold", Plane::Hybrid { permille: 100 }),
-        [completes, bounds, deterministic, submission_order, sliced, time_shift];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift];
     hybrid_solver => Row::new("hybrid:solver", Plane::Hybrid { permille: 100 }),
-        [completes, bounds, deterministic, submission_order, sliced, time_shift];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift];
     hybrid_non_splitting => Row::new("hybrid:non-splitting", Plane::Hybrid { permille: 100 }),
-        [completes, bounds, deterministic, submission_order, sliced, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     solstice => Row::new("solstice", Plane::Circuit { cores: 1 }),
-        [completes, bounds, deterministic, submission_order, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, time_shift, scale];
     tms => Row::new("tms", Plane::Circuit { cores: 1 }),
-        [completes, bounds, deterministic, submission_order, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, time_shift, scale];
     edmond => Row::new("edmond", Plane::Circuit { cores: 1 }),
-        [completes, bounds, deterministic, submission_order, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, time_shift, scale];
     varys => Row::new("varys", Plane::Packet),
-        [completes, bounds, deterministic, submission_order, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     aalo => Row {
         shift: Dur::from_millis(1_230),
         ..Row::new("aalo", Plane::Packet)
-    }, [completes, bounds, deterministic, submission_order, time_shift];
+    }, [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift];
     fair => Row::new("fair", Plane::Packet),
-        [completes, bounds, deterministic, submission_order, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
 }

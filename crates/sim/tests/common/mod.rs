@@ -238,11 +238,12 @@ pub fn stepper_replay(
             (d.outcome, d.first_service)
         })
         .unzip();
-    let stats = s.stats().expect("the stepper keeps stats");
+    let status = s.status();
+    let stats = status.stats.expect("the stepper keeps stats");
     let replay = Replay {
         outcomes,
         first_service,
-        guard_windows: s.guard_windows(),
+        guard_windows: status.guard_windows,
         events: stats.events,
         cuts: stats.cuts,
         yield_rounds: stats.yield_rounds,

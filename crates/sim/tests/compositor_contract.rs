@@ -4,11 +4,13 @@
 //! `run_trace` does.
 //!
 //! The goldens pin `advance_to(Time::MAX)`; a live service never calls
-//! that. Slicing exercises what batch replay cannot: the float to a
-//! finite deadline (circuit planes float, the packet plane must not —
-//! extra `progress` steps perturb its fluid remainders, which shifts
-//! `hybrid:solver` outcomes), admission against a clock that has moved,
-//! and merge state that outlives a drain.
+//! that. Slicing exercises what batch replay cannot: a finite deadline
+//! (it raises the compositor's clock and advances no plane past its own
+//! events — a plane advanced to the deadline would take a step the
+//! batch never takes, and on the packet plane that extra `progress`
+//! step perturbs the fluid remainders and shifts `hybrid:solver`
+//! outcomes), admission against a clock that has moved, and merge state
+//! that outlives a drain.
 //!
 //! The same table carries the degenerate rows: one core, one port group
 //! and a hybrid that never splits all replay exactly as plain `sunflow`.
@@ -98,7 +100,7 @@ fn run_sliced(
     let mut fed = 0usize;
     let mut done = Vec::new();
     let mut deadline = Time::ZERO;
-    while fed < by_arrival.len() || !backend.is_idle() {
+    while fed < by_arrival.len() || !backend.status().idle {
         deadline += slice;
         assert!(deadline < Time::from_millis(600_000), "replay must drain");
         while fed < by_arrival.len() && by_arrival[fed].arrival() <= deadline {

@@ -84,10 +84,10 @@ fn check_idle_table(
         s.submit(c.clone()).expect("submit");
     }
     let mut t = Time::ZERO;
-    while !s.is_idle() {
+    while !s.status().idle {
         t += Dur::from_millis(37);
         s.advance_to(t, &mut FullService);
-        if s.active_coflows() == 0 {
+        if s.status().active_coflows == 0 {
             assert_eq!(
                 s.prt().all_reservations(),
                 vec![],
@@ -96,7 +96,11 @@ fn check_idle_table(
         }
     }
     s.advance_to(Time::MAX, &mut FullService);
-    assert_eq!(s.outstanding_demand(), Dur::ZERO, "{label}: demand left");
+    assert_eq!(
+        s.status().outstanding_demand,
+        Dur::ZERO,
+        "{label}: demand left"
+    );
     let mut done: Vec<_> = s
         .drain_completions()
         .into_iter()

@@ -332,7 +332,7 @@ proptest! {
             }
             let mut rec = CreditLog { short, ..CreditLog::default() };
             backend.advance_to(Time::MAX, &mut rec);
-            prop_assert!(backend.is_idle(), "{}: must drain", label);
+            prop_assert!(backend.status().idle, "{}: must drain", label);
 
             let mut per_flow: HashMap<FlowRef, Dur> = HashMap::new();
             for (r, credited) in &rec.log {
@@ -362,7 +362,7 @@ proptest! {
                 );
             }
 
-            let made = backend.stats().expect("kcore keeps stats").reservations_made;
+            let made = backend.status().stats.expect("kcore keeps stats").reservations_made;
             prop_assert_eq!(backend.compact_history() as u64, made, "{}: idle table", label);
         }
     }

@@ -43,7 +43,7 @@ fn run_hybrid(
         backend.submit(c.clone()).expect("fixture fits the fabric");
     }
     backend.advance_to(Time::MAX, &mut FullService);
-    assert!(backend.is_idle(), "replay must drain");
+    assert!(backend.status().idle, "replay must drain");
     let outcomes = backend
         .drain_completions()
         .into_iter()
@@ -51,7 +51,7 @@ fn run_hybrid(
         .collect();
     (
         in_input_order(coflows, outcomes),
-        backend.stats().expect("hybrid keeps stats"),
+        backend.status().stats.expect("hybrid keeps stats"),
     )
 }
 

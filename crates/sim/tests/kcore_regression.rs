@@ -46,16 +46,17 @@ fn run_multicore(
         backend.submit(c.clone()).expect("fixture fits the fabric");
     }
     backend.advance_to(Time::MAX, &mut FullService);
-    assert!(backend.is_idle(), "replay must drain");
+    assert!(backend.status().idle, "replay must drain");
     let outcomes = backend
         .drain_completions()
         .into_iter()
         .map(|c| c.outcome)
         .collect();
+    let status = backend.status();
     ReplayResult {
         outcomes: in_input_order(coflows, outcomes),
-        guard_windows: backend.guard_windows(),
-        stats: backend.stats().expect("sunflow keeps stats"),
+        guard_windows: status.guard_windows,
+        stats: status.stats.expect("sunflow keeps stats"),
     }
 }
 
@@ -87,7 +88,7 @@ fn kcore_fingerprint(hook: &mut dyn SettleHook) -> u64 {
     }
     let mut compacted = 0;
     let mut t = Time::ZERO;
-    while !backend.is_idle() {
+    while !backend.status().idle {
         t += Dur::from_millis(200);
         backend.advance_to(t, hook);
         compacted += backend.compact_history() as u64;
@@ -99,7 +100,8 @@ fn kcore_fingerprint(hook: &mut dyn SettleHook) -> u64 {
         .collect();
     let mut tail = vec![
         backend
-            .stats()
+            .status()
+            .stats
             .expect("kcore keeps stats")
             .reservations_made,
         compacted,
@@ -212,7 +214,7 @@ fn zero_backoff_retry_starts_after_the_settle() {
         backend.submit(c.clone()).expect("fits the fabric");
         let mut hook = FailFirstNoBackoff::default();
         backend.advance_to(Time::MAX, &mut hook);
-        assert!(backend.is_idle(), "{selector}: must drain");
+        assert!(backend.status().idle, "{selector}: must drain");
         assert_eq!(backend.drain_completions().len(), 1, "{selector}");
         let (shorted, at) = hook.0[0];
         let retry = hook.0[1..]
@@ -236,7 +238,7 @@ fn kcore_alone(c: &Coflow, base: Fabric, cores: usize) -> (KCoreBackend, Schedul
     let mut backend = KCoreBackend::new(&k, SunflowConfig::default(), CoreAssignKind::RankPack);
     backend.submit(c.clone()).expect("fits the fabric");
     backend.advance_to(Time::MAX, &mut FullService);
-    assert!(backend.is_idle(), "replay must drain");
+    assert!(backend.status().idle, "replay must drain");
     let mut done = backend.drain_completions();
     assert_eq!(done.len(), 1);
     let outcome = done.pop().expect("one completion").outcome;

@@ -97,10 +97,11 @@ fn run_stepper_chunked(
 
     // Outcomes in the batch API's input order (workload order).
     let outcomes = completions.into_iter().map(|c| c.outcome).collect();
+    let status = stepper.status();
     ReplayResult {
         outcomes: in_input_order(&workload(), outcomes),
-        guard_windows: stepper.guard_windows(),
-        stats: stepper.stats().expect("the stepper keeps stats"),
+        guard_windows: status.guard_windows,
+        stats: status.stats.expect("the stepper keeps stats"),
     }
 }
 

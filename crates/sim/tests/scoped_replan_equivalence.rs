@@ -263,7 +263,7 @@ fn a_coflow_the_guard_finishes_leaves_no_circuit_behind() {
             .build();
         s.submit(early).expect("submit");
         s.advance_to(Time::from_millis(245), &mut FullService);
-        assert!(s.is_idle(), "{label}: both served by 240 ms");
+        assert!(s.status().idle, "{label}: both served by 240 ms");
         assert_eq!(s.prt().all_reservations(), vec![], "{label}: ghost circuit");
         let late = Coflow::builder(2)
             .arrival(Time::from_millis(250))
