@@ -249,9 +249,7 @@ pub fn run_all_measured() -> (Vec<Report>, ocs_metrics::SweepTiming) {
     sweep.add("active_policy", active_policy);
     sweep.add("starvation_guard", starvation_guard);
     sweep.add("quantization", quantization);
-    let result = sweep.run();
-    let timing = crate::timing_of(&result);
-    (result.runs.into_iter().map(|r| r.value).collect(), timing)
+    sweep.run()
 }
 
 /// Fold the individual ablation reports into one umbrella report, so the

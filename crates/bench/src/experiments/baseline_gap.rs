@@ -39,13 +39,8 @@ pub fn run_measured() -> (Report, SweepTiming) {
             eval_intra(subset, fabric, IntraEngine::Baseline(sched))
         });
     }
-    let result = sweep.run();
-    let timing = crate::timing_of(&result);
-    let (sol, tms, edm) = (
-        &result.runs[0].value,
-        &result.runs[1].value,
-        &result.runs[2].value,
-    );
+    let (values, timing) = sweep.run();
+    let (sol, tms, edm) = (&values[0], &values[1], &values[2]);
 
     let ratio = |xs: &[IntraRow]| -> Vec<f64> {
         xs.iter()

@@ -190,11 +190,10 @@ pub fn run_measured_at(scale: SoakScale) -> (Report, SweepTiming) {
             (run, compute)
         });
     }
-    let result = sweep.run();
-    let timing = crate::timing_of(&result);
-    let offline = &result.runs[0].value;
-    let clean = &result.runs[1].value;
-    let faulted = &result.runs[2].value;
+    let (values, timing) = sweep.run();
+    let offline = &values[0];
+    let clean = &values[1];
+    let faulted = &values[2];
 
     let mut report = Report::new("Daemon soak — online service vs offline replay");
     report.claim(

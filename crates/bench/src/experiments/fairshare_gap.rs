@@ -37,20 +37,19 @@ pub fn run_measured() -> (Report, SweepTiming) {
             avg_cct_secs(&eval_inter(coflows, &fabric_gbps(1), engine))
         });
     }
-    let result = sweep.run();
-    let mut timing = crate::timing_of(&result);
+    let (values, mut timing) = sweep.run();
     timing.runs[0].backend = Some(BackendKind::FairSharing.name().to_string());
     for (t, engine) in timing.runs.iter_mut().skip(1).zip(InterEngine::ALL) {
         t.backend = Some(engine.name().to_string());
     }
-    let fair = result.runs[0].value;
+    let fair = values[0];
 
     let mut report = Report::new("Extension — Coflow-agnostic fair sharing vs Coflow schedulers");
     report.note(format!(
         "avg CCT, per-flow max-min fair sharing: {fair:.3}s"
     ));
     for (i, engine) in InterEngine::ALL.into_iter().enumerate() {
-        let avg = result.runs[i + 1].value;
+        let avg = values[i + 1];
         report.note(format!(
             "avg CCT, {}: {avg:.3}s  (fair-share / {} = {:.2}x)",
             engine.name(),

@@ -37,21 +37,20 @@ pub fn run_measured() -> (Report, SweepTiming) {
             )
         });
     }
-    let result = sweep.run();
-    let mut timing = crate::timing_of(&result);
+    let (values, mut timing) = sweep.run();
     crate::tag_backend(&mut timing, InterEngine::Sunflow.name());
-    for (t, run) in timing.runs.iter_mut().zip(&result.runs) {
-        if let Some(stats) = &run.value.1 {
+    for (t, (_, stats)) in timing.runs.iter_mut().zip(&values) {
+        if let Some(stats) = stats {
             t.counters = replay_counters(stats);
         }
     }
-    let base = &result.runs[0].value.0;
+    let base = &values[0].0;
 
     let mut report = Report::new("Figure 10 — inter-Coflow sensitivity to delta (Sunflow, B=1G)");
     for (i, ((label, _), (plabel, p_avg, p_p95))) in DELTA_SWEEP.into_iter().zip(PAPER).enumerate()
     {
         debug_assert_eq!(label, plabel);
-        let rows = &result.runs[i + 1].value.0;
+        let rows = &values[i + 1].0;
         let normalized: Vec<f64> = rows
             .iter()
             .zip(base)

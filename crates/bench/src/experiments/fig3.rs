@@ -45,13 +45,12 @@ pub fn run_measured() -> (Report, SweepTiming) {
             });
         }
     }
-    let result = sweep.run();
-    let timing = crate::timing_of(&result);
+    let (values, timing) = sweep.run();
 
     let mut report = Report::new("Figure 3 — intra-Coflow CCT / T_cL, Sunflow vs Solstice");
     for (i, (gbps, p_sun_avg, p_sun_p95, p_sol_avg, p_sol_p95)) in PAPER.into_iter().enumerate() {
-        let sun = &result.runs[2 * i].value;
-        let sol = &result.runs[2 * i + 1].value;
+        let sun = &values[2 * i];
+        let sol = &values[2 * i + 1];
 
         let sun_avg = mean_of(sun, IntraRow::ratio_tcl);
         let sun_p95 = p95_of(sun, IntraRow::ratio_tcl);

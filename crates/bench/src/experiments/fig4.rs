@@ -38,10 +38,9 @@ pub fn run_measured() -> (Report, SweepTiming) {
         );
         (m2m(rows), compute)
     });
-    let result = sweep.run();
-    let timing = crate::timing_of(&result);
-    let sun = &result.runs[0].value;
-    let sol = &result.runs[1].value;
+    let (values, timing) = sweep.run();
+    let sun = &values[0];
+    let sol = &values[1];
 
     let mut report = Report::new("Figure 4 — M2M Coflows: CCT over lower bounds (B=1G)");
     report.claim(

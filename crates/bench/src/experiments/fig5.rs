@@ -39,8 +39,7 @@ pub fn run_measured() -> (Report, SweepTiming) {
         );
         (m2m(rows), compute)
     });
-    let result = sweep.run();
-    let mut timing = crate::timing_of(&result);
+    let (values, mut timing) = sweep.run();
     let kinds = [
         ocs_sim::BackendKind::Sunflow,
         ocs_sim::BackendKind::Solstice,
@@ -48,8 +47,8 @@ pub fn run_measured() -> (Report, SweepTiming) {
     for (t, kind) in timing.runs.iter_mut().zip(kinds) {
         t.backend = Some(kind.name().to_string());
     }
-    let sun = &result.runs[0].value;
-    let sol = &result.runs[1].value;
+    let sun = &values[0];
+    let sol = &values[1];
 
     let mut report = Report::new("Figure 5 — switching count over minimum (M2M, B=1G)");
 

@@ -36,16 +36,15 @@ pub fn run_measured() -> (Report, SweepTiming) {
             eval_intra_measured(coflows, &fabric_gbps(1).with_delta(delta), engine)
         });
     }
-    let result = sweep.run();
-    let mut timing = crate::timing_of(&result);
+    let (values, mut timing) = sweep.run();
     crate::tag_backend(&mut timing, ocs_sim::BackendKind::Sunflow.name());
-    let base = &result.runs[0].value;
+    let base = &values[0];
 
     let mut report = Report::new("Figure 6 — intra-Coflow sensitivity to delta (Sunflow, B=1G)");
     for (i, ((label, _), (plabel, p_avg, p_p95))) in DELTA_SWEEP.into_iter().zip(PAPER).enumerate()
     {
         debug_assert_eq!(label, plabel);
-        let rows = &result.runs[i + 1].value;
+        let rows = &values[i + 1];
         let normalized: Vec<f64> = rows
             .iter()
             .zip(base)

@@ -23,9 +23,8 @@ pub fn run_measured() -> (Report, SweepTiming) {
             IntraEngine::Sunflow(SunflowConfig::default()),
         )
     });
-    let result = sweep.run();
-    let timing = crate::timing_of(&result);
-    let rows = &result.runs[0].value;
+    let (values, timing) = sweep.run();
+    let rows = &values[0];
     let long: Vec<IntraRow> = rows.iter().filter(|r| r.long).cloned().collect();
 
     let mut report = Report::new("Figure 7 — Sunflow CCT / T_pL, long vs all Coflows (B=1G)");

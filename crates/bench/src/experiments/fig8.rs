@@ -61,15 +61,14 @@ pub fn run_settings_measured() -> (Vec<Setting>, SweepTiming) {
             });
         }
     }
-    let result = sweep.run();
-    let mut timing = crate::timing_of(&result);
+    let (values, mut timing) = sweep.run();
     for (i, t) in timing.runs.iter_mut().enumerate() {
         t.backend = Some(ENGINES[i % ENGINES.len()].name().to_string());
     }
 
     let mut out = Vec::new();
     for (i, (label, gbps, coflows)) in cases.iter().enumerate() {
-        let avg = |k: usize| avg_cct_secs(&result.runs[ENGINES.len() * i + k].value);
+        let avg = |k: usize| avg_cct_secs(&values[ENGINES.len() * i + k]);
         let (sun, varys, aalo) = (avg(0), avg(1), avg(2));
         out.push(Setting {
             label: label.clone(),

@@ -31,14 +31,13 @@ pub fn run_measured() -> (Report, SweepTiming) {
             eval_inter_measured(coflows, &fabric_gbps(1), engine)
         });
     }
-    let result = sweep.run();
-    let mut timing = crate::timing_of(&result);
+    let (values, mut timing) = sweep.run();
     for (t, engine) in timing.runs.iter_mut().zip(InterEngine::ALL) {
         t.backend = Some(engine.name().to_string());
     }
-    let sun = &result.runs[0].value;
-    let varys = &result.runs[1].value;
-    let aalo = &result.runs[2].value;
+    let sun = &values[0];
+    let varys = &values[1];
+    let aalo = &values[2];
 
     let mut report = Report::new("Figure 9 — per-Coflow CCT: Sunflow vs Varys/Aalo (B=1G)");
 

@@ -120,23 +120,23 @@ pub fn run_measured() -> (Report, SweepTiming) {
             eval_kind(coflows, &slow, kind)
         });
     }
-    let result = sweep.run();
-    let mut timing = crate::timing_of(&result);
-    for (t, run) in timing.runs.iter_mut().zip(&result.runs) {
-        t.backend = Some(run.value.backend.to_string());
-        t.counters = run.value.counters.clone();
+    let (values, mut timing) = sweep.run();
+    for (t, run) in timing.runs.iter_mut().zip(&values) {
+        t.backend = Some(run.backend.to_string());
+        t.counters = run.counters.clone();
     }
 
-    let run_of = |label: &str| -> &ocs_sim::SweepRun<HRun> {
-        result
+    let run_of = |label: &str| -> &HRun {
+        let i = timing
             .runs
             .iter()
-            .find(|r| r.label == label)
-            .expect("every swept label has a run")
+            .position(|t| t.label == label)
+            .expect("every swept label has a run");
+        &values[i]
     };
-    let sunflow = run_of("sunflow").value.avg;
-    let varys = run_of("varys").value.avg;
-    let solver = run_of(&hybrid(SplitKind::Solver).selector()).value.avg;
+    let sunflow = run_of("sunflow").avg;
+    let varys = run_of("varys").avg;
+    let solver = run_of(&hybrid(SplitKind::Solver).selector()).avg;
 
     let mut report = Report::new(
         "Hybrid fabric — split policies vs pure Sunflow and Varys on the FB trace (10% packet bw)",
@@ -154,9 +154,8 @@ pub fn run_measured() -> (Report, SweepTiming) {
         0.0,
     );
     let threshold_run = run_of(&threshold.selector());
-    let counter_of = |run: &ocs_sim::SweepRun<HRun>, name: &str| -> u64 {
-        run.value
-            .counters
+    let counter_of = |run: &HRun, name: &str| -> u64 {
+        run.counters
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
@@ -176,7 +175,7 @@ pub fn run_measured() -> (Report, SweepTiming) {
     );
     let best_hybrid = SplitKind::ALL
         .iter()
-        .map(|&split| run_of(&hybrid(split).selector()).value.avg)
+        .map(|&split| run_of(&hybrid(split).selector()).avg)
         .fold(f64::INFINITY, f64::min);
     report.claim(
         "at delta=10ms, pure sunflow within 5% of the best hybrid (indicator)",
@@ -188,8 +187,8 @@ pub fn run_measured() -> (Report, SweepTiming) {
         },
         0.0,
     );
-    let sunflow_slow = run_of(&format!("sunflow{SLOW}")).value.avg;
-    let threshold_slow = run_of(&format!("{}{SLOW}", threshold.selector())).value.avg;
+    let sunflow_slow = run_of(&format!("sunflow{SLOW}")).avg;
+    let threshold_slow = run_of(&format!("{}{SLOW}", threshold.selector())).avg;
     report.claim(
         "at delta=100ms, hybrid:threshold beats pure sunflow on avg CCT (indicator)",
         1.0,
@@ -213,9 +212,9 @@ pub fn run_measured() -> (Report, SweepTiming) {
         report.note(format!(
             "hybrid:{split}: avg CCT {:.3}s ({:.2}x of sunflow, {:.2}x of varys) — \
              {} subflows / {} MB to packets, {} split evals",
-            run.value.avg,
-            run.value.avg / sunflow,
-            run.value.avg / varys,
+            run.avg,
+            run.avg / sunflow,
+            run.avg / varys,
             counter_of(run, "subflows_split"),
             counter_of(run, "bytes_to_packet") / (1 << 20),
             counter_of(run, "split_evals"),

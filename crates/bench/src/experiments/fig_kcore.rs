@@ -135,19 +135,19 @@ pub fn run_measured() -> (Report, SweepTiming) {
         };
         sweep.add_measured(label, move || eval_kind(coflows, &fabric_gbps(1), kind));
     }
-    let result = sweep.run();
-    let mut timing = crate::timing_of(&result);
-    for (t, run) in timing.runs.iter_mut().zip(&result.runs) {
-        t.backend = Some(run.value.backend.to_string());
-        t.counters = run.value.counters.clone();
+    let (values, mut timing) = sweep.run();
+    for (t, run) in timing.runs.iter_mut().zip(&values) {
+        t.backend = Some(run.backend.to_string());
+        t.counters = run.counters.clone();
     }
 
     let avg_of = |label: &str| -> f64 {
-        result
+        timing
             .runs
             .iter()
-            .find(|r| r.label == label)
-            .map(|r| r.value.avg)
+            .zip(&values)
+            .find(|(t, _)| t.label == label)
+            .map(|(_, run)| run.avg)
             .unwrap_or(f64::NAN)
     };
     let single = avg_of("single-switch");

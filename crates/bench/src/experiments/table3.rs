@@ -15,6 +15,7 @@
 //!    subflows": Sunflow on a dense 55 × 55 shuffle (3 025 subflows) on
 //!    a 150-port, 1 Gbps, δ = 10 ms fabric.
 
+use crate::sweep::Sweep;
 use ocs_baselines::CircuitScheduler;
 use ocs_metrics::{Report, SweepTiming};
 use ocs_model::{Bandwidth, Coflow, DemandMatrix, Dur, Fabric};
@@ -91,7 +92,7 @@ fn sunflow_time(coflow: &Coflow, fabric: &Fabric) -> f64 {
 /// timings.
 ///
 /// Timing-measurement jobs interfere when co-scheduled, so this sweep
-/// deliberately uses [`ocs_sim::Sweep::run_sequential`]; each job reports
+/// deliberately runs on one thread; each job reports
 /// its median scheduler time as the sweep's `compute` column.
 pub fn run_measured() -> (Report, SweepTiming) {
     let mut report = Report::new("Table 3 — empirical scheduler compute-time scaling");
@@ -112,7 +113,7 @@ pub fn run_measured() -> (Report, SweepTiming) {
         // edmond_default() is not const; resolved below.
         (ocs_sim::BackendKind::Edmond.name(), None),
     ];
-    let mut sweep = crate::sweep::<f64>();
+    let mut sweep = Sweep::new(1);
     for &n in &sizes {
         for (name, sched) in schedulers {
             let sched = if name == ocs_sim::BackendKind::Edmond.name() {
@@ -148,8 +149,7 @@ pub fn run_measured() -> (Report, SweepTiming) {
         let t = sunflow_time(&coflow, &fabric);
         (t, Duration::from_secs_f64(t))
     });
-    let result = sweep.run_sequential();
-    let mut timing = crate::timing_of(&result);
+    let (values, mut timing) = sweep.run();
 
     let names = [
         ocs_sim::BackendKind::Sunflow.name(),
@@ -172,7 +172,7 @@ pub fn run_measured() -> (Report, SweepTiming) {
         .enumerate()
         .map(|(k, name)| {
             let ts = (0..sizes.len())
-                .map(|si| result.runs[si * names.len() + k].value)
+                .map(|si| values[si * names.len() + k])
                 .collect();
             (name.to_string(), ts)
         })
@@ -193,9 +193,7 @@ pub fn run_measured() -> (Report, SweepTiming) {
     }
 
     let fixed_base = sizes.len() * names.len();
-    let sun_fixed: Vec<f64> = (0..ports.len())
-        .map(|pi| result.runs[fixed_base + pi].value)
-        .collect();
+    let sun_fixed: Vec<f64> = (0..ports.len()).map(|pi| values[fixed_base + pi]).collect();
     report.note(format!(
         "fixed |C|=64: Sunflow {} — complexity tracks |C|, not N",
         ports
@@ -230,7 +228,7 @@ pub fn run_measured() -> (Report, SweepTiming) {
         0.001,
     );
 
-    let latency = result.runs[fixed_base + ports.len()].value;
+    let latency = values[fixed_base + ports.len()];
     report.note(format!(
         "§6 latency: Sunflow schedules a dense 55x55 shuffle (3025 subflows) \
          on 150 ports in {:.1}ms (paper: < 1 s)",

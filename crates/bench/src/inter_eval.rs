@@ -61,7 +61,7 @@ pub fn eval_inter(coflows: &[Coflow], fabric: &Fabric, engine: InterEngine) -> V
 }
 
 /// [`eval_inter`] plus the scheduler-compute duration of the replay, for
-/// [`ocs_sim::Sweep::add_measured`] (the `compute_s` field of the
+/// [`crate::sweep::Sweep::add_measured`] (the `compute_s` field of the
 /// `BENCH_<id>.json` records). For Sunflow this is the replay engine's
 /// own rescheduling time from [`ocs_sim::ReplayStats`]; for the
 /// packet-switched baselines it is the rate scheduler's `allocate`

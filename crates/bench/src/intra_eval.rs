@@ -57,7 +57,7 @@ pub fn eval_intra(coflows: &[Coflow], fabric: &Fabric, engine: IntraEngine) -> V
 
 /// [`eval_intra`] plus the scheduler-compute duration — the summed time
 /// of the `engine.service` calls alone, bounds and row bookkeeping
-/// excluded — for [`ocs_sim::Sweep::add_measured`] (the `compute_s`
+/// excluded — for [`crate::sweep::Sweep::add_measured`] (the `compute_s`
 /// field of the `BENCH_<id>.json` records).
 pub fn eval_intra_measured(
     coflows: &[Coflow],

@@ -4,7 +4,9 @@
 //! evaluation. Each experiment lives in [`experiments`] and is exposed as
 //! a bench target (`cargo bench -p ocs-bench --bench fig3`, etc.), so
 //! `cargo bench` regenerates the full evaluation; results are recorded in
-//! the repository's `EXPERIMENTS.md`.
+//! the repository's `EXPERIMENTS.md`. The experiments fan their
+//! independent configurations out over cores through [`sweep::Sweep`],
+//! which fills each record's `SweepTiming` directly.
 //!
 //! Knobs (environment variables):
 //! * `OCS_TRACE_FILE` — path to a real `coflow-benchmark` trace to use
@@ -23,11 +25,12 @@
 pub mod experiments;
 pub mod inter_eval;
 pub mod intra_eval;
+pub mod sweep;
 pub mod workloads;
 
-use ocs_metrics::{Report, RunTiming, SweepTiming};
-use ocs_sim::{Sweep, SweepBuilder, SweepResult};
+use ocs_metrics::{Report, SweepTiming};
 use std::path::PathBuf;
+use sweep::Sweep;
 
 /// Interpret an `OCS_BENCH_THREADS` value: unset or empty means 0
 /// ("all cores"); anything else must be a non-negative integer. A typo
@@ -77,27 +80,7 @@ pub fn sweep<'a, T: Send>() -> Sweep<'a, T> {
         Ok(n) => n,
         Err(msg) => panic!("{msg}"),
     };
-    SweepBuilder::new().threads(threads).build()
-}
-
-/// Extract the timing summary of a finished sweep.
-pub fn timing_of<T>(result: &SweepResult<T>) -> SweepTiming {
-    SweepTiming {
-        runs: result
-            .runs
-            .iter()
-            .map(|r| RunTiming {
-                label: r.label.clone(),
-                wall_s: r.wall.as_secs_f64(),
-                compute_s: r.compute.map(|d| d.as_secs_f64()),
-                backend: None,
-                counters: Vec::new(),
-            })
-            .collect(),
-        wall_s: result.wall.as_secs_f64(),
-        threads: result.threads,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
+    Sweep::new(threads)
 }
 
 /// Tag every run of a sweep timing with the canonical scheduler name

@@ -1,9 +1,10 @@
 //! The contract the bench runners rely on: a parallel sweep over real
-//! simulation configurations produces **byte-identical** results to the
-//! sequential path for the same seeds, in the same order.
+//! simulation configurations produces **byte-identical** results to a
+//! one-thread sweep for the same seeds, in the same order.
 
+use ocs_bench::sweep::Sweep;
+use ocs_metrics::SweepTiming;
 use ocs_model::{Bandwidth, Coflow, Dur, Fabric, Time};
-use ocs_sim::sweep::{Sweep, SweepBuilder, SweepResult};
 use ocs_sim::{run_intra, simulate_circuit, ActiveCircuitPolicy, IntraEngine, OnlineConfig};
 use rand::{Rng, SeedableRng};
 use sunflow_core::{ShortestFirst, SunflowConfig};
@@ -30,16 +31,21 @@ fn trace(seed: u64) -> Vec<Coflow> {
 
 /// Render everything an experiment would consume to a canonical string;
 /// equality of these strings is the byte-identical guarantee.
-fn canonical<T: std::fmt::Debug>(result: &SweepResult<T>) -> String {
-    result
+fn canonical<T: std::fmt::Debug>((values, timing): (Vec<T>, SweepTiming)) -> String {
+    timing
         .runs
         .iter()
-        .map(|r| format!("{}={:?}\n", r.label, r.value))
+        .zip(values)
+        .map(|(r, value)| format!("{}={value:?}\n", r.label))
         .collect()
 }
 
-fn build_online_sweep<'a>(fabric: &'a Fabric, traces: &'a [Vec<Coflow>]) -> Sweep<'a, String> {
-    let mut sweep = SweepBuilder::new().threads(4).build();
+fn build_online_sweep<'a>(
+    fabric: &'a Fabric,
+    traces: &'a [Vec<Coflow>],
+    threads: usize,
+) -> Sweep<'a, String> {
+    let mut sweep = Sweep::new(threads);
     for (i, coflows) in traces.iter().enumerate() {
         for policy in [
             ActiveCircuitPolicy::Keep,
@@ -61,11 +67,11 @@ fn parallel_online_sweep_is_byte_identical_to_sequential() {
     let fabric = fabric();
     let traces: Vec<Vec<Coflow>> = (0..4).map(|s| trace(s * 101 + 7)).collect();
 
-    let par = build_online_sweep(&fabric, &traces).run();
-    let seq = build_online_sweep(&fabric, &traces).run_sequential();
+    let par = build_online_sweep(&fabric, &traces, 4).run();
+    let seq = build_online_sweep(&fabric, &traces, 1).run();
 
-    assert_eq!(par.runs.len(), 12);
-    assert_eq!(canonical(&par), canonical(&seq));
+    assert_eq!((par.0.len(), par.1.threads), (12, 4));
+    assert_eq!(canonical(par), canonical(seq));
 }
 
 #[test]
@@ -73,8 +79,8 @@ fn parallel_intra_sweep_is_byte_identical_to_sequential() {
     let fabric = fabric();
     let traces: Vec<Vec<Coflow>> = (0..6).map(|s| trace(s * 31 + 1)).collect();
 
-    let build = || {
-        let mut sweep = SweepBuilder::new().threads(3).build();
+    let build = |threads| {
+        let mut sweep = Sweep::new(threads);
         for (i, coflows) in traces.iter().enumerate() {
             let fabric = &fabric;
             sweep.add(format!("trace{i}"), move || {
@@ -89,10 +95,9 @@ fn parallel_intra_sweep_is_byte_identical_to_sequential() {
         sweep
     };
 
-    assert_eq!(
-        canonical(&build().run()),
-        canonical(&build().run_sequential())
-    );
+    let par = build(3).run();
+    assert_eq!(par.1.threads, 3);
+    assert_eq!(canonical(par), canonical(build(1).run()));
 }
 
 #[test]
@@ -100,11 +105,11 @@ fn repeated_parallel_runs_agree() {
     // Thread interleavings vary run to run; results must not.
     let fabric = fabric();
     let traces: Vec<Vec<Coflow>> = (0..3).map(trace).collect();
-    let first = canonical(&build_online_sweep(&fabric, &traces).run());
+    let first = canonical(build_online_sweep(&fabric, &traces, 4).run());
     for _ in 0..3 {
         assert_eq!(
             first,
-            canonical(&build_online_sweep(&fabric, &traces).run())
+            canonical(build_online_sweep(&fabric, &traces, 4).run())
         );
     }
 }

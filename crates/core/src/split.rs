@@ -238,7 +238,7 @@ impl SplitPolicy for ThresholdSplit {
 ///
 /// The circuit estimate is a *probe* of the live PRT, and an evaluation
 /// plans it only when two cheap bounds cannot decide the bisection step
-/// (see [`bounded_probe`](Self::bounded_probe)); the packet estimate is
+/// (see `bounded_probe`); the packet estimate is
 /// the slim fabric's per-port backlog plus the carve's own processing
 /// time (see [`SplitContext::packet_estimate`]).
 pub struct SolverSplit {

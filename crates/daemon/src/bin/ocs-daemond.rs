@@ -19,6 +19,7 @@
 //! front end in-process, reporting admission throughput and
 //! admission-to-schedule latency quantiles — the daemon's soak harness.
 
+use ocs_daemon::jsonl::MAX_ARRIVAL_MS;
 use ocs_daemon::{
     run_pipelined, run_to_completion, ArrivalSpec, Daemon, DaemonConfig, IngestMode, OnFull,
     PipelineConfig, PolicyKind, ServeReport, TcpServer,
@@ -252,9 +253,12 @@ fn parse_run(args: &mut Args) -> Result<RunOpts, String> {
             "--max-queue" => opts.config.admission.max_queue_depth = args.parsed("--max-queue")?,
             "--max-outstanding-secs" => {
                 let secs: f64 = args.parsed("--max-outstanding-secs")?;
-                if !secs.is_finite() || secs <= 0.0 {
+                // The arrival horizon bounds the cap too (see `ocs_daemon::jsonl`).
+                let horizon = Dur::from_millis(MAX_ARRIVAL_MS);
+                if !(secs > 0.0 && secs <= horizon.as_secs_f64()) {
                     return Err(format!(
-                        "--max-outstanding-secs must be positive, got {secs}"
+                        "--max-outstanding-secs must be positive and at most {}, got {secs}",
+                        horizon.as_secs_f64()
                     ));
                 }
                 opts.config.admission.max_outstanding = Dur::from_secs_f64(secs);
@@ -606,6 +610,10 @@ mod tests {
             usage_error(&["--bandwidth-gbps", "18446744073709551615"]).contains("--bandwidth-gbps")
         );
         assert!(usage_error(&["--delta-us", "18446744073709551615"]).contains("--delta-us"));
+        for cap in ["0", "NaN", "4294967.297", "1e30"] {
+            let err = usage_error(&["--max-outstanding-secs", cap]);
+            assert!(err.contains("--max-outstanding-secs"), "{cap}: {err}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   batch entry points rely on the same property); `pipelined_matches_
 //!   sequential_replay` below pins it.
 //! * Acks from both stages are re-sequenced to input-line order by an
-//!   [`AckMux`] min-heap on the writer thread, so clients still read one
+//!   `AckMux` min-heap on the writer thread, so clients still read one
 //!   verdict per line, in order, with no line lost.
 //!
 //! One semantic difference from the sequential loop, by design: the
@@ -183,7 +183,8 @@ struct ReaderStats {
     backpressure_waits: u64,
 }
 
-fn error_ack(lineno: u64, err: &str) -> String {
+/// The ack of a line that failed to parse; both ingestion loops send it.
+pub(crate) fn error_ack(lineno: u64, err: &str) -> String {
     format!(
         "{{\"line\": {}, \"ok\": false, \"error\": \"{}\"}}",
         lineno,
@@ -191,7 +192,8 @@ fn error_ack(lineno: u64, err: &str) -> String {
     )
 }
 
-fn verdict_ack(lineno: u64, id: u64, verdict: Result<(), RejectReason>) -> String {
+/// The ack of a parsed line: admitted, or rejected with its reason.
+pub(crate) fn verdict_ack(lineno: u64, id: u64, verdict: Result<(), RejectReason>) -> String {
     match verdict {
         Ok(()) => format!("{{\"line\": {lineno}, \"id\": {id}, \"ok\": true}}"),
         Err(reason) => {
@@ -382,8 +384,8 @@ mod tests {
         })
     }
 
-    /// An ordered trace exercising accepts, a duplicate reject, a parse
-    /// error and a clockless line.
+    /// An ordered trace exercising accepts, duplicate rejects, parse
+    /// errors and a clockless line.
     fn trace(n: u64) -> String {
         let mut out = String::from("# pipelined ingest test trace\n");
         for i in 0..n {
@@ -395,6 +397,14 @@ mod tests {
                 (i + 1) % 4,
                 200_000 + i * 1_000,
             ));
+            if i == n / 2 {
+                // Mid-stream, while Coflow `i` is still queued.
+                out.push_str(&format!(
+                    "{{\"id\": {i}, \"arrival_ms\": {}, \"flows\": [[0, 1, 1]]}}\n",
+                    i * 2
+                ));
+                out.push_str("{\"id\": 7, \"flows\": [[0, 1, 1]\n");
+            }
         }
         out.push_str("{\"id\": 1, \"arrival_ms\": 999, \"flows\": [[0, 1, 1]]}\n"); // duplicate
         out.push_str("definitely not json\n");
@@ -448,12 +458,16 @@ mod tests {
         assert_eq!(pipe.accepted, seq.accepted);
         assert_eq!(pipe.rejected, seq.rejected);
         assert_eq!(pipe.lost_acks(), 0);
-        // Ack streams are identical line for line: nothing lost, nothing
-        // reordered.
+        // Ack streams are identical line for line, in all three shapes:
+        // nothing lost, nothing reordered, each shape formatted once.
+        let seq_acks = String::from_utf8(seq_acks).unwrap();
         assert_eq!(
-            String::from_utf8(pipe_acks).unwrap(),
-            String::from_utf8(seq_acks).unwrap()
+            seq_acks.matches("\"ok\": true").count() as u64,
+            seq.accepted
         );
+        assert_eq!(seq_acks.matches("\"reject\": \"duplicate_id\"").count(), 2);
+        assert_eq!(seq_acks.matches("\"error\": ").count(), 2);
+        assert_eq!(String::from_utf8(pipe_acks).unwrap(), seq_acks);
         // And the schedules are byte-identical: batch-submit-then-advance
         // queues future arrivals exactly as the per-line loop does.
         let key = |d: &Daemon| {

@@ -6,9 +6,22 @@
 //! ```
 //!
 //! * `id` — unique Coflow id (non-negative integer, required);
-//! * `arrival_ms` — virtual arrival time in milliseconds (optional; a
-//!   line without it arrives "now", i.e. at the daemon's current clock);
+//! * `arrival_ms` — virtual arrival time in milliseconds, at most
+//!   [`MAX_ARRIVAL_MS`] (optional; a line without it arrives "now", i.e.
+//!   at the daemon's current clock);
 //! * `flows` — non-empty array of `[src_port, dst_port, bytes]` triples.
+//!
+//! Why an arrival horizon: every instant the daemon plans is at most the
+//! latest arrival, plus the admitted backlog's transmit demand, plus the
+//! reconfiguration delays δ paid on the way. `Time::MAX` is 2^64 − 1 ps
+//! (about 213 days), over 4.29 times [`MAX_ARRIVAL_MS`] = 2^32 ms (about
+//! 49.7 days). The admission demand cap defaults to the same horizon
+//! (`AdmissionConfig::max_outstanding`, and `--max-outstanding-secs` may
+//! not exceed it), so arrival plus backlog stays within 2^33 ms and more
+//! than 2^33 ms (about 99 days) of clock remain for the δs: over 8·10^9
+//! reconfigurations at the daemon's default δ = 1 ms. A flow whose own
+//! transfer time does not fit the clock is refused at admission as
+//! `demand_cap`.
 //!
 //! The parser is a small hand-rolled recursive-descent JSON reader (the
 //! workspace carries no external dependencies); unknown keys are ignored
@@ -17,6 +30,10 @@
 use ocs_model::{Coflow, Time};
 use std::collections::HashMap;
 use std::fmt;
+
+/// The latest `arrival_ms` a line may carry: 2^32 ms, about 49.7 days
+/// (see the module docs for why the clock needs a horizon).
+pub const MAX_ARRIVAL_MS: u64 = 1 << 32;
 
 /// One parsed arrival line.
 #[derive(Clone, Debug, PartialEq)]
@@ -311,6 +328,12 @@ pub fn parse_line(line: &str) -> Result<ArrivalSpec, ParseError> {
         .get("arrival_ms")
         .map(|v| as_u64(v, "\"arrival_ms\""))
         .transpose()?;
+    if arrival_ms.is_some_and(|ms| ms > MAX_ARRIVAL_MS) {
+        return Err(ParseError {
+            reason: format!("\"arrival_ms\" must be at most {MAX_ARRIVAL_MS}"),
+            at: 0,
+        });
+    }
     let Some(Value::Arr(raw_flows)) = obj.get("flows") else {
         return Err(ParseError {
             reason: "missing or non-array \"flows\"".into(),
@@ -367,6 +390,8 @@ mod tests {
         assert_eq!(s.id, 17);
         assert_eq!(s.arrival_ms, Some(250));
         assert_eq!(s.flows, vec![(0, 3, 1_000_000), (2, 1, 5)]);
+        let edge = format!(r#"{{"id": 1, "arrival_ms": {MAX_ARRIVAL_MS}, "flows": [[0, 1, 9]]}}"#);
+        assert_eq!(parse_line(&edge).unwrap().arrival_ms, Some(MAX_ARRIVAL_MS));
     }
 
     #[test]
@@ -408,6 +433,10 @@ mod tests {
             (r#"{"id": 1, "flows": []}"#, "non-empty"),
             (r#"{"id": 1, "flows": [[0, 1]]}"#, "[src, dst, bytes]"),
             (r#"{"id": 1, "flows": [[0, 1, 0]]}"#, "positive"),
+            (
+                r#"{"id": 1, "arrival_ms": 4294967297, "flows": [[0, 1, 9]]}"#,
+                "\"arrival_ms\" must be at most",
+            ),
             (r#"{"id": 1, "flows": [[0, 1, 9]]} extra"#, "trailing"),
             (r#"{"id": 1, "flows": [[0, 1, 9]"#, "expected"),
         ] {

@@ -26,7 +26,7 @@
 //! kernel's accept queue, not a timer. [`serve_tcp`] keeps the original
 //! one-shot convenience wrapper around all of it.
 
-use crate::ingest::{run_pipelined, PipelineConfig};
+use crate::ingest::{error_ack, run_pipelined, verdict_ack, PipelineConfig};
 use crate::jsonl::parse_line;
 use crate::service::Daemon;
 use ocs_model::Time;
@@ -96,25 +96,19 @@ pub fn run_to_completion(
     mut ack_out: Option<&mut dyn Write>,
 ) -> std::io::Result<ServeReport> {
     let mut report = ServeReport::default();
-    for (lineno, line) in input.lines().enumerate() {
+    for (idx, line) in input.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
         report.lines += 1;
+        let lineno = idx as u64 + 1;
         let spec = match parse_line(trimmed) {
             Ok(spec) => spec,
             Err(e) => {
                 report.parse_errors += 1;
-                ack(
-                    &mut ack_out,
-                    &format!(
-                        "{{\"line\": {}, \"ok\": false, \"error\": \"{}\"}}",
-                        lineno + 1,
-                        e.to_string().replace('\\', "\\\\").replace('"', "\\\""),
-                    ),
-                )?;
+                ack(&mut ack_out, &error_ack(lineno, &e.to_string()))?;
                 continue;
             }
         };
@@ -126,31 +120,12 @@ pub fn run_to_completion(
                 report.events += daemon.advance_to(t);
             }
         }
-        match daemon.submit_spec(&spec) {
-            Ok(()) => {
-                report.accepted += 1;
-                ack(
-                    &mut ack_out,
-                    &format!(
-                        "{{\"line\": {}, \"id\": {}, \"ok\": true}}",
-                        lineno + 1,
-                        spec.id
-                    ),
-                )?;
-            }
-            Err(reason) => {
-                report.rejected += 1;
-                ack(
-                    &mut ack_out,
-                    &format!(
-                        "{{\"line\": {}, \"id\": {}, \"ok\": false, \"reject\": \"{}\"}}",
-                        lineno + 1,
-                        spec.id,
-                        reason
-                    ),
-                )?;
-            }
+        let verdict = daemon.submit_spec(&spec);
+        match verdict {
+            Ok(()) => report.accepted += 1,
+            Err(_) => report.rejected += 1,
         }
+        ack(&mut ack_out, &verdict_ack(lineno, spec.id, verdict))?;
     }
     report.events += daemon.drain();
     Ok(report)

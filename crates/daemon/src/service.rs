@@ -16,7 +16,7 @@
 //! work for every scheduler without backend-internal snapshots.
 
 use crate::faults::{FaultConfig, FaultInjector, FaultStats};
-use crate::jsonl::ArrivalSpec;
+use crate::jsonl::{ArrivalSpec, MAX_ARRIVAL_MS};
 use ocs_metrics::{Histogram, PromRenderer};
 use ocs_model::{Coflow, Dur, Fabric, Time};
 use ocs_sim::{BackendKind, Completion, OnlineConfig, ReplayStats, SchedulingBackend, SubmitError};
@@ -142,7 +142,9 @@ pub struct AdmissionConfig {
     /// Maximum Coflows queued or in service at once.
     pub max_queue_depth: usize,
     /// Maximum total unserved transmit demand (sum of per-flow
-    /// processing times) across admitted Coflows.
+    /// processing times) across admitted Coflows. Defaults to the wire
+    /// format's arrival horizon, [`MAX_ARRIVAL_MS`], which keeps every
+    /// planned instant on the picosecond clock (see [`crate::jsonl`]).
     pub max_outstanding: Dur,
 }
 
@@ -150,7 +152,7 @@ impl Default for AdmissionConfig {
     fn default() -> AdmissionConfig {
         AdmissionConfig {
             max_queue_depth: 4_096,
-            max_outstanding: Dur::MAX,
+            max_outstanding: Dur::from_millis(MAX_ARRIVAL_MS),
         }
     }
 }
@@ -324,13 +326,14 @@ impl Daemon {
         self.config.policy
     }
 
-    /// Total transmit demand of `coflow` on this fabric.
-    fn coflow_demand(&self, coflow: &Coflow) -> Dur {
-        coflow
-            .flows()
-            .iter()
-            .map(|f| self.config.fabric.processing_time(f.bytes))
-            .sum()
+    /// Total transmit demand of `coflow` on this fabric, or `None` when
+    /// it overflows the picosecond clock.
+    fn coflow_demand(&self, coflow: &Coflow) -> Option<Dur> {
+        let bandwidth = self.config.fabric.bandwidth();
+        coflow.flows().iter().try_fold(Dur::ZERO, |sum, f| {
+            let p = bandwidth.checked_transfer_time(f.bytes)?;
+            sum.as_ps().checked_add(p.as_ps()).map(Dur::from_ps)
+        })
     }
 
     fn reject(&mut self, reason: RejectReason) -> Result<(), RejectReason> {
@@ -352,15 +355,15 @@ impl Daemon {
         if depth >= self.config.admission.max_queue_depth {
             return self.reject(RejectReason::QueueFull);
         }
-        let demand = self.coflow_demand(&coflow);
-        if status
-            .outstanding_demand
-            .as_ps()
-            .checked_add(demand.as_ps())
-            .is_none_or(|total| total > self.config.admission.max_outstanding.as_ps())
-        {
+        let Some(demand) = self.coflow_demand(&coflow).filter(|demand| {
+            status
+                .outstanding_demand
+                .as_ps()
+                .checked_add(demand.as_ps())
+                .is_some_and(|total| total <= self.config.admission.max_outstanding.as_ps())
+        }) else {
             return self.reject(RejectReason::DemandCap);
-        }
+        };
         let bytes = coflow.total_bytes();
         match self.backend.submit(coflow) {
             Ok(()) => {

@@ -105,11 +105,6 @@ impl Dur {
         Dur(ps)
     }
 
-    /// Construct from integral nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Dur {
-        Dur(ns * PS_PER_NS)
-    }
-
     /// Construct from integral microseconds.
     pub const fn from_micros(us: u64) -> Dur {
         Dur(us * PS_PER_US)
@@ -326,11 +321,21 @@ impl Bandwidth {
     /// `p = ceil(bytes * 8 / B)`, expressed in picoseconds.
     ///
     /// This is Equation (1) of the paper, `p_ij = d_ij / B`.
+    ///
+    /// # Panics
+    /// Panics if the time does not fit the picosecond clock; see
+    /// [`Bandwidth::checked_transfer_time`].
     pub fn transfer_time(self, bytes: u64) -> Dur {
+        self.checked_transfer_time(bytes)
+            .expect("transfer time overflows u64 ps")
+    }
+
+    /// [`Bandwidth::transfer_time`], or `None` when it exceeds
+    /// [`Dur::MAX`] (about 2.3 PB at 1 Gbps).
+    pub fn checked_transfer_time(self, bytes: u64) -> Option<Dur> {
         let bits = (bytes as u128) * 8 * (PS_PER_SEC as u128);
         let ps = bits.div_ceil(self.0 as u128);
-        assert!(ps <= u64::MAX as u128, "transfer time overflows u64 ps");
-        Dur::from_ps(ps as u64)
+        u64::try_from(ps).ok().map(Dur::from_ps)
     }
 
     /// Inverse of [`Bandwidth::transfer_time`]: the number of bytes fully

@@ -44,13 +44,12 @@
 //! * [`aggregate`] — the §3.2 straw man, measured: Solstice/TMS/Edmond
 //!   forced to schedule all outstanding Coflows as one aggregated demand
 //!   matrix, with FIFO service attribution.
-//! * [`sweep`] — the parallel experiment sweep engine: independent
-//!   (trace, B, δ, policy) configurations fanned out over scoped worker
-//!   threads with deterministic result ordering and per-run timings.
 //!
 //! The rate allocators themselves live in `ocs-packet` and the
 //! assignment algorithms in `ocs-baselines`; every backend produces
-//! [`ocs_model::ScheduleOutcome`]s so results compare directly.
+//! [`ocs_model::ScheduleOutcome`]s so results compare directly. Every
+//! replay runs on the calling thread: the sweep that fans experiment
+//! configurations out over cores is `ocs-bench`'s.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,7 +66,6 @@ pub mod multicore;
 pub mod online;
 pub mod portgroup;
 pub mod stepper;
-pub mod sweep;
 
 pub use aggregate::simulate_circuit_aggregated;
 pub use backend::{
@@ -81,4 +79,3 @@ pub use multicore::{KCoreBackend, MultiSunflowBackend};
 pub use online::{simulate_circuit, ActiveCircuitPolicy, OnlineConfig, ReplayResult, ReplayStats};
 pub use portgroup::PortGroupBackend;
 pub use stepper::{Completion, FullService, OnlineStepper, SettleHook, SettleVerdict, SubmitError};
-pub use sweep::{Sweep, SweepBuilder, SweepResult, SweepRun};

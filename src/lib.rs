@@ -82,10 +82,9 @@ pub mod prelude {
     pub use sunflow_core::{
         FlowOrder, GuardConfig, IntraScheduler, Prt, ShortestFirst, SunflowConfig,
     };
-    // The unified engine, simulation drivers and the parallel sweep.
+    // The unified engine and the simulation drivers.
     pub use ocs_sim::{
         run_intra, simulate_circuit, simulate_packet, ActiveCircuitPolicy, BackendKind,
-        IntraEngine, OnlineConfig, ReplayResult, ReplayStats, SchedulingBackend, Sweep,
-        SweepBuilder,
+        IntraEngine, OnlineConfig, ReplayResult, ReplayStats, SchedulingBackend,
     };
 }
