@@ -82,8 +82,19 @@ pub struct DeltaStorage {
     /// Same list for output ports.
     touched_out: Vec<usize>,
     /// Every reservation the planner made through this view, in creation
-    /// order, tagged `true` when it confirmed a masked entry.
-    log: Vec<(Reservation, bool)>,
+    /// order.
+    log: Vec<Logged>,
+}
+
+/// One reservation made through a [`DeltaView`]: the caller's tag for
+/// its owner ([`DeltaView::plan_for`]) and whether it confirmed a masked
+/// entry. Walks that pause and resume interleave their reservations, so
+/// the owner is recorded, not inferred from the order.
+#[derive(Clone, Copy, Debug)]
+struct Logged {
+    resv: Reservation,
+    owner: usize,
+    reused: bool,
 }
 
 impl DeltaStorage {
@@ -160,6 +171,8 @@ pub struct DeltaView<'a> {
     store: DeltaStorage,
     reused: u64,
     sealed: bool,
+    /// The tag [`DeltaView::reserve`] logs reservations under.
+    owner: usize,
 }
 
 impl<'a> DeltaView<'a> {
@@ -174,7 +187,15 @@ impl<'a> DeltaView<'a> {
             store,
             reused: 0,
             sealed: false,
+            owner: 0,
         }
+    }
+
+    /// Log the reservations made from here on under `owner` (any tag the
+    /// caller chooses, `0` until set); [`DeltaPlan::fresh`] reports it.
+    /// Returns the tag it replaces, so a nested planner can restore it.
+    pub fn plan_for(&mut self, owner: usize) -> usize {
+        std::mem::replace(&mut self.owner, owner)
     }
 
     /// Hide `coflow`'s reservations with `start >= now` from the view —
@@ -381,7 +402,11 @@ impl PlanTable for DeltaView<'_> {
             if !m.confirmed && m.resv.dst == dst && m.resv.end == end && m.resv.flow == flow {
                 m.confirmed = true;
                 self.reused += 1;
-                self.store.log.push((resv, true));
+                self.store.log.push(Logged {
+                    resv,
+                    owner: self.owner,
+                    reused: true,
+                });
                 self.overlay_both(src, dst, start, end);
                 return;
             }
@@ -391,7 +416,11 @@ impl PlanTable for DeltaView<'_> {
             "fresh reservation overlaps the visible state"
         );
         self.overlay_both(src, dst, start, end);
-        self.store.log.push((resv, false));
+        self.store.log.push(Logged {
+            resv,
+            owner: self.owner,
+            reused: false,
+        });
     }
 }
 
@@ -424,13 +453,20 @@ impl DeltaPlan {
         self.store.log.len() as u64 - self.reused
     }
 
-    /// The newly planned reservations, in creation order.
-    pub fn fresh(&self) -> impl Iterator<Item = &Reservation> {
+    /// Number of reservations planned through the view, confirmed or
+    /// fresh.
+    pub fn made_len(&self) -> u64 {
+        self.store.log.len() as u64
+    }
+
+    /// The newly planned reservations, in creation order, each with the
+    /// owner tag it was planned under ([`DeltaView::plan_for`]).
+    pub fn fresh(&self) -> impl Iterator<Item = (usize, &Reservation)> {
         self.store
             .log
             .iter()
-            .filter(|(_, reused)| !reused)
-            .map(|(r, _)| r)
+            .filter(|l| !l.reused)
+            .map(|l| (l.owner, &l.resv))
     }
 
     /// Apply the diff to the table the view was built over: remove every
@@ -447,7 +483,7 @@ impl DeltaPlan {
                 removed.push(rem);
             }
         }
-        for (r, _) in self.store.log.iter().filter(|(_, reused)| !reused) {
+        for (_, r) in self.fresh() {
             prt.reserve(r.src, r.dst, r.start, r.end, ResvKind::Flow(r.flow));
         }
     }
@@ -491,7 +527,7 @@ mod tests {
                 removed.push(rem);
             }
         }
-        for (r, _) in &plan.store.log {
+        for Logged { resv: r, .. } in &plan.store.log {
             prt.reserve(r.src, r.dst, r.start, r.end, ResvKind::Flow(r.flow));
         }
     }

@@ -17,11 +17,25 @@ use ocs_model::{packet_lower_bound, Coflow, Fabric};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
+/// A Coflow's place in a [`PriorityPolicy`]'s order as a value: lower
+/// keys are served first, and two Coflows compare under the policy as
+/// their keys do.
+pub type PriorityKey = (u64, u64);
+
 /// A total priority order over Coflows. `compare` returning `Less` means
 /// `a` is served *before* (with higher priority than) `b`.
 pub trait PriorityPolicy {
     /// Compare two Coflows under this policy.
     fn compare(&self, a: &Coflow, b: &Coflow, fabric: &Fabric) -> Ordering;
+
+    /// The Coflow's key, if the policy's order is one of keys: then
+    /// `compare(a, b)` must equal `key(a).cmp(&key(b))` for all `a`,
+    /// `b`. A caller that ranks many Coflows computes each key once
+    /// instead of calling `compare` per comparison. `None` (the default)
+    /// leaves the caller on `compare`.
+    fn key(&self, _coflow: &Coflow, _fabric: &Fabric) -> Option<PriorityKey> {
+        None
+    }
 
     /// Sort Coflow references into service order. Ties are broken by
     /// arrival time and then id so every policy yields a deterministic
@@ -51,6 +65,10 @@ impl<P: PriorityPolicy + ?Sized> PriorityPolicy for &P {
         (**self).compare(a, b, fabric)
     }
 
+    fn key(&self, coflow: &Coflow, fabric: &Fabric) -> Option<PriorityKey> {
+        (**self).key(coflow, fabric)
+    }
+
     fn sort(&self, coflows: &mut Vec<&Coflow>, fabric: &Fabric) {
         (**self).sort(coflows, fabric)
     }
@@ -66,6 +84,10 @@ impl PriorityPolicy for ShortestFirst {
     fn compare(&self, a: &Coflow, b: &Coflow, fabric: &Fabric) -> Ordering {
         packet_lower_bound(a, fabric).cmp(&packet_lower_bound(b, fabric))
     }
+
+    fn key(&self, coflow: &Coflow, fabric: &Fabric) -> Option<PriorityKey> {
+        Some((packet_lower_bound(coflow, fabric).as_ps(), 0))
+    }
 }
 
 /// Longest-Coflow-first: the reverse of [`ShortestFirst`] over `T_pL`.
@@ -80,6 +102,10 @@ impl PriorityPolicy for LongestFirst {
     fn compare(&self, a: &Coflow, b: &Coflow, fabric: &Fabric) -> Ordering {
         packet_lower_bound(b, fabric).cmp(&packet_lower_bound(a, fabric))
     }
+
+    fn key(&self, coflow: &Coflow, fabric: &Fabric) -> Option<PriorityKey> {
+        Some((u64::MAX - packet_lower_bound(coflow, fabric).as_ps(), 0))
+    }
 }
 
 /// First-come-first-served: order by arrival time.
@@ -89,6 +115,10 @@ pub struct FirstComeFirstServed;
 impl PriorityPolicy for FirstComeFirstServed {
     fn compare(&self, a: &Coflow, b: &Coflow, _fabric: &Fabric) -> Ordering {
         a.arrival().cmp(&b.arrival())
+    }
+
+    fn key(&self, coflow: &Coflow, _fabric: &Fabric) -> Option<PriorityKey> {
+        Some((coflow.arrival().as_ps(), 0))
     }
 }
 
@@ -127,6 +157,11 @@ impl PriorityPolicy for ClassThenShortest {
             .cmp(&self.class_of(b))
             .then_with(|| ShortestFirst.compare(a, b, fabric))
     }
+
+    fn key(&self, coflow: &Coflow, fabric: &Fabric) -> Option<PriorityKey> {
+        let tpl = packet_lower_bound(coflow, fabric).as_ps();
+        Some((u64::from(self.class_of(coflow)), tpl))
+    }
 }
 
 /// An explicit operator-supplied order: Coflows appear in the order their
@@ -145,11 +180,20 @@ impl ExplicitOrder {
     }
 }
 
+impl ExplicitOrder {
+    /// A Coflow's position in the list; `usize::MAX` when unlisted.
+    fn rank_of(&self, coflow: &Coflow) -> usize {
+        self.rank.get(&coflow.id()).copied().unwrap_or(usize::MAX)
+    }
+}
+
 impl PriorityPolicy for ExplicitOrder {
     fn compare(&self, a: &Coflow, b: &Coflow, _fabric: &Fabric) -> Ordering {
-        let ra = self.rank.get(&a.id()).copied().unwrap_or(usize::MAX);
-        let rb = self.rank.get(&b.id()).copied().unwrap_or(usize::MAX);
-        ra.cmp(&rb)
+        self.rank_of(a).cmp(&self.rank_of(b))
+    }
+
+    fn key(&self, coflow: &Coflow, _fabric: &Fabric) -> Option<PriorityKey> {
+        Some((self.rank_of(coflow) as u64, 0))
     }
 }
 

@@ -13,7 +13,6 @@
 //! `MakeReservation` truncates new reservations so they never displace
 //! them (line 16 of Algorithm 1, illustrated by Figure 2).
 
-use crate::portset::PortSet;
 use crate::prt::{PortProbe, Prt, ResvKind};
 use ocs_model::{Coflow, Dur, Fabric, FlowRef, InPort, OutPort, Reservation, Time};
 use std::cmp::Reverse;
@@ -139,7 +138,7 @@ impl FlowOrder {
 }
 
 /// Counters describing the work one [`schedule_demands_counted`] call
-/// performed — the evidence the port-scoped rewrite actually prunes the
+/// (or one [`Walk`] since its restart) performed — the evidence the port-scoped rewrite actually prunes the
 /// Algorithm 1 inner loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScheduleCounters {
@@ -210,48 +209,13 @@ impl PlanTable for Prt {
     }
 }
 
-/// Reusable working memory of one [`schedule_demands_on`] call: the
-/// pending list, the wake heap, the same-instant candidate buffer, and
-/// the fresh-port busy mask. A caller that re-plans in a loop (the
-/// online stepper) keeps one scratch per planning thread and recycles it
-/// across calls, so the steady-state planner allocates nothing.
-#[derive(Clone, Debug)]
+/// Reusable working memory of [`schedule_demands_on`]: one [`Walk`]
+/// whose buffers are recycled across calls. A caller that re-plans in a
+/// loop keeps one scratch and passes it to every call, so the
+/// steady-state planner allocates only the plans it returns.
+#[derive(Clone, Debug, Default)]
 pub struct ScheduleScratch {
-    pending: Vec<Demand>,
-    wake: BinaryHeap<Reverse<(Time, usize)>>,
-    candidates: Vec<usize>,
-    /// Two-sided bitset of ports this call has already reserved on — the
-    /// first-level mask of the demand scan: a demand whose port is set
-    /// here (and whose busy horizon covers `t`) is re-subscribed without
-    /// a counted examination.
-    fresh: PortSet,
-    /// Per-port end of the latest reservation this call made there
-    /// (valid only where [`ScheduleScratch::fresh`] has the bit set).
-    busy_in: Vec<Time>,
-    busy_out: Vec<Time>,
-    /// Demands parked behind a fresh port's busy horizon. Instead of one
-    /// wake subscription per parked demand per covering reservation
-    /// (O(flows × reservations) heap churn on a shared port), the port
-    /// itself holds a single chain token in the wake heap that re-arms
-    /// while the horizon keeps extending and releases every parked
-    /// demand at the first instant the port is genuinely free.
-    parked_in: Vec<Vec<u32>>,
-    parked_out: Vec<Vec<u32>>,
-}
-
-impl Default for ScheduleScratch {
-    fn default() -> ScheduleScratch {
-        ScheduleScratch {
-            pending: Vec::new(),
-            wake: BinaryHeap::new(),
-            candidates: Vec::new(),
-            fresh: PortSet::new(1),
-            busy_in: vec![Time::ZERO; 1],
-            busy_out: vec![Time::ZERO; 1],
-            parked_in: vec![Vec::new(); 1],
-            parked_out: vec![Vec::new(); 1],
-        }
-    }
+    walk: Walk,
 }
 
 impl ScheduleScratch {
@@ -259,27 +223,382 @@ impl ScheduleScratch {
     pub fn new() -> ScheduleScratch {
         ScheduleScratch::default()
     }
+}
 
-    fn reset(&mut self, ports: usize) {
+/// What a [`Walk`] must see before it probes the table: the
+/// reservations of every walk that outranks it.
+///
+/// Planned one Coflow after another, a Coflow finds every higher-ranked
+/// plan complete in the table. Walks that pause and resume interleave,
+/// so before a walk examines a demand it asks for the part of the
+/// higher-ranked plans that examination can read: every reservation on
+/// the demand's ports that starts before `until`. An implementation
+/// advances the higher-ranked walks whose Coflows touch the port to at
+/// least `until` (DESIGN §4, "Plan only as far as the next arrival").
+/// [`Alone`] is the implementation for a walk nothing outranks, or one
+/// whose outranking plans are already complete.
+pub trait Outranking<T: PlanTable> {
+    /// Put into `table` every higher-ranked reservation on input port
+    /// `src` that starts before `until`. Returns `false` only if the
+    /// table is unchanged.
+    fn reveal_in(&mut self, table: &mut T, src: InPort, until: Time) -> bool;
+    /// Same for output port `dst`.
+    fn reveal_out(&mut self, table: &mut T, dst: OutPort, until: Time) -> bool;
+}
+
+/// Nothing outranks the walk, or every plan that does is complete.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Alone;
+
+impl<T: PlanTable> Outranking<T> for Alone {
+    #[inline]
+    fn reveal_in(&mut self, _: &mut T, _: InPort, _: Time) -> bool {
+        false
+    }
+    #[inline]
+    fn reveal_out(&mut self, _: &mut T, _: OutPort, _: Time) -> bool {
+        false
+    }
+}
+
+/// Algorithm 1 for one Coflow as a value that can stop at an instant and
+/// resume later.
+///
+/// [`Walk::restart`] loads the Coflow's demands at a start instant;
+/// [`Walk::advance`] runs every candidate pass at an instant before
+/// `until` and stops. The walk's *frontier* ([`Walk::frontier`]) is the
+/// instant of the pass due next: every reservation it has yet to make
+/// starts there or later. [`schedule_demands_on`] is a walk advanced to
+/// `Time::MAX` in one call, so a walk advanced in any number of steps
+/// makes the same reservations, in the same order, with the same
+/// counters, as long as nothing it reads changes between its steps:
+/// whatever the table gains meanwhile ends by its frontier or lies on
+/// ports it does not touch.
+///
+/// Everything it holds is sized by its own Coflow: per-port state is
+/// indexed by the Coflow's own ports, so a paused walk costs its
+/// Coflow's footprint, not the fabric's width.
+///
+/// The loop is driven by per-demand *wake subscriptions* over the
+/// table's per-port releases: each unsatisfied demand, when examined,
+/// subscribes to the single release that can next change its state —
+/// its blocked port's blocker end, the binding (earliest-next-start)
+/// port of a gap shorter than `δ`, or its own truncated reservation's
+/// end — and time advances straight to the earliest subscription.
+/// Releases in between are provably no-ops: the table only gains
+/// obstacles, so a demand's state cannot improve before its subscribed
+/// instant. A demand that wakes on a port this walk already reserved
+/// past the instant is parked on the port without a counted
+/// examination; the port holds one *chain token* in the wake heap that
+/// re-arms while its busy horizon keeps extending and wakes the whole
+/// list at the first instant the port is genuinely free.
+#[derive(Clone, Debug, Default)]
+pub struct Walk {
+    coflow: u64,
+    delta: Dur,
+    /// The instant of the pass due next (the frontier), while demand is
+    /// live.
+    t: Time,
+    /// The demands in consideration order, with what each still needs.
+    pending: Vec<Demand>,
+    /// Per pending demand, the slots of its input and output port in
+    /// `in_ports` / `out_ports`.
+    slots: Vec<(u32, u32)>,
+    /// The Coflow's distinct input and output ports, sorted: slot `k`
+    /// is port `in_ports[k]`.
+    in_ports: Vec<InPort>,
+    out_ports: Vec<OutPort>,
+    /// Demands not yet fully reserved.
+    live: usize,
+    /// Every live demand is either in the pass due next, holds exactly
+    /// one subscription `(instant, index)`, or is parked behind a port
+    /// whose chain token holds the subscription for the whole list.
+    /// Entries `nd..nd+n_in` are input-slot chain tokens,
+    /// `nd+n_in..nd+n_in+n_out` output-slot chain tokens.
+    wake: BinaryHeap<Reverse<(Time, usize)>>,
+    /// The pass due next at `t`, in ascending pending order.
+    candidates: Vec<usize>,
+    /// Per slot, the end of the latest reservation this walk made on
+    /// the port (`Time::ZERO`: none yet).
+    busy_in: Vec<Time>,
+    busy_out: Vec<Time>,
+    /// Per slot, the demands parked behind the port's busy horizon (at
+    /// least one list per slot).
+    parked_in: Vec<Vec<u32>>,
+    parked_out: Vec<Vec<u32>>,
+    counters: ScheduleCounters,
+}
+
+impl Walk {
+    /// A finished walk holding nothing.
+    pub fn new() -> Walk {
+        Walk::default()
+    }
+
+    /// Load `coflow_id`'s `demands` (positive entries only, quantized
+    /// and ordered per `config`) to be planned from `start` with
+    /// reconfiguration delay `delta`, discarding whatever the walk held.
+    /// Buffers keep their capacity.
+    pub fn restart(
+        &mut self,
+        coflow_id: u64,
+        demands: &[Demand],
+        start: Time,
+        delta: Dur,
+        config: SunflowConfig,
+    ) {
+        self.coflow = coflow_id;
+        self.delta = delta;
+        self.t = start;
+        self.counters = ScheduleCounters::default();
         self.pending.clear();
+        self.pending.extend(
+            demands
+                .iter()
+                .copied()
+                .filter(|d| d.remaining > Dur::ZERO)
+                .map(|d| Demand {
+                    remaining: config.quantize(d.remaining),
+                    ..d
+                }),
+        );
+        config.order.apply(&mut self.pending);
+        self.live = self.pending.len();
+        self.in_ports.clear();
+        self.in_ports.extend(self.pending.iter().map(|d| d.src));
+        self.in_ports.sort_unstable();
+        self.in_ports.dedup();
+        self.out_ports.clear();
+        self.out_ports.extend(self.pending.iter().map(|d| d.dst));
+        self.out_ports.sort_unstable();
+        self.out_ports.dedup();
+        let (ins, outs) = (&self.in_ports, &self.out_ports);
+        self.slots.clear();
+        self.slots.extend(self.pending.iter().map(|d| {
+            let si = ins.binary_search(&d.src).expect("own port");
+            let so = outs.binary_search(&d.dst).expect("own port");
+            (si as u32, so as u32)
+        }));
+        self.busy_in.clear();
+        self.busy_in.resize(ins.len(), Time::ZERO);
+        self.busy_out.clear();
+        self.busy_out.resize(outs.len(), Time::ZERO);
+        // Parked lists are only ever added: a reused walk keeps the
+        // lists (and their room) of every Coflow it planned before.
+        for (lists, n) in [
+            (&mut self.parked_in, ins.len()),
+            (&mut self.parked_out, outs.len()),
+        ] {
+            for list in lists.iter_mut() {
+                list.clear();
+            }
+            if lists.len() < n {
+                lists.resize_with(n, Vec::new);
+            }
+        }
         self.wake.clear();
+        // The first pass examines every demand, in the configured order.
         self.candidates.clear();
-        if self.fresh.ports() != ports {
-            self.fresh = PortSet::new(ports);
-            self.busy_in = vec![Time::ZERO; ports];
-            self.busy_out = vec![Time::ZERO; ports];
-            self.parked_in = vec![Vec::new(); ports];
-            self.parked_out = vec![Vec::new(); ports];
-        } else {
-            self.fresh.clear();
-            // The run loop drains every parked list before returning;
-            // clearing here only guards against a prior panicked call.
-            for list in &mut self.parked_in {
-                list.clear();
+        self.candidates.extend(0..self.pending.len());
+    }
+
+    /// Has every demand been reserved?
+    pub fn is_finished(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The instant of the pass due next — every reservation the walk has
+    /// yet to make starts there or later — or `None` once finished.
+    pub fn frontier(&self) -> Option<Time> {
+        (self.live > 0).then_some(self.t)
+    }
+
+    /// The work this walk performed since its last restart.
+    pub fn counters(&self) -> ScheduleCounters {
+        self.counters
+    }
+
+    /// Run every candidate pass at an instant before `until` against
+    /// `table` (every pass, when `until` is `Time::MAX`), reserving
+    /// through [`PlanTable::reserve`]. Before probing for a demand the
+    /// walk asks `above` to reveal the outranking reservations that
+    /// examination can read.
+    ///
+    /// # Panics
+    /// Panics if a pending demand faces no future circuit release (a
+    /// corrupted table), or a demand references a port outside it.
+    pub fn advance<T: PlanTable, O: Outranking<T>>(
+        &mut self,
+        table: &mut T,
+        until: Time,
+        above: &mut O,
+    ) {
+        let Walk {
+            coflow,
+            delta,
+            t,
+            pending,
+            slots,
+            live,
+            wake,
+            candidates,
+            busy_in,
+            busy_out,
+            parked_in,
+            parked_out,
+            counters,
+            ..
+        } = self;
+        let (coflow_id, delta) = (*coflow, *delta);
+        let stuck =
+            |t: Time, live: usize| -> Time { panic!("{}", no_release_message(coflow_id, t, live)) };
+        let nd = pending.len();
+        let n_in = busy_in.len();
+        while *live > 0 {
+            if until != Time::MAX && *t >= until {
+                return;
             }
-            for list in &mut self.parked_out {
-                list.clear();
+            let now = *t;
+            for &i in candidates.iter() {
+                let (src, dst) = (pending[i].src, pending[i].dst);
+                let (si, so) = (slots[i].0 as usize, slots[i].1 as usize);
+                // Fresh-port mask: a reservation this walk made on `src`
+                // still covering `now` blocks the demand until the
+                // port's busy horizon stops extending — park it on the
+                // port's chain without a counted examination.
+                if busy_in[si] > now {
+                    if parked_in[si].is_empty() {
+                        wake.push(Reverse((busy_in[si], nd + si)));
+                    }
+                    parked_in[si].push(i as u32);
+                    continue;
+                }
+                if busy_out[so] > now {
+                    // The examination checks the input side first; when
+                    // a table reservation blocks `src`, reproduce its
+                    // direct subscription exactly. Only a reservation
+                    // covering `now` can, and it starts by `now`.
+                    above.reveal_in(table, src, now.saturating_add(Dur::from_ps(1)));
+                    let ip = table.in_probe(src, now);
+                    if !ip.free {
+                        let w = ip.next_release.unwrap_or_else(|| stuck(now, *live));
+                        wake.push(Reverse((w, i)));
+                    } else {
+                        if parked_out[so].is_empty() {
+                            wake.push(Reverse((busy_out[so], nd + n_in + so)));
+                        }
+                        parked_out[so].push(i as u32);
+                    }
+                    continue;
+                }
+                counters.demands_scanned += 1;
+                let ld = delta + pending[i].remaining;
+                // One fused probe per side answers the whole examination.
+                // A blocked demand cannot start before its blocking port
+                // frees — the blocker's end, that port's next release.
+                // Blocking reads only reservations covering `now`, which
+                // start by `now`; a free pair also reads every start
+                // that could cut the chunk (of desired length `ld`), all
+                // before `now + ld`.
+                let next = now.saturating_add(Dur::from_ps(1));
+                above.reveal_in(table, src, next);
+                above.reveal_out(table, dst, next);
+                let mut ip = table.in_probe(src, now);
+                if !ip.free {
+                    let w = ip.next_release.unwrap_or_else(|| stuck(now, *live));
+                    wake.push(Reverse((w, i)));
+                    continue;
+                }
+                let mut op = table.out_probe(dst, now);
+                if !op.free {
+                    let w = op.next_release.unwrap_or_else(|| stuck(now, *live));
+                    wake.push(Reverse((w, i)));
+                    continue;
+                }
+                let reach = now.saturating_add(ld);
+                // A revealed reservation starts after `now`: the pair
+                // stays free, only the next starts and releases move.
+                if above.reveal_in(table, src, reach) | above.reveal_out(table, dst, reach) {
+                    ip = table.in_probe(src, now);
+                    op = table.out_probe(dst, now);
+                }
+                // Earliest next reservation on either port bounds the
+                // length (needed by inter-Coflow scheduling, Algorithm 1
+                // line 16).
+                let tm_src = ip.next_start;
+                let tm_dst = op.next_start;
+                let tm = tm_src.min(tm_dst);
+                let lm = if tm == Time::MAX {
+                    Dur::MAX
+                } else {
+                    tm.since(now)
+                };
+                let l = if lm < delta { Dur::ZERO } else { lm.min(ld) };
+                if l.is_zero() {
+                    // Gap-limited: the free window before the binding
+                    // port's next reservation is shorter than δ, and only
+                    // shrinks as time approaches it. State can change
+                    // only once that reservation releases.
+                    let w = if tm_src <= tm_dst {
+                        ip.next_release
+                    } else {
+                        op.next_release
+                    };
+                    let w = w.unwrap_or_else(|| stuck(now, *live));
+                    wake.push(Reverse((w, i)));
+                    continue;
+                }
+                let flow = FlowRef {
+                    coflow: coflow_id,
+                    flow_idx: pending[i].flow_idx,
+                };
+                let end = now + l;
+                table.reserve(src, dst, now, end, ResvKind::Flow(flow));
+                busy_in[si] = end;
+                busy_out[so] = end;
+                // Remaining demand after this reservation (line 22). A
+                // truncated demand resumes no earlier than its own
+                // circuit's release.
+                pending[i].remaining = ld - l;
+                if pending[i].remaining.is_zero() {
+                    *live -= 1;
+                } else {
+                    wake.push(Reverse((end, i)));
+                }
             }
+            candidates.clear();
+            if *live == 0 {
+                break;
+            }
+            // Advance to the earliest subscribed release (line 10,
+            // scoped). One always exists while demand is pending: every
+            // unsatisfied examined demand re-subscribed or parked above.
+            // A chain token for a port whose horizon kept extending
+            // re-arms without waking anyone, so an instant can come up
+            // empty; keep draining until a demand actually wakes. The
+            // pass collected here depends on the walk's own state only,
+            // so it is due whenever the walk resumes.
+            while candidates.is_empty() {
+                let Some(Reverse((w, first))) = wake.pop() else {
+                    panic!("{}", no_release_message(coflow_id, now, *live))
+                };
+                *t = w;
+                wake_token(
+                    first, w, nd, busy_in, busy_out, parked_in, parked_out, wake, candidates,
+                );
+                while let Some(&Reverse((w2, x))) = wake.peek() {
+                    if w2 != w {
+                        break;
+                    }
+                    wake.pop();
+                    wake_token(
+                        x, w, nd, busy_in, busy_out, parked_in, parked_out, wake, candidates,
+                    );
+                }
+            }
+            counters.releases_visited += 1;
+            // Ascending index order matches the rescan loop's scan order.
+            candidates.sort_unstable();
         }
     }
 }
@@ -310,23 +629,12 @@ pub fn schedule_demands(
     schedule_demands_counted(prt, coflow_id, demands, start, delta, config).0
 }
 
-/// [`schedule_demands`] with its work counters — the port-scoped engine.
+/// [`schedule_demands`] with its work counters.
 ///
-/// The loop is driven by per-demand *wake subscriptions* over the PRT's
-/// per-port release queues: each unsatisfied demand, when examined,
-/// subscribes to the single port release that can next change its state —
-/// its blocked port's blocker end, the binding (earliest-next-start) port
-/// of a gap shorter than `δ`, or its own truncated reservation's end —
-/// and `t` advances straight to the earliest subscription. Each pass
-/// then re-examines only the demands waking exactly at the new `t`.
-/// Releases a rescan-everything loop would have visited in between are
-/// provably no-ops — mid-call the table only *gains* reservations of
-/// this Coflow, so a demand's state cannot improve before its subscribed
-/// instant — and same-instant wakes are scanned in pending order, so the
-/// reservations produced are byte-identical to that loop's (same order,
-/// same starts, same ends; the reference loop lives in this crate's
-/// `port_scoped_equivalence` tests), at O(wakes × log) instead of
-/// O(global releases × pending demands).
+/// Reservations are byte-identical to the rescan-everything loop's
+/// (same order, same starts, same ends; the reference loop lives in this
+/// crate's `port_scoped_equivalence` tests), at O(wakes × log) instead
+/// of O(global releases × pending demands); see [`Walk`].
 pub fn schedule_demands_counted(
     prt: &mut Prt,
     coflow_id: u64,
@@ -340,22 +648,11 @@ pub fn schedule_demands_counted(
 }
 
 /// [`schedule_demands_counted`] generic over the [`PlanTable`] and with
-/// caller-recycled [`ScheduleScratch`] — the engine both the offline
-/// schedulers (against [`Prt`]) and the online replay's re-planner
-/// (against `DeltaView`) run.
-///
-/// The fresh-port mask short-circuits the dominant blocked-demand churn:
-/// when a candidate wakes on a port this call already reserved past `t`,
-/// the covering reservation *is* that port's next release (reservations
-/// on a port never overlap), so the demand is parked on the port without
-/// a full examination. Parked demands share the port's single chain
-/// token in the wake heap, which re-arms while the busy horizon keeps
-/// extending and wakes the whole list at the first instant the port is
-/// genuinely free — a demand's first *full* examination still lands at
-/// the first wake instant past both of its ports' fresh horizons, so
-/// every reservation produced is byte-identical to the unmasked loop's.
-/// `demands_scanned` counts only full examinations; `releases_visited`
-/// counts instants at which a candidate pass actually ran.
+/// caller-recycled [`ScheduleScratch`]: the scratch's [`Walk`] restarted
+/// and advanced to `Time::MAX` against a table nothing else plans on.
+/// `demands_scanned` counts only full examinations (not demands parked
+/// behind a port this call already holds); `releases_visited` counts
+/// instants at which a candidate pass actually ran.
 pub fn schedule_demands_on<T: PlanTable>(
     table: &mut T,
     coflow_id: u64,
@@ -365,204 +662,57 @@ pub fn schedule_demands_on<T: PlanTable>(
     config: SunflowConfig,
     scratch: &mut ScheduleScratch,
 ) -> (Vec<Reservation>, ScheduleCounters) {
-    scratch.reset(table.ports());
-    scratch.pending.extend(
-        demands
-            .iter()
-            .copied()
-            .filter(|d| d.remaining > Dur::ZERO)
-            .map(|d| Demand {
-                remaining: config.quantize(d.remaining),
-                ..d
-            }),
-    );
-    let pending = &mut scratch.pending;
-    config.order.apply(pending);
-
-    let mut counters = ScheduleCounters::default();
-    let mut made = Vec::new();
-    let mut t = start;
-    let mut live = pending.len();
-    let nd = pending.len();
-    let ports = table.ports();
-
-    // Every live demand is either in the current candidate pass, holds
-    // exactly one wake subscription `(instant, index)`, or is parked
-    // behind a fresh port whose chain token holds the subscription for
-    // the whole list. Heap entries `nd..nd+ports` are input-port chain
-    // tokens, `nd+ports..nd+2·ports` output-port chain tokens.
-    let wake = &mut scratch.wake;
-    // The first pass examines every demand, in the configured order.
-    let candidates = &mut scratch.candidates;
-    candidates.extend(0..pending.len());
-
-    while live > 0 {
-        for &i in candidates.iter() {
-            let (src, dst) = (pending[i].src, pending[i].dst);
-            // Fresh-port mask: a reservation this call made on `src`
-            // still covering `t` blocks the demand until the port's busy
-            // horizon stops extending — park it on the port's chain
-            // without a counted examination.
-            if scratch.fresh.contains_in(src) && scratch.busy_in[src] > t {
-                if scratch.parked_in[src].is_empty() {
-                    wake.push(Reverse((scratch.busy_in[src], nd + src)));
-                }
-                scratch.parked_in[src].push(i as u32);
-                continue;
-            }
-            if scratch.fresh.contains_out(dst) && scratch.busy_out[dst] > t {
-                // The examination checks the input side first; when an
-                // existing table reservation blocks `src`, reproduce its
-                // direct subscription exactly.
-                let ip = table.in_probe(src, t);
-                if !ip.free {
-                    let w = ip
-                        .next_release
-                        .unwrap_or_else(|| panic!("{}", no_release_message(coflow_id, t, live)));
-                    wake.push(Reverse((w, i)));
-                } else {
-                    if scratch.parked_out[dst].is_empty() {
-                        wake.push(Reverse((scratch.busy_out[dst], nd + ports + dst)));
-                    }
-                    scratch.parked_out[dst].push(i as u32);
-                }
-                continue;
-            }
-            counters.demands_scanned += 1;
-            // One fused probe per side answers the whole examination.
-            // A blocked demand cannot start before its blocking port
-            // frees — the blocker's end, that port's next release.
-            let ip = table.in_probe(src, t);
-            if !ip.free {
-                let w = ip
-                    .next_release
-                    .unwrap_or_else(|| panic!("{}", no_release_message(coflow_id, t, live)));
-                wake.push(Reverse((w, i)));
-                continue;
-            }
-            let op = table.out_probe(dst, t);
-            if !op.free {
-                let w = op
-                    .next_release
-                    .unwrap_or_else(|| panic!("{}", no_release_message(coflow_id, t, live)));
-                wake.push(Reverse((w, i)));
-                continue;
-            }
-            // Earliest next reservation on either port bounds the length
-            // (needed by inter-Coflow scheduling, Algorithm 1 line 16).
-            let tm_src = ip.next_start;
-            let tm_dst = op.next_start;
-            let tm = tm_src.min(tm_dst);
-            let lm = if tm == Time::MAX {
-                Dur::MAX
-            } else {
-                tm.since(t)
-            };
-            let ld = delta + pending[i].remaining; // desired length
-            let l = if lm < delta { Dur::ZERO } else { lm.min(ld) };
-            if l.is_zero() {
-                // Gap-limited: the free window before the binding port's
-                // next reservation is shorter than δ, and only shrinks as
-                // t approaches it. State can change only once that
-                // reservation releases.
-                let w = if tm_src <= tm_dst {
-                    ip.next_release
-                } else {
-                    op.next_release
-                };
-                let w = w.unwrap_or_else(|| panic!("{}", no_release_message(coflow_id, t, live)));
-                wake.push(Reverse((w, i)));
-                continue;
-            }
-            let flow = FlowRef {
-                coflow: coflow_id,
-                flow_idx: pending[i].flow_idx,
-            };
-            table.reserve(src, dst, t, t + l, ResvKind::Flow(flow));
-            scratch.fresh.insert_in(src);
-            scratch.busy_in[src] = t + l;
-            scratch.fresh.insert_out(dst);
-            scratch.busy_out[dst] = t + l;
-            made.push(Reservation {
-                src,
-                dst,
-                start: t,
-                end: t + l,
-                flow,
-            });
-            // Remaining demand after this reservation (line 22). A
-            // truncated demand resumes no earlier than its own circuit's
-            // release.
-            pending[i].remaining = ld - l;
-            if pending[i].remaining.is_zero() {
-                live -= 1;
-            } else {
-                wake.push(Reverse((t + l, i)));
-            }
-        }
-        if live == 0 {
-            break;
-        }
-        // Advance t to the earliest subscribed release (line 10, scoped).
-        // One always exists while demand is pending: every unsatisfied
-        // examined demand re-subscribed or parked above. A chain token
-        // for a port whose horizon kept extending re-arms without waking
-        // anyone, so an instant can come up empty; keep draining until a
-        // demand actually wakes.
-        candidates.clear();
-        while candidates.is_empty() {
-            let Reverse((w, first)) = wake
-                .pop()
-                .unwrap_or_else(|| panic!("{}", no_release_message(coflow_id, t, live)));
-            t = w;
-            wake_token(
-                first,
-                t,
-                nd,
-                ports,
-                &scratch.busy_in,
-                &scratch.busy_out,
-                &mut scratch.parked_in,
-                &mut scratch.parked_out,
-                wake,
-                candidates,
-            );
-            while let Some(&Reverse((w2, x))) = wake.peek() {
-                if w2 != t {
-                    break;
-                }
-                wake.pop();
-                wake_token(
-                    x,
-                    t,
-                    nd,
-                    ports,
-                    &scratch.busy_in,
-                    &scratch.busy_out,
-                    &mut scratch.parked_in,
-                    &mut scratch.parked_out,
-                    wake,
-                    candidates,
-                );
-            }
-        }
-        counters.releases_visited += 1;
-        // Ascending index order matches the rescan loop's scan order.
-        candidates.sort_unstable();
-    }
-    (made, counters)
+    let walk = &mut scratch.walk;
+    walk.restart(coflow_id, demands, start, delta, config);
+    let mut recorder = Recorder {
+        table,
+        made: Vec::new(),
+    };
+    walk.advance(&mut recorder, Time::MAX, &mut Alone);
+    (recorder.made, walk.counters())
 }
 
-/// Wake-heap token dispatch for [`schedule_demands_on`]: demand indices
-/// join the candidate pass directly; a port chain token re-arms at the
-/// port's new busy horizon while it still extends past `t`, and
-/// otherwise releases every demand parked behind the port.
+/// A table that also lists every reservation made through it, in
+/// creation order: how the one-shot entry points return their plan.
+struct Recorder<'t, T> {
+    table: &'t mut T,
+    made: Vec<Reservation>,
+}
+
+impl<T: PlanTable> PlanTable for Recorder<'_, T> {
+    fn ports(&self) -> usize {
+        self.table.ports()
+    }
+    #[inline]
+    fn in_probe(&self, i: InPort, t: Time) -> PortProbe {
+        self.table.in_probe(i, t)
+    }
+    #[inline]
+    fn out_probe(&self, j: OutPort, t: Time) -> PortProbe {
+        self.table.out_probe(j, t)
+    }
+    fn reserve(&mut self, src: InPort, dst: OutPort, start: Time, end: Time, kind: ResvKind) {
+        self.table.reserve(src, dst, start, end, kind);
+        let ResvKind::Flow(flow) = kind;
+        self.made.push(Reservation {
+            src,
+            dst,
+            start,
+            end,
+            flow,
+        });
+    }
+}
+
+/// Wake-heap token dispatch for [`Walk::advance`]: demand indices join
+/// the candidate pass directly; a port chain token re-arms at the port's
+/// new busy horizon while it still extends past `t`, and otherwise
+/// releases every demand parked behind the port.
 #[allow(clippy::too_many_arguments)]
 fn wake_token(
     x: usize,
     t: Time,
     nd: usize,
-    ports: usize,
     busy_in: &[Time],
     busy_out: &[Time],
     parked_in: &mut [Vec<u32>],
@@ -570,21 +720,22 @@ fn wake_token(
     wake: &mut BinaryHeap<Reverse<(Time, usize)>>,
     candidates: &mut Vec<usize>,
 ) {
+    let n_in = busy_in.len();
     if x < nd {
         candidates.push(x);
-    } else if x < nd + ports {
-        let p = x - nd;
-        if busy_in[p] > t {
-            wake.push(Reverse((busy_in[p], x)));
+    } else if x < nd + n_in {
+        let s = x - nd;
+        if busy_in[s] > t {
+            wake.push(Reverse((busy_in[s], x)));
         } else {
-            candidates.extend(parked_in[p].drain(..).map(|i| i as usize));
+            candidates.extend(parked_in[s].drain(..).map(|i| i as usize));
         }
     } else {
-        let p = x - nd - ports;
-        if busy_out[p] > t {
-            wake.push(Reverse((busy_out[p], x)));
+        let s = x - nd - n_in;
+        if busy_out[s] > t {
+            wake.push(Reverse((busy_out[s], x)));
         } else {
-            candidates.extend(parked_out[p].drain(..).map(|i| i as usize));
+            candidates.extend(parked_out[s].drain(..).map(|i| i as usize));
         }
     }
 }

@@ -48,12 +48,13 @@ pub mod starvation;
 
 pub use delta::{DeltaPlan, DeltaStorage, DeltaView};
 pub use inter::{
-    ClassThenShortest, ExplicitOrder, FirstComeFirstServed, LongestFirst, PriorityPolicy,
-    ShortestFirst,
+    ClassThenShortest, ExplicitOrder, FirstComeFirstServed, LongestFirst, PriorityKey,
+    PriorityPolicy, ShortestFirst,
 };
 pub use intra::{
-    schedule_demands, schedule_demands_counted, schedule_demands_on, CoflowSchedule, Demand,
-    FlowOrder, IntraScheduler, PlanTable, ScheduleCounters, ScheduleScratch, SunflowConfig,
+    schedule_demands, schedule_demands_counted, schedule_demands_on, Alone, CoflowSchedule, Demand,
+    FlowOrder, IntraScheduler, Outranking, PlanTable, ScheduleCounters, ScheduleScratch,
+    SunflowConfig, Walk,
 };
 pub use multicore::{
     CoreAssign, CoreAssignKind, CoreLoad, LeastLoaded, RankPack, RoundRobin, StaticHash,

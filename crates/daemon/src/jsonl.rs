@@ -32,8 +32,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// The latest `arrival_ms` a line may carry: 2^32 ms, about 49.7 days
-/// (see the module docs for why the clock needs a horizon).
-pub const MAX_ARRIVAL_MS: u64 = 1 << 32;
+/// (see the module docs for why the clock needs a horizon). The same
+/// bound as a trace file's arrivals.
+pub use ocs_model::MAX_ARRIVAL_MS;
 
 /// One parsed arrival line.
 #[derive(Clone, Debug, PartialEq)]

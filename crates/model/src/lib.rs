@@ -43,4 +43,4 @@ pub use schedule::{
     ScheduleOutcome,
 };
 pub use split::{CarvedPart, DemandSplit, SplitParts, Subflow};
-pub use time::{Bandwidth, Dur, Time};
+pub use time::{Bandwidth, Dur, Time, MAX_ARRIVAL_MS};

@@ -26,6 +26,12 @@ pub const PS_PER_US: u64 = 1_000_000;
 /// Picoseconds per nanosecond.
 pub const PS_PER_NS: u64 = 1_000;
 
+/// The latest arrival, in milliseconds, an input (a trace file, a wire
+/// line) may carry: 2^32 ms, about 49.7 days. The clock ends after about
+/// 213 days, so every instant planned from such an arrival — plus its
+/// backlog and the reconfiguration delays on the way — still fits.
+pub const MAX_ARRIVAL_MS: u64 = 1 << 32;
+
 /// An absolute instant on the simulation clock, in picoseconds since the
 /// start of the simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -54,6 +60,11 @@ impl Time {
     /// Construct from integral milliseconds.
     pub const fn from_millis(ms: u64) -> Time {
         Time(ms * PS_PER_MS)
+    }
+
+    /// `self + d`, or [`Time::MAX`] past the end of the clock.
+    pub const fn saturating_add(self, d: Dur) -> Time {
+        Time(self.0.saturating_add(d.0))
     }
 
     /// Raw picoseconds since simulation start.
@@ -113,6 +124,16 @@ impl Dur {
     /// Construct from integral milliseconds.
     pub const fn from_millis(ms: u64) -> Dur {
         Dur(ms * PS_PER_MS)
+    }
+
+    /// Construct from integral milliseconds, or `None` when the duration
+    /// does not fit the clock — the constructor for values read from
+    /// flags and files.
+    pub const fn checked_from_millis(ms: u64) -> Option<Dur> {
+        match ms.checked_mul(PS_PER_MS) {
+            Some(ps) => Some(Dur(ps)),
+            None => None,
+        }
     }
 
     /// Construct from integral seconds.

@@ -32,8 +32,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 use sunflow_core::{
-    schedule_demands_on, DeltaStorage, DeltaView, Demand, PortSet, PriorityPolicy, Prt,
-    RemovedResv, ResvKind, ScheduleScratch, StarvationGuard, SunflowConfig,
+    DeltaStorage, DeltaView, Demand, Outranking, PortSet, PriorityKey, PriorityPolicy, Prt,
+    RemovedResv, ResvKind, StarvationGuard, SunflowConfig, Walk,
 };
 
 /// A not-yet-settled flow reservation, mirrored out of the PRT so the
@@ -57,11 +57,16 @@ impl Pending {
     }
 }
 
+/// Walks kept for reuse. Boxed like `OnlineStepper::walks`, so a walk
+/// moves between the two without copying its fields.
+#[allow(clippy::vec_box)]
+type SpareWalks = Vec<Box<Walk>>;
+
 /// Recycled working memory of one replan: priority buffers, the
 /// affected-set walk's port sets and crossing counters, the pending
 /// credit, the Yield holds and cut list, the demand buffer, the
-/// truncation sink, the delta view's storage and the intra-Coflow
-/// planning scratch (wake heap included). Owned by the stepper and reset
+/// truncation sink, the delta view's storage and the finished walks
+/// kept for reuse. Owned by the stepper and reset
 /// — never reallocated — per replan, so the steady-state event loop's
 /// planning path allocates only the plans themselves and looks no
 /// Coflow id up. `rank` is sized by every Coflow ever admitted (one word
@@ -106,8 +111,8 @@ struct ReplanScratch {
     removed: Vec<RemovedResv>,
     /// The delta view's recycled storage.
     view: DeltaStorage,
-    /// The intra-Coflow planning scratch every member plans with.
-    planner: ScheduleScratch,
+    /// Finished walks, whose buffers the next restarts reuse.
+    spare: SpareWalks,
     /// Guard settlement: `(coflow idx, flow idx, src)` of every flow
     /// riding the window being settled.
     takers: Vec<(usize, usize, InPort)>,
@@ -120,12 +125,13 @@ struct ReplanScratch {
 
 impl ReplanScratch {
     /// Clear every buffer and load the priority order: `prio` becomes
-    /// `order`, `rank` its inverse over the `admitted` Coflow indices.
-    fn reset(&mut self, ports: usize, order: &[usize], admitted: usize) {
+    /// `order`'s Coflow indices, `rank` its inverse over the `admitted`
+    /// Coflow indices.
+    fn reset(&mut self, ports: usize, order: &[(Option<PriorityKey>, usize)], admitted: usize) {
         self.prio.clear();
-        self.prio.extend_from_slice(order);
+        self.prio.extend(order.iter().map(|&(_, i)| i));
         self.rank.resize(admitted, usize::MAX);
-        for (r, &i) in order.iter().enumerate() {
+        for (r, &i) in self.prio.iter().enumerate() {
             self.rank[i] = r;
         }
         self.seed.clear();
@@ -328,11 +334,12 @@ pub struct OnlineStepper<'p> {
     active: Vec<usize>,
     /// `is_active[idx]` ⇔ `idx ∈ active`.
     is_active: Vec<bool>,
-    /// The active Coflow indices in the policy's total order: binary
+    /// The active Coflow indices in the policy's total order, each with
+    /// its [`PriorityPolicy::key`] computed once at admission: binary
     /// insertion at arrival, removal at completion, so each event reads
     /// its priority walk off this list instead of sorting — and a deep
     /// queue of future arrivals costs the walk nothing.
-    priority_order: Vec<usize>,
+    priority_order: Vec<(Option<PriorityKey>, usize)>,
     /// Every not-yet-settled flow reservation, mirrored out of the PRT,
     /// keyed by `(end, src)`: the settle order, unique because a port's
     /// reservations never overlap.
@@ -370,6 +377,22 @@ pub struct OnlineStepper<'p> {
     last_replan_at: Time,
     /// Recycled replanning buffers.
     scratch: ReplanScratch,
+    /// Each active Coflow's paused Algorithm 1 walk, by Coflow index;
+    /// `None` once its walk finished (its whole plan is in the table)
+    /// and outside the active set. A round leaves every walk paused at
+    /// the horizon or finished (DESIGN §4, "Plan only as far as the
+    /// next arrival"). Boxed, so the list costs one word per Coflow ever
+    /// admitted.
+    walks: Vec<Option<Box<Walk>>>,
+    /// The frontier of `walks[idx]`, `Time::MAX` where there is none.
+    frontier: Vec<Time>,
+    /// How many entries of `walks` hold a walk.
+    paused: usize,
+    /// Per input port, the active Coflows whose footprint includes it:
+    /// the walks a demand on the port may have to force.
+    sharers_in: Vec<Vec<u32>>,
+    /// Same per output port.
+    sharers_out: Vec<Vec<u32>>,
 }
 
 impl<'p> OnlineStepper<'p> {
@@ -423,6 +446,11 @@ impl<'p> OnlineStepper<'p> {
             event_ports: PortSet::new(fabric.ports()),
             last_replan_at: Time::ZERO,
             scratch: ReplanScratch::default(),
+            walks: Vec::new(),
+            frontier: Vec::new(),
+            paused: 0,
+            sharers_in: vec![Vec::new(); fabric.ports()],
+            sharers_out: vec![Vec::new(); fabric.ports()],
         }
     }
 
@@ -497,21 +525,35 @@ impl<'p> OnlineStepper<'p> {
         while let Some(c) = self.arrivals.pop_due(t) {
             let idx = self.coflows.len();
             self.book.admit(idx, &c, &self.fabric);
-            self.footprints.push(footprint_of(&c, &self.fabric));
+            let footprint = footprint_of(&c, &self.fabric);
+            for p in footprint.ins() {
+                self.sharers_in[p].push(idx as u32);
+            }
+            for p in footprint.outs() {
+                self.sharers_out[p].push(idx as u32);
+            }
+            self.footprints.push(footprint);
             self.active.push(idx);
             self.is_active.push(true);
+            self.walks.push(None);
+            self.frontier.push(Time::MAX);
             // Binary-insert into the policy's total order (ties broken
-            // by arrival then id, exactly like `PriorityPolicy::sort`).
+            // by arrival then id, exactly like `PriorityPolicy::sort`),
+            // by key where the policy has one.
             let (coflows, fabric, policy) = (&self.coflows, &self.fabric, &self.policy);
-            let pos = self.priority_order.partition_point(|&i| {
+            let key = policy.key(&c, fabric);
+            let pos = self.priority_order.partition_point(|&(k, i)| {
                 let o = &coflows[i];
-                policy
-                    .compare(o, &c, fabric)
+                let by_policy = match (k, key) {
+                    (Some(a), Some(b)) => a.cmp(&b),
+                    _ => policy.compare(o, &c, fabric),
+                };
+                by_policy
                     .then_with(|| o.arrival().cmp(&c.arrival()))
                     .then_with(|| o.id().cmp(&c.id()))
                     == Ordering::Less
             });
-            self.priority_order.insert(pos, idx);
+            self.priority_order.insert(pos, (key, idx));
             self.coflows.push(c);
             self.event_dirty.push(idx);
         }
@@ -524,6 +566,20 @@ impl<'p> OnlineStepper<'p> {
                 self.completions.push(self.book.complete(idx));
                 self.is_active[idx] = false;
                 any_done = true;
+                let fp = &self.footprints[idx];
+                for p in fp.ins() {
+                    unshare(&mut self.sharers_in[p], idx);
+                }
+                for p in fp.outs() {
+                    unshare(&mut self.sharers_out[p], idx);
+                }
+                // Only the guard finishes a Coflow whose walk is still
+                // paused; the walk goes with the plan.
+                if let Some(walk) = self.walks[idx].take() {
+                    self.frontier[idx] = Time::MAX;
+                    self.paused -= 1;
+                    retire(walk, &mut self.stats, &mut self.scratch.spare);
+                }
                 // Only the guard finishes a Coflow ahead of its plan;
                 // the circuits it no longer needs go, and whoever shares
                 // their ports may move up.
@@ -545,7 +601,7 @@ impl<'p> OnlineStepper<'p> {
         self.active = active;
         if any_done {
             let is_active = &self.is_active;
-            self.priority_order.retain(|&i| is_active[i]);
+            self.priority_order.retain(|&(_, i)| is_active[i]);
         }
 
         if self.active.is_empty() && self.arrivals.is_empty() {
@@ -679,6 +735,7 @@ impl<'p> OnlineStepper<'p> {
     fn replan(&mut self, hook: &mut dyn SettleHook) {
         let delta = self.fabric.delta();
         let now = self.now;
+        let horizon = self.arrivals.next_arrival().unwrap_or(Time::MAX);
         let ports = self.fabric.ports();
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.reset(ports, &self.priority_order, self.coflows.len());
@@ -803,71 +860,84 @@ impl<'p> OnlineStepper<'p> {
                 }
             }
 
-            // Plan the affected set against one masked view of the
-            // (unmodified) table, the paper's sequential walk: hide every
-            // member's future plan (even a member with no remaining demand
-            // — its stale future must go), plan the members in priority
-            // order, then apply the diff — retire stale reservations, keep
-            // confirmed ones in place, insert fresh ones — leaving the
-            // table (and the unsettled mirror) byte-identical to what
-            // truncating the members' futures and rebuilding them would
-            // produce, at the cost of only the actual diff. The view
-            // works in recycled storage and costs the ports it touches.
-            if !scratch.dirty.is_empty() {
+            // Plan the round against one masked view of the (unmodified)
+            // table, the paper's sequential walk: hide every member's
+            // future plan (even a member with no remaining demand — its
+            // stale future must go), then visit the walks in priority
+            // order — members restart at `now`, paused outsiders resume —
+            // each up to the horizon, the next queued arrival, where a
+            // re-plan is due anyway. A walk that must read a
+            // higher-ranked plan past its frontier forces that walk on
+            // first (`RankedWalks`), so every walk decides exactly what
+            // planning everyone to completion would. Then apply the diff
+            // — retire stale reservations, keep confirmed ones in place,
+            // insert fresh ones — leaving the table (and the unsettled
+            // mirror) byte-identical to what truncating the members'
+            // futures and rebuilding them would produce, at the cost of
+            // only the actual diff. The view works in recycled storage
+            // and costs the ports it touches; a round with nothing to
+            // re-plan and no walk to resume builds none.
+            if !scratch.dirty.is_empty() || self.paused > 0 {
                 let mut view = DeltaView::new(&self.prt, now, std::mem::take(&mut scratch.view));
                 for &idx in &scratch.dirty {
                     view.hide_future_of(self.coflows[idx].id());
                 }
                 view.seal();
-                let mut at = 0;
-                for &idx in &scratch.dirty {
-                    let c = &self.coflows[idx];
-                    let remaining = self.book.remaining(idx);
-                    let credit = &scratch.credit[at..at + c.num_flows()];
-                    at += c.num_flows();
-                    scratch.demands.clear();
-                    for (fi, f) in c.flows().iter().enumerate() {
-                        if self.deferred.contains_key(&(idx, fi)) {
-                            continue; // in fault backoff
+                let mut walks = RankedWalks {
+                    walks: &mut self.walks,
+                    frontier: &mut self.frontier,
+                    paused: &mut self.paused,
+                    rank: &rank,
+                    sharers_in: &self.sharers_in,
+                    sharers_out: &self.sharers_out,
+                    horizon,
+                    caller: 0,
+                    stats: &mut self.stats,
+                    spare: &mut scratch.spare,
+                };
+                for (my_rank, &idx) in prio.iter().enumerate() {
+                    if let Some(at) = scratch.credit_at[my_rank] {
+                        let c = &self.coflows[idx];
+                        let remaining = self.book.remaining(idx);
+                        let credit = &scratch.credit[at..at + c.num_flows()];
+                        scratch.demands.clear();
+                        for (fi, f) in c.flows().iter().enumerate() {
+                            if self.deferred.contains_key(&(idx, fi)) {
+                                continue; // in fault backoff
+                            }
+                            let rem = remaining[fi].saturating_sub(credit[fi]);
+                            if !rem.is_zero() {
+                                scratch.demands.push(Demand {
+                                    flow_idx: fi,
+                                    src: f.src,
+                                    dst: f.dst,
+                                    remaining: rem,
+                                });
+                            }
                         }
-                        let rem = remaining[fi].saturating_sub(credit[fi]);
-                        if !rem.is_zero() {
-                            scratch.demands.push(Demand {
-                                flow_idx: fi,
-                                src: f.src,
-                                dst: f.dst,
-                                remaining: rem,
-                            });
-                        }
+                        walks.restart(idx, c.id(), &scratch.demands, now, delta);
                     }
-                    if scratch.demands.is_empty() {
-                        continue;
+                    walks.advance(&mut view, idx, horizon);
+                }
+                if self.config.active_policy == ActiveCircuitPolicy::Yield {
+                    // The displacement scan below looks for a plan starting
+                    // exactly where an in-flight circuit ends: every walk
+                    // that outranks the owner on the circuit's ports must be
+                    // past that instant.
+                    for r in self.unsettled.values().filter(|r| r.start < now) {
+                        walks.caller = rank[r.idx];
+                        let past = r.end.saturating_add(Dur::from_ps(1));
+                        walks.reveal_in(&mut view, r.src, past);
+                        walks.reveal_out(&mut view, r.dst, past);
                     }
-                    let (resvs, counters) = schedule_demands_on(
-                        &mut view,
-                        c.id(),
-                        &scratch.demands,
-                        now,
-                        delta,
-                        SunflowConfig::default(),
-                        &mut scratch.planner,
-                    );
-                    self.stats.releases_visited += counters.releases_visited;
-                    self.stats.demands_scanned += counters.demands_scanned;
-                    self.stats.reservations_made += resvs.len() as u64;
                 }
                 let plan = view.finish();
                 self.stats.count_view(&plan);
+                self.stats.reservations_made += plan.made_len();
                 scratch.removed.clear();
                 plan.apply(&mut self.prt, &mut scratch.removed);
                 self.stats.reservations_truncated += untrack(&mut self.unsettled, &scratch.removed);
-                // The plan lists each member's reservations together, in
-                // planning order: walk `dirty` alongside for the owners.
-                let mut member = 0;
-                for r in plan.fresh() {
-                    while self.coflows[scratch.dirty[member]].id() != r.flow.coflow {
-                        member += 1;
-                    }
+                for (idx, r) in plan.fresh() {
                     track(
                         &mut self.unsettled,
                         Pending {
@@ -876,7 +946,7 @@ impl<'p> OnlineStepper<'p> {
                             start: r.start,
                             dst: r.dst,
                             flow: r.flow,
-                            idx: scratch.dirty[member],
+                            idx,
                         },
                     );
                 }
@@ -1007,12 +1077,15 @@ impl SchedulingBackend for OnlineStepper<'_> {
         let t_completion = self
             .active
             .iter()
+            // A paused walk's frontier is at or past the next queued
+            // arrival, so its Coflow completes after that event.
+            .filter(|&&idx| self.walks[idx].is_none())
             .map(|&idx| {
-                // A coflow completes when its last planned reservation
-                // ends (plans always cover all remaining demand). If it
-                // has none, all residual demand is pending in kept
-                // reservations or will be served by guard windows; fall
-                // back to the guard end.
+                // A coflow whose walk finished completes when its last
+                // planned reservation ends (the plan covers all remaining
+                // demand). If it has none, all residual demand is pending
+                // in kept reservations or will be served by guard
+                // windows; fall back to the guard end.
                 match self.prt.last_end_of(self.coflows[idx].id()) {
                     Some(end) if end > self.now => end,
                     _ => self
@@ -1079,6 +1152,117 @@ impl SchedulingBackend for OnlineStepper<'_> {
     fn compact_history(&mut self) -> usize {
         self.prt.forget_before(self.now)
     }
+}
+
+/// The stepper's walks during one planning round, as the [`Outranking`]
+/// each of them plans against: before a walk of rank `caller` reads a
+/// port up to `until`, every walk ranked above it on that port is
+/// advanced to at least `until`, recursively upward (DESIGN §4, "Plan
+/// only as far as the next arrival").
+struct RankedWalks<'a> {
+    walks: &'a mut [Option<Box<Walk>>],
+    frontier: &'a mut [Time],
+    paused: &'a mut usize,
+    rank: &'a [usize],
+    sharers_in: &'a [Vec<u32>],
+    sharers_out: &'a [Vec<u32>],
+    /// The round's horizon. The round visits walks in rank order and
+    /// leaves each at or past it, so every walk ranked above a caller
+    /// is there already.
+    horizon: Time,
+    /// Rank of the walk being advanced (or of the circuit owner Yield's
+    /// coverage pass reveals for).
+    caller: usize,
+    stats: &'a mut ReplayStats,
+    spare: &'a mut SpareWalks,
+}
+
+impl RankedWalks<'_> {
+    /// Restart Coflow `idx`'s walk at `now` over `demands`, retiring the
+    /// walk it had; with no demand it gets none.
+    fn restart(&mut self, idx: usize, coflow: u64, demands: &[Demand], now: Time, delta: Dur) {
+        if let Some(old) = self.walks[idx].take() {
+            *self.paused -= 1;
+            retire(old, self.stats, self.spare);
+        }
+        self.frontier[idx] = Time::MAX;
+        if demands.is_empty() {
+            return;
+        }
+        let mut walk = self.spare.pop().unwrap_or_default();
+        walk.restart(coflow, demands, now, delta, SunflowConfig::default());
+        self.frontier[idx] = now;
+        self.walks[idx] = Some(walk);
+        *self.paused += 1;
+    }
+
+    /// Advance Coflow `h`'s walk, if it has one, to `until`, logging its
+    /// reservations under `h`; a finished walk is retired.
+    fn advance(&mut self, view: &mut DeltaView<'_>, h: usize, until: Time) {
+        let Some(mut walk) = self.walks[h].take() else {
+            return;
+        };
+        let caller = std::mem::replace(&mut self.caller, self.rank[h]);
+        let owner = view.plan_for(h);
+        walk.advance(view, until, self);
+        view.plan_for(owner);
+        self.caller = caller;
+        match walk.frontier() {
+            Some(f) => {
+                self.frontier[h] = f;
+                self.walks[h] = Some(walk);
+            }
+            None => {
+                self.frontier[h] = Time::MAX;
+                *self.paused -= 1;
+                retire(walk, self.stats, self.spare);
+            }
+        }
+    }
+
+    /// Advance every walk in `sharers` ranked above the caller and short
+    /// of `until` to `until`; `true` if there was one.
+    fn reveal(&mut self, view: &mut DeltaView<'_>, sharers: &[u32], until: Time) -> bool {
+        if until <= self.horizon {
+            return false;
+        }
+        let mut any = false;
+        for &h in sharers {
+            let h = h as usize;
+            if self.frontier[h] < until && self.rank[h] < self.caller {
+                self.advance(view, h, until);
+                any = true;
+            }
+        }
+        any
+    }
+}
+
+impl<'v> Outranking<DeltaView<'v>> for RankedWalks<'_> {
+    fn reveal_in(&mut self, view: &mut DeltaView<'v>, src: InPort, until: Time) -> bool {
+        let sharers = self.sharers_in;
+        self.reveal(view, &sharers[src], until)
+    }
+
+    fn reveal_out(&mut self, view: &mut DeltaView<'v>, dst: OutPort, until: Time) -> bool {
+        let sharers = self.sharers_out;
+        self.reveal(view, &sharers[dst], until)
+    }
+}
+
+/// Put away a walk that finished or was dropped: its work joins the
+/// replay's counters, its buffers the spare pool.
+fn retire(walk: Box<Walk>, stats: &mut ReplayStats, spare: &mut SpareWalks) {
+    let c = walk.counters();
+    stats.releases_visited += c.releases_visited;
+    stats.demands_scanned += c.demands_scanned;
+    spare.push(walk);
+}
+
+/// Remove Coflow `idx` from a port's sharer list.
+fn unshare(sharers: &mut Vec<u32>, idx: usize) {
+    let pos = sharers.iter().position(|&i| i as usize == idx);
+    sharers.swap_remove(pos.expect("an active Coflow shares its own ports"));
 }
 
 /// The set of ports any of the Coflow's flows touches.
@@ -1312,7 +1496,10 @@ mod tests {
     /// One giant Coflow behind a stream of small ones: its plan runs
     /// through a hundred guard intervals, and at every instant we look,
     /// no circuit in the table touches any window between the clock and
-    /// the end of that plan — though no window is ever reserved.
+    /// the end of that plan — though no window is ever reserved. The
+    /// small ones are submitted as a service would, at their arrivals:
+    /// with no arrival queued the stepper plans every walk to its end,
+    /// so the whole plan is in the table to look at.
     #[test]
     fn no_plan_crosses_a_guard_window_however_long() {
         let f = fabric();
@@ -1325,15 +1512,21 @@ mod tests {
             giant = giant.flow(0, dst, mb(500));
         }
         s.submit(giant.build()).unwrap();
-        for i in 1..=40u64 {
-            let small = Coflow::builder(i)
+        let mut smalls = (1..=40u64).map(|i| {
+            Coflow::builder(i)
                 .arrival(Time::from_millis(i * 25))
                 .flow((i % 4) as usize, (i % 3) as usize, mb(1))
-                .build();
-            s.submit(small).unwrap();
-        }
+                .build()
+        });
+        let mut next = smalls.next();
         for at_ms in [0, 30, 500, 2_000, 9_000] {
-            s.advance_to(Time::from_millis(at_ms), &mut FullService);
+            let at = Time::from_millis(at_ms);
+            while let Some(small) = next.take_if(|c| c.arrival() <= at) {
+                s.advance_to(small.arrival(), &mut FullService);
+                s.submit(small).unwrap();
+                next = smalls.next();
+            }
+            s.advance_to(at, &mut FullService);
             let plan_end = s.prt().last_end_of(0).expect("giant is planned");
             assert!(plan_end > s.status().now + guard.interval_len() * 50);
             // The table holds circuits only (`ResvKind` has no other

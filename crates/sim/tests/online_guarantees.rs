@@ -20,7 +20,8 @@ mod common;
 
 use common::ref_replay::{ref_schedule_demands, RefTable};
 use common::{
-    policies, random_workload, ref_replay, stepper_replay, xorshift, Replay, ACTIVE_POLICIES,
+    policies, random_workload, ref_replay, stepper_replay, xorshift, Replay, Submission::UpFront,
+    ACTIVE_POLICIES,
 };
 use ocs_model::{
     circuit_lower_bound, lemma1_holds, lemma2_holds, served_per_flow, validate_port_constraints,
@@ -63,7 +64,7 @@ impl SettleHook for Record {
 /// order and every circuit executed.
 fn replay_recorded(coflows: &[Coflow], f: &Fabric) -> (Vec<ScheduleOutcome>, Vec<Reservation>) {
     let mut record = Record::default();
-    let (replay, _) = stepper_replay(coflows, f, &keep(), &ShortestFirst, &mut record);
+    let (replay, _) = stepper_replay(coflows, f, &keep(), &ShortestFirst, &mut record, UpFront);
     (replay.outcomes, record.0)
 }
 
@@ -205,8 +206,14 @@ fn online_replay_under_keep_is_the_batch_when_all_arrive_at_zero() {
             let f = fabric(ports as usize);
             for (name, policy) in policies(&coflows) {
                 let label = format!("seed {seed}, {ports} ports, {name}");
-                let (online, _) =
-                    stepper_replay(&coflows, &f, &keep(), policy.as_ref(), &mut FullService);
+                let (online, _) = stepper_replay(
+                    &coflows,
+                    &f,
+                    &keep(),
+                    policy.as_ref(),
+                    &mut FullService,
+                    UpFront,
+                );
                 let reference =
                     ref_replay(&coflows, &f, &keep(), policy.as_ref(), &mut FullService);
                 common::assert_replays_agree(&online, &reference, &label);
@@ -382,7 +389,7 @@ fn shifts_that_hold(guard: Option<GuardConfig>, by: impl Fn(u64) -> Dur) -> (usi
             for policy in ACTIVE_POLICIES {
                 let cfg = OnlineConfig::default().active_policy(policy).guard(guard);
                 let run = |cs: &[Coflow]| {
-                    stepper_replay(cs, &f, &cfg, &ShortestFirst, &mut FullService).0
+                    stepper_replay(cs, &f, &cfg, &ShortestFirst, &mut FullService, UpFront).0
                 };
                 let refrun =
                     |cs: &[Coflow]| ref_replay(cs, &f, &cfg, &ShortestFirst, &mut FullService);

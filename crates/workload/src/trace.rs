@@ -19,7 +19,7 @@
 //! experiments also run against the calibrated synthetic generator in
 //! [`crate::synth`] so the repository is self-contained.
 
-use ocs_model::{Coflow, Time};
+use ocs_model::{Coflow, Time, MAX_ARRIVAL_MS};
 use std::fmt;
 
 /// One megabyte as used by the trace (2²⁰ bytes, matching the original
@@ -93,7 +93,7 @@ pub fn parse(text: &str) -> Result<Trace, ParseError> {
     struct Raw {
         line: usize,
         id: u64,
-        arrival_ms: u64,
+        arrival: Time,
         mappers: Vec<usize>,
         reducers: Vec<(usize, f64)>,
     }
@@ -109,6 +109,16 @@ pub fn parse(text: &str) -> Result<Trace, ParseError> {
         };
         let id = next_num("coflow id")?;
         let arrival_ms = next_num("arrival time")?;
+        // Bounded like the daemon's wire arrivals, so the instant and
+        // everything planned from it fit the clock.
+        let arrival = (arrival_ms <= MAX_ARRIVAL_MS)
+            .then(|| Time::from_millis(arrival_ms))
+            .ok_or_else(|| {
+                err(
+                    ln,
+                    format!("arrival time {arrival_ms} ms is past {MAX_ARRIVAL_MS} ms"),
+                )
+            })?;
         let m = next_num("mapper count")? as usize;
         let mut mappers = Vec::with_capacity(m);
         for k in 0..m {
@@ -143,7 +153,7 @@ pub fn parse(text: &str) -> Result<Trace, ParseError> {
         raws.push(Raw {
             line: ln,
             id,
-            arrival_ms,
+            arrival,
             mappers,
             reducers,
         });
@@ -154,7 +164,7 @@ pub fn parse(text: &str) -> Result<Trace, ParseError> {
 
     let mut coflows = Vec::with_capacity(raws.len());
     for raw in raws {
-        let mut b = Coflow::builder(raw.id).arrival(Time::from_millis(raw.arrival_ms));
+        let mut b = Coflow::builder(raw.id).arrival(raw.arrival);
         for &(r_rack, size_mb) in &raw.reducers {
             let dst = r_rack - base;
             if dst >= ports {
@@ -244,6 +254,18 @@ mod tests {
 1 100 2 1 2 1 3:10
 7 250 1 5 2 6:4 7:2
 ";
+
+    /// An arrival whose picoseconds overflow the clock is a line-numbered
+    /// error, not an instant wrapped back near zero.
+    #[test]
+    fn arrival_past_the_horizon_is_a_line_error() {
+        let e = parse("4 2\n1 100 1 0 1 1:1\n2 18446744073710 1 0 1 1:1\n").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.to_string().contains("arrival"), "{e}");
+        let last = format!("4 1\n1 {MAX_ARRIVAL_MS} 1 0 1 1:1\n");
+        let t = parse(&last).unwrap();
+        assert_eq!(t.coflows[0].arrival(), Time::from_millis(MAX_ARRIVAL_MS));
+    }
 
     #[test]
     fn parses_the_benchmark_format() {

@@ -117,11 +117,9 @@ fn load_trace(opts: &Opts) -> Result<(usize, Vec<Coflow>), String> {
 fn fabric_for(opts: &Opts, ports: usize) -> Result<Fabric, String> {
     let gbps: u64 = opts.num("gbps", 1)?;
     let delta_ms: u64 = opts.num("delta-ms", 10)?;
-    Ok(Fabric::new(
-        ports,
-        Bandwidth::from_gbps(gbps),
-        Dur::from_millis(delta_ms),
-    ))
+    let delta = Dur::checked_from_millis(delta_ms)
+        .ok_or_else(|| format!("--delta-ms: {delta_ms} ms does not fit the clock"))?;
+    Ok(Fabric::new(ports, Bandwidth::from_gbps(gbps), delta))
 }
 
 fn cmd_generate(opts: &Opts) -> Result<(), String> {
@@ -246,4 +244,24 @@ fn cmd_info(opts: &Opts) -> Result<(), String> {
         .unwrap_or(0.0);
     println!("largest T_pL: {tpl_max:.1}s");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(args: &[&str]) -> Opts {
+        Opts::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    /// A δ whose picoseconds overflow the clock is a flag error, not a
+    /// wrapped delay.
+    #[test]
+    fn delta_ms_past_the_clock_is_a_flag_error() {
+        let fabric = fabric_for(&opts(&["--delta-ms", "18446744073710"]), 4);
+        let err = fabric.expect_err("δ overflows the picosecond clock");
+        assert!(err.contains("--delta-ms"), "{err}");
+        let ok = fabric_for(&opts(&["--delta-ms", "7"]), 4).unwrap();
+        assert_eq!(ok.delta(), Dur::from_millis(7));
+    }
 }
