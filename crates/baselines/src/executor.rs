@@ -12,8 +12,9 @@
 //! * **All-stop** (the conventional model of prior work): every circuit
 //!   stops whenever anything is reconfigured.
 //!
-//! [`Switch`] is the executor, resumable at a limit (the aggregated replay
-//! of `ocs_sim::CircuitBackend` re-plans at every Coflow arrival);
+//! [`Switch`] is the executor, resumable at a limit: the aggregated replay
+//! of `ocs_sim::CircuitBackend` re-plans at every Coflow arrival and
+//! keeps its plan across any other limit ([`Switch::resume`]);
 //! [`execute`] runs it to completion for the offline per-Coflow path.
 //! Both read the same per-circuit transmission [`Segment`]s.
 //!
@@ -25,7 +26,7 @@
 //! behaviour of fixed-slot systems like the Edmond-based designs.
 
 use ocs_model::{Assignment, DemandMatrix, Dur, Time};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// An assignment with its nominal duration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,11 +120,35 @@ impl Switch {
         &mut self,
         plan: &[TimedAssignment],
         remaining: &mut DemandMatrix,
+        t: Time,
+        limit: Time,
+        segments: &mut Vec<Segment>,
+    ) -> Time {
+        let mut plan = KeptPlan {
+            windows: plan.iter().cloned().collect(),
+            ..KeptPlan::default()
+        };
+        self.resume(&mut plan, remaining, t, limit, segments)
+    }
+
+    /// [`Switch::run`] on a plan kept across limits: the windows that
+    /// finish leave `plan`, and a window the limit cuts short stays at
+    /// its head, shortened by the transmit time it ran, its stall
+    /// remembered. Every circuit of that window is up (or being set up)
+    /// at the limit, so resuming there pays no second setup and ends
+    /// each circuit where one uninterrupted run would.
+    pub fn resume(
+        &mut self,
+        plan: &mut KeptPlan,
+        remaining: &mut DemandMatrix,
         mut t: Time,
         limit: Time,
         segments: &mut Vec<Segment>,
     ) -> Time {
-        for ta in plan {
+        // A window a limit cut short stalls on to its old stall's end;
+        // every later window starts after that.
+        let held = plan.stall_until;
+        while let Some(ta) = plan.windows.front_mut() {
             if remaining.is_zero() || t >= limit {
                 break;
             }
@@ -149,7 +174,7 @@ impl Switch {
             let pending = persistent
                 .iter()
                 .flatten()
-                .fold(Dur::ZERO, |a, &b| a.max(b));
+                .fold(held.saturating_since(t), |a, &b| a.max(b));
             let stall = pending.max(if changed_any { self.delta } else { Dur::ZERO });
             let offset = |k: usize| match (self.cfg.switch, persistent[k]) {
                 (SwitchModel::NotAllStop, Some(up_in)) => up_in,
@@ -168,7 +193,8 @@ impl Switch {
             } else {
                 ta.duration
             };
-            let window_end = (t + stall + t_eff).min(limit);
+            let natural_end = t + stall + t_eff;
+            let window_end = natural_end.min(limit);
 
             // Circuits not in this assignment are torn down.
             let mut next = vec![None; self.cur.len()];
@@ -186,10 +212,27 @@ impl Switch {
                 }
             }
             self.cur = next;
+            if natural_end > limit {
+                ta.duration -= limit.saturating_since(t + stall);
+                plan.stall_until = t + stall;
+                return limit;
+            }
+            plan.windows.pop_front();
             t = window_end;
         }
         t
     }
+}
+
+/// An assignment sequence part-way through execution on a [`Switch`]
+/// ([`Switch::resume`]).
+#[derive(Clone, Debug, Default)]
+pub struct KeptPlan {
+    /// The windows still to run, the first possibly cut short by a limit.
+    pub windows: VecDeque<TimedAssignment>,
+    /// Where the stall of a window a limit cut short ends: its
+    /// reconfiguration outlives the cut.
+    pub stall_until: Time,
 }
 
 /// The result of executing a schedule to completion.
@@ -245,6 +288,7 @@ pub fn execute(
 mod tests {
     use super::*;
     use ocs_model::DemandMatrix;
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> Dur {
         Dur::from_millis(v)
@@ -499,6 +543,99 @@ mod tests {
             };
             assert_eq!(segments, vec![seg], "{switch:?}");
             assert_eq!(sw.setups, 1);
+        }
+    }
+
+    /// Segments with every run of back-to-back pieces on one circuit
+    /// joined, in `(src, dst, tx_start)` order.
+    fn merged(mut segs: Vec<Segment>) -> Vec<Segment> {
+        segs.sort_by_key(|s| (s.src, s.dst, s.tx_start));
+        let mut out: Vec<Segment> = Vec::new();
+        for s in segs {
+            match out.last_mut() {
+                Some(p) if (p.src, p.dst, p.tx_end) == (s.src, s.dst, s.tx_start) => {
+                    p.tx_end = s.tx_end
+                }
+                _ => out.push(s),
+            }
+        }
+        out
+    }
+
+    /// Up to eight windows of partial matchings on four ports (some
+    /// empty, some a subset of the one before, so some stall only to
+    /// tear circuits down), 1–60 ms each.
+    fn arb_plan() -> impl Strategy<Value = Vec<TimedAssignment>> {
+        let window = (
+            0usize..24,
+            proptest::collection::vec(any::<bool>(), 4),
+            1u64..60,
+        );
+        proptest::collection::vec(window, 1..8).prop_map(|ws| {
+            ws.into_iter()
+                .map(|(perm, keep, dur)| {
+                    // The `perm`-th permutation of four outputs.
+                    let mut outs = [0usize, 1, 2, 3];
+                    let mut code = perm;
+                    for i in 0..4 {
+                        outs.swap(i, i + code % (4 - i));
+                        code /= 4 - i;
+                    }
+                    let pairs = (0..4).filter(|&i| keep[i]).map(|i| (i, outs[i])).collect();
+                    TimedAssignment {
+                        assignment: Assignment::new(pairs),
+                        duration: ms(dur),
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A plan resumed at arbitrary limits transmits, sets up and
+        /// drains exactly what one uninterrupted run does, under every
+        /// execution config — limits inside stalls included.
+        #[test]
+        fn a_plan_resumed_at_any_limits_runs_as_one(
+            plan in arb_plan(),
+            demand in proptest::collection::vec(0u64..80, 16),
+            steps in proptest::collection::vec(1u64..25_000, 1..16),
+        ) {
+            let mut d = DemandMatrix::zero(4);
+            for (k, &v) in demand.iter().enumerate() {
+                d.set(k / 4, k % 4, ms(v));
+            }
+            for switch in [SwitchModel::NotAllStop, SwitchModel::AllStop] {
+                for early_advance in [true, false] {
+                    let cfg = ExecConfig { switch, early_advance };
+                    let mut whole = Switch::new(4, ms(10), cfg);
+                    let (mut left, mut segs) = (d.clone(), Vec::new());
+                    whole.run(&plan, &mut left, Time::ZERO, Time::MAX, &mut segs);
+
+                    let mut sliced = Switch::new(4, ms(10), cfg);
+                    let mut kept = KeptPlan {
+                        windows: plan.clone().into(),
+                        ..KeptPlan::default()
+                    };
+                    let (mut rest, mut pieces) = (d.clone(), Vec::new());
+                    let mut t = Time::ZERO;
+                    for k in 0.. {
+                        if kept.windows.is_empty() || rest.is_zero() {
+                            break;
+                        }
+                        let limit = t + Dur::from_micros(steps[k % steps.len()]);
+                        t = sliced.resume(&mut kept, &mut rest, t, limit, &mut pieces);
+                        if t < limit {
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(merged(pieces), merged(segs), "{:?}", cfg);
+                    prop_assert_eq!(sliced.setups, whole.setups, "{:?}", cfg);
+                    prop_assert_eq!(rest, left, "{:?}", cfg);
+                }
+            }
         }
     }
 

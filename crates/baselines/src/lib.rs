@@ -32,7 +32,7 @@ pub mod tms;
 
 pub use edmond::{edmond_schedule, DEFAULT_SLOT};
 pub use executor::{
-    execute, ExecConfig, ExecResult, Segment, Switch, SwitchModel, TimedAssignment,
+    execute, ExecConfig, ExecResult, KeptPlan, Segment, Switch, SwitchModel, TimedAssignment,
 };
 pub use sched::{compact, CircuitScheduler, Compacted};
 pub use solstice::solstice_schedule;

@@ -137,7 +137,7 @@ impl FlowOrder {
     }
 }
 
-/// Counters describing the work one [`schedule_demands_counted`] call
+/// Counters describing the work one [`schedule_demands_on`] call
 /// (or one [`Walk`] since its restart) performed — the evidence the port-scoped rewrite actually prunes the
 /// Algorithm 1 inner loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -146,14 +146,6 @@ pub struct ScheduleCounters {
     pub releases_visited: u64,
     /// Demand entries examined across all passes (line 15 loop body).
     pub demands_scanned: u64,
-}
-
-impl ScheduleCounters {
-    /// Accumulate another call's counters into this one.
-    pub fn absorb(&mut self, other: ScheduleCounters) {
-        self.releases_visited += other.releases_visited;
-        self.demands_scanned += other.demands_scanned;
-    }
 }
 
 /// The message scheduling dies with when a pending demand faces no future
@@ -603,56 +595,29 @@ impl Walk {
     }
 }
 
-/// Run Algorithm 1 (`IntraCoflow`) for one Coflow against the shared PRT.
+/// Run Algorithm 1 (`IntraCoflow`) for one Coflow against `table`, with
+/// caller-recycled [`ScheduleScratch`]: the scratch's [`Walk`] restarted
+/// and advanced to `Time::MAX` against a table nothing else plans on.
 ///
 /// `demands` lists the Coflow's remaining per-flow processing times (only
 /// positive entries are considered); `start` is the scheduling origin
 /// (line 4's `t = 0`, or "now" in the online replay); `delta` is the
 /// circuit reconfiguration delay `δ`.
 ///
-/// Returns the reservations made, in creation order. Reservation lengths
-/// include the leading `δ`; a reservation of length `l` delivers `l − δ`
-/// of processing time. A reservation may be shorter than `δ + p` only when
-/// an existing (higher-priority) reservation on one of its ports forces
-/// truncation; the remainder is rescheduled later, paying another `δ`.
-///
-/// # Panics
-/// Panics if a demand references a port outside the PRT.
-pub fn schedule_demands(
-    prt: &mut Prt,
-    coflow_id: u64,
-    demands: &[Demand],
-    start: Time,
-    delta: Dur,
-    config: SunflowConfig,
-) -> Vec<Reservation> {
-    schedule_demands_counted(prt, coflow_id, demands, start, delta, config).0
-}
-
-/// [`schedule_demands`] with its work counters.
-///
-/// Reservations are byte-identical to the rescan-everything loop's
-/// (same order, same starts, same ends; the reference loop lives in this
-/// crate's `port_scoped_equivalence` tests), at O(wakes × log) instead
-/// of O(global releases × pending demands); see [`Walk`].
-pub fn schedule_demands_counted(
-    prt: &mut Prt,
-    coflow_id: u64,
-    demands: &[Demand],
-    start: Time,
-    delta: Dur,
-    config: SunflowConfig,
-) -> (Vec<Reservation>, ScheduleCounters) {
-    let mut scratch = ScheduleScratch::new();
-    schedule_demands_on(prt, coflow_id, demands, start, delta, config, &mut scratch)
-}
-
-/// [`schedule_demands_counted`] generic over the [`PlanTable`] and with
-/// caller-recycled [`ScheduleScratch`]: the scratch's [`Walk`] restarted
-/// and advanced to `Time::MAX` against a table nothing else plans on.
+/// Returns the reservations made, in creation order, and the work
+/// counters. Reservation lengths include the leading `δ`; a reservation
+/// of length `l` delivers `l − δ` of processing time. A reservation may
+/// be shorter than `δ + p` only when an existing (higher-priority)
+/// reservation on one of its ports forces truncation; the remainder is
+/// rescheduled later, paying another `δ`. The plan is the
+/// rescan-everything loop's (`port_scoped_equivalence` tests), at
+/// O(wakes × log) instead of O(global releases × pending demands).
 /// `demands_scanned` counts only full examinations (not demands parked
 /// behind a port this call already holds); `releases_visited` counts
 /// instants at which a candidate pass actually ran.
+///
+/// # Panics
+/// Panics if a demand references a port outside the table.
 pub fn schedule_demands_on<T: PlanTable>(
     table: &mut T,
     coflow_id: u64,
@@ -877,13 +842,14 @@ impl<'f> IntraScheduler<'f> {
                 remaining: self.fabric.processing_time(f.bytes),
             })
             .collect();
-        let reservations = schedule_demands(
+        let (reservations, _) = schedule_demands_on(
             prt,
             coflow.id(),
             &demands,
             start,
             self.fabric.delta(),
             self.config,
+            &mut ScheduleScratch::new(),
         );
         CoflowSchedule::new(coflow.id(), start, coflow.num_flows(), reservations)
     }
@@ -1089,13 +1055,14 @@ mod tests {
             dst: 0,
             remaining: Dur::from_millis(40),
         }];
-        let rs = schedule_demands(
+        let (rs, _) = schedule_demands_on(
             &mut prt,
             1,
             &demands,
             Time::ZERO,
             delta,
             SunflowConfig::default(),
+            &mut ScheduleScratch::new(),
         );
         // First reservation truncated at 30 ms (delivers 20 ms of data),
         // second starts at 60 ms for the remaining 20 ms + delta.
@@ -1129,13 +1096,14 @@ mod tests {
             dst: 0,
             remaining: Dur::from_millis(10),
         }];
-        let rs = schedule_demands(
+        let (rs, _) = schedule_demands_on(
             &mut prt,
             1,
             &demands,
             Time::ZERO,
             f.delta(),
             SunflowConfig::default(),
+            &mut ScheduleScratch::new(),
         );
         assert_eq!(rs.len(), 1);
         // Not scheduled in the 5 ms gap (< delta = 10 ms); starts at 50 ms.

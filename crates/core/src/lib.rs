@@ -52,9 +52,8 @@ pub use inter::{
     PriorityPolicy, ShortestFirst,
 };
 pub use intra::{
-    schedule_demands, schedule_demands_counted, schedule_demands_on, Alone, CoflowSchedule, Demand,
-    FlowOrder, IntraScheduler, Outranking, PlanTable, ScheduleCounters, ScheduleScratch,
-    SunflowConfig, Walk,
+    schedule_demands_on, Alone, CoflowSchedule, Demand, FlowOrder, IntraScheduler, Outranking,
+    PlanTable, ScheduleCounters, ScheduleScratch, SunflowConfig, Walk,
 };
 pub use multicore::{
     CoreAssign, CoreAssignKind, CoreLoad, LeastLoaded, RankPack, RoundRobin, StaticHash,

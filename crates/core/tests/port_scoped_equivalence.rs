@@ -1,5 +1,5 @@
 //! Equivalence tests for the port-scoped Algorithm 1 engine: the
-//! wake-subscription `schedule_demands` must reproduce the
+//! wake-subscription `schedule_demands_on` must reproduce the
 //! rescan-everything reference loop ([`ref_schedule_demands`], planning
 //! on the [`RefTable`] model) byte for byte, on a table holding the same
 //! higher-priority obstacles.
@@ -10,7 +10,7 @@ use common::{ref_schedule_demands, RefTable};
 use ocs_model::{Dur, FlowRef, Time};
 use proptest::prelude::*;
 use sunflow_core::{
-    schedule_demands, schedule_demands_counted, Demand, FlowOrder, Prt, ResvKind, SunflowConfig,
+    schedule_demands_on, Demand, FlowOrder, Prt, ResvKind, ScheduleScratch, SunflowConfig,
 };
 
 const PORTS: usize = 4;
@@ -68,8 +68,15 @@ fn indexed_and_naive_schedules_are_byte_identical() {
     ] {
         let cfg = SunflowConfig::default().order(order);
         let (mut prt, mut model) = obstacle_tables(6, &obstacles);
-        let (fast, counters) =
-            schedule_demands_counted(&mut prt, 7, &demands, Time::ZERO, delta, cfg);
+        let (fast, counters) = schedule_demands_on(
+            &mut prt,
+            7,
+            &demands,
+            Time::ZERO,
+            delta,
+            cfg,
+            &mut ScheduleScratch::new(),
+        );
         let reference = ref_schedule_demands(&mut model, 7, &demands, Time::ZERO, delta, cfg);
         assert_eq!(fast, reference, "reservations diverge under {order:?}");
         assert_eq!(
@@ -115,7 +122,15 @@ proptest! {
         let start = Time::from_millis(start_ms);
         let delta = Dur::from_millis(10);
 
-        let made = schedule_demands(&mut prt, 0, &demands, start, delta, config);
+        let (made, _) = schedule_demands_on(
+            &mut prt,
+            0,
+            &demands,
+            start,
+            delta,
+            config,
+            &mut ScheduleScratch::new(),
+        );
         let reference = ref_schedule_demands(&mut model, 0, &demands, start, delta, config);
         prop_assert_eq!(made, reference, "reservation streams diverged");
         prop_assert_eq!(

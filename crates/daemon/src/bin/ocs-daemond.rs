@@ -61,7 +61,7 @@ run OPTIONS:
   --max-outstanding-secs F  outstanding transmit-demand cap
   --pipelined             ingest through the bounded-channel front end
   --channel-capacity N    admission channel bound (default 1024)
-  --batch-max N           max arrivals admitted per step (default 256)
+  --batch-max N           max parsed lines per admission step (default 256)
   --on-full MODE          reject | wait when the channel is full
                           (default reject; wait is lossless)
   --fault-seed N          fault stream seed (default 0)

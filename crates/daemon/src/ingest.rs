@@ -1,9 +1,8 @@
 //! Pipelined arrival ingestion: a bounded admission channel with typed
-//! backpressure and batched submission, in front of the synchronous
-//! scheduling core.
+//! backpressure, in front of the synchronous scheduling core.
 //!
 //! [`run_to_completion`](crate::server::run_to_completion) parses,
-//! submits and advances one line at a time on one thread — correct, but
+//! advances and submits one line at a time on one thread — correct, but
 //! the scheduler sits idle while JSON parses and the parser sits idle
 //! while circuits plan. [`run_pipelined`] splits the work across three
 //! stages connected by channels:
@@ -11,10 +10,10 @@
 //! ```text
 //!  reader thread          admission loop (caller's thread)   writer thread
 //!  ─────────────          ────────────────────────────────   ─────────────
-//!  parse JSONL ──bounded──▶ drain batch ▶ submit ▶ advance ──▶ ack mux
-//!  lines        channel     (the only thread touching the     (re-orders
-//!  (typed backpressure       Daemon — scheduling stays         acks to
-//!   when full)               synchronous + deterministic)      line order)
+//!  parse JSONL ──bounded──▶ take up to batch_max lines,  ──▶ ack mux
+//!  lines        channel     Daemon::ingest each in order     (re-orders
+//!  (typed backpressure      (the only thread touching the     acks to
+//!   when full)               Daemon)                          line order)
 //! ```
 //!
 //! * The admission channel is **bounded** ([`PipelineConfig::channel_capacity`]).
@@ -22,23 +21,17 @@
 //!   [`RejectReason::Backpressure`] ack — explicit load shedding instead
 //!   of a silent stall — while [`OnFull::Wait`] blocks the reader
 //!   (lossless, for file replay).
-//! * The admission loop drains the channel in **batches** (up to
-//!   [`PipelineConfig::batch_max`] per step), submits every arrival in
-//!   stream order, then advances the virtual clock once per batch.
-//!   Backends queue future arrivals internally and process them at their
-//!   arrival instants, so batch-submit-then-advance replays byte-identically
-//!   to the one-line-at-a-time loop on ordered traces (the engine's
-//!   batch entry points rely on the same property); `pipelined_matches_
-//!   sequential_replay` below pins it.
+//! * The admission loop takes up to [`PipelineConfig::batch_max`] parsed
+//!   lines per step and admits each with the sequential loop's own step,
+//!   [`Daemon::ingest`]: run every event before the line's arrival
+//!   instant, then submit. The step sees the line alone, so how the
+//!   reader's timing cuts the stream into batches changes nothing: with
+//!   [`OnFull::Wait`] the acks and outcomes are the sequential loop's
+//!   for any input, channel capacity and batch size
+//!   (`pipelined_matches_sequential_replay` below pins it).
 //! * Acks from both stages are re-sequenced to input-line order by an
 //!   `AckMux` min-heap on the writer thread, so clients still read one
 //!   verdict per line, in order, with no line lost.
-//!
-//! One semantic difference from the sequential loop, by design: the
-//! clock advances per batch, not per line, so a line whose `arrival_ms`
-//! precedes an *earlier line in the same batch* is admitted at its own
-//! arrival instant instead of being rejected as `arrival_in_past` — a
-//! bounded out-of-order tolerance window of one batch.
 //!
 //! Wall-clock **admission-to-schedule latency** (channel enqueue →
 //! backend submission) is recorded per admitted Coflow into
@@ -47,7 +40,6 @@
 
 use crate::jsonl::{parse_line, ArrivalSpec};
 use crate::service::{Daemon, RejectReason};
-use ocs_model::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{BufRead, Write};
@@ -72,8 +64,7 @@ pub struct PipelineConfig {
     /// Bound of the admission channel (arrivals parsed but not yet
     /// submitted). The backpressure threshold.
     pub channel_capacity: usize,
-    /// Most arrivals submitted per admission step before the clock
-    /// advances.
+    /// Most parsed lines one admission step takes off the channel.
     pub batch_max: usize,
     /// Full-channel policy.
     pub on_full: OnFull,
@@ -289,9 +280,9 @@ fn write_acks(rx: Receiver<(u64, String)>, out: Option<&mut dyn Write>) -> std::
 /// gracefully. Blank lines and `#` comments are skipped, as in
 /// [`run_to_completion`](crate::server::run_to_completion).
 ///
-/// On an ordered fault-free trace this replays byte-identically to the
-/// sequential loop; under load the bounded channel sheds (or, with
-/// [`OnFull::Wait`], paces) the producer instead of stalling silently.
+/// With [`OnFull::Wait`] this acks and schedules byte-identically to the
+/// sequential loop; under load the bounded channel sheds (with
+/// [`OnFull::Reject`]) instead of stalling silently.
 pub fn run_pipelined<R, W>(
     daemon: &mut Daemon,
     input: R,
@@ -319,7 +310,6 @@ where
         let writer = scope.spawn(move || write_acks(ack_rx, ack_out.map(|w| w as &mut dyn Write)));
 
         // The admission loop: the only stage touching the daemon.
-        let mut stream_clock = daemon.now();
         let mut batch = Vec::with_capacity(batch_max);
         while let Ok(first) = rx.recv() {
             batch.push(first);
@@ -332,10 +322,8 @@ where
             report.batches += 1;
             report.max_batch = report.max_batch.max(batch.len() as u64);
             for env in batch.drain(..) {
-                if let Some(ms) = env.spec.arrival_ms {
-                    stream_clock = stream_clock.max(Time::from_millis(ms));
-                }
-                let verdict = daemon.submit(env.spec.to_coflow(stream_clock));
+                let (events, verdict) = daemon.ingest(&env.spec);
+                report.events += events;
                 match verdict {
                     Ok(()) => {
                         report.accepted += 1;
@@ -346,9 +334,6 @@ where
                     Err(_) => report.rejected += 1,
                 }
                 let _ = ack_tx.send((env.seq, verdict_ack(env.lineno, env.spec.id, verdict)));
-            }
-            if stream_clock > daemon.now() {
-                report.events += daemon.advance_to(stream_clock);
             }
         }
         drop(ack_tx); // last sender: the writer drains and exits
@@ -384,8 +369,9 @@ mod tests {
         })
     }
 
-    /// An ordered trace exercising accepts, duplicate rejects, parse
-    /// errors and a clockless line.
+    /// A trace exercising accepts, duplicate rejects, parse errors, an
+    /// out-of-order line, a run of same-instant lines longer than a
+    /// small batch, and clockless lines.
     fn trace(n: u64) -> String {
         let mut out = String::from("# pipelined ingest test trace\n");
         for i in 0..n {
@@ -404,6 +390,26 @@ mod tests {
                     i * 2
                 ));
                 out.push_str("{\"id\": 7, \"flows\": [[0, 1, 1]\n");
+                // Behind the clock the line before raised: in the past.
+                out.push_str(&format!(
+                    "{{\"id\": {}, \"arrival_ms\": {}, \"flows\": [[1, 2, 1000]]}}\n",
+                    10 * n,
+                    i * 2 - 3
+                ));
+                // Six arrivals at one instant, then one at the clock.
+                for k in 1..=6 {
+                    out.push_str(&format!(
+                        "{{\"id\": {}, \"arrival_ms\": {}, \"flows\": [[{}, {}, 300000]]}}\n",
+                        10 * n + k,
+                        i * 2 + 1,
+                        k % 4,
+                        (k + 2) % 4,
+                    ));
+                }
+                out.push_str(&format!(
+                    "{{\"id\": {}, \"flows\": [[3, 1, 250000]]}}\n",
+                    10 * n + 7
+                ));
             }
         }
         out.push_str("{\"id\": 1, \"arrival_ms\": 999, \"flows\": [[0, 1, 1]]}\n"); // duplicate
@@ -436,52 +442,61 @@ mod tests {
             Some(&mut seq_acks as &mut dyn Write),
         )
         .unwrap();
-
-        let mut pipe_daemon = daemon();
-        let mut pipe_acks: Vec<u8> = Vec::new();
-        // A tiny channel forces real hand-off (Wait keeps it lossless).
-        let cfg = PipelineConfig {
-            channel_capacity: 2,
-            batch_max: 4,
-            on_full: OnFull::Wait,
-        };
-        let pipe = run_pipelined(
-            &mut pipe_daemon,
-            Cursor::new(input),
-            Some(&mut pipe_acks),
-            &cfg,
-        )
-        .unwrap();
-
-        assert_eq!(pipe.lines, seq.lines);
-        assert_eq!(pipe.parse_errors, seq.parse_errors);
-        assert_eq!(pipe.accepted, seq.accepted);
-        assert_eq!(pipe.rejected, seq.rejected);
-        assert_eq!(pipe.lost_acks(), 0);
-        // Ack streams are identical line for line, in all three shapes:
-        // nothing lost, nothing reordered, each shape formatted once.
         let seq_acks = String::from_utf8(seq_acks).unwrap();
+        // Every ack shape is in the stream, each formatted once.
         assert_eq!(
             seq_acks.matches("\"ok\": true").count() as u64,
             seq.accepted
         );
         assert_eq!(seq_acks.matches("\"reject\": \"duplicate_id\"").count(), 2);
+        assert_eq!(
+            seq_acks.matches("\"reject\": \"arrival_in_past\"").count(),
+            1
+        );
         assert_eq!(seq_acks.matches("\"error\": ").count(), 2);
-        assert_eq!(String::from_utf8(pipe_acks).unwrap(), seq_acks);
-        // And the schedules are byte-identical: batch-submit-then-advance
-        // queues future arrivals exactly as the per-line loop does.
-        let key = |d: &Daemon| {
+        let outcomes = |d: &Daemon| {
             d.completions()
                 .iter()
                 .map(|c| c.outcome.clone())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(key(&pipe_daemon), key(&seq_daemon));
-        assert_eq!(
-            pipe_daemon.telemetry().admit_latency.count(),
-            pipe.accepted,
-            "one admission latency sample per accepted coflow"
-        );
+
+        // A one-slot channel forces real hand-off, a deep one lets the
+        // reader run ahead; `Wait` keeps both lossless. Batches of one
+        // split the same-instant run at every line.
+        for channel_capacity in [1, 1_024] {
+            for batch_max in [1, 4, 256] {
+                let label = format!("capacity {channel_capacity}, batch {batch_max}");
+                let mut pipe_daemon = daemon();
+                let mut pipe_acks: Vec<u8> = Vec::new();
+                let cfg = PipelineConfig {
+                    channel_capacity,
+                    batch_max,
+                    on_full: OnFull::Wait,
+                };
+                let pipe = run_pipelined(
+                    &mut pipe_daemon,
+                    Cursor::new(input.clone()),
+                    Some(&mut pipe_acks),
+                    &cfg,
+                )
+                .unwrap();
+
+                assert_eq!(pipe.lines, seq.lines, "{label}");
+                assert_eq!(pipe.parse_errors, seq.parse_errors, "{label}");
+                assert_eq!(pipe.accepted, seq.accepted, "{label}");
+                assert_eq!(pipe.rejected, seq.rejected, "{label}");
+                assert_eq!(pipe.events, seq.events, "{label}");
+                assert_eq!(pipe.lost_acks(), 0, "{label}");
+                assert_eq!(String::from_utf8(pipe_acks).unwrap(), seq_acks, "{label}");
+                assert_eq!(outcomes(&pipe_daemon), outcomes(&seq_daemon), "{label}");
+                assert_eq!(
+                    pipe_daemon.telemetry().admit_latency.count(),
+                    pipe.accepted,
+                    "{label}: one admission latency sample per accepted coflow"
+                );
+            }
+        }
         assert_eq!(seq_daemon.telemetry().admit_latency.count(), 0);
     }
 

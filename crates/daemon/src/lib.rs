@@ -25,9 +25,10 @@
 //!   checkpoint/restore, JSON and Prometheus rendering.
 //! - [`ingest`] — [`run_pipelined`]: the high-throughput front end — a
 //!   reader thread parsing JSONL into a bounded admission channel (typed
-//!   backpressure when full), a batching admission loop driving the
-//!   synchronous scheduling core, and an ack writer restoring line order.
-//! - [`server`] — [`run_to_completion`] / [`serve_tcp`]: the synchronous
+//!   backpressure when full), an admission loop driving the synchronous
+//!   scheduling core with the sequential loop's step, and an ack writer
+//!   restoring line order.
+//! - [`server`] — [`run_to_completion`] / [`TcpServer`]: the synchronous
 //!   reference ingestion loop with per-line acks and graceful drain, and
 //!   the TCP front door feeding either loop.
 //!
@@ -45,9 +46,7 @@ pub mod service;
 pub use faults::{FaultConfig, FaultInjector, FaultStats};
 pub use ingest::{run_pipelined, OnFull, PipelineConfig, PipelineReport};
 pub use jsonl::{parse_line, ArrivalSpec, ParseError};
-pub use server::{
-    run_to_completion, serve_tcp, IngestMode, ServeReport, ShutdownHandle, TcpServer,
-};
+pub use server::{run_to_completion, IngestMode, ServeReport, ShutdownHandle, TcpServer};
 pub use service::{
     AdmissionConfig, Daemon, DaemonCheckpoint, DaemonConfig, PolicyKind, RejectReason, Telemetry,
 };

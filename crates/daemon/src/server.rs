@@ -3,33 +3,35 @@
 //! The service reads one [`crate::jsonl::ArrivalSpec`] per line from any
 //! `BufRead` — a file, stdin, or a TCP connection — and acknowledges
 //! each line with a one-line JSON verdict (`ok`, `reject` + reason, or
-//! `error` for unparseable input). Lines are the clock: a line carrying
-//! `arrival_ms` first advances the daemon's virtual clock to that
-//! instant (settling circuits and retrying faulted flows on the way),
-//! so a trace file replays in arrival order exactly as a live feed
-//! would. EOF triggers a graceful drain — the daemon runs until every
-//! admitted Coflow completes, then reports.
+//! `error` for unparseable input). Lines are the clock: a line first
+//! advances the daemon through every event before its `arrival_ms`
+//! (settling circuits and retrying faulted flows on the way), and the
+//! events at that instant wait for a later line, so they run with every
+//! line of the instant admitted ([`Daemon::ingest`]). A trace file thus
+//! replays exactly as the batch replay of its Coflows, and as a live
+//! feed would. EOF triggers a graceful drain — the daemon runs until
+//! every admitted Coflow completes, then reports.
 //!
-//! Two ingestion loops share that protocol:
+//! Two ingestion loops share that protocol and its admission step:
 //!
 //! * [`run_to_completion`] — the synchronous reference path: parse,
-//!   submit, advance, ack, one line at a time on one thread.
+//!   advance, submit, ack, one line at a time on one thread.
 //! * [`crate::ingest::run_pipelined`] — the high-throughput path: a
-//!   reader thread feeding a bounded admission channel with typed
-//!   backpressure, batched submission, acks re-sequenced to line order.
+//!   reader thread parsing into a bounded admission channel with typed
+//!   backpressure, acks re-sequenced to line order. It admits the same
+//!   lines with the same step, so its acks and outcomes are the
+//!   sequential loop's.
 //!
 //! [`TcpServer`] is the front door: bind first (so the bound address is
 //! known before any client connects), then serve connections one at a
 //! time through either loop ([`IngestMode`]). A [`ShutdownHandle`]
 //! stops the accept loop by flagging and then *connecting to wake it* —
 //! no sleep-polling anywhere, so shutdown latency is bounded by the
-//! kernel's accept queue, not a timer. [`serve_tcp`] keeps the original
-//! one-shot convenience wrapper around all of it.
+//! kernel's accept queue, not a timer.
 
 use crate::ingest::{error_ack, run_pipelined, verdict_ack, PipelineConfig};
 use crate::jsonl::parse_line;
 use crate::service::Daemon;
-use ocs_model::Time;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -112,15 +114,8 @@ pub fn run_to_completion(
                 continue;
             }
         };
-        // The trace clock: catch the daemon up to this arrival so the
-        // submission lands in the present, not the schedule's past.
-        if let Some(ms) = spec.arrival_ms {
-            let t = Time::from_millis(ms);
-            if t > daemon.now() {
-                report.events += daemon.advance_to(t);
-            }
-        }
-        let verdict = daemon.submit_spec(&spec);
+        let (events, verdict) = daemon.ingest(&spec);
+        report.events += events;
         match verdict {
             Ok(()) => report.accepted += 1,
             Err(_) => report.rejected += 1,
@@ -239,21 +234,11 @@ impl TcpServer {
     }
 }
 
-/// Serve one TCP connection at `addr` through the sequential loop: the
-/// original one-shot protocol (acks, drain, final status line). Prefer
-/// [`TcpServer`] when you need the bound address or pipelined ingestion.
-pub fn serve_tcp(daemon: &mut Daemon, addr: impl ToSocketAddrs) -> std::io::Result<ServeReport> {
-    let server = TcpServer::bind(addr)?;
-    Ok(server
-        .serve_one(daemon, IngestMode::Sequential)?
-        .expect("no shutdown handle exists yet"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::DaemonConfig;
-    use ocs_model::{Bandwidth, Dur, Fabric};
+    use ocs_model::{Bandwidth, Dur, Fabric, Time};
     use std::io::Cursor;
 
     fn daemon() -> Daemon {
@@ -316,6 +301,43 @@ not json at all
         // 10 ms the stream clock had reached.
         assert_eq!(arrivals[0].1, Time::from_millis(10));
         assert_eq!(arrivals[1].1, Time::from_millis(10));
+    }
+
+    /// Serving equals replay: the stream's Coflows get the outcomes and
+    /// the events of their batch replay. At 1 Gbps with δ = 20 µs,
+    /// 1 247 500 bytes take exactly 10 ms, so Coflow 0 completes, with
+    /// Coflow 4 still active, at the instant Coflows 1 and 2 arrive —
+    /// one event in the batch replay, and one here: the completion waits
+    /// for the lines of its instant.
+    #[test]
+    fn a_stream_serves_as_its_batch_replay() {
+        let trace = "\
+{\"id\": 0, \"arrival_ms\": 0, \"flows\": [[0, 1, 1247500]]}
+{\"id\": 4, \"arrival_ms\": 0, \"flows\": [[3, 3, 4000000]]}
+{\"id\": 1, \"arrival_ms\": 10, \"flows\": [[0, 2, 1000000]]}
+{\"id\": 2, \"arrival_ms\": 10, \"flows\": [[2, 1, 500000]]}
+{\"id\": 3, \"arrival_ms\": 12, \"flows\": [[0, 1, 250000]]}
+";
+        let mut d = daemon();
+        run_to_completion(&mut d, Cursor::new(trace), None).unwrap();
+        let mut served: Vec<_> = d.completions().iter().map(|c| c.outcome.clone()).collect();
+        served.sort_by_key(|o| o.coflow);
+
+        let config = DaemonConfig {
+            fabric: Fabric::new(4, Bandwidth::GBPS, Dur::from_micros(20)),
+            ..DaemonConfig::default()
+        };
+        let coflows: Vec<_> = trace
+            .lines()
+            .map(|l| parse_line(l).unwrap().to_coflow(Time::ZERO))
+            .collect();
+        let mut batch = config
+            .backend
+            .build(&config.fabric, &config.online, config.policy.build());
+        let mut replayed = ocs_sim::run_trace(&coflows, batch.as_mut());
+        replayed.sort_by_key(|o| o.coflow);
+        assert_eq!(served, replayed);
+        assert_eq!(d.stats().events, batch.status().stats.unwrap().events);
     }
 
     #[test]

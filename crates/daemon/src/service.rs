@@ -259,6 +259,9 @@ pub struct Daemon {
     /// Every externally-driven command since construction; the
     /// checkpoint's replay script.
     log: Vec<Command>,
+    /// The latest arrival any submission carried: where a line without
+    /// `arrival_ms` arrives, unless the clock is later.
+    stream_clock: Time,
 }
 
 impl Daemon {
@@ -272,6 +275,7 @@ impl Daemon {
             telemetry: Telemetry::default(),
             completions: Vec::new(),
             log: Vec::new(),
+            stream_clock: Time::ZERO,
             config: config.clone(),
         }
     }
@@ -350,6 +354,7 @@ impl Daemon {
     }
 
     fn do_submit(&mut self, coflow: Coflow) -> Result<(), RejectReason> {
+        self.stream_clock = self.stream_clock.max(coflow.arrival());
         let status = self.backend.status();
         let depth = status.active_coflows + status.queued_arrivals;
         if depth >= self.config.admission.max_queue_depth {
@@ -397,9 +402,26 @@ impl Daemon {
     }
 
     /// Admit a wire-format arrival. A spec without `arrival_ms` arrives
-    /// at the daemon's current clock.
+    /// with the stream: at the latest arrival submitted so far, or at
+    /// the clock if that is later.
     pub fn submit_spec(&mut self, spec: &ArrivalSpec) -> Result<(), RejectReason> {
-        self.submit(spec.to_coflow(self.now()))
+        self.submit(spec.to_coflow(self.stream_clock.max(self.now())))
+    }
+
+    /// The admission step of both ingest loops: run every event before
+    /// the line's arrival instant, then [`Daemon::submit_spec`]. The
+    /// events at that instant wait for a later line (or the drain), so
+    /// they run once, with every line of the instant admitted, as in the
+    /// batch replay. Returns the events processed and the verdict.
+    pub fn ingest(&mut self, spec: &ArrivalSpec) -> (u64, Result<(), RejectReason>) {
+        let at = spec.arrival_ms.map_or(self.stream_clock, Time::from_millis);
+        let before = Time::from_ps(at.as_ps().saturating_sub(1));
+        let events = if before > self.now() {
+            self.advance_to(before)
+        } else {
+            0
+        };
+        (events, self.submit_spec(spec))
     }
 
     fn absorb_completions(&mut self) {

@@ -11,10 +11,10 @@
 //! port occupancies ([`SchedulingBackend::advance_to`]), emitting
 //! [`Completion`]s; everything else it reports is one
 //! [`BackendStatus`] snapshot ([`SchedulingBackend::status`]). Advancing
-//! to a finite deadline with no event there raises the clock and
-//! nothing else, so a live service that slices the clock replays the
-//! batch run — except on [`CircuitBackend`], where the deadline also
-//! ends the plan in execution. Three implementations cover the paper:
+//! to a finite deadline raises the clock and nothing else, so a live
+//! service that slices the clock, and submits each Coflow any time
+//! before its arrival, replays the batch run: the same outcomes and the
+//! same event counters. Three implementations cover the paper:
 //!
 //! * [`SunflowBackend`] — Sunflow with a pluggable [`PriorityPolicy`]:
 //!   the [`OnlineStepper`] (§4–5).
@@ -35,14 +35,14 @@ use crate::arrivals::ArrivalQueue;
 use crate::book::FlowBook;
 use crate::online::{OnlineConfig, ReplayStats};
 use crate::stepper::{Completion, OnlineStepper, SettleHook, SubmitError};
-use ocs_baselines::{compact, CircuitScheduler, Segment, Switch};
+use ocs_baselines::{compact, CircuitScheduler, KeptPlan, Segment, Switch};
 use ocs_model::KCoreFabric;
 use ocs_model::{
     Assignment, Coflow, DemandMatrix, Dur, Fabric, FlowRef, Reservation, ScheduleOutcome, Time,
 };
 use ocs_packet::{Aalo, ActiveCoflow, FairSharing, RateScheduler, Varys};
 use std::collections::{HashMap, VecDeque};
-use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind, SunflowConfig};
+use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind};
 
 /// A resumable, event-driven simulation of one Coflow scheduler.
 ///
@@ -59,8 +59,8 @@ use sunflow_core::{CoreAssignKind, PriorityPolicy, SplitKind, SunflowConfig};
 /// to and including `deadline` (then raises the clock to `deadline`
 /// unless it is [`Time::MAX`]), and completed Coflows accumulate until
 /// [`SchedulingBackend::drain_completions`]. Raising the clock is all a
-/// finite deadline does, except on [`CircuitBackend`], where it also
-/// ends the plan in execution: the next round re-plans the aggregate.
+/// finite deadline does: which events a run processes, and what they
+/// decide, depend on the submitted trace alone.
 pub trait SchedulingBackend {
     /// Submit one Coflow; it becomes an arrival event at its arrival
     /// time (which must not precede the clock).
@@ -175,7 +175,9 @@ type FifoQueue = VecDeque<(usize, FlowRef)>;
 /// every Coflow arrival all outstanding demand is summed into one
 /// matrix, the baseline ([`CircuitScheduler`]) recomputes its assignment
 /// sequence, and the sequence executes on the switch until the next
-/// arrival (or the advance deadline) invalidates it. Service on a
+/// arrival invalidates it (or it runs out with demand left, when the
+/// aggregate is planned again). An `advance_to` deadline pauses the
+/// sequence mid-window; the next call resumes it there. Service on a
 /// circuit is attributed to the Coflows demanding it in arrival (FIFO)
 /// order — the scheduler itself cannot express any other preference,
 /// which is precisely its limitation.
@@ -196,6 +198,8 @@ pub struct CircuitBackend {
     fifo: HashMap<(usize, usize), FifoQueue>,
     /// The physical switch the plans execute on.
     switch: Switch,
+    /// The assignment sequence in execution, from the window under way.
+    plan: KeptPlan,
     completions: Vec<Completion>,
 }
 
@@ -213,6 +217,7 @@ impl CircuitBackend {
             remaining: DemandMatrix::zero(n),
             fifo: HashMap::new(),
             switch: Switch::new(n, fabric.delta(), scheduler.exec_config()),
+            plan: KeptPlan::default(),
             completions: Vec::new(),
         }
     }
@@ -236,29 +241,42 @@ impl CircuitBackend {
                     .push_back((slot, flow));
             }
             admitted += 1;
+            // The aggregate changed: the sequence in execution is void.
+            self.plan = KeptPlan::default();
         }
         admitted
     }
 
     /// Replay the plan/execute/attribute loop until `limit` or until the
-    /// aggregate drains; returns planning rounds run.
+    /// aggregate drains; returns execution rounds run.
     fn execute_until(&mut self, limit: Time, hook: &mut dyn SettleHook) -> u64 {
         let mut rounds = 0u64;
         while !self.remaining.is_zero() && self.now < limit {
-            // Plan on the aggregate compacted to its active ports, then
-            // translate back to real ports: padding circuits map to no
-            // port and are dropped (see `Compacted`).
-            let c = compact(self.remaining.nonzero());
-            let mut plan = self.scheduler.schedule(&c.demand);
-            for ta in &mut plan {
-                let real = |&(i, j): &(usize, usize)| Some((*c.srcs.get(i)?, *c.dsts.get(j)?));
-                ta.assignment =
-                    Assignment::new(ta.assignment.pairs().iter().filter_map(real).collect());
+            if self.plan.windows.is_empty() {
+                // Plan on the aggregate compacted to its active ports,
+                // then translate back to real ports: padding circuits
+                // map to no port and are dropped (see `Compacted`).
+                let c = compact(self.remaining.nonzero());
+                let mut plan = self.scheduler.schedule(&c.demand);
+                for ta in &mut plan {
+                    let real = |&(i, j): &(usize, usize)| Some((*c.srcs.get(i)?, *c.dsts.get(j)?));
+                    ta.assignment =
+                        Assignment::new(ta.assignment.pairs().iter().filter_map(real).collect());
+                }
+                self.plan.windows = plan.into();
             }
             let mut segments = Vec::new();
-            let stopped =
-                self.switch
-                    .run(&plan, &mut self.remaining, self.now, limit, &mut segments);
+            let stopped = self.switch.resume(
+                &mut self.plan,
+                &mut self.remaining,
+                self.now,
+                limit,
+                &mut segments,
+            );
+            if stopped < limit {
+                // Ran out, or drained the aggregate: re-plan what is left.
+                self.plan = KeptPlan::default();
+            }
             self.apply_segments(segments, hook);
             assert!(
                 stopped > self.now || self.remaining.is_zero() || stopped >= limit,
@@ -349,10 +367,8 @@ impl SchedulingBackend for CircuitBackend {
         loop {
             // Run the current plan window: until the next arrival
             // invalidates the aggregate, or to the deadline.
-            let limit = match self.arrivals.next_arrival() {
-                Some(a) if a < deadline => a,
-                _ => deadline,
-            };
+            let limit = self.arrivals.next_arrival().filter(|&a| a < deadline);
+            let limit = limit.unwrap_or(deadline);
             processed += self.execute_until(limit, hook);
             if self.now < limit && limit != Time::MAX {
                 // Nothing happens strictly between events; float the
@@ -863,11 +879,7 @@ impl BackendKind {
             }
             BackendKind::KCore { cores } => {
                 let k = KCoreFabric::new(*fabric, *cores as usize);
-                Box::new(crate::KCoreBackend::new(
-                    &k,
-                    SunflowConfig::default(),
-                    CoreAssignKind::RankPack,
-                ))
+                Box::new(crate::KCoreBackend::new(&k))
             }
             BackendKind::Hybrid {
                 split,

@@ -38,7 +38,7 @@ use ocs_model::{
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use sunflow_core::{
-    schedule_demands_on, CoreAssign, CoreAssignKind, CoreLoad, Demand, PriorityPolicy, Prt,
+    schedule_demands_on, CoreAssign, CoreLoad, Demand, PriorityPolicy, Prt, RankPack,
     ScheduleScratch, SunflowConfig,
 };
 
@@ -136,9 +136,9 @@ struct Placement {
 /// analyses: Coflows are admitted in shortest-effective-bottleneck
 /// order (the K-core effective length — the single-switch bottleneck
 /// divided by `K` — ranks identically to `T_pL`); each Coflow's flows
-/// are placed across cores by the configured placement policy
-/// (bottleneck-balancing [`CoreAssignKind::RankPack`] by default, the
-/// rule the approximation bound analyses) and planned **once**,
+/// are placed across cores by bottleneck-balancing [`RankPack`] (the
+/// rule the approximation bound analyses) and planned **once**, by
+/// Algorithm 1 under its default [`SunflowConfig`],
 /// non-preemptively, against one [`Prt`] over the `K·N` ports of all
 /// cores (local port `p` of core `c` is port `c·N + p`). Existing
 /// reservations are never truncated — later Coflows schedule around
@@ -150,8 +150,6 @@ pub struct KCoreBackend {
     fabric: Fabric,
     /// The table of every core: core `c`'s ports are `c·N..(c+1)·N`.
     prt: Prt,
-    config: SunflowConfig,
-    assign: Box<dyn CoreAssign + Send>,
     load: CoreLoad,
     now: Time,
     arrivals: ArrivalQueue,
@@ -173,19 +171,12 @@ pub struct KCoreBackend {
 }
 
 impl KCoreBackend {
-    /// A `K`-core backend for `fabric` under the Sunflow planning
-    /// `config` (demand order / quantum) and placement policy `assign`.
-    pub fn new(
-        fabric: &KCoreFabric,
-        config: SunflowConfig,
-        assign: CoreAssignKind,
-    ) -> KCoreBackend {
+    /// A `K`-core backend for `fabric`.
+    pub fn new(fabric: &KCoreFabric) -> KCoreBackend {
         let core = fabric.core();
         KCoreBackend {
             fabric: core,
             prt: Prt::new(fabric.cores() * core.ports()),
-            config,
-            assign: assign.build(),
             load: CoreLoad::new(fabric.cores(), core.ports()),
             now: Time::ZERO,
             arrivals: ArrivalQueue::default(),
@@ -229,7 +220,7 @@ impl KCoreBackend {
             demands,
             start,
             self.fabric.delta(),
-            self.config,
+            SunflowConfig::default(),
             &mut self.scratch,
         );
         self.stats.releases_visited += counters.releases_visited;
@@ -263,7 +254,7 @@ impl KCoreBackend {
         let n = due.len() as u64;
         for c in due {
             self.stats.events += 1;
-            let assignment = self.assign.assign(&c, self.load.cores(), &self.load);
+            let assignment = RankPack.assign(&c, self.load.cores(), &self.load);
             let slot = self.book.next_slot();
             self.book.admit(slot, &c, &self.fabric);
             let mut demands = Vec::with_capacity(c.num_flows());

@@ -350,10 +350,6 @@ pub struct OnlineStepper<'p> {
     deferred: HashMap<(usize, usize), Time>,
     completions: Vec<Completion>,
     now: Time,
-    /// True until the first event is processed: the batch loop's first
-    /// iteration ran at the origin even if the first arrival is later,
-    /// and byte-identity with it depends on replicating that.
-    dirty: bool,
     stats: ReplayStats,
     resched_wall: Duration,
     next_guard_window: u64,
@@ -435,7 +431,6 @@ impl<'p> OnlineStepper<'p> {
             deferred: HashMap::new(),
             completions: Vec::new(),
             now: Time::ZERO,
-            dirty: true,
             stats: ReplayStats::default(),
             resched_wall: Duration::ZERO,
             next_guard_window: 0,
@@ -503,7 +498,6 @@ impl<'p> OnlineStepper<'p> {
     fn process_event(&mut self, t: Time, hook: &mut dyn SettleHook) {
         assert!(t >= self.now, "events must be processed in time order");
         self.now = t;
-        self.dirty = false;
         // A flow leaving fault backoff becomes plannable again; its
         // Coflow seeds the affected set.
         for (&(idx, _), &until) in self.deferred.iter() {
@@ -604,8 +598,10 @@ impl<'p> OnlineStepper<'p> {
             self.priority_order.retain(|&(_, i)| is_active[i]);
         }
 
-        if self.active.is_empty() && self.arrivals.is_empty() {
-            // Idle: nothing to plan, so nothing to seed either.
+        if self.active.is_empty() {
+            // Idle: nothing to plan, so nothing to seed either — however
+            // many arrivals are queued, which a caller may submit at any
+            // lead.
             self.event_dirty.clear();
             self.event_ports.clear();
             return;
@@ -1071,9 +1067,6 @@ impl SchedulingBackend for OnlineStepper<'_> {
     /// Events are Coflow arrivals, planned completions, guard-window
     /// ends and fault retries.
     fn next_event_time(&self) -> Option<Time> {
-        if self.dirty {
-            return Some(self.now);
-        }
         let t_completion = self
             .active
             .iter()

@@ -21,7 +21,10 @@
 //! * **deterministic** — two fresh backends replay the same outcomes;
 //! * **submission_order** — every backend admits in `(arrival, id)`
 //!   order, so submitting the trace backwards changes nothing;
-//! * **sliced** — slicing the clock replays the batch outcomes;
+//! * **sliced** — serving equals replay: sliced at any lengths, with
+//!   each Coflow submitted just in time, half a second ahead or all up
+//!   front, a backend gives the batch outcomes and the batch's
+//!   outcome-bearing counters;
 //! * **time_shift** — delaying every arrival by Δ delays every start,
 //!   flow finish and Coflow finish by Δ;
 //! * **scale** — doubling every flow and the link rate leaves every
@@ -29,7 +32,7 @@
 
 mod common;
 
-use common::{fabric, group_local, in_input_order, workload};
+use common::{fabric, group_local, in_input_order, workload, xorshift};
 use ocs_model::{
     circuit_lower_bound, lemma1_holds, packet_lower_bound, Bandwidth, Coflow, Dur, Fabric,
     ScheduleOutcome, Time,
@@ -114,15 +117,16 @@ impl Row {
     }
 }
 
-/// Drive `backend` the way a live service does: every `slice`, submit
-/// the Coflows arriving within it (or within `ahead` after it), advance
-/// to its end, drain. After each slice `after` sees the backend's
-/// status, the slice's end and how many Coflows were submitted but not
-/// yet drained. Returns the completions in the order they drained.
+/// Drive `backend` the way a live service does: for each slice `slice`
+/// hands out, submit the Coflows arriving within it (or within `ahead`
+/// after it), advance to its end, drain. After each slice `after` sees
+/// the backend's status, the slice's end and how many Coflows were
+/// submitted but not yet drained. Returns the completions in the order
+/// they drained.
 fn run_sliced(
     coflows: &[Coflow],
     backend: &mut dyn SchedulingBackend,
-    slice: Dur,
+    mut slice: impl FnMut() -> Dur,
     ahead: Dur,
     mut after: impl FnMut(BackendStatus, Time, usize),
 ) -> Vec<ScheduleOutcome> {
@@ -132,7 +136,7 @@ fn run_sliced(
     let mut done = Vec::new();
     let mut deadline = Time::ZERO;
     while fed < by_arrival.len() || !backend.status().idle {
-        deadline += slice;
+        deadline += slice();
         assert!(deadline < Time::from_millis(600_000), "replay must drain");
         while fed < by_arrival.len() && by_arrival[fed].arrival() <= deadline + ahead {
             backend
@@ -154,7 +158,7 @@ fn completes(row: &Row) {
     let done = run_sliced(
         &coflows,
         backend.as_mut(),
-        Dur::from_millis(7),
+        || Dur::from_millis(7),
         Dur::ZERO,
         |_, _, _| {},
     );
@@ -223,7 +227,7 @@ fn gauges(row: &Row) {
         run_sliced(
             &coflows,
             backend.as_mut(),
-            Dur::from_millis(7),
+            || Dur::from_millis(7),
             ahead,
             check,
         );
@@ -298,24 +302,68 @@ fn submission_order(row: &Row) {
     );
 }
 
+/// The counters that follow from the outcomes: events processed,
+/// circuits cut, Yield rounds and guard windows. The work counters
+/// (`reservations_made`, `reservations_reused`, `coflows_rescheduled`,
+/// …) are left out on purpose: the stepper plans each Coflow only up to
+/// the next queued arrival, so how much it plans, and re-plans, depends
+/// on how far ahead a caller submits.
+fn outcome_counters(status: BackendStatus) -> (u64, u64, u64, u64) {
+    let stats = status.stats.unwrap_or_default();
+    (
+        stats.events,
+        stats.cuts,
+        stats.yield_rounds,
+        status.guard_windows,
+    )
+}
+
+/// Every submission lead `sliced` serves at: just in time, half a
+/// second ahead, and everything up front (the trace arrives within 2 s).
+const LEADS: [Dur; 3] = [Dur::ZERO, Dur::from_millis(500), Dur::from_millis(600_000)];
+
 fn sliced(row: &Row) {
     let f = fabric();
     let coflows = row.workload();
-    let batch = row.replay(&coflows, &f);
-    for slice in [Dur::from_micros(1_300), Dur::from_millis(250)] {
-        let got = run_sliced(
-            &coflows,
-            row.build(&f).as_mut(),
-            slice,
-            Dur::ZERO,
-            |_, _, _| {},
-        );
-        assert_eq!(
-            in_input_order(&coflows, got),
-            batch,
-            "{}: {slice} slices diverged from the batch",
-            row.selector
-        );
+    let mut batch = row.build(&f);
+    let want = run_trace(&coflows, batch.as_mut());
+    let want_counters = outcome_counters(batch.status());
+    // Two fixed slice lengths, then seeded random ones from 1 µs to 1 s,
+    // log-uniform, so deadlines land in stalls, windows and idle gaps.
+    let fixed = [Dur::from_micros(1_300), Dur::from_millis(250)];
+    let mut slicings: Vec<(String, Box<dyn FnMut() -> Dur>)> = fixed
+        .into_iter()
+        .map(|d| {
+            (
+                format!("{d} slices"),
+                Box::new(move || d) as Box<dyn FnMut() -> Dur>,
+            )
+        })
+        .collect();
+    for seed in [0x51ce_d001u64, 0x51ce_d002] {
+        let mut state = seed;
+        let random = move || {
+            let scale = 10u64.pow(1 + (xorshift(&mut state) % 6) as u32);
+            Dur::from_micros(1 + xorshift(&mut state) % scale)
+        };
+        slicings.push((format!("random slices (seed {seed:#x})"), Box::new(random)));
+    }
+    for (slicing, mut slice) in slicings {
+        for ahead in LEADS {
+            let mut backend = row.build(&f);
+            let got = run_sliced(&coflows, backend.as_mut(), &mut slice, ahead, |_, _, _| {});
+            let label = format!("{}: {slicing}, submitted {ahead} ahead", row.selector);
+            assert_eq!(
+                in_input_order(&coflows, got),
+                want,
+                "{label}: outcomes diverged from the batch"
+            );
+            assert_eq!(
+                outcome_counters(backend.status()),
+                want_counters,
+                "{label}: (events, cuts, yield rounds, guard windows) diverged from the batch"
+            );
+        }
     }
 }
 
@@ -401,9 +449,6 @@ macro_rules! roster {
 }
 
 // What a row leaves out, it leaves out by design:
-// * `sliced` on the aggregated circuit baselines — each `advance_to`
-//   deadline is a planning boundary for them (a fresh plan on the
-//   remaining aggregate);
 // * `scale` where a policy compares bytes with a fixed size (Aalo's
 //   queue thresholds, the hybrid splits' small-flow threshold);
 // * Aalo shifts by a multiple of its 10 ms coordination epoch, which
@@ -436,11 +481,11 @@ roster! {
     hybrid_non_splitting => Row::new("hybrid:non-splitting", Plane::Hybrid { permille: 100 }),
         [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     solstice => Row::new("solstice", Plane::Circuit { cores: 1 }),
-        [completes, gauges, bounds, deterministic, submission_order, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     tms => Row::new("tms", Plane::Circuit { cores: 1 }),
-        [completes, gauges, bounds, deterministic, submission_order, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     edmond => Row::new("edmond", Plane::Circuit { cores: 1 }),
-        [completes, gauges, bounds, deterministic, submission_order, time_shift, scale];
+        [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     varys => Row::new("varys", Plane::Packet),
         [completes, gauges, bounds, deterministic, submission_order, sliced, time_shift, scale];
     aalo => Row {

@@ -8,8 +8,10 @@
 //!
 //! An event is a Coflow arrival, a Coflow's planned completion (the end
 //! of its last reservation), a guard-window end while any Coflow is
-//! active, a fault-retry expiry, and the initial event at t = 0. Each
-//! event does four things:
+//! active, or a fault-retry expiry. Each event settles, admits and
+//! completes; an event that leaves a Coflow active then plans, in four
+//! steps, and one that leaves none plans nothing and counts for nothing
+//! (whatever is queued behind it):
 //!
 //! 1. settle every circuit that has ended, in `(end, src)` order, then
 //!    every guard window that has ended;
@@ -28,7 +30,8 @@
 //! doubles, and the round re-plans, whenever a plan reaches past it.
 //!
 //! Where the paper leaves a rule open, the stepper's rule is copied and
-//! its line in `crates/sim/src/stepper.rs` cited.
+//! its place in `crates/sim/src/stepper.rs` (or in `book.rs`, where the
+//! stepper keeps its Coflows' accounts) cited.
 
 #[path = "../../../core/tests/common/mod.rs"]
 mod refmodel;
@@ -53,7 +56,8 @@ pub struct Replay {
     pub first_service: Vec<Option<Time>>,
     /// Guard windows that ended by the last event.
     pub guard_windows: u64,
-    /// Events that planned (the idle ones do not count).
+    /// Events that planned (those that left no Coflow active do not
+    /// count).
     pub events: u64,
     /// In-flight circuits Yield cut.
     pub cuts: u64,
@@ -74,9 +78,7 @@ pub fn ref_replay(
     hook: &mut dyn SettleHook,
 ) -> Replay {
     let mut r = Replayer::new(coflows, fabric, config, policy);
-    // The initial event at t = 0, whenever the first arrival is
-    // (stepper.rs l. 413).
-    let mut next = Some(Time::ZERO);
+    let mut next = r.next_event();
     while let Some(t) = next {
         assert!(t != Time::MAX, "no progress possible");
         r.event(t, hook);
@@ -108,7 +110,7 @@ impl State {
     /// Credit `served` to flow `fi` from a circuit that began
     /// transmitting at `svc` and released its ports at `end`: the
     /// earliest such `svc` is first service, the `end` that empties a
-    /// flow its finish (stepper.rs ll. 151–159).
+    /// flow its finish (book.rs `FlowBook::credit`).
     fn credit(&mut self, fi: usize, served: Dur, svc: Time, end: Time) {
         self.remaining[fi] -= served;
         if !served.is_zero() && self.first_service.is_none_or(|f| svc < f) {
@@ -187,7 +189,8 @@ impl<'a> Replayer<'a> {
     fn event(&mut self, t: Time, hook: &mut dyn SettleHook) {
         self.now = t;
         self.deferred.retain(|_, until| *until > t);
-        // 1. Settle: circuits first, then windows (stepper.rs ll. 670–671).
+        // 1. Settle: circuits first, then windows (stepper.rs
+        // `process_event`).
         self.settle(hook);
         self.settle_windows();
         while let Some(&i) = self.arrivals.last() {
@@ -210,7 +213,7 @@ impl<'a> Replayer<'a> {
             self.active.push(i);
         }
         // A Coflow completes at the event that finds all of it served, at
-        // the latest of its flows' finishes (stepper.rs ll. 712–728).
+        // the latest of its flows' finishes (stepper.rs `process_event`).
         let mut active = std::mem::take(&mut self.active);
         active.retain(|&i| {
             let st = self.states[i].as_ref().expect("arrived");
@@ -230,7 +233,9 @@ impl<'a> Replayer<'a> {
             false
         });
         self.active = active;
-        if self.active.is_empty() && self.arrivals.is_empty() {
+        // Nothing to plan, however many arrivals are queued (stepper.rs
+        // `process_event`).
+        if self.active.is_empty() {
             return;
         }
         self.events += 1;
@@ -259,7 +264,7 @@ impl<'a> Replayer<'a> {
 
     /// The next arrival, planned completion (a Coflow's last
     /// reservation end), window end while anyone is active, or retry
-    /// expiry (stepper.rs ll. 568–602).
+    /// expiry (stepper.rs `next_event_time`).
     fn next_event(&self) -> Option<Time> {
         let arrival = self.arrivals.last().map(|&i| self.coflows[i].arrival());
         let completion = self
@@ -282,7 +287,7 @@ impl<'a> Replayer<'a> {
 
     /// Settle every circuit that ended by now, in `(end, src)` order,
     /// through `hook`, and forget everything that ended (stepper.rs
-    /// ll. 773–779: the event at or after a circuit's end settles it).
+    /// `settle_flows`: the event at or after a circuit's end settles it).
     fn settle(&mut self, hook: &mut dyn SettleHook) {
         let delta = self.fabric.delta();
         let mut ended: Vec<(Time, usize, usize, Time, FlowRef)> = self
@@ -303,7 +308,7 @@ impl<'a> Replayer<'a> {
             st.setups += 1;
             // The hook is offered the transmit time capped by the flow's
             // remaining demand, and judges at the settling instant
-            // (stepper.rs ll. 785–793).
+            // (book.rs `FlowBook::settle`).
             let available = end
                 .since(start)
                 .saturating_sub(delta)
@@ -319,7 +324,8 @@ impl<'a> Replayer<'a> {
             let served = verdict.served.min(available);
             st.credit(flow.flow_idx, served, start + delta, end);
             if served < available {
-                // A zero backoff retries 1 ps later (stepper.rs ll. 799–802).
+                // A zero backoff retries 1 ps later (book.rs
+                // `FlowBook::settle`).
                 let mut until = self.now + verdict.retry_after.unwrap_or(Dur::ZERO);
                 if until <= self.now {
                     until = self.now + Dur::from_ps(1);
@@ -341,7 +347,8 @@ impl<'a> Replayer<'a> {
 
     /// Every active flow on one of an ended window's circuits takes an
     /// equal share of its transmit time with the others on that circuit
-    /// (stepper.rs ll. 845–860). The guard bypasses the hook (l. 208).
+    /// (stepper.rs `settle_guard`). The guard bypasses the hook
+    /// (`SettleHook`).
     fn settle_windows(&mut self) {
         let Some(g) = self.guard else { return };
         let (n, delta) = (self.fabric.ports(), self.fabric.delta());
@@ -365,7 +372,7 @@ impl<'a> Replayer<'a> {
             for (i, fi, src) in takers {
                 let st = self.states[i].as_mut().expect("arrived");
                 let served = (g.tau.saturating_sub(delta) / sharers[src]).min(st.remaining[fi]);
-                // No service before arrival (stepper.rs ll. 861–863).
+                // No service before arrival (stepper.rs `settle_guard`).
                 let svc = (start + delta).max(self.coflows[i].arrival());
                 st.credit(fi, served, svc, end);
             }
@@ -388,7 +395,7 @@ impl<'a> Replayer<'a> {
     }
 
     /// Active Coflows, highest priority first: the policy, ties broken
-    /// by arrival, then id (stepper.rs ll. 698–707).
+    /// by arrival, then id (stepper.rs `process_event`).
     fn priority_order(&self) -> Vec<usize> {
         let mut order = self.active.clone();
         let (cs, f) = (self.coflows, &self.fabric);
@@ -454,7 +461,7 @@ impl<'a> Replayer<'a> {
     fn plan_in_order(&mut self) -> Time {
         let delta = self.fabric.delta();
         // Service in flight is credited at circuit end; do not plan it
-        // twice (stepper.rs ll. 995–1005).
+        // twice (stepper.rs `replan`).
         let mut in_flight: HashMap<FlowRef, Dur> = HashMap::new();
         for (_, _, start, end, flow) in self.in_flight() {
             *in_flight.entry(flow).or_default() += end.since(start).saturating_sub(delta);

@@ -82,7 +82,7 @@ impl SettleHook for ShortEveryThird {
 fn kcore_fingerprint(hook: &mut dyn SettleHook) -> u64 {
     let coflows = workload();
     let k = KCoreFabric::new(fabric(), 4);
-    let mut backend = KCoreBackend::new(&k, SunflowConfig::default(), CoreAssignKind::RankPack);
+    let mut backend = KCoreBackend::new(&k);
     for c in &coflows {
         backend.submit(c.clone()).expect("fixture fits the fabric");
     }
@@ -235,7 +235,7 @@ fn zero_backoff_retry_starts_after_the_settle() {
 /// Coflow's outcome.
 fn kcore_alone(c: &Coflow, base: Fabric, cores: usize) -> (KCoreBackend, ScheduleOutcome) {
     let k = KCoreFabric::new(base, cores);
-    let mut backend = KCoreBackend::new(&k, SunflowConfig::default(), CoreAssignKind::RankPack);
+    let mut backend = KCoreBackend::new(&k);
     backend.submit(c.clone()).expect("fits the fabric");
     backend.advance_to(Time::MAX, &mut FullService);
     assert!(backend.status().idle, "replay must drain");
