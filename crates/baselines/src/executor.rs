@@ -124,11 +124,10 @@ impl Switch {
         limit: Time,
         segments: &mut Vec<Segment>,
     ) -> Time {
-        let mut plan = KeptPlan {
-            windows: plan.iter().cloned().collect(),
-            ..KeptPlan::default()
-        };
-        self.resume(&mut plan, remaining, t, limit, segments)
+        let mut plan = KeptPlan::new(plan.iter().cloned());
+        let stopped = self.resume(&mut plan, remaining, t, limit, segments);
+        segments.append(&mut plan.held);
+        stopped
     }
 
     /// [`Switch::run`] on a plan kept across limits: the windows that
@@ -136,7 +135,10 @@ impl Switch {
     /// its head, shortened by the transmit time it ran, its stall
     /// remembered. Every circuit of that window is up (or being set up)
     /// at the limit, so resuming there pays no second setup and ends
-    /// each circuit where one uninterrupted run would.
+    /// each circuit where one uninterrupted run would. The cut window's
+    /// transmissions stay in `plan` until it ends, then reach `segments`
+    /// whole: each call appends exactly the segments of the windows it
+    /// finished, as one uninterrupted run would have written them.
     pub fn resume(
         &mut self,
         plan: &mut KeptPlan,
@@ -146,12 +148,15 @@ impl Switch {
         segments: &mut Vec<Segment>,
     ) -> Time {
         // A window a limit cut short stalls on to its old stall's end;
-        // every later window starts after that.
-        let held = plan.stall_until;
+        // every later window starts after that. It runs on to its end
+        // even once the demand is gone, as it would have uncut.
+        let held = plan.stall_until.take();
+        let mut cut = held.is_some();
         while let Some(ta) = plan.windows.front_mut() {
-            if remaining.is_zero() || t >= limit {
+            if t >= limit || (remaining.is_zero() && !cut) {
                 break;
             }
+            cut = false;
             let pairs = ta.assignment.pairs();
 
             // A circuit persists if its port already holds it (`Some`: how
@@ -171,10 +176,10 @@ impl Switch {
 
             // Reconfiguration stall at the head of the window, until every
             // circuit is up; a circuit transmits from `t + offset(k)`.
-            let pending = persistent
-                .iter()
-                .flatten()
-                .fold(held.saturating_since(t), |a, &b| a.max(b));
+            let pending = persistent.iter().flatten().fold(
+                held.map_or(Dur::ZERO, |h| h.saturating_since(t)),
+                |a, &b| a.max(b),
+            );
             let stall = pending.max(if changed_any { self.delta } else { Dur::ZERO });
             let offset = |k: usize| match (self.cfg.switch, persistent[k]) {
                 (SwitchModel::NotAllStop, Some(up_in)) => up_in,
@@ -203,20 +208,29 @@ impl Switch {
                 next[i] = Some((j, tx_start));
                 let served = remaining.drain(i, j, window_end.saturating_since(tx_start));
                 if served > Dur::ZERO {
-                    segments.push(Segment {
-                        src: i,
-                        dst: j,
-                        tx_start,
-                        tx_end: tx_start + served,
-                    });
+                    // A circuit transmitting at the cut carries on.
+                    match plan
+                        .held
+                        .iter_mut()
+                        .find(|s| (s.src, s.dst, s.tx_end) == (i, j, tx_start))
+                    {
+                        Some(s) => s.tx_end += served,
+                        None => plan.held.push(Segment {
+                            src: i,
+                            dst: j,
+                            tx_start,
+                            tx_end: tx_start + served,
+                        }),
+                    }
                 }
             }
             self.cur = next;
             if natural_end > limit {
                 ta.duration -= limit.saturating_since(t + stall);
-                plan.stall_until = t + stall;
+                plan.stall_until = Some(t + stall);
                 return limit;
             }
+            segments.append(&mut plan.held);
             plan.windows.pop_front();
             t = window_end;
         }
@@ -230,9 +244,27 @@ impl Switch {
 pub struct KeptPlan {
     /// The windows still to run, the first possibly cut short by a limit.
     pub windows: VecDeque<TimedAssignment>,
-    /// Where the stall of a window a limit cut short ends: its
-    /// reconfiguration outlives the cut.
-    pub stall_until: Time,
+    /// Set when a limit cut the first window short: where its stall
+    /// ends (its reconfiguration outlives the cut).
+    pub stall_until: Option<Time>,
+    /// What the cut window has transmitted so far, one segment per
+    /// circuit; handed out when the window ends.
+    pub held: Vec<Segment>,
+}
+
+impl KeptPlan {
+    /// A fresh sequence, none of it run.
+    pub fn new(windows: impl IntoIterator<Item = TimedAssignment>) -> KeptPlan {
+        KeptPlan {
+            windows: windows.into_iter().collect(),
+            ..KeptPlan::default()
+        }
+    }
+
+    /// True when a limit cut the first window short.
+    pub fn is_cut(&self) -> bool {
+        self.stall_until.is_some()
+    }
 }
 
 /// The result of executing a schedule to completion.
@@ -546,22 +578,6 @@ mod tests {
         }
     }
 
-    /// Segments with every run of back-to-back pieces on one circuit
-    /// joined, in `(src, dst, tx_start)` order.
-    fn merged(mut segs: Vec<Segment>) -> Vec<Segment> {
-        segs.sort_by_key(|s| (s.src, s.dst, s.tx_start));
-        let mut out: Vec<Segment> = Vec::new();
-        for s in segs {
-            match out.last_mut() {
-                Some(p) if (p.src, p.dst, p.tx_end) == (s.src, s.dst, s.tx_start) => {
-                    p.tx_end = s.tx_end
-                }
-                _ => out.push(s),
-            }
-        }
-        out
-    }
-
     /// Up to eight windows of partial matchings on four ports (some
     /// empty, some a subset of the one before, so some stall only to
     /// tear circuits down), 1–60 ms each.
@@ -594,9 +610,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// A plan resumed at arbitrary limits transmits, sets up and
-        /// drains exactly what one uninterrupted run does, under every
-        /// execution config — limits inside stalls included.
+        /// A plan resumed at arbitrary limits writes the segments, sets
+        /// up and drains exactly what one uninterrupted run does, under
+        /// every execution config — limits inside stalls included.
         #[test]
         fn a_plan_resumed_at_any_limits_runs_as_one(
             plan in arb_plan(),
@@ -615,14 +631,11 @@ mod tests {
                     whole.run(&plan, &mut left, Time::ZERO, Time::MAX, &mut segs);
 
                     let mut sliced = Switch::new(4, ms(10), cfg);
-                    let mut kept = KeptPlan {
-                        windows: plan.clone().into(),
-                        ..KeptPlan::default()
-                    };
+                    let mut kept = KeptPlan::new(plan.clone());
                     let (mut rest, mut pieces) = (d.clone(), Vec::new());
                     let mut t = Time::ZERO;
                     for k in 0.. {
-                        if kept.windows.is_empty() || rest.is_zero() {
+                        if kept.windows.is_empty() || (rest.is_zero() && !kept.is_cut()) {
                             break;
                         }
                         let limit = t + Dur::from_micros(steps[k % steps.len()]);
@@ -631,7 +644,13 @@ mod tests {
                             break;
                         }
                     }
-                    prop_assert_eq!(merged(pieces), merged(segs), "{:?}", cfg);
+                    // The same segments; a window may write its own in
+                    // another order.
+                    let key = |s: &Segment| (s.tx_start, s.src, s.dst);
+                    pieces.sort_by_key(key);
+                    segs.sort_by_key(key);
+                    prop_assert!(kept.held.is_empty(), "{:?}", cfg);
+                    prop_assert_eq!(pieces, segs, "{:?}", cfg);
                     prop_assert_eq!(sliced.setups, whole.setups, "{:?}", cfg);
                     prop_assert_eq!(rest, left, "{:?}", cfg);
                 }

@@ -177,8 +177,8 @@ pub fn append_measured(report: &mut Report, timing: &mut SweepTiming, scale: &Sc
         &base,
         &PipelineConfig {
             channel_capacity: 512,
-            batch_max: 256,
             on_full: OnFull::Wait,
+            ..PipelineConfig::default()
         },
     );
     let admissions_per_sec =
@@ -191,8 +191,8 @@ pub fn append_measured(report: &mut Report, timing: &mut SweepTiming, scale: &Sc
         &base,
         &PipelineConfig {
             channel_capacity: 1,
-            batch_max: 1,
             on_full: OnFull::Reject,
+            ..PipelineConfig::default()
         },
     );
 
@@ -212,8 +212,8 @@ pub fn append_measured(report: &mut Report, timing: &mut SweepTiming, scale: &Sc
         &sharded_cfg,
         &PipelineConfig {
             channel_capacity: 512,
-            batch_max: 256,
             on_full: OnFull::Wait,
+            ..PipelineConfig::default()
         },
     );
 

@@ -11,7 +11,7 @@
 //! on a virtual-clock fabric, drains gracefully at EOF, and dumps
 //! telemetry via `--status-json PATH` and/or `--prom PATH` (`-` =
 //! stdout). `--pipelined` swaps the synchronous per-line loop for the
-//! bounded-channel front end (`--channel-capacity`, `--batch-max`,
+//! bounded-channel front end (`--channel-capacity`,
 //! `--on-full reject|wait`). Seeded fault injection is enabled with the
 //! `--fault-*` flags. `gen` turns `ocs-workload`'s Poisson/Table-4
 //! generator into a trace file `run` can consume. `loadgen` generates a
@@ -61,7 +61,6 @@ run OPTIONS:
   --max-outstanding-secs F  outstanding transmit-demand cap
   --pipelined             ingest through the bounded-channel front end
   --channel-capacity N    admission channel bound (default 1024)
-  --batch-max N           max parsed lines per admission step (default 256)
   --on-full MODE          reject | wait when the channel is full
                           (default reject; wait is lossless)
   --fault-seed N          fault stream seed (default 0)
@@ -91,7 +90,7 @@ loadgen OPTIONS:
                           with --backend portgroups:<G>
   --heavy-frac F          heavy multi-flow Coflow fraction (default 0.05)
   --backend NAME          scheduling backend (default sunflow)
-  --channel-capacity / --batch-max / --on-full   as for run
+  --channel-capacity / --on-full   as for run
                           (default --on-full wait: soak is lossless)
   --emit                  print the JSONL trace to stdout instead of
                           running the soak (pipe into `run`)
@@ -248,7 +247,6 @@ fn parse_run(args: &mut Args) -> Result<RunOpts, String> {
             "--channel-capacity" => {
                 pipeline.channel_capacity = args.parsed("--channel-capacity")?
             }
-            "--batch-max" => pipeline.batch_max = args.parsed("--batch-max")?,
             "--on-full" => pipeline.on_full = parse_on_full(&args.value("--on-full")?)?,
             "--max-queue" => opts.config.admission.max_queue_depth = args.parsed("--max-queue")?,
             "--max-outstanding-secs" => {
@@ -460,7 +458,6 @@ fn cmd_loadgen(args: &mut Args) -> Result<ExitCode, String> {
             "--channel-capacity" => {
                 pipeline.channel_capacity = args.parsed("--channel-capacity")?
             }
-            "--batch-max" => pipeline.batch_max = args.parsed("--batch-max")?,
             "--on-full" => pipeline.on_full = parse_on_full(&args.value("--on-full")?)?,
             "--emit" => emit_trace = true,
             "--status-json" => status_json = Some(args.value("--status-json")?),

@@ -10,8 +10,8 @@
 //! ```text
 //!  reader thread          admission loop (caller's thread)   writer thread
 //!  ─────────────          ────────────────────────────────   ─────────────
-//!  parse JSONL ──bounded──▶ take up to batch_max lines,  ──▶ ack mux
-//!  lines        channel     Daemon::ingest each in order     (re-orders
+//!  parse JSONL ──bounded──▶ admit what the channel holds, ──▶ ack mux
+//!  lines        channel     then run the clock once          (re-orders
 //!  (typed backpressure      (the only thread touching the     acks to
 //!   when full)               Daemon)                          line order)
 //! ```
@@ -21,13 +21,16 @@
 //!   [`RejectReason::Backpressure`] ack — explicit load shedding instead
 //!   of a silent stall — while [`OnFull::Wait`] blocks the reader
 //!   (lossless, for file replay).
-//! * The admission loop takes up to [`PipelineConfig::batch_max`] parsed
-//!   lines per step and admits each with the sequential loop's own step,
-//!   [`Daemon::ingest`]: run every event before the line's arrival
-//!   instant, then submit. The step sees the line alone, so how the
-//!   reader's timing cuts the stream into batches changes nothing: with
-//!   [`OnFull::Wait`] the acks and outcomes are the sequential loop's
-//!   for any input, channel capacity and batch size
+//! * Each admission step takes the lines the channel holds (at most its
+//!   capacity), admits them in order with [`Daemon::ingest_ahead`], then
+//!   advances once to the clock they raised. A line gets the verdict the
+//!   sequential loop's step ([`Daemon::ingest`]) gives it, and the
+//!   daemon then runs the events before each arrival instant as the
+//!   sequential loop does, only with the step's later arrivals already
+//!   queued, so the scheduler can plan each Coflow up to the next
+//!   arrival. How the reader's timing cuts the stream into steps changes
+//!   the planning work, not an ack or an outcome: with [`OnFull::Wait`]
+//!   both are the sequential loop's for any input and channel capacity
 //!   (`pipelined_matches_sequential_replay` below pins it).
 //! * Acks from both stages are re-sequenced to input-line order by an
 //!   `AckMux` min-heap on the writer thread, so clients still read one
@@ -64,7 +67,8 @@ pub struct PipelineConfig {
     /// Bound of the admission channel (arrivals parsed but not yet
     /// submitted). The backpressure threshold.
     pub channel_capacity: usize,
-    /// Most parsed lines one admission step takes off the channel.
+    /// Unused: an admission step takes at most `channel_capacity` lines.
+    /// The field stays because the `benchmark/` crate still sets it.
     pub batch_max: usize,
     /// Full-channel policy.
     pub on_full: OnFull,
@@ -97,7 +101,7 @@ pub struct PipelineReport {
     pub backpressure_waits: u64,
     /// Acks written (or counted, without an ack sink).
     pub acked: u64,
-    /// Admission steps (batches drained from the channel).
+    /// Admission steps (batches taken off the channel).
     pub batches: u64,
     /// Largest single batch.
     pub max_batch: u64,
@@ -281,8 +285,9 @@ fn write_acks(rx: Receiver<(u64, String)>, out: Option<&mut dyn Write>) -> std::
 /// [`run_to_completion`](crate::server::run_to_completion).
 ///
 /// With [`OnFull::Wait`] this acks and schedules byte-identically to the
-/// sequential loop; under load the bounded channel sheds (with
-/// [`OnFull::Reject`]) instead of stalling silently.
+/// sequential loop (its planning work counters may differ); under load
+/// the bounded channel sheds (with [`OnFull::Reject`]) instead of
+/// stalling silently.
 pub fn run_pipelined<R, W>(
     daemon: &mut Daemon,
     input: R,
@@ -294,7 +299,6 @@ where
     W: Write + Send,
 {
     let capacity = config.channel_capacity.max(1);
-    let batch_max = config.batch_max.max(1);
     let (tx, rx) = sync_channel::<Envelope>(capacity);
     let (ack_tx, ack_rx) = channel::<(u64, String)>();
     let on_full = config.on_full;
@@ -309,11 +313,12 @@ where
         });
         let writer = scope.spawn(move || write_acks(ack_rx, ack_out.map(|w| w as &mut dyn Write)));
 
-        // The admission loop: the only stage touching the daemon.
-        let mut batch = Vec::with_capacity(batch_max);
+        // The admission loop: the only stage touching the daemon. It
+        // admits what the channel holds, then runs the clock once.
+        let mut batch = Vec::with_capacity(capacity);
         while let Ok(first) = rx.recv() {
             batch.push(first);
-            while batch.len() < batch_max {
+            while batch.len() < capacity {
                 match rx.try_recv() {
                     Ok(env) => batch.push(env),
                     Err(_) => break,
@@ -322,7 +327,7 @@ where
             report.batches += 1;
             report.max_batch = report.max_batch.max(batch.len() as u64);
             for env in batch.drain(..) {
-                let (events, verdict) = daemon.ingest(&env.spec);
+                let (events, verdict) = daemon.ingest_ahead(&env.spec);
                 report.events += events;
                 match verdict {
                     Ok(()) => {
@@ -335,6 +340,7 @@ where
                 }
                 let _ = ack_tx.send((env.seq, verdict_ack(env.lineno, env.spec.id, verdict)));
             }
+            report.events += daemon.advance_to(daemon.now());
         }
         drop(ack_tx); // last sender: the writer drains and exits
         (
@@ -362,11 +368,15 @@ mod tests {
     use ocs_model::{Bandwidth, Dur, Fabric};
     use std::io::Cursor;
 
-    fn daemon() -> Daemon {
-        Daemon::new(&DaemonConfig {
+    fn config() -> DaemonConfig {
+        DaemonConfig {
             fabric: Fabric::new(4, Bandwidth::GBPS, Dur::from_micros(20)),
             ..DaemonConfig::default()
-        })
+        }
+    }
+
+    fn daemon() -> Daemon {
+        Daemon::new(&config())
     }
 
     /// A trace exercising accepts, duplicate rejects, parse errors, an
@@ -414,7 +424,7 @@ mod tests {
         }
         out.push_str("{\"id\": 1, \"arrival_ms\": 999, \"flows\": [[0, 1, 1]]}\n"); // duplicate
         out.push_str("definitely not json\n");
-        out.push_str(&format!("{{\"id\": {n}, \"flows\": [[2, 0, 500000]]}}\n")); // stream clock
+        out.push_str(&format!("{{\"id\": {n}, \"flows\": [[2, 0, 500000]]}}\n")); // at the clock
         out
     }
 
@@ -433,46 +443,53 @@ mod tests {
     #[test]
     fn pipelined_matches_sequential_replay() {
         let input = trace(40);
-
-        let mut seq_daemon = daemon();
-        let mut seq_acks: Vec<u8> = Vec::new();
-        let seq = run_to_completion(
-            &mut seq_daemon,
-            Cursor::new(input.clone()),
-            Some(&mut seq_acks as &mut dyn Write),
-        )
-        .unwrap();
-        let seq_acks = String::from_utf8(seq_acks).unwrap();
-        // Every ack shape is in the stream, each formatted once.
-        assert_eq!(
-            seq_acks.matches("\"ok\": true").count() as u64,
-            seq.accepted
-        );
-        assert_eq!(seq_acks.matches("\"reject\": \"duplicate_id\"").count(), 2);
-        assert_eq!(
-            seq_acks.matches("\"reject\": \"arrival_in_past\"").count(),
-            1
-        );
-        assert_eq!(seq_acks.matches("\"error\": ").count(), 2);
         let outcomes = |d: &Daemon| {
             d.completions()
                 .iter()
                 .map(|c| c.outcome.clone())
                 .collect::<Vec<_>>()
         };
+        // The default caps never bind on this trace; tight ones bind, so
+        // the pipelined loop must run the clock before those verdicts.
+        let mut tight = config();
+        tight.admission.max_queue_depth = 5;
+        tight.admission.max_outstanding = Dur::from_millis(45);
+        for (caps, config) in [("default caps", config()), ("tight caps", tight)] {
+            let mut seq_daemon = Daemon::new(&config);
+            let mut seq_acks: Vec<u8> = Vec::new();
+            let seq = run_to_completion(
+                &mut seq_daemon,
+                Cursor::new(input.clone()),
+                Some(&mut seq_acks as &mut dyn Write),
+            )
+            .unwrap();
+            let seq_acks = String::from_utf8(seq_acks).unwrap();
+            // Every ack shape is in the stream, each formatted once.
+            assert_eq!(
+                seq_acks.matches("\"ok\": true").count() as u64,
+                seq.accepted
+            );
+            assert_eq!(seq_acks.matches("\"reject\": \"duplicate_id\"").count(), 2);
+            assert_eq!(
+                seq_acks.matches("\"reject\": \"arrival_in_past\"").count(),
+                1
+            );
+            assert_eq!(seq_acks.matches("\"error\": ").count(), 2);
+            let capped = seq_acks.matches("\"reject\": \"queue_full\"").count()
+                + seq_acks.matches("\"reject\": \"demand_cap\"").count();
+            assert_eq!(capped > 0, caps == "tight caps", "{caps}: {capped} capped");
 
-        // A one-slot channel forces real hand-off, a deep one lets the
-        // reader run ahead; `Wait` keeps both lossless. Batches of one
-        // split the same-instant run at every line.
-        for channel_capacity in [1, 1_024] {
-            for batch_max in [1, 4, 256] {
-                let label = format!("capacity {channel_capacity}, batch {batch_max}");
-                let mut pipe_daemon = daemon();
+            // A one-slot channel forces real hand-off and steps of one
+            // line, which split the same-instant run at every line; deeper
+            // ones let the reader run ahead. `Wait` keeps all lossless.
+            for channel_capacity in [1, 4, 1_024] {
+                let label = format!("{caps}, capacity {channel_capacity}");
+                let mut pipe_daemon = Daemon::new(&config);
                 let mut pipe_acks: Vec<u8> = Vec::new();
                 let cfg = PipelineConfig {
                     channel_capacity,
-                    batch_max,
                     on_full: OnFull::Wait,
+                    ..PipelineConfig::default()
                 };
                 let pipe = run_pipelined(
                     &mut pipe_daemon,
@@ -496,13 +513,13 @@ mod tests {
                     "{label}: one admission latency sample per accepted coflow"
                 );
             }
+            assert_eq!(seq_daemon.telemetry().admit_latency.count(), 0);
         }
-        assert_eq!(seq_daemon.telemetry().admit_latency.count(), 0);
     }
 
     #[test]
     fn full_channel_sheds_with_typed_backpressure_and_drains_clean() {
-        // A single-slot channel and single-arrival batches in front of a
+        // A single-slot channel, so single-line steps, in front of a
         // producer with zero per-line cost: the reader outruns admission
         // (which plans real circuits per accept), so the channel fills.
         let mut d = daemon();
@@ -520,8 +537,8 @@ mod tests {
             .collect();
         let cfg = PipelineConfig {
             channel_capacity: 1,
-            batch_max: 1,
             on_full: OnFull::Reject,
+            ..PipelineConfig::default()
         };
         let report = run_pipelined(&mut d, Cursor::new(input), Some(&mut acks), &cfg).unwrap();
 
@@ -575,8 +592,8 @@ mod tests {
         let mut d = daemon();
         let cfg = PipelineConfig {
             channel_capacity: 2,
-            batch_max: 8,
             on_full: OnFull::Wait,
+            ..PipelineConfig::default()
         };
         let report = run_pipelined(&mut d, Cursor::new(input), None::<&mut Vec<u8>>, &cfg).unwrap();
         // Lossless: every line admitted (strictly increasing arrivals can

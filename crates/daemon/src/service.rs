@@ -233,6 +233,9 @@ enum Command {
     Submit(Coflow),
     /// Clock advance to a deadline.
     AdvanceTo(Time),
+    /// Clock raised to an instant the backend has not run to yet
+    /// ([`Daemon::ingest_ahead`]).
+    Raise(Time),
     /// Graceful drain to idle.
     Drain,
     /// Schedule-history compaction.
@@ -259,9 +262,9 @@ pub struct Daemon {
     /// Every externally-driven command since construction; the
     /// checkpoint's replay script.
     log: Vec<Command>,
-    /// The latest arrival any submission carried: where a line without
-    /// `arrival_ms` arrives, unless the clock is later.
-    stream_clock: Time,
+    /// The latest instant the daemon was advanced to; the backend has
+    /// run every event before it (see [`Daemon::advance_to`]).
+    clock: Time,
 }
 
 impl Daemon {
@@ -275,14 +278,15 @@ impl Daemon {
             telemetry: Telemetry::default(),
             completions: Vec::new(),
             log: Vec::new(),
-            stream_clock: Time::ZERO,
+            clock: Time::ZERO,
             config: config.clone(),
         }
     }
 
-    /// The daemon's virtual clock.
+    /// The daemon's virtual clock: the latest instant it was advanced
+    /// to, or the backend's last event if that is later.
     pub fn now(&self) -> Time {
-        self.backend.status().now
+        self.clock.max(self.backend.status().now)
     }
 
     /// True when no admitted Coflow has unserved demand.
@@ -354,7 +358,6 @@ impl Daemon {
     }
 
     fn do_submit(&mut self, coflow: Coflow) -> Result<(), RejectReason> {
-        self.stream_clock = self.stream_clock.max(coflow.arrival());
         let status = self.backend.status();
         let depth = status.active_coflows + status.queued_arrivals;
         if depth >= self.config.admission.max_queue_depth {
@@ -369,6 +372,10 @@ impl Daemon {
         }) else {
             return self.reject(RejectReason::DemandCap);
         };
+        if (status.now..self.clock).contains(&coflow.arrival()) {
+            // The picosecond the backend stopped short of the clock.
+            return self.reject(RejectReason::ArrivalInPast);
+        }
         let bytes = coflow.total_bytes();
         match self.backend.submit(coflow) {
             Ok(()) => {
@@ -402,26 +409,56 @@ impl Daemon {
     }
 
     /// Admit a wire-format arrival. A spec without `arrival_ms` arrives
-    /// with the stream: at the latest arrival submitted so far, or at
-    /// the clock if that is later.
+    /// at the daemon's current clock.
     pub fn submit_spec(&mut self, spec: &ArrivalSpec) -> Result<(), RejectReason> {
-        self.submit(spec.to_coflow(self.stream_clock.max(self.now())))
+        self.submit(spec.to_coflow(self.now()))
     }
 
-    /// The admission step of both ingest loops: run every event before
-    /// the line's arrival instant, then [`Daemon::submit_spec`]. The
-    /// events at that instant wait for a later line (or the drain), so
-    /// they run once, with every line of the instant admitted, as in the
-    /// batch replay. Returns the events processed and the verdict.
+    /// The admission step of the ingest loops: advance to the line's
+    /// `arrival_ms` if it is later than the clock, then
+    /// [`Daemon::submit_spec`]. Returns the events processed and the
+    /// verdict.
     pub fn ingest(&mut self, spec: &ArrivalSpec) -> (u64, Result<(), RejectReason>) {
-        let at = spec.arrival_ms.map_or(self.stream_clock, Time::from_millis);
-        let before = Time::from_ps(at.as_ps().saturating_sub(1));
-        let events = if before > self.now() {
-            self.advance_to(before)
-        } else {
-            0
+        let events = match spec.arrival_ms.map(Time::from_millis) {
+            Some(t) if t > self.now() => self.advance_to(t),
+            _ => 0,
         };
         (events, self.submit_spec(spec))
+    }
+
+    /// [`Daemon::ingest`] with the same verdict, but without running the
+    /// backend where that verdict cannot depend on it: the line arrives
+    /// at or after the clock, which only raises, and neither cap can bind
+    /// however far the backend runs — the queue is below its depth cap
+    /// now (it only shrinks until the next submission), and the demand
+    /// ever admitted, this line's included, is within the demand cap.
+    /// Otherwise the backend first runs to the clock. A caller admitting
+    /// a batch of lines this way and then advancing to
+    /// [`Daemon::now`] gets [`Daemon::ingest`]'s acks and outcomes, while
+    /// the backend plans with the batch's later arrivals already queued.
+    pub fn ingest_ahead(&mut self, spec: &ArrivalSpec) -> (u64, Result<(), RejectReason>) {
+        let at = spec.arrival_ms.map_or(self.now(), Time::from_millis);
+        if at > self.now() {
+            self.log.push(Command::Raise(at));
+            self.clock = at;
+        }
+        let status = self.backend.status();
+        let depth = status.active_coflows + status.queued_arrivals;
+        let coflow = spec.to_coflow(at);
+        let demand = self.coflow_demand(&coflow);
+        let timeless = at >= self.clock
+            && depth < self.config.admission.max_queue_depth
+            && demand.is_some_and(|d| {
+                (self.telemetry.demand_admitted.as_ps())
+                    .checked_add(d.as_ps())
+                    .is_some_and(|total| total <= self.config.admission.max_outstanding.as_ps())
+            });
+        let events = if timeless {
+            0
+        } else {
+            self.advance_to(self.clock)
+        };
+        (events, self.submit(coflow))
     }
 
     fn absorb_completions(&mut self) {
@@ -440,16 +477,25 @@ impl Daemon {
         }
     }
 
-    /// Advance the virtual clock to `deadline`, settling circuits,
-    /// replanning and retrying faulted flows along the way. Returns the
-    /// number of scheduling events processed.
+    /// Advance the virtual clock to `deadline` (if it is later), settling
+    /// circuits, replanning and retrying faulted flows along the way:
+    /// every event *before* the clock runs, and the events at it wait for
+    /// the next advance (or the drain). So Coflows submitted at the clock
+    /// join that instant's completions in one event, as in the batch
+    /// replay of the same arrivals. Returns the number of scheduling
+    /// events processed.
     pub fn advance_to(&mut self, deadline: Time) -> u64 {
         self.log.push(Command::AdvanceTo(deadline));
         self.do_advance_to(deadline)
     }
 
     fn do_advance_to(&mut self, deadline: Time) -> u64 {
-        let processed = self.backend.advance_to(deadline, &mut self.injector);
+        self.clock = self.clock.max(deadline);
+        let before = Time::from_ps(self.clock.as_ps().saturating_sub(1));
+        if before <= self.backend.status().now {
+            return 0;
+        }
+        let processed = self.backend.advance_to(before, &mut self.injector);
         self.absorb_completions();
         processed
     }
@@ -481,7 +527,7 @@ impl Daemon {
         self.port_share(
             self.telemetry.demand_admitted,
             status.outstanding_demand,
-            status.now,
+            self.now(),
         )
     }
 
@@ -534,6 +580,7 @@ impl Daemon {
                 Command::AdvanceTo(t) => {
                     d.do_advance_to(*t);
                 }
+                Command::Raise(t) => d.clock = d.clock.max(*t),
                 Command::Drain => {
                     d.do_drain();
                 }
@@ -579,7 +626,7 @@ impl Daemon {
                     core,
                     st.active_coflows,
                     st.outstanding_demand.as_secs_f64(),
-                    self.port_share(st.demand_admitted, st.outstanding_demand, status.now),
+                    self.port_share(st.demand_admitted, st.outstanding_demand, self.now()),
                     st.reservations_made,
                 ));
             }
@@ -613,7 +660,7 @@ impl Daemon {
                 "\"max_attempts\": {}, \"backoff_total_secs\": {:.6}, \"flows_in_backoff\": {}}}, ",
                 "{}{}\"cct_ps\": {}, \"queue_latency_ps\": {}, \"admit_latency_ns\": {}}}"
             ),
-            status.now.as_secs_f64(),
+            self.now().as_secs_f64(),
             self.config.backend.name(),
             self.config.backend.switch_model(),
             self.config.policy.name(),
@@ -626,7 +673,7 @@ impl Daemon {
             rejected,
             t.bytes_admitted,
             status.outstanding_demand.as_secs_f64(),
-            self.port_share(t.demand_admitted, status.outstanding_demand, status.now),
+            self.port_share(t.demand_admitted, status.outstanding_demand, self.now()),
             t.circuit_setups,
             status.guard_windows,
             s.events,
@@ -712,7 +759,7 @@ impl Daemon {
             "ocs_daemon_circuit_utilization",
             "Served transmit time over total port-time",
             &by_backend,
-            self.port_share(t.demand_admitted, status.outstanding_demand, status.now),
+            self.port_share(t.demand_admitted, status.outstanding_demand, self.now()),
         );
         p.counter(
             "ocs_daemon_circuit_setups_total",
@@ -794,7 +841,7 @@ impl Daemon {
                 "ocs_daemon_core_utilization",
                 "Served transmit time over port-time, per switch core",
                 &by_core,
-                self.port_share(st.demand_admitted, st.outstanding_demand, status.now),
+                self.port_share(st.demand_admitted, st.outstanding_demand, self.now()),
             );
             p.gauge(
                 "ocs_daemon_core_active_coflows",
@@ -987,6 +1034,43 @@ mod tests {
             total_delay += f.outcome.finish.saturating_since(c.finish);
         }
         assert!(total_delay > Dur::ZERO, "faults must cost some time");
+    }
+
+    /// A refused submission leaves the clock where it was: a line
+    /// without `arrival_ms` after a refused far-future one arrives at the
+    /// clock. And an advance runs every event before its instant, so
+    /// the picosecond before it is already past.
+    #[test]
+    fn a_refused_submission_leaves_the_clock() {
+        let mut daemon = Daemon::new(&config());
+        let at = |id: u64, t: Time| Coflow::builder(id).arrival(t).flow(0, 1, 1_000).build();
+        daemon.advance_to(Time::from_millis(10));
+        assert_eq!(daemon.now(), Time::from_millis(10));
+        daemon.submit(at(1, Time::from_millis(10))).unwrap();
+        let far = at(1, Time::from_millis(500_000));
+        assert_eq!(daemon.submit(far), Err(RejectReason::DuplicateId));
+        let clockless = ArrivalSpec {
+            id: 2,
+            arrival_ms: None,
+            flows: vec![(1, 0, 1_000)],
+        };
+        daemon.submit_spec(&clockless).unwrap();
+        let just_before = Time::from_ps(Time::from_millis(10).as_ps() - 1);
+        assert_eq!(
+            daemon.submit(at(3, just_before)),
+            Err(RejectReason::ArrivalInPast)
+        );
+        daemon.drain();
+        let mut starts: Vec<_> = daemon
+            .completions()
+            .iter()
+            .map(|c| (c.outcome.coflow, c.outcome.start))
+            .collect();
+        starts.sort();
+        assert_eq!(
+            starts,
+            [(1, Time::from_millis(10)), (2, Time::from_millis(10))]
+        );
     }
 
     #[test]

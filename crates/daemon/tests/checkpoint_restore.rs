@@ -352,8 +352,8 @@ fn pipelined_ingest_then_restore_continues_identically() {
         let mut original = Daemon::new(&cfg);
         let pipeline = PipelineConfig {
             channel_capacity: 2,
-            batch_max: 3,
             on_full: OnFull::Wait,
+            ..PipelineConfig::default()
         };
         let report = run_pipelined(
             &mut original,

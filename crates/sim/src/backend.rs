@@ -180,7 +180,10 @@ type FifoQueue = VecDeque<(usize, FlowRef)>;
 /// sequence mid-window; the next call resumes it there. Service on a
 /// circuit is attributed to the Coflows demanding it in arrival (FIFO)
 /// order — the scheduler itself cannot express any other preference,
-/// which is precisely its limitation.
+/// which is precisely its limitation. A transmission is settled (and
+/// the settle hook consulted) once its window ends, and a shortfall
+/// rejoins the aggregate when the sequence ends, so where a deadline
+/// falls changes no settlement either.
 ///
 /// `circuit_setups` in emitted outcomes is zero: with aggregation,
 /// reconfigurations cannot be attributed to any single Coflow — exactly
@@ -200,6 +203,9 @@ pub struct CircuitBackend {
     switch: Switch,
     /// The assignment sequence in execution, from the window under way.
     plan: KeptPlan,
+    /// Demand the settle hook shorted during the sequence in execution;
+    /// it rejoins the aggregate when the sequence ends.
+    shortfall: Vec<(usize, usize, Dur)>,
     completions: Vec<Completion>,
 }
 
@@ -218,14 +224,35 @@ impl CircuitBackend {
             fifo: HashMap::new(),
             switch: Switch::new(n, fabric.delta(), scheduler.exec_config()),
             plan: KeptPlan::default(),
+            shortfall: Vec::new(),
             completions: Vec::new(),
         }
     }
 
+    /// True while the switch has work: demand left, or a window a
+    /// deadline cut short.
+    fn busy(&self) -> bool {
+        !self.remaining.is_zero() || self.plan.is_cut()
+    }
+
+    /// End the sequence in execution: settle what its cut window has
+    /// transmitted and return the shorted demand to the aggregate.
+    fn end_plan(&mut self, hook: &mut dyn SettleHook) {
+        let held = std::mem::take(&mut self.plan).held;
+        self.apply_segments(held, hook);
+        for (src, dst, short) in self.shortfall.drain(..) {
+            self.remaining.add(src, dst, short);
+        }
+    }
+
     /// Admit every pending Coflow whose arrival is at or before `now`.
-    fn admit_due(&mut self) -> u64 {
+    fn admit_due(&mut self, hook: &mut dyn SettleHook) -> u64 {
         let mut admitted = 0u64;
         while let Some(c) = self.arrivals.pop_due(self.now) {
+            if admitted == 0 {
+                // The aggregate changes: the sequence in execution is void.
+                self.end_plan(hook);
+            }
             let slot = self.book.next_slot();
             self.book.admit(slot, &c, &self.fabric);
             for (flow_idx, f) in c.flows().iter().enumerate() {
@@ -241,8 +268,6 @@ impl CircuitBackend {
                     .push_back((slot, flow));
             }
             admitted += 1;
-            // The aggregate changed: the sequence in execution is void.
-            self.plan = KeptPlan::default();
         }
         admitted
     }
@@ -251,7 +276,7 @@ impl CircuitBackend {
     /// aggregate drains; returns execution rounds run.
     fn execute_until(&mut self, limit: Time, hook: &mut dyn SettleHook) -> u64 {
         let mut rounds = 0u64;
-        while !self.remaining.is_zero() && self.now < limit {
+        while self.busy() && self.now < limit {
             if self.plan.windows.is_empty() {
                 // Plan on the aggregate compacted to its active ports,
                 // then translate back to real ports: padding circuits
@@ -273,11 +298,11 @@ impl CircuitBackend {
                 limit,
                 &mut segments,
             );
+            self.apply_segments(segments, hook);
             if stopped < limit {
                 // Ran out, or drained the aggregate: re-plan what is left.
-                self.plan = KeptPlan::default();
+                self.end_plan(hook);
             }
-            self.apply_segments(segments, hook);
             assert!(
                 stopped > self.now || self.remaining.is_zero() || stopped >= limit,
                 "aggregate replay failed to progress at {}",
@@ -291,8 +316,8 @@ impl CircuitBackend {
 
     /// Attribute transmission segments to Coflow flows in FIFO order,
     /// consulting `hook` once per settled chunk. A shorted chunk leaves
-    /// the shortfall on the flow's account and restores it to the
-    /// aggregate demand, to be re-planned in a later round. The
+    /// the shortfall on the flow's account and holds it for the
+    /// aggregate, to be re-planned once the sequence ends. The
     /// completions this round records are queued in finish order.
     fn apply_segments(&mut self, mut segs: Vec<Segment>, hook: &mut dyn SettleHook) {
         let first_completion = self.completions.len();
@@ -336,7 +361,7 @@ impl CircuitBackend {
                 self.completions.push(self.book.complete(slot));
             }
             if shortfall > Dur::ZERO {
-                self.remaining.add(s.src, s.dst, shortfall);
+                self.shortfall.push((s.src, s.dst, shortfall));
             }
         }
         // Segments start in order but end out of it: a Coflow finishing
@@ -353,7 +378,7 @@ impl SchedulingBackend for CircuitBackend {
     }
 
     fn next_event_time(&self) -> Option<Time> {
-        if !self.remaining.is_zero() {
+        if self.busy() {
             // Drainable demand: work proceeds continuously until the
             // next arrival re-plans it (or forever — the sentinel).
             Some(self.arrivals.next_arrival().unwrap_or(Time::MAX))
@@ -375,7 +400,7 @@ impl SchedulingBackend for CircuitBackend {
                 // clock so later submissions cannot rewrite this span.
                 self.now = limit;
             }
-            processed += self.admit_due();
+            processed += self.admit_due(hook);
             if limit >= deadline {
                 break;
             }
@@ -390,7 +415,7 @@ impl SchedulingBackend for CircuitBackend {
     fn status(&self) -> BackendStatus {
         BackendStatus {
             now: self.now,
-            idle: self.arrivals.is_empty() && self.book.open() == 0 && self.remaining.is_zero(),
+            idle: self.arrivals.is_empty() && self.book.open() == 0 && !self.busy(),
             active_coflows: self.book.open(),
             queued_arrivals: self.arrivals.len(),
             outstanding_demand: self.book.outstanding(),

@@ -24,7 +24,8 @@
 //! * **sliced** — serving equals replay: sliced at any lengths, with
 //!   each Coflow submitted just in time, half a second ahead or all up
 //!   front, a backend gives the batch outcomes and the batch's
-//!   outcome-bearing counters;
+//!   outcome-bearing counters, fault-free and under a seeded hook that
+//!   shorts circuits;
 //! * **time_shift** — delaying every arrival by Δ delays every start,
 //!   flow finish and Coflow finish by Δ;
 //! * **scale** — doubling every flow and the link rate leaves every
@@ -35,11 +36,11 @@ mod common;
 use common::{fabric, group_local, in_input_order, workload, xorshift};
 use ocs_model::{
     circuit_lower_bound, lemma1_holds, packet_lower_bound, Bandwidth, Coflow, Dur, Fabric,
-    ScheduleOutcome, Time,
+    Reservation, ScheduleOutcome, Time,
 };
 use ocs_sim::{
-    run_trace, ActiveCircuitPolicy, BackendKind, BackendStatus, FullService, OnlineConfig,
-    SchedulingBackend,
+    run_backends_to_idle, run_trace, ActiveCircuitPolicy, BackendKind, BackendStatus, FullService,
+    OnlineConfig, SchedulingBackend, SettleHook, SettleVerdict,
 };
 use sunflow_core::ShortestFirst;
 
@@ -117,15 +118,33 @@ impl Row {
     }
 }
 
+/// A seeded faulty fabric: it shorts about one settled circuit in
+/// eight to half its transmit time, with a 3 ms backoff. The verdict is
+/// a hash of the reservation alone, as the daemon's fault injector's is.
+struct Shorting;
+
+impl SettleHook for Shorting {
+    fn on_settle(&mut self, resv: &Reservation, available: Dur, _now: Time) -> SettleVerdict {
+        let mut h = 0x5eed_u64 ^ (resv.flow.coflow << 40) ^ ((resv.flow.flow_idx as u64) << 24);
+        h ^= (resv.src as u64) << 12 ^ resv.start.as_ps();
+        if xorshift(&mut h) % 8 == 0 {
+            SettleVerdict::shorted(available / 2, Dur::from_millis(3))
+        } else {
+            SettleVerdict::full(available)
+        }
+    }
+}
+
 /// Drive `backend` the way a live service does: for each slice `slice`
 /// hands out, submit the Coflows arriving within it (or within `ahead`
-/// after it), advance to its end, drain. After each slice `after` sees
-/// the backend's status, the slice's end and how many Coflows were
-/// submitted but not yet drained. Returns the completions in the order
-/// they drained.
+/// after it), advance to its end under `hook`, drain. After each slice
+/// `after` sees the backend's status, the slice's end and how many
+/// Coflows were submitted but not yet drained. Returns the completions
+/// in the order they drained.
 fn run_sliced(
     coflows: &[Coflow],
     backend: &mut dyn SchedulingBackend,
+    hook: &mut dyn SettleHook,
     mut slice: impl FnMut() -> Dur,
     ahead: Dur,
     mut after: impl FnMut(BackendStatus, Time, usize),
@@ -144,7 +163,7 @@ fn run_sliced(
                 .expect("a just-in-time arrival is never in the past");
             fed += 1;
         }
-        backend.advance_to(deadline, &mut FullService);
+        backend.advance_to(deadline, hook);
         done.extend(backend.drain_completions().into_iter().map(|c| c.outcome));
         after(backend.status(), deadline, fed - done.len());
     }
@@ -158,6 +177,7 @@ fn completes(row: &Row) {
     let done = run_sliced(
         &coflows,
         backend.as_mut(),
+        &mut FullService,
         || Dur::from_millis(7),
         Dur::ZERO,
         |_, _, _| {},
@@ -227,6 +247,7 @@ fn gauges(row: &Row) {
         run_sliced(
             &coflows,
             backend.as_mut(),
+            &mut FullService,
             || Dur::from_millis(7),
             ahead,
             check,
@@ -323,10 +344,28 @@ fn outcome_counters(status: BackendStatus) -> (u64, u64, u64, u64) {
 const LEADS: [Dur; 3] = [Dur::ZERO, Dur::from_millis(500), Dur::from_millis(600_000)];
 
 fn sliced(row: &Row) {
+    sliced_under(row, &mut FullService, "fault-free");
+    sliced_under(row, &mut Shorting, "shorted");
+}
+
+fn sliced_under(row: &Row, hook: &mut dyn SettleHook, faults: &str) {
     let f = fabric();
     let coflows = row.workload();
     let mut batch = row.build(&f);
-    let want = run_trace(&coflows, batch.as_mut());
+    for c in &coflows {
+        batch
+            .submit(c.clone())
+            .expect("the workload fits the fabric");
+    }
+    run_backends_to_idle(batch.as_mut(), hook);
+    let want = in_input_order(
+        &coflows,
+        batch
+            .drain_completions()
+            .into_iter()
+            .map(|c| c.outcome)
+            .collect(),
+    );
     let want_counters = outcome_counters(batch.status());
     // Two fixed slice lengths, then seeded random ones from 1 µs to 1 s,
     // log-uniform, so deadlines land in stalls, windows and idle gaps.
@@ -351,8 +390,18 @@ fn sliced(row: &Row) {
     for (slicing, mut slice) in slicings {
         for ahead in LEADS {
             let mut backend = row.build(&f);
-            let got = run_sliced(&coflows, backend.as_mut(), &mut slice, ahead, |_, _, _| {});
-            let label = format!("{}: {slicing}, submitted {ahead} ahead", row.selector);
+            let got = run_sliced(
+                &coflows,
+                backend.as_mut(),
+                hook,
+                &mut slice,
+                ahead,
+                |_, _, _| {},
+            );
+            let label = format!(
+                "{} ({faults}): {slicing}, submitted {ahead} ahead",
+                row.selector
+            );
             assert_eq!(
                 in_input_order(&coflows, got),
                 want,
