@@ -318,12 +318,7 @@ where
         let mut batch = Vec::with_capacity(capacity);
         while let Ok(first) = rx.recv() {
             batch.push(first);
-            while batch.len() < capacity {
-                match rx.try_recv() {
-                    Ok(env) => batch.push(env),
-                    Err(_) => break,
-                }
-            }
+            batch.extend(rx.try_iter().take(capacity - 1));
             report.batches += 1;
             report.max_batch = report.max_batch.max(batch.len() as u64);
             for env in batch.drain(..) {

@@ -357,20 +357,24 @@ impl Daemon {
         self.do_submit(coflow)
     }
 
+    /// The admission caps' verdict on `coflow` with `outstanding` demand
+    /// unserved: its transmit demand, or the cap it would break.
+    fn within_caps(&self, coflow: &Coflow, outstanding: Dur) -> Result<Dur, RejectReason> {
+        let status = self.backend.status();
+        if status.active_coflows + status.queued_arrivals >= self.config.admission.max_queue_depth {
+            return Err(RejectReason::QueueFull);
+        }
+        let cap = self.config.admission.max_outstanding.as_ps();
+        (self.coflow_demand(coflow))
+            .filter(|d| (outstanding.as_ps().checked_add(d.as_ps())).is_some_and(|sum| sum <= cap))
+            .ok_or(RejectReason::DemandCap)
+    }
+
     fn do_submit(&mut self, coflow: Coflow) -> Result<(), RejectReason> {
         let status = self.backend.status();
-        let depth = status.active_coflows + status.queued_arrivals;
-        if depth >= self.config.admission.max_queue_depth {
-            return self.reject(RejectReason::QueueFull);
-        }
-        let Some(demand) = self.coflow_demand(&coflow).filter(|demand| {
-            status
-                .outstanding_demand
-                .as_ps()
-                .checked_add(demand.as_ps())
-                .is_some_and(|total| total <= self.config.admission.max_outstanding.as_ps())
-        }) else {
-            return self.reject(RejectReason::DemandCap);
+        let demand = match self.within_caps(&coflow, status.outstanding_demand) {
+            Ok(demand) => demand,
+            Err(reason) => return self.reject(reason),
         };
         if (status.now..self.clock).contains(&coflow.arrival()) {
             // The picosecond the backend stopped short of the clock.
@@ -442,17 +446,9 @@ impl Daemon {
             self.log.push(Command::Raise(at));
             self.clock = at;
         }
-        let status = self.backend.status();
-        let depth = status.active_coflows + status.queued_arrivals;
         let coflow = spec.to_coflow(at);
-        let demand = self.coflow_demand(&coflow);
-        let timeless = at >= self.clock
-            && depth < self.config.admission.max_queue_depth
-            && demand.is_some_and(|d| {
-                (self.telemetry.demand_admitted.as_ps())
-                    .checked_add(d.as_ps())
-                    .is_some_and(|total| total <= self.config.admission.max_outstanding.as_ps())
-            });
+        let timeless =
+            at >= self.clock && (self.within_caps(&coflow, self.telemetry.demand_admitted)).is_ok();
         let events = if timeless {
             0
         } else {

@@ -273,11 +273,12 @@ impl CircuitBackend {
     }
 
     /// Replay the plan/execute/attribute loop until `limit` or until the
-    /// aggregate drains; returns execution rounds run.
+    /// aggregate drains; returns the sequences planned.
     fn execute_until(&mut self, limit: Time, hook: &mut dyn SettleHook) -> u64 {
         let mut rounds = 0u64;
         while self.busy() && self.now < limit {
             if self.plan.windows.is_empty() {
+                rounds += 1;
                 // Plan on the aggregate compacted to its active ports,
                 // then translate back to real ports: padding circuits
                 // map to no port and are dropped (see `Compacted`).
@@ -299,8 +300,9 @@ impl CircuitBackend {
                 &mut segments,
             );
             self.apply_segments(segments, hook);
-            if stopped < limit {
-                // Ran out, or drained the aggregate: re-plan what is left.
+            if self.plan.windows.is_empty() || (self.remaining.is_zero() && !self.plan.is_cut()) {
+                // Ran out, or drained the aggregate — at the limit too:
+                // re-plan what is left.
                 self.end_plan(hook);
             }
             assert!(
@@ -309,7 +311,6 @@ impl CircuitBackend {
                 self.now
             );
             self.now = stopped;
-            rounds += 1;
         }
         rounds
     }

@@ -21,11 +21,12 @@
 //! * **deterministic** — two fresh backends replay the same outcomes;
 //! * **submission_order** — every backend admits in `(arrival, id)`
 //!   order, so submitting the trace backwards changes nothing;
-//! * **sliced** — serving equals replay: sliced at any lengths, with
-//!   each Coflow submitted just in time, half a second ahead or all up
-//!   front, a backend gives the batch outcomes and the batch's
-//!   outcome-bearing counters, fault-free and under a seeded hook that
-//!   shorts circuits;
+//! * **sliced** — serving equals replay: sliced at any lengths (and at
+//!   every instant a batch flow finishes), with each Coflow submitted
+//!   just in time, half a second ahead or all up front, a backend gives
+//!   the batch outcomes, the batch's outcome-bearing counters and the
+//!   batch's count of processed events, fault-free and under a seeded
+//!   hook that shorts circuits;
 //! * **time_shift** — delaying every arrival by Δ delays every start,
 //!   flow finish and Coflow finish by Δ;
 //! * **scale** — doubling every flow and the link rate leaves every
@@ -127,7 +128,7 @@ impl SettleHook for Shorting {
     fn on_settle(&mut self, resv: &Reservation, available: Dur, _now: Time) -> SettleVerdict {
         let mut h = 0x5eed_u64 ^ (resv.flow.coflow << 40) ^ ((resv.flow.flow_idx as u64) << 24);
         h ^= (resv.src as u64) << 12 ^ resv.start.as_ps();
-        if xorshift(&mut h) % 8 == 0 {
+        if xorshift(&mut h).is_multiple_of(8) {
             SettleVerdict::shorted(available / 2, Dur::from_millis(3))
         } else {
             SettleVerdict::full(available)
@@ -140,7 +141,7 @@ impl SettleHook for Shorting {
 /// after it), advance to its end under `hook`, drain. After each slice
 /// `after` sees the backend's status, the slice's end and how many
 /// Coflows were submitted but not yet drained. Returns the completions
-/// in the order they drained.
+/// in the order they drained, and the events the advances processed.
 fn run_sliced(
     coflows: &[Coflow],
     backend: &mut dyn SchedulingBackend,
@@ -148,11 +149,12 @@ fn run_sliced(
     mut slice: impl FnMut() -> Dur,
     ahead: Dur,
     mut after: impl FnMut(BackendStatus, Time, usize),
-) -> Vec<ScheduleOutcome> {
+) -> (Vec<ScheduleOutcome>, u64) {
     let mut by_arrival: Vec<&Coflow> = coflows.iter().collect();
     by_arrival.sort_by_key(|c| (c.arrival(), c.id()));
     let mut fed = 0usize;
     let mut done = Vec::new();
+    let mut processed = 0u64;
     let mut deadline = Time::ZERO;
     while fed < by_arrival.len() || !backend.status().idle {
         deadline += slice();
@@ -163,18 +165,18 @@ fn run_sliced(
                 .expect("a just-in-time arrival is never in the past");
             fed += 1;
         }
-        backend.advance_to(deadline, hook);
+        processed += backend.advance_to(deadline, hook);
         done.extend(backend.drain_completions().into_iter().map(|c| c.outcome));
         after(backend.status(), deadline, fed - done.len());
     }
-    done
+    (done, processed)
 }
 
 fn completes(row: &Row) {
     let f = fabric();
     let coflows = row.workload();
     let mut backend = row.build(&f);
-    let done = run_sliced(
+    let (done, _) = run_sliced(
         &coflows,
         backend.as_mut(),
         &mut FullService,
@@ -343,32 +345,12 @@ fn outcome_counters(status: BackendStatus) -> (u64, u64, u64, u64) {
 /// second ahead, and everything up front (the trace arrives within 2 s).
 const LEADS: [Dur; 3] = [Dur::ZERO, Dur::from_millis(500), Dur::from_millis(600_000)];
 
-fn sliced(row: &Row) {
-    sliced_under(row, &mut FullService, "fault-free");
-    sliced_under(row, &mut Shorting, "shorted");
-}
-
-fn sliced_under(row: &Row, hook: &mut dyn SettleHook, faults: &str) {
-    let f = fabric();
-    let coflows = row.workload();
-    let mut batch = row.build(&f);
-    for c in &coflows {
-        batch
-            .submit(c.clone())
-            .expect("the workload fits the fabric");
-    }
-    run_backends_to_idle(batch.as_mut(), hook);
-    let want = in_input_order(
-        &coflows,
-        batch
-            .drain_completions()
-            .into_iter()
-            .map(|c| c.outcome)
-            .collect(),
-    );
-    let want_counters = outcome_counters(batch.status());
-    // Two fixed slice lengths, then seeded random ones from 1 µs to 1 s,
-    // log-uniform, so deadlines land in stalls, windows and idle gaps.
+/// The slicings `sliced` serves at, named, each from its start: two
+/// fixed slice lengths; seeded random ones from 1 µs to 1 s,
+/// log-uniform, so deadlines land in stalls, windows and idle gaps; and
+/// deadlines at every instant a flow of the batch run `want` finishes,
+/// which is where an assignment sequence ends or drains.
+fn slicings(want: &[ScheduleOutcome]) -> Vec<(String, Box<dyn FnMut() -> Dur>)> {
     let fixed = [Dur::from_micros(1_300), Dur::from_millis(250)];
     let mut slicings: Vec<(String, Box<dyn FnMut() -> Dur>)> = fixed
         .into_iter()
@@ -387,10 +369,48 @@ fn sliced_under(row: &Row, hook: &mut dyn SettleHook, faults: &str) {
         };
         slicings.push((format!("random slices (seed {seed:#x})"), Box::new(random)));
     }
-    for (slicing, mut slice) in slicings {
-        for ahead in LEADS {
+    let mut ends: Vec<Time> = want.iter().flat_map(|o| o.flow_finish.clone()).collect();
+    ends.sort();
+    ends.dedup();
+    let (mut ends, mut at) = (ends.into_iter(), Time::ZERO);
+    let finishes = move || {
+        let next = ends.next().unwrap_or(at + Dur::from_millis(1));
+        let step = next.since(at).max(Dur::from_ps(1));
+        at += step;
+        step
+    };
+    slicings.push(("slices ending at batch finishes".into(), Box::new(finishes)));
+    slicings
+}
+
+fn sliced(row: &Row) {
+    sliced_under(row, &mut FullService, "fault-free");
+    sliced_under(row, &mut Shorting, "shorted");
+}
+
+fn sliced_under(row: &Row, hook: &mut dyn SettleHook, faults: &str) {
+    let f = fabric();
+    let coflows = row.workload();
+    let mut batch = row.build(&f);
+    for c in &coflows {
+        batch
+            .submit(c.clone())
+            .expect("the workload fits the fabric");
+    }
+    let want_processed = run_backends_to_idle(batch.as_mut(), hook);
+    let want = in_input_order(
+        &coflows,
+        batch
+            .drain_completions()
+            .into_iter()
+            .map(|c| c.outcome)
+            .collect(),
+    );
+    let want_counters = outcome_counters(batch.status());
+    for ahead in LEADS {
+        for (slicing, mut slice) in slicings(&want) {
             let mut backend = row.build(&f);
-            let got = run_sliced(
+            let (got, processed) = run_sliced(
                 &coflows,
                 backend.as_mut(),
                 hook,
@@ -411,6 +431,10 @@ fn sliced_under(row: &Row, hook: &mut dyn SettleHook, faults: &str) {
                 outcome_counters(backend.status()),
                 want_counters,
                 "{label}: (events, cuts, yield rounds, guard windows) diverged from the batch"
+            );
+            assert_eq!(
+                processed, want_processed,
+                "{label}: the advances processed another number of events than the batch"
             );
         }
     }
